@@ -2,9 +2,12 @@
 
 These measure the kernels every experiment leans on: vectorised
 nearest-codeword decoding, the chip channel, the PP-ARQ dynamic
-program, and feedback encoding.  Regressions here multiply directly
-into experiment wall-clock time.
+program, feedback encoding, and columnar trace evaluation.
+Regressions here multiply directly into experiment wall-clock time.
 """
+
+import time
+from dataclasses import asdict
 
 import numpy as np
 
@@ -16,12 +19,20 @@ from repro.arq.feedback import (
     gaps_for_segments,
 )
 from repro.arq.runlength import RunLengthPacket
+from repro.link.schemes import (
+    FragmentedCrcScheme,
+    PacketCrcScheme,
+    PprScheme,
+    SpracScheme,
+)
 from repro.phy.batch import BatchReceptionEngine, decode_samples_batch
 from repro.phy.chipchannel import transmit_chipwords
 from repro.phy.codebook import ZigbeeCodebook
 from repro.phy.decoder import SoftDecisionDecoder
 from repro.phy.modulation import MskModulator
 from repro.phy.sync import RollbackBuffer
+from repro.sim.metrics import evaluate_schemes, evaluate_schemes_reference
+from repro.sim.network import NetworkSimulation, SimulationConfig
 from repro.utils.crc import CRC32_IEEE
 
 
@@ -169,4 +180,52 @@ def test_bench_checksum_many(benchmark):
     for i in spot:
         assert int(crcs[i]) == CRC32_IEEE.compute(
             rows[i, : lengths[i]].tobytes()
+        )
+
+
+def _trace_schemes():
+    return [
+        PacketCrcScheme(),
+        FragmentedCrcScheme(n_fragments=30),
+        PprScheme(eta=6.0),
+        SpracScheme(n_segments=30, n_repair=15),
+    ]
+
+
+def test_bench_evaluate_schemes(benchmark):
+    """Columnar evaluation of the paper's three schemes plus S-PRAC on
+    a 5 s heavy-load run (both postamble modes), with the >= 5x gate
+    against the per-record reference.  Fresh schemes per call, so no
+    S-PRAC recovery memo carries over between calls."""
+    result = NetworkSimulation(
+        SimulationConfig(
+            load_bits_per_s_per_node=13800.0,
+            payload_bytes=400,
+            duration_s=5.0,
+            carrier_sense=False,
+            seed=7,
+        )
+    ).run()
+    evaluations = benchmark(
+        lambda: evaluate_schemes(result, _trace_schemes())
+    )
+    assert len(evaluations) == 8
+
+    start = time.perf_counter()
+    fast = evaluate_schemes(result, _trace_schemes())
+    fast_s = time.perf_counter() - start
+    start = time.perf_counter()
+    slow = evaluate_schemes_reference(result, _trace_schemes())
+    slow_s = time.perf_counter() - start
+    for a, b in zip(fast, slow, strict=True):
+        assert {link: asdict(a.stats[link]) for link in a.stats.links()} == {
+            link: asdict(b.stats[link]) for link in b.stats.links()
+        }
+    if benchmark.enabled:
+        # Wall-clock gate only when actually benchmarking; under
+        # --benchmark-disable (CI) a contended runner would flake.
+        speedup = slow_s / fast_s
+        assert speedup >= 5.0, (
+            f"columnar evaluate_schemes only {speedup:.1f}x faster than "
+            f"the per-record reference ({fast_s:.4f}s vs {slow_s:.4f}s)"
         )

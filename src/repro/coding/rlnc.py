@@ -128,6 +128,9 @@ class SegmentedRlncCodec:
         self.n_repair = int(n_repair)
         self.field = field
         self.seed = int(seed)
+        self._coefficients: np.ndarray | None = None
+        # recoverable_mask results keyed by the packed erasure pattern
+        self._recoverable: dict[bytes, np.ndarray] = {}
 
     def __repr__(self) -> str:
         return (
@@ -138,17 +141,26 @@ class SegmentedRlncCodec:
     # -- layout --------------------------------------------------------------
 
     def coefficients(self) -> np.ndarray:
-        """The keyed ``(r, k)`` coefficient matrix of this codec."""
-        make = (
-            gf2_coefficients if self.field == "gf2" else gf256_coefficients
-        )
-        return make(
-            self.seed,
-            "rlnc-coeffs",
-            self.n_segments,
-            self.n_repair,
-            shape=(self.n_repair, self.n_segments),
-        )
+        """The keyed ``(r, k)`` coefficient matrix of this codec.
+
+        Drawn once per codec and returned read-only thereafter.
+        """
+        if self._coefficients is None:
+            make = (
+                gf2_coefficients
+                if self.field == "gf2"
+                else gf256_coefficients
+            )
+            coeffs = make(
+                self.seed,
+                "rlnc-coeffs",
+                self.n_segments,
+                self.n_repair,
+                shape=(self.n_repair, self.n_segments),
+            )
+            coeffs.flags.writeable = False
+            self._coefficients = coeffs
+        return self._coefficients
 
     def segment_sizes(self, payload_len: int) -> list[int]:
         """Per-data-segment byte counts (leading take the remainder)."""
@@ -343,6 +355,13 @@ class SegmentedRlncCodec:
         intact data segments contribute unit vectors, intact repair
         segments their coefficient rows, and the elimination reports
         every uniquely-determined coordinate.
+
+        Intact data segments are known, so only the erased columns of
+        the surviving repair rows are eliminated: an erased segment is
+        pinned down by the whole system iff its unit vector lies in
+        the row space of those columns.  The answer depends only on
+        the erasure pattern, so it is memoised per codec and returned
+        as a read-only array.
         """
         data_ok = np.asarray(data_ok, dtype=bool)
         repair_ok = np.asarray(repair_ok, dtype=bool)
@@ -354,12 +373,16 @@ class SegmentedRlncCodec:
             raise ValueError(
                 f"repair_ok must have shape ({self.n_repair},)"
             )
-        if data_ok.all():
-            return data_ok.copy()
-        eye = np.eye(self.n_segments, dtype=np.uint8)
-        coeffs = np.concatenate(
-            [eye[data_ok], self.coefficients()[repair_ok]]
-        )
-        dummy = np.zeros((coeffs.shape[0], 1), dtype=np.uint8)
-        recovered, _ = self._eliminate(coeffs, dummy)
+        key = np.packbits(np.concatenate([data_ok, repair_ok])).tobytes()
+        recovered = self._recoverable.get(key)
+        if recovered is None:
+            recovered = data_ok.copy()
+            erased = ~data_ok
+            if erased.any():
+                coeffs = self.coefficients()[repair_ok][:, erased]
+                dummy = np.zeros((coeffs.shape[0], 1), dtype=np.uint8)
+                pinned, _ = self._eliminate(coeffs, dummy)
+                recovered[erased] = pinned
+            recovered.flags.writeable = False
+            self._recoverable[key] = recovered
         return recovered

@@ -18,8 +18,8 @@ Expectations under test:
 * PPR's threshold rule hands up incorrect bits at every η, and
   more of them as η grows — while SPRAC's deliveries are verified by
   construction (a segment is handed up only on its own CRC or exact
-  coding recovery; the trace model in ``sim/metrics.py`` encodes
-  exactly that, so it is a modelling property here, not a measured
+  coding recovery; the trace model in ``SpracScheme.evaluate_traces``
+  encodes exactly that, so it is a modelling property here, not a measured
   outcome);
 * the repair redundancy is charged as overhead, so SPRAC buys its
   delivery edge with goodput — the S-PRAC trade, visible in the
@@ -105,33 +105,33 @@ def _incorrect_bits(evaluation: SchemeEvaluation) -> int:
 )
 def run(cache: RunCache) -> ExperimentOutput:
     """Evaluate the four contenders across the declared grid."""
-    # The (segments, eta) axes ride on the same traces, so evaluate
-    # each (config, scheme-parameter) pair once and assemble the grid
-    # from the memo instead of re-walking the records per scenario.
-    frag_memo: dict[tuple, tuple[float, float]] = {}  # frag, sprac
-    ppr_memo: dict[tuple, tuple[float, int]] = {}  # rate, bad bits
+    # The (segments, eta) axes ride on the same traces, so every
+    # contender is evaluated once per (noise, seed) run and the grid is
+    # assembled from those evaluations.  One SpracScheme per k serves
+    # every run, so its codec's recovery memo is shared across them.
+    packet = PacketCrcScheme()
+    frags = {k: FragmentedCrcScheme(n_fragments=k) for k in SEGMENTS}
+    spracs = {k: SpracScheme(n_segments=k, n_repair=k // 2) for k in SEGMENTS}
+    pprs = {eta: PprScheme(eta=eta) for eta in ETAS}
+    schemes = [packet, *frags.values(), *spracs.values(), *pprs.values()]
     packet_memo: dict[tuple, float] = {}
+    frag_memo: dict[tuple, tuple[float, float]] = {}  # frag, sprac
     goodput_memo: dict[tuple, tuple[float, float]] = {}
-    for scenario, result in _SWEEP.run(cache):
-        config = result.config
-        noise = config.noise_floor_dbm
-        seed = config.seed
-        k = scenario.param("segments")
-        eta = scenario.param("eta")
-        if (noise, seed) not in packet_memo:
-            (evaluation,) = evaluate_schemes(
-                result, [PacketCrcScheme()], postamble_options=(True,)
+    ppr_memo: dict[tuple, tuple[float, int]] = {}  # rate, bad bits
+    for _scenario, result in _SWEEP.run(cache):
+        noise = result.config.noise_floor_dbm
+        seed = result.config.seed
+        if (noise, seed) in packet_memo:
+            continue
+        evals = {
+            e.scheme: e
+            for e in evaluate_schemes(
+                result, schemes, postamble_options=(True,)
             )
-            packet_memo[(noise, seed)] = _mean_rate(evaluation)
-        if (noise, seed, k) not in frag_memo:
-            frag_eval, sprac_eval = evaluate_schemes(
-                result,
-                [
-                    FragmentedCrcScheme(n_fragments=k),
-                    SpracScheme(n_segments=k, n_repair=k // 2),
-                ],
-                postamble_options=(True,),
-            )
+        }
+        packet_memo[(noise, seed)] = _mean_rate(evals[packet])
+        for k in SEGMENTS:
+            frag_eval, sprac_eval = evals[frags[k]], evals[spracs[k]]
             frag_memo[(noise, seed, k)] = (
                 _mean_rate(frag_eval),
                 _mean_rate(sprac_eval),
@@ -140,13 +140,10 @@ def run(cache: RunCache) -> ExperimentOutput:
                 frag_eval.aggregate_throughput_kbps(),
                 sprac_eval.aggregate_throughput_kbps(),
             )
-        if (noise, seed, eta) not in ppr_memo:
-            (ppr_eval,) = evaluate_schemes(
-                result, [PprScheme(eta=eta)], postamble_options=(True,)
-            )
+        for eta in ETAS:
             ppr_memo[(noise, seed, eta)] = (
-                _mean_rate(ppr_eval),
-                _incorrect_bits(ppr_eval),
+                _mean_rate(evals[pprs[eta]]),
+                _incorrect_bits(evals[pprs[eta]]),
             )
 
     rows = []

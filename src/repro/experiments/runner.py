@@ -357,6 +357,11 @@ def main(argv: list[str] | None = None) -> int:
         names = args.experiment
     if not names:
         parser.error("pass --all, --experiment ID [ID ...], or --list")
+    for name in names:
+        try:
+            registry.get_spec(name)
+        except ValueError as exc:
+            parser.error(str(exc))
     duration = 15.0 if args.quick else 40.0
     store_dir = args.store or os.environ.get("REPRO_STORE")
     store = RunStore(store_dir) if store_dir else None

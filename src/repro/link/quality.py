@@ -98,6 +98,11 @@ class LinkStats:
     def __getitem__(self, link: tuple[int, int]) -> LinkObservation:
         return self._links[link]
 
+    def __setitem__(
+        self, link: tuple[int, int], observation: LinkObservation
+    ) -> None:
+        self._links[link] = observation
+
     def __contains__(self, link: tuple[int, int]) -> bool:
         return link in self._links
 

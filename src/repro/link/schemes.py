@@ -24,6 +24,15 @@ Beyond the paper, :class:`SpracScheme` adds the S-PRAC contender
 (PAPERS.md): fragmented CRCs plus random-linear-network-coded repair
 segments, the very-noisy-channel scheme the coded-recovery experiment
 pits against the paper's three.
+
+Each scheme also evaluates itself on *recorded traces*
+(``evaluate_traces``): a :class:`TraceBlock` holds the wire-payload
+correctness and hints of many equal-length receptions, and the scheme
+returns per-row :class:`TraceDelivery` columns.  CRC outcomes are taken
+through their defining property — a CRC-32-protected region verifies
+iff all of its symbols decoded correctly — which is what lets
+:func:`repro.sim.metrics.evaluate_schemes` score every scheme on the
+same traces (paper §7.2) without re-encoding bytes.
 """
 
 from __future__ import annotations
@@ -120,6 +129,83 @@ class DeliveryResult:
         return self.delivered_correct_bits / self.payload_bits
 
 
+@dataclass(frozen=True)
+class TraceBlock:
+    """Recorded wire-payload traces of equal length, one row each.
+
+    ``correct`` is the ``(m, L)`` ground-truth correctness of every
+    wire-payload symbol and ``hints`` the matching ``(m, L)`` SoftPHY
+    hints of ``m`` acquired receptions.
+    """
+
+    correct: np.ndarray
+    hints: np.ndarray
+
+    def __post_init__(self) -> None:
+        if self.correct.ndim != 2 or self.correct.shape != self.hints.shape:
+            raise ValueError(
+                "correct and hints must be 2-D arrays of one shape"
+            )
+
+    @property
+    def n_symbols(self) -> int:
+        """Wire-payload symbols per row (L)."""
+        return int(self.correct.shape[1])
+
+    @property
+    def payload_bits(self) -> int:
+        """Payload bits per row."""
+        return self.n_symbols * _BITS_PER_SYMBOL
+
+
+@dataclass(frozen=True)
+class TraceDelivery:
+    """Per-row outcome of one scheme on a :class:`TraceBlock`.
+
+    Each field is an ``(m,)`` column: the trace analogue of
+    :class:`DeliveryResult` for every row at once.
+    """
+
+    delivered_correct_bits: np.ndarray
+    delivered_incorrect_bits: np.ndarray
+    overhead_bits: np.ndarray
+    frame_passed: np.ndarray
+
+    @classmethod
+    def of(
+        cls,
+        frame_passed: np.ndarray,
+        delivered_correct_bits: np.ndarray | int,
+        overhead_bits: int,
+        delivered_incorrect_bits: np.ndarray | int = 0,
+    ) -> TraceDelivery:
+        """Columns shaped like ``frame_passed``; scalars broadcast."""
+        rows = frame_passed.shape
+
+        def column(value: np.ndarray | int) -> np.ndarray:
+            return np.broadcast_to(np.asarray(value, dtype=np.int64), rows)
+
+        return cls(
+            delivered_correct_bits=column(delivered_correct_bits),
+            delivered_incorrect_bits=column(delivered_incorrect_bits),
+            overhead_bits=column(overhead_bits),
+            frame_passed=frame_passed,
+        )
+
+
+def _segments_ok(correct: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """``(m, n)``: row ``i`` decoded ``[bounds[j], bounds[j+1])`` intact.
+
+    An empty segment counts as intact, like ``all()`` of nothing.
+    """
+    empty = bounds[1:] == bounds[:-1]
+    if correct.shape[1] == 0:
+        return np.ones((correct.shape[0], empty.size), dtype=bool)
+    ok = np.logical_and.reduceat(correct, bounds[:-1], axis=1)
+    ok[:, empty] = True
+    return ok
+
+
 class DeliveryScheme(ABC):
     """Common interface of the three §7.2 delivery schemes."""
 
@@ -136,6 +222,16 @@ class DeliveryScheme(ABC):
     @abstractmethod
     def deliver(self, rx: ReceivedPayload) -> DeliveryResult:
         """Decide which payload bits reach the higher layer."""
+
+    def evaluate_traces(self, block: TraceBlock) -> TraceDelivery:
+        """Score every row of a recorded-trace block under this scheme.
+
+        Every scheme that takes part in trace evaluation overrides
+        this; the default rejects the scheme.
+        """
+        raise TypeError(
+            f"no trace evaluation defined for scheme {type(self).__name__}"
+        )
 
     def wire_length(self, payload_len: int) -> int:
         """Total wire-payload bytes for an application payload."""
@@ -184,6 +280,14 @@ class PacketCrcScheme(DeliveryScheme):
             delivered_incorrect_bits=payload_bits - correct_bits,
             overhead_bits=8 * _CRC_BYTES,
             frame_passed=True,
+        )
+
+    def evaluate_traces(self, block: TraceBlock) -> TraceDelivery:
+        passed = block.correct.all(axis=1)
+        return TraceDelivery.of(
+            frame_passed=passed,
+            delivered_correct_bits=np.where(passed, block.payload_bits, 0),
+            overhead_bits=8 * _CRC_BYTES,
         )
 
 
@@ -262,6 +366,19 @@ class FragmentedCrcScheme(DeliveryScheme):
             frame_passed=passed_all,
         )
 
+    def evaluate_traces(self, block: TraceBlock) -> TraceDelivery:
+        # Fragments of the traced payload region itself (the trace
+        # carries no interleaved CRC fields).
+        n_symbols = block.n_symbols
+        n = min(self.n_fragments, n_symbols) if n_symbols else 1
+        bounds = np.linspace(0, n_symbols, n + 1).astype(int)
+        ok = _segments_ok(block.correct, bounds)
+        return TraceDelivery.of(
+            frame_passed=ok.all(axis=1),
+            delivered_correct_bits=(ok @ np.diff(bounds)) * _BITS_PER_SYMBOL,
+            overhead_bits=8 * _CRC_BYTES * n,
+        )
+
     def _fragment_count(self, wire_len: int) -> int:
         # Invert wire_length: wire = payload + 4 * n, n = min(n_frags, payload).
         for n in range(min(self.n_fragments, wire_len), 0, -1):
@@ -332,6 +449,21 @@ class PprScheme(DeliveryScheme):
             delivered_incorrect_bits=delivered_incorrect,
             overhead_bits=8 * _CRC_BYTES,
             frame_passed=passed,
+        )
+
+    def evaluate_traces(self, block: TraceBlock) -> TraceDelivery:
+        good = block.hints <= self.eta
+        n_good = good.sum(axis=1)
+        good &= block.correct
+        n_good_correct = good.sum(axis=1)
+        return TraceDelivery.of(
+            frame_passed=block.correct.all(axis=1),
+            delivered_correct_bits=n_good_correct * _BITS_PER_SYMBOL,
+            delivered_incorrect_bits=(n_good - n_good_correct)
+            * _BITS_PER_SYMBOL,
+            overhead_bits=8 * self.wire_overhead_bytes(
+                block.n_symbols // _SYMBOLS_PER_BYTE
+            ),
         )
 
 
@@ -448,6 +580,56 @@ class SpracScheme(DeliveryScheme):
             delivered_incorrect_bits=delivered_incorrect,
             overhead_bits=8 * self.wire_overhead_bytes(payload_len),
             frame_passed=result.complete,
+        )
+
+    def evaluate_traces(self, block: TraceBlock) -> TraceDelivery:
+        """S-PRAC on recorded traces: segment erasures + coded recovery.
+
+        Data segments follow the fragmented-CRC convention (a segment
+        verifies iff all of its symbols decoded correctly).  The traced
+        region carries no repair symbols, so each repair segment's
+        channel outcome is modelled by a *wrap-around window* of the
+        same trace: repair ``j`` (as long as the largest data segment)
+        survives iff the symbols in its cyclic window all decoded
+        correctly — the same error process, burstiness included,
+        extended past the recorded region.  Recovery then follows the
+        real coefficient matrices:
+        :meth:`~repro.coding.rlnc.SegmentedRlncCodec.recoverable_mask`
+        runs the GF elimination, once per distinct erasure pattern, to
+        decide which erased segments the surviving equations pin down
+        (a recovered segment is exact by construction).  Repair airtime
+        and every CRC are charged as overhead.
+        """
+        k, r = self.n_segments, self.n_repair
+        n_symbols = block.n_symbols
+        if n_symbols == 0:
+            return TraceDelivery.of(
+                frame_passed=np.ones(block.correct.shape[0], dtype=bool),
+                delivered_correct_bits=0,
+                overhead_bits=8 * _CRC_BYTES * (k + r),
+            )
+        bounds = np.linspace(0, n_symbols, k + 1).astype(int)
+        data_ok = _segments_ok(block.correct, bounds)
+        repair_sym = -(-n_symbols // k)
+        windows = (
+            (k + np.arange(r)[:, None]) * repair_sym + np.arange(repair_sym)
+        ) % n_symbols
+        repair_ok = block.correct[:, windows].all(axis=2)
+        patterns, inverse = np.unique(
+            np.concatenate([data_ok, repair_ok], axis=1),
+            axis=0,
+            return_inverse=True,
+        )
+        recoverable = np.array(
+            [self.codec.recoverable_mask(p[:k], p[k:]) for p in patterns]
+        )
+        delivered = recoverable[inverse.reshape(-1)]
+        return TraceDelivery.of(
+            frame_passed=delivered.all(axis=1),
+            delivered_correct_bits=(delivered @ np.diff(bounds))
+            * _BITS_PER_SYMBOL,
+            overhead_bits=8 * _CRC_BYTES * (k + r)
+            + r * repair_sym * _BITS_PER_SYMBOL,
         )
 
 

@@ -1,11 +1,17 @@
 """Trace post-processing: scheme evaluation and hint statistics.
 
 Receptions are recorded once and evaluated under every delivery scheme
-(the paper's own method, §7.2).  CRC outcomes are evaluated through
+(the paper's own method, §7.2).  The acquired receptions of a run are
+grouped by payload length into :class:`~repro.link.schemes.TraceBlock`
+arrays, and each scheme scores a whole block at once
+(:meth:`~repro.link.schemes.DeliveryScheme.evaluate_traces`); per-link
+totals are bincounts over link ids.  CRC outcomes are evaluated through
 their defining property — a CRC-32-protected region verifies iff all of
 its symbols decoded correctly (undetected-error probability 2^-32 is
 far below anything a simulation of this size can resolve); the real CRC
 arithmetic is exercised by the link/ARQ layers and their tests.
+:func:`evaluate_schemes_reference` keeps the per-record loop as the
+executable specification of :func:`evaluate_schemes`.
 """
 
 from __future__ import annotations
@@ -15,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.link.quality import LinkStats
+from repro.analysis.runs import run_lengths
+from repro.link.quality import LinkObservation, LinkStats
 from repro.link.schemes import (
     DeliveryResult,
     DeliveryScheme,
@@ -23,8 +30,9 @@ from repro.link.schemes import (
     PacketCrcScheme,
     PprScheme,
     SpracScheme,
+    TraceBlock,
 )
-from repro.sim.network import SimulationResult
+from repro.sim.network import ReceptionRecord, SimulationResult
 
 _BITS_PER_SYMBOL = 4
 _SYMBOLS_PER_BYTE = 2
@@ -44,121 +52,84 @@ def trace_deliver(
     hints = np.asarray(hints, dtype=np.float64)
     if correct.shape != hints.shape:
         raise ValueError("correct and hints must have the same shape")
-    n_symbols = correct.size
-    payload_bits = n_symbols * _BITS_PER_SYMBOL
-
-    if isinstance(scheme, PprScheme):
-        good = hints <= scheme.eta
-        return DeliveryResult(
-            scheme=scheme.name,
-            payload_bits=payload_bits,
-            delivered_correct_bits=int((good & correct).sum())
-            * _BITS_PER_SYMBOL,
-            delivered_incorrect_bits=int((good & ~correct).sum())
-            * _BITS_PER_SYMBOL,
-            overhead_bits=8 * scheme.wire_overhead_bytes(
-                n_symbols // _SYMBOLS_PER_BYTE
-            ),
-            frame_passed=bool(correct.all()),
-        )
-    if isinstance(scheme, FragmentedCrcScheme):
-        n = min(scheme.n_fragments, n_symbols) if n_symbols else 1
-        bounds = np.linspace(0, n_symbols, n + 1).astype(int)
-        delivered = 0
-        all_ok = True
-        for lo, hi in zip(bounds[:-1], bounds[1:], strict=True):
-            if hi > lo and correct[lo:hi].all():
-                delivered += (hi - lo) * _BITS_PER_SYMBOL
-            elif hi > lo:
-                all_ok = False
-        return DeliveryResult(
-            scheme=scheme.name,
-            payload_bits=payload_bits,
-            delivered_correct_bits=delivered,
-            delivered_incorrect_bits=0,
-            overhead_bits=32 * n,
-            frame_passed=all_ok,
-        )
-    if isinstance(scheme, PacketCrcScheme):
-        passed = bool(correct.all())
-        return DeliveryResult(
-            scheme=scheme.name,
-            payload_bits=payload_bits,
-            delivered_correct_bits=payload_bits if passed else 0,
-            delivered_incorrect_bits=0,
-            overhead_bits=32,
-            frame_passed=passed,
-        )
-    if isinstance(scheme, SpracScheme):
-        return _trace_deliver_sprac(scheme, correct)
-    raise TypeError(
-        f"no trace evaluation defined for scheme {type(scheme).__name__}"
-    )
-
-
-def _trace_deliver_sprac(
-    scheme: SpracScheme, correct: np.ndarray
-) -> DeliveryResult:
-    """S-PRAC on a recorded trace: segment erasures + coded recovery.
-
-    Data segments follow the fragmented-CRC convention (a segment
-    verifies iff all of its symbols decoded correctly).  The traced
-    region carries no repair symbols, so each repair segment's channel
-    outcome is modelled by a *wrap-around window* of the same trace:
-    repair ``j`` (as long as the largest data segment) survives iff
-    the symbols in its cyclic window all decoded correctly — the same
-    error process, burstiness included, extended past the recorded
-    region.  Recovery then follows the real coefficient matrices:
-    :meth:`SegmentedRlncCodec.recoverable_mask` runs the GF
-    elimination to decide which erased segments the surviving
-    equations pin down (a recovered segment is exact by construction).
-    Repair airtime and every CRC are charged as overhead.
-    """
-    k = scheme.n_segments
-    r = scheme.n_repair
-    n_symbols = correct.size
-    payload_bits = n_symbols * _BITS_PER_SYMBOL
-    if n_symbols == 0:
-        return DeliveryResult(
-            scheme=scheme.name,
-            payload_bits=0,
-            delivered_correct_bits=0,
-            delivered_incorrect_bits=0,
-            overhead_bits=32 * (k + r),
-            frame_passed=True,
-        )
-    bounds = np.linspace(0, n_symbols, k + 1).astype(int)
-    data_ok = np.array(
-        [
-            bool(correct[lo:hi].all())
-            for lo, hi in zip(bounds[:-1], bounds[1:], strict=True)
-        ],
-        dtype=bool,
-    )
-    repair_sym = -(-n_symbols // k)
-    repair_ok = np.zeros(r, dtype=bool)
-    for j in range(r):
-        window = (
-            (k + j) * repair_sym + np.arange(repair_sym)
-        ) % n_symbols
-        repair_ok[j] = bool(correct[window].all())
-    delivered = scheme.codec.recoverable_mask(data_ok, repair_ok)
-    delivered_bits = int(
-        sum(
-            (hi - lo) * _BITS_PER_SYMBOL
-            for lo, hi, ok in zip(bounds[:-1], bounds[1:], delivered, strict=True)
-            if ok
-        )
-    )
-    overhead_bits = 32 * (k + r) + r * repair_sym * _BITS_PER_SYMBOL
+    try:
+        evaluate = scheme.evaluate_traces
+    except AttributeError:
+        raise TypeError(
+            f"{type(scheme).__name__} is not a DeliveryScheme"
+        ) from None
+    block = TraceBlock(correct.reshape(1, -1), hints.reshape(1, -1))
+    outcome = evaluate(block)
     return DeliveryResult(
         scheme=scheme.name,
-        payload_bits=payload_bits,
-        delivered_correct_bits=delivered_bits,
-        delivered_incorrect_bits=0,
-        overhead_bits=overhead_bits,
-        frame_passed=bool(delivered.all()),
+        payload_bits=block.payload_bits,
+        delivered_correct_bits=int(outcome.delivered_correct_bits[0]),
+        delivered_incorrect_bits=int(outcome.delivered_incorrect_bits[0]),
+        overhead_bits=int(outcome.overhead_bits[0]),
+        frame_passed=bool(outcome.frame_passed[0]),
     )
+
+
+def _acquired(
+    records: list[ReceptionRecord], postamble_enabled: bool
+) -> np.ndarray:
+    """Per-record acquisition flags under one PHY mode."""
+    return np.fromiter(
+        (rec.acquired(postamble_enabled) for rec in records),
+        dtype=bool,
+        count=len(records),
+    )
+
+
+def _trace_blocks(
+    records: list[ReceptionRecord], rows: np.ndarray
+) -> list[tuple[np.ndarray, TraceBlock]]:
+    """The ``rows`` of ``records`` as one trace block per payload length.
+
+    Returns ``(record indices, block)`` pairs; blocks hold only the
+    payload region of their rows.
+    """
+    by_length: dict[int, list[int]] = {}
+    for i in np.flatnonzero(rows).tolist():
+        rec = records[i]
+        by_length.setdefault(rec.payload_end - rec.payload_start, []).append(i)
+    blocks = []
+    for length, indices in by_length.items():
+        group = [records[i] for i in indices]
+        correct = np.empty((len(group), length), dtype=bool)
+        for row, rec in zip(correct, group, strict=True):
+            region = slice(rec.payload_start, rec.payload_end)
+            np.equal(rec.body_symbols[region], rec.body_truth[region], out=row)
+        hints = np.stack(
+            [r.body_hints[r.payload_start : r.payload_end] for r in group]
+        )
+        blocks.append((np.array(indices), TraceBlock(correct, hints)))
+    return blocks
+
+
+#: LinkObservation counter <- TraceDelivery column it sums
+_DELIVERY_COUNTERS = {
+    "frames_passed": "frame_passed",
+    "delivered_correct_bits": "delivered_correct_bits",
+    "delivered_incorrect_bits": "delivered_incorrect_bits",
+    "overhead_bits": "overhead_bits",
+}
+
+
+def _score(
+    scheme: DeliveryScheme,
+    blocks: list[tuple[np.ndarray, TraceBlock]],
+    n_records: int,
+) -> dict[str, np.ndarray]:
+    """Per-record delivery counters of one scheme (zero where unscored)."""
+    columns = {
+        name: np.zeros(n_records, dtype=np.int64) for name in _DELIVERY_COUNTERS
+    }
+    for indices, block in blocks:
+        outcome = scheme.evaluate_traces(block)
+        for name, column in _DELIVERY_COUNTERS.items():
+            columns[name][indices] = getattr(outcome, column)
+    return columns
 
 
 @dataclass
@@ -215,7 +186,194 @@ def evaluate_schemes(
     schemes: list[DeliveryScheme],
     postamble_options: tuple[bool, ...] = (False, True),
 ) -> list[SchemeEvaluation]:
-    """Evaluate every (scheme, postamble) variant on recorded traces."""
+    """Evaluate every (scheme, postamble) variant on recorded traces.
+
+    Each scheme scores the receptions acquired in *any* requested mode
+    once, block by block; each mode then sums its own acquired rows
+    per link.
+    """
+    records = result.records
+    n = len(records)
+    links = sorted({rec.link for rec in records})
+    link_index = {link: i for i, link in enumerate(links)}
+    link_ids = np.fromiter(
+        (link_index[rec.link] for rec in records), dtype=np.intp, count=n
+    )
+    payload_bits = np.fromiter(
+        (
+            (rec.payload_end - rec.payload_start) * _BITS_PER_SYMBOL
+            for rec in records
+        ),
+        dtype=np.int64,
+        count=n,
+    )
+    acquired = {mode: _acquired(records, mode) for mode in postamble_options}
+    scored = np.zeros(n, dtype=bool)
+    for mask in acquired.values():
+        scored |= mask
+    blocks = _trace_blocks(records, scored)
+    columns = {scheme: _score(scheme, blocks, n) for scheme in schemes}
+
+    def link_sums(mask: np.ndarray, values: np.ndarray | None) -> list[int]:
+        sums = np.bincount(
+            link_ids[mask],
+            weights=None if values is None else values[mask],
+            minlength=len(links),
+        )
+        return sums.astype(np.int64).tolist()
+
+    everything = np.ones(n, dtype=bool)
+    sent = {
+        "frames_sent": link_sums(everything, None),
+        "payload_bits_sent": link_sums(everything, payload_bits),
+    }
+    evaluations = []
+    for postamble_enabled in postamble_options:
+        mask = acquired[postamble_enabled]
+        received = {
+            "frames_acquired": link_sums(mask, None),
+            "payload_bits_acquired": link_sums(mask, payload_bits),
+        }
+        for scheme in schemes:
+            totals = {
+                **sent,
+                **received,
+                **{
+                    name: link_sums(mask, values)
+                    for name, values in columns[scheme].items()
+                },
+            }
+            stats = LinkStats()
+            for i, link in enumerate(links):
+                stats[link] = LinkObservation(
+                    **{name: values[i] for name, values in totals.items()}
+                )
+            evaluations.append(
+                SchemeEvaluation(
+                    scheme=scheme,
+                    postamble_enabled=postamble_enabled,
+                    stats=stats,
+                    duration_s=result.duration_s,
+                )
+            )
+    return evaluations
+
+
+def evaluate_schemes_reference(
+    result: SimulationResult,
+    schemes: list[DeliveryScheme],
+    postamble_options: tuple[bool, ...] = (False, True),
+) -> list[SchemeEvaluation]:
+    """Per-record loop specification of :func:`evaluate_schemes`.
+
+    Walks every record under every variant and dispatches on the scheme
+    type; pinned to the columnar evaluator in the equivalence suite.
+    """
+
+    def deliver_sprac(
+        scheme: SpracScheme, correct: np.ndarray
+    ) -> DeliveryResult:
+        k = scheme.n_segments
+        r = scheme.n_repair
+        n_symbols = correct.size
+        payload_bits = n_symbols * _BITS_PER_SYMBOL
+        if n_symbols == 0:
+            return DeliveryResult(
+                scheme=scheme.name,
+                payload_bits=0,
+                delivered_correct_bits=0,
+                delivered_incorrect_bits=0,
+                overhead_bits=32 * (k + r),
+                frame_passed=True,
+            )
+        bounds = np.linspace(0, n_symbols, k + 1).astype(int)
+        data_ok = np.array(
+            [
+                bool(correct[lo:hi].all())
+                for lo, hi in zip(bounds[:-1], bounds[1:], strict=True)
+            ],
+            dtype=bool,
+        )
+        repair_sym = -(-n_symbols // k)
+        repair_ok = np.zeros(r, dtype=bool)
+        for j in range(r):
+            window = (
+                (k + j) * repair_sym + np.arange(repair_sym)
+            ) % n_symbols
+            repair_ok[j] = bool(correct[window].all())
+        delivered = scheme.codec.recoverable_mask(data_ok, repair_ok)
+        delivered_bits = int(
+            sum(
+                (hi - lo) * _BITS_PER_SYMBOL
+                for lo, hi, ok in zip(
+                    bounds[:-1], bounds[1:], delivered, strict=True
+                )
+                if ok
+            )
+        )
+        overhead_bits = 32 * (k + r) + r * repair_sym * _BITS_PER_SYMBOL
+        return DeliveryResult(
+            scheme=scheme.name,
+            payload_bits=payload_bits,
+            delivered_correct_bits=delivered_bits,
+            delivered_incorrect_bits=0,
+            overhead_bits=overhead_bits,
+            frame_passed=bool(delivered.all()),
+        )
+
+    def deliver(
+        scheme: DeliveryScheme, correct: np.ndarray, hints: np.ndarray
+    ) -> DeliveryResult:
+        n_symbols = correct.size
+        payload_bits = n_symbols * _BITS_PER_SYMBOL
+        if isinstance(scheme, PprScheme):
+            good = hints <= scheme.eta
+            return DeliveryResult(
+                scheme=scheme.name,
+                payload_bits=payload_bits,
+                delivered_correct_bits=int((good & correct).sum())
+                * _BITS_PER_SYMBOL,
+                delivered_incorrect_bits=int((good & ~correct).sum())
+                * _BITS_PER_SYMBOL,
+                overhead_bits=8 * scheme.wire_overhead_bytes(
+                    n_symbols // _SYMBOLS_PER_BYTE
+                ),
+                frame_passed=bool(correct.all()),
+            )
+        if isinstance(scheme, FragmentedCrcScheme):
+            n = min(scheme.n_fragments, n_symbols) if n_symbols else 1
+            bounds = np.linspace(0, n_symbols, n + 1).astype(int)
+            delivered = 0
+            all_ok = True
+            for lo, hi in zip(bounds[:-1], bounds[1:], strict=True):
+                if hi > lo and correct[lo:hi].all():
+                    delivered += (hi - lo) * _BITS_PER_SYMBOL
+                elif hi > lo:
+                    all_ok = False
+            return DeliveryResult(
+                scheme=scheme.name,
+                payload_bits=payload_bits,
+                delivered_correct_bits=delivered,
+                delivered_incorrect_bits=0,
+                overhead_bits=32 * n,
+                frame_passed=all_ok,
+            )
+        if isinstance(scheme, PacketCrcScheme):
+            passed = bool(correct.all())
+            return DeliveryResult(
+                scheme=scheme.name,
+                payload_bits=payload_bits,
+                delivered_correct_bits=payload_bits if passed else 0,
+                delivered_incorrect_bits=0,
+                overhead_bits=32,
+                frame_passed=passed,
+            )
+        if isinstance(scheme, SpracScheme):
+            return deliver_sprac(scheme, correct)
+        raise TypeError(
+            f"no trace evaluation defined for scheme {type(scheme).__name__}"
+        )
+
     evaluations = []
     for postamble_enabled in postamble_options:
         for scheme in schemes:
@@ -227,7 +385,7 @@ def evaluate_schemes(
                 stats[rec.link].record_sent(payload_bits)
                 if not rec.acquired(postamble_enabled):
                     continue
-                delivery = trace_deliver(
+                delivery = deliver(
                     scheme, rec.payload_correct(), rec.payload_hints()
                 )
                 stats[rec.link].record_acquired(delivery)
@@ -258,13 +416,17 @@ def hint_histograms(
     """
     correct_hist = np.zeros(max_hint + 1, dtype=np.int64)
     incorrect_hist = np.zeros(max_hint + 1, dtype=np.int64)
+    # Per record, not per trace block: a block's integer hint copy
+    # raised the benchmark's peak RSS by ~12 MB for no speed gain.
     for rec in result.records:
         if not rec.acquired(postamble_enabled):
             continue
         hints = rec.payload_hints().astype(int).clip(0, max_hint)
         correct = rec.payload_correct()
-        np.add.at(correct_hist, hints[correct], 1)
-        np.add.at(incorrect_hist, hints[~correct], 1)
+        correct_hist += np.bincount(hints[correct], minlength=max_hint + 1)
+        incorrect_hist += np.bincount(
+            hints[~correct], minlength=max_hint + 1
+        )
     return correct_hist, incorrect_hist
 
 
@@ -285,21 +447,8 @@ def miss_run_length_counts(
         hints = rec.payload_hints()
         correct = rec.payload_correct()
         for eta in etas:
-            miss = (hints <= eta) & ~correct
-            for length in _run_lengths(miss):
-                out[eta][length] += 1
+            out[eta].update(run_lengths((hints <= eta) & ~correct))
     return out
-
-
-def _run_lengths(mask: np.ndarray) -> list[int]:
-    """Lengths of maximal True runs in a boolean mask."""
-    mask = np.asarray(mask, dtype=bool)
-    if not mask.any():
-        return []
-    padded = np.concatenate([[False], mask, [False]])
-    change = np.flatnonzero(padded[1:] != padded[:-1])
-    starts, ends = change[::2], change[1::2]
-    return [int(e - s) for s, e in zip(starts, ends, strict=True)]
 
 
 def false_alarm_rates(

@@ -238,6 +238,34 @@ class TestSegmentedRlncCodec:
             )
             assert np.array_equal(mask, result.delivered)
 
+    @pytest.mark.parametrize(
+        ("field", "eliminate", "rhs_dtype"),
+        [("gf2", gf2_eliminate, np.uint64), ("gf256", gf256_eliminate, np.uint8)],
+    )
+    def test_recoverable_mask_matches_full_system(
+        self, rng, field, eliminate, rhs_dtype
+    ):
+        """The erased-columns elimination (memoised) agrees with the
+        full system — unit rows for intact segments plus the surviving
+        repair rows — on random erasure patterns, repeats included."""
+        k, r = 12, 6
+        codec = SegmentedRlncCodec(k, r, field=field, seed=3)
+        eye = np.eye(k, dtype=np.uint8)
+        for _trial in range(60):
+            data_ok = rng.random(k) < rng.uniform(0.2, 1.0)
+            repair_ok = rng.random(r) < 0.7
+            coeffs = np.concatenate(
+                [eye[data_ok], codec.coefficients()[repair_ok]]
+            )
+            want, _ = eliminate(
+                coeffs, np.zeros((coeffs.shape[0], 1), dtype=rhs_dtype)
+            )
+            got = codec.recoverable_mask(data_ok, repair_ok)
+            assert np.array_equal(got, want)
+            assert not got.flags.writeable
+        assert not codec.coefficients().flags.writeable
+        assert codec.coefficients() is codec.coefficients()
+
     def test_wire_length_inversion_exhaustive(self):
         codec = SegmentedRlncCodec(7, 3, seed=0)
         for payload_len in range(7, 200):

@@ -5,10 +5,14 @@ recorded traces) must agree with the real byte-level scheme
 implementations on identical channel realisations.
 """
 
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.link.schemes import (
+    DeliveryScheme,
     FragmentedCrcScheme,
     PacketCrcScheme,
     PprScheme,
@@ -115,6 +119,22 @@ class TestTraceDeliverEquivalence:
 
 
 class TestEvaluateSchemes:
+    def test_scheme_without_trace_evaluation_rejected(
+        self, small_sim_result
+    ):
+        class Opaque(DeliveryScheme):
+            def encode_payload(self, payload):
+                return payload
+
+            def wire_overhead_bytes(self, payload_len):
+                return 0
+
+            def deliver(self, rx):
+                raise NotImplementedError
+
+        with pytest.raises(TypeError, match="no trace evaluation"):
+            evaluate_schemes(small_sim_result, [Opaque()])
+
     def test_variants_cover_schemes_and_postamble(self, small_sim_result):
         evals = evaluate_schemes(
             small_sim_result, [PacketCrcScheme(), PprScheme()]
@@ -181,15 +201,23 @@ class TestHintStatistics:
         with pytest.raises(ValueError):
             miss_rates(np.zeros(33))
 
-    def test_miss_run_lengths_manual(self):
-        from repro.sim.metrics import _run_lengths
-
-        mask = np.array(
-            [False, True, True, False, True, False, False], dtype=bool
+    def test_miss_run_lengths_manual(self, small_sim_result):
+        """Wrong codewords at payload symbols 1, 2 and 4, all with hint
+        0 (misses at every eta), form one run of 2 and one of 1."""
+        rec = small_sim_result.records[0]
+        symbols = rec.body_truth.copy()
+        wrong = rec.payload_start + np.array([1, 2, 4])
+        symbols[wrong] = (symbols[wrong] + 1) % 16
+        rec = replace(
+            rec,
+            acquired_preamble=True,
+            body_symbols=symbols,
+            body_hints=np.zeros_like(rec.body_hints),
         )
-        assert _run_lengths(mask) == [2, 1]
-        assert _run_lengths(np.zeros(3, dtype=bool)) == []
-        assert _run_lengths(np.ones(4, dtype=bool)) == [4]
+        counts = miss_run_length_counts(
+            replace(small_sim_result, records=[rec]), etas=(0, 3)
+        )
+        assert counts == {0: Counter({2: 1, 1: 1}), 3: Counter({2: 1, 1: 1})}
 
     def test_miss_runs_respect_threshold_ordering(self, small_sim_result):
         counts = miss_run_length_counts(small_sim_result, etas=(1, 4))

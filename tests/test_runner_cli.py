@@ -243,6 +243,14 @@ class TestRunnerCli:
         with pytest.raises(ValueError):
             run_experiments(["nonsense"])
 
+    def test_unknown_experiment_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--experiment", "fig13", "nonsense"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "unknown experiment 'nonsense'" in err
+        assert "Traceback" not in err
+
     def test_run_experiments_returns_results(self):
         outcome = run_experiments(["fig16"], duration_s=2.0)
         assert len(outcome.results) == 1

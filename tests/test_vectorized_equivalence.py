@@ -13,7 +13,7 @@ where tie-breaking and unreachable trellis states matter.
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -33,6 +33,13 @@ from repro.coding.gf256 import (
     gf256_eliminate_reference,
     gf256_encode,
     gf256_encode_reference,
+)
+from repro.link.schemes import (
+    FragmentedCrcScheme,
+    PacketCrcScheme,
+    PprScheme,
+    SicScheme,
+    SpracScheme,
 )
 from repro.phy.batch import (
     BatchReceptionEngine,
@@ -54,6 +61,7 @@ from repro.phy.remodulate import (
     remodulate_frame_reference,
 )
 from repro.phy.sync import CorrelationSynchronizer, sync_field_symbols
+from repro.sim.metrics import evaluate_schemes, evaluate_schemes_reference
 from repro.sim.network import NetworkSimulation, SimulationConfig
 from repro.utils import sanitize
 from repro.utils.rng import ensure_rng
@@ -926,3 +934,86 @@ class TestGfKernelEquivalence:
         assert np.array_equal(rec, rec_ref)
         assert np.array_equal(sol, sol_ref)
         assert rec.tolist() == [False, False, True]
+
+
+def _every_scheme():
+    """One of each trace-evaluable scheme kind, freshly built (so the
+    two evaluators never share an S-PRAC recovery memo)."""
+    return [
+        PacketCrcScheme(),
+        FragmentedCrcScheme(n_fragments=15),
+        FragmentedCrcScheme(n_fragments=30),
+        FragmentedCrcScheme(n_fragments=60),
+        PprScheme(eta=6.0),
+        SicScheme(eta=3.0),
+        SpracScheme(n_segments=30, n_repair=15),
+        SpracScheme(n_segments=10, n_repair=5, field="gf256"),
+    ]
+
+
+class TestSchemeEvaluationEquivalence:
+    """The columnar trace evaluator vs its per-record reference.
+
+    ``evaluate_schemes`` groups acquired receptions into per-length
+    trace blocks and lets each scheme score a block at once;
+    ``evaluate_schemes_reference`` walks record by record.  Every
+    variant must produce equal ``LinkObservation`` counters on every
+    link, as Python ints.
+    """
+
+    @staticmethod
+    def _assert_equivalent(result, postamble_options=(False, True)):
+        vec = evaluate_schemes(result, _every_scheme(), postamble_options)
+        ref = evaluate_schemes_reference(
+            result, _every_scheme(), postamble_options
+        )
+        assert len(vec) == len(ref) == 8 * len(postamble_options)
+        for a, b in zip(vec, ref, strict=True):
+            assert a.label == b.label
+            assert a.stats.links() == b.stats.links()
+            for link in a.stats.links():
+                got, want = asdict(a.stats[link]), asdict(b.stats[link])
+                assert got == want, f"{a.label} {link}"
+                assert all(type(v) is int for v in got.values())
+
+    @staticmethod
+    def _with_records(result, records):
+        return replace(result, records=records)
+
+    def test_recorded_traces(self, small_sim_result):
+        records = small_sim_result.records[:400]
+        acquired = [r.acquired(True) for r in records]
+        assert any(acquired) and not all(acquired)
+        self._assert_equivalent(self._with_records(small_sim_result, records))
+
+    @pytest.mark.parametrize("postamble", [False, True])
+    def test_single_postamble_mode(self, small_sim_result, postamble):
+        result = self._with_records(
+            small_sim_result, small_sim_result.records[:200]
+        )
+        self._assert_equivalent(result, (postamble,))
+
+    def test_mixed_and_degenerate_payload_lengths(self, small_sim_result):
+        """Two blocks of real lengths plus a zero-length payload and
+        one shorter than every scheme's fragment count."""
+        records = []
+        for i, rec in enumerate(small_sim_result.records[:240]):
+            length = (None, 300, 0, 7)[i % 4]
+            if length is not None:
+                rec = replace(rec, payload_end=rec.payload_start + length)
+            records.append(rec)
+        self._assert_equivalent(self._with_records(small_sim_result, records))
+
+    def test_no_acquired_records(self, small_sim_result):
+        records = [
+            replace(rec, acquired_preamble=False, trailer_ok=False)
+            for rec in small_sim_result.records[:50]
+        ]
+        result = self._with_records(small_sim_result, records)
+        self._assert_equivalent(result)
+        for evaluation in evaluate_schemes(result, _every_scheme()):
+            for link in evaluation.stats.links():
+                assert evaluation.stats[link].frames_acquired == 0
+
+    def test_no_records(self, small_sim_result):
+        self._assert_equivalent(self._with_records(small_sim_result, []))
