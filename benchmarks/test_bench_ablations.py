@@ -19,8 +19,9 @@ from repro.arq.runlength import RunLengthPacket
 from repro.link.diversity import diversity_gain
 from repro.phy.chipchannel import transmit_chipwords
 from repro.phy.codebook import ZigbeeCodebook
-from repro.phy.decoder import HardDecisionDecoder, SoftDecisionDecoder
+from repro.phy.decoder import SoftDecisionDecoder
 from repro.phy.symbols import SoftPacket
+from repro.utils.bitops import pack_bits_to_uint32
 
 
 def test_bench_ablation_eta_sweep(benchmark, shared_runs):
@@ -67,7 +68,6 @@ def test_bench_ablation_hdd_vs_sdd(benchmark, codebook_fixture=None):
     """
     codebook = ZigbeeCodebook()
     rng = np.random.default_rng(0)
-    hdd = HardDecisionDecoder(codebook)
     sdd = SoftDecisionDecoder(codebook)
 
     def run():
@@ -75,11 +75,12 @@ def test_bench_ablation_hdd_vs_sdd(benchmark, codebook_fixture=None):
         clean = codebook.encode(symbols).reshape(-1, 32) * 2.0 - 1.0
         noisy = clean + rng.normal(0, 1.3, clean.shape)
         soft_result = sdd.decode_samples(noisy)
-        hard_chips = (noisy > 0).astype(np.uint8).reshape(-1)
-        hard_result = hdd.decode_chips(hard_chips)
+        hard_symbols, _ = codebook.decode_hard(
+            pack_bits_to_uint32((noisy > 0).astype(np.uint8))
+        )
         return {
             "sdd_ser": float((soft_result.symbols != symbols).mean()),
-            "hdd_ser": float((hard_result.symbols != symbols).mean()),
+            "hdd_ser": float((hard_symbols != symbols).mean()),
         }
 
     stats = benchmark.pedantic(run, rounds=1, iterations=1)

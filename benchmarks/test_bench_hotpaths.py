@@ -25,7 +25,7 @@ from repro.link.schemes import (
     PprScheme,
     SpracScheme,
 )
-from repro.phy.batch import BatchReceptionEngine, decode_samples_batch
+from repro.phy.batch import BatchReceptionEngine
 from repro.phy.chipchannel import transmit_chipwords
 from repro.phy.codebook import ZigbeeCodebook
 from repro.phy.decoder import SoftDecisionDecoder
@@ -111,8 +111,8 @@ def test_bench_soft_decision_batch(benchmark):
         symbols = rng.integers(0, 16, 60)
         clean = codebook.encode(symbols).reshape(-1, 32) * 2.0 - 1.0
         blocks.append(clean + rng.normal(0.0, 0.6, clean.shape))
-    results = benchmark(decode_samples_batch, decoder, blocks)
-    assert len(results) == 64
+    result = benchmark(decoder.decode_samples, np.vstack(blocks))
+    assert result.symbols.size == 64 * 60
 
 
 def test_bench_feedback_roundtrip(benchmark):

@@ -33,4 +33,8 @@ setup(
     version=_read_version(),
     package_dir={"": "src"},
     packages=find_packages(where="src"),
+    python_requires=">=3.10",
+    # numpy >= 2.0 for np.bitwise_count (the chip-word popcount);
+    # scipy for the chip channel and FFT correlation.
+    install_requires=["numpy>=2.0", "scipy"],
 )

@@ -50,7 +50,6 @@ from repro.link import (
 )
 from repro.phy import (
     Codebook,
-    HardDecisionDecoder,
     MskDemodulator,
     MskModulator,
     ReceiverFrontend,
@@ -90,7 +89,6 @@ __all__ = [
     "SicScheme",
     "SpracScheme",
     "Codebook",
-    "HardDecisionDecoder",
     "MskDemodulator",
     "MskModulator",
     "ReceiverFrontend",

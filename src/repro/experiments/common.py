@@ -38,12 +38,7 @@ from repro.exec import (
     Task,
     TaskFailure,
 )
-from repro.link.schemes import (
-    DeliveryScheme,
-    FragmentedCrcScheme,
-    PacketCrcScheme,
-    PprScheme,
-)
+from repro.link.schemes import default_schemes
 from repro.sim.metrics import SchemeEvaluation, evaluate_schemes
 from repro.sim.network import (
     NetworkSimulation,
@@ -207,9 +202,6 @@ class ExperimentResult:
     rendered: str
     shape_checks: list[ShapeCheck] = field(default_factory=list)
     series: dict = field(default_factory=dict)
-    # Wall-clock spent producing this result; excluded from to_dict()
-    # so artifacts from equivalent runs are byte-identical.
-    elapsed_s: float | None = None
 
     @property
     def all_passed(self) -> bool:
@@ -233,8 +225,8 @@ class ExperimentResult:
 
         Deterministic for a deterministic experiment: numpy series are
         coerced to plain data and no timing information is included,
-        so two equivalent runs (any ``jobs`` count, ``batch_decode``
-        on or off) produce byte-identical documents.  The package
+        so two equivalent runs (any ``jobs`` count, warm or cold
+        store) produce byte-identical documents.  The package
         version is stamped in (equivalent runs of the *same* code stay
         byte-identical; results from different code are telling the
         truth about their provenance).
@@ -632,17 +624,6 @@ def default_runs(
 # -- shared evaluation helpers ----------------------------------------------
 
 
-def paper_schemes(
-    eta: float = DEFAULT_ETA, n_fragments: int = DEFAULT_FRAGMENTS
-) -> list[DeliveryScheme]:
-    """The §7.2 contenders with the paper's parameters (η=6, 30 chunks)."""
-    return [
-        PacketCrcScheme(),
-        FragmentedCrcScheme(n_fragments=n_fragments),
-        PprScheme(eta=eta),
-    ]
-
-
 def labelled_evaluations(
     result: SimulationResult,
     *,
@@ -652,12 +633,12 @@ def labelled_evaluations(
 ) -> dict[str, SchemeEvaluation]:
     """Evaluate the paper's schemes on a run, keyed by variant label.
 
-    The ``evaluate_schemes(...) + paper_schemes()`` label-keyed
+    The ``evaluate_schemes(...) + default_schemes()`` label-keyed
     boilerplate every delivery experiment used to repeat, in one
     place.  Labels look like ``"ppr, postamble"``.
     """
     evals = evaluate_schemes(
-        result, paper_schemes(eta, n_fragments), postamble_options
+        result, default_schemes(eta, n_fragments), postamble_options
     )
     return {e.label: e for e in evals}
 

@@ -28,9 +28,8 @@ Text mode prints each experiment's ASCII rendering, the paper's
 expectation, and its shape checks; ``--format json`` emits one JSON
 document on stdout and ``--out DIR`` writes one ``<id>.json`` per
 experiment plus a manifest.  The JSON artifacts contain no timing
-information, so equivalent runs (any ``--jobs`` count,
-``--no-batch-decode`` on or off, warm or cold store) are
-byte-identical — CI diffs them directly.
+information, so equivalent runs (any ``--jobs`` count, warm or cold
+store) are byte-identical — CI diffs them directly.
 
 Execution is fault tolerant: simulation points run under the
 ``repro.exec`` supervisor (per-point timeouts, crash isolation,
@@ -55,7 +54,6 @@ import argparse
 import json
 import os
 import sys
-import time
 import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -134,15 +132,10 @@ def run_experiments(
     names: list[str],
     duration_s: float = 40.0,
     seed: int = 2007,
-    batch_decode: bool = True,
     jobs: int = 1,
     store: RunStore | None = None,
 ) -> RunOutcome:
     """Run the named experiments against one shared run cache.
-
-    ``batch_decode`` selects the fused per-trial reception decoding
-    (the default); disabling it decodes per packet, for cross-checks
-    and profiling — the results are bit-identical either way.
 
     ``jobs`` fans the selected experiments' declared simulation points
     across that many supervised worker processes before any experiment
@@ -166,7 +159,6 @@ def run_experiments(
     cache = RunCache(
         duration_s=duration_s,
         seed=seed,
-        batch_decode=batch_decode,
         jobs=jobs,
         store=store,
     )
@@ -181,7 +173,6 @@ def run_experiments(
         pass
     outcome = RunOutcome(results=[])
     for spec in specs:
-        start = time.perf_counter()
         try:
             result = spec.run(cache)
         except SweepExecutionError as exc:
@@ -199,7 +190,6 @@ def run_experiments(
                 )
             )
             continue
-        result.elapsed_s = time.perf_counter() - start
         outcome.results.append(result)
     outcome.exec_counters = cache.exec_counters
     return outcome
@@ -309,12 +299,6 @@ def main(argv: list[str] | None = None) -> int:
         "--seed", type=int, default=2007, help="experiment seed"
     )
     parser.add_argument(
-        "--no-batch-decode",
-        action="store_true",
-        help="decode receptions per packet instead of per-trial "
-        "batches (bit-identical; for cross-checks and profiling)",
-    )
-    parser.add_argument(
         "--jobs",
         type=int,
         default=1,
@@ -369,7 +353,6 @@ def main(argv: list[str] | None = None) -> int:
         names,
         duration_s=duration,
         seed=args.seed,
-        batch_decode=not args.no_batch_decode,
         jobs=args.jobs,
         store=store,
     )

@@ -633,7 +633,9 @@ class SpracScheme(DeliveryScheme):
         )
 
 
-def default_schemes(eta: float = 6.0, n_fragments: int = 30):
+def default_schemes(
+    eta: float = 6.0, n_fragments: int = 30
+) -> list[DeliveryScheme]:
     """The paper's three contenders with its §7.2 parameters."""
     return [
         PacketCrcScheme(),

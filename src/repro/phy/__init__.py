@@ -19,15 +19,9 @@ from repro.phy.batch import (
     FrameReception,
     WaveformBatchEngine,
     WaveformDecodeRequest,
-    decode_samples_batch,
-    decode_words_batch,
 )
 from repro.phy.codebook import Codebook, RandomCodebook, ZigbeeCodebook
-from repro.phy.decoder import (
-    HardDecisionDecoder,
-    MatchedFilterHinter,
-    SoftDecisionDecoder,
-)
+from repro.phy.decoder import MatchedFilterHinter, SoftDecisionDecoder
 from repro.phy.chipchannel import (
     chip_error_probability,
     transmit_chipwords,
@@ -69,15 +63,12 @@ __all__ = [
     "WaveformBatchEngine",
     "WaveformDecodeRequest",
     "ChipExtractRequest",
-    "decode_samples_batch",
-    "decode_words_batch",
     "ConvolutionalCode",
     "SovaDecoder",
     "SovaResult",
     "Codebook",
     "RandomCodebook",
     "ZigbeeCodebook",
-    "HardDecisionDecoder",
     "SoftDecisionDecoder",
     "MatchedFilterHinter",
     "chip_error_probability",

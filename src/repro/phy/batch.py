@@ -1,23 +1,21 @@
-"""Batched reception: decode many packets' words/samples/captures in one call.
+"""Batched reception: decode many packets' words or captures in one call.
 
-Every row-wise decoder in :mod:`repro.phy.decoder` is already
-vectorised *within* one reception; network-scale experiments, however,
-decode thousands of receptions per trial, and the per-call numpy
-dispatch overhead dominates once each individual call is small.  This
-module fuses those calls: receptions are concatenated into one matrix,
-decoded in a single pass through the shared PHY core, and split back —
-bit-identical to per-reception decoding, since every decoder here is
-independent across rows.
+Nearest-codeword decoding is already vectorised *within* one
+reception; network-scale experiments, however, decode thousands of
+receptions per trial, and the per-call numpy dispatch overhead
+dominates once each individual call is small.  This module fuses those
+calls: receptions are concatenated into one matrix, decoded in a
+single pass through the shared PHY core, and split back — bit-identical
+to per-reception decoding, since decoding is independent across rows.
 
-:class:`BatchReceptionEngine` is the network simulation's entry point
-(ragged uint32 chip-word lists); :func:`decode_words_batch` and
-:func:`decode_samples_batch` wrap the public decoders for the same
-pattern.  :class:`WaveformBatchEngine` lifts the same idea to the
-sample domain: a ragged list of complex capture windows goes through
-fused preamble/postamble correlation, one fused MSK matched-filter
-reduction, and one fused nearest-codeword decode.  SOVA batching lives
-on :meth:`repro.phy.convolutional.SovaDecoder.decode_batch`, which
-fuses whole trellis passes rather than rows.
+:class:`BatchReceptionEngine` is the network simulation's only decode
+path (ragged uint32 chip-word lists).  :class:`WaveformBatchEngine`
+lifts the same idea to the sample domain: a ragged list of complex
+capture windows goes through fused preamble/postamble correlation, one
+fused MSK matched-filter reduction, and one fused nearest-codeword
+decode.  SOVA batching lives on
+:meth:`repro.phy.convolutional.SovaDecoder.decode_batch`, which fuses
+whole trellis passes rather than rows.
 """
 
 from __future__ import annotations
@@ -28,11 +26,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.phy.codebook import Codebook
-from repro.phy.decoder import (
-    DecodeResult,
-    HardDecisionDecoder,
-    SoftDecisionDecoder,
-)
 from repro.phy.frontend import (
     ChipExtractRequest,
     ReceiverFrontend,
@@ -87,56 +80,6 @@ class BatchReceptionEngine:
         return list(
             zip(np.split(symbols, offsets), np.split(distances, offsets), strict=True)
         )
-
-
-def decode_words_batch(
-    decoder: HardDecisionDecoder,
-    word_arrays: Sequence[np.ndarray],
-) -> list[DecodeResult]:
-    """Hard-decision decode many word arrays in one fused pass."""
-    engine = BatchReceptionEngine(decoder.codebook)
-    return [
-        DecodeResult(symbols=symbols, hints=distances.astype(np.float64))
-        for symbols, distances in engine.decode_hard_ragged(word_arrays)
-    ]
-
-
-def decode_samples_batch(
-    decoder: SoftDecisionDecoder,
-    sample_blocks: Sequence[np.ndarray],
-) -> list[DecodeResult]:
-    """Soft-decision decode many sample blocks in one fused pass.
-
-    Each block is ``(n_i, chips_per_symbol)``; blocks are stacked into
-    one matrix, decoded with a single correlation pass, and split back.
-    """
-    blocks = [
-        np.asarray(block, dtype=np.float64) for block in sample_blocks
-    ]
-    width = decoder.codebook.chips_per_symbol
-    for block in blocks:
-        if block.ndim != 2 or block.shape[1] != width:
-            raise ValueError(
-                f"each block must be (n, {width}), got {block.shape}"
-            )
-    sizes = [block.shape[0] for block in blocks]
-    if sum(sizes) == 0:
-        return [
-            DecodeResult(
-                symbols=np.zeros(0, dtype=np.int64),
-                hints=np.zeros(0, dtype=np.float64),
-            )
-            for _ in blocks
-        ]
-    fused = decoder.decode_samples(np.vstack(blocks))
-    offsets = _split_offsets(sizes)
-    return [
-        DecodeResult(symbols=symbols, hints=hints)
-        for symbols, hints in zip(
-            np.split(fused.symbols, offsets),
-            np.split(fused.hints, offsets), strict=True,
-        )
-    ]
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,12 @@
-"""SoftPHY decoders: hard-decision, soft-decision, and matched-filter hints.
+"""SoftPHY decoders: soft-decision and matched-filter hints.
 
-Paper §3.1 lays out three sources of PHY hints.  All three are
-implemented here behind one convention: **lower hint = higher
-confidence** (see :mod:`repro.phy.symbols`).
+Paper §3.1 lays out three sources of PHY hints, all behind one
+convention: **lower hint = higher confidence** (see
+:mod:`repro.phy.symbols`).
 
-* :class:`HardDecisionDecoder` — nearest-codeword decoding; the hint is
-  the Hamming distance (the design the paper implements and evaluates).
+* Hard-decision nearest-codeword decoding, whose hint is the Hamming
+  distance (the design the paper implements and evaluates), is
+  :meth:`repro.phy.codebook.Codebook.decode_hard` itself.
 * :class:`SoftDecisionDecoder` — Eq. 1 correlation over ±1 chip
   samples; the hint is the (negated, normalised) correlation margin.
 * :class:`MatchedFilterHinter` — per-chip matched filter magnitudes
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.phy.codebook import Codebook
-from repro.phy.symbols import SoftPacket, SyncSource
+from repro.phy.symbols import SoftPacket
 
 
 @dataclass(frozen=True)
@@ -36,41 +37,6 @@ class DecodeResult:
             hints=self.hints,
             **metadata,
         )
-
-
-class HardDecisionDecoder:
-    """Hamming-distance hard-decision decoding (paper §3.2).
-
-    The demodulator slices each chip independently; this decoder maps
-    each received 32-chip word to the nearest codeword and reports the
-    Hamming distance as the hint.
-    """
-
-    def __init__(self, codebook: Codebook) -> None:
-        self._codebook = codebook
-
-    @property
-    def codebook(self) -> Codebook:
-        """The codebook decoded against."""
-        return self._codebook
-
-    def decode_words(self, received_words: np.ndarray) -> DecodeResult:
-        """Decode packed uint32 chip words."""
-        symbols, distances = self._codebook.decode_hard(received_words)
-        return DecodeResult(symbols=symbols, hints=distances.astype(np.float64))
-
-    def decode_chips(self, chips: np.ndarray) -> DecodeResult:
-        """Decode a flat 0/1 chip array (length multiple of 32)."""
-        chips = np.asarray(chips, dtype=np.uint8)
-        width = self._codebook.chips_per_symbol
-        if chips.size % width != 0:
-            raise ValueError(
-                f"chip count {chips.size} is not a multiple of {width}"
-            )
-        from repro.utils.bitops import pack_bits_to_uint32
-
-        words = pack_bits_to_uint32(chips.reshape(-1, width))
-        return self.decode_words(words)
 
 
 class SoftDecisionDecoder:
@@ -154,20 +120,3 @@ class MatchedFilterHinter:
         mags = np.abs(samples).reshape(-1, self._group).mean(axis=1)
         return np.maximum(0.0, self._nominal - mags)
 
-
-def decode_to_packet(
-    decoder: HardDecisionDecoder,
-    received_words: np.ndarray,
-    truth_symbols: np.ndarray | None = None,
-    sync_source: SyncSource = SyncSource.PREAMBLE,
-    **metadata,
-) -> SoftPacket:
-    """Convenience: decode words and attach ground truth for analysis."""
-    result = decoder.decode_words(received_words)
-    return SoftPacket(
-        symbols=result.symbols,
-        hints=result.hints,
-        truth=truth_symbols,
-        sync_source=sync_source,
-        **metadata,
-    )

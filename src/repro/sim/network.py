@@ -87,11 +87,6 @@ class SimulationConfig:
     noise_floor_dbm: float = -95.0
     wall_loss_db: float = 9.0
     fading_sigma_db: float = 3.0
-    csma: CsmaConfig | None = None
-    # Decode a whole run's receptions in one fused nearest-codeword
-    # pass (bit-identical to per-reception decoding; disable only to
-    # cross-check or profile the unbatched path).
-    batch_decode: bool = True
     # Re-decode isolated two-frame collisions at waveform fidelity
     # through the SIC pipeline (repro.sim.sicpass) after the chip-level
     # pass.  Opt-in: the waveform re-render costs orders of magnitude
@@ -261,15 +256,7 @@ class NetworkSimulation:
         cfg = self._config
         scheduler = EventScheduler()
         transmissions: list[Transmission] = []
-        csma_cfg = cfg.csma or CsmaConfig(enabled=cfg.carrier_sense)
-        if csma_cfg.enabled != cfg.carrier_sense:
-            csma_cfg = CsmaConfig(
-                enabled=cfg.carrier_sense,
-                cs_threshold_dbm=csma_cfg.cs_threshold_dbm,
-                initial_backoff_s=csma_cfg.initial_backoff_s,
-                max_backoff_s=csma_cfg.max_backoff_s,
-                max_attempts=csma_cfg.max_attempts,
-            )
+        csma_cfg = CsmaConfig(enabled=cfg.carrier_sense)
         pattern_rng = derive_rng(cfg.seed, "payload-pattern")
         # Two counters: ``seq`` is assigned when a frame is *built* (so
         # frames deferred by CSMA backoff or a busy sender keep unique,
@@ -573,34 +560,20 @@ class NetworkSimulation:
     def _decode_pendings(
         self, pendings: list["_PendingReception"]
     ) -> list[ReceptionRecord]:
-        """Decode staged receptions, fused into one call when batching.
+        """Decode every staged reception in one fused call.
 
-        Both paths are bit-identical: nearest-codeword decoding is
-        independent per word, so concatenating every reception's
-        corrupted words into one matrix changes only the call count.
+        Nearest-codeword decoding is independent per word, so
+        concatenating every reception's corrupted words into one
+        matrix changes only the call count, not the result.
         """
-        if self._config.batch_decode:
-            engine = BatchReceptionEngine(self._codebook)
-            decoded = engine.decode_hard_ragged(
-                [p.rx_words[p.changed] for p in pendings]
-            )
-            return [
-                self._finalize_record(pending, symbols, dists)
-                for pending, (symbols, dists) in zip(pendings, decoded, strict=True)
-            ]
-        records = []
-        empty = np.zeros(0, dtype=np.int64)
-        for pending in pendings:
-            if pending.changed.size:
-                symbols, dists = self._codebook.decode_hard(
-                    pending.rx_words[pending.changed]
-                )
-            else:
-                symbols, dists = empty, empty
-            records.append(
-                self._finalize_record(pending, symbols, dists)
-            )
-        return records
+        engine = BatchReceptionEngine(self._codebook)
+        decoded = engine.decode_hard_ragged(
+            [p.rx_words[p.changed] for p in pendings]
+        )
+        return [
+            self._finalize_record(pending, symbols, dists)
+            for pending, (symbols, dists) in zip(pendings, decoded, strict=True)
+        ]
 
     def _draw_fades(
         self, transmissions: list[Transmission]

@@ -13,7 +13,6 @@ format and its durability properties.
 from repro.store.core import RunStore, StoreCounters
 from repro.store.keys import (
     STORE_SCHEMA_VERSION,
-    canonical_config_dict,
     canonical_json,
     config_key,
     config_key_bytes,
@@ -29,7 +28,6 @@ __all__ = [
     "RunStore",
     "StoreCounters",
     "STORE_SCHEMA_VERSION",
-    "canonical_config_dict",
     "canonical_json",
     "config_key",
     "config_key_bytes",

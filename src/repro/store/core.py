@@ -57,11 +57,10 @@ from repro._version import __version__
 from repro.sim.network import SimulationConfig, SimulationResult
 from repro.store.keys import (
     STORE_SCHEMA_VERSION,
-    canonical_config_dict,
     canonical_json,
     config_key,
 )
-from repro.store.serialize import result_from_parts, result_to_parts
+from repro.store.serialize import config_to_dict, result_from_parts, result_to_parts
 
 logger = logging.getLogger("repro.store")
 
@@ -174,7 +173,7 @@ class RunStore:
             "repro_version": __version__,
             "kind": _ENTRY_KIND,
             "key": config_key(config),
-            "config": canonical_config_dict(config),
+            "config": config_to_dict(config),
             "sha256": hashlib.sha256(body).hexdigest(),
         }
         # mtime=0 keeps the gzip header fixed: equal runs produce

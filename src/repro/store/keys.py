@@ -16,23 +16,18 @@ formatting makes it exact for every finite float64.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 from typing import Any
 
 from repro._version import __version__
 from repro.sim.network import SimulationConfig
+from repro.store.serialize import config_to_dict
 
 # Version of the on-disk entry layout (document structure, array
 # encoding).  Bump whenever the serialized form changes shape; old
 # entries then miss by key and are recomputed.
-STORE_SCHEMA_VERSION = 1
-
-
-def canonical_config_dict(config: SimulationConfig) -> dict[str, Any]:
-    """The config as plain JSON data, nested dataclasses included."""
-    return dataclasses.asdict(config)
+STORE_SCHEMA_VERSION = 2
 
 
 def canonical_json(data: Any) -> str:
@@ -56,7 +51,7 @@ def config_key(
         "repro_version": (
             __version__ if repro_version is None else repro_version
         ),
-        "config": canonical_config_dict(config),
+        "config": config_to_dict(config),
     }
     digest = hashlib.sha256(canonical_json(material).encode("utf-8"))
     return digest.hexdigest()

@@ -30,7 +30,6 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from repro.sim.mac import CsmaConfig
 from repro.sim.network import (
     ReceptionRecord,
     SimulationConfig,
@@ -41,17 +40,13 @@ from repro.sim.medium import Transmission
 
 
 def config_to_dict(config: SimulationConfig) -> dict[str, Any]:
-    """The config as plain JSON data (nested CsmaConfig included)."""
+    """The config as plain JSON data."""
     return dataclasses.asdict(config)
 
 
 def config_from_dict(data: dict[str, Any]) -> SimulationConfig:
     """Rebuild a :class:`SimulationConfig` from :func:`config_to_dict`."""
-    fields = dict(data)
-    csma = fields.get("csma")
-    if csma is not None:
-        fields["csma"] = CsmaConfig(**csma)
-    return SimulationConfig(**fields)
+    return SimulationConfig(**data)
 
 
 class BinaryWriter:
@@ -180,6 +175,14 @@ def _testbed_from_structure(
     )
 
 
+def _nibbles_to_bytes(symbols: np.ndarray) -> np.ndarray:
+    # On-air symbols are 4-bit nibbles held as int64; one byte each on
+    # disk halves what a warm read must gunzip and checksum.
+    if symbols.dtype != np.int64 or (symbols >> 4).any():
+        raise ValueError("transmission symbols must be int64 nibbles")
+    return symbols.astype(np.uint8)
+
+
 def _transmissions_to_structure(
     transmissions: Sequence[Transmission], writer: BinaryWriter
 ) -> dict[str, Any]:
@@ -200,7 +203,7 @@ def _transmissions_to_structure(
         ),
         "seq": writer.add(_column([t.seq for t in transmissions], "<i8")),
         "symbols": _ragged_to_descriptor(
-            [t.symbols for t in transmissions], writer, "symbols"
+            [_nibbles_to_bytes(t.symbols) for t in transmissions], writer, "symbols"
         ),
     }
 
@@ -214,7 +217,7 @@ def _transmissions_from_structure(
     start = reader.get(data["start"])
     symbol_period = reader.get(data["symbol_period"])
     seq = reader.get(data["seq"])
-    symbols = _ragged_from_descriptor(data["symbols"], reader)
+    symbols = [s.astype(np.int64) for s in _ragged_from_descriptor(data["symbols"], reader)]
     if len(symbols) != int(data["count"]):
         raise ValueError(
             f"symbols holds {len(symbols)} arrays for "

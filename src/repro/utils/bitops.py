@@ -101,16 +101,9 @@ def unpack_uint32_to_bits(words: np.ndarray) -> np.ndarray:
     return np.unpackbits(as_bytes, axis=1)
 
 
-_POPCOUNT8 = np.array(
-    [bin(i).count("1") for i in range(256)], dtype=np.uint8
-)
-
-
 def popcount32(words: np.ndarray) -> np.ndarray:
-    """Per-element popcount of a uint32 array (vectorised, table-driven)."""
-    words = np.ascontiguousarray(words, dtype=np.uint32)
-    b = words.view(np.uint8).reshape(*words.shape, 4)
-    return _POPCOUNT8[b].sum(axis=-1).astype(np.int64)
+    """Per-element popcount of a uint32 array (uint8 counts)."""
+    return np.bitwise_count(np.asarray(words, dtype=np.uint32))
 
 
 # ---------------------------------------------------------------------------

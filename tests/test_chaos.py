@@ -31,18 +31,19 @@ _CHAOS_EXEC = "timeout_base_s=3,timeout_scale=0,backoff_base_s=0.01"
 
 # The deterministic fault schedule for these four configs under
 # _CHAOS_FAULTS (attempts 1..; the schedule is keyed off the config
-# content digest, so it reshuffles whenever SimulationConfig grows a
-# field):
-#   configs[0]: none                     -> clean first try
-#   configs[1]: none                     -> clean first try
-#   configs[2]: hang, flaky, hang, hang  -> supervised budget spent,
-#                                           in-process rescue
-#   configs[3]: flaky, crash, hang, none -> three retries, clean 4th
+# content digest, so it reshuffles whenever SimulationConfig gains or
+# loses a field -- re-pick the seeds in _configs so every recovery
+# path stays exercised):
+#   configs[0]: crash, crash, flaky, flaky -> supervised budget spent,
+#                                             in-process rescue
+#   configs[1]: flaky, hang, flaky, none   -> three retries, clean 4th
+#   configs[2]: none                       -> clean first try
+#   configs[3]: none                       -> clean first try
 _EXPECTED_CHAOS_COUNTERS = {
     "completed": 4,
     "retries": 6,
-    "timeouts": 4,
-    "worker_deaths": 1,
+    "timeouts": 1,
+    "worker_deaths": 2,
     "rescued": 1,
     "degraded": 0,
     "failed": 0,
@@ -53,7 +54,7 @@ def _configs(cache):
     return [
         cache.config_for(load=load, seed=seed)
         for load in (3500.0, 13800.0)
-        for seed in (5, 6)
+        for seed in (2, 4)
     ]
 
 
@@ -151,7 +152,7 @@ class TestWarmResume:
     ):
         """Write-back is per point: a permanent failure loses only its
         own point, and a later clean run completes just the gap."""
-        # fail=0.5 deterministically poisons exactly configs[2] (all
+        # fail=0.5 deterministically poisons exactly configs[1] (all
         # of its attempts and the rescue draw under 0.5) while the
         # other three points complete.
         monkeypatch.setenv("REPRO_FAULTS", "fail=0.5")
@@ -168,7 +169,7 @@ class TestWarmResume:
         assert len(excinfo.value.failures) == 1
         failure = excinfo.value.failures[0]
         assert failure.error_type == "InjectedFailure"
-        assert failure.task.payload == configs[2]
+        assert failure.task.payload == configs[1]
         # Every completed point was written back before the sweep
         # raised.
         assert store.counters.writes == 3

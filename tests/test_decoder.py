@@ -4,45 +4,35 @@ import numpy as np
 import pytest
 
 from repro.phy.chipchannel import transmit_chipwords
-from repro.phy.decoder import (
-    HardDecisionDecoder,
-    MatchedFilterHinter,
-    SoftDecisionDecoder,
-    decode_to_packet,
-)
-from repro.phy.symbols import SyncSource
+from repro.phy.decoder import MatchedFilterHinter, SoftDecisionDecoder
+from repro.utils.bitops import pack_bits_to_uint32
 
 
-class TestHardDecisionDecoder:
+class TestHardDecision:
+    """Nearest-codeword decoding: ``Codebook.decode_hard`` (paper §3.2)."""
+
     def test_clean_decode(self, codebook, rng):
-        decoder = HardDecisionDecoder(codebook)
         symbols = rng.integers(0, 16, 100)
-        result = decoder.decode_words(codebook.encode_words(symbols))
-        assert np.array_equal(result.symbols, symbols)
-        assert np.all(result.hints == 0)
+        decoded, hints = codebook.decode_hard(codebook.encode_words(symbols))
+        assert np.array_equal(decoded, symbols)
+        assert np.all(hints == 0)
+        assert decoded.dtype == hints.dtype == np.int64
 
     def test_hints_rise_with_noise(self, codebook, rng):
-        decoder = HardDecisionDecoder(codebook)
         symbols = rng.integers(0, 16, 500)
         words = codebook.encode_words(symbols)
         mean_hints = []
         for p in (0.01, 0.1, 0.3):
             received = transmit_chipwords(words, p, rng)
-            mean_hints.append(decoder.decode_words(received).hints.mean())
+            mean_hints.append(codebook.decode_hard(received)[1].mean())
         assert mean_hints[0] < mean_hints[1] < mean_hints[2]
 
-    def test_decode_chips_matches_words(self, codebook, rng):
-        decoder = HardDecisionDecoder(codebook)
+    def test_packed_chips_decode_like_words(self, codebook, rng):
         symbols = rng.integers(0, 16, 20)
-        chips = codebook.encode(symbols)
-        by_chips = decoder.decode_chips(chips)
-        by_words = decoder.decode_words(codebook.encode_words(symbols))
-        assert np.array_equal(by_chips.symbols, by_words.symbols)
-
-    def test_decode_chips_rejects_partial_word(self, codebook):
-        decoder = HardDecisionDecoder(codebook)
-        with pytest.raises(ValueError, match="multiple"):
-            decoder.decode_chips(np.zeros(33, dtype=np.uint8))
+        chips = codebook.encode(symbols).reshape(-1, 32)
+        by_chips, _ = codebook.decode_hard(pack_bits_to_uint32(chips))
+        by_words, _ = codebook.decode_hard(codebook.encode_words(symbols))
+        assert np.array_equal(by_chips, by_words)
 
 
 class TestSoftDecisionDecoder:
@@ -68,11 +58,9 @@ class TestSoftDecisionDecoder:
         noisy = clean + rng.normal(0, 1.35, clean.shape)
         sdd = SoftDecisionDecoder(codebook).decode_samples(noisy)
         hard_chips = (noisy > 0).astype(np.uint8)
-        hdd = HardDecisionDecoder(codebook).decode_chips(
-            hard_chips.reshape(-1)
-        )
+        hdd_symbols, _ = codebook.decode_hard(pack_bits_to_uint32(hard_chips))
         sdd_errors = (sdd.symbols != symbols).mean()
-        hdd_errors = (hdd.symbols != symbols).mean()
+        hdd_errors = (hdd_symbols != symbols).mean()
         assert sdd_errors < hdd_errors
 
     def test_wrong_width_rejected(self, codebook):
@@ -127,16 +115,3 @@ class TestMatchedFilterHinter:
         with pytest.raises(ValueError):
             MatchedFilterHinter(group=0)
 
-
-class TestDecodeToPacket:
-    def test_attaches_truth_and_sync(self, codebook, rng):
-        decoder = HardDecisionDecoder(codebook)
-        symbols = rng.integers(0, 16, 30)
-        packet = decode_to_packet(
-            decoder,
-            codebook.encode_words(symbols),
-            truth_symbols=symbols,
-            sync_source=SyncSource.POSTAMBLE,
-        )
-        assert packet.sync_source is SyncSource.POSTAMBLE
-        assert packet.correct_mask().all()

@@ -1,8 +1,8 @@
-"""The determinism contract of the sharded, batched simulation.
+"""The determinism contract of the sharded simulation.
 
 One config must produce bit-identical :class:`SimulationResult`s no
 matter *how* the work is executed: any ``jobs`` worker count,
-``batch_decode`` on or off, prefetched or lazily simulated.  The
+prefetched or lazily simulated, fresh or loaded from a store.  The
 counter-based chip channel makes this hold by construction — every
 (transmission, receiver) pair's randomness is addressed by ``(seed,
 tx_id, receiver, word)`` rather than by draw order — and these tests
@@ -92,24 +92,6 @@ class TestJobsInvariance:
         first = runs.get(_points(runs)[0])
         runs.prefetch(_points(runs))  # all cached: must not resimulate
         assert runs.get(_points(runs)[0]) is first
-
-
-class TestBatchDecodeInvariance:
-    def test_batch_decode_on_off_identical(self):
-        on = _runs(jobs=1, batch_decode=True)
-        off = _runs(jobs=1, batch_decode=False)
-        _assert_results_identical(
-            on.get(load=13800.0, carrier_sense=False),
-            off.get(load=13800.0, carrier_sense=False),
-        )
-
-    def test_batch_decode_identical_under_sharding(self):
-        on = _runs(jobs=2, batch_decode=True)
-        off = _runs(jobs=2, batch_decode=False)
-        on.prefetch(_points(on))
-        off.prefetch(_points(off))
-        for on_cfg, off_cfg in zip(_points(on), _points(off), strict=True):
-            _assert_results_identical(on.get(on_cfg), off.get(off_cfg))
 
 
 class TestFullConfigKey:

@@ -18,7 +18,6 @@ from repro.experiments.common import (
     default_runs,
     grid,
     labelled_evaluations,
-    paper_schemes,
     sweep,
 )
 from repro.sim.network import SimulationConfig
@@ -210,11 +209,6 @@ class TestDefaultRuns:
 
 
 class TestEvaluationHelpers:
-    def test_paper_schemes_parameters(self):
-        schemes = paper_schemes()
-        assert schemes[1].n_fragments == 30
-        assert schemes[2].eta == 6.0
-
     def test_labelled_evaluations_keys(self):
         runs = RunCache(duration_s=2.0, seed=1)
         result = runs.get(load=13800.0, carrier_sense=False)

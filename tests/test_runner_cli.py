@@ -210,14 +210,24 @@ class TestJsonSchema:
             ExperimentResult.from_dict({"schema_version": 99})
 
     def test_elapsed_excluded(self):
+        """Artifacts carry no timing: only the schema-v1 keys."""
         result = ExperimentResult(
             experiment_id="t",
             title="T",
             paper_expectation="E",
             rendered="plot",
-            elapsed_s=1.23,
         )
-        assert "elapsed_s" not in json.dumps(result.to_dict())
+        assert set(result.to_dict()) == {
+            "schema_version",
+            "repro_version",
+            "experiment_id",
+            "title",
+            "paper_expectation",
+            "rendered",
+            "shape_checks",
+            "all_passed",
+            "series",
+        }
 
 
 class TestRunnerCli:
@@ -255,7 +265,6 @@ class TestRunnerCli:
         outcome = run_experiments(["fig16"], duration_s=2.0)
         assert len(outcome.results) == 1
         assert outcome.results[0].experiment_id == "fig16"
-        assert outcome.results[0].elapsed_s is not None
         assert outcome.failures == []
 
     def test_format_json(self, capsys):

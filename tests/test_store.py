@@ -16,11 +16,11 @@ import pytest
 
 import repro.experiments.common as common
 from repro.exec import FaultPlan, Supervisor, Task
+from repro.experiments import registry
 from repro.experiments.common import RunCache
 from repro.store import (
     RunStore,
     STORE_SCHEMA_VERSION,
-    canonical_config_dict,
     canonical_json,
     config_key,
     config_from_dict,
@@ -108,10 +108,18 @@ class TestKeys:
         )
 
     def test_config_dict_round_trip(self):
-        config = _config()
-        assert config_from_dict(config_to_dict(config)) == config
-        # canonical_config_dict is the same plain data.
-        assert canonical_config_dict(config) == config_to_dict(config)
+        """Every quick point a registered experiment declares survives
+        the config's JSON form, which is also what its store key hashes."""
+        base = RunCache(duration_s=15.0, seed=2007).base
+        configs = [
+            config
+            for spec in registry.all_specs()
+            for config in spec.configs(base)
+        ]
+        assert configs
+        for config in configs:
+            data = json.loads(canonical_json(config_to_dict(config)))
+            assert config_from_dict(data) == config
 
 
 class TestRoundTrip:
@@ -160,6 +168,15 @@ class TestRoundTrip:
         config, result = run
         with pytest.raises(ValueError, match="different config"):
             RunStore(tmp_path).put(_config(load=3500.0), result)
+
+    def test_put_rejects_symbols_wider_than_a_nibble(self, run):
+        _config_, result = run
+        tx = result.transmissions[0]
+        bad = dataclasses.replace(tx, symbols=tx.symbols + 16)
+        with pytest.raises(ValueError, match="nibbles"):
+            result_to_parts(
+                dataclasses.replace(result, transmissions=[bad])
+            )
 
     def test_no_temp_files_left_behind(self, run, tmp_path):
         config, result = run

@@ -45,14 +45,12 @@ from repro.phy.batch import (
     BatchReceptionEngine,
     WaveformBatchEngine,
     WaveformDecodeRequest,
-    decode_samples_batch,
-    decode_words_batch,
 )
 from repro.phy.channelsim import add_awgn
 from repro.phy.chipchannel import transmit_chipwords
 from repro.phy.codebook import ZigbeeCodebook
 from repro.phy.convolutional import ConvolutionalCode, SovaDecoder
-from repro.phy.decoder import HardDecisionDecoder, SoftDecisionDecoder
+from repro.phy.decoder import SoftDecisionDecoder
 from repro.phy.demodulation import MskDemodulator
 from repro.phy.frontend import ChipExtractRequest, ReceiverFrontend
 from repro.phy.modulation import MskModulator
@@ -62,7 +60,6 @@ from repro.phy.remodulate import (
 )
 from repro.phy.sync import CorrelationSynchronizer, sync_field_symbols
 from repro.sim.metrics import evaluate_schemes, evaluate_schemes_reference
-from repro.sim.network import NetworkSimulation, SimulationConfig
 from repro.utils import sanitize
 from repro.utils.rng import ensure_rng
 
@@ -272,35 +269,40 @@ class TestChunkingEquivalence:
 
 class TestBatchedDecoders:
     def test_hard_decision_batch_matches_single(self, codebook, rng):
-        decoder = HardDecisionDecoder(codebook)
+        """The simulation's one decode path, the fused ragged call, is
+        bit-identical to per-array ``Codebook.decode_hard``."""
         arrays = []
         for n in (0, 5, 200, 1):
             words = codebook.encode_words(rng.integers(0, 16, n))
             arrays.append(transmit_chipwords(words, 0.12, rng))
-        batch = decode_words_batch(decoder, arrays)
+        batch = BatchReceptionEngine(codebook).decode_hard_ragged(arrays)
         assert len(batch) == len(arrays)
-        for words, result in zip(arrays, batch, strict=True):
-            single = decoder.decode_words(words)
-            assert np.array_equal(result.symbols, single.symbols)
-            assert np.array_equal(result.hints, single.hints)
+        for words, (symbols, dists) in zip(arrays, batch, strict=True):
+            single_symbols, single_dists = codebook.decode_hard(words)
+            assert symbols.dtype == dists.dtype == np.int64
+            assert np.array_equal(symbols, single_symbols)
+            assert np.array_equal(dists, single_dists)
 
     def test_soft_decision_batch_matches_single(self, codebook, rng):
+        """Soft decoding is row-independent: one call over stacked
+        receptions equals decoding each reception alone."""
         decoder = SoftDecisionDecoder(codebook)
         blocks = []
         for n in (3, 50, 17):
             symbols = rng.integers(0, 16, n)
             clean = codebook.encode(symbols).reshape(-1, 32) * 2.0 - 1.0
             blocks.append(clean + rng.normal(0.0, 0.7, clean.shape))
-        batch = decode_samples_batch(decoder, blocks)
-        for block, result in zip(blocks, batch, strict=True):
+        stacked = decoder.decode_samples(np.vstack(blocks))
+        offsets = np.cumsum([len(b) for b in blocks])[:-1]
+        for block, symbols, hints in zip(
+            blocks,
+            np.split(stacked.symbols, offsets),
+            np.split(stacked.hints, offsets),
+            strict=True,
+        ):
             single = decoder.decode_samples(block)
-            assert np.array_equal(result.symbols, single.symbols)
-            assert np.array_equal(result.hints, single.hints)
-
-    def test_soft_batch_rejects_bad_width(self, codebook):
-        decoder = SoftDecisionDecoder(codebook)
-        with pytest.raises(ValueError, match="block"):
-            decode_samples_batch(decoder, [np.zeros((2, 8))])
+            assert np.array_equal(symbols, single.symbols)
+            assert np.array_equal(hints, single.hints)
 
     def test_engine_all_empty(self, codebook):
         engine = BatchReceptionEngine(codebook)
@@ -796,34 +798,6 @@ class TestWaveformBatchEngineEquivalence:
         reception = engine.receive_frames([cut], 25)[0]
         assert reception.acquired and reception.via_postamble
         assert np.array_equal(reception.symbols, body)
-
-
-class TestSimulationBatchEquivalence:
-    def test_batched_run_is_bit_identical(self):
-        """The fused per-trial decode must reproduce the per-packet
-        simulation exactly: same records, symbols, hints, and flags."""
-        config = SimulationConfig(
-            load_bits_per_s_per_node=13800.0,
-            payload_bytes=200,
-            duration_s=2.0,
-            carrier_sense=False,
-            seed=11,
-        )
-        batched = NetworkSimulation(config).run()
-        unbatched = NetworkSimulation(
-            replace(config, batch_decode=False)
-        ).run()
-        assert len(batched.records) == len(unbatched.records)
-        assert len(batched.records) > 0
-        for a, b in zip(batched.records, unbatched.records, strict=True):
-            assert (a.tx_id, a.receiver) == (b.tx_id, b.receiver)
-            assert np.array_equal(a.body_symbols, b.body_symbols)
-            assert np.array_equal(a.body_hints, b.body_hints)
-            assert a.preamble_detectable == b.preamble_detectable
-            assert a.header_ok == b.header_ok
-            assert a.postamble_detectable == b.postamble_detectable
-            assert a.trailer_ok == b.trailer_ok
-            assert a.acquired_preamble == b.acquired_preamble
 
 
 class TestGfKernelEquivalence:
