@@ -10,6 +10,8 @@ import pytest
 
 from repro.experiments import exp_fig13, exp_fig16
 from repro.experiments.common import (
+    DEFAULT_ETA,
+    DEFAULT_FRAGMENTS,
     DEFAULT_SEED,
     ExperimentResult,
     RunCache,
@@ -20,6 +22,7 @@ from repro.experiments.common import (
     labelled_evaluations,
     sweep,
 )
+from repro.link.schemes import default_schemes
 from repro.sim.network import SimulationConfig
 from repro.utils.rng import ensure_rng
 
@@ -209,6 +212,14 @@ class TestDefaultRuns:
 
 
 class TestEvaluationHelpers:
+    def test_paper_schemes_parameters(self):
+        # The harness evaluates with the paper's §7.2 parameters.
+        assert DEFAULT_FRAGMENTS == 30
+        assert DEFAULT_ETA == 6.0
+        schemes = default_schemes(DEFAULT_ETA, DEFAULT_FRAGMENTS)
+        assert schemes[1].n_fragments == 30
+        assert schemes[2].eta == 6.0
+
     def test_labelled_evaluations_keys(self):
         runs = RunCache(duration_s=2.0, seed=1)
         result = runs.get(load=13800.0, carrier_sense=False)
