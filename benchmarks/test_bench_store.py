@@ -2,14 +2,10 @@
 
 The store only earns its place if a warm hit is *much* cheaper than
 simulating the point — otherwise the memory → disk → simulate ladder
-would be pointless.  The gate below requires a >= 10x advantage at the
-benchmark's simulation scale.  Both sides grow about linearly with the
-simulated duration, so the ratio barely moves with it (measured on a
-2-vCPU host: ~16-18x at 15, 30 and 40 s).  A warm read is bounded by
-gunzipping and checksumming the stored symbol columns, while the
-nearest-codeword decode's ``np.bitwise_count`` popcount made
-simulating about twice as cheap as the byte-table popcount the
-earlier 20x gate was calibrated against.
+would be pointless.  The gate below requires a >= 20x advantage at the
+benchmark's simulation scale (the measured ratio grows with duration:
+simulation cost is superlinear in offered load x time, while a warm
+read is one gunzip + buffer reslice).
 """
 
 import time
@@ -29,7 +25,7 @@ def _store_point():
 
 
 def test_bench_store_warm_hit(benchmark, tmp_path):
-    """Warm store hit vs simulating the same point (>= 10x gate)."""
+    """Warm store hit vs simulating the same point (>= 20x gate)."""
     config = _store_point()
     start = time.perf_counter()
     result = _simulate_config(config)
@@ -54,14 +50,14 @@ def test_bench_store_warm_hit(benchmark, tmp_path):
         # Wall-clock gates only when actually benchmarking; under
         # --benchmark-disable (CI) a contended runner would flake.
         advantage = simulate_s / warm_s
-        assert advantage >= 10.0, (
+        assert advantage >= 20.0, (
             f"warm store hit only {advantage:.1f}x cheaper than "
             f"simulating ({warm_s:.4f}s vs {simulate_s:.4f}s)"
         )
 
 
 def test_bench_store_put(benchmark, tmp_path):
-    """Entry write cost (atomic temp-file + rename, level-1 gzip)."""
+    """Entry write cost (atomic temp-file + rename, stored gzip)."""
     config = _store_point()
     result = _simulate_config(config)
     store = RunStore(tmp_path)

@@ -125,7 +125,9 @@ def _ragged_to_descriptor(
 
 
 def _ragged_from_descriptor(
-    descriptor: dict[str, Any], reader: BinaryReader
+    descriptor: dict[str, Any],
+    reader: BinaryReader,
+    widen_to: np.dtype | None = None,
 ) -> list[np.ndarray]:
     data = reader.get(descriptor["data"])
     if data.dtype != np.dtype(descriptor["dtype"]):
@@ -140,6 +142,8 @@ def _ragged_from_descriptor(
             f"ragged column lengths sum to {total} but data holds "
             f"{data.size} elements"
         )
+    if widen_to is not None:
+        data = data.astype(widen_to)
     # Disjoint views of one owning copy: cheap, writable, independent.
     arrays: list[np.ndarray] = []
     start = 0
@@ -175,12 +179,26 @@ def _testbed_from_structure(
     )
 
 
-def _nibbles_to_bytes(symbols: np.ndarray) -> np.ndarray:
-    # On-air symbols are 4-bit nibbles held as int64; one byte each on
-    # disk halves what a warm read must gunzip and checksum.
-    if symbols.dtype != np.int64 or (symbols >> 4).any():
+# On-air symbols are 4-bit nibbles held as int64; one byte each on disk
+# is an eighth of what a warm read must checksum and copy.  The two
+# functions below are the only places that know this.
+def _symbols_to_descriptor(
+    transmissions: Sequence[Transmission], writer: BinaryWriter
+) -> dict[str, Any]:
+    arrays = [t.symbols for t in transmissions]
+    if any(a.dtype != np.int64 or (a >> 4).any() for a in arrays):
         raise ValueError("transmission symbols must be int64 nibbles")
-    return symbols.astype(np.uint8)
+    return _ragged_to_descriptor(
+        [a.astype(np.uint8) for a in arrays], writer, "symbols"
+    )
+
+
+def _symbols_from_descriptor(
+    descriptor: dict[str, Any], reader: BinaryReader
+) -> list[np.ndarray]:
+    return _ragged_from_descriptor(
+        descriptor, reader, widen_to=np.dtype(np.int64)
+    )
 
 
 def _transmissions_to_structure(
@@ -202,9 +220,7 @@ def _transmissions_to_structure(
             _column([t.symbol_period for t in transmissions], "<f8")
         ),
         "seq": writer.add(_column([t.seq for t in transmissions], "<i8")),
-        "symbols": _ragged_to_descriptor(
-            [_nibbles_to_bytes(t.symbols) for t in transmissions], writer, "symbols"
-        ),
+        "symbols": _symbols_to_descriptor(transmissions, writer),
     }
 
 
@@ -217,7 +233,7 @@ def _transmissions_from_structure(
     start = reader.get(data["start"])
     symbol_period = reader.get(data["symbol_period"])
     seq = reader.get(data["seq"])
-    symbols = [s.astype(np.int64) for s in _ragged_from_descriptor(data["symbols"], reader)]
+    symbols = _symbols_from_descriptor(data["symbols"], reader)
     if len(symbols) != int(data["count"]):
         raise ValueError(
             f"symbols holds {len(symbols)} arrays for "

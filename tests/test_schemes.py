@@ -159,9 +159,6 @@ class TestCommon:
         schemes = default_schemes()
         names = [s.name for s in schemes]
         assert names == ["packet_crc", "fragmented_crc", "ppr"]
-        # The paper's §7.2 parameters: 30 fragments, eta = 6.
-        assert schemes[1].n_fragments == 30
-        assert schemes[2].eta == 6.0
 
     def test_wire_length(self):
         for scheme in default_schemes():
