@@ -171,7 +171,7 @@ def test_bench_ablation_diversity_combining(benchmark, shared_runs):
     by_tx = defaultdict(list)
     for rec in result.records:
         if rec.acquired(True):
-            by_tx[rec.tx_id].append(rec)
+            by_tx[rec.tx.tx_id].append(rec)
     groups = [recs for recs in by_tx.values() if len(recs) >= 2]
     assert groups
 
@@ -184,7 +184,7 @@ def test_bench_ablation_diversity_combining(benchmark, shared_runs):
                 SoftPacket(
                     symbols=r.body_symbols.astype(np.int64),
                     hints=r.body_hints.astype(np.float64),
-                    truth=r.body_truth.astype(np.int64),
+                    truth=r.body_truth,
                 )
                 for r in recs
             ]

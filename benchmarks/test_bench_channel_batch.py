@@ -101,7 +101,7 @@ def test_bench_sharded_capacity_points(benchmark):
         a, b = seq.get(config), par.get(config)
         assert len(a.records) == len(b.records)
         for ra, rb in zip(a.records, b.records, strict=True):
-            assert ra.tx_id == rb.tx_id
+            assert ra.tx.tx_id == rb.tx.tx_id
             assert np.array_equal(ra.body_symbols, rb.body_symbols)
             assert np.array_equal(ra.body_hints, rb.body_hints)
 

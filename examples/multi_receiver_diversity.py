@@ -74,7 +74,7 @@ def testbed_case() -> None:
     by_tx = defaultdict(list)
     for rec in result.records:
         if rec.acquired(True):
-            by_tx[rec.tx_id].append(rec)
+            by_tx[rec.tx.tx_id].append(rec)
     groups = [recs for recs in by_tx.values() if len(recs) >= 2]
 
     vs_mean, vs_best = [], []
@@ -83,7 +83,7 @@ def testbed_case() -> None:
             SoftPacket(
                 symbols=r.body_symbols.astype(np.int64),
                 hints=r.body_hints.astype(np.float64),
-                truth=r.body_truth.astype(np.int64),
+                truth=r.body_truth,
             )
             for r in recs
         ]

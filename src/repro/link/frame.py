@@ -35,6 +35,7 @@ from repro.phy.sync import (
     POSTAMBLE_SYMBOLS,
     PREAMBLE_SYMBOLS,
     SFD_SYMBOLS,
+    SYNC_SYMBOLS,
 )
 from repro.utils.crc import crc16
 
@@ -103,6 +104,18 @@ def body_symbol_count(wire_payload_len: int) -> int:
     return SYMBOLS_PER_BYTE * (HEADER_BYTES + wire_payload_len + TRAILER_BYTES)
 
 
+def payload_slice(n_body_symbols: int) -> slice:
+    """Where the wire payload sits in a frame body of given symbols.
+
+    Everything before the slice is the header, everything after it
+    the trailer.
+    """
+    return slice(
+        SYMBOLS_PER_BYTE * HEADER_BYTES,
+        n_body_symbols - SYMBOLS_PER_BYTE * TRAILER_BYTES,
+    )
+
+
 @dataclass(frozen=True)
 class PprFrame:
     """A fully-formed PPR frame ready for (simulated) transmission."""
@@ -153,13 +166,12 @@ class PprFrame:
     @property
     def n_air_symbols(self) -> int:
         """Total on-air symbols including both sync fields."""
-        return self.n_body_symbols + 2 * 10
+        return self.n_body_symbols + 2 * SYNC_SYMBOLS
 
     def payload_symbol_range(self) -> tuple[int, int]:
         """(start, end) symbol indices of the wire payload in the body."""
-        start = SYMBOLS_PER_BYTE * HEADER_BYTES
-        end = start + SYMBOLS_PER_BYTE * len(self.wire_payload)
-        return start, end
+        region = payload_slice(self.n_body_symbols)
+        return region.start, region.stop
 
 
 @dataclass(frozen=True)

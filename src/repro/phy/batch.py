@@ -32,7 +32,7 @@ from repro.phy.frontend import (
     SyncDetection,
 )
 from repro.phy.remodulate import subtract_frame
-from repro.phy.sync import sync_field_symbols
+from repro.phy.sync import SYNC_SYMBOLS
 from repro.utils.bitops import pack_bits_to_uint32
 
 
@@ -242,14 +242,13 @@ class WaveformBatchEngine:
             raise RuntimeError("second packet's postamble not detected")
         det1 = pre_dets[0]
         det2 = max(post_dets, key=lambda d: d.sample_offset)
-        preamble_symbols = sync_field_symbols("preamble").size
         (sym1, hints1), (sym2, hints2) = self.decode_symbols_batch(
             [capture],
             [
                 WaveformDecodeRequest(
                     capture=0,
                     anchor_sample=det1.sample_offset,
-                    symbol_offset=preamble_symbols,
+                    symbol_offset=SYNC_SYMBOLS,
                     n_symbols=n_body_symbols,
                     phase=det1.phase,
                 ),
@@ -314,7 +313,6 @@ class WaveformBatchEngine:
             raise ValueError(
                 f"n_body_symbols must be non-negative, got {n_body_symbols}"
             )
-        preamble_symbols = sync_field_symbols("preamble").size
         width = self.codebook.chips_per_symbol
         sps = self._frontend.sps
 
@@ -336,7 +334,7 @@ class WaveformBatchEngine:
         chosen: list[SyncDetection | None] = []
         for i, pre_dets in enumerate(pre):
             if pre_dets and _fits(
-                lengths[i], pre_dets[0], preamble_symbols
+                lengths[i], pre_dets[0], SYNC_SYMBOLS
             ):
                 chosen.append(pre_dets[0])
             else:
@@ -361,7 +359,7 @@ class WaveformBatchEngine:
             if detection is None:
                 continue
             symbol_offset = (
-                preamble_symbols
+                SYNC_SYMBOLS
                 if detection.kind == "preamble"
                 else -n_body_symbols
             )

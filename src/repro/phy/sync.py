@@ -25,6 +25,9 @@ SFD_SYMBOLS = (7, 10)
 # sequence ... that uniquely identifies it as the postamble").
 POSTAMBLE_SYMBOLS = tuple([15] * 8)
 EFD_SYMBOLS = (10, 7)
+# Symbols in either sync field, delimiter included; the postamble
+# mirrors the preamble's length.
+SYNC_SYMBOLS = len(PREAMBLE_SYMBOLS + SFD_SYMBOLS)
 
 
 def sync_field_symbols(kind: str) -> np.ndarray:

@@ -26,7 +26,7 @@ import numpy as np
 from repro.phy.batch import FrameReception, WaveformBatchEngine
 from repro.phy.codebook import Codebook
 from repro.phy.remodulate import estimate_complex_scale, remodulate_frame
-from repro.phy.sync import sync_field_symbols
+from repro.phy.sync import SYNC_SYMBOLS, sync_field_symbols
 from repro.recovery.chunks import ChunkRecovery, plan_chunk_recovery
 
 
@@ -129,8 +129,7 @@ class SicDecoder:
         assert detection is not None
         if detection.kind == "preamble":
             return detection.sample_offset
-        sync_symbols = sync_field_symbols("preamble").size
-        span = (sync_symbols + n_body_symbols) * (
+        span = (SYNC_SYMBOLS + n_body_symbols) * (
             self._codebook.chips_per_symbol * self._sps
         )
         return detection.sample_offset - span

@@ -1,10 +1,10 @@
 """Trace post-processing: scheme evaluation and hint statistics.
 
 Receptions are recorded once and evaluated under every delivery scheme
-(the paper's own method, §7.2).  The acquired receptions of a run are
-grouped by payload length into :class:`~repro.link.schemes.TraceBlock`
-arrays, and each scheme scores a whole block at once
-(:meth:`~repro.link.schemes.DeliveryScheme.evaluate_traces`); per-link
+(the paper's own method, §7.2).  Every frame of a run has one layout,
+so the acquired receptions of a run form one
+:class:`~repro.link.schemes.TraceBlock`, and each scheme scores it at
+once (:meth:`~repro.link.schemes.DeliveryScheme.evaluate_traces`); per-link
 totals are bincounts over link ids.  CRC outcomes are evaluated through
 their defining property — a CRC-32-protected region verifies iff all of
 its symbols decoded correctly (undetected-error probability 2^-32 is
@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.analysis.runs import run_lengths
+from repro.link.frame import body_symbol_count, payload_slice
 from repro.link.quality import LinkObservation, LinkStats
 from repro.link.schemes import (
     DeliveryResult,
@@ -81,30 +82,18 @@ def _acquired(
     )
 
 
-def _trace_blocks(
-    records: list[ReceptionRecord], rows: np.ndarray
-) -> list[tuple[np.ndarray, TraceBlock]]:
-    """The ``rows`` of ``records`` as one trace block per payload length.
-
-    Returns ``(record indices, block)`` pairs; blocks hold only the
-    payload region of their rows.
-    """
-    by_length: dict[int, list[int]] = {}
-    for i in np.flatnonzero(rows).tolist():
-        rec = records[i]
-        by_length.setdefault(rec.payload_end - rec.payload_start, []).append(i)
-    blocks = []
-    for length, indices in by_length.items():
-        group = [records[i] for i in indices]
-        correct = np.empty((len(group), length), dtype=bool)
-        for row, rec in zip(correct, group, strict=True):
-            region = slice(rec.payload_start, rec.payload_end)
-            np.equal(rec.body_symbols[region], rec.body_truth[region], out=row)
-        hints = np.stack(
-            [r.body_hints[r.payload_start : r.payload_end] for r in group]
-        )
-        blocks.append((np.array(indices), TraceBlock(correct, hints)))
-    return blocks
+def _trace_block(
+    records: list[ReceptionRecord], rows: np.ndarray, payload: slice
+) -> TraceBlock:
+    """The payload region of the ``rows`` of ``records`` as one block."""
+    group = [records[i] for i in np.flatnonzero(rows).tolist()]
+    shape = (len(group), payload.stop - payload.start)
+    correct = np.empty(shape, dtype=bool)
+    hints = np.empty(shape, dtype=np.uint8)
+    for row, hint_row, rec in zip(correct, hints, group, strict=True):
+        np.equal(rec.body_symbols[payload], rec.body_truth[payload], out=row)
+        hint_row[:] = rec.body_hints[payload]
+    return TraceBlock(correct, hints)
 
 
 #: LinkObservation counter <- TraceDelivery column it sums
@@ -117,18 +106,16 @@ _DELIVERY_COUNTERS = {
 
 
 def _score(
-    scheme: DeliveryScheme,
-    blocks: list[tuple[np.ndarray, TraceBlock]],
-    n_records: int,
+    scheme: DeliveryScheme, block: TraceBlock, rows: np.ndarray
 ) -> dict[str, np.ndarray]:
     """Per-record delivery counters of one scheme (zero where unscored)."""
     columns = {
-        name: np.zeros(n_records, dtype=np.int64) for name in _DELIVERY_COUNTERS
+        name: np.zeros(rows.size, dtype=np.int64) for name in _DELIVERY_COUNTERS
     }
-    for indices, block in blocks:
+    if rows.any():
         outcome = scheme.evaluate_traces(block)
         for name, column in _DELIVERY_COUNTERS.items():
-            columns[name][indices] = getattr(outcome, column)
+            columns[name][rows] = getattr(outcome, column)
     return columns
 
 
@@ -189,8 +176,8 @@ def evaluate_schemes(
     """Evaluate every (scheme, postamble) variant on recorded traces.
 
     Each scheme scores the receptions acquired in *any* requested mode
-    once, block by block; each mode then sums its own acquired rows
-    per link.
+    once, as one block; each mode then sums its own acquired rows per
+    link.
     """
     records = result.records
     n = len(records)
@@ -199,20 +186,13 @@ def evaluate_schemes(
     link_ids = np.fromiter(
         (link_index[rec.link] for rec in records), dtype=np.intp, count=n
     )
-    payload_bits = np.fromiter(
-        (
-            (rec.payload_end - rec.payload_start) * _BITS_PER_SYMBOL
-            for rec in records
-        ),
-        dtype=np.int64,
-        count=n,
-    )
     acquired = {mode: _acquired(records, mode) for mode in postamble_options}
     scored = np.zeros(n, dtype=bool)
     for mask in acquired.values():
         scored |= mask
-    blocks = _trace_blocks(records, scored)
-    columns = {scheme: _score(scheme, blocks, n) for scheme in schemes}
+    payload = payload_slice(body_symbol_count(result.config.payload_bytes))
+    block = _trace_block(records, scored, payload)
+    columns = {scheme: _score(scheme, block, scored) for scheme in schemes}
 
     def link_sums(mask: np.ndarray, values: np.ndarray | None) -> list[int]:
         sums = np.bincount(
@@ -222,17 +202,20 @@ def evaluate_schemes(
         )
         return sums.astype(np.int64).tolist()
 
-    everything = np.ones(n, dtype=bool)
+    frames_sent = link_sums(np.ones(n, dtype=bool), None)
     sent = {
-        "frames_sent": link_sums(everything, None),
-        "payload_bits_sent": link_sums(everything, payload_bits),
+        "frames_sent": frames_sent,
+        "payload_bits_sent": [f * block.payload_bits for f in frames_sent],
     }
     evaluations = []
     for postamble_enabled in postamble_options:
         mask = acquired[postamble_enabled]
+        frames_acquired = link_sums(mask, None)
         received = {
-            "frames_acquired": link_sums(mask, None),
-            "payload_bits_acquired": link_sums(mask, payload_bits),
+            "frames_acquired": frames_acquired,
+            "payload_bits_acquired": [
+                f * block.payload_bits for f in frames_acquired
+            ],
         }
         for scheme in schemes:
             totals = {
@@ -379,8 +362,9 @@ def evaluate_schemes_reference(
         for scheme in schemes:
             stats = LinkStats()
             for rec in result.records:
+                payload = payload_slice(rec.body_symbols.size)
                 payload_bits = (
-                    rec.payload_end - rec.payload_start
+                    payload.stop - payload.start
                 ) * _BITS_PER_SYMBOL
                 stats[rec.link].record_sent(payload_bits)
                 if not rec.acquired(postamble_enabled):

@@ -30,12 +30,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.link.frame import (
-    HEADER_BYTES,
-    SYMBOLS_PER_BYTE,
-    TRAILER_BYTES,
     PprFrame,
     parse_header_bytes,
     parse_trailer_bytes,
+    payload_slice,
 )
 from repro.phy.batch import BatchReceptionEngine
 from repro.phy.chipchannel import (
@@ -44,6 +42,7 @@ from repro.phy.chipchannel import (
 )
 from repro.phy.codebook import Codebook, ZigbeeCodebook
 from repro.phy.spreading import symbols_to_bytes
+from repro.phy.sync import SYNC_SYMBOLS
 from repro.sim.core import EventScheduler
 from repro.sim.mac import CsmaConfig, CsmaMac
 from repro.sim.medium import PathLossModel, RadioMedium, Transmission
@@ -52,8 +51,6 @@ from repro.sim.testbed import TestbedConfig, paper_testbed, wall_count_matrix
 from repro.sim.traffic import PoissonSource
 from repro.utils.bitops import popcount32
 from repro.utils.rng import derive_key, derive_rng
-
-SYNC_SYMBOLS = 10  # preamble/postamble (8) + delimiter (2)
 
 # Flip probabilities at or below this are treated as "the channel
 # passes the word through verbatim".
@@ -127,14 +124,14 @@ class SimulationConfig:
 class ReceptionRecord:
     """One (transmission, receiver) pair after chip-level decoding.
 
-    Body arrays cover header + wire payload + trailer.  Storage is
-    compact (int8/uint8) because a run produces thousands of records.
+    A record holds only what its reception decided; sender, timing and
+    ground truth come from ``tx``.  Body arrays cover header + wire
+    payload + trailer.  Storage is compact (int8/uint8) because a run
+    produces thousands of records.
     """
 
-    tx_id: int
-    sender: int
+    tx: Transmission
     receiver: int
-    start: float
     preamble_detectable: bool
     header_ok: bool
     postamble_detectable: bool
@@ -142,14 +139,16 @@ class ReceptionRecord:
     acquired_preamble: bool
     body_symbols: np.ndarray = field(repr=False)
     body_hints: np.ndarray = field(repr=False)
-    body_truth: np.ndarray = field(repr=False)
-    payload_start: int = 0
-    payload_end: int = 0
 
     @property
     def link(self) -> tuple[int, int]:
         """Directed (sender, receiver) pair."""
-        return (self.sender, self.receiver)
+        return (self.tx.sender, self.receiver)
+
+    @property
+    def body_truth(self) -> np.ndarray:
+        """The transmitted body symbols: a view of ``tx.symbols``."""
+        return self.tx.symbols[SYNC_SYMBOLS:-SYNC_SYMBOLS]
 
     def acquired(self, postamble_enabled: bool) -> bool:
         """Whether this reception is acquired under the given PHY mode."""
@@ -163,13 +162,12 @@ class ReceptionRecord:
 
     def payload_hints(self) -> np.ndarray:
         """SoftPHY hints over the wire-payload symbols."""
-        return self.body_hints[self.payload_start : self.payload_end].astype(
-            np.float64
-        )
+        region = payload_slice(self.body_hints.size)
+        return self.body_hints[region].astype(np.float64)
 
     def payload_correct(self) -> np.ndarray:
         """Ground-truth correctness of the wire-payload symbols."""
-        region = slice(self.payload_start, self.payload_end)
+        region = payload_slice(self.body_symbols.size)
         return self.body_symbols[region] == self.body_truth[region]
 
 
@@ -186,13 +184,6 @@ class SimulationResult:
     def duration_s(self) -> float:
         """Configured run length in seconds."""
         return self.config.duration_s
-
-    def records_for_receiver(self, receiver: int) -> list[ReceptionRecord]:
-        """Receptions at one receiver, in arrival order."""
-        return sorted(
-            (r for r in self.records if r.receiver == receiver),
-            key=lambda r: r.start,
-        )
 
 
 @dataclass
@@ -534,17 +525,17 @@ class NetworkSimulation:
 
         body = symbols[SYNC_SYMBOLS : n - SYNC_SYMBOLS]
         body_hints = hints[SYNC_SYMBOLS : n - SYNC_SYMBOLS]
-        body_truth = truth[SYNC_SYMBOLS : n - SYNC_SYMBOLS]
-        header_syms = body[: SYMBOLS_PER_BYTE * HEADER_BYTES]
-        trailer_syms = body[-SYMBOLS_PER_BYTE * TRAILER_BYTES :]
-        _, header_ok = parse_header_bytes(symbols_to_bytes(header_syms))
-        _, trailer_ok = parse_trailer_bytes(symbols_to_bytes(trailer_syms))
+        payload = payload_slice(body.size)
+        _, header_ok = parse_header_bytes(
+            symbols_to_bytes(body[: payload.start])
+        )
+        _, trailer_ok = parse_trailer_bytes(
+            symbols_to_bytes(body[payload.stop :])
+        )
 
         return ReceptionRecord(
-            tx_id=tx.tx_id,
-            sender=tx.sender,
+            tx=tx,
             receiver=pending.receiver,
-            start=tx.start,
             preamble_detectable=preamble_detectable,
             header_ok=header_ok,
             postamble_detectable=postamble_detectable,
@@ -552,9 +543,6 @@ class NetworkSimulation:
             acquired_preamble=False,  # set during lock arbitration
             body_symbols=body.astype(np.int8),
             body_hints=body_hints.astype(np.uint8),
-            body_truth=body_truth.astype(np.int8),
-            payload_start=SYMBOLS_PER_BYTE * HEADER_BYTES,
-            payload_end=body.size - SYMBOLS_PER_BYTE * TRAILER_BYTES,
         )
 
     def _decode_pendings(
@@ -604,20 +592,15 @@ class NetworkSimulation:
         by_receiver: dict[int, list[ReceptionRecord]] = {}
         for rec in records:
             by_receiver.setdefault(rec.receiver, []).append(rec)
-        period = self._config.symbol_period_s
         for recs in by_receiver.values():
-            recs.sort(key=lambda r: r.start)
+            recs.sort(key=lambda r: r.tx.start)
             lock_until = -np.inf
             for rec in recs:
                 if not rec.preamble_detectable:
                     continue
-                if rec.start < lock_until:
+                if rec.tx.start < lock_until:
                     continue  # busy: preamble missed
-                frame_symbols = (
-                    rec.body_symbols.size + 2 * SYNC_SYMBOLS
-                )
-                frame_end = rec.start + frame_symbols * period
-                lock_until = frame_end
+                lock_until = rec.tx.end
                 # Synchronising is acquiring: a corrupted header shows
                 # up as corrupted *bits* (caught by CRCs or flagged by
                 # hints), not as a lost frame — matching the paper's
@@ -636,12 +619,7 @@ class NetworkSimulation:
         self._arbitrate_locks(records)
         if cfg.sic_recovery:
             apply_sic_recovery(
-                cfg,
-                self._codebook,
-                self._medium,
-                transmissions,
-                fades,
-                records,
+                cfg, self._codebook, self._medium, fades, records
             )
         return SimulationResult(
             config=cfg,

@@ -24,19 +24,16 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.link.frame import (
-    HEADER_BYTES,
-    SYMBOLS_PER_BYTE,
-    TRAILER_BYTES,
     parse_header_bytes,
     parse_trailer_bytes,
+    payload_slice,
 )
 from repro.phy.channelsim import TransmissionInstance, awgn_collision_channel
 from repro.phy.codebook import Codebook
 from repro.phy.modulation import MskModulator
 from repro.phy.spreading import symbols_to_bytes
-from repro.phy.sync import sync_field_symbols
 from repro.recovery.sic import SicDecoder, SicFrame
-from repro.sim.medium import RadioMedium, Transmission
+from repro.sim.medium import RadioMedium
 from repro.utils.rng import keyed_rng
 
 if TYPE_CHECKING:
@@ -90,9 +87,8 @@ def _adopt(
     Improvement is measured in η-bad symbols: an unacquired record
     gains acquisition outright; an acquired one is only overwritten
     when the SIC decode leaves strictly fewer symbols below
-    confidence.  ``body_truth`` and the payload bounds are never
-    touched — correctness stays measured against the same ground
-    truth.
+    confidence.  The record's transmission is never touched —
+    correctness stays measured against the same ground truth.
     """
     symbols = frame.reception.symbols
     if symbols.size != record.body_symbols.size:
@@ -104,11 +100,12 @@ def _adopt(
     record.body_hints = np.minimum(
         frame.reception.hints, 255.0
     ).astype(np.uint8)
-    header_syms = symbols[: SYMBOLS_PER_BYTE * HEADER_BYTES]
-    trailer_syms = symbols[-SYMBOLS_PER_BYTE * TRAILER_BYTES :]
-    _, record.header_ok = parse_header_bytes(symbols_to_bytes(header_syms))
+    payload = payload_slice(symbols.size)
+    _, record.header_ok = parse_header_bytes(
+        symbols_to_bytes(symbols[: payload.start])
+    )
     _, record.trailer_ok = parse_trailer_bytes(
-        symbols_to_bytes(trailer_syms)
+        symbols_to_bytes(symbols[payload.stop :])
     )
     detection = frame.reception.detection
     if detection is not None and detection.kind == "preamble":
@@ -123,7 +120,6 @@ def apply_sic_recovery(
     config: "SimulationConfig",
     codebook: Codebook,
     medium: RadioMedium,
-    transmissions: list[Transmission],
     fades: dict[tuple[int, int], float],
     records: list["ReceptionRecord"],
 ) -> int:
@@ -135,12 +131,10 @@ def apply_sic_recovery(
     damaged.  Returns the number of records updated.
     """
     width = codebook.chips_per_symbol
-    sync_symbols = int(sync_field_symbols("preamble").size)
     sample_rate = width * SIC_SPS / config.symbol_period_s
-    tx_by_id = {t.tx_id: t for t in transmissions}
     by_receiver: dict[int, dict[int, "ReceptionRecord"]] = {}
     for record in records:
-        by_receiver.setdefault(record.receiver, {})[record.tx_id] = record
+        by_receiver.setdefault(record.receiver, {})[record.tx.tx_id] = record
     # Mirror the chip-level detectability rule: a sync field whose chip
     # error rate is p correlates at 1 - 2p in the ±1 chip domain, so
     # the config's sync_error_threshold maps onto this correlation
@@ -157,7 +151,7 @@ def apply_sic_recovery(
     updated = 0
     for receiver in sorted(by_receiver):
         recmap = by_receiver[receiver]
-        audible = [tx_by_id[tx_id] for tx_id in sorted(recmap)]
+        audible = [recmap[tx_id].tx for tx_id in sorted(recmap)]
         for i, a in enumerate(audible):
             for b in audible[i + 1 :]:
                 if not a.overlaps(b):
@@ -169,11 +163,6 @@ def apply_sic_recovery(
                 ):
                     continue  # only isolated two-frame collisions
                 if not (_damaged(recmap[a.tx_id]) or _damaged(recmap[b.tx_id])):
-                    continue
-                if a.n_symbols != b.n_symbols:
-                    continue
-                n_body = a.n_symbols - 2 * sync_symbols
-                if n_body <= 0:
                     continue
                 t0 = min(a.start, b.start)
                 instances = []
@@ -199,7 +188,9 @@ def apply_sic_recovery(
                 capture = awgn_collision_channel(
                     instances, medium.noise_mw, rng=rng
                 )
-                result = decoder.decode_pair(capture, n_body)
+                result = decoder.decode_pair(
+                    capture, recmap[a.tx_id].body_symbols.size
+                )
                 expected_starts = {
                     a.tx_id: instances[0].offset,
                     b.tx_id: instances[1].offset,

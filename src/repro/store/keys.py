@@ -27,7 +27,7 @@ from repro.store.serialize import config_to_dict
 # Version of the on-disk entry layout (document structure, array
 # encoding).  Bump whenever the serialized form changes shape; old
 # entries then miss by key and are recomputed.
-STORE_SCHEMA_VERSION = 2
+STORE_SCHEMA_VERSION = 3
 
 
 def canonical_json(data: Any) -> str:

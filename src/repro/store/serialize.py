@@ -15,12 +15,14 @@ keep the repo's determinism contract: an experiment evaluated on a run
 loaded from disk produces byte-identical artifacts to one evaluated on
 the freshly simulated run.
 
-The layout is columnar (one typed array per record field, ragged body
-arrays concatenated per column) rather than one JSON object per record
-because a warm store hit must be *much* cheaper than simulating: a
-record-per-object encoding spends most of its read time parsing
-megabytes of JSON, while this format parses a few kilobytes of
-structure and reslices one buffer.
+The layout is columnar (one typed array per record field, and one
+matrix per body column, since every frame of a run has one length)
+rather than one JSON object per record because a warm store hit must
+be *much* cheaper than simulating: a record-per-object encoding spends
+most of its read time parsing megabytes of JSON, while this format
+parses a few kilobytes of structure and reslices one buffer.  Records
+store the ``tx_id`` of their transmission, and a loaded record points
+at the loaded :class:`~repro.sim.medium.Transmission` itself.
 """
 
 from __future__ import annotations
@@ -100,58 +102,28 @@ def _column(values: list[Any], dtype: str) -> np.ndarray:
     return np.array(values, dtype=np.dtype(dtype))
 
 
-def _ragged_to_descriptor(
-    arrays: Sequence[np.ndarray], writer: BinaryWriter, what: str
-) -> dict[str, Any]:
-    """One descriptor for a ragged column of same-dtype 1-D arrays."""
-    dtypes = {a.dtype.str for a in arrays}
-    if len(dtypes) > 1:
+def _matrix(arrays: Sequence[np.ndarray], what: str) -> np.ndarray:
+    """Equal-length, same-dtype 1-D arrays as the rows of one matrix."""
+    if len({(a.size, a.dtype.str) for a in arrays}) > 1:
         raise ValueError(
-            f"{what} arrays have mixed dtypes {sorted(dtypes)}; a "
-            "ragged column must be uniform to round-trip bit-for-bit"
+            f"{what} rows differ in length or dtype; a run stores one "
+            "frame layout and must round-trip bit-for-bit"
         )
-    dtype = dtypes.pop() if dtypes else "|u1"
-    if arrays:
-        data = np.concatenate([np.ascontiguousarray(a) for a in arrays])
-    else:
-        data = np.empty(0, dtype=np.dtype(dtype))
-    return {
-        "data": writer.add(data),
-        "lengths": writer.add(
-            _column([a.size for a in arrays], "<i8")
-        ),
-        "dtype": dtype,
-    }
+    if not arrays:
+        return np.empty((0, 0), dtype=np.uint8)
+    return np.stack(arrays)
 
 
-def _ragged_from_descriptor(
-    descriptor: dict[str, Any],
-    reader: BinaryReader,
-    widen_to: np.dtype | None = None,
-) -> list[np.ndarray]:
-    data = reader.get(descriptor["data"])
-    if data.dtype != np.dtype(descriptor["dtype"]):
+def _matrix_rows(
+    descriptor: dict[str, Any], reader: BinaryReader, count: int, what: str
+) -> np.ndarray:
+    """A stored matrix that must hold ``count`` rows."""
+    matrix = reader.get(descriptor)
+    if matrix.ndim != 2 or matrix.shape[0] != count:
         raise ValueError(
-            f"ragged column dtype {descriptor['dtype']!r} does not "
-            f"match its data buffer ({data.dtype.str!r})"
+            f"{what} has shape {matrix.shape}, expected {count} rows"
         )
-    lengths = reader.get(descriptor["lengths"])
-    total = int(lengths.sum()) if lengths.size else 0
-    if total != data.size:
-        raise ValueError(
-            f"ragged column lengths sum to {total} but data holds "
-            f"{data.size} elements"
-        )
-    if widen_to is not None:
-        data = data.astype(widen_to)
-    # Disjoint views of one owning copy: cheap, writable, independent.
-    arrays: list[np.ndarray] = []
-    start = 0
-    for length in lengths:
-        end = start + int(length)
-        arrays.append(data[start:end])
-        start = end
-    return arrays
+    return matrix
 
 
 def _testbed_to_structure(
@@ -179,28 +151,6 @@ def _testbed_from_structure(
     )
 
 
-# On-air symbols are 4-bit nibbles held as int64; one byte each on disk
-# is an eighth of what a warm read must checksum and copy.  The two
-# functions below are the only places that know this.
-def _symbols_to_descriptor(
-    transmissions: Sequence[Transmission], writer: BinaryWriter
-) -> dict[str, Any]:
-    arrays = [t.symbols for t in transmissions]
-    if any(a.dtype != np.int64 or (a >> 4).any() for a in arrays):
-        raise ValueError("transmission symbols must be int64 nibbles")
-    return _ragged_to_descriptor(
-        [a.astype(np.uint8) for a in arrays], writer, "symbols"
-    )
-
-
-def _symbols_from_descriptor(
-    descriptor: dict[str, Any], reader: BinaryReader
-) -> list[np.ndarray]:
-    return _ragged_from_descriptor(
-        descriptor, reader, widen_to=np.dtype(np.int64)
-    )
-
-
 def _transmissions_to_structure(
     transmissions: Sequence[Transmission], writer: BinaryWriter
 ) -> dict[str, Any]:
@@ -220,8 +170,18 @@ def _transmissions_to_structure(
             _column([t.symbol_period for t in transmissions], "<f8")
         ),
         "seq": writer.add(_column([t.seq for t in transmissions], "<i8")),
-        "symbols": _symbols_to_descriptor(transmissions, writer),
+        "symbols": writer.add(_symbols_matrix(transmissions)),
     }
+
+
+# On-air symbols are 4-bit nibbles held as int64; one byte each on disk
+# is an eighth of what a warm read must checksum and copy.  This and
+# the reader's one widening ``astype`` are the only places that know.
+def _symbols_matrix(transmissions: Sequence[Transmission]) -> np.ndarray:
+    arrays = [t.symbols for t in transmissions]
+    if any(a.dtype != np.int64 or (a >> 4).any() for a in arrays):
+        raise ValueError("transmission symbols must be int64 nibbles")
+    return _matrix([a.astype(np.uint8) for a in arrays], "symbols")
 
 
 def _transmissions_from_structure(
@@ -233,12 +193,10 @@ def _transmissions_from_structure(
     start = reader.get(data["start"])
     symbol_period = reader.get(data["symbol_period"])
     seq = reader.get(data["seq"])
-    symbols = _symbols_from_descriptor(data["symbols"], reader)
-    if len(symbols) != int(data["count"]):
-        raise ValueError(
-            f"symbols holds {len(symbols)} arrays for "
-            f"{data['count']} transmissions"
-        )
+    symbols = _matrix_rows(
+        data["symbols"], reader, int(data["count"]), "symbols"
+    ).astype(np.int64)
+    # Rows are views of one owning copy: cheap, writable, independent.
     return [
         Transmission(
             tx_id=int(tx_id[i]),
@@ -253,7 +211,6 @@ def _transmissions_from_structure(
     ]
 
 
-_RECORD_INT_COLUMNS = ("tx_id", "sender", "receiver", "payload_start", "payload_end")
 _RECORD_BOOL_COLUMNS = (
     "preamble_detectable",
     "header_ok",
@@ -261,57 +218,52 @@ _RECORD_BOOL_COLUMNS = (
     "trailer_ok",
     "acquired_preamble",
 )
-_RECORD_BODY_COLUMNS = ("body_symbols", "body_hints", "body_truth")
+_RECORD_BODY_COLUMNS = ("body_symbols", "body_hints")
 
 
 def _records_to_structure(
     records: Sequence[ReceptionRecord], writer: BinaryWriter
 ) -> dict[str, Any]:
-    structure: dict[str, Any] = {"count": len(records)}
-    for name in _RECORD_INT_COLUMNS:
-        structure[name] = writer.add(
-            _column([getattr(r, name) for r in records], "<i8")
-        )
+    structure: dict[str, Any] = {
+        "count": len(records),
+        "tx_id": writer.add(_column([r.tx.tx_id for r in records], "<i8")),
+        "receiver": writer.add(_column([r.receiver for r in records], "<i8")),
+    }
     for name in _RECORD_BOOL_COLUMNS:
         structure[name] = writer.add(
             _column([getattr(r, name) for r in records], "|b1")
         )
-    structure["start"] = writer.add(
-        _column([r.start for r in records], "<f8")
-    )
     for name in _RECORD_BODY_COLUMNS:
-        structure[name] = _ragged_to_descriptor(
-            [getattr(r, name) for r in records], writer, name
+        structure[name] = writer.add(
+            _matrix([getattr(r, name) for r in records], name)
         )
     return structure
 
 
 def _records_from_structure(
-    data: dict[str, Any], reader: BinaryReader
+    data: dict[str, Any],
+    reader: BinaryReader,
+    transmissions: list[Transmission],
 ) -> list[ReceptionRecord]:
     count = int(data["count"])
-    ints = {
-        name: reader.get(data[name]) for name in _RECORD_INT_COLUMNS
-    }
+    tx_id = reader.get(data["tx_id"])
+    if tx_id.size and not 0 <= tx_id.min() <= tx_id.max() < len(transmissions):
+        raise ValueError(
+            f"record tx_id column reaches outside the run's "
+            f"{len(transmissions)} transmissions"
+        )
+    receiver = reader.get(data["receiver"])
     bools = {
         name: reader.get(data[name]) for name in _RECORD_BOOL_COLUMNS
     }
-    start = reader.get(data["start"])
     bodies = {
-        name: list(_ragged_from_descriptor(data[name], reader))
+        name: _matrix_rows(data[name], reader, count, name)
         for name in _RECORD_BODY_COLUMNS
     }
-    for name, arrays in bodies.items():
-        if len(arrays) != count:
-            raise ValueError(
-                f"{name} holds {len(arrays)} arrays for {count} records"
-            )
     return [
         ReceptionRecord(
-            tx_id=int(ints["tx_id"][i]),
-            sender=int(ints["sender"][i]),
-            receiver=int(ints["receiver"][i]),
-            start=float(start[i]),
+            tx=transmissions[int(tx_id[i])],
+            receiver=int(receiver[i]),
             preamble_detectable=bool(bools["preamble_detectable"][i]),
             header_ok=bool(bools["header_ok"][i]),
             postamble_detectable=bool(bools["postamble_detectable"][i]),
@@ -319,9 +271,6 @@ def _records_from_structure(
             acquired_preamble=bool(bools["acquired_preamble"][i]),
             body_symbols=bodies["body_symbols"][i],
             body_hints=bodies["body_hints"][i],
-            body_truth=bodies["body_truth"][i],
-            payload_start=int(ints["payload_start"][i]),
-            payload_end=int(ints["payload_end"][i]),
         )
         for i in range(count)
     ]
@@ -346,11 +295,14 @@ def result_from_parts(
 ) -> SimulationResult:
     """Invert :func:`result_to_parts`, bit-for-bit."""
     reader = BinaryReader(binary)
+    transmissions = _transmissions_from_structure(
+        structure["transmissions"], reader
+    )
     return SimulationResult(
         config=config_from_dict(structure["config"]),
         testbed=_testbed_from_structure(structure["testbed"], reader),
-        transmissions=_transmissions_from_structure(
-            structure["transmissions"], reader
+        transmissions=transmissions,
+        records=_records_from_structure(
+            structure["records"], reader, transmissions
         ),
-        records=_records_from_structure(structure["records"], reader),
     )

@@ -13,43 +13,10 @@ import numpy as np
 import pytest
 
 from repro.experiments.common import RunCache
+from test_store import _assert_results_identical
 
 _DURATION_S = 3.0
 _SEED = 21
-
-
-def _assert_results_identical(a, b) -> None:
-    assert len(a.transmissions) == len(b.transmissions)
-    for ta, tb in zip(a.transmissions, b.transmissions, strict=True):
-        assert (ta.tx_id, ta.sender, ta.dst, ta.seq) == (
-            tb.tx_id,
-            tb.sender,
-            tb.dst,
-            tb.seq,
-        )
-        assert ta.start == tb.start
-        assert np.array_equal(ta.symbols, tb.symbols)
-    assert len(a.records) == len(b.records)
-    for ra, rb in zip(a.records, b.records, strict=True):
-        assert (ra.tx_id, ra.receiver, ra.acquired_preamble) == (
-            rb.tx_id,
-            rb.receiver,
-            rb.acquired_preamble,
-        )
-        assert (
-            ra.preamble_detectable,
-            ra.header_ok,
-            ra.postamble_detectable,
-            ra.trailer_ok,
-        ) == (
-            rb.preamble_detectable,
-            rb.header_ok,
-            rb.postamble_detectable,
-            rb.trailer_ok,
-        )
-        assert np.array_equal(ra.body_symbols, rb.body_symbols)
-        assert np.array_equal(ra.body_hints, rb.body_hints)
-        assert np.array_equal(ra.body_truth, rb.body_truth)
 
 
 def _runs(jobs: int, **kwargs) -> RunCache:

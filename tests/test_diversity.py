@@ -106,7 +106,7 @@ class TestDiversityGain:
         by_tx = defaultdict(list)
         for rec in small_sim_result.records:
             if rec.acquired(True):
-                by_tx[rec.tx_id].append(rec)
+                by_tx[rec.tx.tx_id].append(rec)
         multi = [recs for recs in by_tx.values() if len(recs) >= 2]
         assert multi, "testbed run must have multi-receiver receptions"
         checked = 0
@@ -115,7 +115,7 @@ class TestDiversityGain:
                 SoftPacket(
                     symbols=r.body_symbols.astype(np.int64),
                     hints=r.body_hints.astype(np.float64),
-                    truth=r.body_truth.astype(np.int64),
+                    truth=r.body_truth,
                 )
                 for r in recs
             ]

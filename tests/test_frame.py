@@ -11,6 +11,7 @@ from repro.link.frame import (
     FrameHeader,
     PprFrame,
     body_symbol_count,
+    payload_slice,
     parse_body_symbols,
     parse_header_bytes,
     parse_trailer_bytes,
@@ -103,6 +104,7 @@ class TestPprFrame:
         from repro.phy.spreading import symbols_to_bytes
 
         assert symbols_to_bytes(frame.body_symbols()[start:end]) == b"abcd"
+        assert payload_slice(frame.n_body_symbols) == slice(start, end)
 
     def test_oversized_payload_rejected(self):
         with pytest.raises(ValueError, match="too large"):

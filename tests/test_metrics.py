@@ -11,6 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.link.frame import payload_slice
 from repro.link.schemes import (
     DeliveryScheme,
     FragmentedCrcScheme,
@@ -180,7 +181,7 @@ class TestHintStatistics:
         correct, incorrect = hint_histograms(small_sim_result)
         total = correct.sum() + incorrect.sum()
         expected = sum(
-            rec.payload_end - rec.payload_start
+            rec.payload_correct().size
             for rec in small_sim_result.records
             if rec.acquired(True)
         )
@@ -206,7 +207,7 @@ class TestHintStatistics:
         0 (misses at every eta), form one run of 2 and one of 1."""
         rec = small_sim_result.records[0]
         symbols = rec.body_truth.copy()
-        wrong = rec.payload_start + np.array([1, 2, 4])
+        wrong = payload_slice(symbols.size).start + np.array([1, 2, 4])
         symbols[wrong] = (symbols[wrong] + 1) % 16
         rec = replace(
             rec,

@@ -10,12 +10,9 @@ from repro.link.frame import (
     parse_header_bytes,
 )
 from repro.phy.spreading import symbols_to_bytes
+from repro.phy.sync import SYNC_SYMBOLS
 from repro.sim.medium import PathLossModel
-from repro.sim.network import (
-    SYNC_SYMBOLS,
-    NetworkSimulation,
-    SimulationConfig,
-)
+from repro.sim.network import NetworkSimulation, SimulationConfig
 from repro.sim.testbed import TestbedConfig as _TestbedConfig
 
 
@@ -78,10 +75,20 @@ class TestRunStructure:
             assert n_body == SYMBOLS_PER_BYTE * (
                 HEADER_BYTES + cfg.payload_bytes + TRAILER_BYTES
             )
-            assert rec.payload_start == SYMBOLS_PER_BYTE * HEADER_BYTES
-            assert (
-                rec.payload_end
-                == n_body - SYMBOLS_PER_BYTE * TRAILER_BYTES
+            assert rec.body_hints.size == n_body
+            assert rec.payload_correct().size == (
+                SYMBOLS_PER_BYTE * cfg.payload_bytes
+            )
+
+    def test_records_point_at_their_transmission(self, small_sim_result):
+        txs = small_sim_result.transmissions
+        for rec in small_sim_result.records:
+            assert rec.tx is txs[rec.tx.tx_id]
+            assert rec.link == (rec.tx.sender, rec.receiver)
+            truth = rec.body_truth
+            assert np.shares_memory(truth, rec.tx.symbols)
+            assert np.array_equal(
+                truth, rec.tx.symbols[SYNC_SYMBOLS:-SYNC_SYMBOLS]
             )
 
     def test_hints_zero_implies_correct(self, small_sim_result):
@@ -119,7 +126,7 @@ class TestRunStructure:
         b = NetworkSimulation(config).run()
         assert len(a.records) == len(b.records)
         for ra, rb in zip(a.records, b.records, strict=True):
-            assert ra.tx_id == rb.tx_id
+            assert ra.tx.tx_id == rb.tx.tx_id
             assert np.array_equal(ra.body_symbols, rb.body_symbols)
             assert np.array_equal(ra.body_hints, rb.body_hints)
 
@@ -130,15 +137,18 @@ class TestLockArbitration:
         frames must not overlap in time."""
         period = small_sim_result.config.symbol_period_s
         for receiver in small_sim_result.testbed.receiver_ids:
-            acquired = [
-                r
-                for r in small_sim_result.records_for_receiver(receiver)
-                if r.acquired_preamble
-            ]
+            acquired = sorted(
+                (
+                    r
+                    for r in small_sim_result.records
+                    if r.receiver == receiver and r.acquired_preamble
+                ),
+                key=lambda r: r.tx.start,
+            )
             for first, second in zip(acquired, acquired[1:], strict=False):
                 n_air = first.body_symbols.size + 2 * SYNC_SYMBOLS
-                first_end = first.start + n_air * period
-                assert second.start >= first_end - 1e-12
+                first_end = first.tx.start + n_air * period
+                assert second.tx.start >= first_end - 1e-12
 
 
 class TestSequenceNumbers:

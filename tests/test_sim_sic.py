@@ -19,7 +19,7 @@ import pytest
 from repro.sim.network import NetworkSimulation, SimulationConfig
 from repro.sim.testbed import collision_testbed
 from repro.store import config_from_dict, config_key, config_to_dict
-from test_determinism_contract import _assert_results_identical
+from test_store import _assert_results_identical
 
 _ETA = 6.0
 
@@ -86,11 +86,7 @@ class TestSicPassEffect:
         for ra, rb in zip(
             baseline.records, with_sic.records, strict=True
         ):
-            assert (ra.tx_id, ra.receiver, ra.sender) == (
-                rb.tx_id,
-                rb.receiver,
-                rb.sender,
-            )
+            assert (ra.tx.tx_id, ra.receiver) == (rb.tx.tx_id, rb.receiver)
             assert ra.body_symbols.size == rb.body_symbols.size
             assert np.array_equal(ra.body_truth, rb.body_truth)
 

@@ -9,6 +9,7 @@ transparently recomputed, and version-stamp invalidation.
 
 import dataclasses
 import gzip
+import hashlib
 import json
 
 import numpy as np
@@ -47,6 +48,11 @@ def run():
 
 
 def _assert_results_identical(a, b) -> None:
+    """Bit-for-bit equality of two runs, dtypes and testbed included.
+
+    Also checks that every record points at its own run's transmission
+    object, which must survive a store load and a worker's pickle.
+    """
     assert a.config == b.config
     assert np.array_equal(a.testbed.positions_m, b.testbed.positions_m)
     assert a.testbed.sender_ids == b.testbed.sender_ids
@@ -61,21 +67,19 @@ def _assert_results_identical(a, b) -> None:
         assert (ta.symbol_period, ta.seq) == (tb.symbol_period, tb.seq)
     assert len(a.records) == len(b.records)
     for ra, rb in zip(a.records, b.records, strict=True):
+        assert ra.tx is a.transmissions[ra.tx.tx_id]
+        assert rb.tx is b.transmissions[rb.tx.tx_id]
+        assert ra.tx.tx_id == rb.tx.tx_id
         for field in (
-            "tx_id",
-            "sender",
             "receiver",
-            "start",
             "preamble_detectable",
             "header_ok",
             "postamble_detectable",
             "trailer_ok",
             "acquired_preamble",
-            "payload_start",
-            "payload_end",
         ):
             assert getattr(ra, field) == getattr(rb, field), field
-        for field in ("body_symbols", "body_hints", "body_truth"):
+        for field in ("body_symbols", "body_hints"):
             va, vb = getattr(ra, field), getattr(rb, field)
             assert va.dtype == vb.dtype, field
             assert np.array_equal(va, vb), field
@@ -178,11 +182,64 @@ class TestRoundTrip:
                 dataclasses.replace(result, transmissions=[bad])
             )
 
+    def test_put_rejects_frames_of_unequal_length(self, run):
+        _config_, result = run
+        tx = result.transmissions[0]
+        short_tx = dataclasses.replace(tx, symbols=tx.symbols[:-2])
+        with pytest.raises(ValueError, match="symbols"):
+            result_to_parts(
+                dataclasses.replace(
+                    result, transmissions=[short_tx, *result.transmissions]
+                )
+            )
+        rec = result.records[0]
+        short_rec = dataclasses.replace(rec, body_hints=rec.body_hints[:-2])
+        with pytest.raises(ValueError, match="body_hints"):
+            result_to_parts(
+                dataclasses.replace(result, records=[short_rec, rec])
+            )
+
     def test_no_temp_files_left_behind(self, run, tmp_path):
         config, result = run
         store = RunStore(tmp_path)
         path = store.put(config, result)
         assert list(path.parent.iterdir()) == [path]
+
+
+def _restamp(path, edit) -> None:
+    """Rewrite an entry's structure/binary through ``edit`` and fix up
+    its checksum, so only the reader's own checks can reject it."""
+    raw = gzip.decompress(path.read_bytes())
+    header_end = raw.index(b"\n")
+    structure_end = raw.index(b"\n", header_end + 1)
+    document = json.loads(raw[header_end + 1 : structure_end])
+    binary = bytearray(raw[structure_end + 1 :])
+    edit(document["structure"], binary)
+    body = canonical_json(document).encode() + b"\n" + bytes(binary)
+    header = json.loads(raw[:header_end])
+    header["sha256"] = hashlib.sha256(body).hexdigest()
+    path.write_bytes(
+        gzip.compress(canonical_json(header).encode() + b"\n" + body, mtime=0)
+    )
+
+
+def _tx_id_past_the_transmissions(path) -> None:
+    def edit(structure, binary):
+        n_tx = structure["transmissions"]["count"]
+        offset = structure["records"]["tx_id"]["offset"]
+        binary[offset : offset + 8] = np.int64(n_tx).tobytes()
+
+    _restamp(path, edit)
+
+
+def _short_body_matrix(path) -> None:
+    def edit(structure, _binary):
+        descriptor = structure["records"]["body_symbols"]
+        rows, width = descriptor["shape"]
+        descriptor["shape"] = [rows - 1, width]
+        descriptor["nbytes"] -= width * np.dtype(descriptor["dtype"]).itemsize
+
+    _restamp(path, edit)
 
 
 def _warm_store(tmp_path, run) -> tuple[RunStore, object]:
@@ -271,6 +328,24 @@ class TestCorruption:
         loaded = fresh.get(config)
         assert loaded is not None
         _assert_results_identical(result, loaded)
+
+    @pytest.mark.parametrize(
+        "corrupt", [_tx_id_past_the_transmissions, _short_body_matrix]
+    )
+    def test_recompute_after_inconsistent_columns(
+        self, run, tmp_path, corrupt
+    ):
+        """Checksummed but self-inconsistent entries are recomputed."""
+        config, result = run
+        store = RunStore(tmp_path)
+        store.put(config, result)
+        corrupt(store.path_for(config))
+        cache = RunCache(
+            duration_s=_DURATION_S, seed=_SEED, store=store
+        )
+        _assert_results_identical(result, cache.get(config))
+        assert store.counters.corrupt == 1
+        assert store.counters.writes == 2  # the write-back healed it
 
 
 def _racing_writer(root: str) -> int:

@@ -60,6 +60,7 @@ from repro.phy.remodulate import (
 )
 from repro.phy.sync import CorrelationSynchronizer, sync_field_symbols
 from repro.sim.metrics import evaluate_schemes, evaluate_schemes_reference
+from repro.sim.network import NetworkSimulation, SimulationConfig
 from repro.utils import sanitize
 from repro.utils.rng import ensure_rng
 
@@ -928,8 +929,8 @@ def _every_scheme():
 class TestSchemeEvaluationEquivalence:
     """The columnar trace evaluator vs its per-record reference.
 
-    ``evaluate_schemes`` groups acquired receptions into per-length
-    trace blocks and lets each scheme score a block at once;
+    ``evaluate_schemes`` gathers a run's acquired receptions into one
+    trace block and lets each scheme score it at once;
     ``evaluate_schemes_reference`` walks record by record.  Every
     variant must produce equal ``LinkObservation`` counters on every
     link, as Python ints.
@@ -967,16 +968,20 @@ class TestSchemeEvaluationEquivalence:
         )
         self._assert_equivalent(result, (postamble,))
 
-    def test_mixed_and_degenerate_payload_lengths(self, small_sim_result):
-        """Two blocks of real lengths plus a zero-length payload and
-        one shorter than every scheme's fragment count."""
-        records = []
-        for i, rec in enumerate(small_sim_result.records[:240]):
-            length = (None, 300, 0, 7)[i % 4]
-            if length is not None:
-                rec = replace(rec, payload_end=rec.payload_start + length)
-            records.append(rec)
-        self._assert_equivalent(self._with_records(small_sim_result, records))
+    @pytest.mark.parametrize("payload_bytes", [150, 3])
+    def test_real_runs_of_other_payload_lengths(self, payload_bytes):
+        """Short runs at other frame layouts; 3 bytes give 6 payload
+        symbols, fewer than every scheme's fragment count."""
+        config = SimulationConfig(
+            load_bits_per_s_per_node=8 * payload_bytes * 8.0,  # 8 frames/s
+            payload_bytes=payload_bytes,
+            duration_s=1.0,
+            carrier_sense=False,
+            seed=7,
+        )
+        result = NetworkSimulation(config).run()
+        assert any(rec.acquired(True) for rec in result.records)
+        self._assert_equivalent(result)
 
     def test_no_acquired_records(self, small_sim_result):
         records = [
