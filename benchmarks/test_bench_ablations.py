@@ -7,7 +7,6 @@ effect on the same traces the figure benchmarks use:
 * hard-decision Hamming hints vs soft-decision correlation (§3.2),
 * the 802.15.4 codebook's distance structure vs a random codebook,
 * the chunking DP vs naive per-run feedback (§5.1),
-* multi-receiver hint combining (§8.4),
 * the conclusion's claim that PPR lets a PHY run at a BER one or two
   orders of magnitude higher.
 """
@@ -16,11 +15,9 @@ import numpy as np
 
 from repro.arq.chunking import chunk_cost_naive, plan_chunks
 from repro.arq.runlength import RunLengthPacket
-from repro.link.diversity import diversity_gain
 from repro.phy.chipchannel import transmit_chipwords
 from repro.phy.codebook import ZigbeeCodebook
 from repro.phy.decoder import SoftDecisionDecoder
-from repro.phy.symbols import SoftPacket
 from repro.utils.bitops import pack_bits_to_uint32
 
 
@@ -159,61 +156,6 @@ def test_bench_ablation_dp_vs_naive_feedback(benchmark, shared_runs):
     print("\nDP feedback savings vs naive:", stats)
     assert stats["mean_saving"] >= 0.0  # DP never loses
     assert stats["max_saving"] > 0.0  # and sometimes wins outright
-
-
-def test_bench_ablation_diversity_combining(benchmark, shared_runs):
-    """Min-hint combining across the four testbed receivers (paper
-    §8.4): combined delivery never falls below the best single
-    receiver and strictly improves on some transmissions."""
-    from collections import defaultdict
-
-    result = shared_runs.get(load=13800.0, carrier_sense=False)
-    by_tx = defaultdict(list)
-    for rec in result.records:
-        if rec.acquired(True):
-            by_tx[rec.tx.tx_id].append(rec)
-    groups = [recs for recs in by_tx.values() if len(recs) >= 2]
-    assert groups
-
-    def run():
-        total = 0
-        vs_best = []
-        vs_mean = []
-        for recs in groups:
-            packets = [
-                SoftPacket(
-                    symbols=r.body_symbols.astype(np.int64),
-                    hints=r.body_hints.astype(np.float64),
-                    truth=r.body_truth,
-                )
-                for r in recs
-            ]
-            g = diversity_gain(packets, eta=6.0)
-            total += 1
-            vs_best.append(g["combined"] - g["best_single"])
-            vs_mean.append(g["combined"] - g["mean_single"])
-        return {
-            "transmissions": total,
-            "gain_vs_best_single": float(np.mean(vs_best)),
-            "gain_vs_mean_single": float(np.mean(vs_mean)),
-            "min_gain_vs_best": float(np.min(vs_best)),
-        }
-
-    stats = benchmark.pedantic(run, rounds=1, iterations=1)
-    print("\ndiversity combining:", stats)
-    # Combining essentially never loses to the best single receiver.
-    # Strict dominance is not a theorem: a copy decoded to the *wrong*
-    # codeword at a *lower* Hamming distance (a confident miss) can
-    # displace another receiver's correct symbol, so under genuinely
-    # colliding traffic a rare transmission may lose a symbol or two;
-    # allow that slack while gating out any systematic loss.
-    assert stats["min_gain_vs_best"] >= -0.005
-    assert stats["gain_vs_best_single"] >= 0.0
-    # ...and beats being stuck with a randomly-assigned receiver (what
-    # a node without MRD gets).  Most transmissions arrive clean at
-    # someone, so the mean gain is a fraction of a percent of *all*
-    # payload bits — concentrated entirely on the damaged receptions.
-    assert stats["gain_vs_mean_single"] > 0.003
 
 
 def test_bench_ablation_higher_ber_operating_point(benchmark):

@@ -20,8 +20,8 @@ Quick start::
     decoded, hints = codebook.decode_hard(received)
     # `hints` are the SoftPHY Hamming-distance hints of the paper.
 
-See README.md for the architecture overview and DESIGN.md for the
-paper-to-module map.
+See README.md for the architecture overview and its Layout section for
+the paper-to-module map.
 """
 
 from repro._version import __version__
@@ -56,7 +56,6 @@ from repro.phy import (
     RollbackBuffer,
     SoftDecisionDecoder,
     SoftPacket,
-    SoftSymbol,
     WaveformBatchEngine,
     ZigbeeCodebook,
 )
@@ -95,7 +94,6 @@ __all__ = [
     "RollbackBuffer",
     "SoftDecisionDecoder",
     "SoftPacket",
-    "SoftSymbol",
     "WaveformBatchEngine",
     "ZigbeeCodebook",
     "SicDecoder",

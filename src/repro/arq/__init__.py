@@ -30,11 +30,8 @@ from repro.arq.protocol import (
     TransferLog,
 )
 from repro.arq.fullarq import FullPacketArqSession
-from repro.arq.streaming import StreamingLog, StreamingPpArqSession
 
 __all__ = [
-    "StreamingLog",
-    "StreamingPpArqSession",
     "Run",
     "RunLengthPacket",
     "ChunkPlan",

@@ -348,6 +348,19 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(str(exc))
     duration = 15.0 if args.quick else 40.0
     store_dir = args.store or os.environ.get("REPRO_STORE")
+    store_source = "--store" if args.store else "REPRO_STORE"
+    # Create both directories before anything runs, so a path that
+    # cannot be a directory is a usage error, not a late traceback.
+    for source, directory in (("--out", args.out), (store_source, store_dir)):
+        if not directory:
+            continue
+        try:
+            Path(directory).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            parser.error(
+                f"{source} {directory!r} is not a usable directory: "
+                f"{exc.strerror or exc}"
+            )
     store = RunStore(store_dir) if store_dir else None
     outcome = run_experiments(
         names,

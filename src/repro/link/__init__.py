@@ -36,18 +36,7 @@ from repro.link.fragmentation import (
     optimal_fragment_size,
     reassemble_fragments,
 )
-from repro.link.relay import (
-    CombinedForward,
-    PartialForward,
-    combine_forwards,
-    make_partial_forward,
-)
 from repro.link.adaptive import AdaptiveThreshold
-from repro.link.diversity import (
-    DiversityResult,
-    combine_soft_packets,
-    diversity_gain,
-)
 from repro.link.quality import LinkObservation, LinkStats
 
 __all__ = [
@@ -72,14 +61,7 @@ __all__ = [
     "fragment_payload",
     "optimal_fragment_size",
     "reassemble_fragments",
-    "CombinedForward",
-    "PartialForward",
-    "combine_forwards",
-    "make_partial_forward",
     "AdaptiveThreshold",
-    "DiversityResult",
-    "combine_soft_packets",
-    "diversity_gain",
     "LinkObservation",
     "LinkStats",
 ]

@@ -33,14 +33,13 @@ from repro.phy.spreading import (
     symbols_to_bits,
     symbols_to_bytes,
 )
-from repro.phy.symbols import SoftPacket, SoftSymbol
+from repro.phy.symbols import SoftPacket
 from repro.phy.modulation import MskModulator
 from repro.phy.demodulation import MskDemodulator
 from repro.phy.sync import (
     PREAMBLE_SYMBOLS,
     POSTAMBLE_SYMBOLS,
     SFD_SYMBOLS,
-    CorrelationSynchronizer,
     RollbackBuffer,
 )
 from repro.phy.frontend import ChipExtractRequest, ReceiverFrontend
@@ -79,13 +78,11 @@ __all__ = [
     "symbols_to_bits",
     "symbols_to_bytes",
     "SoftPacket",
-    "SoftSymbol",
     "MskModulator",
     "MskDemodulator",
     "PREAMBLE_SYMBOLS",
     "POSTAMBLE_SYMBOLS",
     "SFD_SYMBOLS",
-    "CorrelationSynchronizer",
     "RollbackBuffer",
     "ReceiverFrontend",
     "estimate_complex_scale",

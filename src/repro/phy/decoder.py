@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.phy.codebook import Codebook
-from repro.phy.symbols import SoftPacket
 
 
 @dataclass(frozen=True)
@@ -29,14 +28,6 @@ class DecodeResult:
 
     symbols: np.ndarray
     hints: np.ndarray
-
-    def to_soft_packet(self, **metadata) -> SoftPacket:
-        """Wrap the result in a :class:`SoftPacket`."""
-        return SoftPacket(
-            symbols=self.symbols,
-            hints=self.hints,
-            **metadata,
-        )
 
 
 class SoftDecisionDecoder:

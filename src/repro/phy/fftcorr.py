@@ -1,10 +1,10 @@
 """FFT-domain sliding correlation against a fixed pattern.
 
-The sync correlators (:mod:`repro.phy.sync` in the chip domain,
-:mod:`repro.phy.frontend` in the sample domain) need the raw valid-mode
-cross-correlation of every capture row against one fixed pattern.  The
-direct per-row ``np.correlate`` is O(n·p) per capture; for the sample
-domain (pattern length 1280 at 4 samples/chip) the FFT product
+The one sync correlator (:class:`~repro.phy.frontend.ReceiverFrontend`,
+in the sample domain) needs the raw valid-mode cross-correlation of
+every complex capture row against one fixed sync waveform.  The direct
+per-row ``np.correlate`` is O(n·p) per capture; for a pattern of 1280
+samples (4 samples/chip) the FFT product
 ``ifft(fft(row) · conj(fft(pattern)))`` is ~8x faster and turns the
 whole batch into one array program.
 
@@ -17,10 +17,11 @@ Two properties the callers rely on:
   survives the rewrite.
 * **Tolerance vs the time-domain spec.**  FFT reassociates the sums,
   so the result differs from the per-offset dot product in the last
-  few ulps (relative error ~1e-15).  The ``*_reference`` loop twins
-  remain the executable specs; the equivalence suite pins the FFT path
-  to them at 1e-12 — the one sanctioned deviation from the bit-for-bit
-  pin, documented where it happens.
+  few ulps (relative error ~1e-15).  The loop twin
+  ``ReceiverFrontend.correlation_reference`` remains the executable
+  spec; the equivalence suite pins the FFT path to it at 1e-12 — the
+  one sanctioned deviation from the bit-for-bit pin, documented where
+  it happens.
 """
 
 from __future__ import annotations
@@ -33,10 +34,11 @@ class FftCorrelator:
     """Valid-mode raw cross-correlation of capture rows vs a pattern.
 
     Matches ``np.correlate(row, pattern, mode="valid")`` semantics:
-    output lag ``i`` is ``sum_k row[i + k] * conj(pattern[k])`` (the
-    conjugate is a no-op for real patterns).  The pattern's spectrum is
-    cached per padded FFT length, so repeated calls over same-length
-    captures pay one pattern transform total.
+    output lag ``i`` is ``sum_k row[i + k] * conj(pattern[k])``.  The
+    pattern is held as complex128 and every transform is a full
+    complex ``fft``/``ifft``.  The pattern's spectrum is cached per
+    padded FFT length, so repeated calls over same-length captures pay
+    one pattern transform total.
     """
 
     def __init__(self, pattern: np.ndarray) -> None:
@@ -46,9 +48,7 @@ class FftCorrelator:
                 f"pattern must be a non-empty 1-D array, got shape "
                 f"{pattern.shape}"
             )
-        self._complex = bool(np.iscomplexobj(pattern))
-        dtype = np.complex128 if self._complex else np.float64
-        self._pattern = pattern.astype(dtype, copy=True)
+        self._pattern = pattern.astype(np.complex128, copy=True)
         self._spectra: dict[int, np.ndarray] = {}
 
     @property
@@ -59,20 +59,15 @@ class FftCorrelator:
     def _spectrum(self, length: int) -> np.ndarray:
         spectrum = self._spectra.get(length)
         if spectrum is None:
-            if self._complex:
-                spectrum = np.conj(np.fft.fft(self._pattern, length))
-            else:
-                spectrum = np.conj(np.fft.rfft(self._pattern, length))
+            spectrum = np.conj(np.fft.fft(self._pattern, length))
             self._spectra[length] = spectrum
         return spectrum
 
     def correlate_rows(self, rows: np.ndarray) -> np.ndarray:
         """Raw valid-mode correlation of every row, in one FFT program.
 
-        ``rows`` is ``(n_rows, n)``; the output is ``(n_rows,
-        n - pattern_size + 1)``.  Real inputs with a real pattern use
-        the half-spectrum transform and return float64; anything
-        complex returns complex128.
+        ``rows`` is ``(n_rows, n)``; the output is the complex128
+        ``(n_rows, n - pattern_size + 1)`` correlation.
         """
         rows = np.asarray(rows)
         if rows.ndim != 2:
@@ -83,27 +78,9 @@ class FftCorrelator:
         n = rows.shape[1]
         n_out = n - psize + 1
         if n_out <= 0:
-            dtype = (
-                np.complex128
-                if self._complex or np.iscomplexobj(rows)
-                else np.float64
-            )
-            return np.zeros((rows.shape[0], 0), dtype=dtype)
+            return np.zeros((rows.shape[0], 0), dtype=np.complex128)
         # Zero-padding past n + psize - 1 keeps the circular
         # correlation free of wraparound over the valid lags.
-        length = next_fast_len(n + psize - 1, real=not self._complex)
-        if self._complex or np.iscomplexobj(rows):
-            spec = self._spectrum_complex(length)
-            product = np.fft.fft(rows, length, axis=1) * spec
-            return np.fft.ifft(product, length, axis=1)[:, :n_out]
-        product = np.fft.rfft(rows, length, axis=1) * self._spectrum(length)
-        return np.fft.irfft(product, length, axis=1)[:, :n_out]
-
-    def _spectrum_complex(self, length: int) -> np.ndarray:
-        """Full-spectrum pattern transform (complex rows or pattern)."""
-        key = -length  # separate cache namespace from the rfft spectra
-        spectrum = self._spectra.get(key)
-        if spectrum is None:
-            spectrum = np.conj(np.fft.fft(self._pattern, length))
-            self._spectra[key] = spectrum
-        return spectrum
+        length = next_fast_len(n + psize - 1, real=False)
+        product = np.fft.fft(rows, length, axis=1) * self._spectrum(length)
+        return np.fft.ifft(product, length, axis=1)[:, :n_out]

@@ -16,35 +16,10 @@ they apply a threshold η (possibly adapted online, see
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
 from repro.phy.spreading import symbols_to_bytes
-
-
-class SyncSource(Enum):
-    """How the receiver synchronised onto a frame."""
-
-    PREAMBLE = "preamble"
-    POSTAMBLE = "postamble"
-    NONE = "none"
-
-
-@dataclass(frozen=True)
-class SoftSymbol:
-    """A single decoded symbol with its SoftPHY hint.
-
-    ``value`` is the decoded symbol index; ``hint`` is the PHY
-    confidence (lower = more confident).
-    """
-
-    value: int
-    hint: float
-
-    def is_good(self, eta: float) -> bool:
-        """Apply the threshold rule of paper §3.2."""
-        return self.hint <= eta
 
 
 @dataclass
@@ -53,20 +28,13 @@ class SoftPacket:
 
     Array-oriented for performance: ``symbols[i]`` and ``hints[i]``
     describe the i-th decoded codeword of the frame body (header +
-    payload + trailer region, depending on the producer).  Metadata
-    records how the frame was acquired and whether structural fields
-    verified.
+    payload + trailer region, depending on the producer).  ``truth``
+    is the transmitted symbol sequence when the producer knows it (a
+    simulation does; a real receiver does not).
     """
 
     symbols: np.ndarray
     hints: np.ndarray
-    sync_source: SyncSource = SyncSource.PREAMBLE
-    source: int | None = None
-    dest: int | None = None
-    header_ok: bool = True
-    trailer_ok: bool = False
-    rx_time: float = 0.0
-    link: tuple[int, int] | None = None
     truth: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
@@ -106,24 +74,7 @@ class SoftPacket:
             raise ValueError("no ground truth attached to this SoftPacket")
         return self.symbols == self.truth
 
-    def to_soft_symbols(self) -> list[SoftSymbol]:
-        """Materialise per-symbol objects (convenience, not the fast path)."""
-        return [
-            SoftSymbol(int(v), float(h))
-            for v, h in zip(self.symbols, self.hints, strict=True)
-        ]
-
     def payload_bytes(self, bits_per_symbol: int = 4) -> bytes:
         """Reassemble the decoded symbols into bytes (low nibble first)."""
         n = self.symbols.size - self.symbols.size % (8 // bits_per_symbol)
         return symbols_to_bytes(self.symbols[:n], bits_per_symbol)
-
-    # -- hint statistics (used by the experiment harness) -------------------
-
-    def miss_mask(self, eta: float) -> np.ndarray:
-        """Incorrect symbols labelled good — the "misses" of §7.4.1."""
-        return self.good_mask(eta) & ~self.correct_mask()
-
-    def false_alarm_mask(self, eta: float) -> np.ndarray:
-        """Correct symbols labelled bad — the "false alarms" of §7.4.2."""
-        return ~self.good_mask(eta) & self.correct_mask()

@@ -6,17 +6,16 @@ sequence (eight 15-symbols then the end-frame delimiter 0x7A) — so a
 receiver that missed the preamble can lock late and roll back through
 its sample buffer (the Fig. 5 scenario).
 
-:class:`CorrelationSynchronizer` detects sync fields by normalised
-correlation in the chip domain; :class:`RollbackBuffer` is the circular
-sample store that makes rolling back possible.
+This module holds the sync field definitions, the peak detector
+:func:`peak_offsets` and :class:`RollbackBuffer`, the circular sample
+store that makes rolling back possible.  There is one sync correlator:
+:class:`~repro.phy.frontend.ReceiverFrontend` correlates captures
+against the modulated sync waveforms in the sample domain.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from repro.phy.codebook import Codebook
-from repro.phy.fftcorr import FftCorrelator
 
 # 802.15.4 SHR: 8 zero symbols, then SFD byte 0xA7 (low nibble first).
 PREAMBLE_SYMBOLS = tuple([0] * 8)
@@ -61,163 +60,6 @@ def peak_offsets(
         int(group[0] + corr[group[0] : group[-1] + 1].argmax())
         for group in np.split(above, boundaries)
     ]
-
-
-class CorrelationSynchronizer:
-    """Sliding normalised correlation against a known chip pattern.
-
-    Works on soft chips (matched-filter outputs) or hard chips mapped
-    to ±1.  A detection is an offset where the normalised correlation
-    exceeds ``threshold`` and is the local maximum within one pattern
-    length (non-maximum suppression), mirroring a hardware correlator's
-    peak detector.
-    """
-
-    def __init__(
-        self,
-        codebook: Codebook,
-        kind: str,
-        threshold: float = 0.75,
-    ) -> None:
-        if not 0 < threshold <= 1:
-            raise ValueError(f"threshold must be in (0, 1], got {threshold}")
-        self._codebook = codebook
-        self._kind = kind
-        self._threshold = float(threshold)
-        chips = codebook.encode(sync_field_symbols(kind))
-        self._pattern = chips.astype(np.float64) * 2.0 - 1.0
-        self._pattern_norm = float(np.linalg.norm(self._pattern))
-        self._correlator = FftCorrelator(self._pattern)
-
-    @property
-    def kind(self) -> str:
-        """Which sync field this correlator matches."""
-        return self._kind
-
-    @property
-    def pattern_chips(self) -> int:
-        """Length of the sync pattern in chips."""
-        return self._pattern.size
-
-    @property
-    def threshold(self) -> float:
-        """Detection threshold on normalised correlation."""
-        return self._threshold
-
-    def _prepare(
-        self, chips: np.ndarray, hard: bool | None
-    ) -> np.ndarray:
-        """Map chips to the ±1 domain the pattern lives in.
-
-        ``hard=None`` infers from the dtype: integer/bool arrays are
-        hard 0/1 chips (mapped to ±1), floating arrays are soft
-        matched-filter outputs used as-is.  The old value-range
-        heuristic (``min() >= 0 and max() <= 1``) silently remapped
-        genuine soft chips that happened to land in [0, 1]; pass
-        ``hard`` explicitly to override the dtype inference.
-        """
-        chips = np.asarray(chips)
-        if hard is None:
-            hard = chips.dtype.kind in "bui"
-        chips = chips.astype(np.float64, copy=False)
-        if hard:
-            if chips.size and not ((chips == 0) | (chips == 1)).all():
-                raise ValueError("hard chips must be 0/1")
-            chips = chips * 2.0 - 1.0
-        return chips
-
-    def correlate(
-        self, chips: np.ndarray, hard: bool | None = None
-    ) -> np.ndarray:
-        """Normalised correlation at every alignment (valid mode).
-
-        ``chips`` may be hard 0/1 chips (integer dtype, mapped to ±1)
-        or soft ±1-ish matched-filter outputs (floating dtype, used
-        as-is); pass ``hard`` to override the dtype inference.  Output
-        values lie in [-1, 1].
-        """
-        chips = np.asarray(chips)
-        if chips.ndim != 1:
-            raise ValueError(
-                f"chips must be 1-D (use correlate_many for stacked "
-                f"captures), got shape {chips.shape}"
-            )
-        return self.correlate_many(chips[None, :], hard)[0]
-
-    def correlate_many(
-        self, chips: np.ndarray, hard: bool | None = None
-    ) -> np.ndarray:
-        """Row-wise normalised correlation over many equal-length
-        captures at once: ``(n_captures, n_chips)`` in,
-        ``(n_captures, n_offsets)`` out.
-
-        The raw correlation is one FFT product over the whole batch
-        (:class:`~repro.phy.fftcorr.FftCorrelator`) instead of one
-        ``np.correlate`` per capture.  Each row is bit-identical to
-        :meth:`correlate` on that row alone (pocketfft transforms rows
-        independently); against the time-domain loop spec
-        :meth:`correlate_reference` the FFT reassociation shifts the
-        last few ulps, so the equivalence suite pins that pair at
-        1e-12 rather than bit-for-bit.
-        """
-        chips = np.asarray(chips)
-        if chips.ndim != 2:
-            raise ValueError(
-                f"chips must be 2-D (n_captures, n_chips), got "
-                f"shape {chips.shape}"
-            )
-        chips = self._prepare(chips, hard)
-        psize = self._pattern.size
-        if chips.shape[1] < psize:
-            return np.zeros((chips.shape[0], 0), dtype=np.float64)
-        raw = self._correlator.correlate_rows(chips)
-        # Windowed energy of the received chips for normalisation.
-        sq = np.concatenate(
-            [
-                np.zeros((chips.shape[0], 1)),
-                np.cumsum(chips**2, axis=1),
-            ],
-            axis=1,
-        )
-        win = sq[:, psize:] - sq[:, :-psize]
-        denom = np.sqrt(win) * self._pattern_norm
-        with np.errstate(divide="ignore", invalid="ignore"):
-            corr = np.where(denom > 0, raw / denom, 0.0)
-        return corr
-
-    def correlate_reference(
-        self, chips: np.ndarray, hard: bool | None = None
-    ) -> np.ndarray:
-        """Per-offset loop implementation, kept as the executable spec
-        for :meth:`correlate`: a scalar running energy sum plays the
-        cumulative-energy trick's role, one dot product per alignment.
-        The FFT fast path reassociates these sums, so the equivalence
-        suite pins the pair at 1e-12 (the batch path itself stays
-        bit-identical across batch shapes)."""
-        chips = self._prepare(np.asarray(chips), hard)
-        psize = self._pattern.size
-        n = chips.size
-        if n < psize:
-            return np.zeros(0, dtype=np.float64)
-        sq = np.empty(n + 1, dtype=np.float64)
-        sq[0] = 0.0
-        acc = 0.0
-        for i in range(n):
-            acc += chips[i] * chips[i]
-            sq[i + 1] = acc
-        out = np.empty(n - psize + 1, dtype=np.float64)
-        for i in range(out.size):
-            raw = np.dot(chips[i : i + psize], self._pattern)
-            denom = np.sqrt(sq[i + psize] - sq[i]) * self._pattern_norm
-            out[i] = raw / denom if denom > 0 else 0.0
-        return out
-
-    def detect(
-        self, chips: np.ndarray, hard: bool | None = None
-    ) -> list[int]:
-        """Chip offsets where the sync pattern is detected."""
-        corr = self.correlate(chips, hard)
-        return peak_offsets(corr, self._threshold, self._pattern.size)
 
 
 class RollbackBuffer:

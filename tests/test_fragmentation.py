@@ -1,10 +1,12 @@
-"""Tests for fragmentation helpers and the post-facto optimal size."""
+"""Tests for fragmentation helpers, the post-facto optimal size and the
+adaptive fragment sizer."""
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.link.fragmentation import (
+    AdaptiveFragmentSizer,
     delivered_bits_for_fragmentation,
     fragment_payload,
     optimal_fragment_size,
@@ -107,3 +109,62 @@ class TestOptimalFragmentSize:
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
             optimal_fragment_size([])
+
+
+class TestAdaptiveFragmentSizer:
+    def test_clean_packets_shrink_fragment_count(self):
+        sizer = AdaptiveFragmentSizer(initial_fragments=30)
+        for _ in range(10):
+            sizer.observe_packet([True] * sizer.n_fragments)
+        assert sizer.n_fragments == 1
+
+    def test_failures_grow_fragment_count(self):
+        sizer = AdaptiveFragmentSizer(initial_fragments=10)
+        outcomes = [False] * 3 + [True] * 7
+        sizer.observe_packet(outcomes)
+        assert sizer.n_fragments == 20
+
+    def test_rare_failures_hold_steady(self):
+        sizer = AdaptiveFragmentSizer(
+            initial_fragments=30, failure_threshold=0.2
+        )
+        outcomes = [False] + [True] * 29  # 3.3% failure rate
+        assert sizer.observe_packet(outcomes) == 30
+
+    def test_bounds_respected(self):
+        sizer = AdaptiveFragmentSizer(
+            initial_fragments=4, min_fragments=2, max_fragments=8
+        )
+        for _ in range(5):
+            sizer.observe_packet([False, True])
+        assert sizer.n_fragments == 8
+        for _ in range(10):
+            sizer.observe_packet([True] * sizer.n_fragments)
+        assert sizer.n_fragments == 2
+
+    def test_oscillation_converges_to_regime(self):
+        """Alternating channel regimes keep the controller inside its
+        bounds and responsive in both directions."""
+        sizer = AdaptiveFragmentSizer(initial_fragments=30)
+        history = []
+        for round_idx in range(40):
+            bursty = round_idx % 2 == 0
+            n = sizer.n_fragments
+            outcomes = (
+                [False] * max(1, n // 3) + [True] * (n - max(1, n // 3))
+                if bursty
+                else [True] * n
+            )
+            history.append(sizer.observe_packet(outcomes))
+        assert 1 <= min(history) and max(history) <= 300
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            AdaptiveFragmentSizer(initial_fragments=0)
+        with pytest.raises(ValueError):
+            AdaptiveFragmentSizer(grow_factor=1.0)
+        with pytest.raises(ValueError):
+            AdaptiveFragmentSizer(failure_threshold=0)
+        sizer = AdaptiveFragmentSizer()
+        with pytest.raises(ValueError):
+            sizer.observe_packet([])

@@ -291,6 +291,32 @@ class TestRunnerCli:
             manifest["experiments"]["fig13"]["all_passed"], bool
         )
 
+    @pytest.mark.parametrize("flag", ["--out", "--store", "REPRO_STORE"])
+    def test_unusable_directory_is_a_usage_error(
+        self, flag, tmp_path, capsys, monkeypatch
+    ):
+        (tmp_path / "file").write_text("not a directory")
+        bad = tmp_path / "file" / "x"
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("run_experiments called despite a bad path")
+
+        monkeypatch.setattr(
+            "repro.experiments.runner.run_experiments", must_not_run
+        )
+        monkeypatch.delenv("REPRO_STORE", raising=False)
+        argv = ["--experiment", "fig13"]
+        if flag == "REPRO_STORE":
+            monkeypatch.setenv("REPRO_STORE", str(bad))
+        else:
+            argv += [flag, str(bad)]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"{flag} " in err
+        assert "Traceback" not in err
+
 
 class TestRunnerStore:
     def test_store_counters_in_manifest_and_summary(

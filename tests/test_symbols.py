@@ -3,14 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.phy.symbols import SoftPacket, SoftSymbol, SyncSource
-
-
-class TestSoftSymbol:
-    def test_threshold_rule(self):
-        assert SoftSymbol(3, 2.0).is_good(eta=6)
-        assert SoftSymbol(3, 6.0).is_good(eta=6)
-        assert not SoftSymbol(3, 7.0).is_good(eta=6)
+from repro.phy.symbols import SoftPacket
 
 
 class TestSoftPacket:
@@ -58,41 +51,8 @@ class TestSoftPacket:
         with pytest.raises(ValueError, match="truth"):
             packet.correct_mask()
 
-    def test_miss_mask(self):
-        # Symbol 1 is incorrect; at eta=8 its hint 7.0 labels it good:
-        # a miss.
-        assert self._packet().miss_mask(8.0).tolist() == [
-            False,
-            True,
-            False,
-            False,
-        ]
-
-    def test_false_alarm_mask(self):
-        # Symbol 3 is correct but hint 9.0 > 6: a false alarm.
-        assert self._packet().false_alarm_mask(6.0).tolist() == [
-            False,
-            False,
-            False,
-            True,
-        ]
-
-    def test_miss_and_false_alarm_disjoint(self):
-        packet = self._packet()
-        overlap = packet.miss_mask(6.0) & packet.false_alarm_mask(6.0)
-        assert not overlap.any()
-
-    def test_to_soft_symbols(self):
-        symbols = self._packet().to_soft_symbols()
-        assert len(symbols) == 4
-        assert symbols[1] == SoftSymbol(2, 7.0)
-
     def test_payload_bytes(self):
         packet = SoftPacket(
             symbols=np.array([3, 10]), hints=np.zeros(2)
         )
         assert packet.payload_bytes() == b"\xa3"
-
-    def test_default_sync_source(self):
-        packet = SoftPacket(symbols=np.array([0]), hints=np.zeros(1))
-        assert packet.sync_source is SyncSource.PREAMBLE

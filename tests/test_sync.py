@@ -1,19 +1,24 @@
-"""Tests for frame sync correlators and the rollback buffer."""
+"""Tests for sync fields, sync peak detection and the rollback buffer."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.phy.channelsim import add_awgn
+from repro.phy.frontend import ReceiverFrontend
+from repro.phy.modulation import MskModulator
 from repro.phy.sync import (
     EFD_SYMBOLS,
     POSTAMBLE_SYMBOLS,
     PREAMBLE_SYMBOLS,
     SFD_SYMBOLS,
-    CorrelationSynchronizer,
     RollbackBuffer,
+    peak_offsets,
     sync_field_symbols,
 )
 from repro.utils.rng import ensure_rng
+
+SPS = 4
 
 
 class TestSyncFields:
@@ -33,116 +38,59 @@ class TestSyncFields:
             sync_field_symbols("midamble")
 
 
-class TestCorrelationSynchronizer:
-    def _stream_with_sync(self, codebook, rng, kind, at_symbol=20):
-        body = rng.integers(0, 16, 60)
-        field = sync_field_symbols(kind)
-        stream = np.concatenate(
-            [body[:at_symbol], field, body[at_symbol:]]
+class TestPeakOffsets:
+    """Non-maximum suppression over sync correlation traces: the
+    frontend's sample-domain correlation, and synthetic traces."""
+
+    THRESHOLD = 0.70  # ReceiverFrontend's default
+
+    def _capture(self, codebook, pieces, rng, noise=0.0):
+        wave = MskModulator(sps=SPS).modulate_symbols(
+            np.concatenate(pieces), codebook
         )
-        return codebook.encode(stream), at_symbol * 32
-
-    def test_detects_exact_offset(self, codebook, rng):
-        sync = CorrelationSynchronizer(codebook, "preamble")
-        chips, offset = self._stream_with_sync(codebook, rng, "preamble")
-        assert sync.detect(chips) == [offset]
-
-    def test_postamble_detector_ignores_preamble(self, codebook, rng):
-        post_sync = CorrelationSynchronizer(
-            codebook, "postamble", threshold=0.75
-        )
-        chips, _ = self._stream_with_sync(codebook, rng, "preamble")
-        assert post_sync.detect(chips) == []
-
-    def test_detects_despite_chip_errors(self, codebook, rng):
-        sync = CorrelationSynchronizer(codebook, "preamble", threshold=0.7)
-        chips, offset = self._stream_with_sync(codebook, rng, "preamble")
-        corrupted = chips.copy()
-        flip = rng.choice(chips.size, size=chips.size // 20, replace=False)
-        corrupted[flip] ^= 1
-        assert offset in sync.detect(corrupted)
-
-    def test_no_detection_in_noise(self, codebook, rng):
-        sync = CorrelationSynchronizer(codebook, "preamble", threshold=0.7)
-        noise = rng.integers(0, 2, 4000).astype(np.uint8)
-        assert sync.detect(noise) == []
-
-    def test_correlate_peak_value_is_one_on_exact_match(self, codebook):
-        sync = CorrelationSynchronizer(codebook, "preamble")
-        pattern_chips = codebook.encode(sync_field_symbols("preamble"))
-        corr = sync.correlate(pattern_chips)
-        assert corr[0] == pytest.approx(1.0)
-
-    def test_correlate_short_input(self, codebook):
-        sync = CorrelationSynchronizer(codebook, "preamble")
-        assert sync.correlate(np.zeros(4, dtype=np.uint8)).size == 0
+        return add_awgn(wave, noise, rng)
 
     def test_multiple_detections(self, codebook, rng):
-        sync = CorrelationSynchronizer(codebook, "preamble")
-        field = codebook.encode(sync_field_symbols("preamble"))
-        gap = codebook.encode(rng.integers(0, 16, 40))
-        stream = np.concatenate([field, gap, field])
-        detections = sync.detect(stream)
-        assert detections == [0, field.size + gap.size]
+        frontend = ReceiverFrontend(codebook, sps=SPS)
+        field = sync_field_symbols("preamble")
+        gap = rng.integers(0, 16, 40)
+        capture = self._capture(codebook, [field, gap, field], rng)
+        corr = frontend.correlation(capture, "preamble")
+        pattern = frontend.sync_pattern_chips("preamble") * SPS
+        second = (field.size + gap.size) * 32 * SPS
+        assert peak_offsets(corr, self.THRESHOLD, pattern) == [0, second]
 
-    def test_invalid_threshold_rejected(self, codebook):
-        with pytest.raises(ValueError):
-            CorrelationSynchronizer(codebook, "preamble", threshold=0.0)
-
-    def test_pattern_chips_length(self, codebook):
-        sync = CorrelationSynchronizer(codebook, "preamble")
-        assert sync.pattern_chips == 10 * 32
-
-    def test_soft_chips_in_unit_interval_not_remapped(self, codebook):
-        """Regression: genuine soft chips that happen to land in [0, 1]
-        must not be silently remapped to ±1 (the old value-range
-        heuristic did).  Floating dtype means soft."""
-        sync = CorrelationSynchronizer(codebook, "preamble")
-        pattern = codebook.encode(sync_field_symbols("preamble"))
-        # Attenuated soft outputs: 0/1 chips mapped into [0.1, 0.9].
-        soft = pattern.astype(np.float64) * 0.8 + 0.1
-        corr = sync.correlate(soft)
-        remapped = sync.correlate(pattern.astype(np.float64), hard=True)
-        assert not np.array_equal(corr, remapped)
-        # Explicit override: treating the same values as hard chips
-        # reproduces the ±1 mapping exactly.
-        assert np.array_equal(
-            sync.correlate(pattern, hard=True), remapped
-        )
-
-    def test_hard_flag_validates_binary(self, codebook):
-        sync = CorrelationSynchronizer(codebook, "preamble")
-        with pytest.raises(ValueError, match="0/1"):
-            sync.correlate(np.full(400, 0.5), hard=True)
-
-    def test_hard_inferred_from_integer_dtype(self, codebook, rng):
-        sync = CorrelationSynchronizer(codebook, "preamble")
-        chips = codebook.encode(sync_field_symbols("preamble"))
-        inferred = sync.correlate(chips)
-        explicit = sync.correlate(chips, hard=True)
-        assert np.array_equal(inferred, explicit)
-        assert inferred[0] == pytest.approx(1.0)
-
-    def test_detect_matches_reference_walk(self, codebook, rng):
+    def test_matches_reference_walk(self, codebook, rng):
         """The np.split non-maximum suppression must group and peak
         exactly like the original per-index walk."""
-        sync = CorrelationSynchronizer(codebook, "preamble", threshold=0.7)
-        field = codebook.encode(sync_field_symbols("preamble"))
+        frontend = ReceiverFrontend(codebook, sps=SPS)
+        field = sync_field_symbols("preamble")
+        pattern = frontend.sync_pattern_chips("preamble") * SPS
         for _trial in range(5):
             pieces = [field]
             for _ in range(int(rng.integers(1, 4))):
-                pieces.append(codebook.encode(rng.integers(0, 16, 30)))
+                pieces.append(rng.integers(0, 16, 30))
                 pieces.append(field)
-            chips = np.concatenate(pieces)
-            flip = rng.choice(
-                chips.size, size=chips.size // 30, replace=False
-            )
-            chips = chips.copy()
-            chips[flip] ^= 1
-            corr = sync.correlate(chips)
-            assert sync.detect(chips) == _reference_nms(
-                corr, sync.threshold, sync.pattern_chips
-            )
+            capture = self._capture(codebook, pieces, rng, noise=0.05)
+            corr = frontend.correlation(capture, "preamble")
+            expected = _reference_nms(corr, self.THRESHOLD, pattern)
+            assert len(expected) == len(pieces) // 2 + 1
+            assert peak_offsets(corr, self.THRESHOLD, pattern) == expected
+
+    def test_synthetic_groups_split_past_min_gap(self):
+        corr = np.zeros(40)
+        corr[[2, 3, 4]] = [0.8, 0.95, 0.9]  # one group, peak at 3
+        corr[[7, 9]] = [0.9, 0.99]  # gaps of 3 and 2: same group
+        corr[[20, 21]] = [0.99, 0.8]  # gap of 11: a new group
+        assert peak_offsets(corr, 0.75, min_gap=3) == [9, 20]
+        assert peak_offsets(corr, 0.75, min_gap=2) == [3, 9, 20]
+        assert peak_offsets(corr, 0.75, min_gap=2) == _reference_nms(
+            corr, 0.75, 2
+        )
+
+    def test_nothing_above_threshold(self):
+        assert peak_offsets(np.full(10, 0.5), 0.75, min_gap=3) == []
+        assert peak_offsets(np.zeros(0), 0.75, min_gap=3) == []
 
 
 def _reference_nms(corr, threshold, min_gap):

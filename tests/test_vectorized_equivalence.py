@@ -58,7 +58,7 @@ from repro.phy.remodulate import (
     remodulate_frame,
     remodulate_frame_reference,
 )
-from repro.phy.sync import CorrelationSynchronizer, sync_field_symbols
+from repro.phy.sync import sync_field_symbols
 from repro.sim.metrics import evaluate_schemes, evaluate_schemes_reference
 from repro.sim.network import NetworkSimulation, SimulationConfig
 from repro.utils import sanitize
@@ -459,69 +459,6 @@ class TestCorrelatorEquivalence:
     # pin (documented in repro.phy.fftcorr).  Batch-vs-single
     # consistency of the fast path itself remains bit-for-bit.
     TOL = dict(rtol=1e-12, atol=1e-12)
-
-    def _stream(self, codebook, rng, kind="preamble", at_symbol=15):
-        body = rng.integers(0, 16, 50)
-        field = sync_field_symbols(kind)
-        return codebook.encode(
-            np.concatenate([body[:at_symbol], field, body[at_symbol:]])
-        )
-
-    def test_hard_chips_match_reference(self, codebook, rng):
-        sync = CorrelationSynchronizer(codebook, "preamble")
-        chips = self._stream(codebook, rng)
-        np.testing.assert_allclose(
-            sync.correlate(chips),
-            sync.correlate_reference(chips),
-            **self.TOL,
-        )
-
-    def test_soft_chips_match_reference(self, codebook, rng):
-        sync = CorrelationSynchronizer(codebook, "postamble")
-        chips = self._stream(codebook, rng, kind="postamble")
-        soft = (chips * 2.0 - 1.0) + rng.normal(0.0, 0.6, chips.size)
-        vec = sync.correlate(soft)
-        ref = sync.correlate_reference(soft)
-        _assert_twins_finite("correlate(soft)", vec, ref)
-        np.testing.assert_allclose(vec, ref, **self.TOL)
-
-    def test_short_input(self, codebook):
-        sync = CorrelationSynchronizer(codebook, "preamble")
-        short = np.zeros(sync.pattern_chips - 1, dtype=np.uint8)
-        assert sync.correlate(short).size == 0
-        assert sync.correlate_reference(short).size == 0
-
-    def test_correlate_many_rows_match_single(self, codebook, rng):
-        """Batch-shape invariance stays bit-for-bit: stacking captures
-        must not change a single bit of any row (the determinism
-        contract across batching modes)."""
-        sync = CorrelationSynchronizer(codebook, "preamble")
-        rows = np.stack(
-            [self._stream(codebook, rng, at_symbol=k) for k in (5, 20, 40)]
-        )
-        many = sync.correlate_many(rows)
-        for row, corr in zip(rows, many, strict=True):
-            assert np.array_equal(corr, sync.correlate(row))
-
-    def test_correlate_many_rejects_1d(self, codebook):
-        sync = CorrelationSynchronizer(codebook, "preamble")
-        with pytest.raises(ValueError, match="2-D"):
-            sync.correlate_many(np.zeros(400))
-
-    @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=15, deadline=None)
-    def test_equivalence_property(self, seed):
-        rng = ensure_rng(seed)
-        codebook = ZigbeeCodebook()
-        sync = CorrelationSynchronizer(codebook, "preamble")
-        chips = rng.integers(0, 2, int(rng.integers(320, 1200))).astype(
-            np.uint8
-        )
-        np.testing.assert_allclose(
-            sync.correlate(chips),
-            sync.correlate_reference(chips),
-            **self.TOL,
-        )
 
     def test_sample_domain_matches_reference(self, codebook, rng):
         """Frontend correlation (FFT fast path) vs its per-offset
