@@ -2,10 +2,12 @@
 
 The counter-based channel removes the shared sequential RNG stream
 that forced pair-by-pair transit, so a whole trial's corruption runs
-as one fused array program; sharding then fans independent simulation
-points across worker processes.  Both must stay bit-identical to
-their unfused/unsharded equivalents — asserted here alongside the
-timings, so the benchmarks double as equivalence guards.
+as one fused array program; the chip error probabilities that feed it
+come from one evaluation per interference segment of the whole run;
+sharding then fans independent simulation points across worker
+processes.  Each must stay bit-identical to its unfused/unsharded
+equivalent — asserted here alongside the timings, so the benchmarks
+double as equivalence guards.
 """
 
 import os
@@ -16,6 +18,12 @@ import numpy as np
 from repro.experiments.common import RunCache
 from repro.phy.chipchannel import transmit_chipwords_batch
 from repro.phy.codebook import ZigbeeCodebook
+from repro.sim.network import (
+    NetworkSimulation,
+    SimulationConfig,
+    hot_codewords,
+    hot_codewords_reference,
+)
 from repro.utils.rng import derive_key
 
 N_PAIRS = 1500
@@ -70,6 +78,46 @@ def test_bench_fused_chip_channel(benchmark):
         assert speedup >= 1.5, (
             f"fused transit only {speedup:.1f}x faster than per-pair "
             f"calls ({fused_s:.3f}s vs {per_pair_s:.3f}s)"
+        )
+
+
+def test_bench_hot_codewords_segments(benchmark):
+    """A heavy run's chip error probabilities from its interference
+    segments, gated >= 5x over the per-pair, per-symbol reference and
+    asserted bit-identical to it."""
+    config = SimulationConfig(
+        load_bits_per_s_per_node=13800.0,
+        duration_s=15.0,
+        carrier_sense=False,
+        seed=2007,
+    )
+    sim = NetworkSimulation(config)
+    transmissions = sim._generate_transmissions()
+    args = (
+        sim.medium,
+        transmissions,
+        sim.testbed.receiver_ids,
+        sim._draw_fades(transmissions),
+        config.min_rx_snr_db,
+    )
+
+    fast = benchmark(hot_codewords, *args)
+
+    t0 = time.perf_counter()
+    ref = hot_codewords_reference(*args)
+    reference_s = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    again = hot_codewords(*args)
+    segments_s = time.perf_counter() - t0
+
+    for name in ("tx_index", "receiver", "sizes", "index", "prob"):
+        assert np.array_equal(getattr(fast, name), getattr(ref, name))
+        assert np.array_equal(getattr(fast, name), getattr(again, name))
+    if benchmark.enabled:
+        speedup = reference_s / segments_s
+        assert speedup >= 5.0, (
+            f"segment evaluation only {speedup:.1f}x faster than the "
+            f"per-pair loop ({segments_s:.3f}s vs {reference_s:.3f}s)"
         )
 
 

@@ -123,6 +123,11 @@ class ExecPolicy:
         values = parse_spec(spec, what="REPRO_EXEC", fields=fields)
         for name in ("max_attempts", "max_spawn_failures"):
             if name in values:
+                if not values[name].is_integer():
+                    raise ValueError(
+                        f"REPRO_EXEC field {name!r} must be an integer, "
+                        f"got {values[name]!r}"
+                    )
                 values[name] = int(values[name])  # type: ignore[assignment]
         return cls(**values)  # type: ignore[arg-type]
 

@@ -397,7 +397,11 @@ class Supervisor:
                     min(r.deadline for r in running.values())
                     - time.monotonic(),
                 )
-                if pending and not degrade:
+                # Never poll while every slot is busy: a pending ready
+                # time only matters when there is a free slot to launch
+                # into, and fresh tasks (ready_at 0.0) would otherwise
+                # make this a zero-timeout spin beside the workers.
+                if pending and not degrade and len(running) < self.jobs:
                     next_ready = min(ra for (_, _, ra) in pending)
                     timeout = min(
                         timeout, max(0.0, next_ready - time.monotonic())

@@ -59,7 +59,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro._version import __version__
-from repro.exec import ExecCounters, SweepExecutionError
+from repro.exec import ExecCounters, ExecPolicy, FaultPlan, SweepExecutionError
 from repro.experiments import registry
 from repro.experiments.common import (
     RESULT_SCHEMA_VERSION,
@@ -330,6 +330,18 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.jobs < 1:
         parser.error(f"--jobs must be >= 1, got {args.jobs}")
+    # A malformed execution knob is a usage error, caught before any
+    # experiment runs rather than as a traceback mid-sweep.
+    for variable, from_env in (
+        ("REPRO_EXEC", ExecPolicy.from_env),
+        ("REPRO_FAULTS", FaultPlan.from_env),
+    ):
+        try:
+            from_env()
+        except ValueError as exc:
+            parser.error(
+                f"{variable}={os.environ.get(variable)!r} is invalid: {exc}"
+            )
 
     if args.list:
         _print_list()

@@ -165,6 +165,16 @@ class RadioMedium:
         """Transmit power used by every node."""
         return self._tx_power_dbm
 
+    @property
+    def rx_power_matrix_mw(self) -> np.ndarray:
+        """Read-only ``(sender, receiver)`` received powers in mW.
+
+        The diagonal is ``inf``: a node's own signal saturates it.
+        """
+        view = self._rx_mw.view()
+        view.flags.writeable = False
+        return view
+
     def rx_power_mw(self, sender: int, receiver: int) -> float:
         """Received power of ``sender`` at ``receiver`` in mW."""
         if sender == receiver:

@@ -25,6 +25,7 @@ recorded traces, mirroring the paper's trace post-processing method.
 from __future__ import annotations
 
 import heapq
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -202,6 +203,235 @@ class _PendingReception:
     changed: np.ndarray  # indices of codewords the channel corrupted
 
 
+@dataclass(frozen=True)
+class HotCodewords:
+    """Every audible pair's codewords the channel may corrupt, flat.
+
+    Pair ``k`` is ``(transmissions[tx_index[k]], receiver[k])``, in
+    transmission-major, receiver-minor order.  Its ``sizes[k]`` hot
+    codeword indices (ascending) and their chip flip probabilities are
+    the pair's consecutive runs of ``index`` and ``prob``.
+    """
+
+    tx_index: np.ndarray
+    receiver: np.ndarray
+    sizes: np.ndarray
+    index: np.ndarray
+    prob: np.ndarray
+
+
+def _ragged_arange(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``concatenate([arange(s, s + n) for s, n in zip(starts, lengths)])``."""
+    ends = np.cumsum(lengths)
+    return np.repeat(starts - (ends - lengths), lengths) + np.arange(
+        ends[-1] if ends.size else 0
+    )
+
+
+def _overlap_csr(
+    starts: np.ndarray, ends: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Airtime overlaps as CSR: ``others[ptr[i]:ptr[i + 1]]`` for ``i``.
+
+    Transmissions are in start order, so a searchsorted over the start
+    times bounds each candidate window, widened on the left by twice
+    the longest airtime; the exact ``ends > start`` test then filters
+    it.  Each row lists its overlaps in input order.
+    """
+    count = starts.size
+    hi = np.searchsorted(starts, ends, side="left")
+    longest = (ends - starts).max(initial=0.0)
+    lo = np.searchsorted(starts, starts - 2 * longest, side="left")
+    width = np.maximum(hi - lo, 0)
+    owner = np.repeat(np.arange(count), width)
+    other = _ragged_arange(lo, width)
+    keep = (ends[other] > starts[owner]) & (other != owner)
+    ptr = np.zeros(count + 1, dtype=np.int64)
+    np.cumsum(np.bincount(owner[keep], minlength=count), out=ptr[1:])
+    return ptr, other[keep]
+
+
+def hot_codewords(
+    medium: RadioMedium,
+    transmissions: list[Transmission],
+    receivers: Sequence[int],
+    fades: dict[tuple[int, int], float],
+    min_rx_snr_db: float,
+) -> HotCodewords:
+    """Chip flip probabilities of every audible pair's hot codewords.
+
+    A reception's interference is a step function: it changes only
+    where an overlapping transmission starts or ends (paper Fig. 5).
+    Those boundaries cut each transmission into segments; a pair's
+    level on a segment is the sum, in overlap order, of the powers
+    of the transmissions covering it at that receiver.  That is the
+    float sum :meth:`RadioMedium.interference_timeline_mw` forms for
+    each of the segment's symbols, and
+    :func:`chip_error_probability_interference` is elementwise, so one
+    call on the segment values of the whole run gives, after
+    ``np.repeat``, exactly the per-symbol probabilities of
+    :func:`hot_codewords_reference`.
+
+    A pair is audible when its faded SNR reaches ``min_rx_snr_db``;
+    a codeword is hot when its flip probability exceeds
+    ``_HOT_PROB``.
+    """
+    rx_ids = np.asarray(receivers, dtype=np.int64)
+    starts = np.array([t.start for t in transmissions], dtype=np.float64)
+    ends = np.array([t.end for t in transmissions], dtype=np.float64)
+    periods = np.array(
+        [t.symbol_period for t in transmissions], dtype=np.float64
+    )
+    lengths = np.array([t.n_symbols for t in transmissions], dtype=np.int64)
+    senders = np.array([t.sender for t in transmissions], dtype=np.int64)
+    fade = np.array(
+        [[fades.get((t.tx_id, r), 1.0) for r in rx_ids.tolist()]
+         for t in transmissions],
+        dtype=np.float64,
+    ).reshape(len(transmissions), rx_ids.size)
+    rx_mw = medium.rx_power_matrix_mw
+    noise_mw = medium.noise_mw
+
+    # Audible pairs and their faded signal power.
+    pair_tx, pair_col = np.nonzero(senders[:, None] != rx_ids[None, :])
+    signal = rx_mw[senders[pair_tx], rx_ids[pair_col]] * fade[pair_tx, pair_col]
+    audible = ~(10 * np.log10(signal / noise_mw) < min_rx_snr_db)
+    pair_tx, pair_col = pair_tx[audible], pair_col[audible]
+    signal = signal[audible]
+
+    # Each overlap's clipped symbol span [first, last) on its owner.
+    ov_ptr, ov_other = _overlap_csr(starts, ends)
+    ov_count = np.diff(ov_ptr)
+    tx_range = np.arange(len(transmissions), dtype=np.int64)
+    ov_owner = np.repeat(tx_range, ov_count)
+    own_len = lengths[ov_owner]
+    period = periods[ov_owner]
+    first = np.clip(
+        np.floor((starts[ov_other] - starts[ov_owner]) / period), 0, own_len
+    ).astype(np.int64)
+    last = np.clip(
+        np.ceil((ends[ov_other] - starts[ov_owner]) / period), 0, own_len
+    ).astype(np.int64)
+    # A receiver that is itself transmitting (half-duplex) hears inf.
+    other_sender = senders[ov_other][:, None]
+    power = np.where(
+        other_sender == rx_ids[None, :],
+        np.inf,
+        rx_mw[other_sender, rx_ids[None, :]] * fade[ov_other],
+    )
+
+    # Segments: the sorted distinct cuts of each transmission.
+    base = int(lengths.max(initial=0)) + 1
+    cut_tx, cut_at = np.divmod(
+        np.unique(
+            np.concatenate(
+                [
+                    tx_range * base,
+                    tx_range * base + lengths,
+                    ov_owner * base + first,
+                    ov_owner * base + last,
+                ]
+            )
+        ),
+        base,
+    )
+    inner = cut_tx[:-1] == cut_tx[1:]
+    seg_start = cut_at[:-1][inner]
+    seg_len = cut_at[1:][inner] - seg_start
+    seg_ptr = np.searchsorted(cut_tx[:-1][inner], np.arange(tx_range.size + 1))
+
+    # One row per (audible pair, segment of its transmission).
+    seg_count = np.diff(seg_ptr)[pair_tx]
+    row_pair = np.repeat(np.arange(pair_tx.size), seg_count)
+    row_seg = _ragged_arange(seg_ptr[pair_tx], seg_count)
+    row_tx = pair_tx[row_pair]
+    row_col = pair_col[row_pair]
+    row_start = seg_start[row_seg]
+    level = np.zeros(row_pair.size, dtype=np.float64)
+    for k in range(int(ov_count.max(initial=0))):
+        rows = np.flatnonzero(ov_count[row_tx] > k)
+        entry = ov_ptr[row_tx[rows]] + k
+        start = row_start[rows]
+        covered = (first[entry] <= start) & (start < last[entry])
+        level[rows] += np.where(covered, power[entry, row_col[rows]], 0.0)
+
+    row_signal = signal[row_pair]
+    with np.errstate(invalid="ignore"):
+        isr = level / row_signal
+    p = chip_error_probability_interference(row_signal / noise_mw, isr)
+    hot = p > _HOT_PROB
+    hot_len = seg_len[row_seg[hot]]
+    return HotCodewords(
+        tx_index=pair_tx,
+        receiver=rx_ids[pair_col],
+        sizes=np.bincount(
+            row_pair[hot], weights=hot_len, minlength=pair_tx.size
+        ).astype(np.int64),
+        index=_ragged_arange(seg_start[row_seg[hot]], hot_len),
+        prob=np.repeat(p[hot], hot_len),
+    )
+
+
+def hot_codewords_reference(
+    medium: RadioMedium,
+    transmissions: list[Transmission],
+    receivers: Sequence[int],
+    fades: dict[tuple[int, int], float],
+    min_rx_snr_db: float,
+) -> HotCodewords:
+    """Per-pair, per-symbol specification of :func:`hot_codewords`.
+
+    Builds each audible pair's interference timeline with
+    :meth:`RadioMedium.interference_timeline_mw` and evaluates the chip
+    flip probability of every symbol, one pair at a time.
+    """
+    noise_mw = medium.noise_mw
+    starts = np.array([t.start for t in transmissions])
+    ends = np.array([t.end for t in transmissions])
+    tx_index: list[int] = []
+    rx_ids: list[int] = []
+    hots: list[np.ndarray] = []
+    probs: list[np.ndarray] = []
+    for i, tx in enumerate(transmissions):
+        hi = int(np.searchsorted(starts, tx.end, side="left"))
+        overlapping = [
+            transmissions[j]
+            for j in np.flatnonzero(ends[:hi] > tx.start)
+            if j != i
+        ]
+        for receiver in receivers:
+            if receiver == tx.sender:
+                continue
+            fade = fades.get((tx.tx_id, receiver), 1.0)
+            signal_mw = medium.rx_power_mw(tx.sender, receiver) * fade
+            if 10 * np.log10(signal_mw / noise_mw) < min_rx_snr_db:
+                continue
+            power_scale = {
+                o.tx_id: fades.get((o.tx_id, receiver), 1.0)
+                for o in overlapping
+            }
+            interference = medium.interference_timeline_mw(
+                tx, receiver, overlapping, power_scale=power_scale
+            )
+            with np.errstate(invalid="ignore"):
+                isr = interference / signal_mw
+            p = chip_error_probability_interference(
+                np.full(interference.size, signal_mw / noise_mw), isr
+            )
+            hot = np.flatnonzero(p > _HOT_PROB)
+            tx_index.append(i)
+            rx_ids.append(receiver)
+            hots.append(hot)
+            probs.append(p[hot])
+    return HotCodewords(
+        tx_index=np.array(tx_index, dtype=np.int64),
+        receiver=np.array(rx_ids, dtype=np.int64),
+        sizes=np.array([h.size for h in hots], dtype=np.int64),
+        index=np.concatenate(hots) if hots else np.zeros(0, np.int64),
+        prob=np.concatenate(probs) if probs else np.zeros(0),
+    )
+
+
 class NetworkSimulation:
     """Assembles and runs one testbed simulation."""
 
@@ -363,60 +593,6 @@ class NetworkSimulation:
 
     # -- phase 2: chip-level reception ---------------------------------------
 
-    @staticmethod
-    def _overlap_sets(
-        transmissions: list[Transmission],
-    ) -> list[list[Transmission]]:
-        """Per-transmission lists of airtime-overlapping transmissions.
-
-        Transmissions are appended in start order, so a searchsorted
-        over the start times bounds each scan; order within each list
-        matches the input order (what the legacy sequential path saw).
-        """
-        starts = np.array([t.start for t in transmissions])
-        ends = np.array([t.end for t in transmissions])
-        out: list[list[Transmission]] = []
-        for i, tx in enumerate(transmissions):
-            hi = int(np.searchsorted(starts, tx.end, side="left"))
-            others = np.flatnonzero(ends[:hi] > tx.start)
-            out.append(
-                [transmissions[j] for j in others if j != i]
-            )
-        return out
-
-    def _pair_chip_error_probs(
-        self,
-        tx: Transmission,
-        receiver: int,
-        overlapping: list[Transmission],
-        fades: dict[tuple[int, int], float],
-    ) -> "np.ndarray | None":
-        """Per-codeword chip flip probabilities for one pair.
-
-        Returns ``None`` when the link is below the RX SNR floor (the
-        receiver cannot hear the transmission at all).
-        """
-        cfg = self._config
-        fade = fades.get((tx.tx_id, receiver), 1.0)
-        signal_mw = self._medium.rx_power_mw(tx.sender, receiver) * fade
-        noise_mw = self._medium.noise_mw
-        snr_db = 10 * np.log10(signal_mw / noise_mw)
-        if snr_db < cfg.min_rx_snr_db:
-            return None
-        power_scale = {
-            o.tx_id: fades.get((o.tx_id, receiver), 1.0)
-            for o in overlapping
-        }
-        interference = self._medium.interference_timeline_mw(
-            tx, receiver, overlapping, power_scale=power_scale
-        )
-        snr = signal_mw / noise_mw
-        with np.errstate(invalid="ignore"):
-            isr = interference / signal_mw
-        return chip_error_probability_interference(
-            np.full(interference.size, snr), isr
-        )
-
     def _transit_all_batched(
         self, transmissions: list[Transmission],
         fades: dict[tuple[int, int], float],
@@ -430,34 +606,35 @@ class NetworkSimulation:
         one at a time with the same keys.
         """
         cfg = self._config
-        overlaps = self._overlap_sets(transmissions)
-        staged: list[tuple[Transmission, int, np.ndarray, np.ndarray]] = []
-        p_hots: list[np.ndarray] = []
-        for tx, overlapping in zip(transmissions, overlaps, strict=True):
-            truth_words: np.ndarray | None = None
-            for receiver in self._testbed.receiver_ids:
-                if receiver == tx.sender:
-                    continue
-                p = self._pair_chip_error_probs(
-                    tx, receiver, overlapping, fades
-                )
-                if p is None:
-                    continue
-                if truth_words is None:
-                    # One encode per transmission, shared (read-only)
-                    # by all of its receivers' pendings.
-                    truth_words = self._codebook.encode_words(tx.symbols)
-                hot = np.flatnonzero(p > _HOT_PROB)
-                staged.append((tx, receiver, truth_words, hot))
-                p_hots.append(p[hot])
-        if not staged:
+        hot = hot_codewords(
+            self._medium,
+            transmissions,
+            self._testbed.receiver_ids,
+            fades,
+            cfg.min_rx_snr_db,
+        )
+        if not hot.sizes.size:
             return []
-
-        sizes = [hot.size for (_, _, _, hot) in staged]
+        # One encode per transmission, shared (read-only) by all of its
+        # receivers' pendings.
+        truth = {
+            i: self._codebook.encode_words(transmissions[i].symbols)
+            for i in np.unique(hot.tx_index).tolist()
+        }
+        offsets = np.cumsum(hot.sizes)[:-1]
+        staged = [
+            (transmissions[i], receiver, truth[i], idx)
+            for i, receiver, idx in zip(
+                hot.tx_index.tolist(),
+                hot.receiver.tolist(),
+                np.split(hot.index, offsets),
+                strict=True,
+            )
+        ]
         rx_flat = transmit_chipwords_batch(
-            np.concatenate([words[hot] for (_, _, words, hot) in staged]),
-            np.concatenate(p_hots),
-            sizes,
+            np.concatenate([words[idx] for (_, _, words, idx) in staged]),
+            hot.prob,
+            hot.sizes,
             np.stack(
                 [
                     derive_key(cfg.seed, "chip-channel", tx.tx_id, receiver)
@@ -467,19 +644,18 @@ class NetworkSimulation:
         )
 
         pendings: list[_PendingReception] = []
-        offsets = np.cumsum(sizes)[:-1]
-        for (tx, receiver, truth_words, hot), rx_hot in zip(
+        for (tx, receiver, truth_words, idx), rx_hot in zip(
             staged, np.split(rx_flat, offsets), strict=True
         ):
             rx_words = truth_words.copy()
-            rx_words[hot] = rx_hot
+            rx_words[idx] = rx_hot
             pendings.append(
                 _PendingReception(
                     tx=tx,
                     receiver=receiver,
                     truth_words=truth_words,
                     rx_words=rx_words,
-                    changed=hot[rx_hot != truth_words[hot]],
+                    changed=idx[rx_hot != truth_words[idx]],
                 )
             )
         return pendings

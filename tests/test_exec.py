@@ -10,6 +10,7 @@ timeouts); the realistic chaos scenarios live in ``test_chaos.py``.
 """
 
 import hashlib
+import resource
 import time
 
 import pytest
@@ -40,6 +41,11 @@ def _fail_on_two(x):
     if x == 2:
         raise ValueError("payload two is poisoned")
     return x
+
+
+def _sleep(seconds):
+    time.sleep(seconds)
+    return seconds
 
 
 def _ledger_worker(x):
@@ -243,6 +249,24 @@ class TestSupervisorProcesses:
         assert results == {i: 2 * i for i in range(8)}
         assert supervisor.counters.completed == 8
         assert not supervisor.counters.anomalous
+
+    def test_parent_sleeps_while_every_slot_is_busy(self):
+        """The parent must block, not spin, while its workers run.
+
+        Four 0.4 s tasks on two slots keep the parent waiting ~0.8 s;
+        a zero-timeout poll loop burns about that much CPU.  CPU time,
+        not wall time, so a loaded host cannot make this flaky.
+        """
+        supervisor = Supervisor(jobs=2, faults=_NO_FAULTS)
+        before = resource.getrusage(resource.RUSAGE_SELF)
+        results, failures = supervisor.run(_tasks([0.4] * 4), _sleep)
+        after = resource.getrusage(resource.RUSAGE_SELF)
+        assert failures == []
+        assert results == {i: 0.4 for i in range(4)}
+        cpu_s = (after.ru_utime - before.ru_utime) + (
+            after.ru_stime - before.ru_stime
+        )
+        assert cpu_s < 0.25
 
     def test_crash_isolation_and_rescue(self):
         supervisor = Supervisor(

@@ -317,6 +317,34 @@ class TestRunnerCli:
         assert f"{flag} " in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "variable, value",
+        [
+            ("REPRO_EXEC", "bogus=1"),
+            ("REPRO_EXEC", "max_attempts=x"),
+            ("REPRO_EXEC", "max_attempts=inf"),
+            ("REPRO_EXEC", "max_attempts=0"),
+            ("REPRO_FAULTS", "crash=2"),
+            ("REPRO_FAULTS", "crash"),
+        ],
+    )
+    def test_malformed_exec_env_is_a_usage_error(
+        self, variable, value, capsys, monkeypatch
+    ):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("run_experiments called despite a bad knob")
+
+        monkeypatch.setattr(
+            "repro.experiments.runner.run_experiments", must_not_run
+        )
+        monkeypatch.setenv(variable, value)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--experiment", "fig13"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"{variable}={value!r} is invalid" in err
+        assert "Traceback" not in err
+
 
 class TestRunnerStore:
     def test_store_counters_in_manifest_and_summary(

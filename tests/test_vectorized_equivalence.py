@@ -60,7 +60,13 @@ from repro.phy.remodulate import (
 )
 from repro.phy.sync import sync_field_symbols
 from repro.sim.metrics import evaluate_schemes, evaluate_schemes_reference
-from repro.sim.network import NetworkSimulation, SimulationConfig
+from repro.sim.medium import RadioMedium, Transmission
+from repro.sim.network import (
+    NetworkSimulation,
+    SimulationConfig,
+    hot_codewords,
+    hot_codewords_reference,
+)
 from repro.utils import sanitize
 from repro.utils.rng import ensure_rng
 
@@ -933,3 +939,120 @@ class TestSchemeEvaluationEquivalence:
 
     def test_no_records(self, small_sim_result):
         self._assert_equivalent(self._with_records(small_sim_result, []))
+
+
+class TestHotCodewordsEquivalence:
+    """Segment-wise chip error probabilities vs the per-symbol loop.
+
+    ``hot_codewords`` evaluates each reception's interference once per
+    constant segment and expands the result; it must equal the per-pair
+    ``interference_timeline_mw`` loop in every index and every float.
+    """
+
+    _FIELDS = ("tx_index", "receiver", "sizes", "index", "prob")
+
+    def _assert_equivalent(self, *args):
+        vec = hot_codewords(*args)
+        ref = hot_codewords_reference(*args)
+        for name in self._FIELDS:
+            a, b = getattr(vec, name), getattr(ref, name)
+            assert a.dtype == b.dtype, name
+            assert np.array_equal(a, b), f"{name} diverges"
+        assert vec.sizes.sum() == vec.index.size == vec.prob.size
+        return ref
+
+    @staticmethod
+    def _tx(tx_id, sender, start_symbols, n_symbols, period=16e-6):
+        return Transmission(
+            tx_id=tx_id,
+            sender=sender,
+            dst=-1,
+            start=start_symbols * period,
+            symbols=np.arange(n_symbols) % 16,
+            symbol_period=period,
+        )
+
+    @pytest.mark.parametrize("carrier_sense", [False, True])
+    @pytest.mark.parametrize("fading_sigma_db", [0.0, 3.0])
+    def test_simulated_transmissions(self, carrier_sense, fading_sigma_db):
+        config = SimulationConfig(
+            load_bits_per_s_per_node=13800.0,
+            duration_s=2.0,
+            carrier_sense=carrier_sense,
+            fading_sigma_db=fading_sigma_db,
+            seed=11,
+        )
+        sim = NetworkSimulation(config)
+        transmissions = sim._generate_transmissions()
+        ref = self._assert_equivalent(
+            sim.medium,
+            transmissions,
+            sim.testbed.receiver_ids,
+            sim._draw_fades(transmissions),
+            config.min_rx_snr_db,
+        )
+        # Collisions were exercised, and some pairs were below the floor.
+        assert ref.index.size
+        n_pairs = len(transmissions) * len(sim.testbed.receiver_ids)
+        assert 0 < ref.sizes.size < n_pairs
+
+    def test_half_duplex_and_lone_reception(self):
+        """Receiver 1 also transmits (inf interference on what it
+        overlaps); the last frame overlaps nothing."""
+        medium = RadioMedium(
+            positions_m=np.array([[0.0, 0.0], [5.0, 0.0], [0.0, 5.0], [5.0, 5.0]]),
+            seed=3,
+        )
+        transmissions = [
+            self._tx(0, 0, 0.0, 50),
+            self._tx(1, 1, 10.5, 20),
+            self._tx(2, 2, 30.0, 40),
+            self._tx(3, 0, 1000.0, 30),
+        ]
+        fades = {(0, 3): 0.5, (2, 3): 2.0, (2, 1): 1.5}
+        ref = self._assert_equivalent(
+            medium, transmissions, (1, 3), fades, 0.0
+        )
+        assert ref.tx_index.tolist() == [0, 0, 1, 2, 2, 3, 3]
+        assert ref.receiver.tolist() == [1, 3, 3, 1, 3, 1, 3]
+        assert np.any(ref.prob == 0.5)  # the half-duplex inf level
+        assert ref.sizes[-2:].tolist() == [0, 0]  # no overlaps
+
+    def test_no_transmissions(self):
+        medium = RadioMedium(positions_m=np.array([[0.0, 0.0], [1.0, 0.0]]))
+        ref = self._assert_equivalent(medium, [], (1,), {}, 0.0)
+        assert ref.sizes.size == 0
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_equivalence_property(self, seed):
+        """Random geometry, airtimes, fades and SNR floors."""
+        rng = ensure_rng(seed)
+        n_nodes = int(rng.integers(2, 6))
+        medium = RadioMedium(
+            positions_m=rng.uniform(0.0, 30.0, (n_nodes, 2)),
+            seed=int(rng.integers(0, 1000)),
+        )
+        count = int(rng.integers(0, 12))
+        starts = np.sort(rng.uniform(0.0, 200.0, count))
+        transmissions = [
+            self._tx(
+                i,
+                int(rng.integers(0, n_nodes)),
+                float(start),
+                int(rng.integers(1, 80)),
+            )
+            for i, start in enumerate(starts)
+        ]
+        receivers = tuple(
+            rng.choice(n_nodes, int(rng.integers(1, n_nodes + 1)), replace=False).tolist()
+        )
+        fades = {
+            (t.tx_id, r): float(rng.lognormal(0.0, 0.7))
+            for t in transmissions
+            for r in receivers
+            if rng.random() < 0.8
+        }
+        self._assert_equivalent(
+            medium, transmissions, receivers, fades, float(rng.uniform(-10, 40))
+        )

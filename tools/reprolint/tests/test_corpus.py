@@ -130,6 +130,7 @@ EXPECTED_TWINS = {
     "gf2_encode",
     "gf256_eliminate",
     "gf256_encode",
+    "hot_codewords",
     "modulate_chips",
     "plan_chunks",
     "remodulate_frame",
