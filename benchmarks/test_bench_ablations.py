@@ -98,7 +98,7 @@ def test_bench_ablation_codebook_distance(benchmark):
 
     rng = np.random.default_rng(1)
     zigbee = ZigbeeCodebook()
-    chips = zigbee.chip_matrix
+    chips = zigbee.encode(np.arange(16)).reshape(16, 32)
     # Make codeword 1 a distance-4 neighbour of codeword 0.
     chips[1] = chips[0].copy()
     chips[1, :4] ^= 1

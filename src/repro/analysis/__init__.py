@@ -7,13 +7,12 @@ ASCII for terminal inspection and as CSV-ready series for plotting.
 
 from repro.analysis.stats import (
     Cdf,
-    ccdf_points,
     cdf_points,
     geometric_mean,
     median,
     percentile,
 )
-from repro.analysis.runs import run_lengths, longest_run, run_length_histogram
+from repro.analysis.runs import run_lengths
 from repro.analysis.textplot import (
     format_table,
     render_cdf,
@@ -23,14 +22,11 @@ from repro.analysis.textplot import (
 
 __all__ = [
     "Cdf",
-    "ccdf_points",
     "cdf_points",
     "geometric_mean",
     "median",
     "percentile",
     "run_lengths",
-    "longest_run",
-    "run_length_histogram",
     "format_table",
     "render_cdf",
     "render_scatter",

@@ -44,20 +44,26 @@ def load_results(
 
     Returns the results (sorted by experiment id) and the parsed
     ``manifest.json``, or ``None`` if the directory has no manifest —
-    a bare pile of ``<id>.json`` files is still a valid input.
+    a bare pile of ``<id>.json`` files is still a valid input.  Raises
+    ``ValueError`` naming the first ``*.json`` file that is not valid
+    JSON of the runner's shape.
     """
     directory = Path(directory)
     manifest: dict[str, Any] | None = None
-    manifest_path = directory / "manifest.json"
-    if manifest_path.is_file():
-        manifest = json.loads(manifest_path.read_text())
     results = []
     for path in sorted(directory.glob("*.json")):
-        if path.name == "manifest.json":
-            continue
-        results.append(
-            ExperimentResult.from_dict(json.loads(path.read_text()))
-        )
+        try:
+            data = json.loads(path.read_text())
+            if not isinstance(data, dict):
+                raise TypeError("not a JSON object")
+            if path.name == "manifest.json":
+                manifest = data
+            else:
+                results.append(ExperimentResult.from_dict(data))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ValueError(
+                f"{path}: not a runner artifact ({type(exc).__name__}: {exc})"
+            ) from exc
     results.sort(key=lambda r: r.experiment_id)
     return results, manifest
 
@@ -222,7 +228,10 @@ def main(argv: list[str] | None = None) -> int:
         help="write the report to FILE instead of stdout",
     )
     args = parser.parse_args(argv)
-    results, manifest = load_results(Path(args.directory))
+    try:
+        results, manifest = load_results(Path(args.directory))
+    except ValueError as exc:
+        parser.error(str(exc))
     if not results:
         print(
             f"no experiment artifacts found in {args.directory}",

@@ -1,7 +1,7 @@
 """Run statistics over boolean masks.
 
-Used by the Fig. 14 reproduction (lengths of contiguous SoftPHY misses)
-and by tests of the run-length machinery.
+Used by the Fig. 14 reproduction: the lengths of contiguous SoftPHY
+misses and their complementary CDF.
 """
 
 from __future__ import annotations
@@ -19,21 +19,6 @@ def run_lengths(mask) -> list[int]:
     padded = np.concatenate([[False], mask, [False]])
     change = np.flatnonzero(padded[1:] != padded[:-1])
     return [int(e - s) for s, e in zip(change[::2], change[1::2], strict=True)]
-
-
-def longest_run(mask) -> int:
-    """Length of the longest True run (0 for an all-False mask)."""
-    lengths = run_lengths(mask)
-    return max(lengths) if lengths else 0
-
-
-def run_length_histogram(masks) -> Counter:
-    """Aggregate run-length counts over many masks."""
-    counts: Counter = Counter()
-    for mask in masks:
-        for length in run_lengths(mask):
-            counts[length] += 1
-    return counts
 
 
 def ccdf_from_counts(counts: Counter) -> tuple[np.ndarray, np.ndarray]:

@@ -51,10 +51,6 @@ class Cdf:
         """(x, F(x)) step points for plotting."""
         return cdf_points(self.samples)
 
-    def ccdf_points(self) -> tuple[np.ndarray, np.ndarray]:
-        """(x, 1 - F(x)) points for log-scale tail plots."""
-        return ccdf_points(self.samples)
-
 
 def cdf_points(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Empirical CDF evaluation points: (sorted x, cumulative fraction)."""
@@ -63,12 +59,6 @@ def cdf_points(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("need at least one sample")
     ys = np.arange(1, xs.size + 1) / xs.size
     return xs, ys
-
-
-def ccdf_points(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Complementary CDF points: (sorted x, fraction strictly above x)."""
-    xs, ys = cdf_points(samples)
-    return xs, 1.0 - ys + 1.0 / xs.size
 
 
 def median(samples) -> float:

@@ -44,11 +44,6 @@ class ChunkPlan:
     segments: tuple[tuple[int, int], ...]
     cost_bits: float
 
-    @property
-    def n_requested_symbols(self) -> int:
-        """Symbols the plan asks the sender to retransmit."""
-        return sum(end - start for start, end in self.segments)
-
 
 def _log2(value: float) -> float:
     if value <= 0:

@@ -67,11 +67,6 @@ class TransferLog:
         """Bytes of all retransmission packets for this transfer."""
         return sum(self.retransmit_packet_bytes)
 
-    @property
-    def total_feedback_bits(self) -> int:
-        """Bits of all feedback packets for this transfer."""
-        return sum(self.feedback_bits)
-
 
 class PpArqSender:
     """Sender side: stores sent packets, answers feedback."""
@@ -82,10 +77,6 @@ class PpArqSender:
     def register_packet(self, seq: int, wire_symbols: np.ndarray) -> None:
         """Remember the transmitted wire-payload symbols for ``seq``."""
         self._packets[seq] = np.asarray(wire_symbols, dtype=np.int64).copy()
-
-    def has_packet(self, seq: int) -> bool:
-        """Whether ``seq`` is still buffered for retransmission."""
-        return seq in self._packets
 
     def release(self, seq: int) -> None:
         """Drop state for an acknowledged packet."""

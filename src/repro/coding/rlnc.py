@@ -82,9 +82,8 @@ class RlncDecodeResult:
     def payload(self) -> bytes:
         """Reassembled payload, zero-filling undelivered segments.
 
-        Zero-fill keeps byte offsets stable (mirroring
-        :func:`repro.link.fragmentation.reassemble_fragments`) so
-        callers can still address the delivered ranges.
+        Zero-fill keeps byte offsets stable so callers can still
+        address the delivered ranges.
         """
         out = []
         for seg, size in zip(self.segments, self._segment_sizes, strict=True):

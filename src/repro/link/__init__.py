@@ -31,10 +31,7 @@ from repro.link.schemes import (
     SpracScheme,
 )
 from repro.link.fragmentation import (
-    AdaptiveFragmentSizer,
     fragment_payload,
-    optimal_fragment_size,
-    reassemble_fragments,
 )
 from repro.link.adaptive import AdaptiveThreshold
 from repro.link.quality import LinkObservation, LinkStats
@@ -57,10 +54,7 @@ __all__ = [
     "ReceivedPayload",
     "SicScheme",
     "SpracScheme",
-    "AdaptiveFragmentSizer",
     "fragment_payload",
-    "optimal_fragment_size",
-    "reassemble_fragments",
     "AdaptiveThreshold",
     "LinkObservation",
     "LinkStats",

@@ -1,14 +1,6 @@
-"""Payload fragmentation helpers and the post-facto optimal fragment size.
-
-Supports the fragmented-CRC baseline (paper §3.4) and the paper's
-"best case" analysis: *"we investigate the 'best case' for CRC
-fragments, finding post facto from traces of errored and error-free
-symbols what the optimal fragment size is and using that value."*
-"""
+"""Payload fragmentation for the fragmented-CRC baseline (paper §3.4)."""
 
 from __future__ import annotations
-
-import numpy as np
 
 
 def fragment_payload(payload: bytes, n_fragments: int) -> list[bytes]:
@@ -32,143 +24,3 @@ def fragment_payload(payload: bytes, n_fragments: int) -> list[bytes]:
         out.append(payload[offset : offset + size])
         offset += size
     return out
-
-
-def reassemble_fragments(fragments: list[bytes | None]) -> tuple[bytes, list[int]]:
-    """Join delivered fragments, zero-filling the missing ones.
-
-    ``None`` marks a fragment whose CRC failed.  Returns the
-    reassembled byte string and the list of missing fragment indices.
-    Zero-fill keeps byte offsets stable so higher layers can request
-    exactly the missing ranges.
-    """
-    missing = [i for i, frag in enumerate(fragments) if frag is None]
-    placeholder = [
-        frag if frag is not None else b"" for frag in fragments
-    ]
-    return b"".join(placeholder), missing
-
-
-def delivered_bits_for_fragmentation(
-    symbol_error_mask: np.ndarray,
-    n_fragments: int,
-    bits_per_symbol: int = 4,
-    crc_bits: int = 32,
-) -> tuple[int, int]:
-    """Payload bits a fragmented-CRC scheme would deliver on this trace.
-
-    ``symbol_error_mask`` marks the *payload* symbols that decoded
-    incorrectly.  Returns ``(delivered_bits, overhead_bits)``: a
-    fragment delivers iff none of its symbols errored, and each
-    fragment costs one CRC of overhead.
-    """
-    mask = np.asarray(symbol_error_mask, dtype=bool)
-    n_symbols = mask.size
-    if n_fragments < 1:
-        raise ValueError(f"n_fragments must be >= 1, got {n_fragments}")
-    n = min(n_fragments, n_symbols) if n_symbols else 1
-    bounds = np.linspace(0, n_symbols, n + 1).astype(int)
-    delivered = 0
-    for lo, hi in zip(bounds[:-1], bounds[1:], strict=True):
-        if hi > lo and not mask[lo:hi].any():
-            delivered += (hi - lo) * bits_per_symbol
-    return delivered, crc_bits * n
-
-
-class AdaptiveFragmentSizer:
-    """Time-varying fragment count (paper §3.4).
-
-    *"In an implementation, one might place a CRC every c bits, where c
-    varies in time.  If the current value leads to a large number of
-    contiguous error-free fragments, then c should be increased;
-    otherwise, it should be reduced (or remain the same)."*
-
-    This controller adjusts the fragments-per-packet count after each
-    packet: when every fragment verified, fragments grow (fewer,
-    larger); when a meaningful share failed, they shrink (more,
-    smaller).  Multiplicative-increase/multiplicative-decrease keeps
-    the controller stable across load shifts.
-    """
-
-    def __init__(
-        self,
-        initial_fragments: int = 30,
-        min_fragments: int = 1,
-        max_fragments: int = 300,
-        grow_factor: float = 1.5,
-        shrink_factor: float = 2.0,
-        failure_threshold: float = 0.1,
-    ) -> None:
-        if not 1 <= min_fragments <= initial_fragments <= max_fragments:
-            raise ValueError(
-                "need min_fragments <= initial_fragments <= max_fragments"
-            )
-        if grow_factor <= 1.0 or shrink_factor <= 1.0:
-            raise ValueError("grow/shrink factors must exceed 1.0")
-        if not 0 < failure_threshold < 1:
-            raise ValueError(
-                f"failure_threshold must be in (0, 1), got "
-                f"{failure_threshold}"
-            )
-        self._current = int(initial_fragments)
-        self._min = int(min_fragments)
-        self._max = int(max_fragments)
-        self._grow = float(grow_factor)
-        self._shrink = float(shrink_factor)
-        self._threshold = float(failure_threshold)
-
-    @property
-    def n_fragments(self) -> int:
-        """Fragments per packet to use for the next transmission."""
-        return self._current
-
-    def observe_packet(self, fragment_ok: list[bool]) -> int:
-        """Update from one packet's per-fragment outcomes.
-
-        Fewer fragments = less overhead, so an all-clean packet
-        *decreases* the count; failures above the threshold *increase*
-        it so each loss costs fewer bytes.  Returns the new count.
-        """
-        if not fragment_ok:
-            raise ValueError("need at least one fragment outcome")
-        failed = sum(1 for ok in fragment_ok if not ok)
-        failure_rate = failed / len(fragment_ok)
-        if failed == 0:
-            proposed = int(self._current / self._grow)
-        elif failure_rate >= self._threshold:
-            proposed = int(np.ceil(self._current * self._shrink))
-        else:
-            proposed = self._current
-        self._current = int(np.clip(proposed, self._min, self._max))
-        return self._current
-
-
-def optimal_fragment_size(
-    symbol_error_masks: list[np.ndarray],
-    candidates: list[int] | None = None,
-    bits_per_symbol: int = 4,
-    crc_bits: int = 32,
-) -> tuple[int, dict[int, float]]:
-    """Post-facto optimal fragments-per-packet over a trace corpus.
-
-    For each candidate fragment count, computes net goodput —
-    delivered payload bits minus CRC overhead, summed over all traces —
-    and returns ``(best_candidate, scores)``.  This is the paper's
-    "best case" fragmented CRC: the fragment size an oracle would pick
-    for the observed error pattern.
-    """
-    if not symbol_error_masks:
-        raise ValueError("need at least one trace")
-    if candidates is None:
-        candidates = [1, 2, 5, 10, 20, 30, 50, 100, 200, 300]
-    scores: dict[int, float] = {}
-    for cand in candidates:
-        net = 0
-        for mask in symbol_error_masks:
-            delivered, overhead = delivered_bits_for_fragmentation(
-                mask, cand, bits_per_symbol, crc_bits
-            )
-            net += delivered - overhead
-        scores[cand] = float(net)
-    best = max(scores, key=lambda c: (scores[c], -c))
-    return best, scores

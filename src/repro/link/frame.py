@@ -29,13 +29,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.phy.spreading import bytes_to_symbols, symbols_to_bytes
+from repro.phy.spreading import bytes_to_symbols
 from repro.phy.sync import (
     EFD_SYMBOLS,
     POSTAMBLE_SYMBOLS,
     PREAMBLE_SYMBOLS,
     SFD_SYMBOLS,
-    SYNC_SYMBOLS,
 )
 from repro.utils.crc import crc16
 
@@ -162,51 +161,3 @@ class PprFrame:
     def n_body_symbols(self) -> int:
         """Symbols in the body region."""
         return body_symbol_count(len(self.wire_payload))
-
-    @property
-    def n_air_symbols(self) -> int:
-        """Total on-air symbols including both sync fields."""
-        return self.n_body_symbols + 2 * SYNC_SYMBOLS
-
-    def payload_symbol_range(self) -> tuple[int, int]:
-        """(start, end) symbol indices of the wire payload in the body."""
-        region = payload_slice(self.n_body_symbols)
-        return region.start, region.stop
-
-
-@dataclass(frozen=True)
-class ParsedBody:
-    """Result of parsing a decoded frame body."""
-
-    header: FrameHeader
-    header_ok: bool
-    trailer: FrameHeader
-    trailer_ok: bool
-    wire_payload: bytes
-
-
-def parse_body_symbols(symbols: np.ndarray) -> ParsedBody:
-    """Parse a decoded body symbol array back into frame fields.
-
-    The symbol count must equal :func:`body_symbol_count` for the
-    payload length implied by the array size; corrupt field *contents*
-    are fine (flagged by the CRCs), but a structurally impossible size
-    raises.
-    """
-    symbols = np.asarray(symbols, dtype=np.int64)
-    n_overhead = SYMBOLS_PER_BYTE * (HEADER_BYTES + TRAILER_BYTES)
-    if symbols.size < n_overhead or symbols.size % SYMBOLS_PER_BYTE:
-        raise ValueError(
-            f"body of {symbols.size} symbols cannot hold header + trailer"
-        )
-    data = symbols_to_bytes(symbols)
-    header, header_ok = parse_header_bytes(data[:HEADER_BYTES])
-    trailer, trailer_ok = parse_trailer_bytes(data[-TRAILER_BYTES:])
-    wire_payload = data[HEADER_BYTES : len(data) - TRAILER_BYTES]
-    return ParsedBody(
-        header=header,
-        header_ok=header_ok,
-        trailer=trailer,
-        trailer_ok=trailer_ok,
-        wire_payload=wire_payload,
-    )

@@ -47,13 +47,6 @@ class LinkObservation:
             self.frames_passed += 1
 
     @property
-    def acquisition_rate(self) -> float:
-        """Fraction of sent frames the receiver synchronised on."""
-        if self.frames_sent == 0:
-            return 0.0
-        return self.frames_acquired / self.frames_sent
-
-    @property
     def equivalent_frame_delivery_rate(self) -> float:
         """Correct payload bits delivered per sent payload bit (§7.2.2).
 
@@ -66,17 +59,6 @@ class LinkObservation:
         if self.payload_bits_sent == 0:
             return 0.0
         return self.delivered_correct_bits / self.payload_bits_sent
-
-    @property
-    def conditional_delivery_rate(self) -> float:
-        """Correct payload bits per *acquired* payload bit.
-
-        The per-synchronised-frame efficiency, independent of how many
-        sync opportunities were missed.
-        """
-        if self.payload_bits_acquired == 0:
-            return 0.0
-        return self.delivered_correct_bits / self.payload_bits_acquired
 
     def throughput_bits_per_s(self, duration_s: float) -> float:
         """Correct delivered payload bits per second (§7.2.3)."""

@@ -121,13 +121,6 @@ class DeliveryResult:
         """Total bits handed to the higher layer."""
         return self.delivered_correct_bits + self.delivered_incorrect_bits
 
-    @property
-    def delivery_fraction(self) -> float:
-        """Fraction of payload bits delivered correctly."""
-        if self.payload_bits == 0:
-            return 0.0
-        return self.delivered_correct_bits / self.payload_bits
-
 
 @dataclass(frozen=True)
 class TraceBlock:

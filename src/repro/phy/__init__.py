@@ -20,17 +20,14 @@ from repro.phy.batch import (
     WaveformBatchEngine,
     WaveformDecodeRequest,
 )
-from repro.phy.codebook import Codebook, RandomCodebook, ZigbeeCodebook
+from repro.phy.codebook import Codebook, ZigbeeCodebook
 from repro.phy.decoder import MatchedFilterHinter, SoftDecisionDecoder
 from repro.phy.chipchannel import (
-    chip_error_probability,
     transmit_chipwords,
     transmit_chipwords_batch,
 )
 from repro.phy.spreading import (
-    bits_to_symbols,
     bytes_to_symbols,
-    symbols_to_bits,
     symbols_to_bytes,
 )
 from repro.phy.symbols import SoftPacket
@@ -66,16 +63,12 @@ __all__ = [
     "SovaDecoder",
     "SovaResult",
     "Codebook",
-    "RandomCodebook",
     "ZigbeeCodebook",
     "SoftDecisionDecoder",
     "MatchedFilterHinter",
-    "chip_error_probability",
     "transmit_chipwords",
     "transmit_chipwords_batch",
-    "bits_to_symbols",
     "bytes_to_symbols",
-    "symbols_to_bits",
     "symbols_to_bytes",
     "SoftPacket",
     "MskModulator",

@@ -121,7 +121,7 @@ class FrameReception:
 
     ``detection`` is the sync field the receiver locked on (``None``
     when neither sync field was found — ``symbols``/``hints`` are then
-    empty); ``via_postamble`` records a Fig. 5-style rollback.
+    empty); a postamble detection records a Fig. 5-style rollback.
     """
 
     detection: SyncDetection | None
@@ -132,13 +132,6 @@ class FrameReception:
     def acquired(self) -> bool:
         """Whether any sync field was detected."""
         return self.detection is not None
-
-    @property
-    def via_postamble(self) -> bool:
-        """Whether the frame was recovered by postamble rollback."""
-        return self.detection is not None and (
-            self.detection.kind == "postamble"
-        )
 
 
 class WaveformBatchEngine:
@@ -166,11 +159,6 @@ class WaveformBatchEngine:
     def codebook(self) -> Codebook:
         """The codebook decoded against."""
         return self._frontend.codebook
-
-    @property
-    def frontend(self) -> ReceiverFrontend:
-        """The per-capture receiver front end the engine fuses over."""
-        return self._frontend
 
     def detect_batch(
         self, captures: Sequence[np.ndarray], kind: str

@@ -90,24 +90,3 @@ def awgn_collision_channel(
     """Convenience: mix transmissions then add AWGN."""
     mixed = mix_transmissions(transmissions, window_len)
     return add_awgn(mixed, noise_power, rng)
-
-
-def fractional_delay(samples: np.ndarray, delay: float) -> np.ndarray:
-    """Apply a (possibly fractional) sample delay via linear interpolation.
-
-    Used to exercise symbol-timing recovery: the receiver's sample grid
-    then no longer lines up with chip boundaries.
-    """
-    if delay < 0:
-        raise ValueError(f"delay must be non-negative, got {delay}")
-    samples = np.asarray(samples, dtype=np.complex128)
-    whole = int(np.floor(delay))
-    frac = delay - whole
-    out = np.concatenate([np.zeros(whole, dtype=np.complex128), samples])
-    if not frac:
-        return out
-    shifted = np.empty(out.size + 1, dtype=np.complex128)
-    shifted[0] = (1 - frac) * out[0]
-    shifted[1:-1] = (1 - frac) * out[1:] + frac * out[:-1]
-    shifted[-1] = frac * out[-1]
-    return shifted

@@ -28,21 +28,6 @@ from repro.utils.bitops import pack_bits_to_uint32
 from repro.utils.rng import RngLike, ensure_rng, rng_from_key
 
 
-def chip_error_probability(sinr_linear: float | np.ndarray) -> np.ndarray:
-    """Chip flip probability for coherent MSK detection at given SINR.
-
-    Per-chip detection of MSK with a matched filter behaves like
-    antipodal (BPSK) signalling: ``p = Q(sqrt(2 * SINR))``, expressed
-    with ``erfc`` for vectorisation.  As SINR -> 0 the probability
-    approaches 0.5 (chips become random), which is what makes collision
-    regions produce large Hamming hints.
-    """
-    sinr = np.asarray(sinr_linear, dtype=np.float64)
-    if np.any(sinr < 0):
-        raise ValueError("SINR must be non-negative")
-    return 0.5 * erfc(np.sqrt(sinr))
-
-
 def chip_error_probability_interference(
     snr_linear: float | np.ndarray, isr_linear: float | np.ndarray
 ) -> np.ndarray:
@@ -56,11 +41,13 @@ def chip_error_probability_interference(
           + 1/2 Q( sqrt(2 S/N) (1 - sqrt(I/S)) )
 
     with S/N the signal-to-noise ratio and I/S the
-    interference-to-signal ratio.  Equal-power collisions (I = S) give
-    p -> 0.25 even at high SNR — collisions destroy the overlapped
-    codewords — while an interferer a few dB down is captured through
-    (p -> 0), reproducing the capture effect.  Multiple simultaneous
-    interferers are approximated by their total power.
+    interference-to-signal ratio.  With no interferer this is the AWGN
+    law of coherent MSK, ``Q(sqrt(2 S/N))``.  Equal-power collisions
+    (I = S) give p -> 0.25 even at high SNR — collisions destroy the
+    overlapped codewords — while an interferer a few dB down is
+    captured through (p -> 0), reproducing the capture effect.
+    Multiple simultaneous interferers are approximated by their total
+    power.
     """
     snr = np.asarray(snr_linear, dtype=np.float64)
     isr = np.asarray(isr_linear, dtype=np.float64)
@@ -220,24 +207,3 @@ def transmit_chipwords_batch(
         rx[g_lo:g_hi] = tx_words[g_lo:g_hi] ^ pack_bits_to_uint32(flips)
         i = j
     return rx
-
-
-def sinr_timeline_to_chip_probs(
-    signal_mw: float,
-    noise_mw: float,
-    interference_mw: np.ndarray,
-) -> np.ndarray:
-    """Convert a per-symbol interference timeline into chip error probs.
-
-    ``interference_mw[i]`` is the total interfering power (mW) during
-    codeword *i*; the result is ``Q(sqrt(2 * S/(N+I)))`` per codeword.
-    """
-    if signal_mw <= 0:
-        raise ValueError(f"signal power must be positive, got {signal_mw}")
-    if noise_mw <= 0:
-        raise ValueError(f"noise power must be positive, got {noise_mw}")
-    interference = np.asarray(interference_mw, dtype=np.float64)
-    if np.any(interference < 0):
-        raise ValueError("interference power must be non-negative")
-    sinr = signal_mw / (noise_mw + interference)
-    return chip_error_probability(sinr)

@@ -9,16 +9,13 @@ codebook is the heart of the hint machinery.
 :class:`ZigbeeCodebook` reproduces the IEEE 802.15.4 2450 MHz chip
 sequences: symbols 1..7 are 4-chip cyclic rotations of the symbol-0
 sequence, and symbols 8..15 invert the odd-indexed (Q-phase) chips.
-:class:`RandomCodebook` generates codebooks with other (b, B) geometries
-for ablations over spreading factors.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.utils.bitops import pack_bits_to_uint32, popcount32, unpack_uint32_to_bits
-from repro.utils.rng import RngLike, ensure_rng
+from repro.utils.bitops import pack_bits_to_uint32, popcount32
 
 # IEEE 802.15.4-2006 Table 24 (2450 MHz O-QPSK PHY), chip sequence for
 # data symbol 0, chips c0..c31.
@@ -80,16 +77,6 @@ class Codebook:
         return self._bits_per_symbol
 
     @property
-    def chip_matrix(self) -> np.ndarray:
-        """Copy of the (n_symbols, chips_per_symbol) chip matrix."""
-        return self._chips.copy()
-
-    @property
-    def chip_words(self) -> np.ndarray:
-        """Codewords packed as uint32, chip 0 in the MSB."""
-        return self._words.copy()
-
-    @property
     def sign_matrix(self) -> np.ndarray:
         """Codewords as ±1 floats, for correlation decoding."""
         return self._signs.copy()
@@ -139,27 +126,6 @@ class Codebook:
         distances = dist[np.arange(dist.shape[0]), symbols]
         return symbols.astype(np.int64), distances.astype(np.int64)
 
-    def decode_soft(
-        self, chip_samples: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Soft-decision decode of ±1-ish chip samples (paper Eq. 1).
-
-        ``chip_samples`` has shape ``(n_received, chips_per_symbol)``.
-        Returns ``(symbols, correlations)`` where ``correlations[i]`` is
-        the winning correlation metric ``C(R, C_i)`` — larger means more
-        confident.
-        """
-        chip_samples = np.asarray(chip_samples, dtype=np.float64)
-        if chip_samples.ndim != 2 or chip_samples.shape[1] != self.chips_per_symbol:
-            raise ValueError(
-                f"expected shape (n, {self.chips_per_symbol}), "
-                f"got {chip_samples.shape}"
-            )
-        corr = chip_samples @ self._signs.T
-        symbols = corr.argmax(axis=1)
-        best = corr[np.arange(corr.shape[0]), symbols]
-        return symbols.astype(np.int64), best
-
     # -- distance structure ------------------------------------------------
 
     def pairwise_distances(self) -> np.ndarray:
@@ -172,10 +138,6 @@ class Codebook:
         d = self.pairwise_distances()
         n = d.shape[0]
         return int(d[~np.eye(n, dtype=bool)].min())
-
-    def words_to_chips(self, words: np.ndarray) -> np.ndarray:
-        """Unpack uint32 chip words into an (n, chips_per_symbol) array."""
-        return unpack_uint32_to_bits(words)
 
 
 class ZigbeeCodebook(Codebook):
@@ -195,36 +157,3 @@ class ZigbeeCodebook(Codebook):
         for k in range(8):
             rows.append(rows[k] ^ odd_mask)
         super().__init__(np.stack(rows))
-
-
-class RandomCodebook(Codebook):
-    """A random codebook with the Zigbee geometry but fresh sequences.
-
-    Useful for ablating how much of PPR's hint quality comes from the
-    specific 802.15.4 sequences versus the 4->32 spreading ratio.
-    Generation rejects candidate codeword sets whose minimum distance
-    falls below ``min_distance`` (default 10), retrying up to
-    ``max_tries`` times.
-    """
-
-    def __init__(
-        self,
-        n_symbols: int = 16,
-        rng: RngLike = 0,
-        min_distance: int = 10,
-        max_tries: int = 200,
-    ) -> None:
-        gen = ensure_rng(rng)
-        for _ in range(max_tries):
-            chips = gen.integers(0, 2, size=(n_symbols, 32), dtype=np.uint8)
-            try:
-                candidate = Codebook(chips)
-            except ValueError:
-                continue
-            if candidate.min_distance() >= min_distance:
-                super().__init__(chips)
-                return
-        raise RuntimeError(
-            f"could not generate a codebook with min distance "
-            f">= {min_distance} in {max_tries} tries"
-        )

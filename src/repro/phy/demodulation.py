@@ -132,23 +132,3 @@ class MskDemodulator:
         return [
             self._rail_split(piece) for piece in np.split(corr, offsets)
         ]
-
-    def demodulate_chips(
-        self, samples: np.ndarray, start: int, n_chips: int
-    ) -> np.ndarray:
-        """Hard chip decisions (0/1) by slicing the soft outputs."""
-        soft = self.demodulate_soft(samples, start, n_chips)
-        return (soft > 0).astype(np.uint8)
-
-    def soft_chip_matrix(
-        self,
-        samples: np.ndarray,
-        start: int,
-        n_symbols: int,
-        chips_per_symbol: int = 32,
-    ) -> np.ndarray:
-        """Soft chips grouped per codeword: shape (n_symbols, chips/symbol)."""
-        soft = self.demodulate_soft(
-            samples, start, n_symbols * chips_per_symbol
-        )
-        return soft.reshape(n_symbols, chips_per_symbol)

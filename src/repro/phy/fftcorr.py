@@ -51,11 +51,6 @@ class FftCorrelator:
         self._pattern = pattern.astype(np.complex128, copy=True)
         self._spectra: dict[int, np.ndarray] = {}
 
-    @property
-    def pattern_size(self) -> int:
-        """Pattern length in elements."""
-        return self._pattern.size
-
     def _spectrum(self, length: int) -> np.ndarray:
         spectrum = self._spectra.get(length)
         if spectrum is None:
@@ -67,7 +62,7 @@ class FftCorrelator:
         """Raw valid-mode correlation of every row, in one FFT program.
 
         ``rows`` is ``(n_rows, n)``; the output is the complex128
-        ``(n_rows, n - pattern_size + 1)`` correlation.
+        ``(n_rows, n - len(pattern) + 1)`` correlation.
         """
         rows = np.asarray(rows)
         if rows.ndim != 2:

@@ -103,10 +103,6 @@ class ReceiverFrontend:
         """Samples per chip."""
         return self._sps
 
-    def sync_pattern_chips(self, kind: str) -> int:
-        """Length of a sync field in chips (including the delimiter)."""
-        return sync_field_symbols(kind).size * self._codebook.chips_per_symbol
-
     # -- detection -----------------------------------------------------------
 
     def correlation(self, samples: np.ndarray, kind: str) -> np.ndarray:

@@ -23,14 +23,3 @@ def half_sine_pulse(sps: int) -> np.ndarray:
     t = (np.arange(length) + 0.5) / length
     pulse = np.sin(np.pi * t)
     return pulse / np.linalg.norm(pulse)
-
-
-def rectangular_pulse(sps: int) -> np.ndarray:
-    """Unit-energy rectangular chip pulse (one chip period).
-
-    Used by tests as a degenerate shape to isolate pulse effects.
-    """
-    if sps < 1:
-        raise ValueError(f"sps must be >= 1, got {sps}")
-    pulse = np.ones(sps)
-    return pulse / np.linalg.norm(pulse)

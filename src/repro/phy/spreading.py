@@ -1,4 +1,4 @@
-"""Bit <-> symbol conversions for DSSS spreading.
+"""Byte <-> symbol conversions for DSSS spreading.
 
 802.15.4 sends each byte as two 4-bit symbols, low nibble first, with
 the least-significant bit of the nibble as the first bit on air.  The
@@ -9,35 +9,6 @@ so alternative codebooks keep working.
 from __future__ import annotations
 
 import numpy as np
-
-from repro.utils.bitops import bits_to_bytes, bytes_to_bits
-
-
-def bits_to_symbols(bits: np.ndarray, bits_per_symbol: int = 4) -> np.ndarray:
-    """Group a bit array into symbol indices, LSB-first per symbol.
-
-    The bit array length must be a multiple of ``bits_per_symbol``.
-    """
-    bits = np.asarray(bits, dtype=np.uint8)
-    if bits.size % bits_per_symbol != 0:
-        raise ValueError(
-            f"bit count {bits.size} is not a multiple of {bits_per_symbol}"
-        )
-    groups = bits.reshape(-1, bits_per_symbol)
-    weights = 1 << np.arange(bits_per_symbol, dtype=np.int64)
-    return (groups.astype(np.int64) * weights).sum(axis=1)
-
-
-def symbols_to_bits(symbols: np.ndarray, bits_per_symbol: int = 4) -> np.ndarray:
-    """Inverse of :func:`bits_to_symbols`."""
-    symbols = np.asarray(symbols, dtype=np.int64)
-    if symbols.size and (symbols.min() < 0 or symbols.max() >= (1 << bits_per_symbol)):
-        raise ValueError(
-            f"symbol values must fit in {bits_per_symbol} bits"
-        )
-    shifts = np.arange(bits_per_symbol, dtype=np.int64)
-    bits = (symbols[:, None] >> shifts[None, :]) & 1
-    return bits.reshape(-1).astype(np.uint8)
 
 
 def bytes_to_symbols(data: bytes, bits_per_symbol: int = 4) -> np.ndarray:
@@ -78,18 +49,3 @@ def symbols_to_bytes(symbols: np.ndarray, bits_per_symbol: int = 4) -> bytes:
     for i in range(per_byte):
         out |= groups[:, i] << (bits_per_symbol * i)
     return out.astype(np.uint8).tobytes()
-
-
-def bits_msb_to_symbols(bits: np.ndarray, bits_per_symbol: int = 4) -> np.ndarray:
-    """Like :func:`bits_to_symbols` but via byte packing (MSB-first bytes).
-
-    Provided for callers that carry payloads as MSB-first bit arrays
-    (the :mod:`repro.utils.bitops` convention) and want on-air symbol
-    order identical to :func:`bytes_to_symbols`.
-    """
-    return bytes_to_symbols(bits_to_bytes(bits), bits_per_symbol)
-
-
-def symbols_to_bits_msb(symbols: np.ndarray, bits_per_symbol: int = 4) -> np.ndarray:
-    """Inverse of :func:`bits_msb_to_symbols`."""
-    return bytes_to_bits(symbols_to_bytes(symbols, bits_per_symbol))

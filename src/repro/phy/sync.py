@@ -84,11 +84,6 @@ class RollbackBuffer:
         return self._capacity
 
     @property
-    def total_written(self) -> int:
-        """Absolute count of samples ever appended."""
-        return self._written
-
-    @property
     def oldest_available(self) -> int:
         """Absolute index of the oldest sample still retained."""
         return max(0, self._written - self._capacity)
@@ -141,7 +136,3 @@ class RollbackBuffer:
         return np.concatenate(
             [self._buf[pos:], self._buf[: count - first]]
         )
-
-    def get_last(self, count: int) -> np.ndarray:
-        """The most recent ``count`` samples."""
-        return self.get_range(self._written - count, count)

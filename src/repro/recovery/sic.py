@@ -76,11 +76,6 @@ class SicPairResult:
         """The recovered frames, strongest first."""
         return [f for f in (self.strong, self.weak) if f is not None]
 
-    @property
-    def n_clean(self) -> int:
-        """Frames recovered with every symbol above confidence."""
-        return sum(1 for f in self.frames if f.clean)
-
 
 class SicDecoder:
     """The SIC pipeline: capture → strong decode → cancel → weak decode.

@@ -23,7 +23,7 @@ post-processed").
 from repro.sim.core import EventScheduler
 from repro.sim.medium import PathLossModel, RadioMedium, Transmission
 from repro.sim.mac import CsmaConfig, CsmaMac
-from repro.sim.traffic import CbrSource, PoissonSource
+from repro.sim.traffic import PoissonSource
 from repro.sim.testbed import TestbedConfig, paper_testbed
 from repro.sim.network import (
     NetworkSimulation,
@@ -40,7 +40,6 @@ __all__ = [
     "Transmission",
     "CsmaConfig",
     "CsmaMac",
-    "CbrSource",
     "PoissonSource",
     "TestbedConfig",
     "paper_testbed",

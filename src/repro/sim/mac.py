@@ -60,11 +60,6 @@ class CsmaMac:
         self._rng = rng
         self._attempt = 0
 
-    @property
-    def attempts_so_far(self) -> int:
-        """Busy sensings for the frame currently being deferred."""
-        return self._attempt
-
     def attempt(self, sensed_power_mw: float) -> tuple[bool, float]:
         """Decide whether to transmit given the sensed power.
 

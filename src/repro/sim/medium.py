@@ -146,11 +146,6 @@ class RadioMedium:
         np.fill_diagonal(self._rx_mw, np.inf)  # own signal saturates
 
     @property
-    def n_nodes(self) -> int:
-        """Number of nodes placed on the medium."""
-        return self._positions.shape[0]
-
-    @property
     def positions(self) -> np.ndarray:
         """Copy of node positions in metres."""
         return self._positions.copy()

@@ -162,11 +162,6 @@ class SchemeEvaluation:
         """Network-wide delivered goodput in Kbit/s."""
         return float(sum(self.throughputs_kbps().values()))
 
-    def median_delivery_rate(self) -> float:
-        """Median of the per-link delivery-rate distribution."""
-        rates = self.delivery_rates()
-        return float(np.median(rates)) if rates else 0.0
-
 
 def evaluate_schemes(
     result: SimulationResult,
@@ -445,20 +440,6 @@ def false_alarm_rates(
         raise ValueError("no correct codewords observed")
     tail = total - np.cumsum(correct_hist)
     rates = tail / total
-    if etas is None:
-        return rates
-    return rates[np.asarray(etas, dtype=int)]
-
-
-def miss_rates(
-    incorrect_hist: np.ndarray, etas: np.ndarray | None = None
-) -> np.ndarray:
-    """P(hint <= η | incorrect) for each η — the §7.4.1 miss rate."""
-    incorrect_hist = np.asarray(incorrect_hist, dtype=np.float64)
-    total = incorrect_hist.sum()
-    if total == 0:
-        raise ValueError("no incorrect codewords observed")
-    rates = np.cumsum(incorrect_hist) / total
     if etas is None:
         return rates
     return rates[np.asarray(etas, dtype=int)]

@@ -43,11 +43,6 @@ class TestbedConfig:
             )
 
     @property
-    def n_nodes(self) -> int:
-        """Total node count."""
-        return self.positions_m.shape[0]
-
-    @property
     def n_senders(self) -> int:
         """Sender count (23 in the paper's testbed)."""
         return len(self.sender_ids)
@@ -181,18 +176,4 @@ def collision_testbed(
         receiver_ids=(2,),
         room_grid=(1, 1),
         area_m=(near_m + far_m, 1.0),
-    )
-
-
-def single_link_testbed(distance_m: float = 5.0) -> TestbedConfig:
-    """A two-node layout for single-link experiments (paper §7.5)."""
-    if distance_m <= 0:
-        raise ValueError(f"distance must be positive, got {distance_m}")
-    positions = np.array([[0.0, 0.0], [distance_m, 0.0]])
-    return TestbedConfig(
-        positions_m=positions,
-        sender_ids=(0,),
-        receiver_ids=(1,),
-        room_grid=(1, 1),
-        area_m=(distance_m, 1.0),
     )

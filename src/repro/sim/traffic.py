@@ -2,10 +2,9 @@
 
 The paper quotes offered load per node in Kbits/s (3.5, 6.9, 13.8) with
 a fixed emulated packet size; sources here convert that into packet
-inter-arrival processes.  Poisson arrivals are the default — the
-natural model for independent senders and the one that produces the
-partial-overlap collisions PPR feeds on; a CBR source with optional
-jitter is provided for controlled tests.
+inter-arrival processes.  Arrivals are Poisson — the natural model
+for independent senders and the one that produces the partial-overlap
+collisions PPR feeds on.
 """
 
 from __future__ import annotations
@@ -33,51 +32,6 @@ class PoissonSource:
         self._mean_interval = (8.0 * payload_bytes) / load_bits_per_s
         self._rng = rng
 
-    @property
-    def mean_interval_s(self) -> float:
-        """Average seconds between packet arrivals."""
-        return self._mean_interval
-
     def next_interval(self) -> float:
         """Draw the next inter-arrival time."""
         return float(self._rng.exponential(self._mean_interval))
-
-
-class CbrSource:
-    """Constant-bit-rate arrivals with optional uniform jitter."""
-
-    def __init__(
-        self,
-        load_bits_per_s: float,
-        payload_bytes: int,
-        rng: np.random.Generator,
-        jitter_fraction: float = 0.1,
-    ) -> None:
-        if load_bits_per_s <= 0:
-            raise ValueError(
-                f"load must be positive, got {load_bits_per_s}"
-            )
-        if payload_bytes <= 0:
-            raise ValueError(
-                f"payload_bytes must be positive, got {payload_bytes}"
-            )
-        if not 0 <= jitter_fraction < 1:
-            raise ValueError(
-                f"jitter_fraction must be in [0, 1), got {jitter_fraction}"
-            )
-        self._interval = (8.0 * payload_bytes) / load_bits_per_s
-        self._jitter = float(jitter_fraction)
-        self._rng = rng
-
-    @property
-    def mean_interval_s(self) -> float:
-        """Average seconds between packet arrivals."""
-        return self._interval
-
-    def next_interval(self) -> float:
-        """Next inter-arrival time (nominal interval ± jitter)."""
-        if self._jitter == 0:
-            return self._interval
-        low = self._interval * (1 - self._jitter)
-        high = self._interval * (1 + self._jitter)
-        return float(self._rng.uniform(low, high))

@@ -1,8 +1,8 @@
 """Low-level utilities shared by every PPR subsystem.
 
 This subpackage deliberately contains no wireless-specific logic: it is
-bit manipulation, checksums, random-number plumbing, and unit
-conversions.  Everything here is pure and deterministic.
+bit manipulation, checksums, random-number plumbing, and the dBm to
+milliwatt conversion.  Everything here is pure and deterministic.
 """
 
 from repro.utils.bitops import (
@@ -11,10 +11,8 @@ from repro.utils.bitops import (
     bits_to_bytes,
     bits_to_int,
     bytes_to_bits,
-    int_to_bits,
     pack_bits_to_uint32,
     popcount32,
-    unpack_uint32_to_bits,
 )
 from repro.utils.crc import (
     CRC8_ATM,
@@ -23,31 +21,14 @@ from repro.utils.crc import (
     CrcAlgorithm,
     crc8,
     crc16,
-    crc32,
 )
 from repro.utils.rng import (
     derive_key,
     derive_rng,
     ensure_rng,
     keyed_rng,
-    keyed_uniforms,
-    philox4x32,
-    spawn_rngs,
 )
-from repro.utils.units import (
-    db_to_linear,
-    dbm_to_mw,
-    dbm_to_watts,
-    linear_to_db,
-    mw_to_dbm,
-    watts_to_dbm,
-)
-from repro.utils.validation import (
-    check_in_range,
-    check_nonneg_int,
-    check_positive,
-    check_probability,
-)
+from repro.utils.units import dbm_to_mw
 
 __all__ = [
     "BitReader",
@@ -55,32 +36,17 @@ __all__ = [
     "bits_to_bytes",
     "bits_to_int",
     "bytes_to_bits",
-    "int_to_bits",
     "pack_bits_to_uint32",
     "popcount32",
-    "unpack_uint32_to_bits",
     "CRC8_ATM",
     "CRC16_CCITT",
     "CRC32_IEEE",
     "CrcAlgorithm",
     "crc8",
     "crc16",
-    "crc32",
     "derive_key",
     "derive_rng",
     "ensure_rng",
     "keyed_rng",
-    "keyed_uniforms",
-    "philox4x32",
-    "spawn_rngs",
-    "db_to_linear",
     "dbm_to_mw",
-    "dbm_to_watts",
-    "linear_to_db",
-    "mw_to_dbm",
-    "watts_to_dbm",
-    "check_in_range",
-    "check_nonneg_int",
-    "check_positive",
-    "check_probability",
 ]

@@ -39,24 +39,6 @@ def bits_to_bytes(bits: np.ndarray) -> bytes:
     return np.packbits(bits).tobytes()
 
 
-def int_to_bits(value: int, width: int) -> np.ndarray:
-    """Encode ``value`` as a ``width``-bit big-endian bit array.
-
-    Raises ``ValueError`` if the value does not fit.
-    """
-    if width <= 0:
-        raise ValueError(f"width must be positive, got {width}")
-    if value < 0:
-        raise ValueError(f"value must be non-negative, got {value}")
-    if value >= (1 << width):
-        raise ValueError(f"value {value} does not fit in {width} bits")
-    out = np.zeros(width, dtype=np.uint8)
-    for i in range(width - 1, -1, -1):
-        out[i] = value & 1
-        value >>= 1
-    return out
-
-
 def bits_to_int(bits: np.ndarray) -> int:
     """Decode a big-endian bit array into a Python int."""
     value = 0
@@ -73,7 +55,7 @@ def bits_to_int(bits: np.ndarray) -> int:
 def pack_bits_to_uint32(bits: np.ndarray) -> np.ndarray:
     """Pack an ``(n, 32)`` array of 0/1 chips into ``n`` uint32 words.
 
-    Chip 0 lands in the most significant bit, matching ``int_to_bits``.
+    Chip 0 lands in the most significant bit (big-endian chip order).
     """
     bits = np.asarray(bits, dtype=np.uint8)
     if bits.ndim != 2 or bits.shape[1] != 32:
@@ -89,16 +71,6 @@ def pack_bits_to_uint32(bits: np.ndarray) -> np.ndarray:
         .ravel()
         .astype(np.uint32)
     )
-
-
-def unpack_uint32_to_bits(words: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`pack_bits_to_uint32`: uint32 words -> (n, 32) chips."""
-    words = np.asarray(words, dtype=np.uint32)
-    as_bytes = words[:, None].view(np.uint8)
-    # numpy is little-endian on every platform we support; reverse bytes so
-    # that unpackbits yields MSB-first chip order.
-    as_bytes = as_bytes[:, ::-1]
-    return np.unpackbits(as_bytes, axis=1)
 
 
 def popcount32(words: np.ndarray) -> np.ndarray:
@@ -124,11 +96,6 @@ class BitWriter:
     def __len__(self) -> int:
         return len(self._bits)
 
-    @property
-    def bit_length(self) -> int:
-        """Number of bits written so far."""
-        return len(self._bits)
-
     def write_uint(self, value: int, width: int) -> "BitWriter":
         """Append ``value`` as a ``width``-bit big-endian unsigned field."""
         if width < 0:
@@ -139,22 +106,10 @@ class BitWriter:
             self._bits.append((value >> i) & 1)
         return self
 
-    def write_bit(self, bit: int) -> "BitWriter":
-        """Append a single bit (0 or 1)."""
-        if bit not in (0, 1):
-            raise ValueError(f"bit must be 0 or 1, got {bit}")
-        self._bits.append(bit)
-        return self
-
     def write_bits(self, bits: np.ndarray) -> "BitWriter":
         """Append a 0/1 bit array verbatim."""
         for b in np.asarray(bits, dtype=np.uint8):
             self._bits.append(int(b))
-        return self
-
-    def write_bytes(self, data: bytes) -> "BitWriter":
-        """Append whole bytes, MSB first."""
-        self.write_bits(bytes_to_bits(data))
         return self
 
     def getvalue(self) -> bytes:
@@ -164,10 +119,6 @@ class BitWriter:
         if pad:
             bits = np.concatenate([bits, np.zeros(pad, dtype=np.uint8)])
         return bits_to_bytes(bits) if bits.size else b""
-
-    def to_bits(self) -> np.ndarray:
-        """Return the raw (unpadded) bit array."""
-        return np.array(self._bits, dtype=np.uint8)
 
 
 class BitReader:
@@ -196,10 +147,6 @@ class BitReader:
         value = bits_to_int(self._bits[self._pos : self._pos + width])
         self._pos += width
         return value
-
-    def read_bit(self) -> int:
-        """Read a single bit."""
-        return self.read_uint(1)
 
     def read_bits(self, count: int) -> np.ndarray:
         """Read ``count`` raw bits as a 0/1 array."""

@@ -154,10 +154,6 @@ class CrcAlgorithm:
             )
         return (reg ^ np.uint64(self.xorout)) & mask
 
-    def verify(self, data: bytes, checksum: int) -> bool:
-        """True iff ``checksum`` matches the CRC of ``data``."""
-        return self.compute(data) == checksum
-
 
 CRC32_IEEE = CrcAlgorithm(
     name="CRC-32/IEEE",
@@ -188,11 +184,6 @@ CRC8_ATM = CrcAlgorithm(
     refout=False,
     xorout=0x00,
 )
-
-
-def crc32(data: bytes) -> int:
-    """CRC-32 (IEEE 802.3) of ``data``."""
-    return CRC32_IEEE.compute(data)
 
 
 def crc16(data: bytes) -> int:

@@ -8,7 +8,6 @@ harness.  These helpers make seeding uniform:
 * :func:`derive_rng` derives an independent child stream from a parent
   seed and a string label, so that e.g. per-node noise streams do not
   alias each other and results are stable under code reordering.
-* :func:`spawn_rngs` fans a generator out into *n* independent streams.
 
 Sequential generators impose an evaluation *order*: two consumers
 sharing one stream must draw in a fixed sequence, which serialises any
@@ -19,16 +18,11 @@ remove that constraint:
 * :func:`derive_key` hashes ``(seed, label, *ids)`` into a 128-bit
   Philox key, so every ``(transmission, receiver)`` pair owns a stream
   addressed purely by *who it is*, not by *when it draws*.
-* :func:`keyed_rng` wraps that key in numpy's native (C-speed)
-  counter-based Philox generator — the production fast path.
-* :func:`philox4x32` is a vectorised Philox-4x32-10 block function,
-  kept as the *executable specification* of the counter-based
-  construction (validated against the official Random123 vectors):
-  random bits are a pure function of ``(key, counter)``, so any batch
-  of (key, counter) pairs can be evaluated in one call, in any order,
-  on any worker, with bit-identical results.
-* :func:`keyed_uniforms` turns Philox output words into float64
-  uniforms in ``[0, 1)``.
+* :func:`keyed_rng` wraps that key in numpy's counter-based Philox
+  generator, the one Philox implementation here: what a stream yields
+  depends only on its key and how much it has drawn, so any batch of
+  streams can be evaluated in any order, on any worker, with
+  bit-identical results.
 """
 
 from __future__ import annotations
@@ -43,14 +37,6 @@ from repro.utils import sanitize
 #: Anything :func:`ensure_rng` accepts: a seed, a ready generator, or
 #: ``None`` (entropy-seeded — exploratory use only).
 RngLike: TypeAlias = int | np.random.Generator | None
-
-# Philox-4x32 round constants (Salmon et al., "Parallel random numbers:
-# as easy as 1, 2, 3", SC'11): two multipliers and two Weyl increments.
-_PHILOX_M0 = np.uint64(0xD2511F53)
-_PHILOX_M1 = np.uint64(0xCD9E8D57)
-_PHILOX_W0 = np.uint32(0x9E3779B9)
-_PHILOX_W1 = np.uint32(0xBB67AE85)
-_PHILOX_ROUNDS = 10
 
 
 def ensure_rng(rng: RngLike) -> np.random.Generator:
@@ -73,16 +59,6 @@ def derive_rng(seed: int, label: str) -> np.random.Generator:
     digest = hashlib.sha256(f"{seed}:{label}".encode()).digest()
     child_seed = int.from_bytes(digest[:8], "big")
     return np.random.default_rng(child_seed)
-
-
-def spawn_rngs(rng: np.random.Generator, count: int) -> list[np.random.Generator]:
-    """Fan ``rng`` out into ``count`` statistically independent streams."""
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
-    # every concrete SeedSequence spawns; the stubs expose only the
-    # abstract ISeedSequence
-    seqs = rng.bit_generator.seed_seq.spawn(count)  # type: ignore
-    return [np.random.default_rng(s) for s in seqs]
 
 
 # ---------------------------------------------------------------------------
@@ -129,66 +105,3 @@ def rng_from_key(key: np.ndarray) -> np.random.Generator:
     concentrated in this module (the RP001 contract).
     """
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def philox4x32(counters: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Vectorised Philox-4x32-10: ``(key, counter) -> 4 uint32 words``.
-
-    Parameters
-    ----------
-    counters:
-        ``(n, 4)`` uint32 counter blocks.
-    keys:
-        ``(n, 2)`` uint32 keys (or ``(2,)``, broadcast to all rows).
-
-    Returns the ``(n, 4)`` uint32 output blocks.  Being a pure function
-    of its inputs, the same (key, counter) yields the same words no
-    matter how rows are batched, ordered, or sharded across processes —
-    the property the fused chip channel and the multiprocess trial
-    runner rely on.
-    """
-    counters = np.asarray(counters, dtype=np.uint32)
-    if counters.ndim != 2 or counters.shape[1] != 4:
-        raise ValueError(
-            f"counters must be (n, 4) uint32, got {counters.shape}"
-        )
-    keys = np.asarray(keys, dtype=np.uint32)
-    if keys.ndim == 1:
-        keys = np.broadcast_to(keys, (counters.shape[0], 2))
-    if keys.ndim != 2 or keys.shape != (counters.shape[0], 2):
-        raise ValueError(
-            f"keys must be (n, 2) or (2,) uint32, got {keys.shape}"
-        )
-    # Work in uint64 so the 32x32 -> 64-bit products keep their high
-    # halves; casts back to uint32 truncate mod 2**32 as Philox needs.
-    c0 = counters[:, 0].astype(np.uint64)
-    c1 = counters[:, 1].astype(np.uint64)
-    c2 = counters[:, 2].astype(np.uint64)
-    c3 = counters[:, 3].astype(np.uint64)
-    k0 = keys[:, 0].copy()
-    k1 = keys[:, 1].copy()
-    for r in range(_PHILOX_ROUNDS):
-        if r:
-            k0 = k0 + _PHILOX_W0
-            k1 = k1 + _PHILOX_W1
-        prod0 = _PHILOX_M0 * c0
-        prod1 = _PHILOX_M1 * c2
-        hi0, lo0 = prod0 >> np.uint64(32), prod0 & np.uint64(0xFFFFFFFF)
-        hi1, lo1 = prod1 >> np.uint64(32), prod1 & np.uint64(0xFFFFFFFF)
-        c0, c1, c2, c3 = (
-            hi1 ^ c1 ^ k0.astype(np.uint64),
-            lo1,
-            hi0 ^ c3 ^ k1.astype(np.uint64),
-            lo0,
-        )
-    return np.stack([c0, c1, c2, c3], axis=1).astype(np.uint32)
-
-
-def keyed_uniforms(counters: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Philox output as float64 uniforms in ``[0, 1)``.
-
-    Same shapes as :func:`philox4x32`; each uint32 output word maps to
-    ``word / 2**32``, giving 32-bit-resolution uniforms whose values
-    depend only on ``(key, counter)``.
-    """
-    return philox4x32(counters, keys) * 2.0**-32

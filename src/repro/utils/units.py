@@ -1,8 +1,7 @@
-"""Decibel / linear / power unit conversions.
+"""Power unit conversion.
 
-The radio-medium model works in dBm for powers and dB for gains; the
-SINR arithmetic happens in linear (milliwatt) units.  These helpers are
-numpy-aware: they accept scalars or arrays and return the same shape.
+The radio-medium model works in dBm for powers; the SINR arithmetic
+happens in linear (milliwatt) units.
 """
 
 from __future__ import annotations
@@ -11,37 +10,6 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 
-def db_to_linear(db: ArrayLike) -> np.ndarray:
-    """Convert a gain in dB to a linear power ratio."""
-    return np.power(10.0, np.asarray(db, dtype=np.float64) / 10.0)
-
-
-def linear_to_db(ratio: ArrayLike) -> np.ndarray:
-    """Convert a linear power ratio to dB.  Ratio must be positive."""
-    ratio = np.asarray(ratio, dtype=np.float64)
-    if np.any(ratio <= 0):
-        raise ValueError("linear ratio must be positive to convert to dB")
-    return 10.0 * np.log10(ratio)
-
-
 def dbm_to_mw(dbm: ArrayLike) -> np.ndarray:
     """Convert power in dBm to milliwatts."""
     return np.power(10.0, np.asarray(dbm, dtype=np.float64) / 10.0)
-
-
-def mw_to_dbm(mw: ArrayLike) -> np.ndarray:
-    """Convert power in milliwatts to dBm."""
-    mw = np.asarray(mw, dtype=np.float64)
-    if np.any(mw <= 0):
-        raise ValueError("power must be positive to convert to dBm")
-    return 10.0 * np.log10(mw)
-
-
-def dbm_to_watts(dbm: ArrayLike) -> np.ndarray:
-    """Convert power in dBm to watts."""
-    return dbm_to_mw(dbm) / 1e3
-
-
-def watts_to_dbm(watts: ArrayLike) -> np.ndarray:
-    """Convert power in watts to dBm."""
-    return mw_to_dbm(np.asarray(watts, dtype=np.float64) * 1e3)

@@ -6,13 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis.runs import (
     ccdf_from_counts,
-    longest_run,
-    run_length_histogram,
     run_lengths,
 )
 from repro.analysis.stats import (
     Cdf,
-    ccdf_points,
     cdf_points,
     geometric_mean,
     median,
@@ -44,12 +41,6 @@ class TestCdf:
         assert np.all(np.diff(xs) >= 0)
         assert np.all(np.diff(ys) > 0)
         assert ys[-1] == pytest.approx(1.0)
-
-    def test_ccdf_complement(self):
-        samples = np.array([1.0, 2.0, 3.0, 4.0])
-        xs, tail = ccdf_points(samples)
-        _, cdf = cdf_points(samples)
-        assert tail == pytest.approx(1.0 - cdf + 0.25)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -91,16 +82,6 @@ class TestRuns:
         assert run_lengths([True, True, False, True]) == [2, 1]
         assert run_lengths([False, False]) == []
         assert run_lengths([]) == []
-
-    def test_longest_run(self):
-        assert longest_run([True, False, True, True, True]) == 3
-        assert longest_run([False]) == 0
-
-    def test_histogram_aggregates(self):
-        masks = [[True, False, True], [True, True, False]]
-        hist = run_length_histogram(masks)
-        assert hist[1] == 2
-        assert hist[2] == 1
 
     def test_ccdf_from_counts(self):
         from collections import Counter

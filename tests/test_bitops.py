@@ -10,10 +10,8 @@ from repro.utils.bitops import (
     bits_to_bytes,
     bits_to_int,
     bytes_to_bits,
-    int_to_bits,
     pack_bits_to_uint32,
     popcount32,
-    unpack_uint32_to_bits,
 )
 
 
@@ -43,27 +41,13 @@ class TestByteBitConversions:
 
 
 class TestIntBits:
-    def test_int_to_bits_big_endian(self):
-        assert int_to_bits(5, 4).tolist() == [0, 1, 0, 1]
 
     def test_bits_to_int_inverse(self):
-        assert bits_to_int(int_to_bits(1234, 16)) == 1234
-
-    def test_zero_width_rejected(self):
-        with pytest.raises(ValueError):
-            int_to_bits(0, 0)
-
-    def test_overflow_rejected(self):
-        with pytest.raises(ValueError, match="does not fit"):
-            int_to_bits(16, 4)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            int_to_bits(-1, 8)
+        assert bits_to_int(bytes_to_bits((1234).to_bytes(2, "big"))) == 1234
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     def test_roundtrip_property(self, value):
-        assert bits_to_int(int_to_bits(value, 32)) == value
+        assert bits_to_int(bytes_to_bits(value.to_bytes(4, "big"))) == value
 
 
 class TestUint32Packing:
@@ -80,7 +64,9 @@ class TestUint32Packing:
     def test_unpack_inverse(self, rng):
         chips = rng.integers(0, 2, size=(50, 32), dtype=np.uint8)
         words = pack_bits_to_uint32(chips)
-        assert np.array_equal(unpack_uint32_to_bits(words), chips)
+        # numpy's MSB-first unpack of the big-endian words inverts it
+        unpacked = np.unpackbits(words.astype(">u4").view(np.uint8))
+        assert np.array_equal(unpacked.reshape(-1, 32), chips)
 
     def test_wrong_shape_rejected(self):
         with pytest.raises(ValueError, match=r"\(n, 32\)"):
@@ -89,7 +75,8 @@ class TestUint32Packing:
     @given(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=40))
     def test_roundtrip_from_words(self, values):
         words = np.array(values, dtype=np.uint32)
-        again = pack_bits_to_uint32(unpack_uint32_to_bits(words))
+        chips = np.unpackbits(words.astype(">u4").view(np.uint8))
+        again = pack_bits_to_uint32(chips.reshape(-1, 32))
         assert np.array_equal(again, words)
 
 
@@ -115,37 +102,33 @@ class TestPopcount:
 class TestBitStream:
     def test_write_read_sequence(self):
         w = BitWriter()
-        w.write_uint(5, 3).write_uint(1023, 10).write_bit(1)
+        w.write_uint(5, 3).write_uint(1023, 10).write_uint(1, 1)
         r = BitReader(w.getvalue())
         assert r.read_uint(3) == 5
         assert r.read_uint(10) == 1023
-        assert r.read_bit() == 1
+        assert r.read_uint(1) == 1
 
     def test_bit_length_tracks_writes(self):
         w = BitWriter()
         w.write_uint(0, 7)
-        assert w.bit_length == 7
-        w.write_bytes(b"\x00")
-        assert w.bit_length == 15
+        assert len(w) == 7
+        w.write_bits(bytes_to_bits(b"\x00"))
+        assert len(w) == 15
 
     def test_getvalue_pads_to_byte(self):
         w = BitWriter()
-        w.write_bit(1)
+        w.write_uint(1, 1)
         assert w.getvalue() == b"\x80"
 
     def test_value_overflow_rejected(self):
         with pytest.raises(ValueError, match="does not fit"):
             BitWriter().write_uint(8, 3)
 
-    def test_bad_bit_rejected(self):
-        with pytest.raises(ValueError, match="0 or 1"):
-            BitWriter().write_bit(2)
-
     def test_reader_eof(self):
         r = BitReader(b"\x00")
         r.read_uint(8)
         with pytest.raises(EOFError):
-            r.read_bit()
+            r.read_uint(1)
 
     def test_reader_remaining(self):
         r = BitReader(b"\xff\x00")
@@ -155,13 +138,8 @@ class TestBitStream:
 
     def test_read_bytes(self):
         w = BitWriter()
-        w.write_bytes(b"hi")
+        w.write_bits(bytes_to_bits(b"hi"))
         assert BitReader(w.getvalue()).read_bytes(2) == b"hi"
-
-    def test_to_bits_unpadded(self):
-        w = BitWriter()
-        w.write_uint(1, 3)
-        assert w.to_bits().tolist() == [0, 0, 1]
 
     @given(
         st.lists(

@@ -7,7 +7,6 @@ from repro.phy.channelsim import (
     TransmissionInstance,
     add_awgn,
     awgn_collision_channel,
-    fractional_delay,
     mix_transmissions,
 )
 
@@ -104,32 +103,3 @@ class TestAwgn:
             rng=rng,
         )
         assert out == pytest.approx(wave)
-
-
-class TestFractionalDelay:
-    def test_integer_delay_shifts(self):
-        wave = np.array([1.0, 2.0, 3.0], dtype=complex)
-        out = fractional_delay(wave, 2.0)
-        assert out[:2] == pytest.approx(np.zeros(2))
-        assert out[2:5] == pytest.approx(wave)
-
-    def test_half_sample_interpolates(self):
-        wave = np.array([0.0, 1.0, 0.0], dtype=complex)
-        out = fractional_delay(wave, 0.5)
-        assert out[1] == pytest.approx(0.5)
-        assert out[2] == pytest.approx(0.5)
-
-    def test_energy_roughly_preserved_for_smooth_signal(self, rng):
-        # Linear interpolation preserves energy only for signals smooth
-        # at the sample scale (oversampled waveforms), not white noise.
-        from repro.phy.modulation import MskModulator
-
-        wave = MskModulator(sps=8).modulate_chips(rng.integers(0, 2, 50))
-        out = fractional_delay(wave, 3.25)
-        assert np.sum(np.abs(out) ** 2) == pytest.approx(
-            np.sum(np.abs(wave) ** 2), rel=0.05
-        )
-
-    def test_negative_delay_rejected(self):
-        with pytest.raises(ValueError):
-            fractional_delay(np.zeros(1, dtype=complex), -1.0)

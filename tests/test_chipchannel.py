@@ -2,11 +2,10 @@
 
 import numpy as np
 import pytest
+from scipy.special import erfc
 
 from repro.phy.chipchannel import (
-    chip_error_probability,
     chip_error_probability_interference,
-    sinr_timeline_to_chip_probs,
     transmit_chipwords,
     transmit_chipwords_batch,
 )
@@ -15,32 +14,44 @@ from repro.utils.rng import derive_key
 
 
 class TestChipErrorProbability:
+    """With no interferer the model is coherent MSK over AWGN:
+    ``p = Q(sqrt(2 SNR)) = erfc(sqrt(SNR)) / 2`` per chip."""
+
+    @staticmethod
+    def noise_only(snr):
+        return chip_error_probability_interference(snr, 0.0)
+
     def test_zero_sinr_is_coin_flip(self):
-        assert chip_error_probability(0.0) == pytest.approx(0.5)
+        assert self.noise_only(0.0) == pytest.approx(0.5)
 
     def test_high_sinr_is_negligible(self):
-        assert chip_error_probability(100.0) < 1e-10
+        assert self.noise_only(100.0) < 1e-10
 
     def test_monotone_decreasing(self):
-        sinrs = np.logspace(-2, 2, 30)
-        p = chip_error_probability(sinrs)
+        p = self.noise_only(np.logspace(-2, 2, 30))
         assert np.all(np.diff(p) < 0)
 
     def test_known_value(self):
         # p = Q(sqrt(2)) at SINR = 1 (0 dB) ~ 0.0786.
-        assert chip_error_probability(1.0) == pytest.approx(0.0786, abs=2e-3)
+        assert self.noise_only(1.0) == pytest.approx(0.0786, abs=2e-3)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            chip_error_probability(-0.1)
+            self.noise_only(-0.1)
 
 
 class TestInterferenceModel:
     def test_reduces_to_noise_only_without_interference(self):
-        snr = np.array([0.5, 1.0, 10.0])
-        a = chip_error_probability_interference(snr, np.zeros(3))
-        b = chip_error_probability(snr)
-        assert a == pytest.approx(b)
+        # the old noise-only cases (0, 1, 100 and a monotone sweep)
+        snr = np.concatenate(
+            [[0.0, 0.5, 1.0, 10.0, 100.0], np.logspace(-2, 2, 30)]
+        )
+        np.testing.assert_allclose(
+            chip_error_probability_interference(snr, np.zeros(snr.size)),
+            0.5 * erfc(np.sqrt(snr)),
+            rtol=1e-12,
+            atol=0.0,
+        )
 
     def test_equal_power_collision_approaches_quarter(self):
         # At high SNR with I = S, half the interferer chips oppose and
@@ -232,22 +243,3 @@ class TestTransmitChipwordsBatch:
             transmit_chipwords_batch(
                 words, 0.1, [2, 2], np.zeros((3, 2), np.uint64)
             )
-
-
-class TestSinrTimeline:
-    def test_interference_raises_error_probability(self):
-        probs = sinr_timeline_to_chip_probs(
-            signal_mw=1.0,
-            noise_mw=0.01,
-            interference_mw=np.array([0.0, 1.0, 10.0]),
-        )
-        assert np.all(np.diff(probs) > 0)
-        assert probs[0] < 1e-10
-
-    def test_invalid_powers_rejected(self):
-        with pytest.raises(ValueError):
-            sinr_timeline_to_chip_probs(0.0, 1.0, np.zeros(1))
-        with pytest.raises(ValueError):
-            sinr_timeline_to_chip_probs(1.0, 0.0, np.zeros(1))
-        with pytest.raises(ValueError):
-            sinr_timeline_to_chip_probs(1.0, 1.0, np.array([-1.0]))

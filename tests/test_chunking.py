@@ -141,7 +141,7 @@ class TestPlanStructure:
         mask[10:20] = False
         runs = RunLengthPacket.from_labels(mask)
         plan = plan_chunks(runs)
-        assert plan.n_requested_symbols == 10
+        assert sum(end - start for start, end in plan.segments) == 10
 
     def test_invalid_checksum_bits(self):
         runs = RunLengthPacket.from_labels(np.zeros(4, dtype=bool))
@@ -199,4 +199,4 @@ class TestLargeRunReconstruction:
         assert len(plan.chunks) == n_bad
         assert plan.chunks[0] == (0, 0)
         assert plan.chunks[-1] == (n_bad - 1, n_bad - 1)
-        assert plan.n_requested_symbols == n_bad
+        assert sum(end - start for start, end in plan.segments) == n_bad

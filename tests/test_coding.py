@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.arq.feedback import segment_checksum
+from repro.arq.feedback import FeedbackPacket, segment_checksum
 from repro.coding.gf2 import (
     gf2_coefficients,
     gf2_eliminate,
@@ -427,7 +427,9 @@ class TestCodedRepairSession:
         session = CodedRepairSession(_clean_channel)
         payload = b"x" * 40
         session.transfer(3, payload)
-        assert not session._sender.has_packet(3)
+        ack = FeedbackPacket(seq=3, n_symbols=0, segments=(), gap_checksums=())
+        with pytest.raises(KeyError, match="unknown sequence"):
+            session._sender.handle_feedback(ack)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="max_rounds"):

@@ -12,11 +12,11 @@ from repro.link.frame import (
     PprFrame,
     body_symbol_count,
     payload_slice,
-    parse_body_symbols,
     parse_header_bytes,
     parse_trailer_bytes,
 )
-from repro.phy.sync import EFD_SYMBOLS, SFD_SYMBOLS
+from repro.phy.spreading import symbols_to_bytes
+from repro.phy.sync import EFD_SYMBOLS, SFD_SYMBOLS, SYNC_SYMBOLS
 
 
 class TestFrameHeader:
@@ -71,7 +71,7 @@ class TestPprFrame:
     def test_on_air_includes_sync_fields(self):
         frame = self._frame()
         air = frame.on_air_symbols()
-        assert air.size == frame.n_air_symbols
+        assert air.size == frame.n_body_symbols + 2 * SYNC_SYMBOLS
         assert air[:8].tolist() == [0] * 8
         assert tuple(air[8:10]) == SFD_SYMBOLS
         assert tuple(air[-2:]) == EFD_SYMBOLS
@@ -83,36 +83,32 @@ class TestPprFrame:
 
     def test_parse_body_roundtrip(self):
         frame = self._frame(b"some payload bytes")
-        parsed = parse_body_symbols(frame.body_symbols())
-        assert parsed.header_ok and parsed.trailer_ok
-        assert parsed.header == frame.header
-        assert parsed.wire_payload == b"some payload bytes"
+        symbols = frame.body_symbols()
+        region = payload_slice(symbols.size)
+        header, ok = parse_header_bytes(symbols_to_bytes(symbols[: region.start]))
+        assert ok and header == frame.header
+        assert symbols_to_bytes(symbols[region]) == b"some payload bytes"
 
     def test_parse_detects_corrupt_header_keeps_trailer(self):
         frame = self._frame()
         symbols = frame.body_symbols()
         symbols[0] = (symbols[0] + 1) % 16
-        parsed = parse_body_symbols(symbols)
-        assert not parsed.header_ok
-        assert parsed.trailer_ok  # postamble path still viable
+        region = payload_slice(symbols.size)
+        _, header_ok = parse_header_bytes(symbols_to_bytes(symbols[: region.start]))
+        _, trailer_ok = parse_trailer_bytes(symbols_to_bytes(symbols[region.stop :]))
+        assert not header_ok
+        assert trailer_ok  # postamble path still viable
 
     def test_payload_symbol_range(self):
         frame = self._frame(b"abcd")
-        start, end = frame.payload_symbol_range()
-        assert start == SYMBOLS_PER_BYTE * HEADER_BYTES
-        assert end - start == SYMBOLS_PER_BYTE * 4
-        from repro.phy.spreading import symbols_to_bytes
-
-        assert symbols_to_bytes(frame.body_symbols()[start:end]) == b"abcd"
-        assert payload_slice(frame.n_body_symbols) == slice(start, end)
+        region = payload_slice(frame.n_body_symbols)
+        assert region.start == SYMBOLS_PER_BYTE * HEADER_BYTES
+        assert region.stop - region.start == SYMBOLS_PER_BYTE * 4
+        assert symbols_to_bytes(frame.body_symbols()[region]) == b"abcd"
 
     def test_oversized_payload_rejected(self):
         with pytest.raises(ValueError, match="too large"):
             PprFrame.build(0, 1, 0, b"x" * 70000)
-
-    def test_too_small_body_rejected(self):
-        with pytest.raises(ValueError):
-            parse_body_symbols(np.zeros(10, dtype=np.int64))
 
     def test_negative_length_rejected(self):
         with pytest.raises(ValueError):
@@ -122,7 +118,10 @@ class TestPprFrame:
     @settings(max_examples=30, deadline=None)
     def test_roundtrip_property(self, payload):
         frame = PprFrame.build(src=1, dst=2, seq=3, wire_payload=payload)
-        parsed = parse_body_symbols(frame.body_symbols())
-        assert parsed.header_ok and parsed.trailer_ok
-        assert parsed.wire_payload == payload
-        assert parsed.header.length == len(payload)
+        symbols = frame.body_symbols()
+        region = payload_slice(symbols.size)
+        header, header_ok = parse_header_bytes(symbols_to_bytes(symbols[: region.start]))
+        _, trailer_ok = parse_trailer_bytes(symbols_to_bytes(symbols[region.stop :]))
+        assert header_ok and trailer_ok
+        assert symbols_to_bytes(symbols[region]) == payload
+        assert header.length == len(payload)

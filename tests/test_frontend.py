@@ -134,9 +134,6 @@ class TestDecoding:
         with pytest.raises(ValueError):
             ReceiverFrontend(codebook, threshold=1.5)
 
-    def test_sync_pattern_chips(self, frontend):
-        assert frontend.sync_pattern_chips("preamble") == 320
-
 
 class TestBatchApi:
     def test_detect_batch_ragged_matches_single(

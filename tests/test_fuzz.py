@@ -11,8 +11,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.arq.feedback import decode_feedback, decode_retransmission
-from repro.link.frame import PprFrame, parse_body_symbols
+from repro.link.frame import (
+    PprFrame,
+    parse_header_bytes,
+    parse_trailer_bytes,
+    payload_slice,
+)
 from repro.link.schemes import PprScheme, ReceivedPayload
+from repro.phy.spreading import symbols_to_bytes
 from repro.utils.bitops import BitReader
 from repro.utils.rng import ensure_rng
 
@@ -35,13 +41,19 @@ class TestFrameParsingFuzz:
         symbols = frame.body_symbols()
         for pos, value in corruptions:
             symbols[pos % symbols.size] = value
-        parsed = parse_body_symbols(symbols)
-        assert isinstance(parsed.header_ok, bool)
-        assert isinstance(parsed.trailer_ok, bool)
-        if parsed.header_ok and parsed.trailer_ok:
+        region = payload_slice(symbols.size)
+        header, header_ok = parse_header_bytes(
+            symbols_to_bytes(symbols[: region.start])
+        )
+        _, trailer_ok = parse_trailer_bytes(
+            symbols_to_bytes(symbols[region.stop :])
+        )
+        assert isinstance(header_ok, bool)
+        assert isinstance(trailer_ok, bool)
+        if header_ok and trailer_ok:
             # Both CRC-16s passing after corruption is possible but
             # the parsed lengths must at least be structurally sane.
-            assert parsed.header.length >= 0
+            assert header.length >= 0
 
     @given(st.lists(st.integers(0, 15), min_size=40, max_size=200))
     @settings(max_examples=40, deadline=None)
@@ -49,10 +61,12 @@ class TestFrameParsingFuzz:
         symbols = np.array(symbol_list, dtype=np.int64)
         if symbols.size % 2:
             symbols = symbols[:-1]
-        parsed = parse_body_symbols(symbols)
+        region = payload_slice(symbols.size)
         # Random bytes pass a CRC-16 with probability 2^-16 per field;
         # whatever the flags, parsing must terminate with a result.
-        assert parsed.wire_payload is not None
+        parse_header_bytes(symbols_to_bytes(symbols[: region.start]))
+        parse_trailer_bytes(symbols_to_bytes(symbols[region.stop :]))
+        assert symbols_to_bytes(symbols[region]) is not None
 
 
 class TestFeedbackDecodingFuzz:

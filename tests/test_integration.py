@@ -9,12 +9,18 @@ import numpy as np
 
 from repro.arq.protocol import PpArqSession
 from repro.link.adaptive import AdaptiveThreshold
-from repro.link.frame import PprFrame, parse_body_symbols
+from repro.link.frame import (
+    PprFrame,
+    parse_header_bytes,
+    parse_trailer_bytes,
+    payload_slice,
+)
 from repro.link.schemes import PprScheme
 from repro.phy.channelsim import add_awgn
 from repro.phy.chipchannel import transmit_chipwords
 from repro.phy.frontend import ReceiverFrontend
 from repro.phy.modulation import MskModulator
+from repro.phy.spreading import symbols_to_bytes
 from repro.phy.symbols import SoftPacket
 from repro.utils.rng import ensure_rng
 
@@ -39,9 +45,16 @@ class TestWaveformToLinkLayer:
         symbols, hints = frontend.decode_symbols_at(
             noisy, det.sample_offset, 10, frame.n_body_symbols, det.phase
         )
-        parsed = parse_body_symbols(symbols)
-        assert parsed.header_ok and parsed.trailer_ok
-        assert parsed.wire_payload == scheme.encode_payload(payload)
+        region = payload_slice(symbols.size)
+        _, header_ok = parse_header_bytes(
+            symbols_to_bytes(symbols[: region.start])
+        )
+        _, trailer_ok = parse_trailer_bytes(
+            symbols_to_bytes(symbols[region.stop :])
+        )
+        assert header_ok and trailer_ok
+        wire_payload = symbols_to_bytes(symbols[region])
+        assert wire_payload == scheme.encode_payload(payload)
         assert hints.mean() < 1.0
 
         # Postamble path: roll back from the detected postamble.

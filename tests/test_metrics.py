@@ -26,7 +26,6 @@ from repro.sim.metrics import (
     evaluate_schemes,
     false_alarm_rates,
     hint_histograms,
-    miss_rates,
     miss_run_length_counts,
     trace_deliver,
 )
@@ -190,17 +189,12 @@ class TestHintStatistics:
     def test_rates_monotonic(self, small_sim_result):
         correct, incorrect = hint_histograms(small_sim_result)
         fa = false_alarm_rates(correct)
-        miss = miss_rates(incorrect)
         assert np.all(np.diff(fa) <= 1e-12)
-        assert np.all(np.diff(miss) >= -1e-12)
         assert fa[-1] == pytest.approx(0.0)
-        assert miss[-1] == pytest.approx(1.0)
 
     def test_empty_histogram_rejected(self):
         with pytest.raises(ValueError):
             false_alarm_rates(np.zeros(33))
-        with pytest.raises(ValueError):
-            miss_rates(np.zeros(33))
 
     def test_miss_run_lengths_manual(self, small_sim_result):
         """Wrong codewords at payload symbols 1, 2 and 4, all with hint

@@ -63,7 +63,8 @@ class TestSender:
             gap_checksums=(segment_checksum(wire),),
         )
         assert sender.handle_feedback(ack) is None
-        assert not sender.has_packet(1)
+        with pytest.raises(KeyError, match="unknown sequence"):
+            sender.handle_feedback(ack)
 
     def test_retransmits_requested_segment(self):
         sender = PpArqSender()

@@ -2,8 +2,9 @@
 
 The report must be buildable from a runner ``--out`` directory alone —
 no simulator access — and must degrade gracefully: a manifest is
-optional, an empty directory is a clean error, and more series than
-the CDF plot can distinguish are skipped with a note.
+optional, an empty directory is a clean error, a ``*.json`` that is
+not a runner artifact is a usage error naming the file, and more
+series than the CDF plot can distinguish are skipped with a note.
 """
 
 import numpy as np
@@ -214,3 +215,23 @@ class TestReportCli:
     def test_empty_directory_is_an_error(self, tmp_path, capsys):
         assert main([str(tmp_path)]) == 1
         assert "no experiment artifacts" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name,content",
+        [
+            ("fig3.json", "{bad"),
+            ("fig3.json", "{}"),
+            ("fig3.json", "[]"),
+            ("manifest.json", "{bad"),
+        ],
+    )
+    def test_malformed_artifact_is_a_usage_error(
+        self, tmp_path, capsys, name, content
+    ):
+        (tmp_path / name).write_text(content + "\n")
+        with pytest.raises(SystemExit) as exc:
+            main([str(tmp_path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"{tmp_path / name}: not a runner artifact" in err
+        assert "Traceback" not in err

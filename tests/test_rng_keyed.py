@@ -1,108 +1,16 @@
 """Tests for the counter-based (keyed) RNG helpers.
 
 The chip channel's fused transit and the multiprocess trial runner
-both assume that :func:`philox4x32` is a pure function of ``(key,
-counter)`` and that :func:`derive_key` never aliases distinct id
-tuples.  These tests pin the block function against the official
-Random123 known-answer vectors, an independent scalar implementation,
-and the batching/sharding invariances the simulation relies on.
+both assume that a keyed stream depends only on its ``(seed, label,
+*ids)`` address and that :func:`derive_key` never aliases distinct id
+tuples.  These tests pin that, and the batching/sharding invariances
+the simulation relies on.
 """
 
 import numpy as np
-import pytest
 
 from repro.utils import sanitize
-from repro.utils.rng import derive_key, keyed_rng, keyed_uniforms, philox4x32
-
-# Known-answer vectors from Random123's kat_vectors for philox4x32-10:
-# (counter, key, expected output words).
-_KAT = [
-    (
-        (0, 0, 0, 0),
-        (0, 0),
-        (0x6627E8D5, 0xE169C58D, 0xBC57AC4C, 0x9B00DBD8),
-    ),
-    (
-        (0xFFFFFFFF,) * 4,
-        (0xFFFFFFFF,) * 2,
-        (0x408F276D, 0x41C83B0E, 0xA20BC7C6, 0x6D5451FD),
-    ),
-    (
-        (0x243F6A88, 0x85A308D3, 0x13198A2E, 0x03707344),
-        (0xA4093822, 0x299F31D0),
-        (0xD16CFE09, 0x94FDCCEB, 0x5001E420, 0x24126EA1),
-    ),
-]
-
-
-def _scalar_philox(ctr, key, rounds=10):
-    """Independent scalar Philox-4x32 (pure Python big ints)."""
-    mask = 2**32
-    c, k = list(ctr), list(key)
-    for r in range(rounds):
-        if r:
-            k = [(k[0] + 0x9E3779B9) % mask, (k[1] + 0xBB67AE85) % mask]
-        p0 = 0xD2511F53 * c[0]
-        p1 = 0xCD9E8D57 * c[2]
-        c = [
-            (p1 >> 32) ^ c[1] ^ k[0],
-            p1 % mask,
-            (p0 >> 32) ^ c[3] ^ k[1],
-            p0 % mask,
-        ]
-    return tuple(c)
-
-
-class TestPhilox:
-    @pytest.mark.parametrize("ctr,key,expected", _KAT)
-    def test_known_answer_vectors(self, ctr, key, expected):
-        out = philox4x32(
-            np.array([ctr], dtype=np.uint32),
-            np.array([key], dtype=np.uint32),
-        )
-        assert tuple(int(w) for w in out[0]) == expected
-
-    def test_matches_scalar_reference(self, rng):
-        ctrs = rng.integers(0, 2**32, (200, 4), dtype=np.uint32)
-        keys = rng.integers(0, 2**32, (200, 2), dtype=np.uint32)
-        out = philox4x32(ctrs, keys)
-        for i in range(ctrs.shape[0]):
-            assert tuple(int(w) for w in out[i]) == _scalar_philox(
-                ctrs[i].tolist(), keys[i].tolist()
-            )
-
-    def test_batch_invariance(self, rng):
-        """The same (key, counter) row yields the same words whether
-        evaluated alone, in a batch, or in shuffled order — the
-        property that makes fused/sharded execution bit-identical."""
-        ctrs = rng.integers(0, 2**32, (64, 4), dtype=np.uint32)
-        keys = rng.integers(0, 2**32, (64, 2), dtype=np.uint32)
-        batched = philox4x32(ctrs, keys)
-        one_at_a_time = np.vstack(
-            [philox4x32(ctrs[i : i + 1], keys[i : i + 1]) for i in range(64)]
-        )
-        assert np.array_equal(batched, one_at_a_time)
-        perm = rng.permutation(64)
-        assert np.array_equal(philox4x32(ctrs[perm], keys[perm]), batched[perm])
-
-    def test_broadcast_key(self, rng):
-        ctrs = rng.integers(0, 2**32, (16, 4), dtype=np.uint32)
-        key = np.array([3, 7], dtype=np.uint32)
-        full = np.broadcast_to(key, (16, 2))
-        assert np.array_equal(philox4x32(ctrs, key), philox4x32(ctrs, full))
-
-    def test_rejects_bad_shapes(self):
-        with pytest.raises(ValueError, match="counters"):
-            philox4x32(np.zeros((3, 3), np.uint32), np.zeros((3, 2), np.uint32))
-        with pytest.raises(ValueError, match="keys"):
-            philox4x32(np.zeros((3, 4), np.uint32), np.zeros((2, 2), np.uint32))
-
-    def test_uniforms_in_unit_interval(self, rng):
-        ctrs = rng.integers(0, 2**32, (4096, 4), dtype=np.uint32)
-        u = keyed_uniforms(ctrs, np.array([1, 2], np.uint32))
-        assert u.shape == (4096, 4)
-        assert u.min() >= 0.0 and u.max() < 1.0
-        assert abs(u.mean() - 0.5) < 0.02
+from repro.utils.rng import derive_key, keyed_rng
 
 
 class TestDeriveKey:
@@ -165,14 +73,16 @@ class TestKeyedRng:
         assert abs(np.corrcoef(a, b)[0, 1]) < 0.2
 
     def test_keyed_philox_streams_independent(self):
-        """The spec-level check on the block function itself: matching
-        counters under different keys agree no more than chance."""
-        n = 1 << 12
-        ctrs = np.zeros((n, 4), dtype=np.uint32)
-        ctrs[:, 0] = np.arange(n, dtype=np.uint32)
-        a = philox4x32(ctrs, np.array([5, 23], dtype=np.uint32))
-        b = philox4x32(ctrs, np.array([5, 24], dtype=np.uint32))
-        # 4n words, each matching with probability 2**-32.
+        """Matching draws of two streams whose keys differ in one id
+        agree no more than chance."""
+        n = 1 << 14
+        a = keyed_rng(5, "chip-channel", 5, 23).integers(
+            0, 2**32, n, dtype=np.uint32
+        )
+        b = keyed_rng(5, "chip-channel", 5, 24).integers(
+            0, 2**32, n, dtype=np.uint32
+        )
+        # n words, each matching with probability 2**-32.
         assert np.count_nonzero(a == b) == 0
         # Bitwise balance of the XOR stream (crude independence check).
         bits = np.unpackbits((a ^ b).view(np.uint8))

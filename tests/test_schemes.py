@@ -44,7 +44,7 @@ class TestPacketCrc:
         assert result.frame_passed
         assert result.delivered_correct_bits == 8 * len(PAYLOAD)
         assert result.delivered_incorrect_bits == 0
-        assert result.delivery_fraction == 1.0
+        assert result.delivered_correct_bits == result.payload_bits
 
     def test_single_corrupt_symbol_kills_packet(self):
         scheme = PacketCrcScheme()

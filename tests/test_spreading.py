@@ -1,17 +1,10 @@
-"""Tests for bit/symbol/byte conversions (DSSS spreading maps)."""
+"""Tests for byte/symbol conversions (DSSS spreading maps)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.phy.spreading import (
-    bits_msb_to_symbols,
-    bits_to_symbols,
-    bytes_to_symbols,
-    symbols_to_bits,
-    symbols_to_bits_msb,
-    symbols_to_bytes,
-)
+from repro.phy.spreading import bytes_to_symbols, symbols_to_bytes
 
 
 class TestNibbleOrder:
@@ -27,46 +20,23 @@ class TestNibbleOrder:
 
 
 class TestBitSymbolConversions:
-    def test_lsb_first_within_symbol(self):
-        # bits [1,0,0,0] -> value 1 (LSB first).
-        assert bits_to_symbols(np.array([1, 0, 0, 0])).tolist() == [1]
-        assert bits_to_symbols(np.array([0, 0, 0, 1])).tolist() == [8]
 
-    def test_symbols_to_bits_inverse(self, rng):
-        symbols = rng.integers(0, 16, 40)
-        assert np.array_equal(
-            bits_to_symbols(symbols_to_bits(symbols)), symbols
-        )
-
-    def test_rejects_partial_symbol(self):
-        with pytest.raises(ValueError, match="multiple"):
-            bits_to_symbols(np.ones(7, dtype=np.uint8))
 
     def test_rejects_out_of_range_symbols(self):
         with pytest.raises(ValueError):
-            symbols_to_bits(np.array([16]))
+            symbols_to_bytes(np.array([16, 0]))
 
     def test_other_symbol_widths(self):
-        bits = np.array([1, 0, 1, 1, 0, 0], dtype=np.uint8)
-        symbols = bits_to_symbols(bits, bits_per_symbol=2)
-        assert symbols.tolist() == [1, 3, 0]
-        assert np.array_equal(
-            symbols_to_bits(symbols, bits_per_symbol=2), bits
-        )
+        # 0xB4 = 0b10_11_01_00, lowest pair first
+        symbols = bytes_to_symbols(b"\xb4", bits_per_symbol=2)
+        assert symbols.tolist() == [0, 1, 3, 2]
+        assert symbols_to_bytes(symbols, bits_per_symbol=2) == b"\xb4"
 
 
 class TestByteRoundtrips:
     @given(st.binary(max_size=120))
     def test_bytes_symbols_roundtrip(self, data):
         assert symbols_to_bytes(bytes_to_symbols(data)) == data
-
-    @given(st.binary(max_size=60))
-    def test_msb_bit_roundtrip(self, data):
-        from repro.utils.bitops import bytes_to_bits
-
-        bits = bytes_to_bits(data)
-        symbols = bits_msb_to_symbols(bits)
-        assert np.array_equal(symbols_to_bits_msb(symbols), bits)
 
     def test_odd_symbol_count_rejected(self):
         with pytest.raises(ValueError, match="multiple"):

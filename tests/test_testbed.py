@@ -7,7 +7,6 @@ from repro.sim.testbed import (
     FEET_TO_M,
     TestbedConfig as _TestbedConfig,
     paper_testbed,
-    single_link_testbed,
     wall_count_matrix,
 )
 from repro.utils.rng import ensure_rng
@@ -18,7 +17,7 @@ class TestPaperTestbed:
         tb = paper_testbed(seed=0)
         assert tb.n_senders == 23
         assert tb.n_receivers == 4
-        assert tb.n_nodes == 27
+        assert tb.positions_m.shape == (27, 2)
         assert tb.sender_ids == tuple(range(23))
         assert tb.receiver_ids == (23, 24, 25, 26)
 
@@ -98,16 +97,3 @@ class TestWallCounts:
         walls = wall_count_matrix(positions, (3, 3), (30.0, 30.0))
         assert np.array_equal(walls, walls.T)
         assert np.all(np.diag(walls) == 0)
-
-
-class TestSingleLink:
-    def test_two_nodes(self):
-        tb = single_link_testbed(distance_m=7.0)
-        assert tb.n_nodes == 2
-        assert np.linalg.norm(
-            tb.positions_m[1] - tb.positions_m[0]
-        ) == pytest.approx(7.0)
-
-    def test_invalid_distance(self):
-        with pytest.raises(ValueError):
-            single_link_testbed(distance_m=0)

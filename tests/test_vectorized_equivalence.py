@@ -414,15 +414,6 @@ class TestDemodulatorEquivalence:
         ref = demod.demodulate_soft_reference(capture, 0, 32)
         assert np.array_equal(vec, ref)
 
-    def test_soft_chip_matrix_inherits_vectorized_path(self, codebook, rng):
-        demod = MskDemodulator(sps=4)
-        mod = MskModulator(sps=4)
-        symbols = rng.integers(0, 16, 12)
-        capture = add_awgn(mod.modulate_symbols(symbols, codebook), 0.1, rng)
-        matrix = demod.soft_chip_matrix(capture, 0, 12)
-        ref = demod.demodulate_soft_reference(capture, 0, 12 * 32)
-        assert np.array_equal(matrix.ravel(), ref)
-
     def test_batch_matches_single(self, rng):
         demod = MskDemodulator(sps=4)
         mod = MskModulator(sps=4)
@@ -681,7 +672,7 @@ class TestWaveformBatchEngineEquivalence:
         receptions = engine.receive_frames(captures, 25)
         assert len(receptions) == 4
         for body, reception in zip(bodies, receptions[:3], strict=True):
-            assert reception.acquired and not reception.via_postamble
+            assert reception.detection.kind == "preamble"
             assert np.array_equal(reception.symbols, body)
         assert not receptions[3].acquired
         assert receptions[3].symbols.size == 0
@@ -731,7 +722,7 @@ class TestWaveformBatchEngineEquivalence:
         assert np.array_equal(pair.first.hints, hints1)
         assert np.array_equal(pair.second.symbols, sym2)
         assert np.array_equal(pair.second.hints, hints2)
-        assert pair.second.via_postamble
+        assert pair.second.detection.kind == "postamble"
 
     def test_receive_frames_rollback(self, engine, codebook, rng):
         """A frame whose preamble is cut off the capture is recovered
@@ -740,7 +731,7 @@ class TestWaveformBatchEngineEquivalence:
         # Drop the preamble (10 symbols) from the front of the capture.
         cut = capture[6 * 32 * self.SPS :]
         reception = engine.receive_frames([cut], 25)[0]
-        assert reception.acquired and reception.via_postamble
+        assert reception.detection.kind == "postamble"
         assert np.array_equal(reception.symbols, body)
 
 
