@@ -7,11 +7,16 @@ come from one evaluation per interference segment of the whole run;
 sharding then fans independent simulation points across worker
 processes.  Each must stay bit-identical to its unfused/unsharded
 equivalent — asserted here alongside the timings, so the benchmarks
-double as equivalence guards.
+double as equivalence guards.  The chip channel and the
+nearest-codeword decode are also gated against the implementations
+they replaced, kept as private references in the equivalence suite.
 """
 
 import os
+import sys
 import time
+import timeit
+from pathlib import Path
 
 import numpy as np
 
@@ -25,6 +30,12 @@ from repro.sim.network import (
     hot_codewords_reference,
 )
 from repro.utils.rng import derive_key
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from test_vectorized_equivalence import (  # noqa: E402
+    _decode_hard_reference,
+    _transmit_chipwords_batch_reference,
+)
 
 N_PAIRS = 1500
 WORDS_PER_PAIR = 40
@@ -81,6 +92,83 @@ def test_bench_fused_chip_channel(benchmark):
         )
 
 
+def _best_of(runs, fn, *args):
+    """Fastest of ``runs`` timed calls: the host is shared and noisy."""
+    best = float("inf")
+    for _ in range(runs):
+        t0 = time.perf_counter()
+        fn(*args)
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
+def test_bench_chip_channel_raw_words(benchmark):
+    """The 1500-pair transit from raw Philox words under integer
+    limits, gated >= 1.5x over per-pair ``Generator.integers`` draws
+    under float64 thresholds and asserted bit-identical to them."""
+    _, flat = _pair_workload()
+
+    fast = benchmark(transmit_chipwords_batch, *flat)
+
+    assert np.array_equal(fast, _transmit_chipwords_batch_reference(*flat))
+    if benchmark.enabled:
+        reference_s = _best_of(3, _transmit_chipwords_batch_reference, *flat)
+        raw_s = _best_of(3, transmit_chipwords_batch, *flat)
+        speedup = reference_s / raw_s
+        assert speedup >= 1.5, (
+            f"raw-word transit only {speedup:.1f}x faster than the "
+            f"float-threshold draw ({raw_s:.3f}s vs {reference_s:.3f}s)"
+        )
+
+
+def test_bench_decode_hard_min_key(benchmark):
+    """Nearest-codeword decode of 1M noisy words by a blocked minimum
+    over (distance, index) keys, gated >= 2.5x over the (n, 16)
+    distance matrix, no slower on a 16-word call, and asserted
+    bit-identical to it."""
+    codebook = ZigbeeCodebook()
+    rng = np.random.default_rng(3)
+    sent = codebook.encode_words(rng.integers(0, 16, 1 << 20))
+    received = sent ^ (
+        rng.integers(0, 2**32, sent.size, dtype=np.uint32)
+        & rng.integers(0, 2**32, sent.size, dtype=np.uint32)
+        & rng.integers(0, 2**32, sent.size, dtype=np.uint32)
+    )
+
+    symbols, hints = benchmark(codebook.decode_hard, received)
+
+    ref_symbols, ref_hints = _decode_hard_reference(codebook, received)
+    assert np.array_equal(symbols, ref_symbols)
+    assert np.array_equal(hints, ref_hints)
+    if benchmark.enabled:
+        reference_s = _best_of(3, _decode_hard_reference, codebook, received)
+        keyed_s = _best_of(3, codebook.decode_hard, received)
+        speedup = reference_s / keyed_s
+        assert speedup >= 2.5, (
+            f"minimum-key decode only {speedup:.1f}x faster than "
+            f"the distance matrix ({keyed_s:.3f}s vs {reference_s:.3f}s)"
+        )
+        # The receiver frontend and fig16 decode a few words per call,
+        # where a per-codeword loop of array ops would cost ~8x more.
+        few = received[:16]
+        reference_few_s = min(
+            timeit.repeat(
+                lambda: _decode_hard_reference(codebook, few),
+                number=500,
+                repeat=3,
+            )
+        )
+        few_s = min(
+            timeit.repeat(
+                lambda: codebook.decode_hard(few), number=500, repeat=3
+            )
+        )
+        assert few_s <= 1.5 * reference_few_s, (
+            f"16-word decode {few_s / reference_few_s:.1f}x the cost of "
+            "the distance matrix"
+        )
+
+
 def test_bench_hot_codewords_segments(benchmark):
     """A heavy run's chip error probabilities from its interference
     segments, gated >= 5x over the per-pair, per-symbol reference and
@@ -122,15 +210,20 @@ def test_bench_hot_codewords_segments(benchmark):
 
 
 def test_bench_sharded_capacity_points(benchmark):
-    """Two capacity points prefetched with jobs=2 vs sequentially:
-    always bit-identical; wall-clock gated only on multi-core hosts
-    (workers cannot beat one process on a single core)."""
-    duration_s, seed = 6.0, 2007
+    """Four 15 s capacity points (carrier sense off/on x two seeds)
+    prefetched with jobs=2 vs sequentially: always bit-identical;
+    wall-clock gated only on multi-core hosts (workers cannot beat one
+    process on a single core).  Four points of this length keep the
+    two workers' start-up well below the simulation they share."""
+    duration_s, seed = 15.0, 2007
 
     def points(cache: RunCache):
         return [
-            cache.config_for(load=13800.0, carrier_sense=False),
-            cache.config_for(load=13800.0, carrier_sense=True),
+            cache.config_for(
+                load=13800.0, carrier_sense=carrier_sense, seed=point_seed
+            )
+            for point_seed in (seed, seed + 1)
+            for carrier_sense in (False, True)
         ]
 
     def sharded():

@@ -9,6 +9,7 @@ read is one gunzip + buffer reslice).
 """
 
 import time
+import timeit
 
 import numpy as np
 
@@ -24,12 +25,14 @@ def _store_point():
     return cache.config_for(load=13800.0, carrier_sense=False)
 
 
+def _best_of_three(fn, *args):
+    return min(timeit.repeat(lambda: fn(*args), number=1, repeat=3))
+
+
 def test_bench_store_warm_hit(benchmark, tmp_path):
     """Warm store hit vs simulating the same point (>= 20x gate)."""
     config = _store_point()
-    start = time.perf_counter()
     result = _simulate_config(config)
-    simulate_s = time.perf_counter() - start
     store = RunStore(tmp_path)
     store.put(config, result)
 
@@ -42,13 +45,13 @@ def test_bench_store_warm_hit(benchmark, tmp_path):
         for a, b in zip(loaded.records, result.records, strict=True)
     )
 
-    start = time.perf_counter()
-    warm = store.get(config)
-    warm_s = time.perf_counter() - start
-    assert warm is not None
     if benchmark.enabled:
         # Wall-clock gates only when actually benchmarking; under
         # --benchmark-disable (CI) a contended runner would flake.
+        # Both sides are the fastest of three timed calls, so a
+        # scheduler stall of a shared host moves neither.
+        simulate_s = _best_of_three(_simulate_config, config)
+        warm_s = _best_of_three(store.get, config)
         advantage = simulate_s / warm_s
         assert advantage >= 20.0, (
             f"warm store hit only {advantage:.1f}x cheaper than "

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.special import erfc
 
 from repro.utils.bitops import pack_bits_to_uint32
-from repro.utils.rng import RngLike, ensure_rng, rng_from_key
+from repro.utils.rng import RngLike, ensure_rng, keyed_words
 
 
 def chip_error_probability_interference(
@@ -132,13 +132,18 @@ def transmit_chipwords_batch(
     The input is any number of (transmission, receiver) pairs' words
     concatenated flat; ``sizes`` gives each pair's word count and
     ``keys[i]`` its 128-bit stream key (from ``derive_key(seed,
-    "chip-channel", tx_id, receiver)``).  Pair *i*'s chips flip using
-    uniforms drawn from a counter-based Philox stream under ``keys[i]``
-    — a function of the key and the pair's own draw order only — so
-    the result is bit-identical whether pairs transit one at a time,
-    fused across a whole trial, or sharded over worker processes.
-    Flip generation, packing, and the XOR against the transmitted
-    words run over whole groups of pairs at once.
+    "chip-channel", tx_id, receiver)``).  Pair *i* reads ``32 *
+    sizes[i]`` uint32 words from the counter-based Philox stream under
+    ``keys[i]`` (:func:`~repro.utils.rng.keyed_words`, the stream
+    ``Generator.integers(0, 2**32)`` would draw), one per chip, row by
+    row — a function of the key and the pair's own draw order only —
+    so the result is bit-identical whether pairs transit one at a
+    time, fused across a whole trial, or sharded over worker
+    processes.  Chip *c* of word *w* flips when its draw ``u``
+    satisfies ``u < p[w] * 2**32``, evaluated as the integer compare
+    ``u <= ceil(p[w] * 2**32) - 1``: ``p = 0`` never flips and
+    ``p = 1`` always does.  Packing and the XOR against the
+    transmitted words run over whole groups of pairs at once.
 
     Parameters
     ----------
@@ -174,36 +179,43 @@ def transmit_chipwords_batch(
     if n == 0:
         return tx_words.copy()
 
-    starts = np.concatenate([[0], np.cumsum(sizes)])
-    # Flip iff a 32-bit uniform falls below p * 2**32: probabilities
-    # quantise at 2**-32 resolution (far below the channel model's own
-    # fidelity) and the integer draws are ~2x cheaper than doubles.
-    thresholds = np.ldexp(p, 32)
+    starts = np.concatenate([[0], np.cumsum(sizes)]).tolist()
+    # Flip iff a 32-bit uniform u falls below p * 2**32 (exact in
+    # float64).  For integer u that holds exactly when
+    # u <= ceil(p * 2**32) - 1, so the compare runs in uint32 with no
+    # float upcast of the draws.  The two edge rows: p == 1 gives a
+    # limit of 0xFFFFFFFF and every chip flips; p == 0 gives -1, which
+    # uint32 cannot hold, so those words are clamped to 0 here and
+    # restored to the transmitted word after the loop (never flip).
+    # Probabilities quantise at 2**-32, far below the model's fidelity.
+    ceilings = np.ceil(np.ldexp(p, 32))
+    limits = np.maximum(ceilings - 1.0, 0.0).astype(np.uint32)
+    words = keyed_words(keys, 32 * sizes)
     rx = np.empty(n, dtype=np.uint32)
     i = 0
     while i < sizes.size:
         # Group whole pairs up to the memory bound (always >= 1 pair).
         j = i + 1
-        g_lo = int(starts[i])
-        while (
-            j < sizes.size
-            and int(starts[j + 1]) - g_lo <= _BATCH_GROUP_WORDS
-        ):
+        g_lo = starts[i]
+        while j < sizes.size and starts[j + 1] - g_lo <= _BATCH_GROUP_WORDS:
             j += 1
-        g_hi = int(starts[j])
+        g_hi = starts[j]
         # Every row in the group belongs to exactly one pair below, so
         # the buffer needs no initialisation.
-        flips = np.empty((g_hi - g_lo, 32), dtype=np.uint8)
+        flips = np.empty((g_hi - g_lo, 32), dtype=bool)
         for k in range(i, j):
-            lo, hi = int(starts[k]) - g_lo, int(starts[k + 1]) - g_lo
-            if hi > lo:
-                gen = rng_from_key(keys[k])
-                uniforms = gen.integers(
-                    0, 1 << 32, size=(hi - lo, 32), dtype=np.uint32
-                )
-                flips[lo:hi] = (
-                    uniforms < thresholds[g_lo + lo : g_lo + hi, None]
-                )
-        rx[g_lo:g_hi] = tx_words[g_lo:g_hi] ^ pack_bits_to_uint32(flips)
+            lo, hi = starts[k], starts[k + 1]
+            np.less_equal(
+                next(words).reshape(hi - lo, 32),
+                limits[lo:hi, None],
+                out=flips[lo - g_lo : hi - g_lo],
+            )
+        # Rows are 32 chips, so packing the flat matrix puts each word's
+        # chip 0 in the high bit of its first byte; the four bytes read
+        # big-endian are the packed chip word.
+        errors = np.packbits(flips.ravel()).view(">u4")
+        rx[g_lo:g_hi] = tx_words[g_lo:g_hi] ^ errors
         i = j
+    silent = ceilings < 1.0  # p == 0: the limit of -1
+    rx[silent] = tx_words[silent]
     return rx

@@ -25,6 +25,11 @@ _ZIGBEE_BASE_CHIPS = np.array(
     dtype=np.uint8,
 )
 
+# decode_hard handles received words in blocks of this many
+# (codeword, word) keys, so its transient stays in cache whatever the
+# input size, and a call on a few words costs a handful of array ops.
+_DECODE_BLOCK_KEYS = 1 << 16
+
 
 class Codebook:
     """A symbol -> chip-word mapping with vectorised nearest decoding.
@@ -56,6 +61,12 @@ class Codebook:
         self._chips = codewords
         self._words = pack_bits_to_uint32(codewords)
         self._bits_per_symbol = int(np.log2(n))
+        # decode_hard's key: the distance (0..width) above the symbol
+        # index, in the narrowest unsigned type that holds both.
+        self._key_dtype = np.min_scalar_type(
+            (width << self._bits_per_symbol) | (n - 1)
+        )
+        self._key_index = np.arange(n, dtype=self._key_dtype)[:, None]
         # ±1 chip patterns for soft-decision correlation (Eq. 1).
         self._signs = codewords.astype(np.float64) * 2.0 - 1.0
 
@@ -115,15 +126,26 @@ class Codebook:
         Hamming distance from received word *i* to the codeword it was
         decoded to — exactly the SoftPHY hint of paper §3.2.
 
-        Ties resolve to the lowest symbol index, which matches a
-        deterministic hardware correlator bank.
+        Each word takes the minimum over codewords *k* of the key
+        ``(popcount(rx ^ w_k) << s) | k``, with ``s`` bits reserved for
+        the symbol index.  Because the index sits in the low bits,
+        equal distances compare by index: ties resolve to the lowest
+        symbol index, which matches a deterministic hardware correlator
+        bank.  Words are keyed a block at a time, so the decode never
+        holds an ``(n_received, n_symbols)`` distance matrix.
         """
         received_words = np.asarray(received_words, dtype=np.uint32)
-        # (n_received, n_symbols) distance matrix via XOR + popcount.
-        xor = received_words[:, None] ^ self._words[None, :]
-        dist = popcount32(xor)
-        symbols = dist.argmin(axis=1)
-        distances = dist[np.arange(dist.shape[0]), symbols]
+        shift, key_dtype = self._bits_per_symbol, self._key_dtype
+        best = np.empty(received_words.shape, key_dtype)
+        block = max(1, _DECODE_BLOCK_KEYS // self.n_symbols)
+        for lo in range(0, received_words.size, block):
+            rx = received_words[None, lo : lo + block]
+            key = popcount32(self._words[:, None] ^ rx).astype(key_dtype)
+            key <<= shift
+            key |= self._key_index
+            key.min(axis=0, out=best[lo : lo + block])
+        symbols = best & ((1 << shift) - 1)
+        distances = best >> shift
         return symbols.astype(np.int64), distances.astype(np.int64)
 
     # -- distance structure ------------------------------------------------

@@ -23,11 +23,14 @@ remove that constraint:
   depends only on its key and how much it has drawn, so any batch of
   streams can be evaluated in any order, on any worker, with
   bit-identical results.
+* :func:`keyed_words` reads many keyed streams' raw 32-bit words with
+  one re-keyed bit generator, for the chip channel's per-pair draws.
 """
 
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Iterable, Iterator
 from typing import TypeAlias
 
 import numpy as np
@@ -76,9 +79,10 @@ def derive_key(seed: int, label: str, *ids: int) -> np.ndarray:
     text = ":".join([str(seed), label, *(str(i) for i in ids)])
     digest = hashlib.sha256(text.encode()).digest()
     if sanitize.enabled():
-        # Ledger the key at mint time only: downstream re-wrapping of a
-        # stored key (rng_from_key in the batched channel) reuses a
-        # stream on purpose and must not read as a second draw site.
+        # Ledger the key at mint time only: downstream re-reading of a
+        # stored key (keyed_words re-keying one bit generator for the
+        # batched channel) reuses a stream on purpose and must not
+        # read as a second draw site.
         sanitize.record_key(digest[:16], sanitize.call_site((__file__,)))
     return np.frombuffer(digest[:16], dtype=np.dtype("<u8")).copy()
 
@@ -99,9 +103,42 @@ def keyed_rng(seed: int, label: str, *ids: int) -> np.random.Generator:
 def rng_from_key(key: np.ndarray) -> np.random.Generator:
     """Wrap a precomputed :func:`derive_key` key in a Philox stream.
 
-    The batched channel keeps per-(tx, receiver) keys as arrays and
-    instantiates streams lazily per group; this is the one sanctioned
-    constructor for that path, so generator construction stays
-    concentrated in this module (the RP001 contract).
+    :func:`keyed_rng` and the supervised executor's fault and backoff
+    draws build their keyed streams here, so generator construction
+    stays concentrated in this module (the RP001 contract); the
+    batched channel reads its per-pair words through
+    :func:`keyed_words` instead.
     """
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def keyed_words(
+    keys: np.ndarray, counts: Iterable[int]
+) -> Iterator[np.ndarray]:
+    """Yield the first ``count`` uint32 words of each key's stream.
+
+    For every ``(key, count)`` pair the yielded array equals
+    ``rng_from_key(key).integers(0, 2**32, count, dtype=np.uint32)``
+    bit for bit: numpy serves full-range 32-bit draws by splitting each
+    raw 64-bit Philox output in two, low half first.  Reading
+    ``random_raw`` as little-endian uint32 pairs reproduces that order
+    on any host (the explicit ``<u8`` cast makes it hold on big-endian
+    ones too); an odd count drops the last high half, just as the
+    stream would leave it buffered.
+
+    One bit generator serves every key: each pair resets its counter,
+    output buffer and key, which is exactly the state
+    ``Philox(key=key)`` starts in, so no stream depends on its
+    neighbours.  This skips the generator construction per key (and
+    the entropy gathering behind it, which a keyed stream never
+    reads) and the bounded-integer loop of ``Generator.integers``.
+    """
+    bitgen = np.random.Philox(key=0)
+    fresh = bitgen.state
+    # Callers read one array per pair with next() and check the key
+    # table's shape themselves, so no length check could fire here.
+    for key, count in zip(keys, counts, strict=False):
+        fresh["state"]["key"] = key
+        bitgen.state = fresh
+        raw = bitgen.random_raw((count + 1) // 2)
+        yield raw.astype("<u8", copy=False).view("<u4")[:count]

@@ -47,8 +47,8 @@ from repro.phy.batch import (
     WaveformDecodeRequest,
 )
 from repro.phy.channelsim import add_awgn
-from repro.phy.chipchannel import transmit_chipwords
-from repro.phy.codebook import ZigbeeCodebook
+from repro.phy.chipchannel import transmit_chipwords, transmit_chipwords_batch
+from repro.phy.codebook import Codebook, ZigbeeCodebook
 from repro.phy.convolutional import ConvolutionalCode, SovaDecoder
 from repro.phy.decoder import SoftDecisionDecoder
 from repro.phy.demodulation import MskDemodulator
@@ -68,7 +68,8 @@ from repro.sim.network import (
     hot_codewords_reference,
 )
 from repro.utils import sanitize
-from repro.utils.rng import ensure_rng
+from repro.utils.bitops import pack_bits_to_uint32, popcount32
+from repro.utils.rng import derive_key, ensure_rng, keyed_words, rng_from_key
 
 # Standard generator pairs per constraint length (octal), so the
 # randomized sweep exercises real codes rather than degenerate taps.
@@ -319,6 +320,213 @@ class TestBatchedDecoders:
         assert len(out) == 3
         for symbols, dists in out:
             assert symbols.size == 0 and dists.size == 0
+
+
+def _transmit_chipwords_batch_reference(tx_words, chip_error_prob, sizes, keys):
+    """The keyed chip channel as first written: one ``Generator`` per
+    pair drawing ``integers(0, 2**32)`` chip by chip, a float64
+    ``u < p * 2**32`` compare, and ``pack_bits_to_uint32``."""
+    tx_words = np.asarray(tx_words, dtype=np.uint32)
+    p = np.broadcast_to(
+        np.asarray(chip_error_prob, dtype=np.float64), tx_words.shape
+    )
+    thresholds = np.ldexp(p, 32)
+    rx = tx_words.copy()
+    lo = 0
+    for size, key in zip(sizes, keys, strict=True):
+        hi = lo + int(size)
+        if hi > lo:
+            uniforms = rng_from_key(key).integers(
+                0, 1 << 32, size=(hi - lo, 32), dtype=np.uint32
+            )
+            flips = uniforms < thresholds[lo:hi, None]
+            rx[lo:hi] ^= pack_bits_to_uint32(flips.astype(np.uint8))
+        lo = hi
+    return rx
+
+
+def _decode_hard_reference(codebook, received_words):
+    """Nearest-codeword decode as first written: the full
+    ``(n, n_symbols)`` distance matrix, ``argmin`` (first minimum wins)
+    and a fancy index for the distances."""
+    received_words = np.asarray(received_words, dtype=np.uint32)
+    words = codebook.encode_words(np.arange(codebook.n_symbols))
+    dist = popcount32(received_words[:, None] ^ words[None, :])
+    symbols = dist.argmin(axis=1)
+    distances = dist[np.arange(dist.shape[0]), symbols]
+    return symbols.astype(np.int64), distances.astype(np.int64)
+
+
+def _pair_keys(count, seed=0):
+    return np.stack(
+        [derive_key(seed, "chip-channel", i, 23) for i in range(count)]
+    )
+
+
+class TestChipChannelEquivalence:
+    """Raw Philox words under an integer limit vs the per-pair
+    ``Generator.integers`` draw under a float64 threshold: the same
+    flips, bit for bit, on every probability the float compare can
+    distinguish."""
+
+    def _assert_equivalent(self, words, p, sizes, keys):
+        fast = transmit_chipwords_batch(words, p, sizes, keys)
+        ref = _transmit_chipwords_batch_reference(words, p, sizes, keys)
+        assert fast.dtype == ref.dtype == np.uint32
+        assert np.array_equal(fast, ref)
+        return fast
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 31, 32, 33, 1001])
+    def test_keyed_words_is_the_generator_stream(self, n):
+        """Odd and even counts: the raw words are exactly what
+        ``Generator.integers(0, 2**32)`` draws from the same key."""
+        key = derive_key(5, "chip-channel", n, 24)
+        (words,) = keyed_words(key[None, :], [n])
+        expected = rng_from_key(key).integers(0, 2**32, n, dtype=np.uint32)
+        assert words.dtype == expected.dtype
+        assert np.array_equal(words, expected)
+
+    def test_keyed_words_streams_are_independent(self):
+        """Re-keying one bit generator leaves no state behind: every
+        stream in a call equals that stream drawn alone."""
+        counts = [7, 0, 64, 1, 33]
+        keys = _pair_keys(len(counts), seed=9)
+        for key, count, words in zip(
+            keys, counts, keyed_words(keys, counts), strict=True
+        ):
+            (alone,) = keyed_words(key[None, :], [count])
+            assert np.array_equal(words, alone)
+
+    def test_random_pairs(self, rng):
+        sizes = rng.integers(0, 60, 40)
+        n = int(sizes.sum())
+        words = rng.integers(0, 2**32, n, dtype=np.uint32)
+        p = rng.uniform(0.0, 0.5, n)
+        self._assert_equivalent(words, p, sizes, _pair_keys(sizes.size))
+
+    def test_probability_edges(self, rng):
+        """p = 0, the smallest subnormal, 0.5, 1 and every exact
+        ``k * 2**-32`` boundary met by a real draw, with its
+        neighbours one ulp either side."""
+        fixed = [0.0, 5e-324, 2.0**-32, 0.5, 1.0 - 2.0**-32, 1.0]
+        key = derive_key(1, "chip-channel", 7, 23)
+        # The draws the first pair will see: anchor each boundary word's
+        # probability on the draw of one of its chips.
+        n_boundary = 64
+        draws = rng_from_key(key).integers(
+            0, 2**32, (n_boundary * 3, 32), dtype=np.uint32
+        )
+        chip = np.arange(n_boundary * 3) % 32
+        anchors = draws[np.arange(n_boundary * 3), chip].astype(np.float64)
+        exact = np.ldexp(anchors, -32)
+        p_boundary = np.concatenate(
+            [
+                exact[:n_boundary],
+                np.nextafter(exact[n_boundary : 2 * n_boundary], 0.0),
+                np.nextafter(exact[2 * n_boundary :], 1.0),
+            ]
+        )
+        p = np.concatenate([p_boundary, np.repeat(fixed, 8)])
+        words = rng.integers(0, 2**32, p.size, dtype=np.uint32)
+        sizes = [n_boundary * 3, p.size - n_boundary * 3]
+        keys = np.stack([key, derive_key(1, "chip-channel", 8, 23)])
+        rx = self._assert_equivalent(words, p, sizes, keys)
+
+        # Independent of either kernel: chip c flips iff u < p * 2**32.
+        flipped = (rx[: n_boundary * 3] ^ words[: n_boundary * 3]) >> (
+            31 - chip
+        ) & 1
+        assert not flipped[: 2 * n_boundary].any()  # u < u is false
+        assert flipped[2 * n_boundary :].all()  # u < u + ulp holds
+        tail = rx[n_boundary * 3 :].reshape(len(fixed), 8)
+        sent = words[n_boundary * 3 :].reshape(len(fixed), 8)
+        assert np.array_equal(tail[0], sent[0])  # p == 0 never flips
+        assert np.array_equal(tail[-1], ~sent[-1])  # p == 1 always does
+
+    def test_zero_size_pairs(self, rng):
+        sizes = [0, 5, 0, 0, 12, 0]
+        n = sum(sizes)
+        words = rng.integers(0, 2**32, n, dtype=np.uint32)
+        p = rng.uniform(0.0, 0.4, n)
+        self._assert_equivalent(words, p, sizes, _pair_keys(len(sizes)))
+        empty = np.zeros(0, dtype=np.uint32)
+        self._assert_equivalent(empty, empty, [0, 0], _pair_keys(2))
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_equivalence_property(self, seed):
+        rng = ensure_rng(seed)
+        sizes = rng.integers(0, 30, int(rng.integers(1, 8)))
+        n = int(sizes.sum())
+        words = rng.integers(0, 2**32, n, dtype=np.uint32)
+        # Mix continuous probabilities with exact 2**-32 multiples.
+        p = np.where(
+            rng.random(n) < 0.5,
+            rng.uniform(0.0, 1.0, n),
+            np.ldexp(rng.integers(0, 2**32, n).astype(np.float64), -32),
+        )
+        self._assert_equivalent(
+            words, p, sizes, _pair_keys(sizes.size, seed=seed)
+        )
+
+
+class TestDecodeHardEquivalence:
+    """The blocked minimum-key decode vs the full distance matrix."""
+
+    def _assert_equivalent(self, codebook, received):
+        fast = codebook.decode_hard(received)
+        ref = _decode_hard_reference(codebook, received)
+        for a, b in zip(fast, ref, strict=True):
+            assert a.dtype == b.dtype == np.int64
+            assert np.array_equal(a, b)
+        return fast
+
+    @pytest.mark.parametrize("n", [1, 4095, 4096, 4097, 9000])
+    def test_random_words(self, n, codebook, rng):
+        """Single words, and both sides of the 4096-word block edge."""
+        received = rng.integers(0, 2**32, n, dtype=np.uint32)
+        self._assert_equivalent(codebook, received)
+
+    def test_noisy_codewords(self, codebook, rng):
+        sent = codebook.encode_words(rng.integers(0, 16, 2000))
+        received = transmit_chipwords(sent, 0.15, rng)
+        self._assert_equivalent(codebook, received)
+
+    def test_equidistant_words_go_to_the_lowest_index(self, codebook):
+        """A word halfway between two codewords decodes to the lower
+        index whenever no third codeword is closer."""
+        words = codebook.encode_words(np.arange(codebook.n_symbols))
+        received, expected = [], []
+        for a in range(codebook.n_symbols):
+            for b in range(a + 1, codebook.n_symbols):
+                diff = int(words[a] ^ words[b])
+                bits = [i for i in range(32) if diff >> i & 1]
+                half = sum(1 << i for i in bits[: len(bits) // 2])
+                word = int(words[a]) ^ half
+                dists = [bin(word ^ int(w)).count("1") for w in words]
+                if len(bits) % 2 == 0 and min(dists) == dists[a] == dists[b]:
+                    received.append(word)
+                    expected.append(dists.index(min(dists)))
+        assert len(received) > 20
+        symbols, _ = self._assert_equivalent(
+            codebook, np.array(received, dtype=np.uint32)
+        )
+        assert symbols.tolist() == expected
+
+    @pytest.mark.parametrize("n_symbols", [2, 64, 2048])
+    def test_other_codebook_sizes(self, n_symbols, rng):
+        """Key widths from uint8 (2 codewords) to uint32 (2048)."""
+        codewords = rng.choice(2**32, n_symbols, replace=False).astype(">u4")
+        chips = np.unpackbits(codewords.view(np.uint8)).reshape(n_symbols, 32)
+        codebook = Codebook(chips)
+        received = rng.integers(0, 2**32, 3000, dtype=np.uint32)
+        self._assert_equivalent(codebook, received)
+
+    def test_empty(self, codebook):
+        symbols, dists = self._assert_equivalent(
+            codebook, np.zeros(0, dtype=np.uint32)
+        )
+        assert symbols.size == dists.size == 0
 
 
 def _frame_capture(codebook, rng, n_body, sps, noise=0.08):
