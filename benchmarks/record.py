@@ -1,0 +1,245 @@
+"""Record a change's benchmark numbers against its parent commit.
+
+Usage, from the root of a git checkout holding the change::
+
+    python3 benchmarks/record.py --parent HEAD~1 --pairs 10 --pr 19
+
+Checks ``--parent`` out into a temporary ``git worktree``, then for
+every workload of ``BENCHMARK.json`` runs::
+
+    python3 perfbench/run.py --workload W --seed 2007 --trace 0
+
+``--pairs`` times in the parent checkout and in this one, alternating
+(the parent goes first in odd pairs, so drift on a shared host hits
+both sides alike), plus one ``--trace 1`` run on each side.  The
+medians, quartiles, per-pair wins and raw runs go to
+``BENCH_<pr>.json`` in this checkout.
+
+Exits 1 when a change median of an end-to-end metric is worse than
+its parent's by more than that metric's ``bound`` in
+``BENCHMARK.json`` (or a run fails), 0 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+ORDER = "alternating, parent first in odd pairs"
+SEED = 2007
+# The workload and lower-is-better metric the change claims to improve.
+CLAIM = ("sim-heavy", "wall_s")
+
+
+def run_bench(checkout: Path, workload: str, seed: int, trace: int) -> dict:
+    """One ``perfbench/run.py`` run: its result line and digests."""
+    command = [
+        sys.executable,
+        "perfbench/run.py",
+        "--workload",
+        workload,
+        "--seed",
+        str(seed),
+        "--trace",
+        str(trace),
+    ]
+    proc = subprocess.run(
+        command, cwd=checkout, capture_output=True, text=True, check=False
+    )
+    lines = proc.stdout.splitlines()
+    if proc.returncode != 0 or not lines:
+        raise RuntimeError(
+            f"{' '.join(command)} in {checkout} exited with "
+            f"{proc.returncode}: {proc.stderr.strip()}"
+        )
+    result = json.loads(lines[-1])
+    result["digests"] = [
+        line.split(": ", 1)[1] for line in lines if line.startswith("digest ")
+    ]
+    result["absent"] = [line for line in lines if line.startswith("problem: absent:")]
+    return result
+
+
+def summarise(parent: list[float], change: list[float], better: str) -> dict:
+    """Medians, quartiles and per-pair wins of one metric."""
+
+    def quartiles(runs: list[float]) -> list[float]:
+        return [round(float(q), 4) for q in np.percentile(runs, [25, 75])]
+
+    sign = 1 if better == "lower" else -1
+    wins = sum(sign * (c - p) < 0 for p, c in zip(parent, change, strict=True))
+    return {
+        "parent_median": round(statistics.median(parent), 4),
+        "change_median": round(statistics.median(change), 4),
+        "parent_quartiles": quartiles(parent),
+        "change_quartiles": quartiles(change),
+        "change_wins": wins,
+        "runs_each": len(parent),
+        "parent_runs": [round(v, 4) for v in parent],
+        "change_runs": [round(v, 4) for v in change],
+    }
+
+
+def record_workload(
+    parent_dir: Path, workload: str, seed: int, pairs: int, metrics: list[dict]
+) -> dict:
+    """``pairs`` alternating untraced runs on each side."""
+    runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    for i in range(pairs):
+        sides = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in sides:
+            checkout = parent_dir if side == "parent" else ROOT
+            runs[side].append(run_bench(checkout, workload, seed, 0))
+            print(
+                f"{workload} pair {i + 1}/{pairs} {side}: "
+                + json.dumps(
+                    {m["name"]: runs[side][-1]["metrics"][m["name"]]["value"] for m in metrics}
+                ),
+                file=sys.stderr,
+            )
+    out: dict = {"seed": seed, "pairs": pairs, "order": ORDER}
+    for metric in metrics:
+        name = metric["name"]
+        out[name] = summarise(
+            [r["metrics"][name]["value"] for r in runs["parent"]],
+            [r["metrics"][name]["value"] for r in runs["change"]],
+            metric["better"],
+        )
+    out["failed"] = {side: sum(r["failed"] for r in rs) for side, rs in runs.items()}
+    out["correct"] = {side: all(r["correct"] for r in rs) for side, rs in runs.items()}
+    out["digests"] = {
+        side: sorted({d for r in rs for d in r["digests"]}) for side, rs in runs.items()
+    }
+    return out
+
+
+def record_traced(parent_dir: Path, workload: str, seed: int) -> dict:
+    """One traced run on each side: every per-layer metric."""
+    parent = run_bench(parent_dir, workload, seed, 1)
+    change = run_bench(ROOT, workload, seed, 1)
+    return {
+        "jobs": 1,
+        "absent_lines": {"parent": len(parent["absent"]), "change": len(change["absent"])},
+        "digests": {"parent": parent["digests"], "change": change["digests"]},
+        "metrics": {
+            name: {
+                "parent": parent["metrics"].get(name, {}).get("value"),
+                "change": value["value"],
+            }
+            for name, value in change["metrics"].items()
+        },
+    }
+
+
+def claim_of(workloads: dict) -> dict:
+    """Whether the change beat its parent on the ``CLAIM`` metric.
+
+    Met when it won at least nine in ten pairs and its median gain
+    exceeds the spread between the parent's quartiles.
+    """
+    workload, metric = CLAIM
+    s = workloads[workload][metric]
+    parent_iqr = s["parent_quartiles"][1] - s["parent_quartiles"][0]
+    gain = s["parent_median"] - s["change_median"]
+    return {
+        "workload": workload,
+        "metric": metric,
+        "parent_median": s["parent_median"],
+        "change_median": s["change_median"],
+        "change_vs_parent": round(s["change_median"] / s["parent_median"] - 1, 3),
+        "change_wins": f"{s['change_wins']}/{s['runs_each']}",
+        "parent_iqr": round(parent_iqr, 4),
+        "met": s["change_wins"] >= 0.9 * s["runs_each"] and gain > parent_iqr,
+    }
+
+
+def regressions(workloads: dict, end_to_end: list[dict]) -> list[str]:
+    """End-to-end medians worse than the parent's beyond their bound."""
+    out = []
+    for workload, summary in workloads.items():
+        for side, failed in summary["failed"].items():
+            if failed:
+                out.append(f"{workload}: {failed} failed operations ({side})")
+        for metric in end_to_end:
+            s = summary[metric["name"]]
+            parent, change = s["parent_median"], s["change_median"]
+            if metric["better"] == "lower":
+                worse = change > parent * (1 + metric["bound"])
+            else:
+                worse = change < parent * (1 - metric["bound"])
+            if worse:
+                out.append(
+                    f"{workload} {metric['name']}: {parent} -> {change} "
+                    f"(bound {metric['bound']:.0%})"
+                )
+    return out
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, help="git revision to compare against")
+    parser.add_argument("--pairs", type=int, default=5, help="alternating pairs per workload")
+    parser.add_argument("--pr", required=True, help="number in the output name BENCH_<pr>.json")
+    parser.add_argument("--change", help="one line naming the change")
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be >= 1")
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())
+    names = [w["name"] for w in declared["workloads"]]
+    end_to_end = declared["end_to_end"]
+
+    def git(*cmd: str, cwd: Path = ROOT) -> str:
+        return subprocess.run(
+            ["git", *cmd], cwd=cwd, capture_output=True, text=True, check=True
+        ).stdout.strip()
+
+    parent_rev = git("rev-parse", "--short", args.parent)
+    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
+        parent_dir = Path(tmp) / "parent"
+        git("worktree", "add", "--detach", str(parent_dir), parent_rev)
+        try:
+            workloads = {
+                name: record_workload(parent_dir, name, SEED, args.pairs, end_to_end)
+                for name in names
+            }
+            traced = {name: record_traced(parent_dir, name, SEED) for name in names}
+        finally:
+            git("worktree", "remove", "--force", str(parent_dir))
+
+    document = {
+        "change": args.change or git("describe", "--always", "--dirty"),
+        "parent": parent_rev,
+        "host": (
+            f"{os.cpu_count()} vCPUs, Python {platform.python_version()}, "
+            f"numpy {np.__version__}"
+        ),
+        "command": f"python3 perfbench/run.py --workload W --seed {SEED} --trace 0",
+        "claim": claim_of(workloads),
+        "workloads": workloads,
+        "traced": {
+            "command": f"python3 perfbench/run.py --workload W --seed {SEED} --trace 1",
+            **traced,
+        },
+    }
+    problems = regressions(workloads, end_to_end)
+    document["regressions"] = problems
+    out = ROOT / f"BENCH_{args.pr}.json"
+    out.write_text(json.dumps(document, indent=2) + "\n")
+    print(f"wrote {out.name}; claim met: {document['claim']['met']}")
+    for problem in problems:
+        print(f"regression: {problem}")
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -36,7 +36,7 @@ from repro.phy.sync import (
     PREAMBLE_SYMBOLS,
     SFD_SYMBOLS,
 )
-from repro.utils.crc import crc16
+from repro.utils.crc import CRC16_CCITT, crc16
 
 HEADER_BYTES = 10
 TRAILER_BYTES = 10
@@ -92,6 +92,20 @@ def parse_trailer_bytes(data: bytes) -> tuple[FrameHeader, bool]:
             f"trailer must be exactly {TRAILER_BYTES} bytes, got {len(data)}"
         )
     return parse_header_bytes(data)
+
+
+def header_rows_ok(symbols: np.ndarray) -> np.ndarray:
+    """CRC verdicts of many received headers (or trailers) at once.
+
+    ``symbols`` is ``(n, 2 * HEADER_BYTES)``, one header's nibbles per
+    row, low nibble of each byte first; entry ``i`` of the result is
+    the ``crc_ok`` that :func:`parse_header_bytes` gives the bytes of
+    row ``i``.
+    """
+    nibbles = np.asarray(symbols).astype(np.uint8)
+    data = nibbles[:, 0::2] | (nibbles[:, 1::2] << 4)
+    sent = (data[:, 8].astype(np.uint64) << np.uint64(8)) | data[:, 9]
+    return CRC16_CCITT.checksum_many(data[:, :8]) == sent
 
 
 def body_symbol_count(wire_payload_len: int) -> int:

@@ -30,6 +30,7 @@ from repro.sim.network import (
     ReceptionRecord,
     SimulationConfig,
     SimulationResult,
+    TraceTable,
 )
 from repro.sim.metrics import SchemeEvaluation, evaluate_schemes
 
@@ -47,6 +48,7 @@ __all__ = [
     "ReceptionRecord",
     "SimulationConfig",
     "SimulationResult",
+    "TraceTable",
     "SchemeEvaluation",
     "evaluate_schemes",
 ]

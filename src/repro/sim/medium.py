@@ -59,8 +59,9 @@ class PathLossModel:
 class Transmission:
     """One frame on the air.
 
-    ``symbols`` is the full on-air symbol stream (sync fields included);
-    ``start`` in seconds; duration follows from the symbol period.
+    ``symbols`` is the full on-air symbol stream (sync fields
+    included) as uint8 nibbles; ``start`` in seconds; duration follows
+    from the symbol period.
     ``seq`` is the link-layer sequence number carried in the frame
     header, assigned when the frame is *built*; ``tx_id`` is assigned
     when the frame actually reaches the air, so the two can differ for

@@ -17,6 +17,7 @@ executable specification of :func:`evaluate_schemes`.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +34,8 @@ from repro.link.schemes import (
     SpracScheme,
     TraceBlock,
 )
-from repro.sim.network import ReceptionRecord, SimulationResult
+from repro.phy.sync import SYNC_SYMBOLS
+from repro.sim.network import SimulationResult, transmitted_symbols
 
 _BITS_PER_SYMBOL = 4
 _SYMBOLS_PER_BYTE = 2
@@ -71,29 +73,25 @@ def trace_deliver(
     )
 
 
-def _acquired(
-    records: list[ReceptionRecord], postamble_enabled: bool
-) -> np.ndarray:
-    """Per-record acquisition flags under one PHY mode."""
-    return np.fromiter(
-        (rec.acquired(postamble_enabled) for rec in records),
-        dtype=bool,
-        count=len(records),
-    )
+def _payload_truth(result: SimulationResult, payload: slice) -> np.ndarray:
+    """The transmitted wire-payload symbols, one transmission per row."""
+    span = slice(SYNC_SYMBOLS + payload.start, SYNC_SYMBOLS + payload.stop)
+    return transmitted_symbols(result.transmissions)[:, span]
 
 
 def _trace_block(
-    records: list[ReceptionRecord], rows: np.ndarray, payload: slice
+    result: SimulationResult, rows: np.ndarray, payload: slice
 ) -> TraceBlock:
-    """The payload region of the ``rows`` of ``records`` as one block."""
-    group = [records[i] for i in np.flatnonzero(rows).tolist()]
-    shape = (len(group), payload.stop - payload.start)
-    correct = np.empty(shape, dtype=bool)
-    hints = np.empty(shape, dtype=np.uint8)
-    for row, hint_row, rec in zip(correct, hints, group, strict=True):
-        np.equal(rec.body_symbols[payload], rec.body_truth[payload], out=row)
-        hint_row[:] = rec.body_hints[payload]
-    return TraceBlock(correct, hints)
+    """The payload region of the table's ``rows`` as one block."""
+    table = result.table
+    picked = np.flatnonzero(rows)
+    if not picked.size:
+        # A stored table without rows keeps no body width.
+        empty = np.zeros((0, payload.stop - payload.start), dtype=np.uint8)
+        return TraceBlock(empty.astype(bool), empty)
+    truth = _payload_truth(result, payload)[table.tx_index[picked]]
+    correct = table.body_symbols[picked, payload] == truth
+    return TraceBlock(correct, table.body_hints[picked, payload])
 
 
 #: LinkObservation counter <- TraceDelivery column it sums
@@ -174,19 +172,23 @@ def evaluate_schemes(
     once, as one block; each mode then sums its own acquired rows per
     link.
     """
-    records = result.records
-    n = len(records)
-    links = sorted({rec.link for rec in records})
-    link_index = {link: i for i, link in enumerate(links)}
-    link_ids = np.fromiter(
-        (link_index[rec.link] for rec in records), dtype=np.intp, count=n
+    table = result.table
+    n = len(table)
+    senders = np.array([t.sender for t in result.transmissions], dtype=np.int64)
+    width = int(table.receiver.max(initial=0)) + 1
+    keys, link_ids = np.unique(
+        senders[table.tx_index] * width + table.receiver, return_inverse=True
     )
-    acquired = {mode: _acquired(records, mode) for mode in postamble_options}
+    senders_of, receivers_of = np.divmod(keys, width)
+    links = list(
+        zip(senders_of.tolist(), receivers_of.tolist(), strict=True)
+    )
+    acquired = {mode: table.acquired(mode) for mode in postamble_options}
     scored = np.zeros(n, dtype=bool)
     for mask in acquired.values():
         scored |= mask
     payload = payload_slice(body_symbol_count(result.config.payload_bytes))
-    block = _trace_block(records, scored, payload)
+    block = _trace_block(result, scored, payload)
     columns = {scheme: _score(scheme, block, scored) for scheme in schemes}
 
     def link_sums(mask: np.ndarray, values: np.ndarray | None) -> list[int]:
@@ -395,18 +397,32 @@ def hint_histograms(
     """
     correct_hist = np.zeros(max_hint + 1, dtype=np.int64)
     incorrect_hist = np.zeros(max_hint + 1, dtype=np.int64)
-    # Per record, not per trace block: a block's integer hint copy
-    # raised the benchmark's peak RSS by ~12 MB for no speed gain.
-    for rec in result.records:
-        if not rec.acquired(postamble_enabled):
-            continue
-        hints = rec.payload_hints().astype(int).clip(0, max_hint)
-        correct = rec.payload_correct()
+    # Row by row, not as one block: a block's integer hint copy raised
+    # the benchmark's peak RSS by ~12 MB for no speed gain.
+    for hints, correct in _acquired_payloads(result, postamble_enabled):
+        hints = hints.astype(int).clip(0, max_hint)
         correct_hist += np.bincount(hints[correct], minlength=max_hint + 1)
         incorrect_hist += np.bincount(
             hints[~correct], minlength=max_hint + 1
         )
     return correct_hist, incorrect_hist
+
+
+def _acquired_payloads(
+    result: SimulationResult, postamble_enabled: bool
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """``(hints, correct)`` over the payload of each acquired row."""
+    table = result.table
+    payload = payload_slice(table.body_symbols.shape[1])
+    truth = _payload_truth(result, payload)
+    rows = np.flatnonzero(table.acquired(postamble_enabled))
+    for row, tx in zip(
+        rows.tolist(), table.tx_index[rows].tolist(), strict=True
+    ):
+        yield (
+            table.body_hints[row, payload],
+            table.body_symbols[row, payload] == truth[tx],
+        )
 
 
 def miss_run_length_counts(
@@ -420,11 +436,7 @@ def miss_run_length_counts(
     are maximal stretches of consecutive misses within a reception.
     """
     out: dict[int, Counter] = {eta: Counter() for eta in etas}
-    for rec in result.records:
-        if not rec.acquired(postamble_enabled):
-            continue
-        hints = rec.payload_hints()
-        correct = rec.payload_correct()
+    for hints, correct in _acquired_payloads(result, postamble_enabled):
         for eta in etas:
             out[eta].update(run_lengths((hints <= eta) & ~correct))
     return out

@@ -2,9 +2,10 @@
 
 Runs the event-driven sender side (Poisson traffic through CSMA onto
 the shared medium), then post-processes every (transmission, receiver)
-pair into a :class:`ReceptionRecord`: the full on-air symbol stream is
-pushed through the chip-level channel at the pair's per-symbol SINR and
-decoded with the shared PHY core, producing genuine SoftPHY hints.
+pair into a row of the run's :class:`TraceTable`: the full on-air
+symbol stream is pushed through the chip-level channel at the pair's
+per-symbol SINR and decoded with the shared PHY core, producing
+genuine SoftPHY hints.
 
 Acquisition model (paper §4, §7.2.2):
 
@@ -26,14 +27,15 @@ from __future__ import annotations
 
 import heapq
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import Any
 
 import numpy as np
 
 from repro.link.frame import (
     PprFrame,
-    parse_header_bytes,
-    parse_trailer_bytes,
+    body_symbol_count,
+    header_rows_ok,
     payload_slice,
 )
 from repro.phy.batch import BatchReceptionEngine
@@ -42,7 +44,6 @@ from repro.phy.chipchannel import (
     transmit_chipwords_batch,
 )
 from repro.phy.codebook import Codebook, ZigbeeCodebook
-from repro.phy.spreading import symbols_to_bytes
 from repro.phy.sync import SYNC_SYMBOLS
 from repro.sim.core import EventScheduler
 from repro.sim.mac import CsmaConfig, CsmaMac
@@ -121,25 +122,106 @@ class SimulationConfig:
             )
 
 
-@dataclass
-class ReceptionRecord:
-    """One (transmission, receiver) pair after chip-level decoding.
+@dataclass(eq=False)
+class TraceTable:
+    """Every reception of a run, one row per (transmission, receiver) pair.
 
-    A record holds only what its reception decided; sender, timing and
-    ground truth come from ``tx``.  Body arrays cover header + wire
-    payload + trailer.  Storage is compact (int8/uint8) because a run
-    produces thousands of records.
+    Row ``k`` is the reception of ``transmissions[tx_index[k]]`` at
+    ``receiver[k]``: its five acquisition flags and its decoded body
+    (header + wire payload + trailer) as one row of the ``(n, n_body)``
+    int8 ``body_symbols`` and uint8 ``body_hints`` matrices.  Every
+    frame of a run has one layout, so the bodies share one width.
+    Rows are in transmission-major, receiver-minor order.
     """
 
-    tx: Transmission
-    receiver: int
-    preamble_detectable: bool
-    header_ok: bool
-    postamble_detectable: bool
-    trailer_ok: bool
-    acquired_preamble: bool
+    tx_index: np.ndarray
+    receiver: np.ndarray
+    preamble_detectable: np.ndarray
+    header_ok: np.ndarray
+    postamble_detectable: np.ndarray
+    trailer_ok: np.ndarray
+    acquired_preamble: np.ndarray
     body_symbols: np.ndarray = field(repr=False)
     body_hints: np.ndarray = field(repr=False)
+
+    def __post_init__(self) -> None:
+        n = self.tx_index.size
+        for name in _COLUMNS:
+            shape = getattr(self, name).shape
+            ndim = 2 if name.startswith("body_") else 1
+            if len(shape) != ndim or shape[0] != n:
+                raise ValueError(f"{name} has shape {shape}, not {n} rows")
+        if self.body_hints.shape != self.body_symbols.shape:
+            raise ValueError(
+                f"body_hints {self.body_hints.shape} and body_symbols "
+                f"{self.body_symbols.shape} differ; a run stores one "
+                "frame layout"
+            )
+
+    def __len__(self) -> int:
+        return self.tx_index.size
+
+    def acquired(self, postamble_enabled: bool) -> np.ndarray:
+        """Per-row acquisition under the given PHY mode."""
+        return self.acquired_preamble | (
+            postamble_enabled & self.postamble_detectable & self.trailer_ok
+        )
+
+
+_COLUMNS = tuple(f.name for f in fields(TraceTable))
+
+
+def transmitted_symbols(transmissions: Sequence[Transmission]) -> np.ndarray:
+    """The on-air symbols of a run, one transmission per row."""
+    if not transmissions:
+        return np.empty((0, 0), dtype=np.uint8)
+    return np.stack([t.symbols for t in transmissions])
+
+
+@dataclass
+class SimulationResult:
+    """Everything a run produced: transmissions, receptions, geometry."""
+
+    config: SimulationConfig
+    testbed: TestbedConfig
+    transmissions: list[Transmission]
+    table: TraceTable
+
+    @property
+    def duration_s(self) -> float:
+        """Configured run length in seconds."""
+        return self.config.duration_s
+
+    @property
+    def records(self) -> list[ReceptionRecord]:
+        """One row view per reception, in table order."""
+        return [ReceptionRecord(self, row) for row in range(len(self.table))]
+
+
+class ReceptionRecord:
+    """One (transmission, receiver) pair: a view of a table row.
+
+    The table's columns read as attributes (``receiver``, the flags,
+    and the ``body_symbols``/``body_hints`` rows); sender, timing and
+    ground truth come from ``tx``.
+    """
+
+    __slots__ = ("_result", "_row")
+
+    def __init__(self, result: SimulationResult, row: int) -> None:
+        self._result = result
+        self._row = row
+
+    def __getattr__(self, name: str) -> Any:
+        if name not in _COLUMNS:
+            raise AttributeError(name)
+        value = getattr(self._result.table, name)[self._row]
+        return value if isinstance(value, np.ndarray) else value.item()
+
+    @property
+    def tx(self) -> Transmission:
+        """The transmission this pair received."""
+        return self._result.transmissions[self.tx_index]
 
     @property
     def link(self) -> tuple[int, int]:
@@ -170,37 +252,6 @@ class ReceptionRecord:
         """Ground-truth correctness of the wire-payload symbols."""
         region = payload_slice(self.body_symbols.size)
         return self.body_symbols[region] == self.body_truth[region]
-
-
-@dataclass
-class SimulationResult:
-    """Everything a run produced: transmissions, receptions, geometry."""
-
-    config: SimulationConfig
-    testbed: TestbedConfig
-    transmissions: list[Transmission]
-    records: list[ReceptionRecord]
-
-    @property
-    def duration_s(self) -> float:
-        """Configured run length in seconds."""
-        return self.config.duration_s
-
-
-@dataclass
-class _PendingReception:
-    """A reception that has crossed the channel but not been decoded.
-
-    Staging receptions lets the run decode every pair's corrupted
-    codewords in one fused nearest-codeword pass; the counter-based
-    channel fuses the transit itself across pairs the same way.
-    """
-
-    tx: Transmission
-    receiver: int
-    truth_words: np.ndarray
-    rx_words: np.ndarray
-    changed: np.ndarray  # indices of codewords the channel corrupted
 
 
 @dataclass(frozen=True)
@@ -255,7 +306,7 @@ def hot_codewords(
     medium: RadioMedium,
     transmissions: list[Transmission],
     receivers: Sequence[int],
-    fades: dict[tuple[int, int], float],
+    fades: np.ndarray,
     min_rx_snr_db: float,
 ) -> HotCodewords:
     """Chip flip probabilities of every audible pair's hot codewords.
@@ -272,9 +323,10 @@ def hot_codewords(
     ``np.repeat``, exactly the per-symbol probabilities of
     :func:`hot_codewords_reference`.
 
-    A pair is audible when its faded SNR reaches ``min_rx_snr_db``;
-    a codeword is hot when its flip probability exceeds
-    ``_HOT_PROB``.
+    ``fades[i, j]`` scales the power of ``transmissions[i]`` at
+    ``receivers[j]``.  A pair is audible when its faded SNR reaches
+    ``min_rx_snr_db``; a codeword is hot when its flip probability
+    exceeds ``_HOT_PROB``.
     """
     rx_ids = np.asarray(receivers, dtype=np.int64)
     starts = np.array([t.start for t in transmissions], dtype=np.float64)
@@ -284,11 +336,9 @@ def hot_codewords(
     )
     lengths = np.array([t.n_symbols for t in transmissions], dtype=np.int64)
     senders = np.array([t.sender for t in transmissions], dtype=np.int64)
-    fade = np.array(
-        [[fades.get((t.tx_id, r), 1.0) for r in rx_ids.tolist()]
-         for t in transmissions],
-        dtype=np.float64,
-    ).reshape(len(transmissions), rx_ids.size)
+    fade = np.asarray(fades, dtype=np.float64).reshape(
+        len(transmissions), rx_ids.size
+    )
     rx_mw = medium.rx_power_matrix_mw
     noise_mw = medium.noise_mw
 
@@ -376,7 +426,7 @@ def hot_codewords_reference(
     medium: RadioMedium,
     transmissions: list[Transmission],
     receivers: Sequence[int],
-    fades: dict[tuple[int, int], float],
+    fades: np.ndarray,
     min_rx_snr_db: float,
 ) -> HotCodewords:
     """Per-pair, per-symbol specification of :func:`hot_codewords`.
@@ -395,23 +445,22 @@ def hot_codewords_reference(
     for i, tx in enumerate(transmissions):
         hi = int(np.searchsorted(starts, tx.end, side="left"))
         overlapping = [
-            transmissions[j]
-            for j in np.flatnonzero(ends[:hi] > tx.start)
-            if j != i
+            j for j in np.flatnonzero(ends[:hi] > tx.start) if j != i
         ]
-        for receiver in receivers:
+        for col, receiver in enumerate(receivers):
             if receiver == tx.sender:
                 continue
-            fade = fades.get((tx.tx_id, receiver), 1.0)
-            signal_mw = medium.rx_power_mw(tx.sender, receiver) * fade
+            signal_mw = medium.rx_power_mw(tx.sender, receiver) * fades[i, col]
             if 10 * np.log10(signal_mw / noise_mw) < min_rx_snr_db:
                 continue
             power_scale = {
-                o.tx_id: fades.get((o.tx_id, receiver), 1.0)
-                for o in overlapping
+                transmissions[j].tx_id: fades[j, col] for j in overlapping
             }
             interference = medium.interference_timeline_mw(
-                tx, receiver, overlapping, power_scale=power_scale
+                tx,
+                receiver,
+                [transmissions[j] for j in overlapping],
+                power_scale=power_scale,
             )
             with np.errstate(invalid="ignore"):
                 isr = interference / signal_mw
@@ -527,7 +576,7 @@ class NetworkSimulation:
                 sender=sender,
                 dst=frame.header.dst,
                 start=now,
-                symbols=frame.on_air_symbols(),
+                symbols=frame.on_air_symbols().astype(np.uint8),
                 symbol_period=cfg.symbol_period_s,
                 seq=seq,
             )
@@ -593,213 +642,157 @@ class NetworkSimulation:
 
     # -- phase 2: chip-level reception ---------------------------------------
 
-    def _transit_all_batched(
-        self, transmissions: list[Transmission],
-        fades: dict[tuple[int, int], float],
-    ) -> "list[_PendingReception]":
-        """Every pair's channel transit as one fused array program.
+    def _receive(
+        self, transmissions: list[Transmission], gains: np.ndarray
+    ) -> TraceTable:
+        """Every audible pair's reception as one array program.
 
         Each pair owns a counter-based stream keyed on ``(seed, tx_id,
-        receiver)``, so all pairs' hot codewords can be corrupted in a
-        single :func:`transmit_chipwords_batch` call — no sequential
-        stream to respect, and bit-identical to processing the pairs
-        one at a time with the same keys.
+        receiver)``, so all pairs' hot codewords cross the channel in
+        one :func:`transmit_chipwords_batch` call, bit-identical to
+        one pair at a time.  Only the words the channel changed need
+        decoding (every other word decodes to itself at distance 0),
+        and nearest-codeword decoding is per word, so they are decoded
+        in one fused call and scattered into copies of the pairs'
+        transmitted bodies.  Sync-field chip errors are the popcounts
+        of the changed words in the sync fields, summed per pair.
         """
         cfg = self._config
         hot = hot_codewords(
             self._medium,
             transmissions,
             self._testbed.receiver_ids,
-            fades,
+            gains,
             cfg.min_rx_snr_db,
         )
-        if not hot.sizes.size:
-            return []
-        # One encode per transmission, shared (read-only) by all of its
-        # receivers' pendings.
-        truth = {
-            i: self._codebook.encode_words(transmissions[i].symbols)
-            for i in np.unique(hot.tx_index).tolist()
-        }
-        offsets = np.cumsum(hot.sizes)[:-1]
-        staged = [
-            (transmissions[i], receiver, truth[i], idx)
-            for i, receiver, idx in zip(
-                hot.tx_index.tolist(),
-                hot.receiver.tolist(),
-                np.split(hot.index, offsets),
-                strict=True,
-            )
-        ]
-        rx_flat = transmit_chipwords_batch(
-            np.concatenate([words[idx] for (_, _, words, idx) in staged]),
-            hot.prob,
-            hot.sizes,
-            np.stack(
-                [
-                    derive_key(cfg.seed, "chip-channel", tx.tx_id, receiver)
-                    for (tx, receiver, _, _) in staged
-                ]
-            ),
-        )
-
-        pendings: list[_PendingReception] = []
-        for (tx, receiver, truth_words, idx), rx_hot in zip(
-            staged, np.split(rx_flat, offsets), strict=True
-        ):
-            rx_words = truth_words.copy()
-            rx_words[idx] = rx_hot
-            pendings.append(
-                _PendingReception(
-                    tx=tx,
-                    receiver=receiver,
-                    truth_words=truth_words,
-                    rx_words=rx_words,
-                    changed=idx[rx_hot != truth_words[idx]],
+        n = hot.sizes.size
+        # Every frame of a run has the configured layout; sizing from
+        # the config keeps the columns' width when nothing was sent.
+        n_air = body_symbol_count(cfg.payload_bytes) + 2 * SYNC_SYMBOLS
+        air = transmitted_symbols(transmissions).reshape(-1, n_air)
+        pair = np.repeat(np.arange(n), hot.sizes)
+        sent = np.take(air, (hot.tx_index * n_air)[pair] + hot.index)
+        truth = self._codebook.encode_words(sent)
+        keys = np.array(
+            [
+                derive_key(cfg.seed, "chip-channel", transmissions[i].tx_id, r)
+                for i, r in zip(
+                    hot.tx_index.tolist(), hot.receiver.tolist(), strict=True
                 )
-            )
-        return pendings
-
-    def _finalize_record(
-        self,
-        pending: "_PendingReception",
-        decoded_symbols: np.ndarray,
-        decoded_dists: np.ndarray,
-    ) -> ReceptionRecord:
-        """Assemble a record from a transit plus its decoded codewords."""
-        cfg = self._config
-        tx = pending.tx
-        truth = tx.symbols
-        truth_words = pending.truth_words
-        rx_words = pending.rx_words
-        changed = pending.changed
-        symbols = truth.copy()
-        hints = np.zeros(truth.size, dtype=np.float64)
-        if changed.size:
-            symbols[changed] = decoded_symbols
-            hints[changed] = decoded_dists
-
-        n = truth.size
-        width = self._codebook.chips_per_symbol
-        pre_errors = int(
-            popcount32(
-                rx_words[:SYNC_SYMBOLS] ^ truth_words[:SYNC_SYMBOLS]
-            ).sum()
-        )
-        post_errors = int(
-            popcount32(
-                rx_words[-SYNC_SYMBOLS:] ^ truth_words[-SYNC_SYMBOLS:]
-            ).sum()
-        )
-        sync_chips = SYNC_SYMBOLS * width
-        preamble_detectable = (
-            pre_errors / sync_chips <= cfg.sync_error_threshold
-        )
-        postamble_detectable = (
-            post_errors / sync_chips <= cfg.sync_error_threshold
-        )
-
-        body = symbols[SYNC_SYMBOLS : n - SYNC_SYMBOLS]
-        body_hints = hints[SYNC_SYMBOLS : n - SYNC_SYMBOLS]
-        payload = payload_slice(body.size)
-        _, header_ok = parse_header_bytes(
-            symbols_to_bytes(body[: payload.start])
-        )
-        _, trailer_ok = parse_trailer_bytes(
-            symbols_to_bytes(body[payload.stop :])
-        )
-
-        return ReceptionRecord(
-            tx=tx,
-            receiver=pending.receiver,
-            preamble_detectable=preamble_detectable,
-            header_ok=header_ok,
-            postamble_detectable=postamble_detectable,
-            trailer_ok=trailer_ok,
-            acquired_preamble=False,  # set during lock arbitration
-            body_symbols=body.astype(np.int8),
-            body_hints=body_hints.astype(np.uint8),
-        )
-
-    def _decode_pendings(
-        self, pendings: list["_PendingReception"]
-    ) -> list[ReceptionRecord]:
-        """Decode every staged reception in one fused call.
-
-        Nearest-codeword decoding is independent per word, so
-        concatenating every reception's corrupted words into one
-        matrix changes only the call count, not the result.
-        """
+            ],
+            dtype=np.uint64,
+        ).reshape(n, 2)
+        rx = transmit_chipwords_batch(truth, hot.prob, hot.sizes, keys)
+        changed = np.flatnonzero(rx != truth)
+        pair, at, rx = pair[changed], hot.index[changed], rx[changed]
         engine = BatchReceptionEngine(self._codebook)
-        decoded = engine.decode_hard_ragged(
-            [p.rx_words[p.changed] for p in pendings]
+        [(decoded, distances)] = engine.decode_hard_ragged([rx])
+
+        errors = popcount32(rx ^ truth[changed])
+        sync_chips = SYNC_SYMBOLS * self._codebook.chips_per_symbol
+
+        def detectable(in_field: np.ndarray) -> np.ndarray:
+            count = np.bincount(pair[in_field], errors[in_field], minlength=n)
+            return count / sync_chips <= cfg.sync_error_threshold
+
+        body = slice(SYNC_SYMBOLS, n_air - SYNC_SYMBOLS)
+        body_symbols = air[hot.tx_index, body].astype(np.int8)
+        body_hints = np.zeros(body_symbols.shape, dtype=np.uint8)
+        in_body = (at >= body.start) & (at < body.stop)
+        rows, cols = pair[in_body], at[in_body] - body.start
+        body_symbols[rows, cols] = decoded[in_body]
+        body_hints[rows, cols] = distances[in_body]
+        payload = payload_slice(body_symbols.shape[1])
+        return TraceTable(
+            tx_index=hot.tx_index,
+            receiver=hot.receiver,
+            preamble_detectable=detectable(at < body.start),
+            header_ok=header_rows_ok(body_symbols[:, : payload.start]),
+            postamble_detectable=detectable(at >= body.stop),
+            trailer_ok=header_rows_ok(body_symbols[:, payload.stop :]),
+            acquired_preamble=np.zeros(n, dtype=bool),
+            body_symbols=body_symbols,
+            body_hints=body_hints,
         )
-        return [
-            self._finalize_record(pending, symbols, dists)
-            for pending, (symbols, dists) in zip(pendings, decoded, strict=True)
-        ]
 
-    def _draw_fades(
-        self, transmissions: list[Transmission]
-    ) -> dict[tuple[int, int], float]:
-        """Per-(transmission, receiver) block-fading gains.
+    def _draw_fades(self, transmissions: list[Transmission]) -> np.ndarray:
+        """Block-fading gains, ``(len(transmissions), n_receivers)``.
 
-        One lognormal draw per pair, used consistently whether the
-        transmission is the desired signal or an interferer at that
-        receiver — the same physical propagation instance.  Block
-        fading is what makes marginal links *intermittent* rather than
-        binary, the defining property of the mesh links PPR targets.
+        One lognormal draw per (transmission, receiver) pair, used
+        consistently whether the transmission is the desired signal or
+        an interferer at that receiver — the same physical propagation
+        instance.  Block fading is what makes marginal links
+        *intermittent* rather than binary, the defining property of the
+        mesh links PPR targets.  The draws are one vector from the
+        ``block-fading`` stream in transmission-major, receiver-minor
+        order, skipping a sender's own receiver (gain 1).
         """
         cfg = self._config
+        senders = np.array([t.sender for t in transmissions], dtype=np.int64)
+        receivers = np.asarray(self._testbed.receiver_ids, dtype=np.int64)
+        gains = np.ones((senders.size, receivers.size))
         if cfg.fading_sigma_db <= 0:
-            return {}
+            return gains
+        heard = senders[:, None] != receivers[None, :]
         rng = derive_rng(cfg.seed, "block-fading")
-        fades: dict[tuple[int, int], float] = {}
-        for tx in transmissions:
-            for receiver in self._testbed.receiver_ids:
-                if receiver == tx.sender:
-                    continue
-                gain_db = rng.normal(0.0, cfg.fading_sigma_db)
-                fades[(tx.tx_id, receiver)] = float(10 ** (gain_db / 10))
-        return fades
+        gains_db = rng.normal(0.0, cfg.fading_sigma_db, int(heard.sum()))
+        # Python-float powers: numpy's vector power differs from them
+        # in the last bit for some gains.
+        gains[heard] = [10 ** (g / 10) for g in gains_db.tolist()]
+        return gains
 
-    def _arbitrate_locks(self, records: list[ReceptionRecord]) -> None:
+    @staticmethod
+    def _arbitrate_locks(
+        table: TraceTable, transmissions: list[Transmission]
+    ) -> None:
         """Apply the single-radio preamble-lock model per receiver."""
-        by_receiver: dict[int, list[ReceptionRecord]] = {}
-        for rec in records:
-            by_receiver.setdefault(rec.receiver, []).append(rec)
-        for recs in by_receiver.values():
-            recs.sort(key=lambda r: r.tx.start)
+        starts = np.array([t.start for t in transmissions])
+        ends = np.array([t.end for t in transmissions])
+        for receiver in np.unique(table.receiver).tolist():
+            rows = np.flatnonzero(
+                (table.receiver == receiver) & table.preamble_detectable
+            )
+            start = starts[table.tx_index[rows]]
+            order = np.argsort(start, kind="stable")
+            end = ends[table.tx_index[rows]]
             lock_until = -np.inf
-            for rec in recs:
-                if not rec.preamble_detectable:
-                    continue
-                if rec.tx.start < lock_until:
+            for row, t0, t1 in zip(
+                rows[order].tolist(),
+                start[order].tolist(),
+                end[order].tolist(),
+                strict=True,
+            ):
+                if t0 < lock_until:
                     continue  # busy: preamble missed
-                lock_until = rec.tx.end
+                lock_until = t1
                 # Synchronising is acquiring: a corrupted header shows
                 # up as corrupted *bits* (caught by CRCs or flagged by
                 # hints), not as a lost frame — matching the paper's
                 # trace post-processing.  The postamble path, by
                 # contrast, genuinely needs a verified trailer to find
-                # the frame (§4), which rec.acquired() enforces.
-                rec.acquired_preamble = True
+                # the frame (§4), which TraceTable.acquired enforces.
+                table.acquired_preamble[row] = True
 
     def run(self) -> SimulationResult:
         """Execute the simulation and decode every audible reception."""
         cfg = self._config
         transmissions = self._generate_transmissions()
-        fades = self._draw_fades(transmissions)
-        pendings = self._transit_all_batched(transmissions, fades)
-        records = self._decode_pendings(pendings)
-        self._arbitrate_locks(records)
+        gains = self._draw_fades(transmissions)
+        table = self._receive(transmissions, gains)
+        self._arbitrate_locks(table, transmissions)
         if cfg.sic_recovery:
             apply_sic_recovery(
-                cfg, self._codebook, self._medium, fades, records
+                cfg,
+                self._codebook,
+                self._medium,
+                transmissions,
+                self._testbed.receiver_ids,
+                gains,
+                table,
             )
         return SimulationResult(
             config=cfg,
             testbed=self._testbed,
             transmissions=transmissions,
-            records=records,
+            table=table,
         )

@@ -7,9 +7,9 @@ overlapping pair at a receiver whose chip-level decode left damage is
 re-rendered at sample fidelity through the existing waveform bridge
 (same link budget via :meth:`RadioMedium.amplitude_gain`, same
 block-fading draw as the chip path) and pushed through the
-:class:`~repro.recovery.sic.SicDecoder` pipeline.  Records the SIC
-pass genuinely improves are updated in place; everything else is left
-exactly as the chip-level decode produced it.
+:class:`~repro.recovery.sic.SicDecoder` pipeline.  Trace-table rows
+the SIC pass genuinely improves are rewritten in place; everything
+else is left exactly as the chip-level decode produced it.
 
 Determinism: the capture noise for a pair is drawn from
 ``keyed_rng(seed, "sic-capture", receiver, tx_a, tx_b)`` — a pure
@@ -19,6 +19,7 @@ surrounding sweep is scheduled (serial or ``--jobs N``).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -33,11 +34,11 @@ from repro.phy.codebook import Codebook
 from repro.phy.modulation import MskModulator
 from repro.phy.spreading import symbols_to_bytes
 from repro.recovery.sic import SicDecoder, SicFrame
-from repro.sim.medium import RadioMedium
+from repro.sim.medium import RadioMedium, Transmission
 from repro.utils.rng import keyed_rng
 
 if TYPE_CHECKING:
-    from repro.sim.network import ReceptionRecord, SimulationConfig
+    from repro.sim.network import SimulationConfig, TraceTable
 
 # Samples per chip for the re-rendered captures.  4 matches the
 # waveform experiments; the SIC pass needs no more timing resolution
@@ -45,13 +46,13 @@ if TYPE_CHECKING:
 SIC_SPS = 4
 
 
-def _damaged(record: "ReceptionRecord") -> bool:
-    """Whether a chip-level record left anything for SIC to recover."""
+def _damaged(table: "TraceTable", row: int) -> bool:
+    """Whether a chip-level row left anything for SIC to recover."""
     return (
-        not record.acquired(True)
-        or not record.header_ok
-        or not record.trailer_ok
-        or int(record.body_hints.max()) > 0
+        not table.acquired(True)[row]
+        or not table.header_ok[row]
+        or not table.trailer_ok[row]
+        or int(table.body_hints[row].max()) > 0
     )
 
 
@@ -80,39 +81,39 @@ def _match_tx(
 
 
 def _adopt(
-    record: "ReceptionRecord", frame: SicFrame, eta: float
+    table: "TraceTable", row: int, frame: SicFrame, eta: float
 ) -> bool:
-    """Replace a record's decode with a SIC recovery when it improves.
+    """Replace a row's decode with a SIC recovery when it improves.
 
-    Improvement is measured in η-bad symbols: an unacquired record
-    gains acquisition outright; an acquired one is only overwritten
-    when the SIC decode leaves strictly fewer symbols below
-    confidence.  The record's transmission is never touched —
-    correctness stays measured against the same ground truth.
+    Improvement is measured in η-bad symbols: an unacquired row gains
+    acquisition outright; an acquired one is only overwritten when
+    the SIC decode leaves strictly fewer symbols below confidence.
+    The row's transmission is never touched — correctness stays
+    measured against the same ground truth.
     """
     symbols = frame.reception.symbols
-    if symbols.size != record.body_symbols.size:
+    if symbols.size != table.body_symbols.shape[1]:
         return False
-    bad_before = int(np.count_nonzero(record.body_hints > eta))
-    if record.acquired(True) and frame.fallback.n_bad_symbols >= bad_before:
+    bad_before = int(np.count_nonzero(table.body_hints[row] > eta))
+    if table.acquired(True)[row] and frame.fallback.n_bad_symbols >= bad_before:
         return False
-    record.body_symbols = symbols.astype(np.int8)
-    record.body_hints = np.minimum(
+    table.body_symbols[row] = symbols.astype(np.int8)
+    table.body_hints[row] = np.minimum(
         frame.reception.hints, 255.0
     ).astype(np.uint8)
     payload = payload_slice(symbols.size)
-    _, record.header_ok = parse_header_bytes(
+    _, table.header_ok[row] = parse_header_bytes(
         symbols_to_bytes(symbols[: payload.start])
     )
-    _, record.trailer_ok = parse_trailer_bytes(
+    _, table.trailer_ok[row] = parse_trailer_bytes(
         symbols_to_bytes(symbols[payload.stop :])
     )
     detection = frame.reception.detection
     if detection is not None and detection.kind == "preamble":
-        record.preamble_detectable = True
-        record.acquired_preamble = True
+        table.preamble_detectable[row] = True
+        table.acquired_preamble[row] = True
     else:
-        record.postamble_detectable = True
+        table.postamble_detectable[row] = True
     return True
 
 
@@ -120,21 +121,22 @@ def apply_sic_recovery(
     config: "SimulationConfig",
     codebook: Codebook,
     medium: RadioMedium,
-    fades: dict[tuple[int, int], float],
-    records: list["ReceptionRecord"],
+    transmissions: Sequence[Transmission],
+    receivers: Sequence[int],
+    gains: np.ndarray,
+    table: "TraceTable",
 ) -> int:
     """Re-decode isolated collision pairs at waveform fidelity.
 
     For every receiver, every pair of audible transmissions that
     overlap each other and nothing else is a SIC candidate; a pair is
-    re-rendered only when at least one of its chip-level records is
-    damaged.  Returns the number of records updated.
+    re-rendered only when at least one of its chip-level rows is
+    damaged.  ``gains[i, j]`` is the block fade of ``transmissions[i]``
+    at ``receivers[j]``.  Rows are rewritten in place; returns how
+    many.
     """
     width = codebook.chips_per_symbol
     sample_rate = width * SIC_SPS / config.symbol_period_s
-    by_receiver: dict[int, dict[int, "ReceptionRecord"]] = {}
-    for record in records:
-        by_receiver.setdefault(record.receiver, {})[record.tx.tx_id] = record
     # Mirror the chip-level detectability rule: a sync field whose chip
     # error rate is p correlates at 1 - 2p in the ±1 chip domain, so
     # the config's sync_error_threshold maps onto this correlation
@@ -149,63 +151,70 @@ def apply_sic_recovery(
     wave_cache: dict[int, np.ndarray] = {}
     guard = width * SIC_SPS
     updated = 0
-    for receiver in sorted(by_receiver):
-        recmap = by_receiver[receiver]
-        audible = [recmap[tx_id].tx for tx_id in sorted(recmap)]
-        for i, a in enumerate(audible):
-            for b in audible[i + 1 :]:
-                if not a.overlaps(b):
+    for col, receiver in enumerate(receivers):
+        # This receiver's rows, keyed by the index of their
+        # transmission (ascending: the table is transmission-major).
+        rows = np.flatnonzero(table.receiver == receiver)
+        row_of = dict(
+            zip(table.tx_index[rows].tolist(), rows.tolist(), strict=True)
+        )
+        audible = list(row_of)
+        for k, a in enumerate(audible):
+            ta = transmissions[a]
+            for b in audible[k + 1 :]:
+                tb = transmissions[b]
+                if not ta.overlaps(tb):
                     continue
                 if any(
-                    c.tx_id not in (a.tx_id, b.tx_id)
-                    and (c.overlaps(a) or c.overlaps(b))
+                    c not in (a, b)
+                    and (
+                        transmissions[c].overlaps(ta)
+                        or transmissions[c].overlaps(tb)
+                    )
                     for c in audible
                 ):
                     continue  # only isolated two-frame collisions
-                if not (_damaged(recmap[a.tx_id]) or _damaged(recmap[b.tx_id])):
+                if not (
+                    _damaged(table, row_of[a]) or _damaged(table, row_of[b])
+                ):
                     continue
-                t0 = min(a.start, b.start)
+                t0 = min(ta.start, tb.start)
                 instances = []
-                for t in (a, b):
-                    wave = wave_cache.get(t.tx_id)
+                for i in (a, b):
+                    t = transmissions[i]
+                    wave = wave_cache.get(i)
                     if wave is None:
-                        wave = modulator.modulate_symbols(
-                            t.symbols, codebook
-                        )
-                        wave_cache[t.tx_id] = wave
-                    fade = fades.get((t.tx_id, receiver), 1.0)
+                        wave = modulator.modulate_symbols(t.symbols, codebook)
+                        wave_cache[i] = wave
                     instances.append(
                         TransmissionInstance(
                             samples=wave,
                             offset=int(round((t.start - t0) * sample_rate)),
                             gain=medium.amplitude_gain(t.sender, receiver)
-                            * float(np.sqrt(fade)),
+                            * float(np.sqrt(gains[i, col])),
                         )
                     )
                 rng = keyed_rng(
-                    config.seed, "sic-capture", receiver, a.tx_id, b.tx_id
+                    config.seed, "sic-capture", receiver, ta.tx_id, tb.tx_id
                 )
                 capture = awgn_collision_channel(
                     instances, medium.noise_mw, rng=rng
                 )
                 result = decoder.decode_pair(
-                    capture, recmap[a.tx_id].body_symbols.size
+                    capture, table.body_symbols.shape[1]
                 )
                 expected_starts = {
-                    a.tx_id: instances[0].offset,
-                    b.tx_id: instances[1].offset,
+                    a: instances[0].offset,
+                    b: instances[1].offset,
                 }
                 claimed: set[int] = set()
                 for frame in result.frames:
-                    tx_id = _match_tx(
-                        frame, expected_starts, guard, claimed
-                    )
-                    if tx_id is None:
+                    i = _match_tx(frame, expected_starts, guard, claimed)
+                    if i is None:
                         continue
-                    claimed.add(tx_id)
-                    record = recmap[tx_id]
-                    if _damaged(record) and _adopt(
-                        record, frame, decoder.eta
+                    claimed.add(i)
+                    if _damaged(table, row_of[i]) and _adopt(
+                        table, row_of[i], frame, decoder.eta
                     ):
                         updated += 1
     return updated

@@ -127,7 +127,9 @@ class RunStore:
 
     def path_for(self, config: SimulationConfig) -> Path:
         """Where ``config``'s entry lives (whether or not it exists)."""
-        key = config_key(config)
+        return self._path_for_key(config_key(config))
+
+    def _path_for_key(self, key: str) -> Path:
         return self.root / "runs" / key[:2] / f"{key}.json.gz"
 
     def get(self, config: SimulationConfig) -> SimulationResult | None:
@@ -136,13 +138,14 @@ class RunStore:
         Corrupt or stale entries are logged, deleted, and reported as
         misses so the caller recomputes transparently.
         """
-        path = self.path_for(config)
+        key = config_key(config)
+        path = self._path_for_key(key)
         try:
             blob = path.read_bytes()
         except FileNotFoundError:
             self.counters.misses += 1
             return None
-        result = self._load_entry(blob, config_key(config), path)
+        result = self._load_entry(blob, key, path)
         if result is None:
             self.counters.corrupt += 1
             self.counters.misses += 1
@@ -160,7 +163,8 @@ class RunStore:
                 "result was simulated under a different config than "
                 "the one it is being stored against"
             )
-        path = self.path_for(config)
+        key = config_key(config)
+        path = self._path_for_key(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         structure, binary = result_to_parts(result)
         body = (
@@ -174,7 +178,7 @@ class RunStore:
             "store_schema_version": STORE_SCHEMA_VERSION,
             "repro_version": __version__,
             "kind": _ENTRY_KIND,
-            "key": config_key(config),
+            "key": key,
             "config": config_to_dict(config),
             "sha256": hashlib.sha256(body).hexdigest(),
         }

@@ -4,7 +4,7 @@ A :class:`~repro.sim.network.SimulationResult` becomes two parts:
 
 * a JSON-serializable **structure** describing the run — config,
   testbed scalars, and *columnar* descriptors for the transmissions
-  and reception records, and
+  and the reception table, and
 * a **binary section** of concatenated raw array buffers the
   descriptors point into (offset + byte count + dtype + shape).
 
@@ -15,14 +15,15 @@ keep the repo's determinism contract: an experiment evaluated on a run
 loaded from disk produces byte-identical artifacts to one evaluated on
 the freshly simulated run.
 
-The layout is columnar (one typed array per record field, and one
-matrix per body column, since every frame of a run has one length)
-rather than one JSON object per record because a warm store hit must
-be *much* cheaper than simulating: a record-per-object encoding spends
-most of its read time parsing megabytes of JSON, while this format
-parses a few kilobytes of structure and reslices one buffer.  Records
-store the ``tx_id`` of their transmission, and a loaded record points
-at the loaded :class:`~repro.sim.medium.Transmission` itself.
+The layout is columnar because a run is: its receptions are one
+:class:`~repro.sim.network.TraceTable`, and every column is written as
+it is (one typed array per flag, one matrix per body column, since
+every frame of a run has one length), as are the transmissions' uint8
+on-air symbols as one matrix.  A record-per-object encoding would
+spend most of a warm read parsing megabytes of JSON; this format
+parses a few kilobytes of structure and reslices one buffer into the
+table, building no per-reception objects.  Rows store the ``tx_id``
+of their transmission, which is its index in the run.
 """
 
 from __future__ import annotations
@@ -33,9 +34,10 @@ from typing import Any, Sequence
 import numpy as np
 
 from repro.sim.network import (
-    ReceptionRecord,
     SimulationConfig,
     SimulationResult,
+    TraceTable,
+    transmitted_symbols,
 )
 from repro.sim.testbed import TestbedConfig
 from repro.sim.medium import Transmission
@@ -102,16 +104,9 @@ def _column(values: list[Any], dtype: str) -> np.ndarray:
     return np.array(values, dtype=np.dtype(dtype))
 
 
-def _matrix(arrays: Sequence[np.ndarray], what: str) -> np.ndarray:
-    """Equal-length, same-dtype 1-D arrays as the rows of one matrix."""
-    if len({(a.size, a.dtype.str) for a in arrays}) > 1:
-        raise ValueError(
-            f"{what} rows differ in length or dtype; a run stores one "
-            "frame layout and must round-trip bit-for-bit"
-        )
-    if not arrays:
-        return np.empty((0, 0), dtype=np.uint8)
-    return np.stack(arrays)
+def _matrix(matrix: np.ndarray) -> np.ndarray:
+    """A matrix as stored: a run without rows stores ``(0, 0)`` uint8."""
+    return matrix if len(matrix) else np.empty((0, 0), dtype=np.uint8)
 
 
 def _matrix_rows(
@@ -174,14 +169,16 @@ def _transmissions_to_structure(
     }
 
 
-# On-air symbols are 4-bit nibbles held as int64; one byte each on disk
-# is an eighth of what a warm read must checksum and copy.  This and
-# the reader's one widening ``astype`` are the only places that know.
 def _symbols_matrix(transmissions: Sequence[Transmission]) -> np.ndarray:
     arrays = [t.symbols for t in transmissions]
-    if any(a.dtype != np.int64 or (a >> 4).any() for a in arrays):
-        raise ValueError("transmission symbols must be int64 nibbles")
-    return _matrix([a.astype(np.uint8) for a in arrays], "symbols")
+    if any(a.dtype != np.uint8 or (a >> 4).any() for a in arrays):
+        raise ValueError("transmission symbols must be uint8 nibbles")
+    if len({a.size for a in arrays}) > 1:
+        raise ValueError(
+            "transmission symbols differ in length; a run stores one "
+            "frame layout and must round-trip bit-for-bit"
+        )
+    return transmitted_symbols(transmissions)
 
 
 def _transmissions_from_structure(
@@ -195,7 +192,7 @@ def _transmissions_from_structure(
     seq = reader.get(data["seq"])
     symbols = _matrix_rows(
         data["symbols"], reader, int(data["count"]), "symbols"
-    ).astype(np.int64)
+    )
     # Rows are views of one owning copy: cheap, writable, independent.
     return [
         Transmission(
@@ -211,69 +208,53 @@ def _transmissions_from_structure(
     ]
 
 
-_RECORD_BOOL_COLUMNS = (
+_FLAG_COLUMNS = (
     "preamble_detectable",
     "header_ok",
     "postamble_detectable",
     "trailer_ok",
     "acquired_preamble",
 )
-_RECORD_BODY_COLUMNS = ("body_symbols", "body_hints")
+_BODY_COLUMNS = ("body_symbols", "body_hints")
 
 
-def _records_to_structure(
-    records: Sequence[ReceptionRecord], writer: BinaryWriter
+def _table_to_structure(
+    table: TraceTable,
+    transmissions: Sequence[Transmission],
+    writer: BinaryWriter,
 ) -> dict[str, Any]:
+    tx_id = _column([t.tx_id for t in transmissions], "<i8")
     structure: dict[str, Any] = {
-        "count": len(records),
-        "tx_id": writer.add(_column([r.tx.tx_id for r in records], "<i8")),
-        "receiver": writer.add(_column([r.receiver for r in records], "<i8")),
+        "count": len(table),
+        "tx_id": writer.add(tx_id[table.tx_index]),
+        "receiver": writer.add(table.receiver.astype("<i8")),
     }
-    for name in _RECORD_BOOL_COLUMNS:
-        structure[name] = writer.add(
-            _column([getattr(r, name) for r in records], "|b1")
-        )
-    for name in _RECORD_BODY_COLUMNS:
-        structure[name] = writer.add(
-            _matrix([getattr(r, name) for r in records], name)
-        )
+    for name in _FLAG_COLUMNS:
+        structure[name] = writer.add(getattr(table, name).astype("|b1"))
+    for name in _BODY_COLUMNS:
+        structure[name] = writer.add(_matrix(getattr(table, name)))
     return structure
 
 
-def _records_from_structure(
-    data: dict[str, Any],
-    reader: BinaryReader,
-    transmissions: list[Transmission],
-) -> list[ReceptionRecord]:
+def _table_from_structure(
+    data: dict[str, Any], reader: BinaryReader, n_transmissions: int
+) -> TraceTable:
     count = int(data["count"])
     tx_id = reader.get(data["tx_id"])
-    if tx_id.size and not 0 <= tx_id.min() <= tx_id.max() < len(transmissions):
+    if tx_id.size and not 0 <= tx_id.min() <= tx_id.max() < n_transmissions:
         raise ValueError(
             f"record tx_id column reaches outside the run's "
-            f"{len(transmissions)} transmissions"
+            f"{n_transmissions} transmissions"
         )
-    receiver = reader.get(data["receiver"])
-    bools = {
-        name: reader.get(data[name]) for name in _RECORD_BOOL_COLUMNS
-    }
-    bodies = {
-        name: _matrix_rows(data[name], reader, count, name)
-        for name in _RECORD_BODY_COLUMNS
-    }
-    return [
-        ReceptionRecord(
-            tx=transmissions[int(tx_id[i])],
-            receiver=int(receiver[i]),
-            preamble_detectable=bool(bools["preamble_detectable"][i]),
-            header_ok=bool(bools["header_ok"][i]),
-            postamble_detectable=bool(bools["postamble_detectable"][i]),
-            trailer_ok=bool(bools["trailer_ok"][i]),
-            acquired_preamble=bool(bools["acquired_preamble"][i]),
-            body_symbols=bodies["body_symbols"][i],
-            body_hints=bodies["body_hints"][i],
-        )
-        for i in range(count)
-    ]
+    return TraceTable(
+        tx_index=tx_id,
+        receiver=reader.get(data["receiver"]),
+        **{name: reader.get(data[name]) for name in _FLAG_COLUMNS},
+        **{
+            name: _matrix_rows(data[name], reader, count, name)
+            for name in _BODY_COLUMNS
+        },
+    )
 
 
 def result_to_parts(result: SimulationResult) -> tuple[dict[str, Any], bytes]:
@@ -285,7 +266,9 @@ def result_to_parts(result: SimulationResult) -> tuple[dict[str, Any], bytes]:
         "transmissions": _transmissions_to_structure(
             result.transmissions, writer
         ),
-        "records": _records_to_structure(result.records, writer),
+        "records": _table_to_structure(
+            result.table, result.transmissions, writer
+        ),
     }
     return structure, writer.blob()
 
@@ -302,7 +285,7 @@ def result_from_parts(
         config=config_from_dict(structure["config"]),
         testbed=_testbed_from_structure(structure["testbed"], reader),
         transmissions=transmissions,
-        records=_records_from_structure(
-            structure["records"], reader, transmissions
+        table=_table_from_structure(
+            structure["records"], reader, len(transmissions)
         ),
     )

@@ -6,7 +6,7 @@ implementations on identical channel realisations.
 """
 
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -29,6 +29,7 @@ from repro.sim.metrics import (
     miss_run_length_counts,
     trace_deliver,
 )
+from repro.sim.network import TraceTable
 from repro.utils.rng import ensure_rng
 
 
@@ -199,18 +200,18 @@ class TestHintStatistics:
     def test_miss_run_lengths_manual(self, small_sim_result):
         """Wrong codewords at payload symbols 1, 2 and 4, all with hint
         0 (misses at every eta), form one run of 2 and one of 1."""
-        rec = small_sim_result.records[0]
-        symbols = rec.body_truth.copy()
+        table = small_sim_result.table
+        symbols = small_sim_result.records[0].body_truth.astype(np.int8)
         wrong = payload_slice(symbols.size).start + np.array([1, 2, 4])
         symbols[wrong] = (symbols[wrong] + 1) % 16
-        rec = replace(
-            rec,
-            acquired_preamble=True,
-            body_symbols=symbols,
-            body_hints=np.zeros_like(rec.body_hints),
+        one_row = TraceTable(
+            **{f.name: getattr(table, f.name)[:1].copy() for f in fields(table)}
         )
+        one_row.acquired_preamble[0] = True
+        one_row.body_symbols[0] = symbols
+        one_row.body_hints[0] = 0
         counts = miss_run_length_counts(
-            replace(small_sim_result, records=[rec]), etas=(0, 3)
+            replace(small_sim_result, table=one_row), etas=(0, 3)
         )
         assert counts == {0: Counter({2: 1, 1: 1}), 3: Counter({2: 1, 1: 1})}
 

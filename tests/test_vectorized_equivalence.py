@@ -13,7 +13,7 @@ where tie-breaking and unreachable trellis states matter.
 
 from __future__ import annotations
 
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -34,6 +34,16 @@ from repro.coding.gf256 import (
     gf256_encode,
     gf256_encode_reference,
 )
+from repro.experiments import registry
+from repro.experiments.common import RunCache
+from repro.link.frame import (
+    FrameHeader,
+    body_symbol_count,
+    header_rows_ok,
+    parse_header_bytes,
+    parse_trailer_bytes,
+    payload_slice,
+)
 from repro.link.schemes import (
     FragmentedCrcScheme,
     PacketCrcScheme,
@@ -46,7 +56,11 @@ from repro.phy.batch import (
     WaveformBatchEngine,
     WaveformDecodeRequest,
 )
-from repro.phy.channelsim import add_awgn
+from repro.phy.channelsim import (
+    TransmissionInstance,
+    add_awgn,
+    awgn_collision_channel,
+)
 from repro.phy.chipchannel import transmit_chipwords, transmit_chipwords_batch
 from repro.phy.codebook import Codebook, ZigbeeCodebook
 from repro.phy.convolutional import ConvolutionalCode, SovaDecoder
@@ -58,18 +72,30 @@ from repro.phy.remodulate import (
     remodulate_frame,
     remodulate_frame_reference,
 )
-from repro.phy.sync import sync_field_symbols
+from repro.phy.spreading import bytes_to_symbols, symbols_to_bytes
+from repro.recovery.sic import SicDecoder
+from repro.phy.sync import SYNC_SYMBOLS, sync_field_symbols
 from repro.sim.metrics import evaluate_schemes, evaluate_schemes_reference
 from repro.sim.medium import RadioMedium, Transmission
 from repro.sim.network import (
     NetworkSimulation,
     SimulationConfig,
+    TraceTable,
     hot_codewords,
     hot_codewords_reference,
 )
+from repro.sim.sicpass import SIC_SPS, _match_tx
+from repro.store import result_from_parts, result_to_parts
 from repro.utils import sanitize
 from repro.utils.bitops import pack_bits_to_uint32, popcount32
-from repro.utils.rng import derive_key, ensure_rng, keyed_words, rng_from_key
+from repro.utils.rng import (
+    derive_key,
+    derive_rng,
+    ensure_rng,
+    keyed_rng,
+    keyed_words,
+    rng_from_key,
+)
 
 # Standard generator pairs per constraint length (octal), so the
 # randomized sweep exercises real codes rather than degenerate taps.
@@ -1094,20 +1120,18 @@ class TestSchemeEvaluationEquivalence:
                 assert all(type(v) is int for v in got.values())
 
     @staticmethod
-    def _with_records(result, records):
-        return replace(result, records=records)
+    def _with_rows(result, rows):
+        return replace(result, table=_take(result.table, rows))
 
     def test_recorded_traces(self, small_sim_result):
-        records = small_sim_result.records[:400]
-        acquired = [r.acquired(True) for r in records]
-        assert any(acquired) and not all(acquired)
-        self._assert_equivalent(self._with_records(small_sim_result, records))
+        result = self._with_rows(small_sim_result, slice(400))
+        acquired = result.table.acquired(True)
+        assert acquired.any() and not acquired.all()
+        self._assert_equivalent(result)
 
     @pytest.mark.parametrize("postamble", [False, True])
     def test_single_postamble_mode(self, small_sim_result, postamble):
-        result = self._with_records(
-            small_sim_result, small_sim_result.records[:200]
-        )
+        result = self._with_rows(small_sim_result, slice(200))
         self._assert_equivalent(result, (postamble,))
 
     @pytest.mark.parametrize("payload_bytes", [150, 3])
@@ -1122,22 +1146,28 @@ class TestSchemeEvaluationEquivalence:
             seed=7,
         )
         result = NetworkSimulation(config).run()
-        assert any(rec.acquired(True) for rec in result.records)
+        assert result.table.acquired(True).any()
         self._assert_equivalent(result)
 
     def test_no_acquired_records(self, small_sim_result):
-        records = [
-            replace(rec, acquired_preamble=False, trailer_ok=False)
-            for rec in small_sim_result.records[:50]
-        ]
-        result = self._with_records(small_sim_result, records)
+        result = self._with_rows(small_sim_result, slice(50))
+        result.table.acquired_preamble[:] = False
+        result.table.trailer_ok[:] = False
         self._assert_equivalent(result)
         for evaluation in evaluate_schemes(result, _every_scheme()):
             for link in evaluation.stats.links():
                 assert evaluation.stats[link].frames_acquired == 0
 
     def test_no_records(self, small_sim_result):
-        self._assert_equivalent(self._with_records(small_sim_result, []))
+        self._assert_equivalent(self._with_rows(small_sim_result, slice(0)))
+
+    def test_stored_table_without_rows(self, small_sim_result):
+        """A stored run without receptions keeps ``(0, 0)`` bodies."""
+        result = result_from_parts(
+            *result_to_parts(self._with_rows(small_sim_result, slice(0)))
+        )
+        assert result.table.body_symbols.shape == (0, 0)
+        self._assert_equivalent(result)
 
 
 class TestHotCodewordsEquivalence:
@@ -1208,7 +1238,8 @@ class TestHotCodewordsEquivalence:
             self._tx(2, 2, 30.0, 40),
             self._tx(3, 0, 1000.0, 30),
         ]
-        fades = {(0, 3): 0.5, (2, 3): 2.0, (2, 1): 1.5}
+        # Gains at receivers (1, 3); a sender's own column stays 1.
+        fades = np.array([[1.0, 0.5], [1.0, 1.0], [1.5, 2.0], [1.0, 1.0]])
         ref = self._assert_equivalent(
             medium, transmissions, (1, 3), fades, 0.0
         )
@@ -1219,7 +1250,7 @@ class TestHotCodewordsEquivalence:
 
     def test_no_transmissions(self):
         medium = RadioMedium(positions_m=np.array([[0.0, 0.0], [1.0, 0.0]]))
-        ref = self._assert_equivalent(medium, [], (1,), {}, 0.0)
+        ref = self._assert_equivalent(medium, [], (1,), np.ones((0, 1)), 0.0)
         assert ref.sizes.size == 0
 
     @given(seed=st.integers(0, 2**32 - 1))
@@ -1246,12 +1277,453 @@ class TestHotCodewordsEquivalence:
         receivers = tuple(
             rng.choice(n_nodes, int(rng.integers(1, n_nodes + 1)), replace=False).tolist()
         )
-        fades = {
-            (t.tx_id, r): float(rng.lognormal(0.0, 0.7))
-            for t in transmissions
-            for r in receivers
-            if rng.random() < 0.8
-        }
+        shape = (count, len(receivers))
+        fades = np.where(
+            rng.random(shape) < 0.8, rng.lognormal(0.0, 0.7, shape), 1.0
+        )
         self._assert_equivalent(
             medium, transmissions, receivers, fades, float(rng.uniform(-10, 40))
         )
+
+
+def _take(table, rows):
+    """Rows of a trace table as a new, independent table."""
+    return TraceTable(
+        **{f.name: getattr(table, f.name)[rows].copy() for f in fields(table)}
+    )
+
+
+def _assert_tables_equal(a, b):
+    for f in fields(TraceTable):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        assert x.dtype == y.dtype, f.name
+        assert x.shape == y.shape, f.name
+        assert np.array_equal(x, y), f"{f.name} diverges"
+
+
+def _fades_per_pair(sim, transmissions):
+    """The block fades as one scalar draw per pair, keyed on
+    ``(tx_id, receiver)``; a sender's own receiver has no entry."""
+    cfg = sim._config
+    fades = {}
+    if cfg.fading_sigma_db <= 0:
+        return fades
+    rng = derive_rng(cfg.seed, "block-fading")
+    for tx in transmissions:
+        for receiver in sim.testbed.receiver_ids:
+            if receiver == tx.sender:
+                continue
+            gain_db = rng.normal(0.0, cfg.fading_sigma_db)
+            fades[(tx.tx_id, receiver)] = float(10 ** (gain_db / 10))
+    return fades
+
+
+def _fade_matrix(sim, transmissions, fades):
+    """A fades dict as the ``(n_tx, n_receivers)`` gain matrix."""
+    return np.array(
+        [
+            [fades.get((tx.tx_id, r), 1.0) for r in sim.testbed.receiver_ids]
+            for tx in transmissions
+        ]
+    ).reshape(len(transmissions), len(sim.testbed.receiver_ids))
+
+
+def _receive_per_record(sim, transmissions, fades):
+    """The per-record reception path the columnar finaliser replaced.
+
+    Each audible pair is staged with its own copy of the transmitted
+    words, its changed words are decoded as one array per pair, and
+    its record is assembled alone: per-record sync popcounts, header
+    and trailer parsed through ``parse_header_bytes`` and
+    ``parse_trailer_bytes``, and preamble locks taken over the record
+    list.  Returns the records as dicts of the table's columns.
+    """
+    cfg = sim._config
+    codebook = sim._codebook
+    hot = hot_codewords(
+        sim.medium,
+        transmissions,
+        sim.testbed.receiver_ids,
+        _fade_matrix(sim, transmissions, fades),
+        cfg.min_rx_snr_db,
+    )
+    truth = {
+        i: codebook.encode_words(transmissions[i].symbols)
+        for i in np.unique(hot.tx_index).tolist()
+    }
+    pendings = []
+    if hot.sizes.size:  # np.split gives one empty piece for no pairs
+        offsets = np.cumsum(hot.sizes)[:-1]
+        staged = [
+            (i, receiver, truth[i], idx)
+            for i, receiver, idx in zip(
+                hot.tx_index.tolist(),
+                hot.receiver.tolist(),
+                np.split(hot.index, offsets),
+                strict=True,
+            )
+        ]
+        rx_flat = transmit_chipwords_batch(
+            np.concatenate([words[idx] for (_, _, words, idx) in staged]),
+            hot.prob,
+            hot.sizes,
+            np.stack(
+                [
+                    derive_key(
+                        cfg.seed, "chip-channel", transmissions[i].tx_id, r
+                    )
+                    for (i, r, _, _) in staged
+                ]
+            ),
+        )
+        for (i, receiver, truth_words, idx), rx_hot in zip(
+            staged, np.split(rx_flat, offsets), strict=True
+        ):
+            rx_words = truth_words.copy()
+            rx_words[idx] = rx_hot
+            changed = idx[rx_hot != truth_words[idx]]
+            pendings.append((i, receiver, truth_words, rx_words, changed))
+    decoded = BatchReceptionEngine(codebook).decode_hard_ragged(
+        [rx_words[changed] for (_, _, _, rx_words, changed) in pendings]
+    )
+
+    sync_chips = SYNC_SYMBOLS * codebook.chips_per_symbol
+    records = []
+    for (i, receiver, truth_words, rx_words, changed), (syms, dists) in zip(
+        pendings, decoded, strict=True
+    ):
+        sent = transmissions[i].symbols
+        symbols = sent.astype(np.int64)
+        hints = np.zeros(sent.size, dtype=np.float64)
+        symbols[changed] = syms
+        hints[changed] = dists
+        errors = popcount32(rx_words ^ truth_words)
+        pre = int(errors[:SYNC_SYMBOLS].sum())
+        post = int(errors[-SYNC_SYMBOLS:].sum())
+        body = symbols[SYNC_SYMBOLS:-SYNC_SYMBOLS]
+        payload = payload_slice(body.size)
+        records.append(
+            {
+                "tx_index": i,
+                "receiver": receiver,
+                "preamble_detectable": pre / sync_chips
+                <= cfg.sync_error_threshold,
+                "header_ok": parse_header_bytes(
+                    symbols_to_bytes(body[: payload.start])
+                )[1],
+                "postamble_detectable": post / sync_chips
+                <= cfg.sync_error_threshold,
+                "trailer_ok": parse_trailer_bytes(
+                    symbols_to_bytes(body[payload.stop :])
+                )[1],
+                "acquired_preamble": False,
+                "body_symbols": body.astype(np.int8),
+                "body_hints": hints[SYNC_SYMBOLS:-SYNC_SYMBOLS].astype(
+                    np.uint8
+                ),
+            }
+        )
+
+    by_receiver = {}
+    for rec in records:
+        by_receiver.setdefault(rec["receiver"], []).append(rec)
+    for recs in by_receiver.values():
+        recs.sort(key=lambda r: transmissions[r["tx_index"]].start)
+        lock_until = -np.inf
+        for rec in recs:
+            if not rec["preamble_detectable"]:
+                continue
+            tx = transmissions[rec["tx_index"]]
+            if tx.start < lock_until:
+                continue
+            lock_until = tx.end
+            rec["acquired_preamble"] = True
+    return records
+
+
+def _acquired(rec):
+    return rec["acquired_preamble"] or (
+        rec["postamble_detectable"] and rec["trailer_ok"]
+    )
+
+
+def _damaged_record(rec):
+    return (
+        not _acquired(rec)
+        or not rec["header_ok"]
+        or not rec["trailer_ok"]
+        or int(rec["body_hints"].max()) > 0
+    )
+
+
+def _adopt_record(rec, frame, eta):
+    symbols = frame.reception.symbols
+    if symbols.size != rec["body_symbols"].size:
+        return False
+    bad_before = int(np.count_nonzero(rec["body_hints"] > eta))
+    if _acquired(rec) and frame.fallback.n_bad_symbols >= bad_before:
+        return False
+    rec["body_symbols"] = symbols.astype(np.int8)
+    rec["body_hints"] = np.minimum(frame.reception.hints, 255.0).astype(
+        np.uint8
+    )
+    payload = payload_slice(symbols.size)
+    rec["header_ok"] = parse_header_bytes(
+        symbols_to_bytes(symbols[: payload.start])
+    )[1]
+    rec["trailer_ok"] = parse_trailer_bytes(
+        symbols_to_bytes(symbols[payload.stop :])
+    )[1]
+    detection = frame.reception.detection
+    if detection is not None and detection.kind == "preamble":
+        rec["preamble_detectable"] = True
+        rec["acquired_preamble"] = True
+    else:
+        rec["postamble_detectable"] = True
+    return True
+
+
+def _sic_per_record(sim, transmissions, fades, records):
+    """The record-based SIC pass the row-based one replaced.
+
+    Records are grouped per receiver in a dict keyed on ``tx_id``,
+    receivers are visited in sorted order, and each transmission's
+    fade is looked up in the ``(tx_id, receiver)`` dict.  Rewrites the
+    records in place; returns how many.
+    """
+    cfg = sim._config
+    codebook = sim._codebook
+    medium = sim.medium
+    width = codebook.chips_per_symbol
+    sample_rate = width * SIC_SPS / cfg.symbol_period_s
+    by_receiver = {}
+    for rec in records:
+        tx = transmissions[rec["tx_index"]]
+        by_receiver.setdefault(rec["receiver"], {})[tx.tx_id] = rec
+    decoder = SicDecoder(
+        codebook, sps=SIC_SPS, threshold=1.0 - 2.0 * cfg.sync_error_threshold
+    )
+    modulator = MskModulator(sps=SIC_SPS)
+    guard = width * SIC_SPS
+    updated = 0
+    for receiver in sorted(by_receiver):
+        recmap = by_receiver[receiver]
+        audible = [
+            transmissions[recmap[tx_id]["tx_index"]] for tx_id in sorted(recmap)
+        ]
+        for k, a in enumerate(audible):
+            for b in audible[k + 1 :]:
+                if not a.overlaps(b):
+                    continue
+                if any(
+                    c.tx_id not in (a.tx_id, b.tx_id)
+                    and (c.overlaps(a) or c.overlaps(b))
+                    for c in audible
+                ):
+                    continue
+                if not (
+                    _damaged_record(recmap[a.tx_id])
+                    or _damaged_record(recmap[b.tx_id])
+                ):
+                    continue
+                t0 = min(a.start, b.start)
+                instances = [
+                    TransmissionInstance(
+                        samples=modulator.modulate_symbols(t.symbols, codebook),
+                        offset=int(round((t.start - t0) * sample_rate)),
+                        gain=medium.amplitude_gain(t.sender, receiver)
+                        * float(np.sqrt(fades.get((t.tx_id, receiver), 1.0))),
+                    )
+                    for t in (a, b)
+                ]
+                rng = keyed_rng(
+                    cfg.seed, "sic-capture", receiver, a.tx_id, b.tx_id
+                )
+                capture = awgn_collision_channel(
+                    instances, medium.noise_mw, rng=rng
+                )
+                result = decoder.decode_pair(
+                    capture, recmap[a.tx_id]["body_symbols"].size
+                )
+                expected_starts = {
+                    a.tx_id: instances[0].offset,
+                    b.tx_id: instances[1].offset,
+                }
+                claimed = set()
+                for frame in result.frames:
+                    tx_id = _match_tx(frame, expected_starts, guard, claimed)
+                    if tx_id is None:
+                        continue
+                    claimed.add(tx_id)
+                    rec = recmap[tx_id]
+                    if _damaged_record(rec) and _adopt_record(
+                        rec, frame, decoder.eta
+                    ):
+                        updated += 1
+    return updated
+
+
+def _records_table(records, n_body):
+    """Per-record dicts stacked into a trace table."""
+    columns = {}
+    for f in fields(TraceTable):
+        values = [rec[f.name] for rec in records]
+        if f.name.startswith("body_"):
+            dtype = np.int8 if f.name == "body_symbols" else np.uint8
+            columns[f.name] = (
+                np.stack(values) if values else np.zeros((0, n_body), dtype)
+            )
+        else:
+            integral = f.name in ("tx_index", "receiver")
+            columns[f.name] = np.array(
+                values, dtype=np.int64 if integral else bool
+            )
+    return TraceTable(**columns)
+
+
+def _quick_points():
+    """The distinct simulation points every experiment declares at
+    ``runner --quick``."""
+    registry.discover()
+    base = RunCache(duration_s=15.0, seed=2007).base
+    return list(
+        dict.fromkeys(
+            config
+            for spec in registry.all_specs()
+            for config in spec.configs(base)
+        )
+    )
+
+
+class TestColumnarReceptionEquivalence:
+    """The columnar finaliser vs the per-record path it replaced.
+
+    ``NetworkSimulation.run`` builds every reception as a row of one
+    trace table in a handful of array passes; the per-record path
+    staged, decoded, checked and lock-arbitrated one reception at a
+    time.  Both must give equal tables, and equal store bytes.
+    """
+
+    @staticmethod
+    def _assert_equivalent(config):
+        sim = NetworkSimulation(config)
+        result = sim.run()
+        fades = _fades_per_pair(sim, result.transmissions)
+        records = _receive_per_record(sim, result.transmissions, fades)
+        if config.sic_recovery:
+            assert _sic_per_record(sim, result.transmissions, fades, records)
+        reference = _records_table(
+            records, body_symbol_count(config.payload_bytes)
+        )
+        _assert_tables_equal(result.table, reference)
+        assert result_to_parts(
+            replace(result, table=reference)
+        ) == result_to_parts(result)
+        return result
+
+    def test_every_quick_point(self):
+        points = _quick_points()
+        assert len(points) == 13
+        for config in points:
+            self._assert_equivalent(config)
+
+    def test_sic_recovery(self):
+        config = SimulationConfig(
+            load_bits_per_s_per_node=13800.0,
+            payload_bytes=24,
+            duration_s=0.2,
+            carrier_sense=False,
+            seed=3,
+            sic_recovery=True,
+        )
+        self._assert_equivalent(config)
+
+    def test_no_audible_pair(self):
+        config = SimulationConfig(
+            load_bits_per_s_per_node=3500.0,
+            duration_s=2.0,
+            seed=5,
+            min_rx_snr_db=200.0,
+        )
+        result = self._assert_equivalent(config)
+        assert result.transmissions and not len(result.table)
+
+    def test_no_transmissions(self):
+        """A run too short for any arrival still gives an empty result."""
+        config = SimulationConfig(duration_s=0.001, seed=2007)
+        result = self._assert_equivalent(config)
+        assert not result.transmissions and not result.records
+        assert result.table.body_symbols.shape == (
+            0,
+            body_symbol_count(config.payload_bytes),
+        )
+        meta, blob = result_to_parts(result)
+        again = result_from_parts(meta, blob)
+        assert not again.transmissions and not len(again.table)
+        assert result_to_parts(again) == (meta, blob)
+        for run in (result, again):
+            for evaluation in evaluate_schemes(run, _every_scheme()):
+                assert not len(evaluation.stats)
+
+    @pytest.mark.parametrize("fading_sigma_db", [0.0, 3.0])
+    def test_fades_are_one_draw(self, fading_sigma_db):
+        """One vector draw equals one scalar draw per pair."""
+        config = SimulationConfig(
+            load_bits_per_s_per_node=13800.0,
+            duration_s=2.0,
+            seed=11,
+            fading_sigma_db=fading_sigma_db,
+        )
+        sim = NetworkSimulation(config)
+        transmissions = sim._generate_transmissions()
+        gains = sim._draw_fades(transmissions)
+        assert gains.shape == (
+            len(transmissions),
+            len(sim.testbed.receiver_ids),
+        )
+        fades = _fades_per_pair(sim, transmissions)
+        assert np.array_equal(gains, _fade_matrix(sim, transmissions, fades))
+
+
+class TestHeaderRowsEquivalence:
+    """Batched header/trailer CRC verdicts vs the byte parsers."""
+
+    @staticmethod
+    def _assert_equivalent(rows):
+        verdicts = header_rows_ok(rows)
+        assert verdicts.dtype == bool and verdicts.shape == (len(rows),)
+        for row, ok in zip(rows, verdicts.tolist(), strict=True):
+            data = symbols_to_bytes(row)
+            assert ok == parse_header_bytes(data)[1]
+            assert ok == parse_trailer_bytes(data)[1]
+        return verdicts
+
+    @staticmethod
+    def _valid_rows(rng, count):
+        return np.stack(
+            [
+                bytes_to_symbols(
+                    FrameHeader(*rng.integers(0, 0x10000, 4).tolist()).pack()
+                )
+                for _ in range(count)
+            ]
+        ).astype(np.int8)
+
+    def test_random_rows(self, rng):
+        rows = rng.integers(0, 16, (500, 20)).astype(np.int8)
+        self._assert_equivalent(rows)
+
+    def test_valid_rows(self, rng):
+        assert self._assert_equivalent(self._valid_rows(rng, 200)).all()
+
+    @pytest.mark.parametrize("span", [(0, 16), (16, 20)])
+    def test_corrupted_rows(self, rng, span):
+        """One nibble changed in the protected fields, or in the CRC."""
+        rows = self._valid_rows(rng, 200)
+        at = rng.integers(*span, len(rows))
+        flip = rng.integers(1, 16, len(rows)).astype(np.int8)
+        rows[np.arange(len(rows)), at] ^= flip
+        assert not self._assert_equivalent(rows).any()
+
+    def test_no_rows(self):
+        assert self._assert_equivalent(np.zeros((0, 20), np.int8)).size == 0
