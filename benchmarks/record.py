@@ -13,7 +13,10 @@ every workload of ``BENCHMARK.json`` runs::
 (the parent goes first in odd pairs, so drift on a shared host hits
 both sides alike), plus one ``--trace 1`` run on each side.  The
 medians, quartiles, per-pair wins and raw runs go to
-``BENCH_<pr>.json`` in this checkout.
+``BENCH_<pr>.json`` in this checkout, with ``digests_match`` per
+workload and per traced run: whether the parent and the change
+produced the same artifact digests.  A line is printed for every
+workload whose digests differ; that only reports, it does not gate.
 
 Exits 1 when a change median of an end-to-end metric is worse than
 its parent's by more than that metric's ``bound`` in
@@ -120,17 +123,25 @@ def record_workload(
     out["digests"] = {
         side: sorted({d for r in rs for d in r["digests"]}) for side, rs in runs.items()
     }
+    out["digests_match"] = digests_match(out["digests"])
     return out
+
+
+def digests_match(digests: dict[str, list[str]]) -> bool:
+    """Whether both sides reported the same, non-empty artifact digests."""
+    return bool(digests["parent"]) and digests["parent"] == digests["change"]
 
 
 def record_traced(parent_dir: Path, workload: str, seed: int) -> dict:
     """One traced run on each side: every per-layer metric."""
     parent = run_bench(parent_dir, workload, seed, 1)
     change = run_bench(ROOT, workload, seed, 1)
+    digests = {"parent": parent["digests"], "change": change["digests"]}
     return {
         "jobs": 1,
         "absent_lines": {"parent": len(parent["absent"]), "change": len(change["absent"])},
-        "digests": {"parent": parent["digests"], "change": change["digests"]},
+        "digests": digests,
+        "digests_match": digests_match(digests),
         "metrics": {
             name: {
                 "parent": parent["metrics"].get(name, {}).get("value"),
@@ -236,6 +247,14 @@ def main(argv: list[str] | None = None) -> int:
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(document, indent=2) + "\n")
     print(f"wrote {out.name}; claim met: {document['claim']['met']}")
+    for name in names:
+        for kind, summary in (("timed", workloads[name]), ("traced", traced[name])):
+            if not summary["digests_match"]:
+                digests = summary["digests"]
+                print(
+                    f"digests differ: {name} ({kind}): parent {digests['parent']} "
+                    f"change {digests['change']}"
+                )
     for problem in problems:
         print(f"regression: {problem}")
     return 1 if problems else 0

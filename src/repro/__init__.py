@@ -44,7 +44,6 @@ from repro.link import (
     PacketCrcScheme,
     PprFrame,
     PprScheme,
-    ReceivedPayload,
     SicScheme,
     SpracScheme,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "PacketCrcScheme",
     "PprFrame",
     "PprScheme",
-    "ReceivedPayload",
     "SicScheme",
     "SpracScheme",
     "Codebook",

@@ -9,6 +9,7 @@ from repro.analysis.stats import (
     Cdf,
     cdf_points,
     geometric_mean,
+    mean_ci,
     median,
     percentile,
 )
@@ -24,6 +25,7 @@ __all__ = [
     "Cdf",
     "cdf_points",
     "geometric_mean",
+    "mean_ci",
     "median",
     "percentile",
     "run_lengths",

@@ -94,3 +94,25 @@ def geometric_mean(samples, epsilon: float = 0.0) -> float:
             "(pass epsilon to offset zeros)"
         )
     return float(np.exp(np.mean(np.log(arr))))
+
+
+#: two-sided 95% normal quantile
+_Z95 = 1.96
+
+
+def mean_ci(values) -> tuple[float, float]:
+    """Sample mean and its 95% normal-approximation half-width.
+
+    The half-width is ``1.96 * s / sqrt(n)`` with the ``ddof=1``
+    sample deviation, and 0 for a single value.  With the three seeds
+    per point the beyond-the-paper sweeps use, this is a coarse band —
+    enough to ask whether an ordering survives seed noise, not a
+    publication-grade interval.
+    """
+    arr = np.asarray(values, dtype=np.float64)
+    half = (
+        _Z95 * arr.std(ddof=1) / np.sqrt(arr.size)
+        if arr.size > 1
+        else 0.0
+    )
+    return float(arr.mean()), float(half)

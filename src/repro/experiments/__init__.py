@@ -21,7 +21,6 @@ from repro.experiments.common import (
     Scenario,
     ShapeCheck,
     Sweep,
-    default_runs,
     grid,
     labelled_evaluations,
     sweep,
@@ -46,7 +45,6 @@ __all__ = [
     "ShapeCheck",
     "Sweep",
     "all_specs",
-    "default_runs",
     "discover",
     "get_spec",
     "grid",

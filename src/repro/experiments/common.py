@@ -5,7 +5,7 @@ condition; here every condition is a full (frozen)
 :class:`SimulationConfig` and :class:`RunCache` simulates each config
 at most once, whoever asks.  Because the cache key is the entire
 config, any axis an experiment sweeps — load, carrier sense, seed,
-payload, duration, η-independent knobs — produces its own entry; two
+payload, duration, noise floor — produces its own entry; two
 different configurations can never silently alias.
 
 On top of the cache sits a small declarative layer:
@@ -22,7 +22,6 @@ On top of the cache sits a small declarative layer:
 from __future__ import annotations
 
 import dataclasses
-import difflib
 from dataclasses import dataclass, field, replace
 from itertools import product
 from typing import TYPE_CHECKING, Any, Iterable
@@ -62,9 +61,10 @@ DEFAULT_SEED = 2007  # year of publication
 
 RESULT_SCHEMA_VERSION = 1
 
-# The harness's base simulation point.  Experiments and sweeps express
-# themselves as *overrides* of this config; the paper's offered loads
-# and carrier-sense settings are always set explicitly per experiment.
+# The harness's base simulation point (the default ``RunCache`` base).
+# Experiments and sweeps express themselves as *overrides* of this
+# config; the paper's offered loads and carrier-sense settings are
+# always set explicitly per experiment.
 _EXPERIMENT_BASE = SimulationConfig(
     load_bits_per_s_per_node=LOAD_MODERATE,
     payload_bytes=DEFAULT_PAYLOAD_BYTES,
@@ -91,38 +91,12 @@ _FIELD_ALIASES = {
 _SHORT_NAMES = {"load_bits_per_s_per_node": "load"}
 
 
-def config_field(name: str) -> str | None:
-    """Resolve a name (or alias) to a SimulationConfig field, else None."""
-    resolved = _FIELD_ALIASES.get(name, name)
-    return resolved if resolved in _CONFIG_FIELDS else None
-
-
-def _reject_near_miss(name: str) -> None:
-    """Raise if a non-config axis name looks like a misspelled field.
-
-    Sweep axes that are not config fields legitimately ride along as
-    evaluation parameters (``eta=...``), so an unknown name cannot be
-    rejected outright — but a near miss of a real field (``
-    carier_sense``) would silently simulate the *base* value while the
-    scenario label claims otherwise.  Catch that class of mistake.
-    """
-    candidates = sorted(_CONFIG_FIELDS | set(_FIELD_ALIASES))
-    close = difflib.get_close_matches(name, candidates, n=1, cutoff=0.75)
-    if close:
-        raise ValueError(
-            f"axis {name!r} is not a SimulationConfig field but is "
-            f"suspiciously close to {close[0]!r}; spell the field "
-            "correctly, or rename the axis if it really is an "
-            "evaluation parameter"
-        )
-
-
 def _resolve_overrides(overrides: dict[str, Any]) -> dict[str, Any]:
     """Map aliased override names onto SimulationConfig fields, strictly."""
     resolved: dict[str, Any] = {}
     for name, value in overrides.items():
-        target = config_field(name)
-        if target is None:
+        target = _FIELD_ALIASES.get(name, name)
+        if target not in _CONFIG_FIELDS:
             raise ValueError(
                 f"unknown SimulationConfig field {name!r}; valid fields: "
                 f"{sorted(_CONFIG_FIELDS)} (aliases: "
@@ -134,13 +108,6 @@ def _resolve_overrides(overrides: dict[str, Any]) -> dict[str, Any]:
             )
         resolved[target] = value
     return resolved
-
-
-def default_base_config(**overrides: Any) -> SimulationConfig:
-    """The harness base config, with optional field overrides applied."""
-    if not overrides:
-        return _EXPERIMENT_BASE
-    return replace(_EXPERIMENT_BASE, **_resolve_overrides(overrides))
 
 
 @dataclass(frozen=True)
@@ -300,15 +267,9 @@ class ExperimentOutput:
 
 @dataclass(frozen=True)
 class Scenario:
-    """One point of a sweep: config overrides plus evaluation params.
-
-    ``overrides`` name SimulationConfig fields and define the
-    simulation point; ``params`` carry non-config axes (η, fragment
-    counts, ...) that evaluation code reads via :meth:`param`.
-    """
+    """One simulation point: SimulationConfig field overrides."""
 
     overrides: tuple[tuple[str, Any], ...] = ()
-    params: tuple[tuple[str, Any], ...] = ()
 
     def config(self, base: SimulationConfig) -> SimulationConfig:
         """Resolve this scenario against a base config."""
@@ -316,15 +277,11 @@ class Scenario:
             return base
         return replace(base, **dict(self.overrides))
 
-    def param(self, name: str, default: Any = None) -> Any:
-        """An evaluation parameter carried by this scenario."""
-        return dict(self.params).get(name, default)
-
     def label(self) -> str:
         """Compact human-readable tag, e.g. ``load=3500, seed=2008``."""
         parts = [
             f"{_SHORT_NAMES.get(name, name)}={value}"
-            for name, value in (*self.overrides, *self.params)
+            for name, value in self.overrides
         ]
         return ", ".join(parts) if parts else "base"
 
@@ -332,37 +289,24 @@ class Scenario:
 def grid(**axes: Any) -> tuple[Scenario, ...]:
     """Cross product of named axes as :class:`Scenario`s.
 
-    Axis values may be scalars or iterables.  Names that resolve to
-    SimulationConfig fields (aliases like ``load``/``loads``/``seeds``
-    accepted) become config overrides; any other name rides along as
-    an evaluation parameter (e.g. ``eta``) for the experiment's own
-    post-processing — except names suspiciously close to a real field
-    (``carier_sense``), which are rejected as probable typos.  Axis
-    order is preserved in labels, with the rightmost axis varying
-    fastest.
+    Axis values may be scalars or iterables.  Every name must resolve
+    to a SimulationConfig field (aliases like ``load``/``loads``/
+    ``seeds`` accepted); anything else — an evaluation knob such as η
+    included — is an unknown-field error, since it would not change
+    what is simulated.  Axis order is preserved in labels, with the
+    rightmost axis varying fastest.
     """
-    names: list[str] = []
-    values: list[tuple[Any, ...]] = []
-    for name, vals in axes.items():
-        if isinstance(vals, (str, bytes)) or not isinstance(
-            vals, Iterable
-        ):
-            vals = (vals,)
-        names.append(name)
-        values.append(tuple(vals))
-    scenarios = []
-    for combo in product(*values):
-        overrides: list[tuple[str, Any]] = []
-        params: list[tuple[str, Any]] = []
-        for name, value in zip(names, combo, strict=True):
-            target = config_field(name)
-            if target is None:
-                _reject_near_miss(name)
-                params.append((name, value))
-            else:
-                overrides.append((target, value))
-        scenarios.append(Scenario(tuple(overrides), tuple(params)))
-    return tuple(scenarios)
+    fields = _resolve_overrides(axes)
+    values = [
+        (vals,)
+        if isinstance(vals, (str, bytes)) or not isinstance(vals, Iterable)
+        else tuple(vals)
+        for vals in fields.values()
+    ]
+    return tuple(
+        Scenario(tuple(zip(fields, combo, strict=True)))
+        for combo in product(*values)
+    )
 
 
 @dataclass(frozen=True)
@@ -376,7 +320,7 @@ class Sweep:
         return [s.config(base) for s in self.scenarios]
 
     def run(
-        self, cache: "RunCache | None" = None
+        self, cache: "RunCache"
     ) -> list[tuple[Scenario, SimulationResult]]:
         """Simulate (or fetch) every scenario, prefetching in parallel.
 
@@ -384,7 +328,6 @@ class Sweep:
         processes first, then each ``(scenario, result)`` pair is
         returned in scenario order.
         """
-        cache = cache if cache is not None else default_runs()
         configs = self.configs(cache.base)
         cache.prefetch(configs)
         return [
@@ -431,7 +374,7 @@ class RunCache:
     bit-identical for any worker count, including ``jobs=1``, because
     every config's randomness derives from its own fields alone.
 
-    ``base`` (default :func:`default_base_config`) supplies the fields
+    ``base`` (default: the harness base config) supplies the fields
     an individual request does not override:
     ``cache.get(load=13800.0, carrier_sense=False)`` resolves against
     it, as do :class:`Sweep` scenarios and registered experiment
@@ -582,43 +525,6 @@ class RunCache:
         """Drop all cached runs and failures (memory-sensitive callers)."""
         self._cache.clear()
         self._failed.clear()
-
-
-_SHARED_CACHES: dict[tuple, RunCache] = {}
-
-
-def default_runs(
-    *,
-    jobs: int | None = None,
-    store: "RunStore | None" = None,
-    **overrides: Any,
-) -> RunCache:
-    """Process-wide shared :class:`RunCache`s, keyed by their settings.
-
-    The same parameters always return the same cache instance (so the
-    harness, benchmarks, and ad-hoc callers share simulations), while
-    different parameters return a *different* cache — a configured
-    caller can never silently receive runs simulated under other
-    settings.  The key covers every setting: base config, ``jobs``,
-    and the ``store`` root.  (An earlier version mutated ``cache.jobs``
-    on the shared instance instead of keying on it, so one caller's
-    worker count leaked into every other caller of the same base —
-    that footgun is gone; shared caches are never reconfigured in
-    place.)
-
-    ``store`` attaches a durable run store; two callers naming the
-    same store root share one cache instance (and its store handle).
-    """
-    base = default_base_config(**overrides)
-    store_root = (
-        None if store is None else str(store.root.resolve())
-    )
-    key = (base, int(jobs) if jobs is not None else 1, store_root)
-    cache = _SHARED_CACHES.get(key)
-    if cache is None:
-        cache = RunCache(base, jobs=key[1], store=store)
-        _SHARED_CACHES[key] = cache
-    return cache
 
 
 # -- shared evaluation helpers ----------------------------------------------

@@ -4,8 +4,10 @@ Three conditions share one experiment shape — evaluate every (scheme,
 postamble) variant on a capacity run and plot the per-link equivalent
 frame delivery rate CDF — differing only in offered load, carrier
 sense, and their condition-specific claims.  Each figure's module
-(``exp_fig8``/``exp_fig9``/``exp_fig10``) registers its own spec and
-composes these helpers.
+(``exp_fig8``/``exp_fig9``/``exp_fig10``) registers its own spec,
+evaluates the runs it declared with
+:func:`~repro.experiments.common.labelled_evaluations` and composes
+these helpers over the label-keyed evaluations.
 """
 
 from __future__ import annotations
@@ -13,21 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.analysis.textplot import render_cdf
-from repro.experiments.common import (
-    RunCache,
-    ShapeCheck,
-    labelled_evaluations,
-    mean_delivery_rate,
-)
+from repro.experiments.common import ShapeCheck, mean_delivery_rate
 from repro.sim.metrics import SchemeEvaluation
-
-
-def delivery_cdfs(
-    cache: RunCache, load: float, carrier_sense: bool
-) -> dict[str, SchemeEvaluation]:
-    """Label-keyed scheme evaluations for one (load, carrier-sense) run."""
-    result = cache.get(load=load, carrier_sense=carrier_sense)
-    return labelled_evaluations(result)
 
 
 def common_checks(

@@ -5,9 +5,10 @@ all either discard or hand up bad runs; S-PRAC (PAPERS.md) instead
 CRC-protects segments and repairs losses with random linear network
 coding.  This experiment pits all four on the same recorded traces in
 the reproduction's harshest regime — heavy offered load (collision
-bursts) crossed with a raised noise floor — over a channel-noise x
-segment-count x η grid, with every load point replicated across seeds
-for paired confidence intervals.
+bursts) crossed with a raised noise floor.  The declared points are a
+channel-noise x seed grid (every point replicated across seeds for
+paired confidence intervals); the segment count and η are evaluation
+knobs, looped over the same traces of each run.
 
 Expectations under test:
 
@@ -30,14 +31,15 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.analysis.stats import mean_ci
 from repro.analysis.textplot import format_table
 from repro.experiments.common import (
     DEFAULT_SEED,
     LOAD_HEAVY,
     ExperimentOutput,
-    RunCache,
     ShapeCheck,
-    sweep,
+    grid,
+    mean_delivery_rate,
 )
 from repro.experiments.registry import register
 from repro.link.schemes import (
@@ -47,6 +49,7 @@ from repro.link.schemes import (
     SpracScheme,
 )
 from repro.sim.metrics import SchemeEvaluation, evaluate_schemes
+from repro.sim.network import SimulationResult
 
 # The raised noise floor is the channel-noise axis: -95 dBm is the
 # paper testbed's floor, -87 dBm costs every link ~8 dB of SNR.
@@ -54,32 +57,6 @@ NOISE_FLOORS = (-95.0, -87.0)
 SEEDS = (DEFAULT_SEED, DEFAULT_SEED + 1, DEFAULT_SEED + 2)
 SEGMENTS = (15, 30, 60)
 ETAS = (4.0, 6.0, 8.0)
-
-_SWEEP = sweep(
-    noise_floor_dbm=NOISE_FLOORS,
-    seed=SEEDS,
-    segments=SEGMENTS,
-    eta=ETAS,
-    load=LOAD_HEAVY,
-    carrier_sense=False,
-)
-
-_Z95 = 1.96
-
-
-def _mean_ci(values: list[float]) -> tuple[float, float]:
-    arr = np.asarray(values, dtype=np.float64)
-    half = (
-        _Z95 * arr.std(ddof=1) / np.sqrt(arr.size)
-        if arr.size > 1
-        else 0.0
-    )
-    return float(arr.mean()), float(half)
-
-
-def _mean_rate(evaluation: SchemeEvaluation) -> float:
-    rates = evaluation.delivery_rates()
-    return float(np.mean(rates)) if rates else 0.0
 
 
 def _incorrect_bits(evaluation: SchemeEvaluation) -> int:
@@ -100,49 +77,53 @@ def _incorrect_bits(evaluation: SchemeEvaluation) -> int:
         "coding-verified by construction); the repair redundancy is "
         "paid for in goodput"
     ),
-    points=_SWEEP.scenarios,
+    points=grid(
+        noise_floor_dbm=NOISE_FLOORS,
+        seed=SEEDS,
+        load=LOAD_HEAVY,
+        carrier_sense=False,
+    ),
     order=101,
 )
-def run(cache: RunCache) -> ExperimentOutput:
-    """Evaluate the four contenders across the declared grid."""
-    # The (segments, eta) axes ride on the same traces, so every
-    # contender is evaluated once per (noise, seed) run and the grid is
-    # assembled from those evaluations.  One SpracScheme per k serves
-    # every run, so its codec's recovery memo is shared across them.
+def run(runs: list[SimulationResult]) -> ExperimentOutput:
+    """Evaluate the four contenders on every declared run."""
+    # The segment counts and etas ride on the same traces, so every
+    # contender is evaluated once per (noise, seed) run and the
+    # (k, eta) cells are assembled from those evaluations.  One
+    # SpracScheme per k serves every run, so its codec's recovery memo
+    # is shared across them.
     packet = PacketCrcScheme()
     frags = {k: FragmentedCrcScheme(n_fragments=k) for k in SEGMENTS}
     spracs = {k: SpracScheme(n_segments=k, n_repair=k // 2) for k in SEGMENTS}
     pprs = {eta: PprScheme(eta=eta) for eta in ETAS}
     schemes = [packet, *frags.values(), *spracs.values(), *pprs.values()]
-    packet_memo: dict[tuple, float] = {}
-    frag_memo: dict[tuple, tuple[float, float]] = {}  # frag, sprac
-    goodput_memo: dict[tuple, tuple[float, float]] = {}
-    ppr_memo: dict[tuple, tuple[float, int]] = {}  # rate, bad bits
-    for _scenario, result in _SWEEP.run(cache):
+    packet_rate: dict[tuple, float] = {}
+    frag_rates: dict[tuple, tuple[float, float]] = {}  # frag, sprac
+    goodputs: dict[tuple, tuple[float, float]] = {}
+    ppr_outcomes: dict[tuple, tuple[float, int]] = {}  # rate, bad bits
+    for result in runs:
         noise = result.config.noise_floor_dbm
         seed = result.config.seed
-        if (noise, seed) in packet_memo:
-            continue
         evals = {
             e.scheme: e
             for e in evaluate_schemes(
                 result, schemes, postamble_options=(True,)
             )
         }
-        packet_memo[(noise, seed)] = _mean_rate(evals[packet])
+        packet_rate[(noise, seed)] = mean_delivery_rate(evals[packet])
         for k in SEGMENTS:
             frag_eval, sprac_eval = evals[frags[k]], evals[spracs[k]]
-            frag_memo[(noise, seed, k)] = (
-                _mean_rate(frag_eval),
-                _mean_rate(sprac_eval),
+            frag_rates[(noise, seed, k)] = (
+                mean_delivery_rate(frag_eval),
+                mean_delivery_rate(sprac_eval),
             )
-            goodput_memo[(noise, seed, k)] = (
+            goodputs[(noise, seed, k)] = (
                 frag_eval.aggregate_throughput_kbps(),
                 sprac_eval.aggregate_throughput_kbps(),
             )
         for eta in ETAS:
-            ppr_memo[(noise, seed, eta)] = (
-                _mean_rate(evals[pprs[eta]]),
+            ppr_outcomes[(noise, seed, eta)] = (
+                mean_delivery_rate(evals[pprs[eta]]),
                 _incorrect_bits(evals[pprs[eta]]),
             )
 
@@ -150,14 +131,14 @@ def run(cache: RunCache) -> ExperimentOutput:
     cell_stats: dict[str, dict[str, float]] = {}
     for noise in NOISE_FLOORS:
         for k in SEGMENTS:
-            frags = [frag_memo[(noise, s, k)][0] for s in SEEDS]
-            spracs = [frag_memo[(noise, s, k)][1] for s in SEEDS]
+            frags = [frag_rates[(noise, s, k)][0] for s in SEEDS]
+            spracs = [frag_rates[(noise, s, k)][1] for s in SEEDS]
             gaps = [b - a for a, b in zip(frags, spracs, strict=True)]
-            frag_mean, frag_hw = _mean_ci(frags)
-            sprac_mean, sprac_hw = _mean_ci(spracs)
-            gap_mean, gap_hw = _mean_ci(gaps)
-            packet_mean, _ = _mean_ci(
-                [packet_memo[(noise, s)] for s in SEEDS]
+            frag_mean, frag_hw = mean_ci(frags)
+            sprac_mean, sprac_hw = mean_ci(spracs)
+            gap_mean, gap_hw = mean_ci(gaps)
+            packet_mean, _ = mean_ci(
+                [packet_rate[(noise, s)] for s in SEEDS]
             )
             cell_stats[f"{noise}dBm-k{k}"] = {
                 "packet_crc_mean": packet_mean,
@@ -170,12 +151,12 @@ def run(cache: RunCache) -> ExperimentOutput:
                 "gap_min": float(min(gaps)),
                 "goodput_frag_kbps": float(
                     np.mean(
-                        [goodput_memo[(noise, s, k)][0] for s in SEEDS]
+                        [goodputs[(noise, s, k)][0] for s in SEEDS]
                     )
                 ),
                 "goodput_sprac_kbps": float(
                     np.mean(
-                        [goodput_memo[(noise, s, k)][1] for s in SEEDS]
+                        [goodputs[(noise, s, k)][1] for s in SEEDS]
                     )
                 ),
             }
@@ -209,9 +190,9 @@ def run(cache: RunCache) -> ExperimentOutput:
     ppr_stats: dict[str, dict[str, float]] = {}
     for noise in NOISE_FLOORS:
         for eta in ETAS:
-            rates = [ppr_memo[(noise, s, eta)][0] for s in SEEDS]
-            bad = [ppr_memo[(noise, s, eta)][1] for s in SEEDS]
-            rate_mean, rate_hw = _mean_ci(rates)
+            rates = [ppr_outcomes[(noise, s, eta)][0] for s in SEEDS]
+            bad = [ppr_outcomes[(noise, s, eta)][1] for s in SEEDS]
+            rate_mean, rate_hw = mean_ci(rates)
             ppr_stats[f"{noise}dBm-eta{eta:g}"] = {
                 "rate_mean": rate_mean,
                 "rate_ci": rate_hw,
@@ -300,7 +281,3 @@ def run(cache: RunCache) -> ExperimentOutput:
             "ppr": ppr_stats,
         },
     )
-
-
-if __name__ == "__main__":
-    print(run().summary())

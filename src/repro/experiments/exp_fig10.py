@@ -12,12 +12,13 @@ from repro.experiments.common import (
     LOAD_HEAVY,
     LOAD_MODERATE,
     ExperimentOutput,
-    RunCache,
     ShapeCheck,
     grid,
+    labelled_evaluations,
     mean_delivery_rate,
 )
 from repro.experiments.registry import register
+from repro.sim.network import SimulationResult
 
 
 @register(
@@ -30,13 +31,12 @@ from repro.experiments.registry import register
     points=grid(load=(LOAD_HEAVY, LOAD_MODERATE), carrier_sense=False),
     order=10,
 )
-def run(cache: RunCache) -> ExperimentOutput:
+def run(runs: list[SimulationResult]) -> ExperimentOutput:
     """Fig. 10: heavy load (13.8 Kbit/s/node), carrier sense disabled."""
-    evals = delivery.delivery_cdfs(cache, LOAD_HEAVY, carrier_sense=False)
+    heavy, moderate = runs
+    evals = labelled_evaluations(heavy)
     checks = delivery.common_checks(evals)
-    evals_mod = delivery.delivery_cdfs(
-        cache, LOAD_MODERATE, carrier_sense=False
-    )
+    evals_mod = labelled_evaluations(moderate)
     pkt_mod = mean_delivery_rate(evals_mod["packet_crc, no postamble"])
     pkt_heavy = mean_delivery_rate(evals["packet_crc, no postamble"])
     ppr_heavy = mean_delivery_rate(evals["ppr, postamble"])
@@ -61,7 +61,3 @@ def run(cache: RunCache) -> ExperimentOutput:
         shape_checks=checks,
         series=delivery.rate_series(evals),
     )
-
-
-if __name__ == "__main__":
-    print(run().summary())

@@ -14,12 +14,12 @@ from repro.analysis.textplot import render_cdf
 from repro.experiments.common import (
     LOAD_MEDIUM,
     ExperimentOutput,
-    RunCache,
     ShapeCheck,
     grid,
     labelled_evaluations,
 )
 from repro.experiments.registry import register
+from repro.sim.network import SimulationResult
 
 
 @register(
@@ -33,9 +33,9 @@ from repro.experiments.registry import register
     points=grid(load=LOAD_MEDIUM, carrier_sense=False),
     order=11,
 )
-def run(cache: RunCache) -> ExperimentOutput:
+def run(runs: list[SimulationResult]) -> ExperimentOutput:
     """Reproduce Fig. 11 at medium (near-saturation) load."""
-    result = cache.get(load=LOAD_MEDIUM, carrier_sense=False)
+    (result,) = runs
     by_label = labelled_evaluations(result)
 
     tput_series = {}
@@ -98,7 +98,3 @@ def run(cache: RunCache) -> ExperimentOutput:
         shape_checks=checks,
         series={**tput_series, "totals": totals},
     )
-
-
-if __name__ == "__main__":
-    print(run().summary())

@@ -19,16 +19,14 @@ from repro.experiments.common import (
     LOAD_MEDIUM,
     LOAD_MODERATE,
     ExperimentOutput,
-    RunCache,
     ShapeCheck,
     grid,
     labelled_evaluations,
 )
 from repro.experiments.registry import register
+from repro.sim.network import SimulationResult
 
 _FLOOR_KBPS = 1e-2
-
-_LOADS = (LOAD_MODERATE, LOAD_MEDIUM, LOAD_HEAVY)
 
 
 @register(
@@ -39,15 +37,16 @@ _LOADS = (LOAD_MODERATE, LOAD_MEDIUM, LOAD_HEAVY)
         "CRC scattered far below fragmented CRC; spread shrinks with "
         "finer recovery granularity"
     ),
-    points=grid(load=_LOADS, carrier_sense=False),
+    points=grid(
+        load=(LOAD_MODERATE, LOAD_MEDIUM, LOAD_HEAVY), carrier_sense=False
+    ),
     order=12,
 )
-def run(cache: RunCache) -> ExperimentOutput:
+def run(runs: list[SimulationResult]) -> ExperimentOutput:
     """Reproduce the Fig. 12 scatter over all three loads."""
     ppr_points: list[tuple[float, float]] = []
     pkt_points: list[tuple[float, float]] = []
-    for load in _LOADS:
-        result = cache.get(load=load, carrier_sense=False)
+    for result in runs:
         evals = labelled_evaluations(result, postamble_options=(True,))
         frag = evals["fragmented_crc, postamble"].throughputs_kbps()
         ppr = evals["ppr, postamble"].throughputs_kbps()
@@ -113,7 +112,3 @@ def run(cache: RunCache) -> ExperimentOutput:
             "pkt_over_frag": pkt_ratio,
         },
     )
-
-
-if __name__ == "__main__":
-    print(run().summary())

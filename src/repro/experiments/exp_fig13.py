@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.analysis.textplot import render_series
-from repro.experiments.common import ExperimentOutput, RunCache, ShapeCheck
+from repro.experiments.common import ExperimentOutput, ShapeCheck
 from repro.experiments.registry import register
 from repro.phy.batch import WaveformBatchEngine
 from repro.phy.channelsim import TransmissionInstance, awgn_collision_channel
@@ -51,7 +51,6 @@ class CollisionAnatomy:
     order=13,
 )
 def run(
-    cache: RunCache,
     n_body_symbols: int = 120,
     overlap_symbols: int = 45,
     sps: int = 4,
@@ -61,7 +60,7 @@ def run(
     """Simulate the two-packet collision and decode both sides.
 
     Runs the waveform pipeline on its own single-collision channel;
-    ``cache`` is unused (the spec declares no simulation points).
+    the spec declares no simulation points.
     """
     if overlap_symbols >= n_body_symbols:
         raise ValueError("overlap must be shorter than the packet body")
@@ -177,7 +176,3 @@ def _hint_separation(*packets: CollisionAnatomy) -> bool:
     if correct.all() or not correct.any():
         return False
     return float(hints[~correct].mean()) > float(hints[correct].mean()) + 3.0
-
-
-if __name__ == "__main__":
-    print(run().summary())

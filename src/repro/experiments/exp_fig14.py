@@ -20,16 +20,14 @@ from repro.experiments.common import (
     LOAD_MEDIUM,
     LOAD_MODERATE,
     ExperimentOutput,
-    RunCache,
     ShapeCheck,
     grid,
 )
 from repro.experiments.registry import register
 from repro.sim.metrics import miss_run_length_counts
+from repro.sim.network import SimulationResult
 
 ETAS = (1, 2, 3, 4)
-
-_LOADS = (LOAD_MODERATE, LOAD_MEDIUM, LOAD_HEAVY)
 
 
 @register(
@@ -39,10 +37,12 @@ _LOADS = (LOAD_MODERATE, LOAD_MEDIUM, LOAD_HEAVY)
         "majority of misses short (~30% of length 1); miss-length "
         "CCDF decays faster than exponential for every eta in 1..4"
     ),
-    points=grid(load=_LOADS, carrier_sense=False),
+    points=grid(
+        load=(LOAD_MODERATE, LOAD_MEDIUM, LOAD_HEAVY), carrier_sense=False
+    ),
     order=14,
 )
-def run(cache: RunCache) -> ExperimentOutput:
+def run(runs: list[SimulationResult]) -> ExperimentOutput:
     """Reproduce Fig. 14, aggregating traces from all three loads.
 
     Misses are rare in our simulator (the codebook separation is
@@ -50,8 +50,7 @@ def run(cache: RunCache) -> ExperimentOutput:
     statistics pool every capacity run the harness already has.
     """
     counts = {eta: Counter() for eta in ETAS}
-    for load in _LOADS:
-        result = cache.get(load=load, carrier_sense=False)
+    for result in runs:
         for eta, counter in miss_run_length_counts(
             result, etas=ETAS
         ).items():
@@ -124,7 +123,3 @@ def run(cache: RunCache) -> ExperimentOutput:
         shape_checks=checks,
         series={"counts": {eta: dict(counts[eta]) for eta in ETAS}},
     )
-
-
-if __name__ == "__main__":
-    print(run().summary())

@@ -17,12 +17,12 @@ from repro.experiments.common import (
     LOAD_MEDIUM,
     LOAD_MODERATE,
     ExperimentOutput,
-    RunCache,
     ShapeCheck,
     grid,
 )
 from repro.experiments.registry import register
 from repro.sim.metrics import false_alarm_rates, hint_histograms
+from repro.sim.network import SimulationResult
 
 LOADS = {
     "3.5 Kbits/s/node": LOAD_MODERATE,
@@ -41,13 +41,12 @@ LOADS = {
     points=grid(load=tuple(LOADS.values()), carrier_sense=False),
     order=15,
 )
-def run(cache: RunCache) -> ExperimentOutput:
+def run(runs: list[SimulationResult]) -> ExperimentOutput:
     """Reproduce Fig. 15 across the three offered loads."""
     xs = np.arange(0, 13)
     series = {}
     at_eta6 = {}
-    for label, load in LOADS.items():
-        result = cache.get(load=load, carrier_sense=False)
+    for label, result in zip(LOADS, runs, strict=True):
         correct_hist, _ = hint_histograms(result)
         rates = false_alarm_rates(correct_hist)
         series[label] = rates[xs]
@@ -84,7 +83,3 @@ def run(cache: RunCache) -> ExperimentOutput:
         shape_checks=checks,
         series={"x": xs, **series, "at_eta6": at_eta6},
     )
-
-
-if __name__ == "__main__":
-    print(run().summary())

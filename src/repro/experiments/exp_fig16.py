@@ -16,7 +16,7 @@ from repro.analysis.stats import Cdf
 from repro.analysis.textplot import render_cdf
 from repro.arq.fullarq import FullPacketArqSession
 from repro.arq.protocol import PpArqSession
-from repro.experiments.common import ExperimentOutput, RunCache, ShapeCheck
+from repro.experiments.common import ExperimentOutput, ShapeCheck
 from repro.experiments.registry import register
 from repro.phy.chipchannel import transmit_chipwords
 from repro.phy.codebook import ZigbeeCodebook
@@ -94,15 +94,14 @@ class BurstyLinkChannel:
     order=16,
 )
 def run(
-    cache: RunCache,
     n_packets: int = 60,
     eta: float = 6.0,
     seed: int = 16,
 ) -> ExperimentOutput:
     """Transfer packets under PP-ARQ and whole-packet ARQ, compare.
 
-    Runs on its own single-link bursty channel; ``cache`` is unused
-    (the spec declares no simulation points).
+    Runs on its own single-link bursty channel; the spec declares no
+    simulation points.
     """
     codebook = ZigbeeCodebook()
     payload_rng = derive_rng(seed, "fig16-payloads")
@@ -184,7 +183,3 @@ def run(
             "savings": savings,
         },
     )
-
-
-if __name__ == "__main__":
-    print(run().summary())

@@ -16,12 +16,12 @@ from repro.experiments.common import (
     LOAD_MEDIUM,
     LOAD_MODERATE,
     ExperimentOutput,
-    RunCache,
     ShapeCheck,
     grid,
 )
 from repro.experiments.registry import register
 from repro.sim.metrics import hint_histograms
+from repro.sim.network import SimulationResult
 
 LOADS = {
     "3.5 Kbits/s/node": LOAD_MODERATE,
@@ -41,13 +41,12 @@ LOADS = {
     points=grid(load=tuple(LOADS.values()), carrier_sense=False),
     order=3,
 )
-def run(cache: RunCache) -> ExperimentOutput:
+def run(runs: list[SimulationResult]) -> ExperimentOutput:
     """Reproduce Fig. 3 from the three load points (carrier sense off)."""
     xs = np.arange(0, 13)
     series: dict[str, np.ndarray] = {}
     stats: dict[str, tuple[float, float]] = {}
-    for label, load in LOADS.items():
-        result = cache.get(load=load, carrier_sense=False)
+    for label, result in zip(LOADS, runs, strict=True):
         correct_hist, incorrect_hist = hint_histograms(result)
         cdf_correct = np.cumsum(correct_hist) / max(correct_hist.sum(), 1)
         cdf_incorrect = np.cumsum(incorrect_hist) / max(
@@ -91,7 +90,3 @@ def run(cache: RunCache) -> ExperimentOutput:
         shape_checks=checks,
         series={"x": xs, **series, "stats": stats},
     )
-
-
-if __name__ == "__main__":
-    print(run().summary())

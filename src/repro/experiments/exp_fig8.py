@@ -10,10 +10,11 @@ from repro.experiments import delivery
 from repro.experiments.common import (
     LOAD_MODERATE,
     ExperimentOutput,
-    RunCache,
     grid,
+    labelled_evaluations,
 )
 from repro.experiments.registry import register
+from repro.sim.network import SimulationResult
 
 
 @register(
@@ -26,15 +27,12 @@ from repro.experiments.registry import register
     points=grid(load=LOAD_MODERATE, carrier_sense=True),
     order=8,
 )
-def run(cache: RunCache) -> ExperimentOutput:
+def run(runs: list[SimulationResult]) -> ExperimentOutput:
     """Fig. 8: moderate load, carrier sense enabled."""
-    evals = delivery.delivery_cdfs(cache, LOAD_MODERATE, carrier_sense=True)
+    (result,) = runs
+    evals = labelled_evaluations(result)
     return ExperimentOutput(
         rendered=delivery.render(evals),
         shape_checks=delivery.common_checks(evals),
         series=delivery.rate_series(evals),
     )
-
-
-if __name__ == "__main__":
-    print(run().summary())

@@ -11,12 +11,13 @@ from repro.experiments import delivery
 from repro.experiments.common import (
     LOAD_MODERATE,
     ExperimentOutput,
-    RunCache,
     ShapeCheck,
     grid,
+    labelled_evaluations,
     mean_delivery_rate,
 )
 from repro.experiments.registry import register
+from repro.sim.network import SimulationResult
 
 
 @register(
@@ -29,16 +30,13 @@ from repro.experiments.registry import register
     points=grid(load=LOAD_MODERATE, carrier_sense=(False, True)),
     order=9,
 )
-def run(cache: RunCache) -> ExperimentOutput:
+def run(runs: list[SimulationResult]) -> ExperimentOutput:
     """Fig. 9: moderate load, carrier sense disabled."""
-    evals = delivery.delivery_cdfs(
-        cache, LOAD_MODERATE, carrier_sense=False
-    )
+    no_cs, cs = runs
+    evals = labelled_evaluations(no_cs)
     checks = delivery.common_checks(evals)
     # Fig. 9-specific claim: PPR / frag roughly unchanged vs Fig. 8.
-    evals_cs = delivery.delivery_cdfs(
-        cache, LOAD_MODERATE, carrier_sense=True
-    )
+    evals_cs = labelled_evaluations(cs)
     ppr_cs = mean_delivery_rate(evals_cs["ppr, postamble"])
     ppr_nocs = mean_delivery_rate(evals["ppr, postamble"])
     pkt_cs = mean_delivery_rate(evals_cs["packet_crc, no postamble"])
@@ -65,7 +63,3 @@ def run(cache: RunCache) -> ExperimentOutput:
         shape_checks=checks,
         series=delivery.rate_series(evals),
     )
-
-
-if __name__ == "__main__":
-    print(run().summary())

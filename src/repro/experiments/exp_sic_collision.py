@@ -27,12 +27,17 @@ from __future__ import annotations
 import numpy as np
 
 from repro.analysis.textplot import format_table
-from repro.experiments.common import ExperimentOutput, RunCache, ShapeCheck
+from repro.experiments.common import ExperimentOutput, ShapeCheck
 from repro.experiments.registry import register
 from repro.link.schemes import SicScheme
 from repro.phy.batch import WaveformBatchEngine
 from repro.phy.codebook import ZigbeeCodebook
-from repro.phy.modulation import MskModulator
+from repro.phy.modulation import (
+    CHIPS_PER_SYMBOL,
+    CHIP_RATE_HZ,
+    SYMBOL_PERIOD_S,
+    MskModulator,
+)
 from repro.phy.spreading import bytes_to_symbols
 from repro.phy.sync import sync_field_symbols
 from repro.recovery import SicDecoder
@@ -40,11 +45,6 @@ from repro.sim.medium import PathLossModel, RadioMedium, Transmission
 from repro.sim.medium import waveform_capture as render_capture
 from repro.sim.testbed import collision_testbed
 from repro.utils.rng import derive_rng, keyed_rng
-
-# 802.15.4 timing: 2 Mchip/s, 32 chips per symbol.
-CHIP_RATE_HZ = 2.0e6
-CHIPS_PER_SYMBOL = 32
-SYMBOL_PERIOD_S = CHIPS_PER_SYMBOL / CHIP_RATE_HZ
 
 #: far-sender ranges spanning near-equal power (4.5 m, +1.9 dB gap)
 #: through the comfortable middle to the noise floor (36 m, -4 dB SNR)
@@ -102,7 +102,6 @@ def _judge(candidates, bodies, eta):
     order=18,
 )
 def run(
-    cache: RunCache,
     payload_bytes: int = 24,
     near_m: float = 4.0,
     sps: int = 4,
@@ -112,8 +111,7 @@ def run(
     """Map the recovery region over the (range, offset) grid.
 
     Every capture is rendered once and judged by all three
-    strategies; ``cache`` is unused (the spec declares no simulation
-    points).
+    strategies; the spec declares no simulation points.
     """
     codebook = ZigbeeCodebook()
     modulator = MskModulator(sps=sps)
@@ -296,7 +294,3 @@ def run(
             "sic_good_symbols": sic_good,
         },
     )
-
-
-if __name__ == "__main__":
-    print(run().summary())

@@ -1,8 +1,8 @@
 """Beyond the paper: seed-replicated load sweep with confidence bands.
 
 The paper evaluates each offered load from a single testbed trace.
-This experiment exercises the scenario-sweep API to replicate every
-load point across independent seeds and attach 95% confidence
+This experiment declares a load x seed grid to replicate every load
+point across independent seeds and attach 95% confidence
 intervals to the headline comparison (PPR with postamble decoding vs
 the status-quo packet CRC without it) — establishing that the paper's
 ordering is a property of the *conditions*, not of one noise
@@ -11,8 +11,7 @@ realisation.
 
 from __future__ import annotations
 
-import numpy as np
-
+from repro.analysis.stats import mean_ci
 from repro.analysis.textplot import format_table
 from repro.experiments.common import (
     DEFAULT_SEED,
@@ -20,35 +19,18 @@ from repro.experiments.common import (
     LOAD_MEDIUM,
     LOAD_MODERATE,
     ExperimentOutput,
-    RunCache,
     ShapeCheck,
+    grid,
     labelled_evaluations,
     mean_delivery_rate,
-    sweep,
 )
 from repro.experiments.registry import register
+from repro.sim.network import SimulationResult
 
 LOADS = (LOAD_MODERATE, LOAD_MEDIUM, LOAD_HEAVY)
 # Independent replications; the first seed matches the paper
 # experiments' runs, so one point per load is shared with them.
 SEEDS = (DEFAULT_SEED, DEFAULT_SEED + 1, DEFAULT_SEED + 2)
-
-_SWEEP = sweep(load=LOADS, seed=SEEDS, carrier_sense=False)
-
-# Two-sided 95% normal quantile; with three seeds per point this is a
-# coarse band, but it is exactly what the check needs — "does the
-# scheme ordering survive seed noise", not a publication-grade CI.
-_Z95 = 1.96
-
-
-def _mean_ci(values: list[float]) -> tuple[float, float]:
-    arr = np.asarray(values, dtype=np.float64)
-    half = (
-        _Z95 * arr.std(ddof=1) / np.sqrt(arr.size)
-        if arr.size > 1
-        else 0.0
-    )
-    return float(arr.mean()), float(half)
 
 
 @register(
@@ -59,15 +41,15 @@ def _mean_ci(values: list[float]) -> tuple[float, float]:
         "quo holds at every offered load with non-overlapping 95% "
         "confidence bands across seeds"
     ),
-    points=_SWEEP.scenarios,
+    points=grid(load=LOADS, seed=SEEDS, carrier_sense=False),
     order=100,
 )
-def run(cache: RunCache) -> ExperimentOutput:
+def run(runs: list[SimulationResult]) -> ExperimentOutput:
     """Replicate each load across seeds and compare with CIs."""
     per_load: dict[float, dict[str, list[float]]] = {
         load: {"ppr": [], "status_quo": []} for load in LOADS
     }
-    for _scenario, result in _SWEEP.run(cache):
+    for result in runs:
         evals = labelled_evaluations(result)
         load = result.config.load_bits_per_s_per_node
         per_load[load]["ppr"].append(
@@ -80,8 +62,8 @@ def run(cache: RunCache) -> ExperimentOutput:
     rows = []
     stats: dict[str, dict[str, float]] = {}
     for load in LOADS:
-        ppr_mean, ppr_hw = _mean_ci(per_load[load]["ppr"])
-        sq_mean, sq_hw = _mean_ci(per_load[load]["status_quo"])
+        ppr_mean, ppr_hw = mean_ci(per_load[load]["ppr"])
+        sq_mean, sq_hw = mean_ci(per_load[load]["status_quo"])
         # Paired per-seed gap: both schemes are evaluated on the same
         # recorded trace per seed, so the seed-to-seed noise they
         # share cancels — the statistically meaningful comparison.
@@ -91,7 +73,7 @@ def run(cache: RunCache) -> ExperimentOutput:
                 per_load[load]["ppr"], per_load[load]["status_quo"], strict=True
             )
         ]
-        gap_mean, gap_hw = _mean_ci(gap_values)
+        gap_mean, gap_hw = mean_ci(gap_values)
         label = f"{load / 1000:.1f} Kbit/s/node"
         stats[label] = {
             "ppr_mean": ppr_mean,
@@ -176,7 +158,3 @@ def run(cache: RunCache) -> ExperimentOutput:
             "stats": stats,
         },
     )
-
-
-if __name__ == "__main__":
-    print(run().summary())

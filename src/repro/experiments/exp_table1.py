@@ -20,12 +20,12 @@ from repro.experiments.common import (
     LOAD_HEAVY,
     LOAD_MODERATE,
     ExperimentOutput,
-    RunCache,
     ShapeCheck,
     grid,
     labelled_evaluations,
 )
 from repro.experiments.registry import register
+from repro.sim.network import SimulationResult
 
 
 @register(
@@ -39,15 +39,15 @@ from repro.experiments.registry import register
     points=grid(load=(LOAD_MODERATE, LOAD_HEAVY), carrier_sense=False),
     order=1,
 )
-def run(cache: RunCache) -> ExperimentOutput:
+def run(runs: list[SimulationResult]) -> ExperimentOutput:
     """Build the Table 1 summary from fresh evaluations."""
     rows = []
     ratios = {}
-    for label, load in (
-        ("moderate (3.5 Kb/s/node)", LOAD_MODERATE),
-        ("heavy (13.8 Kb/s/node)", LOAD_HEAVY),
+    for label, result in zip(
+        ("moderate (3.5 Kb/s/node)", "heavy (13.8 Kb/s/node)"),
+        runs,
+        strict=True,
     ):
-        result = cache.get(load=load, carrier_sense=False)
         evals = labelled_evaluations(result)
         status_quo = evals["packet_crc, no postamble"]
         ppr = evals["ppr, postamble"]
@@ -131,7 +131,3 @@ def run(cache: RunCache) -> ExperimentOutput:
         shape_checks=checks,
         series={"ratios": ratios, "pp_arq_savings": savings},
     )
-
-
-if __name__ == "__main__":
-    print(run().summary())

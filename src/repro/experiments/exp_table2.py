@@ -17,13 +17,13 @@ from repro.analysis.textplot import format_table
 from repro.experiments.common import (
     LOAD_HEAVY,
     ExperimentOutput,
-    RunCache,
     ShapeCheck,
     grid,
 )
 from repro.experiments.registry import register
 from repro.link.schemes import FragmentedCrcScheme
 from repro.sim.metrics import evaluate_schemes
+from repro.sim.network import SimulationResult
 
 CHUNK_COUNTS = (1, 10, 30, 100, 300)
 
@@ -38,13 +38,13 @@ CHUNK_COUNTS = (1, 10, 30, 100, 300)
     points=grid(load=LOAD_HEAVY, carrier_sense=False),
     order=2,
 )
-def run(cache: RunCache) -> ExperimentOutput:
+def run(runs: list[SimulationResult]) -> ExperimentOutput:
     """Sweep fragments-per-packet and measure aggregate goodput."""
     # The chunk-size trade-off only shows under contention: whole
     # packets must frequently lose *some* codewords (heavy load), or
     # one chunk per packet trivially wins on overhead.
-    result = cache.get(load=LOAD_HEAVY, carrier_sense=False)
-    payload_bytes = cache.base.payload_bytes
+    (result,) = runs
+    payload_bytes = result.config.payload_bytes
     throughputs: dict[int, float] = {}
     goodput_fraction: dict[int, float] = {}
     for n_chunks in CHUNK_COUNTS:
@@ -102,7 +102,3 @@ def run(cache: RunCache) -> ExperimentOutput:
             "goodput_fraction": goodput_fraction,
         },
     )
-
-
-if __name__ == "__main__":
-    print(run().summary())

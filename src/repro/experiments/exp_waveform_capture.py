@@ -32,12 +32,17 @@ from __future__ import annotations
 import numpy as np
 
 from repro.analysis.textplot import render_series
-from repro.experiments.common import ExperimentOutput, RunCache, ShapeCheck
+from repro.experiments.common import ExperimentOutput, ShapeCheck
 from repro.experiments.registry import register
 from repro.link.schemes import SicScheme
 from repro.phy.batch import WaveformBatchEngine
 from repro.phy.codebook import ZigbeeCodebook
-from repro.phy.modulation import MskModulator
+from repro.phy.modulation import (
+    CHIPS_PER_SYMBOL,
+    CHIP_RATE_HZ,
+    SYMBOL_PERIOD_S,
+    MskModulator,
+)
 from repro.phy.sync import sync_field_symbols
 from repro.recovery import SicDecoder
 from repro.sim.medium import PathLossModel, RadioMedium, Transmission
@@ -45,11 +50,6 @@ from repro.sim.medium import waveform_capture as render_capture
 from repro.sim.metrics import trace_deliver
 from repro.sim.testbed import collision_testbed
 from repro.utils.rng import derive_rng
-
-# 802.15.4 timing: 2 Mchip/s, 32 chips per symbol.
-CHIP_RATE_HZ = 2.0e6
-CHIPS_PER_SYMBOL = 32
-SYMBOL_PERIOD_S = CHIPS_PER_SYMBOL / CHIP_RATE_HZ
 
 
 @register(
@@ -65,7 +65,6 @@ SYMBOL_PERIOD_S = CHIPS_PER_SYMBOL / CHIP_RATE_HZ
     order=17,
 )
 def run(
-    cache: RunCache,
     n_body_symbols: int = 60,
     overlap_symbols: int = 25,
     sps: int = 4,
@@ -76,7 +75,7 @@ def run(
     """Render the two-sender collision through the medium and decode.
 
     Runs the waveform pipeline on its own single-collision capture;
-    ``cache`` is unused (the spec declares no simulation points).
+    the spec declares no simulation points.
     """
     if overlap_symbols >= n_body_symbols:
         raise ValueError("overlap must be shorter than the packet body")
@@ -291,7 +290,3 @@ def run(
             "sic_far_passed_aligned": sic_far_passed["aligned"],
         },
     )
-
-
-if __name__ == "__main__":
-    print(run().summary())

@@ -18,16 +18,19 @@ Registration example::
         points=grid(load=(3500.0, 6900.0, 13800.0), carrier_sense=False),
         order=3,
     )
-    def run(cache):
+    def run(runs):
+        moderate, medium, heavy = runs
         ...
         return ExperimentOutput(rendered=..., shape_checks=..., series=...)
 
-The decorated callable takes a :class:`RunCache` (``None`` selects the
-shared default cache) and returns a full
-:class:`~repro.experiments.common.ExperimentResult`: the wrapper
-stamps the spec's identity onto the body's
-:class:`~repro.experiments.common.ExperimentOutput`, so id/title/
-expectation are stated exactly once, on the spec.
+The declared points are the only statement of what an experiment
+simulates.  The registered callable takes a :class:`RunCache`,
+resolves the points through it in declaration order and hands the body
+their :class:`~repro.sim.network.SimulationResult` list; an experiment
+that declares no points runs without a cache and its body takes only
+its own keyword arguments.  The wrapper stamps the spec's identity
+onto the body's :class:`~repro.experiments.common.ExperimentOutput`,
+so id/title/expectation are stated exactly once, on the spec.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from repro.experiments.common import (
     ExperimentResult,
     RunCache,
     Scenario,
-    default_runs,
+    Sweep,
 )
 from repro.sim.network import SimulationConfig
 
@@ -77,11 +80,13 @@ def register(
 ) -> Callable[[Callable[..., ExperimentOutput]], Callable[..., ExperimentResult]]:
     """Declare an experiment and register it under ``experiment_id``.
 
-    ``points`` are the simulation points the experiment will request
-    from its cache, as scenarios over the cache's base config;
-    ``order`` sorts ``--list`` / ``--all`` presentation.  Registering
-    the same id twice is an error — one module, one experiment.
+    ``points`` are the simulation points the experiment's body
+    receives, as scenarios over the cache's base config; ``order``
+    sorts ``--list`` / ``--all`` presentation.  Registering the same
+    id twice is an error — one module, one experiment.
     """
+
+    points = tuple(points)
 
     def decorate(
         fn: Callable[..., ExperimentOutput],
@@ -90,9 +95,17 @@ def register(
         def run(
             cache: RunCache | None = None, **kwargs: Any
         ) -> ExperimentResult:
-            output = fn(
-                cache if cache is not None else default_runs(), **kwargs
-            )
+            if not points:
+                output = fn(**kwargs)
+            elif cache is None:
+                raise TypeError(
+                    f"experiment {experiment_id!r} declares "
+                    f"{len(points)} simulation point(s); pass a RunCache "
+                    "to resolve them through"
+                )
+            else:
+                runs = [result for _, result in Sweep(points).run(cache)]
+                output = fn(runs, **kwargs)
             return ExperimentResult(
                 experiment_id=experiment_id,
                 title=title,
@@ -106,7 +119,7 @@ def register(
             experiment_id=experiment_id,
             title=title,
             paper_expectation=paper_expectation,
-            points=tuple(points),
+            points=points,
             order=float(order),
             run=run,
         )
@@ -118,9 +131,6 @@ def register(
                 f"again by {getattr(fn, '__module__', '?')})"
             )
         _REGISTRY[experiment_id] = spec
-        # function objects accept ad-hoc attributes at runtime; the
-        # stubs' Callable view does not
-        run.spec = spec  # type: ignore[attr-defined]
         return run
 
     return decorate

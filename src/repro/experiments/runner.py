@@ -14,7 +14,9 @@ Experiments come from the declarative registry: each ``exp_*`` module
 registers its spec (including the simulation points it needs), the
 runner prefetches the union of the selected specs' points — sharded
 across ``--jobs`` worker processes — and then runs each experiment
-against the shared :class:`~repro.experiments.common.RunCache`.
+against the shared :class:`~repro.experiments.common.RunCache`; the
+registry resolves each spec's points through it and hands the body
+those runs.
 
 ``--store DIR`` (default: the ``REPRO_STORE`` environment variable)
 backs the cache with a durable content-addressed run store: points
@@ -353,11 +355,15 @@ def main(argv: list[str] | None = None) -> int:
         names = args.experiment
     if not names:
         parser.error("pass --all, --experiment ID [ID ...], or --list")
-    for name in names:
+    for index, name in enumerate(names):
         try:
             registry.get_spec(name)
         except ValueError as exc:
             parser.error(str(exc))
+        # A repeat would run twice but write one artifact, so the
+        # summary and the --out directory would disagree.
+        if name in names[:index]:
+            parser.error(f"experiment {name!r} is selected more than once")
     duration = 15.0 if args.quick else 40.0
     store_dir = args.store or os.environ.get("REPRO_STORE")
     store_source = "--store" if args.store else "REPRO_STORE"

@@ -26,7 +26,6 @@ from repro.link.schemes import (
     FragmentedCrcScheme,
     PacketCrcScheme,
     PprScheme,
-    ReceivedPayload,
     SicScheme,
     SpracScheme,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "FragmentedCrcScheme",
     "PacketCrcScheme",
     "PprScheme",
-    "ReceivedPayload",
     "SicScheme",
     "SpracScheme",
     "fragment_payload",

@@ -6,7 +6,8 @@ Each scheme answers two questions behind one interface:
    payload bytes into the wire payload (adding whatever checksums the
    scheme needs).
 2. *What reaches the higher layer?* — ``deliver`` consumes the decoded
-   wire-payload region of a reception (symbols + SoftPHY hints +
+   wire-payload region of a reception as a
+   :class:`~repro.phy.symbols.SoftPacket` (symbols + SoftPHY hints +
    simulation ground truth) and reports exactly which payload bits were
    handed up, split into genuinely-correct and incorrect bits.
 
@@ -45,6 +46,7 @@ import numpy as np
 from repro.coding.rlnc import SegmentedRlncCodec
 from repro.link.fragmentation import fragment_payload
 from repro.phy.spreading import symbols_to_bytes
+from repro.phy.symbols import SoftPacket
 from repro.utils.crc import CRC32_IEEE
 
 _BITS_PER_SYMBOL = 4
@@ -60,45 +62,6 @@ def _crc32_rows(chunks: list[bytes]) -> np.ndarray:
     for i, chunk in enumerate(chunks):
         rows[i, : len(chunk)] = np.frombuffer(chunk, dtype=np.uint8)
     return CRC32_IEEE.checksum_many(rows, lengths)
-
-
-@dataclass
-class ReceivedPayload:
-    """The decoded wire-payload region of one reception.
-
-    ``symbols``/``hints`` cover exactly the wire payload;  ``truth``
-    carries the transmitted symbols (simulation ground truth) so
-    delivery accounting can distinguish correct from incorrect bits.
-    """
-
-    symbols: np.ndarray
-    hints: np.ndarray
-    truth: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.symbols = np.asarray(self.symbols, dtype=np.int64)
-        self.hints = np.asarray(self.hints, dtype=np.float64)
-        self.truth = np.asarray(self.truth, dtype=np.int64)
-        if (
-            self.symbols.shape != self.hints.shape
-            or self.hints.shape != self.truth.shape
-        ):
-            raise ValueError(
-                "symbols, hints and truth must have identical shapes"
-            )
-
-    @property
-    def n_symbols(self) -> int:
-        """Number of wire-payload codewords."""
-        return int(self.symbols.size)
-
-    def decoded_bytes(self) -> bytes:
-        """Wire payload as decoded bytes."""
-        return symbols_to_bytes(self.symbols)
-
-    def correct_mask(self) -> np.ndarray:
-        """Per-symbol correctness against ground truth."""
-        return self.symbols == self.truth
 
 
 @dataclass(frozen=True)
@@ -213,7 +176,7 @@ class DeliveryScheme(ABC):
         """Checksum bytes added to a payload of the given length."""
 
     @abstractmethod
-    def deliver(self, rx: ReceivedPayload) -> DeliveryResult:
+    def deliver(self, rx: SoftPacket) -> DeliveryResult:
         """Decide which payload bits reach the higher layer."""
 
     def evaluate_traces(self, block: TraceBlock) -> TraceDelivery:
@@ -245,8 +208,8 @@ class PacketCrcScheme(DeliveryScheme):
     def wire_overhead_bytes(self, payload_len: int) -> int:
         return _CRC_BYTES
 
-    def deliver(self, rx: ReceivedPayload) -> DeliveryResult:
-        wire = rx.decoded_bytes()
+    def deliver(self, rx: SoftPacket) -> DeliveryResult:
+        wire = rx.payload_bytes()
         if len(wire) < _CRC_BYTES:
             raise ValueError("wire payload shorter than its CRC")
         payload, crc_field = wire[:-_CRC_BYTES], wire[-_CRC_BYTES:]
@@ -318,8 +281,8 @@ class FragmentedCrcScheme(DeliveryScheme):
         n = min(self.n_fragments, payload_len) if payload_len else 1
         return _CRC_BYTES * n
 
-    def deliver(self, rx: ReceivedPayload) -> DeliveryResult:
-        wire = rx.decoded_bytes()
+    def deliver(self, rx: SoftPacket) -> DeliveryResult:
+        wire = rx.payload_bytes()
         correct_sym = rx.correct_mask()
         n_frags = self._fragment_count(len(wire))
         payload_len = len(wire) - _CRC_BYTES * n_frags
@@ -420,8 +383,8 @@ class PprScheme(DeliveryScheme):
     def wire_overhead_bytes(self, payload_len: int) -> int:
         return _CRC_BYTES
 
-    def deliver(self, rx: ReceivedPayload) -> DeliveryResult:
-        wire = rx.decoded_bytes()
+    def deliver(self, rx: SoftPacket) -> DeliveryResult:
+        wire = rx.payload_bytes()
         if len(wire) < _CRC_BYTES:
             raise ValueError("wire payload shorter than its CRC")
         payload_len = len(wire) - _CRC_BYTES
@@ -534,12 +497,12 @@ class SpracScheme(DeliveryScheme):
     def wire_overhead_bytes(self, payload_len: int) -> int:
         return self.codec.wire_length(payload_len) - payload_len
 
-    def deliver(self, rx: ReceivedPayload) -> DeliveryResult:
-        wire = rx.decoded_bytes()
+    def deliver(self, rx: SoftPacket) -> DeliveryResult:
+        wire = rx.payload_bytes()
         payload_len = self.codec.payload_length(len(wire))
         result = self.codec.decode(wire)
-        truth = symbols_to_bytes(rx.truth)
         correct_sym = rx.correct_mask()
+        truth = symbols_to_bytes(rx.truth)
         payload_bits = 8 * payload_len
         delivered_correct = 0
         delivered_incorrect = 0

@@ -13,6 +13,11 @@ import numpy as np
 from repro.phy.codebook import Codebook
 from repro.phy.pulse import half_sine_pulse
 
+# 802.15.4 timing: 2 Mchip/s, 32 chips per symbol.
+CHIP_RATE_HZ = 2.0e6
+CHIPS_PER_SYMBOL = 32
+SYMBOL_PERIOD_S = CHIPS_PER_SYMBOL / CHIP_RATE_HZ
+
 
 class MskModulator:
     """Chip-stream -> complex baseband MSK samples.

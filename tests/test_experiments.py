@@ -1,8 +1,8 @@
 """Tests for the experiment harness infrastructure.
 
 The full-duration experiments run in the benchmark suite; here we
-verify the run cache, the scenario/sweep API, the shared default
-caches, and the fast experiments end-to-end.
+verify the run cache, the scenario/sweep API, and the fast
+experiments end-to-end.
 """
 
 import numpy as np
@@ -12,12 +12,10 @@ from repro.experiments import exp_fig13, exp_fig16
 from repro.experiments.common import (
     DEFAULT_ETA,
     DEFAULT_FRAGMENTS,
-    DEFAULT_SEED,
     ExperimentResult,
     RunCache,
     Scenario,
     ShapeCheck,
-    default_runs,
     grid,
     labelled_evaluations,
     sweep,
@@ -123,20 +121,22 @@ class TestScenarioGrid:
         ]
 
     def test_scalar_axes_and_params(self):
-        scenarios = grid(load=1000.0, eta=(2, 6))
+        """Scalar axes broadcast; an evaluation parameter is not an
+        axis, since it would not change what is simulated."""
+        scenarios = grid(load=1000.0, seed=(2, 6))
         assert len(scenarios) == 2
-        assert scenarios[0].param("eta") == 2
-        assert scenarios[1].param("eta") == 6
-        assert dict(scenarios[0].overrides) == {
-            "load_bits_per_s_per_node": 1000.0
+        assert dict(scenarios[1].overrides) == {
+            "load_bits_per_s_per_node": 1000.0,
+            "seed": 6,
         }
+        with pytest.raises(ValueError, match="unknown SimulationConfig"):
+            grid(load=1000.0, eta=(2, 6))
 
     def test_near_miss_axis_names_rejected(self):
-        """A typo'd config field must not silently become an inert
-        evaluation parameter (the simulation would run with the base
-        value while the scenario label claims otherwise)."""
+        """A typo'd config field must not silently simulate the base
+        value while the scenario label claims otherwise."""
         for typo in ("carier_sense", "laod", "seeed"):
-            with pytest.raises(ValueError, match="suspiciously close"):
+            with pytest.raises(ValueError, match="unknown SimulationConfig"):
                 grid(**{typo: True})
 
     def test_scenario_config_resolution(self):
@@ -149,8 +149,8 @@ class TestScenarioGrid:
         assert config.seed == 9
 
     def test_label(self):
-        scenario = grid(load=1000.0, seed=3, eta=6)[0]
-        assert scenario.label() == "load=1000.0, seed=3, eta=6"
+        scenario = grid(load=1000.0, seed=3)[0]
+        assert scenario.label() == "load=1000.0, seed=3"
         assert Scenario().label() == "base"
 
     def test_sweep_runs_through_cache(self):
@@ -163,52 +163,6 @@ class TestScenarioGrid:
             expected = scenario.config(cache.base)
             assert result.config == expected
             assert cache.get(expected) is result
-
-
-class TestDefaultRuns:
-    def test_same_parameters_share_a_cache(self):
-        a = default_runs(duration_s=2.5, seed=3)
-        b = default_runs(duration_s=2.5, seed=3)
-        assert a is b
-
-    def test_parameters_honoured(self):
-        """The old singleton silently ignored caller parameters; the
-        shared caches are keyed by their base config."""
-        configured = default_runs(duration_s=2.5, seed=3)
-        assert configured.base.duration_s == 2.5
-        assert configured.base.seed == 3
-        assert configured is not default_runs()
-        assert default_runs().base.seed == DEFAULT_SEED
-
-    def test_jobs_is_part_of_the_key(self):
-        """Requesting a worker count yields a dedicated cache; it no
-        longer mutates ``jobs`` on the shared instance, so one
-        caller's setting cannot leak into other callers of the same
-        base config."""
-        parallel = default_runs(duration_s=2.5, seed=3, jobs=2)
-        assert parallel.jobs == 2
-        assert parallel is default_runs(duration_s=2.5, seed=3, jobs=2)
-        serial = default_runs(duration_s=2.5, seed=3)
-        assert serial.jobs == 1
-        assert serial is not parallel
-
-    def test_store_is_part_of_the_key(self, tmp_path):
-        from repro.store import RunStore
-
-        backed = default_runs(
-            duration_s=2.5, seed=3, store=RunStore(tmp_path / "a")
-        )
-        assert backed.store is not None
-        # Same root: same cache (a fresh RunStore handle is fine).
-        assert backed is default_runs(
-            duration_s=2.5, seed=3, store=RunStore(tmp_path / "a")
-        )
-        # Different root or no store: different cache.
-        other = default_runs(
-            duration_s=2.5, seed=3, store=RunStore(tmp_path / "b")
-        )
-        assert other is not backed
-        assert default_runs(duration_s=2.5, seed=3).store is None
 
 
 class TestEvaluationHelpers:

@@ -17,8 +17,9 @@ from repro.link.frame import (
     parse_trailer_bytes,
     payload_slice,
 )
-from repro.link.schemes import PprScheme, ReceivedPayload
+from repro.link.schemes import PprScheme
 from repro.phy.spreading import symbols_to_bytes
+from repro.phy.symbols import SoftPacket
 from repro.utils.bitops import BitReader
 from repro.utils.rng import ensure_rng
 
@@ -124,7 +125,7 @@ class TestSchemeFuzz:
             idx = rng.choice(truth.size, n_corrupt, replace=False)
             symbols[idx] = (symbols[idx] + rng.integers(1, 16)) % 16
             hints[idx] = rng.uniform(0, 20, n_corrupt)
-        rx = ReceivedPayload(symbols=symbols, hints=hints, truth=truth)
+        rx = SoftPacket(symbols=symbols, hints=hints, truth=truth)
         result = scheme.deliver(rx)
         assert 0 <= result.delivered_bits <= result.payload_bits
         assert result.delivered_correct_bits >= 0

@@ -17,11 +17,11 @@ from repro.link.schemes import (
     FragmentedCrcScheme,
     PacketCrcScheme,
     PprScheme,
-    ReceivedPayload,
     SpracScheme,
 )
 from repro.phy.chipchannel import transmit_chipwords
 from repro.phy.spreading import bytes_to_symbols
+from repro.phy.symbols import SoftPacket
 from repro.sim.metrics import (
     evaluate_schemes,
     false_alarm_rates,
@@ -44,7 +44,7 @@ def _channel_realisation(codebook, scheme, payload, rng, burst=True):
     words = codebook.encode_words(truth)
     received = transmit_chipwords(words, p, rng)
     decoded, dist = codebook.decode_hard(received)
-    return ReceivedPayload(
+    return SoftPacket(
         symbols=decoded, hints=dist.astype(float), truth=truth
     )
 

@@ -1,10 +1,9 @@
 """Tests for the experiment runner CLI, registry, and public API.
 
-The registry contracts pinned here replace the old hand-maintained
-``EXPERIMENT_POINTS`` map and its drift test: every ``exp_*`` module
-registers exactly one spec, every simulation point an experiment
-requests is declared on its spec (verified with a recording cache),
-and every result round-trips through the JSON schema.
+The registry contracts pinned here: every ``exp_*`` module registers
+exactly one spec, every spec's declared points are distinct
+simulations (the body receives exactly those runs), and every result
+round-trips through the JSON schema.
 """
 
 import json
@@ -71,39 +70,18 @@ class TestPublicApi:
                 )
 
 
-class _RecordingCache(RunCache):
-    """RunCache that records every requested config.
-
-    Shares the wrapped cache's store, so many recorders can audit many
-    experiments while each simulation point runs at most once.
-    """
-
-    def __init__(self, inner: RunCache) -> None:
-        super().__init__(inner.base, jobs=inner.jobs)
-        self._cache = inner._cache
-        self.requested = set()
-
-    def get(self, config=None, **overrides):
-        if config is None:
-            config = self.config_for(**overrides)
-        self.requested.add(config)
-        return super().get(config)
-
-
 @pytest.fixture(scope="module")
 def spec_runs():
-    """Every registered experiment run once against one shared store.
+    """Every registered experiment run once against one shared cache.
 
-    Yields ``{experiment_id: (spec, requested_configs, result)}`` at
-    tiny duration — structure-only statistics, but full pipelines.
+    Yields ``{experiment_id: (spec, result)}`` at tiny duration —
+    structure-only statistics, but full pipelines.
     """
     shared = RunCache(duration_s=2.0, seed=5)
-    out = {}
-    for spec in registry.all_specs():
-        recorder = _RecordingCache(shared)
-        result = spec.run(recorder)
-        out[spec.experiment_id] = (spec, recorder.requested, result)
-    return out
+    return {
+        spec.experiment_id: (spec, spec.run(shared))
+        for spec in registry.all_specs()
+    }
 
 
 class TestRegistry:
@@ -140,22 +118,25 @@ class TestRegistry:
         assert spec.paper_expectation
         assert len(spec.points) == 3
 
-    def test_declared_points_match_requests(self, spec_runs):
-        """Every point an experiment requests is declared on its spec,
-        and nothing declared goes unrequested: a missing declaration
-        silently loses --jobs parallelism, a stale one wastes a whole
-        simulation."""
-        for experiment_id, (spec, requested, _) in spec_runs.items():
-            declared = set(spec.configs(RunCache(
-                duration_s=2.0, seed=5
-            ).base))
-            assert declared == requested, (
-                f"{experiment_id}: declared {len(declared)} configs "
-                f"but the experiment requested {len(requested)}"
-            )
+    def test_declared_points_are_distinct_configs(self):
+        """Each declared point is its own simulation: a repeat would be
+        simulated once and handed to the body twice."""
+        base = RunCache(duration_s=2.0, seed=5).base
+        for spec in registry.all_specs():
+            configs = spec.configs(base)
+            assert len(set(configs)) == len(spec.points), spec.experiment_id
+
+    def test_pointless_experiment_runs_without_a_cache(self):
+        spec = registry.get_spec("fig16")
+        assert spec.points == ()
+        assert spec.run(n_packets=5).experiment_id == "fig16"
+
+    def test_declared_points_need_a_cache(self):
+        with pytest.raises(TypeError, match="'table2' declares 1 simulation"):
+            registry.get_spec("table2").run()
 
     def test_results_well_formed(self, spec_runs):
-        for experiment_id, (spec, _, result) in spec_runs.items():
+        for experiment_id, (spec, result) in spec_runs.items():
             assert result.experiment_id == experiment_id
             assert result.title == spec.title
             assert result.paper_expectation == spec.paper_expectation
@@ -166,7 +147,7 @@ class TestRegistry:
 class TestJsonSchema:
     def test_round_trip_every_experiment(self, spec_runs):
         """to_dict() is valid JSON and from_dict() inverts it."""
-        for experiment_id, (_, _, result) in spec_runs.items():
+        for experiment_id, (_, result) in spec_runs.items():
             data = result.to_dict()
             encoded = json.dumps(data, sort_keys=True)
             decoded = json.loads(encoded)
@@ -252,6 +233,14 @@ class TestRunnerCli:
     def test_unknown_experiment_errors(self):
         with pytest.raises(ValueError):
             run_experiments(["nonsense"])
+
+    def test_repeated_experiment_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--experiment", "fig16", "fig13", "fig16"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "experiment 'fig16' is selected more than once" in err
+        assert "Traceback" not in err
 
     def test_unknown_experiment_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exit_info:

@@ -8,17 +8,17 @@ from repro.link.schemes import (
     FragmentedCrcScheme,
     PacketCrcScheme,
     PprScheme,
-    ReceivedPayload,
     SpracScheme,
     default_schemes,
 )
 from repro.phy.spreading import bytes_to_symbols
+from repro.phy.symbols import SoftPacket
 
 
 def _clean_rx(scheme, payload):
     wire = scheme.encode_payload(payload)
     symbols = bytes_to_symbols(wire)
-    return ReceivedPayload(
+    return SoftPacket(
         symbols=symbols, hints=np.zeros(symbols.size), truth=symbols
     )
 
@@ -31,7 +31,7 @@ def _corrupt_rx(scheme, payload, sym_lo, sym_hi, hint=10.0):
     symbols[sym_lo:sym_hi] = (symbols[sym_lo:sym_hi] + 1) % 16
     hints = np.zeros(truth.size)
     hints[sym_lo:sym_hi] = hint
-    return ReceivedPayload(symbols=symbols, hints=hints, truth=truth)
+    return SoftPacket(symbols=symbols, hints=hints, truth=truth)
 
 
 PAYLOAD = bytes(range(120))
@@ -57,7 +57,7 @@ class TestPacketCrc:
 
     def test_short_wire_rejected(self):
         scheme = PacketCrcScheme()
-        rx = ReceivedPayload(
+        rx = SoftPacket(
             symbols=np.zeros(2, dtype=np.int64),
             hints=np.zeros(2),
             truth=np.zeros(2, dtype=np.int64),
@@ -140,7 +140,7 @@ class TestPpr:
         truth = bytes_to_symbols(wire)
         hints = np.zeros(truth.size)
         hints[:4] = 9.0  # correct symbols, bad hints
-        rx = ReceivedPayload(symbols=truth, hints=hints, truth=truth)
+        rx = SoftPacket(symbols=truth, hints=hints, truth=truth)
         result = scheme.deliver(rx)
         assert result.delivered_correct_bits == 4 * (240 - 4)
         assert result.frame_passed  # CRC still verifies
@@ -167,8 +167,8 @@ class TestCommon:
             )
 
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="identical"):
-            ReceivedPayload(
+        with pytest.raises(ValueError, match="hints shape"):
+            SoftPacket(
                 symbols=np.zeros(4, dtype=np.int64),
                 hints=np.zeros(3),
                 truth=np.zeros(4, dtype=np.int64),
@@ -218,7 +218,7 @@ class TestSprac:
         # Corrupt the first symbol of three different data segments.
         for offset, _ in scheme.codec.data_spans(len(PAYLOAD))[:3]:
             symbols[2 * offset] = (symbols[2 * offset] + 1) % 16
-        rx = ReceivedPayload(
+        rx = SoftPacket(
             symbols=symbols,
             hints=np.zeros(truth.size),
             truth=truth,
@@ -236,7 +236,7 @@ class TestSprac:
         symbols = truth.copy()
         for offset, _ in scheme.codec.repair_spans(len(PAYLOAD)):
             symbols[2 * offset] = (symbols[2 * offset] + 1) % 16
-        rx = ReceivedPayload(
+        rx = SoftPacket(
             symbols=symbols,
             hints=np.zeros(truth.size),
             truth=truth,

@@ -264,20 +264,6 @@ class KernelTwinDiscipline(Rule):
 # ---------------------------------------------------------------------------
 
 
-def _is_main_guard(node: ast.If) -> bool:
-    test = node.test
-    return (
-        isinstance(test, ast.Compare)
-        and isinstance(test.left, ast.Name)
-        and test.left.id == "__name__"
-        and len(test.ops) == 1
-        and isinstance(test.ops[0], ast.Eq)
-        and len(test.comparators) == 1
-        and isinstance(test.comparators[0], ast.Constant)
-        and test.comparators[0].value == "__main__"
-    )
-
-
 class ExperimentContract(Rule):
     """Each ``exp_*`` module registers exactly one spec, lazily.
 
@@ -288,8 +274,11 @@ class ExperimentContract(Rule):
     imports being side-effect-free — a module-level simulation run
     would execute on *every* ``discover()`` call, in every worker
     process.  Constants and point declarations (``grid``/``sweep``
-    assignments) are fine; bare module-level calls and loops are not.
-    The ``if __name__ == "__main__"`` preview block is exempt.
+    assignments) are fine; bare module-level calls, loops and
+    conditionals are not.  That includes an ``if __name__ ==
+    "__main__"`` preview guard: an experiment runs through the registry
+    (``runner --experiment ID``), which hands its body the runs it
+    declared, so a second entry point beside it has nothing to run on.
     """
 
     rule_id = "RP003"
@@ -324,7 +313,7 @@ class ExperimentContract(Rule):
                     node.lineno,
                     "module-level call runs at import time (on every "
                     "registry discover()); move it under the "
-                    "registered experiment body or the __main__ guard",
+                    "registered experiment body",
                 )
             elif isinstance(node, (ast.For, ast.While, ast.With, ast.Try)):
                 yield Finding(
@@ -335,14 +324,14 @@ class ExperimentContract(Rule):
                     "block runs at import time; experiment modules "
                     "must import side-effect-free",
                 )
-            elif isinstance(node, ast.If) and not _is_main_guard(node):
+            elif isinstance(node, ast.If):
                 yield Finding(
                     self.rule_id,
                     module.rel,
                     node.lineno,
-                    "conditional module-level code; only the "
-                    '`if __name__ == "__main__"` preview guard is '
-                    "allowed",
+                    "conditional module-level code; experiments run "
+                    "only through the registry (`runner --experiment "
+                    'ID`), not an `if __name__ == "__main__"` guard',
                 )
         if n_registered != 1:
             yield Finding(

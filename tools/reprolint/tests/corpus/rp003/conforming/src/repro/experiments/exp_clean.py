@@ -1,4 +1,4 @@
-"""RP003 conforming: one lazy registration, guarded preview."""
+"""RP003 conforming: one lazy registration, no import-time work."""
 
 from repro.experiments.registry import register
 
@@ -8,7 +8,3 @@ GRID = (1, 2, 3)
 @register
 def exp_clean():
     return sum(GRID)
-
-
-if __name__ == "__main__":
-    exp_clean()

@@ -1,4 +1,4 @@
-"""RP003 violating: import-time work and double registration."""
+"""RP003 violating: import-time work, double registration, a preview guard."""
 
 from repro.experiments.registry import register
 
@@ -19,3 +19,7 @@ def exp_one():
 @register
 def exp_two():
     return None
+
+
+if __name__ == "__main__":
+    exp_one()

@@ -57,6 +57,7 @@ EXPECTED_VIOLATIONS = {
         ("RP003", "src/repro/experiments/exp_broken.py", 7),  # module-level for
         ("RP003", "src/repro/experiments/exp_broken.py", 10),  # bare if block
         ("RP003", "src/repro/experiments/exp_broken.py", 20),  # second @register
+        ("RP003", "src/repro/experiments/exp_broken.py", 24),  # __main__ guard
     ],
     "rp004": [
         ("RP004", "src/repro/phy/kernel.py", 10),  # out[i, j] under nested loops
