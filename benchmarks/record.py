@@ -18,6 +18,16 @@ workload and per traced run: whether the parent and the change
 produced the same artifact digests.  A line is printed for every
 workload whose digests differ; that only reports, it does not gate.
 
+It also times the runner itself, end to end, from a cold start::
+
+    python -m repro.experiments.runner --all --quick --format json --out DIR --jobs J
+
+at ``--jobs 1`` and ``--jobs 2``, ``--pairs`` times on each side in
+the same alternating order.  The medians, quartiles and per-pair wins
+of each wall time, the ``--jobs 2``/``--jobs 1`` ratio of the medians
+and whether both sides wrote byte-identical artifacts go under the
+``runner`` key.  These too only report.
+
 Exits 1 when a change median of an end-to-end metric is worse than
 its parent's by more than that metric's ``bound`` in
 ``BENCHMARK.json`` (or a run fails), 0 otherwise.
@@ -26,6 +36,7 @@ its parent's by more than that metric's ``bound`` in
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -33,6 +44,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +54,8 @@ ORDER = "alternating, parent first in odd pairs"
 SEED = 2007
 # The workload and lower-is-better metric the change claims to improve.
 CLAIM = ("sim-heavy", "wall_s")
+RUNNER = ("-m", "repro.experiments.runner", "--all", "--quick", "--format", "json")
+RUNNER_JOBS = (1, 2)
 
 
 def run_bench(checkout: Path, workload: str, seed: int, trace: int) -> dict:
@@ -152,6 +166,70 @@ def record_traced(parent_dir: Path, workload: str, seed: int) -> dict:
     }
 
 
+def run_runner(checkout: Path, jobs: int, out_dir: Path) -> tuple[float, str]:
+    """One cold ``runner --all --quick`` run: its wall time in seconds
+    and a digest of the artifacts it wrote."""
+    command = [sys.executable, *RUNNER, "--jobs", str(jobs), "--out", str(out_dir)]
+    # No store, execution policy or fault plan from the caller's shell.
+    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+    env["PYTHONPATH"] = str(checkout / "src")
+    start = time.perf_counter()
+    proc = subprocess.run(
+        command, cwd=checkout, env=env, capture_output=True, text=True, check=False
+    )
+    wall_s = time.perf_counter() - start
+    if proc.returncode != 0:
+        raise RuntimeError(
+            f"{' '.join(command)} in {checkout} exited with "
+            f"{proc.returncode}: {proc.stderr.strip()}"
+        )
+    digest = hashlib.sha256()
+    for path in sorted(out_dir.iterdir()):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return wall_s, digest.hexdigest()
+
+
+def record_runner(parent_dir: Path, pairs: int) -> dict:
+    """``pairs`` alternating cold runner runs per side at each job count."""
+    walls = {jobs: {"parent": [], "change": []} for jobs in RUNNER_JOBS}
+    digests: dict[str, set[str]] = {"parent": set(), "change": set()}
+    with tempfile.TemporaryDirectory(prefix="bench-runner-") as tmp:
+        for i in range(pairs):
+            sides = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for jobs in RUNNER_JOBS:
+                for side in sides:
+                    checkout = parent_dir if side == "parent" else ROOT
+                    out_dir = Path(tmp) / f"{side}-{jobs}-{i}"
+                    wall_s, digest = run_runner(checkout, jobs, out_dir)
+                    walls[jobs][side].append(wall_s)
+                    digests[side].add(digest)
+                    print(
+                        f"runner pair {i + 1}/{pairs} --jobs {jobs} {side}: {wall_s:.2f}s",
+                        file=sys.stderr,
+                    )
+    low, high = RUNNER_JOBS
+    return {
+        "command": (
+            f"python -m repro.experiments.runner --all --quick --format json "
+            f"--out DIR --jobs J (J in {list(RUNNER_JOBS)}), cold, no store"
+        ),
+        "pairs": pairs,
+        "order": ORDER,
+        "wall_s": {
+            f"jobs_{jobs}": summarise(sides["parent"], sides["change"], "lower")
+            for jobs, sides in walls.items()
+        },
+        f"jobs_{high}_over_jobs_{low}": {
+            side: round(
+                statistics.median(walls[high][side]) / statistics.median(walls[low][side]),
+                3,
+            )
+            for side in ("parent", "change")
+        },
+        "artifacts_match": len(digests["parent"] | digests["change"]) == 1,
+    }
+
+
 def claim_of(workloads: dict) -> dict:
     """Whether the change beat its parent on the ``CLAIM`` metric.
 
@@ -224,6 +302,7 @@ def main(argv: list[str] | None = None) -> int:
                 for name in names
             }
             traced = {name: record_traced(parent_dir, name, SEED) for name in names}
+            runner = record_runner(parent_dir, args.pairs)
         finally:
             git("worktree", "remove", "--force", str(parent_dir))
 
@@ -241,6 +320,7 @@ def main(argv: list[str] | None = None) -> int:
             "command": f"python3 perfbench/run.py --workload W --seed {SEED} --trace 1",
             **traced,
         },
+        "runner": runner,
     }
     problems = regressions(workloads, end_to_end)
     document["regressions"] = problems
@@ -255,6 +335,8 @@ def main(argv: list[str] | None = None) -> int:
                     f"digests differ: {name} ({kind}): parent {digests['parent']} "
                     f"change {digests['change']}"
                 )
+    if not runner["artifacts_match"]:
+        print("runner artifacts differ between parent and change")
     for problem in problems:
         print(f"regression: {problem}")
     return 1 if problems else 0

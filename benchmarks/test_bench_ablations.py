@@ -4,7 +4,6 @@ Each ablation isolates one decision the paper makes and measures its
 effect on the same traces the figure benchmarks use:
 
 * the threshold η = 6 (paper §3.2 / §7.2),
-* hard-decision Hamming hints vs soft-decision correlation (§3.2),
 * the 802.15.4 codebook's distance structure vs a random codebook,
 * the chunking DP vs naive per-run feedback (§5.1),
 * the conclusion's claim that PPR lets a PHY run at a BER one or two
@@ -17,8 +16,6 @@ from repro.arq.chunking import chunk_cost_naive, plan_chunks
 from repro.arq.runlength import RunLengthPacket
 from repro.phy.chipchannel import transmit_chipwords
 from repro.phy.codebook import ZigbeeCodebook
-from repro.phy.decoder import SoftDecisionDecoder
-from repro.utils.bitops import pack_bits_to_uint32
 
 
 def test_bench_ablation_eta_sweep(benchmark, shared_runs):
@@ -54,35 +51,6 @@ def test_bench_ablation_eta_sweep(benchmark, shared_runs):
     )
     # Extremes are worse than the plateau.
     assert net[0] < net[6]
-
-
-def test_bench_ablation_hdd_vs_sdd(benchmark, codebook_fixture=None):
-    """Soft-decision decoding beats hard-decision in Gaussian noise
-    (the 2-3 dB of §3.1), while both hint styles separate errors.
-
-    The paper used HDD because its errors were collision-dominated;
-    this ablation quantifies what SDD would have bought in noise.
-    """
-    codebook = ZigbeeCodebook()
-    rng = np.random.default_rng(0)
-    sdd = SoftDecisionDecoder(codebook)
-
-    def run():
-        symbols = rng.integers(0, 16, 4000)
-        clean = codebook.encode(symbols).reshape(-1, 32) * 2.0 - 1.0
-        noisy = clean + rng.normal(0, 1.3, clean.shape)
-        soft_result = sdd.decode_samples(noisy)
-        hard_symbols, _ = codebook.decode_hard(
-            pack_bits_to_uint32((noisy > 0).astype(np.uint8))
-        )
-        return {
-            "sdd_ser": float((soft_result.symbols != symbols).mean()),
-            "hdd_ser": float((hard_symbols != symbols).mean()),
-        }
-
-    stats = benchmark.pedantic(run, rounds=1, iterations=1)
-    print("\nsymbol error rates:", stats)
-    assert stats["sdd_ser"] < stats["hdd_ser"]
 
 
 def test_bench_ablation_codebook_distance(benchmark):

@@ -150,19 +150,23 @@ def test_bench_decode_hard_min_key(benchmark):
         )
         # The receiver frontend and fig16 decode a few words per call,
         # where a per-codeword loop of array ops would cost ~8x more.
+        # One call takes ~20 us, so a slow moment of the host can
+        # decide a short comparison: alternate the two sides over 25
+        # short batches, so both see the same moments, and keep each
+        # side's best batch.
         few = received[:16]
-        reference_few_s = min(
-            timeit.repeat(
-                lambda: _decode_hard_reference(codebook, few),
-                number=500,
-                repeat=3,
+        reference_few_s = few_s = float("inf")
+        for _ in range(25):
+            reference_few_s = min(
+                reference_few_s,
+                timeit.timeit(
+                    lambda: _decode_hard_reference(codebook, few), number=100
+                ),
             )
-        )
-        few_s = min(
-            timeit.repeat(
-                lambda: codebook.decode_hard(few), number=500, repeat=3
+            few_s = min(
+                few_s,
+                timeit.timeit(lambda: codebook.decode_hard(few), number=100),
             )
-        )
         assert few_s <= 1.5 * reference_few_s, (
             f"16-word decode {few_s / reference_few_s:.1f}x the cost of "
             "the distance matrix"

@@ -1,10 +1,10 @@
 """Benchmarks for the GF coding kernels (network-coded recovery).
 
-The acceptance bar mirrors ``test_bench_sova.py`` and
-``test_bench_waveform.py``: each vectorized kernel must beat its
-retained loop reference by at least 5x on a realistic problem size
-while agreeing bit-for-bit (the equivalence suite proves the latter;
-spot checks here keep the bench honest).  Sizes match the segmented
+The acceptance bar mirrors ``test_bench_waveform.py``: each
+vectorized kernel must beat its retained loop reference by at least 5x
+on a realistic problem size while agreeing bit-for-bit (the
+equivalence suite proves the latter; spot checks here keep the bench
+honest).  Sizes match the segmented
 RLNC use: tens of segments of a 1500-byte payload.
 """
 

@@ -28,7 +28,6 @@ from repro.link.schemes import (
 from repro.phy.batch import BatchReceptionEngine
 from repro.phy.chipchannel import transmit_chipwords
 from repro.phy.codebook import ZigbeeCodebook
-from repro.phy.decoder import SoftDecisionDecoder
 from repro.phy.modulation import MskModulator
 from repro.phy.sync import RollbackBuffer
 from repro.sim.metrics import evaluate_schemes, evaluate_schemes_reference
@@ -101,20 +100,6 @@ def test_bench_batched_reception(benchmark):
     engine = BatchReceptionEngine(codebook)
     decoded = benchmark(engine.decode_hard_ragged, arrays)
     assert len(decoded) == 200
-
-
-def test_bench_soft_decision_batch(benchmark):
-    """Fused soft-decision decode of 64 stacked receptions."""
-    codebook = ZigbeeCodebook()
-    rng = np.random.default_rng(32)
-    decoder = SoftDecisionDecoder(codebook)
-    blocks = []
-    for _ in range(64):
-        symbols = rng.integers(0, 16, 60)
-        clean = codebook.encode(symbols).reshape(-1, 32) * 2.0 - 1.0
-        blocks.append(clean + rng.normal(0.0, 0.6, clean.shape))
-    result = benchmark(decoder.decode_samples, np.vstack(blocks))
-    assert result.symbols.size == 64 * 60
 
 
 def test_bench_feedback_roundtrip(benchmark):

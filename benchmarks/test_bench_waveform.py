@@ -1,10 +1,10 @@
 """Benchmarks for the vectorized waveform pipeline (paper §4/§6).
 
-The acceptance bar for the waveform batch engine, mirroring
-``test_bench_sova.py``: on a 1500-chip capture the vectorized MSK
-matched filter and modulator must beat their retained per-chip loop
-references by at least 5x while staying bit-exact (the equivalence
-suite proves the latter; spot checks here keep the bench honest).
+The acceptance bar for the waveform batch engine: on a 1500-chip
+capture the vectorized MSK matched filter and modulator must beat
+their retained per-chip loop references by at least 5x while staying
+bit-exact (the equivalence suite proves the latter; spot checks here
+keep the bench honest).
 """
 
 import time

@@ -33,12 +33,8 @@ from repro.arq import (
     RunLengthPacket,
     plan_chunks,
 )
-from repro.coding import (
-    CodedRepairSession,
-    SegmentedRlncCodec,
-)
+from repro.coding import SegmentedRlncCodec
 from repro.link import (
-    AdaptiveThreshold,
     FragmentedCrcScheme,
     FrameHeader,
     PacketCrcScheme,
@@ -53,7 +49,6 @@ from repro.phy import (
     MskModulator,
     ReceiverFrontend,
     RollbackBuffer,
-    SoftDecisionDecoder,
     SoftPacket,
     WaveformBatchEngine,
     ZigbeeCodebook,
@@ -75,9 +70,7 @@ __all__ = [
     "PpArqSession",
     "RunLengthPacket",
     "plan_chunks",
-    "CodedRepairSession",
     "SegmentedRlncCodec",
-    "AdaptiveThreshold",
     "FragmentedCrcScheme",
     "FrameHeader",
     "PacketCrcScheme",
@@ -90,7 +83,6 @@ __all__ = [
     "MskModulator",
     "ReceiverFrontend",
     "RollbackBuffer",
-    "SoftDecisionDecoder",
     "SoftPacket",
     "WaveformBatchEngine",
     "ZigbeeCodebook",

@@ -228,8 +228,12 @@ def main(argv: list[str] | None = None) -> int:
         help="write the report to FILE instead of stdout",
     )
     args = parser.parse_args(argv)
+    directory = Path(args.directory)
+    if not directory.is_dir():
+        problem = "is not a directory" if directory.exists() else "does not exist"
+        parser.error(f"DIR {args.directory!r} {problem}")
     try:
-        results, manifest = load_results(Path(args.directory))
+        results, manifest = load_results(directory)
     except ValueError as exc:
         parser.error(str(exc))
     if not results:
@@ -240,7 +244,12 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     report = render_markdown(results, manifest)
     if args.out:
-        Path(args.out).write_text(report)
+        try:
+            Path(args.out).write_text(report)
+        except OSError as exc:
+            parser.error(
+                f"--out {args.out!r} is not writable: {exc.strerror or exc}"
+            )
         print(f"report written to {args.out}")
     else:
         try:

@@ -168,11 +168,6 @@ class RetransmissionPacket:
         """The (start, end) ranges carried by this packet."""
         return tuple((s.start, s.end) for s in self.segments)
 
-    @property
-    def n_data_symbols(self) -> int:
-        """Total retransmitted symbols."""
-        return sum(int(s.symbols.size) for s in self.segments)
-
 
 def encode_retransmission(packet: RetransmissionPacket) -> bytes:
     """Serialise a retransmission packet to its on-air bytes.

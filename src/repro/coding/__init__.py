@@ -7,7 +7,8 @@ efficient to (a) segment the packet and CRC-protect each segment, and
 subset of coded repair blocks recovers all erased segments, so no
 individual repair transmission is precious.
 
-This package provides the three layers of that idea:
+This package provides the two layers of that idea (the per-trace
+delivery scheme built on them is :class:`repro.link.SpracScheme`):
 
 * :mod:`repro.coding.gf2` / :mod:`repro.coding.gf256` — vectorized
   finite-field linear algebra (XOR combining on bit-packed uint64
@@ -16,9 +17,6 @@ This package provides the three layers of that idea:
   specification.
 * :mod:`repro.coding.rlnc` — the segmented-RLNC codec: payload ->
   CRC-protected segments plus coded repair segments.
-* :mod:`repro.coding.session` — :class:`CodedRepairSession`, a PP-ARQ
-  variant whose retransmissions are coded combinations of the bad
-  runs instead of the runs themselves.
 """
 
 from repro.coding.gf2 import (
@@ -35,24 +33,10 @@ from repro.coding.gf256 import (
     gf256_mul,
 )
 from repro.coding.rlnc import RlncDecodeResult, SegmentedRlncCodec
-from repro.coding.session import (
-    CodedRepairPacket,
-    CodedRepairReceiver,
-    CodedRepairSender,
-    CodedRepairSession,
-    decode_coded_repair,
-    encode_coded_repair,
-)
 
 __all__ = [
-    "CodedRepairPacket",
-    "CodedRepairReceiver",
-    "CodedRepairSender",
-    "CodedRepairSession",
     "RlncDecodeResult",
     "SegmentedRlncCodec",
-    "decode_coded_repair",
-    "encode_coded_repair",
     "gf2_coefficients",
     "gf2_eliminate",
     "gf2_encode",

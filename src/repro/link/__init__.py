@@ -32,7 +32,6 @@ from repro.link.schemes import (
 from repro.link.fragmentation import (
     fragment_payload,
 )
-from repro.link.adaptive import AdaptiveThreshold
 from repro.link.quality import LinkObservation, LinkStats
 
 __all__ = [
@@ -53,7 +52,6 @@ __all__ = [
     "SicScheme",
     "SpracScheme",
     "fragment_payload",
-    "AdaptiveThreshold",
     "LinkObservation",
     "LinkStats",
 ]

@@ -8,7 +8,7 @@ Two fidelity levels share one decoding core:
   Hamming hints emerge from real nearest-codeword decoding.
 * **Waveform level** (``modulation``/``channelsim``/``demodulation``) —
   a complex-baseband MSK (half-sine O-QPSK) modem with matched
-  filtering, timing recovery and preamble/postamble synchronisation,
+  filtering and preamble/postamble synchronisation,
   used by the collision-anatomy experiment (paper Fig. 13) and the PHY
   test suite.
 """
@@ -21,7 +21,6 @@ from repro.phy.batch import (
     WaveformDecodeRequest,
 )
 from repro.phy.codebook import Codebook, ZigbeeCodebook
-from repro.phy.decoder import MatchedFilterHinter, SoftDecisionDecoder
 from repro.phy.chipchannel import (
     transmit_chipwords,
     transmit_chipwords_batch,
@@ -46,11 +45,6 @@ from repro.phy.remodulate import (
     remodulate_frame_reference,
     subtract_frame,
 )
-from repro.phy.convolutional import (
-    ConvolutionalCode,
-    SovaDecoder,
-    SovaResult,
-)
 
 __all__ = [
     "BatchReceptionEngine",
@@ -59,13 +53,8 @@ __all__ = [
     "WaveformBatchEngine",
     "WaveformDecodeRequest",
     "ChipExtractRequest",
-    "ConvolutionalCode",
-    "SovaDecoder",
-    "SovaResult",
     "Codebook",
     "ZigbeeCodebook",
-    "SoftDecisionDecoder",
-    "MatchedFilterHinter",
     "transmit_chipwords",
     "transmit_chipwords_batch",
     "bytes_to_symbols",

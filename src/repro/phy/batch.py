@@ -13,9 +13,7 @@ path (ragged uint32 chip-word lists).  :class:`WaveformBatchEngine`
 lifts the same idea to the sample domain: a ragged list of complex
 capture windows goes through fused preamble/postamble correlation, one
 fused MSK matched-filter reduction, and one fused nearest-codeword
-decode.  SOVA batching lives on
-:meth:`repro.phy.convolutional.SovaDecoder.decode_batch`, which fuses
-whole trellis passes rather than rows.
+decode.
 """
 
 from __future__ import annotations

@@ -67,8 +67,6 @@ class Codebook:
             (width << self._bits_per_symbol) | (n - 1)
         )
         self._key_index = np.arange(n, dtype=self._key_dtype)[:, None]
-        # ±1 chip patterns for soft-decision correlation (Eq. 1).
-        self._signs = codewords.astype(np.float64) * 2.0 - 1.0
 
     # -- geometry ----------------------------------------------------------
 
@@ -86,11 +84,6 @@ class Codebook:
     def bits_per_symbol(self) -> int:
         """Data bits per codeword (the paper's b)."""
         return self._bits_per_symbol
-
-    @property
-    def sign_matrix(self) -> np.ndarray:
-        """Codewords as ±1 floats, for correlation decoding."""
-        return self._signs.copy()
 
     # -- encode / decode ---------------------------------------------------
 

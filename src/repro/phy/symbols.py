@@ -3,14 +3,13 @@
 This is the paper's central abstraction (§3): the PHY keeps making hard
 decisions, but passes each decision upward together with a *hint*.  The
 library-wide convention is that **lower hints mean higher confidence**
-(Hamming distance is the canonical instance); decoders whose natural
-metric is higher-is-better (soft-decision correlation, matched filter)
-negate their metric so the monotonicity contract of §3.3 holds in one
+(Hamming distance is the canonical instance); a hint source whose
+natural metric is higher-is-better (such as a soft-decision correlation
+margin) negates it so the monotonicity contract of §3.3 holds in one
 direction everywhere.
 
 Higher layers must not interpret hint *values* beyond that ordering —
-they apply a threshold η (possibly adapted online, see
-:mod:`repro.link.adaptive`) to label symbols good or bad.
+they apply a fixed threshold η to label symbols good or bad.
 """
 
 from __future__ import annotations

@@ -106,12 +106,6 @@ class BitWriter:
             self._bits.append((value >> i) & 1)
         return self
 
-    def write_bits(self, bits: np.ndarray) -> "BitWriter":
-        """Append a 0/1 bit array verbatim."""
-        for b in np.asarray(bits, dtype=np.uint8):
-            self._bits.append(int(b))
-        return self
-
     def getvalue(self) -> bytes:
         """Return the stream padded with zero bits to a byte boundary."""
         bits = np.array(self._bits, dtype=np.uint8)

@@ -112,7 +112,7 @@ class TestBitStream:
         w = BitWriter()
         w.write_uint(0, 7)
         assert len(w) == 7
-        w.write_bits(bytes_to_bits(b"\x00"))
+        w.write_uint(0, 8)
         assert len(w) == 15
 
     def test_getvalue_pads_to_byte(self):
@@ -138,7 +138,8 @@ class TestBitStream:
 
     def test_read_bytes(self):
         w = BitWriter()
-        w.write_bits(bytes_to_bits(b"hi"))
+        for byte in b"hi":
+            w.write_uint(byte, 8)
         assert BitReader(w.getvalue()).read_bytes(2) == b"hi"
 
     @given(

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.arq.feedback import FeedbackPacket, segment_checksum
 from repro.coding.gf2 import (
     gf2_coefficients,
     gf2_eliminate,
@@ -19,16 +18,6 @@ from repro.coding.gf256 import (
     gf256_mul,
 )
 from repro.coding.rlnc import SegmentedRlncCodec
-from repro.coding.session import (
-    CodedRepairReceiver,
-    CodedRepairSender,
-    CodedRepairSession,
-    decode_coded_repair,
-    encode_coded_repair,
-)
-from repro.phy.spreading import bytes_to_symbols
-from repro.phy.symbols import SoftPacket
-from repro.utils.crc import CRC32_IEEE
 
 
 class TestPacking:
@@ -286,188 +275,3 @@ class TestSegmentedRlncCodec:
             SegmentedRlncCodec(4, 2, field="gf64")
         with pytest.raises(ValueError, match="one byte"):
             SegmentedRlncCodec(300, 2)
-
-
-def _clean_channel(symbols):
-    symbols = np.asarray(symbols, dtype=np.int64)
-    return SoftPacket(
-        symbols=symbols.copy(),
-        hints=np.zeros(symbols.size),
-        truth=symbols.copy(),
-    )
-
-
-def _burst_channel(rng, error=0.3, frac=0.3):
-    """Corrupt a contiguous fraction of each transmission."""
-
-    def channel(symbols):
-        symbols = np.asarray(symbols, dtype=np.int64)
-        out = symbols.copy()
-        hints = np.zeros(symbols.size)
-        if symbols.size:
-            burst = max(1, int(frac * symbols.size))
-            start = int(rng.integers(0, symbols.size - burst + 1))
-            flip = rng.random(burst) < error
-            out[start : start + burst] ^= flip * int(
-                rng.integers(1, 16)
-            )
-            hints[start : start + burst] = np.where(flip, 9.0, 0.0)
-        return SoftPacket(symbols=out, hints=hints, truth=symbols)
-
-    return channel
-
-
-class TestCodedRepairSession:
-    def test_clean_channel_single_round(self):
-        session = CodedRepairSession(_clean_channel)
-        payload = b"network coded partial packet recovery" * 3
-        log = session.transfer(0, payload)
-        assert log.delivered
-        assert log.rounds == 1
-        assert not log.retransmit_packet_bytes
-        assert session.receiver.reassembled_payload(0) == payload
-
-    def test_bursty_channel_delivers(self, rng):
-        session = CodedRepairSession(
-            _burst_channel(rng), seed=5, max_rounds=30
-        )
-        for seq in range(5):
-            payload = bytes(
-                rng.integers(0, 256, 150, dtype=np.uint8)
-            )
-            log = session.transfer(seq, payload)
-            assert log.delivered, f"packet {seq} not delivered"
-            assert session.receiver.reassembled_payload(seq) == payload
-
-    def test_coded_rows_survive_individual_losses(self, rng):
-        """Killing any one coded row per round must not stall the
-        session: the redundancy absorbs it without a re-request."""
-        sender = CodedRepairSender(seed=8, redundancy=1.0)
-        receiver = CodedRepairReceiver(eta=6.0)
-        payload = bytes(rng.integers(0, 256, 80, dtype=np.uint8))
-        wire = payload + CRC32_IEEE.compute_bytes(payload)
-        symbols = bytes_to_symbols(wire)
-        sender.register_packet(0, symbols)
-        corrupted = symbols.copy()
-        corrupted[10:40] ^= 0x5
-        hints = np.zeros(symbols.size)
-        hints[10:40] = 9.0
-        receiver.receive_data(
-            0,
-            SoftPacket(symbols=corrupted, hints=hints, truth=symbols),
-        )
-        packet = sender.handle_feedback_coded(receiver.build_feedback(0))
-        assert packet is not None
-        assert packet.n_coded > len(packet.spans)
-        # Corrupt one whole coded row in flight.
-        view_symbols = packet.rows.reshape(-1).copy()
-        row_width = packet.rows.shape[1]
-        view_symbols[:row_width] ^= 0x3
-        view = SoftPacket(
-            symbols=view_symbols,
-            hints=np.zeros(view_symbols.size),
-            truth=packet.rows.reshape(-1),
-        )
-        receiver.receive_coded_repair(packet, view)
-        assert receiver.is_complete(0)
-        assert receiver.reassembled_payload(0) == payload
-
-    def test_fresh_coefficients_each_round(self, rng):
-        sender = CodedRepairSender(seed=1)
-        payload = bytes(rng.integers(0, 256, 60, dtype=np.uint8))
-        wire = payload + CRC32_IEEE.compute_bytes(payload)
-        symbols = bytes_to_symbols(wire)
-        sender.register_packet(0, symbols)
-        feedback_segments = ((4, 20), (40, 60))
-        from repro.arq.feedback import FeedbackPacket, gaps_for_segments
-
-        def make_feedback():
-            gaps = gaps_for_segments(feedback_segments, symbols.size)
-            return FeedbackPacket(
-                seq=0,
-                n_symbols=symbols.size,
-                segments=feedback_segments,
-                gap_checksums=tuple(
-                    segment_checksum(symbols[s:e]) for s, e in gaps
-                ),
-            )
-
-        first = sender.handle_feedback_coded(make_feedback())
-        second = sender.handle_feedback_coded(make_feedback())
-        assert not np.array_equal(
-            first.coefficients, second.coefficients
-        )
-
-    def test_packet_serialisation_roundtrip(self, rng):
-        sender = CodedRepairSender(seed=3)
-        receiver = CodedRepairReceiver()
-        payload = bytes(rng.integers(0, 256, 64, dtype=np.uint8))
-        wire = payload + CRC32_IEEE.compute_bytes(payload)
-        symbols = bytes_to_symbols(wire)
-        sender.register_packet(5, symbols)
-        corrupted = symbols.copy()
-        corrupted[3:9] ^= 0x7
-        hints = np.zeros(symbols.size)
-        hints[3:9] = 8.0
-        receiver.receive_data(
-            5,
-            SoftPacket(symbols=corrupted, hints=hints, truth=symbols),
-        )
-        packet = sender.handle_feedback_coded(receiver.build_feedback(5))
-        decoded = decode_coded_repair(encode_coded_repair(packet))
-        assert decoded.seq == packet.seq
-        assert decoded.n_symbols == packet.n_symbols
-        assert decoded.spans == packet.spans
-        assert np.array_equal(decoded.coefficients, packet.coefficients)
-        assert np.array_equal(decoded.rows, packet.rows)
-        assert decoded.row_checksums == packet.row_checksums
-        assert decoded.gap_checksums == packet.gap_checksums
-
-    def test_ack_releases_sender_state(self):
-        session = CodedRepairSession(_clean_channel)
-        payload = b"x" * 40
-        session.transfer(3, payload)
-        ack = FeedbackPacket(seq=3, n_symbols=0, segments=(), gap_checksums=())
-        with pytest.raises(KeyError, match="unknown sequence"):
-            session._sender.handle_feedback(ack)
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="max_rounds"):
-            CodedRepairSession(_clean_channel, max_rounds=0)
-        with pytest.raises(ValueError, match="redundancy"):
-            CodedRepairSender(redundancy=-0.5)
-
-    def test_many_bad_runs_keep_redundancy(self, rng):
-        """A feedback round naming more bad runs than the 8-bit coded
-        row count can carry must merge spans rather than silently
-        clamp away the extra equations."""
-        sender = CodedRepairSender(seed=2, redundancy=0.25)
-        n_symbols = 2600
-        truth = rng.integers(0, 16, n_symbols)
-        sender.register_packet(0, truth)
-        # 260 single-symbol bad runs, evenly spaced.
-        segments = tuple((10 * i, 10 * i + 1) for i in range(260))
-        from repro.arq.feedback import FeedbackPacket, gaps_for_segments
-
-        gaps = gaps_for_segments(segments, n_symbols)
-        feedback = FeedbackPacket(
-            seq=0,
-            n_symbols=n_symbols,
-            segments=segments,
-            gap_checksums=tuple(
-                segment_checksum(truth[s:e]) for s, e in gaps
-            ),
-        )
-        packet = sender.handle_feedback_coded(feedback)
-        assert packet.n_coded <= 255
-        assert packet.n_coded > len(packet.spans)  # redundancy intact
-        assert len(packet.spans) < 260  # spans were merged
-        # Every requested symbol is still covered by some span.
-        covered = np.zeros(n_symbols, dtype=bool)
-        for start, end in packet.spans:
-            covered[start:end] = True
-        for start, end in segments:
-            assert covered[start:end].all()
-        # The packet is internally consistent (round-trips).
-        decoded = decode_coded_repair(encode_coded_repair(packet))
-        assert decoded.spans == packet.spans

@@ -147,9 +147,6 @@ class TestRetransmissionRoundtrip:
             assert np.array_equal(a.symbols, b.symbols)
         assert decoded.gap_checksums == packet.gap_checksums
 
-    def test_n_data_symbols(self, rng):
-        assert self._packet(rng).n_data_symbols == 9
-
     def test_corrupted_segment_rejected_on_decode(self, rng):
         packet = self._packet(rng)
         encoded = bytearray(encode_retransmission(packet))

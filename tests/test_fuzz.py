@@ -93,7 +93,8 @@ class TestFeedbackDecodingFuzz:
             packet = decode_retransmission(data)
         except (EOFError, ValueError):
             return
-        assert packet.n_data_symbols >= 0
+        for seg in packet.segments:
+            assert 0 <= seg.start <= seg.end
 
     def test_truncated_reader_raises_eof(self):
         reader = BitReader(b"\xff")

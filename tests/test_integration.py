@@ -1,14 +1,13 @@
 """Cross-layer integration tests.
 
 These exercise complete paths through the system: testbed traces into
-PP-ARQ recovery, waveform PHY into link-layer frame parsing, and the
-adaptive threshold learning from real channel statistics.
+PP-ARQ recovery, waveform PHY into link-layer frame parsing, and PP-ARQ
+over a different SoftPHY hint source.
 """
 
 import numpy as np
 
 from repro.arq.protocol import PpArqSession
-from repro.link.adaptive import AdaptiveThreshold
 from repro.link.frame import (
     PprFrame,
     parse_header_bytes,
@@ -124,16 +123,24 @@ class TestTracesToPpArq:
 class TestPhyIndependence:
     """The conclusion's promise: 'a PP-ARQ link layer can use different
     SoftPHY implementations without change.'  PP-ARQ is driven here by
-    soft-decision correlation hints instead of Hamming distances — the
-    receiver code is untouched; only η comes from a calibration pass
-    through the adaptive learner."""
+    soft-decision correlation hints (paper §3.1, Eq. 1) instead of
+    Hamming distances: the receiver code is untouched, only η is chosen
+    for the new hint scale."""
 
     def test_pparq_over_soft_decision_hints(self, codebook):
-        from repro.phy.decoder import SoftDecisionDecoder
-
         rng = ensure_rng(44)
-        decoder = SoftDecisionDecoder(codebook)
         noise_sigma = 0.8
+        chips = codebook.chips_per_symbol
+
+        def bipolar(symbols):
+            return codebook.encode(symbols).reshape(-1, chips) * 2.0 - 1.0
+
+        signs = bipolar(np.arange(codebook.n_symbols))
+        # The margin between the two best correlations lies in
+        # [0, 2B] for ±1 samples; (2B - margin) / 4 maps it to a
+        # lower-is-better hint in [0, B/2].  η = 12 labels a symbol
+        # good when its margin is at least 16.
+        eta = 12.0
 
         def sdd_channel(symbols):
             symbols = np.asarray(symbols, dtype=np.int64)
@@ -141,31 +148,23 @@ class TestPhyIndependence:
                 return SoftPacket(
                     symbols=symbols, hints=np.zeros(0), truth=symbols
                 )
-            clean = (
-                codebook.encode(symbols).reshape(-1, 32) * 2.0 - 1.0
+            noisy = bipolar(symbols) + rng.normal(
+                0, noise_sigma, (symbols.size, chips)
             )
-            noisy = clean + rng.normal(0, noise_sigma, clean.shape)
             # A collision burst flips sign coherence over a range.
             burst = max(1, symbols.size // 4)
             start = int(rng.integers(0, max(1, symbols.size - burst)))
             noisy[start : start + burst] += rng.normal(
-                0, 3.0, (burst, 32)
+                0, 3.0, (burst, chips)
             )
-            result = decoder.decode_samples(noisy)
+            corr = noisy @ signs.T
+            top2 = np.sort(corr, axis=1)[:, -2:]
+            margin = top2[:, 1] - top2[:, 0]
             return SoftPacket(
-                symbols=result.symbols,
-                hints=result.hints,
+                symbols=corr.argmax(axis=1),
+                hints=(2.0 * chips - margin) / 4.0,
                 truth=symbols,
             )
-
-        # Calibrate eta on this PHY's hint scale (SDD margins, not
-        # Hamming distances) from verified observations.
-        adapt = AdaptiveThreshold(max_hint=32)
-        for _ in range(30):
-            probe = rng.integers(0, 16, 200)
-            soft = sdd_channel(probe)
-            adapt.observe(soft.hints, soft.correct_mask())
-        eta = float(adapt.best_threshold())
 
         session = PpArqSession(sdd_channel, eta=eta)
         payload = bytes(rng.integers(0, 256, 150, dtype=np.uint8))
@@ -175,53 +174,3 @@ class TestPhyIndependence:
         # The recovery was genuinely partial, not full-packet resends.
         if log.retransmit_packet_bytes:
             assert min(log.retransmit_packet_bytes) < len(payload)
-
-
-class TestAdaptiveFromChannel:
-    def test_threshold_learned_from_real_hints(self, codebook):
-        """Feed the adaptive learner genuine decoder output and check
-        the learned threshold behaves like the paper's eta = 6."""
-        rng = ensure_rng(11)
-        adapt = AdaptiveThreshold(miss_cost=10.0)
-        for _ in range(40):
-            symbols = rng.integers(0, 16, 200)
-            words = codebook.encode_words(symbols)
-            p = np.full(200, 0.01)
-            p[50:100] = 0.45  # collision burst
-            received = transmit_chipwords(words, p, rng)
-            decoded, dist = codebook.decode_hard(received)
-            adapt.observe(dist, decoded == symbols)
-        eta = adapt.best_threshold()
-        assert 2 <= eta <= 10
-        # A quarter of the traffic sits inside an equal-power collision
-        # burst, where correct codewords legitimately carry large
-        # distances — so the false-alarm rate is higher than the
-        # paper's network-wide 0.005 but must stay small.
-        assert adapt.false_alarm_rate(eta) < 0.10
-        assert adapt.miss_rate(eta) < 0.10
-
-    def test_learned_eta_comparable_to_paper_default(self, codebook):
-        """Delivery under the learned threshold should be within a few
-        percent of delivery under the paper's fixed eta = 6."""
-        rng = ensure_rng(13)
-        adapt = AdaptiveThreshold()
-        records = []
-        for _ in range(30):
-            symbols = rng.integers(0, 16, 300)
-            words = codebook.encode_words(symbols)
-            p = np.full(300, 0.02)
-            start = rng.integers(0, 200)
-            p[start : start + 80] = 0.4
-            received = transmit_chipwords(words, p, rng)
-            decoded, dist = codebook.decode_hard(received)
-            correct = decoded == symbols
-            records.append((dist.astype(float), correct))
-            adapt.observe(dist, correct)
-        eta = adapt.best_threshold()
-
-        def delivered(threshold):
-            return sum(
-                int(((h <= threshold) & c).sum()) for h, c in records
-            )
-
-        assert delivered(eta) >= 0.95 * delivered(6.0)

@@ -97,14 +97,20 @@ class TestDemodulatorRoundtrip:
         assert (decoded == chips).mean() > 0.95
 
     def test_symbol_roundtrip_through_codebook(self, codebook, rng):
+        """Decoding from the frame's first sample recovers every
+        symbol, also when the frame starts at a sub-chip or a
+        multi-chip sample offset into the capture."""
         mod = MskModulator(sps=4)
         demod = MskDemodulator(sps=4)
         symbols = rng.integers(0, 16, 30)
         wave = mod.modulate_symbols(symbols, codebook)
-        soft = demod.demodulate_soft(wave, start=0, n_chips=30 * 32)
-        hard = (soft > 0).astype(np.uint8).reshape(30, 32)
-        decoded, _ = codebook.decode_hard(pack_bits_to_uint32(hard))
-        assert np.array_equal(decoded, symbols)
+        for start in (0, 1, 2, 3, 9, 10, 11):
+            capture = np.concatenate([np.zeros(start, dtype=complex), wave])
+            soft = demod.demodulate_soft(capture, start, n_chips=30 * 32)
+            hard = (soft > 0).astype(np.uint8).reshape(30, 32)
+            decoded, dists = codebook.decode_hard(pack_bits_to_uint32(hard))
+            assert np.array_equal(decoded, symbols), start
+            assert not dists.any(), start
 
     def test_truncated_capture_rejected(self):
         demod = MskDemodulator(sps=4)

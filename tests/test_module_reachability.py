@@ -1,5 +1,5 @@
-"""Every module, function, class and method under ``src/repro`` is
-reached by the runner or kept with a stated reason.
+"""Every module under ``src/repro`` is reached by the runner, and every
+function, class and method is reached or kept with a stated reason.
 
 **Modules.** A static import walk (stdlib ``ast``, nothing is imported)
 starts at the runner, the report generator and every ``exp_*`` module
@@ -11,8 +11,7 @@ and otherwise follows the one statement in ``pkg/__init__.py`` that
 binds ``name``.  Package ``__init__`` files are re-export shims: they
 are never walked, so an import of a package does not pull in
 everything the package re-exports.  A module that nothing in the
-runner reaches either earns a place in ``ALLOWLIST`` with a one-line
-reason or is deleted.
+runner reaches is wired in or deleted; there is no allowlist.
 
 **Symbols.** Every top-level function and class of a module, and
 every method of a top-level class, is a symbol.  The names a symbol
@@ -26,13 +25,13 @@ fixed point: a live name makes every symbol of that bare name live,
 whatever its module or class, and a live symbol makes every name it
 references live.  Matching by bare name keeps an override live with
 its base's call site, without type inference.  Dunders (live with
-their class), ``*_reference`` twins and the public names of
-allowlisted modules are exempt and count as live.  Any other symbol
-that nothing reaches either earns a place in ``KEEP`` with a one-line
-reason or is deleted; a kept symbol's references are live too.
+their class) and ``*_reference`` twins are exempt and count as live.
+Any other symbol that nothing reaches either earns a place in ``KEEP``
+with a one-line reason or is deleted; a kept symbol's references are
+live too.
 
-Neither list can go stale: an allowlisted module or kept symbol that
-is reached, or that no longer exists, fails the test too.
+``KEEP`` cannot go stale: a kept symbol that is reached, or that no
+longer exists, fails the test too.
 """
 
 from __future__ import annotations
@@ -45,31 +44,6 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 PACKAGE = "repro"
 
 ROOTS = ("repro.experiments.runner", "repro.analysis.report")
-
-#: unreached modules that stay, each with the job it does
-ALLOWLIST = {
-    "repro.link.adaptive": (
-        "learns eta for hint scales other than Hamming distance "
-        "(paper 3.3); PP-ARQ over soft-decision hints needs it"
-    ),
-    "repro.phy.decoder": (
-        "soft-decision and matched-filter hints, the other two hint "
-        "sources of paper 3.1"
-    ),
-    "repro.phy.convolutional": (
-        "SOVA hints for convolutionally coded PHYs (paper 3.1), with "
-        "its loop twin and speed gate"
-    ),
-    "repro.phy.timing": (
-        "non-data-aided chip timing recovery that postamble rollback "
-        "relies on (paper 4)"
-    ),
-    "repro.coding.session": (
-        "PP-ARQ with coded retransmissions, the transfer-level "
-        "counterpart of the S-PRAC scheme"
-    ),
-}
-
 
 def _module_paths() -> dict[str, Path]:
     """Dotted module name -> source file, packages under their own name."""
@@ -188,22 +162,12 @@ def test_roots_exist():
     assert any(name.startswith("repro.experiments.exp_") for name in MODULES)
 
 
-def test_every_module_is_reached_or_allowlisted():
-    unreached = _plain_modules() - reachable() - set(ALLOWLIST)
+def test_every_module_is_reached():
+    unreached = _plain_modules() - reachable()
     assert not unreached, (
-        "modules no runner path imports; wire them in, delete them, or "
-        f"allowlist them with a reason: {sorted(unreached)}"
+        "modules no runner path imports; wire them in or delete them: "
+        f"{sorted(unreached)}"
     )
-
-
-def test_allowlist_is_not_stale():
-    missing = set(ALLOWLIST) - set(MODULES)
-    assert not missing, f"allowlisted modules no longer exist: {sorted(missing)}"
-    reached = set(ALLOWLIST) & reachable()
-    assert not reached, (
-        f"allowlisted modules are now reached; drop them: {sorted(reached)}"
-    )
-    assert all(reason.strip() for reason in ALLOWLIST.values())
 
 
 def test_walk_follows_every_import_form():
@@ -399,17 +363,11 @@ def _owner(symbol: str) -> str | None:
 
 
 def _is_exempt(symbol: str) -> bool:
-    """Dunders run implicitly, ``*_reference`` twins are the
-    specifications RP002 pins, and the public names of allowlisted
-    modules were kept on purpose."""
+    """Dunders run implicitly, and ``*_reference`` twins are the
+    specifications RP002 pins."""
     bare = SYMBOLS[symbol][0]
     is_dunder = bare.startswith("__") and bare.endswith("__")
-    if is_dunder or bare.endswith("_reference"):
-        return True
-    module = next((m for m in ALLOWLIST if symbol.startswith(f"{m}.")), None)
-    return module is not None and not any(
-        part.startswith("_") for part in symbol[len(module) + 1 :].split(".")
-    )
+    return is_dunder or bare.endswith("_reference")
 
 
 def live_symbols(kept: Iterable[str] = ()) -> set[str]:

@@ -217,6 +217,34 @@ class TestReportCli:
         assert "no experiment artifacts" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "name,problem",
+        [("missing", "does not exist"), ("file.txt", "is not a directory")],
+    )
+    def test_bad_directory_is_a_usage_error(
+        self, tmp_path, capsys, name, problem
+    ):
+        (tmp_path / "file.txt").write_text("not a directory\n")
+        path = tmp_path / name
+        with pytest.raises(SystemExit) as exc:
+            main([str(path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"DIR {str(path)!r} {problem}" in err
+        assert "Traceback" not in err
+
+    def test_out_in_missing_directory_is_a_usage_error(
+        self, artifact_dir, tmp_path, capsys
+    ):
+        out = tmp_path / "missing_dir" / "r.md"
+        with pytest.raises(SystemExit) as exc:
+            main([str(artifact_dir), "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"--out {str(out)!r} is not writable" in err
+        assert "Traceback" not in err
+        assert not out.parent.exists()
+
+    @pytest.mark.parametrize(
         "name,content",
         [
             ("fig3.json", "{bad"),

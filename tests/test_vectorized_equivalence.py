@@ -1,14 +1,14 @@
 """Equivalence suite: vectorized hot paths vs their loop references.
 
-The batched reception engine rewrote the SOVA trellis walk, the
-Eq. 4/5 chunking DP, and per-reception nearest-codeword decoding as
-numpy array programs; the waveform engine did the same to MSK
-modulation, the matched filter, and sync correlation.  Each rewrite
+The batched reception engine rewrote the Eq. 4/5 chunking DP and
+per-reception nearest-codeword decoding as numpy array programs; the
+waveform engine did the same to MSK modulation, the matched filter,
+and sync correlation.  Each rewrite
 keeps its original pure-Python implementation as an executable
 specification; these tests pin the vectorized paths to the references
 **bit-for-bit** (decisions) and **float-for-float** (hints/costs/
-waveforms) across randomized codes, noise levels, and the edge cases
-where tie-breaking and unreachable trellis states matter.
+waveforms) across randomized inputs, noise levels, and the edge cases
+where tie-breaking matters.
 """
 
 from __future__ import annotations
@@ -63,8 +63,6 @@ from repro.phy.channelsim import (
 )
 from repro.phy.chipchannel import transmit_chipwords, transmit_chipwords_batch
 from repro.phy.codebook import Codebook, ZigbeeCodebook
-from repro.phy.convolutional import ConvolutionalCode, SovaDecoder
-from repro.phy.decoder import SoftDecisionDecoder
 from repro.phy.demodulation import MskDemodulator
 from repro.phy.frontend import ChipExtractRequest, ReceiverFrontend
 from repro.phy.modulation import MskModulator
@@ -97,21 +95,6 @@ from repro.utils.rng import (
     rng_from_key,
 )
 
-# Standard generator pairs per constraint length (octal), so the
-# randomized sweep exercises real codes rather than degenerate taps.
-_GENERATORS = {
-    3: (0o7, 0o5),
-    4: (0o17, 0o13),
-    5: (0o23, 0o35),
-    6: (0o53, 0o75),
-    7: (0o171, 0o133),
-}
-
-
-def _assert_sova_equal(a, b, context=""):
-    assert np.array_equal(a.bits, b.bits), f"bits diverge {context}"
-    assert np.array_equal(a.hints, b.hints), f"hints diverge {context}"
-
 
 def _assert_twins_finite(label, vec, ref):
     """NaN/inf canary around a kernel-twin pair.
@@ -119,157 +102,9 @@ def _assert_twins_finite(label, vec, ref):
     Bit-equality alone cannot catch a bug both twins share: a
     vectorized kernel and its reference drifting into the same NaN
     would still compare equal, so float outputs are additionally
-    required to be finite.  (SOVA hints are exempt — unreachable
-    competitors legitimately carry infinite margins.)
+    required to be finite.
     """
     sanitize.check_finite(label, vec, ref)
-
-
-class TestSovaEquivalence:
-    @pytest.mark.parametrize("constraint", sorted(_GENERATORS))
-    def test_random_noise_sweep(self, constraint, rng):
-        code = ConvolutionalCode(
-            generators=_GENERATORS[constraint], constraint=constraint
-        )
-        decoder = SovaDecoder(code)
-        for trial in range(8):
-            n_bits = int(rng.integers(constraint, 150))
-            coded = code.encode(rng.integers(0, 2, n_bits))
-            clean = 1.0 - 2.0 * coded.astype(float)
-            for noise in (0.0, 0.4, 1.0, 2.5):
-                llrs = clean + rng.normal(0.0, noise, clean.size)
-                _assert_sova_equal(
-                    decoder.decode(llrs),
-                    decoder.decode_reference(llrs),
-                    f"(K={constraint}, trial={trial}, noise={noise})",
-                )
-
-    @pytest.mark.parametrize("constraint", [3, 5, 7])
-    def test_random_generator_codes(self, constraint, rng):
-        """Random valid generator sets, including rate 1/3."""
-        limit = 1 << constraint
-        for _trial in range(6):
-            n_gens = int(rng.integers(2, 4))
-            gens = tuple(
-                int(rng.integers(1, limit)) for _ in range(n_gens)
-            )
-            code = ConvolutionalCode(
-                generators=gens, constraint=constraint
-            )
-            decoder = SovaDecoder(code)
-            coded = code.encode(rng.integers(0, 2, 40))
-            llrs = 1.0 - 2.0 * coded.astype(float) + rng.normal(
-                0.0, 0.8, coded.size
-            )
-            _assert_sova_equal(
-                decoder.decode(llrs),
-                decoder.decode_reference(llrs),
-                f"(gens={gens})",
-            )
-
-    @pytest.mark.parametrize("constraint", [3, 5, 7])
-    def test_all_zero_llrs_maximal_ties(self, constraint):
-        """Zero LLRs tie every branch; tie-breaking must match the
-        reference scan exactly."""
-        code = ConvolutionalCode(
-            generators=_GENERATORS[constraint], constraint=constraint
-        )
-        decoder = SovaDecoder(code)
-        llrs = np.zeros(code.rate_inverse * (constraint + 4))
-        _assert_sova_equal(
-            decoder.decode(llrs), decoder.decode_reference(llrs)
-        )
-
-    def test_shortest_terminated_trellis(self, rng):
-        """n_steps = memory + 1: only flush steps follow the data bit,
-        so most trellis states stay unreachable throughout."""
-        for constraint in (3, 5, 7):
-            code = ConvolutionalCode(
-                generators=_GENERATORS[constraint], constraint=constraint
-            )
-            decoder = SovaDecoder(code)
-            coded = code.encode(np.array([1]))
-            llrs = 1.0 - 2.0 * coded.astype(float) + rng.normal(
-                0.0, 0.5, coded.size
-            )
-            _assert_sova_equal(
-                decoder.decode(llrs), decoder.decode_reference(llrs)
-            )
-
-    def test_final_flush_steps_impossible_ones(self, rng):
-        """The last K-1 steps admit only input 0; the vectorized pass
-        must keep those transitions' competitors unreachable exactly
-        like the reference (margins go infinite identically)."""
-        code = ConvolutionalCode()
-        decoder = SovaDecoder(code)
-        coded = code.encode(rng.integers(0, 2, 30))
-        # Heavy noise on the flush region specifically.
-        llrs = 1.0 - 2.0 * coded.astype(float)
-        llrs[-2 * code.rate_inverse :] += rng.normal(
-            0.0, 3.0, 2 * code.rate_inverse
-        )
-        vec = decoder.decode(llrs)
-        ref = decoder.decode_reference(llrs)
-        _assert_sova_equal(vec, ref)
-
-    def test_hard_decision_path(self, rng):
-        code = ConvolutionalCode()
-        decoder = SovaDecoder(code)
-        coded = code.encode(rng.integers(0, 2, 80))
-        coded = coded ^ (rng.random(coded.size) < 0.08)
-        _assert_sova_equal(
-            decoder.decode_hard(coded),
-            decoder.decode_reference(
-                SovaDecoder.llrs_from_hard(coded)
-            ),
-        )
-
-    @given(
-        st.integers(3, 7),
-        st.integers(0, 2**32 - 1),
-        st.floats(0.0, 2.0),
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_equivalence_property(self, constraint, seed, noise):
-        rng = ensure_rng(seed)
-        code = ConvolutionalCode(
-            generators=_GENERATORS[constraint], constraint=constraint
-        )
-        decoder = SovaDecoder(code)
-        coded = code.encode(rng.integers(0, 2, int(rng.integers(constraint, 60))))
-        llrs = 1.0 - 2.0 * coded.astype(float) + rng.normal(
-            0.0, noise, coded.size
-        )
-        _assert_sova_equal(
-            decoder.decode(llrs), decoder.decode_reference(llrs)
-        )
-
-
-class TestSovaBatch:
-    def test_mixed_lengths_match_single(self, rng):
-        code = ConvolutionalCode(generators=(0o23, 0o35), constraint=5)
-        decoder = SovaDecoder(code)
-        packets = []
-        for length in (12, 40, 12, 90, 7, 40):
-            coded = code.encode(rng.integers(0, 2, length))
-            packets.append(
-                1.0 - 2.0 * coded.astype(float)
-                + rng.normal(0.0, 0.9, coded.size)
-            )
-        batch = decoder.decode_batch(packets)
-        assert len(batch) == len(packets)
-        for llrs, result in zip(packets, batch, strict=True):
-            _assert_sova_equal(result, decoder.decode(llrs))
-
-    def test_empty_batch(self):
-        assert SovaDecoder().decode_batch([]) == []
-
-    def test_batch_validates_lengths(self):
-        decoder = SovaDecoder()
-        with pytest.raises(ValueError, match="multiple"):
-            decoder.decode_batch([np.zeros(5)])
-        with pytest.raises(ValueError, match="too short"):
-            decoder.decode_batch([np.zeros(2)])
 
 
 class TestChunkingEquivalence:
@@ -316,27 +151,6 @@ class TestBatchedDecoders:
             assert symbols.dtype == dists.dtype == np.int64
             assert np.array_equal(symbols, single_symbols)
             assert np.array_equal(dists, single_dists)
-
-    def test_soft_decision_batch_matches_single(self, codebook, rng):
-        """Soft decoding is row-independent: one call over stacked
-        receptions equals decoding each reception alone."""
-        decoder = SoftDecisionDecoder(codebook)
-        blocks = []
-        for n in (3, 50, 17):
-            symbols = rng.integers(0, 16, n)
-            clean = codebook.encode(symbols).reshape(-1, 32) * 2.0 - 1.0
-            blocks.append(clean + rng.normal(0.0, 0.7, clean.shape))
-        stacked = decoder.decode_samples(np.vstack(blocks))
-        offsets = np.cumsum([len(b) for b in blocks])[:-1]
-        for block, symbols, hints in zip(
-            blocks,
-            np.split(stacked.symbols, offsets),
-            np.split(stacked.hints, offsets),
-            strict=True,
-        ):
-            single = decoder.decode_samples(block)
-            assert np.array_equal(symbols, single.symbols)
-            assert np.array_equal(hints, single.hints)
 
     def test_engine_all_empty(self, codebook):
         engine = BatchReceptionEngine(codebook)

@@ -124,7 +124,6 @@ def test_finding_render_format():
 #: the vectorized kernels whose loop specs the repo maintains
 EXPECTED_TWINS = {
     "correlation",
-    "decode",
     "demodulate_soft",
     "evaluate_schemes",
     "gf2_eliminate",
