@@ -34,7 +34,12 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.10",
-    # numpy >= 2.0 for np.bitwise_count (the chip-word popcount);
-    # scipy for the chip channel and FFT correlation.
-    install_requires=["numpy>=2.0", "scipy"],
+    # numpy is the only runtime dependency: >= 2.0 for np.bitwise_count
+    # (the chip-word popcount).  The standard library supplies erfc
+    # and the CRCs.  The tests use scipy's erfc and next_fast_len as
+    # independent oracles, hence the "test" extra.
+    install_requires=["numpy>=2.0"],
+    extras_require={
+        "test": ["scipy", "pytest", "pytest-benchmark", "hypothesis"]
+    },
 )

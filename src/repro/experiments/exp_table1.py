@@ -15,11 +15,11 @@ import numpy as np
 
 from repro.analysis.stats import median
 from repro.analysis.textplot import format_table
-from repro.experiments import exp_fig16
 from repro.experiments.common import (
     LOAD_HEAVY,
     LOAD_MODERATE,
     ExperimentOutput,
+    ExperimentResult,
     ShapeCheck,
     grid,
     labelled_evaluations,
@@ -37,10 +37,14 @@ from repro.sim.network import SimulationResult
         "retransmission cost ~50%"
     ),
     points=grid(load=(LOAD_MODERATE, LOAD_HEAVY), carrier_sense=False),
+    needs=("fig16",),
     order=1,
 )
-def run(runs: list[SimulationResult]) -> ExperimentOutput:
-    """Build the Table 1 summary from fresh evaluations."""
+def run(
+    runs: list[SimulationResult], fig16: ExperimentResult
+) -> ExperimentOutput:
+    """Build the Table 1 summary from fresh evaluations and fig16's
+    PP-ARQ savings."""
     rows = []
     ratios = {}
     for label, result in zip(
@@ -81,8 +85,7 @@ def run(runs: list[SimulationResult]) -> ExperimentOutput:
         rows.append([label, f"{ppr_gain:.2f}x", f"{frag_gain:.2f}x",
                      f"{med_ratio:.2f}x"])
 
-    arq = exp_fig16.run()
-    savings = float(arq.series["savings"])
+    savings = float(fig16.series["savings"])
     rows.append(
         [
             "PP-ARQ vs full ARQ",

@@ -31,6 +31,13 @@ that declares no points runs without a cache and its body takes only
 its own keyword arguments.  The wrapper stamps the spec's identity
 onto the body's :class:`~repro.experiments.common.ExperimentOutput`,
 so id/title/expectation are stated exactly once, on the spec.
+
+An experiment that reads another's output declares it the same way,
+as ``needs=("fig16",)``: the body then receives, after its runs, one
+:class:`~repro.experiments.common.ExperimentResult` per need in
+declaration order.  The caller may hand those results in (the runner
+computes each needed experiment once per invocation and reuses it);
+otherwise the wrapper runs the needed experiment itself.
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ import functools
 import importlib
 import pkgutil
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Mapping
 
 from repro.experiments.common import (
     ExperimentOutput,
@@ -59,6 +66,8 @@ class ExperimentSpec:
     title: str
     paper_expectation: str
     points: tuple[Scenario, ...]
+    #: ids of the experiments whose results the body receives
+    needs: tuple[str, ...]
     order: float
     run: Callable[..., ExperimentResult] = field(compare=False)
 
@@ -76,36 +85,47 @@ def register(
     title: str,
     paper_expectation: str,
     points: tuple[Scenario, ...] = (),
+    needs: tuple[str, ...] = (),
     order: float = 0.0,
 ) -> Callable[[Callable[..., ExperimentOutput]], Callable[..., ExperimentResult]]:
     """Declare an experiment and register it under ``experiment_id``.
 
     ``points`` are the simulation points the experiment's body
-    receives, as scenarios over the cache's base config; ``order``
-    sorts ``--list`` / ``--all`` presentation.  Registering the same
-    id twice is an error — one module, one experiment.
+    receives, as scenarios over the cache's base config; ``needs``
+    names the experiments whose results it receives after them;
+    ``order`` sorts ``--list`` / ``--all`` presentation.  Registering
+    the same id twice is an error — one module, one experiment.
     """
 
     points = tuple(points)
+    needs = tuple(needs)
 
     def decorate(
         fn: Callable[..., ExperimentOutput],
     ) -> Callable[..., ExperimentResult]:
         @functools.wraps(fn)
         def run(
-            cache: RunCache | None = None, **kwargs: Any
+            cache: RunCache | None = None,
+            needed: Mapping[str, ExperimentResult] | None = None,
+            **kwargs: Any,
         ) -> ExperimentResult:
-            if not points:
-                output = fn(**kwargs)
-            elif cache is None:
-                raise TypeError(
-                    f"experiment {experiment_id!r} declares "
-                    f"{len(points)} simulation point(s); pass a RunCache "
-                    "to resolve them through"
+            inputs: list[Any] = []
+            if points:
+                if cache is None:
+                    raise TypeError(
+                        f"experiment {experiment_id!r} declares "
+                        f"{len(points)} simulation point(s); pass a "
+                        "RunCache to resolve them through"
+                    )
+                inputs.append(
+                    [result for _, result in Sweep(points).run(cache)]
                 )
-            else:
-                runs = [result for _, result in Sweep(points).run(cache)]
-                output = fn(runs, **kwargs)
+            needed = needed or {}
+            inputs += [
+                needed[name] if name in needed else get_spec(name).run(cache)
+                for name in needs
+            ]
+            output = fn(*inputs, **kwargs)
             return ExperimentResult(
                 experiment_id=experiment_id,
                 title=title,
@@ -120,6 +140,7 @@ def register(
             title=title,
             paper_expectation=paper_expectation,
             points=points,
+            needs=needs,
             order=float(order),
             run=run,
         )

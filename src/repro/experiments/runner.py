@@ -57,7 +57,7 @@ import json
 import os
 import sys
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from repro._version import __version__
@@ -130,6 +130,49 @@ def _failure_from_sweep(
     )
 
 
+def _run_spec(
+    spec: registry.ExperimentSpec,
+    cache: RunCache,
+    done: dict[str, ExperimentResult | ExperimentFailure],
+) -> ExperimentResult | ExperimentFailure:
+    """Run ``spec`` once, after the experiments it needs.
+
+    ``done`` holds every experiment already run in this invocation, so
+    a needed experiment runs at most once and its result also fills
+    its own slot.  A needed experiment's failure fails ``spec``.
+    """
+    if spec.experiment_id in done:
+        return done[spec.experiment_id]
+    needed: dict[str, ExperimentResult] = {}
+    for name in spec.needs:
+        got = _run_spec(registry.get_spec(name), cache, done)
+        if isinstance(got, ExperimentFailure):
+            done[spec.experiment_id] = replace(
+                got,
+                experiment_id=spec.experiment_id,
+                title=spec.title,
+                error=f"needed experiment {name!r} failed: {got.error}",
+            )
+            return done[spec.experiment_id]
+        needed[name] = got
+    outcome: ExperimentResult | ExperimentFailure
+    try:
+        outcome = spec.run(cache, needed)
+    except SweepExecutionError as exc:
+        outcome = _failure_from_sweep(spec, exc)
+    except Exception as exc:
+        outcome = ExperimentFailure(
+            experiment_id=spec.experiment_id,
+            title=spec.title,
+            error_type=type(exc).__name__,
+            error=str(exc),
+            traceback=traceback.format_exc(),
+            attempts=0,
+        )
+    done[spec.experiment_id] = outcome
+    return outcome
+
+
 def run_experiments(
     names: list[str],
     duration_s: float = 40.0,
@@ -156,6 +199,10 @@ def run_experiments(
     count, and every other experiment still runs.  Completed points
     are cached (and store-written) even when siblings fail, so a
     repaired rerun resumes warm.
+
+    An experiment that ``needs`` another receives its result; the
+    needed experiment runs once per call, and is reported only when
+    it was itself selected.
     """
     specs = [registry.get_spec(name) for name in names]
     cache = RunCache(
@@ -174,25 +221,13 @@ def run_experiments(
         # are negatively cached and attributed per experiment below.
         pass
     outcome = RunOutcome(results=[])
+    done: dict[str, ExperimentResult | ExperimentFailure] = {}
     for spec in specs:
-        try:
-            result = spec.run(cache)
-        except SweepExecutionError as exc:
-            outcome.failures.append(_failure_from_sweep(spec, exc))
-            continue
-        except Exception as exc:
-            outcome.failures.append(
-                ExperimentFailure(
-                    experiment_id=spec.experiment_id,
-                    title=spec.title,
-                    error_type=type(exc).__name__,
-                    error=str(exc),
-                    traceback=traceback.format_exc(),
-                    attempts=0,
-                )
-            )
-            continue
-        outcome.results.append(result)
+        got = _run_spec(spec, cache, done)
+        if isinstance(got, ExperimentFailure):
+            outcome.failures.append(got)
+        else:
+            outcome.results.append(got)
     outcome.exec_counters = cache.exec_counters
     return outcome
 

@@ -17,15 +17,31 @@ channel path, draws each reception's flips from its own counter-based
 Philox stream keyed on the (transmission, receiver) pair, so
 arbitrarily many receptions can be corrupted in one fused call (or
 sharded across processes) with bit-identical results.
+
+The complementary error function behind ``Q`` is the standard
+library's :func:`math.erfc`, applied one element at a time: the
+network simulation evaluates it once per interference segment, so a
+whole quick run asks for ~22k values.  Implementations of ``erfc``
+differ in the last bits; the simulation reads a probability only
+through each word's integer flip limit (quantised at 2**-32) and the
+hot-codeword threshold, so such a difference reaches its output only
+where it crosses one of those boundaries.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.special import erfc
 
 from repro.utils.bitops import pack_bits_to_uint32
 from repro.utils.rng import RngLike, ensure_rng, keyed_words
+
+
+def _erfc(x: np.ndarray) -> np.ndarray:
+    """Elementwise :func:`math.erfc` (``erfc(nan)`` is NaN)."""
+    values = [math.erfc(v) for v in x.ravel().tolist()]
+    return np.array(values, dtype=np.float64).reshape(x.shape)
 
 
 def chip_error_probability_interference(
@@ -58,8 +74,8 @@ def chip_error_probability_interference(
     base = np.sqrt(snr)
     offset = np.sqrt(isr)
     with np.errstate(invalid="ignore"):
-        aligned = 0.5 * erfc(base * (1.0 + offset))
-        opposed = 0.5 * erfc(base * (1.0 - offset))
+        aligned = 0.5 * _erfc(base * (1.0 + offset))
+        opposed = 0.5 * _erfc(base * (1.0 - offset))
     p = 0.5 * (aligned + opposed)
     # Guard the I -> inf limit (e.g. a half-duplex receiver jamming
     # itself): erfc(-inf) = 2, so p correctly tends to 0.5, but inf*0

@@ -112,14 +112,18 @@ class SimulationConfig:
                 "symbol_period_s must be positive and finite, got "
                 f"{self.symbol_period_s}"
             )
-        if not np.isfinite(self.min_rx_snr_db):
-            raise ValueError(
-                f"min_rx_snr_db must be finite, got {self.min_rx_snr_db}"
-            )
-        if not np.isfinite(self.tx_power_dbm):
-            raise ValueError(
-                f"tx_power_dbm must be finite, got {self.tx_power_dbm}"
-            )
+        # A NaN or infinite radio level runs to completion with garbage
+        # (a NaN SNR reads as a chip error probability of 0.5).
+        for name in (
+            "min_rx_snr_db",
+            "tx_power_dbm",
+            "noise_floor_dbm",
+            "wall_loss_db",
+            "fading_sigma_db",
+        ):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
 
 
 @dataclass(eq=False)

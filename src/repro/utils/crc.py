@@ -1,4 +1,4 @@
-"""Table-driven cyclic redundancy checks.
+"""Cyclic redundancy checks.
 
 The PPR frame format (paper Fig. 2) carries a whole-packet CRC, the
 fragmented-CRC baseline (paper §3.4) places one CRC per fragment, and
@@ -12,13 +12,24 @@ system uses:
   frame trailer.
 * **CRC-8 (ATM HEC)** — the short run checksum λ_C in PP-ARQ feedback,
   where feedback bits are precious.
+
+The engine's byte table (Rocksoft model) is the reference for all
+three.  A single message's CRC-32 and CRC-16 come from the standard
+library's C kernels (:func:`zlib.crc32`, :func:`binascii.crc_hqx`),
+which compute the same values; CRC-8 runs the table loop.
 """
 
 from __future__ import annotations
 
+import binascii
+import zlib
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
+
+
+Buffer = bytes | bytearray | memoryview
 
 
 def _reflect(value: int, width: int) -> int:
@@ -34,7 +45,9 @@ class CrcAlgorithm:
     """A parameterised CRC (Rocksoft model).
 
     Attributes mirror the classic Rocksoft parameter set: polynomial,
-    width, initial value, reflect-in/out, and final XOR.
+    width, initial value, reflect-in/out, and final XOR.  ``kernel``,
+    when given, computes one message's CRC in place of the table loop
+    and must agree with it on every input.
     """
 
     name: str
@@ -44,15 +57,18 @@ class CrcAlgorithm:
     refin: bool
     refout: bool
     xorout: int
-    _table: np.ndarray = field(init=False, repr=False, compare=False)
+    kernel: Callable[[Buffer], int] | None = field(
+        default=None, repr=False, compare=False
+    )
+    _table: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_table", self._build_table())
 
-    def _build_table(self) -> np.ndarray:
+    def _build_table(self) -> tuple[int, ...]:
         mask = (1 << self.width) - 1
         top = 1 << (self.width - 1)
-        table = np.zeros(256, dtype=np.uint64)
+        table = []
         for byte in range(256):
             if self.refin:
                 byte_val = _reflect(byte, 8)
@@ -66,23 +82,29 @@ class CrcAlgorithm:
                     reg = (reg << 1) & mask
             if self.refin:
                 reg = _reflect(reg, self.width)
-            table[byte] = reg
-        return table
+            table.append(reg)
+        return tuple(table)
 
-    def compute(self, data: bytes | bytearray | memoryview) -> int:
+    def compute(self, data: Buffer) -> int:
         """Compute the CRC of ``data`` and return it as an int."""
+        if self.kernel is not None:
+            return self.kernel(data)
+        return self.compute_table(data)
+
+    def compute_table(self, data: Buffer) -> int:
+        """The CRC of ``data`` by the byte-table loop (the reference)."""
         mask = (1 << self.width) - 1
         reg = self.init
         table = self._table
         if self.refin:
             for byte in bytes(data):
-                reg = (reg >> 8) ^ int(table[(reg ^ byte) & 0xFF])
+                reg = (reg >> 8) ^ table[(reg ^ byte) & 0xFF]
         else:
             shift = self.width - 8
             for byte in bytes(data):
-                reg = ((reg << 8) & mask) ^ int(
-                    table[((reg >> shift) ^ byte) & 0xFF]
-                )
+                reg = ((reg << 8) & mask) ^ table[
+                    ((reg >> shift) ^ byte) & 0xFF
+                ]
         if self.refin != self.refout:
             reg = _reflect(reg, self.width)
         return (reg ^ self.xorout) & mask
@@ -130,7 +152,7 @@ class CrcAlgorithm:
                     f"{width}], got [{lengths.min()}, {lengths.max()}]"
                 )
         mask = np.uint64((1 << self.width) - 1)
-        table = self._table
+        table = np.array(self._table, dtype=np.uint64)
         reg = np.full(n, self.init, dtype=np.uint64)
         for col in range(int(lengths.max()) if lengths.size else 0):
             byte = rows[:, col].astype(np.uint64)
@@ -155,6 +177,10 @@ class CrcAlgorithm:
         return (reg ^ np.uint64(self.xorout)) & mask
 
 
+def _crc16_ccitt_false(data: Buffer) -> int:
+    return binascii.crc_hqx(data, 0xFFFF)
+
+
 CRC32_IEEE = CrcAlgorithm(
     name="CRC-32/IEEE",
     width=32,
@@ -163,6 +189,7 @@ CRC32_IEEE = CrcAlgorithm(
     refin=True,
     refout=True,
     xorout=0xFFFFFFFF,
+    kernel=zlib.crc32,
 )
 
 CRC16_CCITT = CrcAlgorithm(
@@ -173,6 +200,7 @@ CRC16_CCITT = CrcAlgorithm(
     refin=False,
     refout=False,
     xorout=0x0000,
+    kernel=_crc16_ccitt_false,
 )
 
 CRC8_ATM = CrcAlgorithm(

@@ -120,9 +120,20 @@ class TestAgainstIndependentReferences:
     @given(st.binary(max_size=120))
     def test_all_algorithms_match_bit_serial(self, data):
         for alg in (CRC32_IEEE, CRC16_CCITT, CRC8_ATM):
-            assert alg.compute(data) == _bit_serial_crc(alg, data), (
+            want = _bit_serial_crc(alg, data)
+            assert alg.compute(data) == want, (
                 f"{alg.name} diverges from the bit-serial reference"
             )
+            assert alg.compute_table(data) == want, alg.name
+
+    @given(st.binary(max_size=1500))
+    def test_kernels_match_the_byte_table(self, data):
+        """CRC-32 via zlib and CRC-16 via binascii give the byte
+        table's values, for every buffer type callers pass."""
+        for alg in (CRC32_IEEE, CRC16_CCITT, CRC8_ATM):
+            want = alg.compute_table(data)
+            for buffer in (data, bytearray(data), memoryview(data)):
+                assert alg.compute(buffer) == want, alg.name
 
     def test_known_answer_vectors(self):
         # Rocksoft catalogue check values plus hand-derivable cases.

@@ -46,6 +46,20 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="tx_power_dbm"):
             SimulationConfig(tx_power_dbm=power)
 
+    @pytest.mark.parametrize(
+        ("field", "value"),
+        [
+            (field, value)
+            for field in ("noise_floor_dbm", "wall_loss_db", "fading_sigma_db")
+            for value in (np.nan, np.inf, -np.inf)
+        ],
+    )
+    def test_rejects_non_finite_radio_field(self, field, value):
+        """A NaN or infinite noise floor, wall loss or fading spread
+        used to run to completion with no (or meaningless) receptions."""
+        with pytest.raises(ValueError, match=field):
+            SimulationConfig(**{field: value})
+
 
 class TestRunStructure:
     def test_transmissions_generated(self, small_sim_result):

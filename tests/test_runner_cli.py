@@ -6,6 +6,7 @@ simulations (the body receives exactly those runs), and every result
 round-trips through the JSON schema.
 """
 
+import dataclasses
 import json
 import pkgutil
 
@@ -14,7 +15,7 @@ import pytest
 
 import repro
 import repro.experiments
-from repro.experiments import registry
+from repro.experiments import exp_table1, registry
 from repro.experiments.common import ExperimentResult, RunCache
 from repro.experiments.runner import main, run_experiments
 
@@ -142,6 +143,69 @@ class TestRegistry:
             assert result.paper_expectation == spec.paper_expectation
             assert result.rendered
             assert "=== " in result.summary()
+
+
+class TestNeeds:
+    """``needs``: an experiment reads another's result, computed once."""
+
+    @pytest.fixture()
+    def fig16_calls(self, monkeypatch):
+        """Count fig16's runs, at a cheap packet count."""
+        spec = registry.get_spec("fig16")
+        calls = []
+
+        def counted(cache=None, needed=None):
+            calls.append(1)
+            return spec.run(cache, needed, n_packets=10)
+
+        monkeypatch.setitem(
+            registry._REGISTRY, "fig16", dataclasses.replace(spec, run=counted)
+        )
+        return calls
+
+    def test_needs_name_registered_experiments_without_cycles(self):
+        def closure(name, path):
+            assert name not in path, f"needs cycle: {path + (name,)}"
+            for need in registry.get_spec(name).needs:
+                closure(need, path + (name,))
+
+        for spec in registry.all_specs():
+            closure(spec.experiment_id, ())
+        assert registry.get_spec("table1").needs == ("fig16",)
+        assert not hasattr(exp_table1, "exp_fig16")
+
+    def test_needed_experiment_runs_once_and_fills_its_slot(self, fig16_calls):
+        outcome = run_experiments(["table1", "fig16"], duration_s=2.0)
+        assert fig16_calls == [1]
+        table1, fig16 = outcome.results
+        assert (table1.experiment_id, fig16.experiment_id) == ("table1", "fig16")
+        assert table1.series["pp_arq_savings"] == fig16.series["savings"]
+
+    def test_unselected_need_is_not_reported(self, fig16_calls, tmp_path, capsys):
+        out_dir = tmp_path / "artifacts"
+        main(["--experiment", "table1", "--quick", "--out", str(out_dir)])
+        capsys.readouterr()
+        assert fig16_calls == [1]
+        assert sorted(p.name for p in out_dir.iterdir()) == [
+            "manifest.json",
+            "table1.json",
+        ]
+
+    def test_failed_need_fails_the_experiment(self, monkeypatch):
+        def broken(cache=None, needed=None):
+            raise RuntimeError("fig16 is broken")
+
+        spec = registry.get_spec("fig16")
+        monkeypatch.setitem(
+            registry._REGISTRY, "fig16", dataclasses.replace(spec, run=broken)
+        )
+        outcome = run_experiments(["table1", "fig16"], duration_s=2.0)
+        assert outcome.results == []
+        table1, fig16 = outcome.failures
+        assert (table1.experiment_id, table1.title) == ("table1", registry.get_spec("table1").title)
+        assert table1.error_type == fig16.error_type == "RuntimeError"
+        assert table1.error == "needed experiment 'fig16' failed: fig16 is broken"
+        assert "fig16 is broken" in table1.traceback
 
 
 class TestJsonSchema:
