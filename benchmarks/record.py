@@ -24,9 +24,11 @@ It also times the runner itself, end to end, from a cold start::
 
 at ``--jobs 1`` and ``--jobs 2``, ``--pairs`` times on each side in
 the same alternating order.  The medians, quartiles and per-pair wins
-of each wall time, the ``--jobs 2``/``--jobs 1`` ratio of the medians
-and whether both sides wrote byte-identical artifacts go under the
-``runner`` key.  These too only report.
+of each wall time and of each run's peak RSS (the largest resident
+set of the runner and its workers, as ``os.wait4`` reports it), the
+``--jobs 2``/``--jobs 1`` ratio of the wall-time medians and whether
+both sides wrote byte-identical artifacts go under the ``runner``
+key.  These too only report.
 
 Exits 1 when a change median of an end-to-end metric is worse than
 its parent's by more than that metric's ``bound`` in
@@ -164,32 +166,40 @@ def record_traced(parent_dir: Path, workload: str, seed: int) -> dict:
     }
 
 
-def run_runner(checkout: Path, jobs: int, out_dir: Path) -> tuple[float, str]:
-    """One cold ``runner --all --quick`` run: its wall time in seconds
-    and a digest of the artifacts it wrote."""
+def run_runner(checkout: Path, jobs: int, out_dir: Path) -> tuple[float, float, str]:
+    """One cold ``runner --all --quick`` run: its wall time in seconds,
+    the peak RSS in MB of its process tree (the largest of the runner
+    and its workers, from ``os.wait4``) and a digest of the artifacts
+    it wrote."""
     command = [sys.executable, *RUNNER, "--jobs", str(jobs), "--out", str(out_dir)]
     # No store, execution policy or fault plan from the caller's shell.
     env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
     env["PYTHONPATH"] = str(checkout / "src")
-    start = time.perf_counter()
-    proc = subprocess.run(
-        command, cwd=checkout, env=env, capture_output=True, text=True, check=False
-    )
-    wall_s = time.perf_counter() - start
-    if proc.returncode != 0:
-        raise RuntimeError(
-            f"{' '.join(command)} in {checkout} exited with "
-            f"{proc.returncode}: {proc.stderr.strip()}"
-        )
+    # Output goes to files, not pipes: reaping the child with wait4 (to
+    # read its resource usage) leaves no one to drain a pipe.
+    with tempfile.TemporaryFile() as stdout, tempfile.TemporaryFile() as stderr:
+        start = time.perf_counter()
+        proc = subprocess.Popen(command, cwd=checkout, env=env, stdout=stdout, stderr=stderr)
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall_s = time.perf_counter() - start
+        # Popen did not reap the child; hand it the status it missed.
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        if proc.returncode != 0:
+            stderr.seek(0)
+            raise RuntimeError(
+                f"{' '.join(command)} in {checkout} exited with "
+                f"{proc.returncode}: {stderr.read().decode().strip()}"
+            )
     digest = hashlib.sha256()
     for path in sorted(out_dir.iterdir()):
         digest.update(path.name.encode() + b"\0" + path.read_bytes())
-    return wall_s, digest.hexdigest()
+    return wall_s, usage.ru_maxrss / 1024, digest.hexdigest()
 
 
 def record_runner(parent_dir: Path, pairs: int) -> dict:
     """``pairs`` alternating cold runner runs per side at each job count."""
     walls = {jobs: {"parent": [], "change": []} for jobs in RUNNER_JOBS}
+    rss = {jobs: {"parent": [], "change": []} for jobs in RUNNER_JOBS}
     digests: dict[str, set[str]] = {"parent": set(), "change": set()}
     with tempfile.TemporaryDirectory(prefix="bench-runner-") as tmp:
         for i in range(pairs):
@@ -198,11 +208,13 @@ def record_runner(parent_dir: Path, pairs: int) -> dict:
                 for side in sides:
                     checkout = parent_dir if side == "parent" else ROOT
                     out_dir = Path(tmp) / f"{side}-{jobs}-{i}"
-                    wall_s, digest = run_runner(checkout, jobs, out_dir)
+                    wall_s, rss_mb, digest = run_runner(checkout, jobs, out_dir)
                     walls[jobs][side].append(wall_s)
+                    rss[jobs][side].append(rss_mb)
                     digests[side].add(digest)
                     print(
-                        f"runner pair {i + 1}/{pairs} --jobs {jobs} {side}: {wall_s:.2f}s",
+                        f"runner pair {i + 1}/{pairs} --jobs {jobs} {side}: "
+                        f"{wall_s:.2f}s, {rss_mb:.1f} MB",
                         file=sys.stderr,
                     )
     low, high = RUNNER_JOBS
@@ -216,6 +228,10 @@ def record_runner(parent_dir: Path, pairs: int) -> dict:
         "wall_s": {
             f"jobs_{jobs}": summarise(sides["parent"], sides["change"], "lower")
             for jobs, sides in walls.items()
+        },
+        "peak_rss_mb": {
+            f"jobs_{jobs}": summarise(sides["parent"], sides["change"], "lower")
+            for jobs, sides in rss.items()
         },
         f"jobs_{high}_over_jobs_{low}": {
             side: round(

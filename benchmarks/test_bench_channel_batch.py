@@ -1,9 +1,10 @@
 """Benchmarks for the counter-based chip channel and trial sharding.
 
 The counter-based channel removes the shared sequential RNG stream
-that forced pair-by-pair transit, so a whole trial's corruption runs
-as one fused array program; the chip error probabilities that feed it
-come from one evaluation per interference segment of the whole run;
+that forced pair-by-pair transit, so many pairs' corruption runs as
+one fused array program (the simulation fuses bounded blocks of
+pairs); the chip error probabilities that feed it come from one
+evaluation per interference segment of the whole run, as runs;
 sharding then fans independent simulation points across worker
 processes.  Each must stay bit-identical to its unfused/unsharded
 equivalent — asserted here alongside the timings, so the benchmarks
@@ -33,6 +34,7 @@ from repro.utils.rng import derive_key
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from test_vectorized_equivalence import (  # noqa: E402
+    _assert_hot_equal,
     _decode_hard_reference,
     _transmit_chipwords_batch_reference,
 )
@@ -202,9 +204,8 @@ def test_bench_hot_codewords_segments(benchmark):
     again = hot_codewords(*args)
     segments_s = time.perf_counter() - t0
 
-    for name in ("tx_index", "receiver", "sizes", "index", "prob"):
-        assert np.array_equal(getattr(fast, name), getattr(ref, name))
-        assert np.array_equal(getattr(fast, name), getattr(again, name))
+    _assert_hot_equal(fast, ref)
+    _assert_hot_equal(fast, again)
     if benchmark.enabled:
         speedup = reference_s / segments_s
         assert speedup >= 5.0, (

@@ -312,18 +312,18 @@ def main(argv: list[str] | None = None) -> int:
             "backoff, REPRO_FAULTS injects deterministic chaos."
         ),
     )
-    parser.add_argument(
+    selection = parser.add_mutually_exclusive_group(required=True)
+    selection.add_argument(
         "--list",
         action="store_true",
         help="list registered experiments and exit",
     )
-    parser.add_argument(
+    selection.add_argument(
         "--all", action="store_true", help="run every experiment"
     )
-    parser.add_argument(
+    selection.add_argument(
         "--experiment",
         nargs="+",
-        default=[],
         metavar="ID",
         help="experiment ids (see --list)",
     )
@@ -388,8 +388,6 @@ def main(argv: list[str] | None = None) -> int:
         names = [s.experiment_id for s in registry.all_specs()]
     else:
         names = args.experiment
-    if not names:
-        parser.error("pass --all, --experiment ID [ID ...], or --list")
     for index, name in enumerate(names):
         try:
             registry.get_spec(name)

@@ -14,9 +14,9 @@ generator — the natural interface for single-link studies (the PP-ARQ
 experiments, the quickstart example) that own one explicit stream —
 while :func:`transmit_chipwords_batch`, the network simulation's only
 channel path, draws each reception's flips from its own counter-based
-Philox stream keyed on the (transmission, receiver) pair, so
-arbitrarily many receptions can be corrupted in one fused call (or
-sharded across processes) with bit-identical results.
+Philox stream keyed on the (transmission, receiver) pair, so the
+receptions can be corrupted in blocks of any size (or sharded across
+processes) with bit-identical results.
 
 The complementary error function behind ``Q`` is the standard
 library's :func:`math.erfc`, applied one element at a time: the
@@ -116,14 +116,6 @@ def transmit_chipwords(
     return tx_words ^ error_words
 
 
-# Words per fused pack/XOR group: bounds the transient (n_words, 32)
-# flip matrix to a few tens of MB however many pairs are fused.
-# Grouping is at pair granularity and cannot change results — each
-# pair's randomness comes from its own keyed stream, not from its
-# place in the batch.
-_BATCH_GROUP_WORDS = 1 << 20
-
-
 def _validate_chip_probs(p: np.ndarray) -> None:
     # NaN compares false to both bounds, so a plain range check lets it
     # through and the channel silently flips nothing; reject non-finite
@@ -143,7 +135,7 @@ def transmit_chipwords_batch(
     sizes: np.ndarray,
     keys: np.ndarray,
 ) -> np.ndarray:
-    """Keyed-stream BSC over many receptions' words in one fused call.
+    """Keyed-stream BSC over many receptions' words in one call.
 
     The input is any number of (transmission, receiver) pairs' words
     concatenated flat; ``sizes`` gives each pair's word count and
@@ -154,12 +146,15 @@ def transmit_chipwords_batch(
     ``Generator.integers(0, 2**32)`` would draw), one per chip, row by
     row — a function of the key and the pair's own draw order only —
     so the result is bit-identical whether pairs transit one at a
-    time, fused across a whole trial, or sharded over worker
-    processes.  Chip *c* of word *w* flips when its draw ``u``
-    satisfies ``u < p[w] * 2**32``, evaluated as the integer compare
+    time, in blocks of many pairs, or sharded over worker processes.
+    Chip *c* of word *w* flips when its draw ``u`` satisfies
+    ``u < p[w] * 2**32``, evaluated as the integer compare
     ``u <= ceil(p[w] * 2**32) - 1``: ``p = 0`` never flips and
     ``p = 1`` always does.  Packing and the XOR against the
-    transmitted words run over whole groups of pairs at once.
+    transmitted words run over the whole call at once; it holds a
+    transient ``(n, 32)`` bool flip matrix, so the caller bounds
+    ``n`` (the network simulation passes blocks of at most 64K
+    words).
 
     Parameters
     ----------
@@ -206,32 +201,19 @@ def transmit_chipwords_batch(
     # Probabilities quantise at 2**-32, far below the model's fidelity.
     ceilings = np.ceil(np.ldexp(p, 32))
     limits = np.maximum(ceilings - 1.0, 0.0).astype(np.uint32)
-    words = keyed_words(keys, 32 * sizes)
-    rx = np.empty(n, dtype=np.uint32)
-    i = 0
-    while i < sizes.size:
-        # Group whole pairs up to the memory bound (always >= 1 pair).
-        j = i + 1
-        g_lo = starts[i]
-        while j < sizes.size and starts[j + 1] - g_lo <= _BATCH_GROUP_WORDS:
-            j += 1
-        g_hi = starts[j]
-        # Every row in the group belongs to exactly one pair below, so
-        # the buffer needs no initialisation.
-        flips = np.empty((g_hi - g_lo, 32), dtype=bool)
-        for k in range(i, j):
-            lo, hi = starts[k], starts[k + 1]
-            np.less_equal(
-                next(words).reshape(hi - lo, 32),
-                limits[lo:hi, None],
-                out=flips[lo - g_lo : hi - g_lo],
-            )
-        # Rows are 32 chips, so packing the flat matrix puts each word's
-        # chip 0 in the high bit of its first byte; the four bytes read
-        # big-endian are the packed chip word.
-        errors = np.packbits(flips.ravel()).view(">u4")
-        rx[g_lo:g_hi] = tx_words[g_lo:g_hi] ^ errors
-        i = j
+    # Every row belongs to exactly one pair below, so the buffer needs
+    # no initialisation.
+    flips = np.empty((n, 32), dtype=bool)
+    for lo, hi, words in zip(
+        starts[:-1], starts[1:], keyed_words(keys, 32 * sizes), strict=True
+    ):
+        np.less_equal(
+            words.reshape(hi - lo, 32), limits[lo:hi, None], out=flips[lo:hi]
+        )
+    # Rows are 32 chips, so packing the flat matrix puts each word's
+    # chip 0 in the high bit of its first byte; the four bytes read
+    # big-endian are the packed chip word.
+    rx = tx_words ^ np.packbits(flips.ravel()).view(">u4")
     silent = ceilings < 1.0  # p == 0: the limit of -1
     rx[silent] = tx_words[silent]
     return rx

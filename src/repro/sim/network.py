@@ -58,6 +58,12 @@ from repro.utils.rng import derive_key, derive_rng
 # passes the word through verbatim".
 _HOT_PROB = 1e-12
 
+# Hot codewords per receive block: bounds the transient arrays of
+# NetworkSimulation._receive (the channel's (words, 32) flip matrix
+# among them) to a few MB however heavy the run.  Blocks hold whole
+# pairs, so the bound cannot change results.
+_RECEIVE_BLOCK_WORDS = 1 << 16
+
 
 @dataclass(frozen=True)
 class SimulationConfig:
@@ -260,19 +266,49 @@ class ReceptionRecord:
 
 @dataclass(frozen=True)
 class HotCodewords:
-    """Every audible pair's codewords the channel may corrupt, flat.
+    """Every audible pair's codewords the channel may corrupt, as runs.
 
     Pair ``k`` is ``(transmissions[tx_index[k]], receiver[k])``, in
-    transmission-major, receiver-minor order.  Its ``sizes[k]`` hot
-    codeword indices (ascending) and their chip flip probabilities are
-    the pair's consecutive runs of ``index`` and ``prob``.
+    transmission-major, receiver-minor order.  Run ``r`` is
+    ``length[r]`` consecutive codewords of pair ``pair[r]`` from
+    ``start[r]`` on, all at chip flip probability ``prob[r]``.  Runs
+    are sorted by pair and, within a pair, by start, and never
+    overlap; a pair may have none.  A run is one interference segment
+    of the pair, so the heaviest quick point's 2.05M hot codewords
+    take 2,610 runs.
     """
 
     tx_index: np.ndarray
     receiver: np.ndarray
-    sizes: np.ndarray
-    index: np.ndarray
+    pair: np.ndarray
+    start: np.ndarray
+    length: np.ndarray
     prob: np.ndarray
+
+    @property
+    def sizes(self) -> np.ndarray:
+        """Each pair's hot codeword count."""
+        return np.bincount(
+            self.pair, weights=self.length, minlength=self.tx_index.size
+        ).astype(np.int64)
+
+    def words(
+        self, lo: int = 0, hi: int | None = None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Pairs ``lo:hi``'s runs expanded to one entry per codeword.
+
+        Returns ``(pair, index, prob)``: each hot codeword's pair, its
+        index in the transmission's on-air symbols (ascending within a
+        pair) and its chip flip probability.
+        """
+        hi = self.tx_index.size if hi is None else hi
+        first, last = np.searchsorted(self.pair, [lo, hi])
+        length = self.length[first:last]
+        return (
+            np.repeat(self.pair[first:last], length),
+            _ragged_arange(self.start[first:last], length),
+            np.repeat(self.prob[first:last], length),
+        )
 
 
 def _ragged_arange(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -324,8 +360,8 @@ def hot_codewords(
     each of the segment's symbols, and
     :func:`chip_error_probability_interference` is elementwise, so one
     call on the segment values of the whole run gives, after
-    ``np.repeat``, exactly the per-symbol probabilities of
-    :func:`hot_codewords_reference`.
+    expansion, exactly the per-symbol probabilities of
+    :func:`hot_codewords_reference`.  Each hot segment is one run.
 
     ``fades[i, j]`` scales the power of ``transmissions[i]`` at
     ``receivers[j]``.  A pair is audible when its faded SNR reaches
@@ -414,15 +450,13 @@ def hot_codewords(
         isr = level / row_signal
     p = chip_error_probability_interference(row_signal / noise_mw, isr)
     hot = p > _HOT_PROB
-    hot_len = seg_len[row_seg[hot]]
     return HotCodewords(
         tx_index=pair_tx,
         receiver=rx_ids[pair_col],
-        sizes=np.bincount(
-            row_pair[hot], weights=hot_len, minlength=pair_tx.size
-        ).astype(np.int64),
-        index=_ragged_arange(seg_start[row_seg[hot]], hot_len),
-        prob=np.repeat(p[hot], hot_len),
+        pair=row_pair[hot],
+        start=seg_start[row_seg[hot]],
+        length=seg_len[row_seg[hot]],
+        prob=p[hot],
     )
 
 
@@ -437,7 +471,8 @@ def hot_codewords_reference(
 
     Builds each audible pair's interference timeline with
     :meth:`RadioMedium.interference_timeline_mw` and evaluates the chip
-    flip probability of every symbol, one pair at a time.
+    flip probability of every symbol, one pair at a time; each hot
+    symbol is a run of its own.
     """
     noise_mw = medium.noise_mw
     starts = np.array([t.start for t in transmissions])
@@ -476,11 +511,13 @@ def hot_codewords_reference(
             rx_ids.append(receiver)
             hots.append(hot)
             probs.append(p[hot])
+    index = np.concatenate(hots) if hots else np.zeros(0, np.int64)
     return HotCodewords(
         tx_index=np.array(tx_index, dtype=np.int64),
         receiver=np.array(rx_ids, dtype=np.int64),
-        sizes=np.array([h.size for h in hots], dtype=np.int64),
-        index=np.concatenate(hots) if hots else np.zeros(0, np.int64),
+        pair=np.repeat(np.arange(len(hots)), [h.size for h in hots]),
+        start=index,
+        length=np.ones(index.size, dtype=np.int64),
         prob=np.concatenate(probs) if probs else np.zeros(0),
     )
 
@@ -649,17 +686,22 @@ class NetworkSimulation:
     def _receive(
         self, transmissions: list[Transmission], gains: np.ndarray
     ) -> TraceTable:
-        """Every audible pair's reception as one array program.
+        """Every audible pair's reception, received in bounded blocks.
 
-        Each pair owns a counter-based stream keyed on ``(seed, tx_id,
-        receiver)``, so all pairs' hot codewords cross the channel in
-        one :func:`transmit_chipwords_batch` call, bit-identical to
-        one pair at a time.  Only the words the channel changed need
-        decoding (every other word decodes to itself at distance 0),
-        and nearest-codeword decoding is per word, so they are decoded
-        in one fused call and scattered into copies of the pairs'
-        transmitted bodies.  Sync-field chip errors are the popcounts
-        of the changed words in the sync fields, summed per pair.
+        The pairs are walked in blocks of whole pairs holding at most
+        ``_RECEIVE_BLOCK_WORDS`` hot codewords (a larger pair is a
+        block of its own), so no array is sized by all of a run's hot
+        codewords.  Each block's runs are expanded to words, and the
+        transmitted words cross the channel in one
+        :func:`transmit_chipwords_batch` call.  Each pair owns a
+        counter-based stream keyed on ``(seed, tx_id, receiver)``, so
+        the blocking is bit-identical to one pair at a time.  Only the
+        words the channel changed need decoding (every other word
+        decodes to itself at distance 0), and nearest-codeword decoding
+        is per word, so they are decoded in one call per block and
+        scattered into copies of the pairs' transmitted bodies.
+        Sync-field chip errors are the popcounts of the changed words
+        in the sync fields, summed per pair across blocks.
         """
         cfg = self._config
         hot = hot_codewords(
@@ -669,14 +711,11 @@ class NetworkSimulation:
             gains,
             cfg.min_rx_snr_db,
         )
-        n = hot.sizes.size
+        n = hot.tx_index.size
         # Every frame of a run has the configured layout; sizing from
         # the config keeps the columns' width when nothing was sent.
         n_air = body_symbol_count(cfg.payload_bytes) + 2 * SYNC_SYMBOLS
         air = transmitted_symbols(transmissions).reshape(-1, n_air)
-        pair = np.repeat(np.arange(n), hot.sizes)
-        sent = np.take(air, (hot.tx_index * n_air)[pair] + hot.index)
-        truth = self._codebook.encode_words(sent)
         keys = np.array(
             [
                 derive_key(cfg.seed, "chip-channel", transmissions[i].tx_id, r)
@@ -686,33 +725,54 @@ class NetworkSimulation:
             ],
             dtype=np.uint64,
         ).reshape(n, 2)
-        rx = transmit_chipwords_batch(truth, hot.prob, hot.sizes, keys)
-        changed = np.flatnonzero(rx != truth)
-        pair, at, rx = pair[changed], hot.index[changed], rx[changed]
+        sizes = hot.sizes
+        offsets = np.concatenate([[0], np.cumsum(sizes)])
         engine = BatchReceptionEngine(self._codebook)
-        [(decoded, distances)] = engine.decode_hard_ragged([rx])
-
-        errors = popcount32(rx ^ truth[changed])
-        sync_chips = SYNC_SYMBOLS * self._codebook.chips_per_symbol
-
-        def detectable(in_field: np.ndarray) -> np.ndarray:
-            count = np.bincount(pair[in_field], errors[in_field], minlength=n)
-            return count / sync_chips <= cfg.sync_error_threshold
-
         body = slice(SYNC_SYMBOLS, n_air - SYNC_SYMBOLS)
         body_symbols = air[hot.tx_index, body].astype(np.int8)
         body_hints = np.zeros(body_symbols.shape, dtype=np.uint8)
-        in_body = (at >= body.start) & (at < body.stop)
-        rows, cols = pair[in_body], at[in_body] - body.start
-        body_symbols[rows, cols] = decoded[in_body]
-        body_hints[rows, cols] = distances[in_body]
+        # Chip errors per pair in its preamble (row 0) and postamble
+        # (row 1) sync fields.
+        sync_errors = np.zeros((2, n))
+        lo = 0
+        while lo < n:
+            bound = offsets[lo] + _RECEIVE_BLOCK_WORDS
+            hi = int(np.searchsorted(offsets, bound, side="right")) - 1
+            hi = max(hi, lo + 1)
+            pair, at, prob = hot.words(lo, hi)
+            sent = np.take(air, hot.tx_index[pair] * n_air + at)
+            truth = self._codebook.encode_words(sent)
+            rx = transmit_chipwords_batch(
+                truth, prob, sizes[lo:hi], keys[lo:hi]
+            )
+            changed = np.flatnonzero(rx != truth)
+            pair, at, rx = pair[changed], at[changed], rx[changed]
+            [(decoded, distances)] = engine.decode_hard_ragged([rx])
+
+            in_body = (at >= body.start) & (at < body.stop)
+            rows, cols = pair[in_body], at[in_body] - body.start
+            body_symbols[rows, cols] = decoded[in_body]
+            body_hints[rows, cols] = distances[in_body]
+            sync = ~in_body
+            field = (at[sync] >= body.stop) * (hi - lo) + pair[sync] - lo
+            sync_errors[:, lo:hi] += np.bincount(
+                field,
+                popcount32(rx[sync] ^ truth[changed][sync]),
+                minlength=2 * (hi - lo),
+            ).reshape(2, hi - lo)
+            lo = hi
+
+        sync_chips = SYNC_SYMBOLS * self._codebook.chips_per_symbol
+        preamble_ok, postamble_ok = (
+            sync_errors / sync_chips <= cfg.sync_error_threshold
+        )
         payload = payload_slice(body_symbols.shape[1])
         return TraceTable(
             tx_index=hot.tx_index,
             receiver=hot.receiver,
-            preamble_detectable=detectable(at < body.start),
+            preamble_detectable=preamble_ok,
             header_ok=header_rows_ok(body_symbols[:, : payload.start]),
-            postamble_detectable=detectable(at >= body.stop),
+            postamble_detectable=postamble_ok,
             trailer_ok=header_rows_ok(body_symbols[:, payload.stop :]),
             acquired_preamble=np.zeros(n, dtype=bool),
             body_symbols=body_symbols,

@@ -195,24 +195,6 @@ class TestTransmitChipwordsBatch:
         )
         assert np.array_equal(fused, np.concatenate(per_pair))
 
-    def test_grouping_invariant(self, rng, monkeypatch):
-        """The internal memory-bounding group width must not affect
-        results (groups always hold whole pairs)."""
-        import repro.phy.chipchannel as cc
-
-        sizes = [40, 1, 73, 20, 55]
-        n = sum(sizes)
-        words = rng.integers(0, 2**32, n, dtype=np.uint32)
-        p = rng.uniform(0, 0.5, n)
-        keys = np.stack(
-            [derive_key(1, "chip-channel", i, 3) for i in range(len(sizes))]
-        )
-        full = transmit_chipwords_batch(words, p, sizes, keys)
-        monkeypatch.setattr(cc, "_BATCH_GROUP_WORDS", 16)
-        assert np.array_equal(
-            transmit_chipwords_batch(words, p, sizes, keys), full
-        )
-
     def test_different_keys_different_corruption(self):
         n = 200
         words = np.zeros(n, dtype=np.uint32)

@@ -1,5 +1,7 @@
 """Tests for the network simulation's structural invariants."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -268,3 +270,24 @@ class TestForcedCollision:
         )
         wrong = rec.body_symbols != rec.body_truth
         assert rec.body_hints[wrong].mean() > rec.body_hints[~wrong].mean()
+
+
+class TestReceiveMemory:
+    def test_heaviest_quick_point_peak(self):
+        """Receiving a run holds bounded blocks of its hot codewords,
+        never all of them: the heaviest quick point (2.05M hot
+        codewords, a ~7 MB result) peaks far below the ~158 MB that
+        building every hot codeword at once took."""
+        config = SimulationConfig(
+            load_bits_per_s_per_node=13800.0,
+            duration_s=15.0,
+            carrier_sense=False,
+            seed=2009,
+        )
+        tracemalloc.start()
+        try:
+            NetworkSimulation(config).run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MB"

@@ -16,6 +16,7 @@ import pytest
 import repro
 import repro.experiments
 from repro.experiments import exp_table1, registry
+from repro.experiments import runner as runner_module
 from repro.experiments.common import ExperimentResult, RunCache
 from repro.experiments.runner import main, run_experiments
 
@@ -291,8 +292,33 @@ class TestRunnerCli:
         assert "shape checks passed" in out
 
     def test_requires_selection(self, capsys):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exit_info:
             main([])
+        assert exit_info.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--all", "--experiment", "fig8"],
+            ["--list", "--all"],
+            ["--list", "--experiment", "fig13"],
+            ["--list", "--all", "--experiment", "fig13"],
+        ],
+    )
+    def test_selections_are_exclusive(self, argv, capsys, monkeypatch):
+        """Two selections are a usage error, before anything runs."""
+        monkeypatch.setattr(
+            runner_module,
+            "run_experiments",
+            lambda *a, **k: pytest.fail("an experiment ran"),
+        )
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert "not allowed with argument" in captured.err
+        assert "Traceback" not in captured.err
+        assert not captured.out
 
     def test_unknown_experiment_errors(self):
         with pytest.raises(ValueError):

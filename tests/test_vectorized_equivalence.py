@@ -13,6 +13,7 @@ where tie-breaking matters.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import asdict, fields, replace
 
 import numpy as np
@@ -74,6 +75,7 @@ from repro.phy.spreading import bytes_to_symbols, symbols_to_bytes
 from repro.recovery.sic import SicDecoder
 from repro.phy.sync import SYNC_SYMBOLS, sync_field_symbols
 from repro.sim.metrics import evaluate_schemes, evaluate_schemes_reference
+from repro.sim import network
 from repro.sim.medium import RadioMedium, Transmission
 from repro.sim.network import (
     NetworkSimulation,
@@ -84,6 +86,7 @@ from repro.sim.network import (
 )
 from repro.sim.sicpass import SIC_SPS, _match_tx
 from repro.store import result_from_parts, result_to_parts
+from repro.store.keys import canonical_json
 from repro.utils import sanitize
 from repro.utils.bitops import pack_bits_to_uint32, popcount32
 from repro.utils.rng import (
@@ -984,24 +987,37 @@ class TestSchemeEvaluationEquivalence:
         self._assert_equivalent(result)
 
 
+def _assert_hot_equal(a, b):
+    """Two hot-codeword sets name the same pairs and, expanded to
+    words, the same codewords at the same probabilities."""
+    for name in ("tx_index", "receiver", "sizes"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype, name
+        assert np.array_equal(x, y), f"{name} diverges"
+    for name, x, y in zip(("pair", "index", "prob"), a.words(), b.words()):
+        assert x.dtype == y.dtype, name
+        assert np.array_equal(x, y), f"{name} diverges"
+
+
 class TestHotCodewordsEquivalence:
     """Segment-wise chip error probabilities vs the per-symbol loop.
 
     ``hot_codewords`` evaluates each reception's interference once per
-    constant segment and expands the result; it must equal the per-pair
-    ``interference_timeline_mw`` loop in every index and every float.
+    constant segment and returns one run per hot segment; expanded to
+    words, it must equal the per-pair ``interference_timeline_mw`` loop
+    in every index and every float.
     """
-
-    _FIELDS = ("tx_index", "receiver", "sizes", "index", "prob")
 
     def _assert_equivalent(self, *args):
         vec = hot_codewords(*args)
         ref = hot_codewords_reference(*args)
-        for name in self._FIELDS:
-            a, b = getattr(vec, name), getattr(ref, name)
-            assert a.dtype == b.dtype, name
-            assert np.array_equal(a, b), f"{name} diverges"
-        assert vec.sizes.sum() == vec.index.size == vec.prob.size
+        _assert_hot_equal(vec, ref)
+        # Runs are non-empty, sorted by pair and start, and disjoint.
+        assert np.all(vec.length > 0)
+        same_pair = vec.pair[1:] == vec.pair[:-1]
+        ends = (vec.start + vec.length)[:-1]
+        assert np.all(np.diff(vec.pair) >= 0)
+        assert np.all(vec.start[1:][same_pair] >= ends[same_pair])
         return ref
 
     @staticmethod
@@ -1035,7 +1051,7 @@ class TestHotCodewordsEquivalence:
             config.min_rx_snr_db,
         )
         # Collisions were exercised, and some pairs were below the floor.
-        assert ref.index.size
+        assert ref.length.sum()
         n_pairs = len(transmissions) * len(sim.testbed.receiver_ids)
         assert 0 < ref.sizes.size < n_pairs
 
@@ -1145,12 +1161,12 @@ def _fade_matrix(sim, transmissions, fades):
 def _receive_per_record(sim, transmissions, fades):
     """The per-record reception path the columnar finaliser replaced.
 
-    Each audible pair is staged with its own copy of the transmitted
-    words, its changed words are decoded as one array per pair, and
-    its record is assembled alone: per-record sync popcounts, header
-    and trailer parsed through ``parse_header_bytes`` and
-    ``parse_trailer_bytes``, and preamble locks taken over the record
-    list.  Returns the records as dicts of the table's columns.
+    Each audible pair crosses the channel alone, with its own copy of
+    the transmitted words; its changed words are decoded as one array
+    per pair, and its record is assembled alone: per-record sync
+    popcounts, header and trailer parsed through ``parse_header_bytes``
+    and ``parse_trailer_bytes``, and preamble locks taken over the
+    record list.  Returns the records as dicts of the table's columns.
     """
     cfg = sim._config
     codebook = sim._codebook
@@ -1166,37 +1182,19 @@ def _receive_per_record(sim, transmissions, fades):
         for i in np.unique(hot.tx_index).tolist()
     }
     pendings = []
-    if hot.sizes.size:  # np.split gives one empty piece for no pairs
-        offsets = np.cumsum(hot.sizes)[:-1]
-        staged = [
-            (i, receiver, truth[i], idx)
-            for i, receiver, idx in zip(
-                hot.tx_index.tolist(),
-                hot.receiver.tolist(),
-                np.split(hot.index, offsets),
-                strict=True,
-            )
-        ]
-        rx_flat = transmit_chipwords_batch(
-            np.concatenate([words[idx] for (_, _, words, idx) in staged]),
-            hot.prob,
-            hot.sizes,
-            np.stack(
-                [
-                    derive_key(
-                        cfg.seed, "chip-channel", transmissions[i].tx_id, r
-                    )
-                    for (i, r, _, _) in staged
-                ]
-            ),
+    for k, (i, receiver) in enumerate(
+        zip(hot.tx_index.tolist(), hot.receiver.tolist(), strict=True)
+    ):
+        _, idx, prob = hot.words(k, k + 1)
+        truth_words = truth[i]
+        key = derive_key(cfg.seed, "chip-channel", transmissions[i].tx_id, receiver)
+        rx_hot = transmit_chipwords_batch(
+            truth_words[idx], prob, [idx.size], key[None, :]
         )
-        for (i, receiver, truth_words, idx), rx_hot in zip(
-            staged, np.split(rx_flat, offsets), strict=True
-        ):
-            rx_words = truth_words.copy()
-            rx_words[idx] = rx_hot
-            changed = idx[rx_hot != truth_words[idx]]
-            pendings.append((i, receiver, truth_words, rx_words, changed))
+        rx_words = truth_words.copy()
+        rx_words[idx] = rx_hot
+        changed = idx[rx_hot != truth_words[idx]]
+        pendings.append((i, receiver, truth_words, rx_words, changed))
     decoded = BatchReceptionEngine(codebook).decode_hard_ragged(
         [rx_words[changed] for (_, _, _, rx_words, changed) in pendings]
     )
@@ -1409,6 +1407,42 @@ def _quick_points():
     )
 
 
+# SHA-256 of each quick point's store bytes, canonical JSON structure
+# then binary section, keyed by (load, carrier sense, noise floor,
+# seed); computed at seed 2007's quick settings (duration 15 s).
+_QUICK_POINT_DIGESTS = {
+    (3500.0, False, -95.0, 2007): "6b451f5adcdfa50b5c5102fee6a2605bdb4fbeda5255bd9ce814d8c17627ea1b",
+    (3500.0, False, -95.0, 2008): "8cb45fff7f273f902f14c3f4e275789917b7287f9c4063c0dd3b066de8739542",
+    (3500.0, False, -95.0, 2009): "720ad9d8d84e7a866f00e4696fa04f4d94b670cdfda7b8dcb5d742532cb10d87",
+    (3500.0, True, -95.0, 2007): "c6c1b3a0e8df63142f485733f4c231a300e0ad450cd584e8e648a9aabbb00eee",
+    (6900.0, False, -95.0, 2007): "907f1ce5df6ec301804975b6e216a4acc65c093efe1eabf43cb37c7c5addc623",
+    (6900.0, False, -95.0, 2008): "bea8493fc35f7ee78ad783097eefbf59379e64ec5161f003366eafef0754d5d0",
+    (6900.0, False, -95.0, 2009): "1afe627d0d16b13181305eb1236c2bcb0c59131a48ea1c233f1eaac30aefe6b2",
+    (13800.0, False, -95.0, 2007): "deffd9ce31c650ca4ad60de2ad59623808011f26a4f23c6f7f3f9b02bc293d4f",
+    (13800.0, False, -95.0, 2008): "6a9be9dcc91db7752722c695759060880e006901527acfcb0719000b28036e06",
+    (13800.0, False, -95.0, 2009): "96a3dd0a8831c10506cb0aba86c3957878a292f9b9e351f5060c20d332821205",
+    (13800.0, False, -87.0, 2007): "d1c5e9b6b1432dca60ca90ca90d7458652db62f4641088cf509177daf78b0ba8",
+    (13800.0, False, -87.0, 2008): "f0aeb116b80e0bb2cbbd83dd5a0c6e6cfe0199cfa33bede2bb79c51487d3d8f9",
+    (13800.0, False, -87.0, 2009): "5bccba407c235282b809c9af949b0f4a863fe9d469142ae1a97904ca79631466",
+}
+
+_SIC_CONFIG = SimulationConfig(
+    load_bits_per_s_per_node=13800.0,
+    payload_bytes=24,
+    duration_s=0.2,
+    carrier_sense=False,
+    seed=3,
+    sic_recovery=True,
+)
+_NO_AUDIBLE_PAIR_CONFIG = SimulationConfig(
+    load_bits_per_s_per_node=3500.0,
+    duration_s=2.0,
+    seed=5,
+    min_rx_snr_db=200.0,
+)
+_NO_TX_CONFIG = SimulationConfig(duration_s=0.001, seed=2007)
+
+
 class TestColumnarReceptionEquivalence:
     """The columnar finaliser vs the per-record path it replaced.
 
@@ -1436,35 +1470,71 @@ class TestColumnarReceptionEquivalence:
         return result
 
     def test_every_quick_point(self):
+        """Each quick point equals the per-record path, and its store
+        bytes hash to the digest committed for it.
+
+        The digests pin "every bit unchanged" across commits without
+        sharing ``hot_codewords`` or ``transmit_chipwords_batch`` with
+        the path under test.  A deliberate change of the simulated
+        output replaces the table and says so in CHANGES.md.
+        """
         points = _quick_points()
         assert len(points) == 13
+        digests = {}
         for config in points:
-            self._assert_equivalent(config)
+            result = self._assert_equivalent(config)
+            meta, blob = result_to_parts(result)
+            point = (
+                config.load_bits_per_s_per_node,
+                config.carrier_sense,
+                config.noise_floor_dbm,
+                config.seed,
+            )
+            digests[point] = hashlib.sha256(
+                canonical_json(meta).encode() + blob
+            ).hexdigest()
+        assert digests == _QUICK_POINT_DIGESTS
 
     def test_sic_recovery(self):
-        config = SimulationConfig(
-            load_bits_per_s_per_node=13800.0,
-            payload_bytes=24,
-            duration_s=0.2,
-            carrier_sense=False,
-            seed=3,
-            sic_recovery=True,
-        )
-        self._assert_equivalent(config)
+        self._assert_equivalent(_SIC_CONFIG)
 
     def test_no_audible_pair(self):
-        config = SimulationConfig(
-            load_bits_per_s_per_node=3500.0,
-            duration_s=2.0,
-            seed=5,
-            min_rx_snr_db=200.0,
-        )
-        result = self._assert_equivalent(config)
+        result = self._assert_equivalent(_NO_AUDIBLE_PAIR_CONFIG)
         assert result.transmissions and not len(result.table)
+
+    @pytest.mark.parametrize("block_words", [1, 16])
+    def test_receive_block_invariant(self, block_words, monkeypatch):
+        """The receive block bound cannot change a run: blocks hold
+        whole pairs, and each pair reads its own keyed stream."""
+        configs = (_SIC_CONFIG, _NO_AUDIBLE_PAIR_CONFIG, _NO_TX_CONFIG)
+        expected = [NetworkSimulation(config).run() for config in configs]
+        calls = []
+
+        def counted(tx_words, chip_error_prob, sizes, keys):
+            calls.append((len(sizes), len(tx_words)))
+            return transmit_chipwords_batch(
+                tx_words, chip_error_prob, sizes, keys
+            )
+
+        monkeypatch.setattr(network, "_RECEIVE_BLOCK_WORDS", block_words)
+        monkeypatch.setattr(network, "transmit_chipwords_batch", counted)
+        for config, want in zip(configs, expected, strict=True):
+            del calls[:]
+            got = NetworkSimulation(config).run()
+            _assert_tables_equal(got.table, want.table)
+            assert result_to_parts(got) == result_to_parts(want)
+            # Blocks partition the pairs, and only a lone pair may
+            # exceed the bound.
+            assert sum(pairs for pairs, _ in calls) == len(want.table)
+            for pairs, words in calls:
+                assert pairs == 1 or words <= block_words
+            # The collision-heavy run really is split up.
+            if config is _SIC_CONFIG:
+                assert len(calls) > len(want.table) // 2
 
     def test_no_transmissions(self):
         """A run too short for any arrival still gives an empty result."""
-        config = SimulationConfig(duration_s=0.001, seed=2007)
+        config = _NO_TX_CONFIG
         result = self._assert_equivalent(config)
         assert not result.transmissions and not result.records
         assert result.table.body_symbols.shape == (
