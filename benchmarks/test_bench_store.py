@@ -5,7 +5,7 @@ simulating the point — otherwise the memory → disk → simulate ladder
 would be pointless.  The gate below requires a >= 20x advantage at the
 benchmark's simulation scale (the measured ratio grows with duration:
 simulation cost is superlinear in offered load x time, while a warm
-read is one gunzip + buffer reslice).
+read is one file read into a buffer the arrays are views of).
 """
 
 import time
@@ -60,7 +60,8 @@ def test_bench_store_warm_hit(benchmark, tmp_path):
 
 
 def test_bench_store_put(benchmark, tmp_path):
-    """Entry write cost (atomic temp-file + rename, stored gzip)."""
+    """Entry write cost (arrays hashed and written straight to a temp
+    file, then renamed into place)."""
     config = _store_point()
     result = _simulate_config(config)
     store = RunStore(tmp_path)

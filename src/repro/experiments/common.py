@@ -44,7 +44,7 @@ from repro.sim.network import (
     SimulationConfig,
     SimulationResult,
 )
-from repro.store.keys import config_key_bytes
+from repro.store.keys import config_digest
 
 if TYPE_CHECKING:
     from repro.store import RunStore
@@ -465,15 +465,18 @@ class RunCache:
         if not missing:
             return
         policy = self.policy if self.policy is not None else ExecPolicy.from_env()
+        digests = [config_digest(config) for config in missing]
         tasks = [
             Task(
                 task_id=index,
                 payload=config,
-                key=config_key_bytes(config),
+                key=digest,
                 timeout_s=policy.timeout_for(config.duration_s),
-                label=f"point {config_key_bytes(config).hex()[:12]}",
+                label=f"point {digest.hex()[:12]}",
             )
-            for index, config in enumerate(missing)
+            for index, (config, digest) in enumerate(
+                zip(missing, digests, strict=True)
+            )
         ]
         supervisor = Supervisor(
             jobs=min(self.jobs, len(tasks)),

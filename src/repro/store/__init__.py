@@ -14,8 +14,8 @@ from repro.store.core import RunStore, StoreCounters
 from repro.store.keys import (
     STORE_SCHEMA_VERSION,
     canonical_json,
+    config_digest,
     config_key,
-    config_key_bytes,
 )
 from repro.store.serialize import (
     config_from_dict,
@@ -29,8 +29,8 @@ __all__ = [
     "StoreCounters",
     "STORE_SCHEMA_VERSION",
     "canonical_json",
+    "config_digest",
     "config_key",
-    "config_key_bytes",
     "config_from_dict",
     "config_to_dict",
     "result_from_parts",

@@ -4,9 +4,9 @@ One entry per simulation point, addressed by
 :func:`~repro.store.keys.config_key` and laid out two levels deep so
 directories stay small::
 
-    <root>/runs/<key[:2]>/<key>.json.gz
+    <root>/runs/<key[:2]>/<key>.run
 
-Each entry is one gzip stream of three parts:
+Each entry is one plain file of three parts:
 
 1. a canonical-JSON **header** line — schema version, package version,
    entry kind, the key and config the entry answers for, and a SHA-256
@@ -16,8 +16,11 @@ Each entry is one gzip stream of three parts:
 3. the raw **binary section** the descriptors point into.
 
 The checksum covers the structure and binary bytes exactly as written,
-so verification is one pass over raw bytes — no re-serialization — and
-a warm hit costs gunzip + a small JSON parse + buffer reslicing, far
+and the reader rebuilds the header line from the config it asked for
+and that checksum, so every byte of an entry is verified.  Neither
+direction copies the bulk data: a write hashes and writes the run's
+own array buffers one by one, and a warm hit is one ``readinto`` of
+the file, a small JSON parse and views into that one buffer — far
 below the cost of simulating the point.
 
 Durability properties:
@@ -27,10 +30,11 @@ Durability properties:
   workers, parallel CI jobs, and readers racing writers never observe
   a torn entry; when two processes write the same key, last-writer
   wins and both leave a complete, valid entry.
-* **Corruption detection** — a truncated gzip stream, malformed JSON,
-  checksum mismatch, or a payload that fails to deserialize is logged,
-  counted, deleted, and treated as a miss: the caller transparently
-  recomputes and the write-back replaces the bad entry.
+* **Corruption detection** — a truncated or extended entry, malformed
+  JSON, checksum or header mismatch, or a payload that fails to
+  deserialize is logged, counted, deleted, and treated as a miss: the
+  caller transparently recomputes and the write-back replaces the bad
+  entry.
 * **Version invalidation** — the version stamps are part of the key
   *and* re-verified on read, so entries written by other code or
   schema versions are never silently reused.
@@ -42,13 +46,11 @@ summary and embeds them in the artifact manifest.
 
 from __future__ import annotations
 
-import gzip
 import hashlib
 import json
 import logging
 import os
 import tempfile
-import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -60,24 +62,26 @@ from repro.store.keys import (
     canonical_json,
     config_key,
 )
-from repro.store.serialize import config_to_dict, result_from_parts, result_to_parts
+from repro.store.serialize import config_to_dict, result_from_parts, result_to_chunks
 
 logger = logging.getLogger("repro.store")
 
 _ENTRY_KIND = "simulation-run"
 
-# Stored (uncompressed) deflate blocks: the gzip framing and its CRC-32
-# stay, but a warm read no longer inflates and a write no longer
-# deflates.  For a 15 s point on a 2-vCPU host, a read drops from
-# ~70 ms at level 1 to ~35 ms and a write from ~180 ms to ~50 ms; the
-# entry grows from ~3.5 to ~10.8 MB.
-_COMPRESS_LEVEL = 0
 
-# Everything that can go wrong between raw bytes and parsed entry
-# parts: truncated/corrupt gzip (BadGzipFile is an OSError, mid-stream
-# corruption a zlib.error, truncation an EOFError), bad UTF-8, and
-# malformed JSON.
-_DECODE_ERRORS = (OSError, EOFError, zlib.error, UnicodeDecodeError, ValueError)
+
+def _header_line(key: str, config: SimulationConfig, sha256: str) -> bytes:
+    """The header line of the entry for ``key`` whose body hashes to
+    ``sha256``: written by :meth:`RunStore.put`, rebuilt to verify."""
+    header = {
+        "store_schema_version": STORE_SCHEMA_VERSION,
+        "repro_version": __version__,
+        "kind": _ENTRY_KIND,
+        "key": key,
+        "config": config_to_dict(config),
+        "sha256": sha256,
+    }
+    return canonical_json(header).encode("utf-8") + b"\n"
 
 
 @dataclass
@@ -130,22 +134,27 @@ class RunStore:
         return self._path_for_key(config_key(config))
 
     def _path_for_key(self, key: str) -> Path:
-        return self.root / "runs" / key[:2] / f"{key}.json.gz"
+        return self.root / "runs" / key[:2] / f"{key}.run"
 
     def get(self, config: SimulationConfig) -> SimulationResult | None:
         """The stored run for ``config``, or ``None`` on a miss.
 
-        Corrupt or stale entries are logged, deleted, and reported as
-        misses so the caller recomputes transparently.
+        The run's arrays are views into the one buffer the entry is
+        read into.  Corrupt or stale entries are logged, deleted, and
+        reported as misses so the caller recomputes transparently.
         """
         key = config_key(config)
         path = self._path_for_key(key)
         try:
-            blob = path.read_bytes()
+            with open(path, "rb") as fh:
+                # A file that shrank since the stat leaves a zero tail,
+                # which fails the checksum like any other truncation.
+                raw = bytearray(os.fstat(fh.fileno()).st_size)
+                fh.readinto(raw)
         except FileNotFoundError:
             self.counters.misses += 1
             return None
-        result = self._load_entry(blob, key, path)
+        result = self._load_entry(raw, key, config, path)
         if result is None:
             self.counters.corrupt += 1
             self.counters.misses += 1
@@ -157,7 +166,11 @@ class RunStore:
     def put(
         self, config: SimulationConfig, result: SimulationResult
     ) -> Path:
-        """Write (or atomically replace) the entry for ``config``."""
+        """Write (or atomically replace) the entry for ``config``.
+
+        The binary section goes from the run's arrays straight to the
+        checksum and the file, never through a copy.
+        """
         if result.config != config:
             raise ValueError(
                 "result was simulated under a different config than "
@@ -166,35 +179,27 @@ class RunStore:
         key = config_key(config)
         path = self._path_for_key(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        structure, binary = result_to_parts(result)
-        body = (
+        structure, chunks = result_to_chunks(result)
+        structure_line = (
             canonical_json(
-                {"structure": structure, "binary_bytes": len(binary)}
+                {
+                    "structure": structure,
+                    "binary_bytes": sum(len(c) for c in chunks),
+                }
             ).encode("utf-8")
             + b"\n"
-            + binary
         )
-        header = {
-            "store_schema_version": STORE_SCHEMA_VERSION,
-            "repro_version": __version__,
-            "kind": _ENTRY_KIND,
-            "key": key,
-            "config": config_to_dict(config),
-            "sha256": hashlib.sha256(body).hexdigest(),
-        }
-        # mtime=0 keeps the gzip header fixed: equal runs produce
-        # byte-identical entries, whoever writes them.
-        blob = gzip.compress(
-            canonical_json(header).encode("utf-8") + b"\n" + body,
-            compresslevel=_COMPRESS_LEVEL,
-            mtime=0,
-        )
+        digest = hashlib.sha256(structure_line)
+        for chunk in chunks:
+            digest.update(chunk)
         fd, tmp_name = tempfile.mkstemp(
             dir=path.parent, prefix=f".{path.stem}-", suffix=".tmp"
         )
         try:
             with os.fdopen(fd, "wb") as fh:
-                fh.write(blob)
+                fh.write(_header_line(key, config, digest.hexdigest()))
+                fh.write(structure_line)
+                fh.writelines(chunks)
             os.replace(tmp_name, path)
         except BaseException:
             try:
@@ -206,14 +211,19 @@ class RunStore:
         return path
 
     def _load_entry(
-        self, blob: bytes, expected_key: str, path: Path
+        self,
+        raw: bytearray,
+        expected_key: str,
+        config: SimulationConfig,
+        path: Path,
     ) -> SimulationResult | None:
         """Parse and verify one entry; ``None`` if it cannot be used."""
+        # A missing line break, bad UTF-8 and malformed JSON are all
+        # ValueErrors.
         try:
-            raw = gzip.decompress(blob)
-            header_end = raw.index(b"\n")
+            header_end = raw.index(b"\n") + 1
             header: Any = json.loads(raw[:header_end].decode("utf-8"))
-        except _DECODE_ERRORS as exc:
+        except ValueError as exc:
             logger.warning(
                 "corrupt store entry %s (%s: %s); recomputing",
                 path,
@@ -221,8 +231,10 @@ class RunStore:
                 exc,
             )
             return None
-        body = memoryview(raw)[header_end + 1 :]
-        problem = self._verify(header, body, expected_key)
+        view = memoryview(raw)
+        problem = self._verify(
+            header, view[:header_end], view[header_end:], expected_key, config
+        )
         if problem is not None:
             logger.warning(
                 "discarding store entry %s (%s); recomputing",
@@ -231,18 +243,18 @@ class RunStore:
             )
             return None
         try:
-            structure_end = raw.index(b"\n", header_end + 1)
+            structure_end = raw.index(b"\n", header_end) + 1
             structure: Any = json.loads(
-                raw[header_end + 1 : structure_end].decode("utf-8")
+                raw[header_end:structure_end].decode("utf-8")
             )
-            binary = memoryview(raw)[structure_end + 1 :]
+            binary = view[structure_end:]
             if len(binary) != structure["binary_bytes"]:
                 raise ValueError(
                     f"binary section holds {len(binary)} bytes, "
                     f"structure expects {structure['binary_bytes']}"
                 )
             return result_from_parts(structure["structure"], binary)
-        except (*_DECODE_ERRORS, LookupError, TypeError) as exc:
+        except (ValueError, LookupError, TypeError) as exc:
             logger.warning(
                 "undeserializable store entry %s (%s: %s); recomputing",
                 path,
@@ -253,7 +265,11 @@ class RunStore:
 
     @staticmethod
     def _verify(
-        header: Any, body: memoryview, expected_key: str
+        header: Any,
+        header_line: memoryview,
+        body: memoryview,
+        expected_key: str,
+        config: SimulationConfig,
     ) -> str | None:
         """Why an entry cannot be used, or ``None`` if it can."""
         if not isinstance(header, dict):
@@ -279,4 +295,6 @@ class RunStore:
         digest = hashlib.sha256(body).hexdigest()
         if digest != header.get("sha256"):
             return "payload checksum mismatch"
+        if header_line != _header_line(expected_key, config, digest):
+            return "header does not match the requested config"
         return None

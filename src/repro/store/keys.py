@@ -7,6 +7,9 @@ across processes nor across versions), the store's on-disk schema
 version, and the package version.  Folding the two version stamps into
 the key means a schema or code change makes every old entry *miss* —
 stale results are recomputed and rewritten, never silently reused.
+:func:`config_digest` is the config's digest without the stamps: what
+the executor keys fault and backoff schedules on, so a version bump
+leaves those schedules alone.
 
 Canonical JSON is ``json.dumps`` with sorted keys, no whitespace, and
 ``allow_nan=False``: for any JSON-representable value it is a
@@ -25,9 +28,9 @@ from repro.sim.network import SimulationConfig
 from repro.store.serialize import config_to_dict
 
 # Version of the on-disk entry layout (document structure, array
-# encoding).  Bump whenever the serialized form changes shape; old
-# entries then miss by key and are recomputed.
-STORE_SCHEMA_VERSION = 3
+# encoding, container).  Bump whenever the serialized form changes
+# shape; old entries then miss by key and are recomputed.
+STORE_SCHEMA_VERSION = 4
 
 
 def canonical_json(data: Any) -> str:
@@ -57,12 +60,15 @@ def config_key(
     return digest.hexdigest()
 
 
-def config_key_bytes(config: SimulationConfig) -> bytes:
-    """The raw 32-byte digest behind :func:`config_key`.
+def config_digest(config: SimulationConfig) -> bytes:
+    """The raw 32-byte SHA-256 of ``config``'s canonical JSON alone.
 
-    The supervised executor keys per-task fault and backoff streams on
-    this digest: it is stable across processes and runs (unlike
-    ``hash()``), so injected-fault schedules and retry jitter are
+    Unlike :func:`config_key` it folds in no version stamp, so it
+    moves only when the config does.  The supervised executor keys
+    per-task fault and backoff streams on it: stable across processes
+    and runs (unlike ``hash()``), and across store schema and package
+    versions, so injected-fault schedules and retry jitter are
     deterministic properties of the config being simulated.
     """
-    return bytes.fromhex(config_key(config))
+    text = canonical_json(config_to_dict(config))
+    return hashlib.sha256(text.encode("utf-8")).digest()

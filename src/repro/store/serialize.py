@@ -24,6 +24,12 @@ spend most of a warm read parsing megabytes of JSON; this format
 parses a few kilobytes of structure and reslices one buffer into the
 table, building no per-reception objects.  Rows store the ``tx_id``
 of their transmission, which is its index in the run.
+
+Neither direction copies the bulk data.  :func:`result_to_chunks`
+hands out the binary section as byte views of the run's own arrays
+(the store hashes and writes them one by one), and
+:func:`result_from_parts` returns the byte-sized arrays — the symbol
+and body matrices — as views into the buffer it is given.
 """
 
 from __future__ import annotations
@@ -37,7 +43,6 @@ from repro.sim.network import (
     SimulationConfig,
     SimulationResult,
     TraceTable,
-    transmitted_symbols,
 )
 from repro.sim.testbed import TestbedConfig
 from repro.sim.medium import Transmission
@@ -54,39 +59,65 @@ def config_from_dict(data: dict[str, Any]) -> SimulationConfig:
 
 
 class BinaryWriter:
-    """Accumulates array buffers; hands out JSON descriptors."""
+    """Collects array buffers by reference; hands out JSON descriptors.
+
+    Nothing is copied: each added array contributes a byte view of its
+    own (contiguous) buffer, so the binary section is the chunk list,
+    written or hashed in add order.
+    """
 
     def __init__(self) -> None:
-        self._chunks: list[bytes] = []
+        self.chunks: list[memoryview] = []
         self._offset = 0
 
     def add(self, array: np.ndarray) -> dict[str, Any]:
         """Append an array's raw bytes; return its descriptor."""
-        data = np.ascontiguousarray(array)
-        raw = data.tobytes()
-        descriptor = {
-            "dtype": data.dtype.str,
-            "shape": list(data.shape),
-            "offset": self._offset,
-            "nbytes": len(raw),
-        }
-        self._chunks.append(raw)
-        self._offset += len(raw)
-        return descriptor
+        return self._append(array.dtype, array.shape, [array])
 
-    def blob(self) -> bytes:
-        """The binary section: every added buffer, in add order."""
-        return b"".join(self._chunks)
+    def add_rows(self, rows: Sequence[np.ndarray]) -> dict[str, Any]:
+        """Append equal-length 1-D arrays as the rows of one matrix,
+        without stacking them; no rows store a ``(0, 0)`` uint8."""
+        if not rows:
+            return self.add(np.empty((0, 0), dtype=np.uint8))
+        return self._append(rows[0].dtype, (len(rows), rows[0].size), rows)
+
+    def _append(
+        self,
+        dtype: np.dtype,
+        shape: tuple[int, ...],
+        arrays: Sequence[np.ndarray],
+    ) -> dict[str, Any]:
+        start = self._offset
+        for array in arrays:
+            raw = memoryview(
+                np.ascontiguousarray(array).reshape(-1).view(np.uint8)
+            )
+            self.chunks.append(raw)
+            self._offset += len(raw)
+        return {
+            "dtype": dtype.str,
+            "shape": list(shape),
+            "offset": start,
+            "nbytes": self._offset - start,
+        }
 
 
 class BinaryReader:
-    """Reslices a binary section back into arrays by descriptor."""
+    """Reslices a binary section back into arrays by descriptor.
 
-    def __init__(self, buffer: bytes | memoryview) -> None:
-        self._buffer = memoryview(buffer)
+    Arrays are writable views into the section, which a read-only
+    buffer is first copied to make writable.  Byte-sized arrays (the
+    flag columns and the symbol and body matrices) stay views; wider
+    ones, the small typed columns, are copied, because an offset into
+    the section need not be aligned for their dtype.
+    """
+
+    def __init__(self, buffer: bytes | bytearray | memoryview) -> None:
+        view = memoryview(buffer)
+        self._buffer = memoryview(bytearray(view)) if view.readonly else view
 
     def get(self, descriptor: dict[str, Any]) -> np.ndarray:
-        """The (writable, owning) array a descriptor points at."""
+        """The writable array a descriptor points at."""
         start = int(descriptor["offset"])
         end = start + int(descriptor["nbytes"])
         if end > len(self._buffer):
@@ -96,8 +127,8 @@ class BinaryReader:
             )
         array = np.frombuffer(
             self._buffer[start:end], dtype=np.dtype(descriptor["dtype"])
-        )
-        return array.reshape(tuple(descriptor["shape"])).copy()
+        ).reshape(tuple(descriptor["shape"]))
+        return array.copy() if array.itemsize > 1 else array
 
 
 def _column(values: list[Any], dtype: str) -> np.ndarray:
@@ -165,20 +196,20 @@ def _transmissions_to_structure(
             _column([t.symbol_period for t in transmissions], "<f8")
         ),
         "seq": writer.add(_column([t.seq for t in transmissions], "<i8")),
-        "symbols": writer.add(_symbols_matrix(transmissions)),
+        "symbols": writer.add_rows(_symbol_rows(transmissions)),
     }
 
 
-def _symbols_matrix(transmissions: Sequence[Transmission]) -> np.ndarray:
+def _symbol_rows(transmissions: Sequence[Transmission]) -> list[np.ndarray]:
     arrays = [t.symbols for t in transmissions]
     if any(a.dtype != np.uint8 or (a >> 4).any() for a in arrays):
         raise ValueError("transmission symbols must be uint8 nibbles")
-    if len({a.size for a in arrays}) > 1:
+    if len({a.shape for a in arrays}) > 1:
         raise ValueError(
             "transmission symbols differ in length; a run stores one "
             "frame layout and must round-trip bit-for-bit"
         )
-    return transmitted_symbols(transmissions)
+    return arrays
 
 
 def _transmissions_from_structure(
@@ -193,7 +224,7 @@ def _transmissions_from_structure(
     symbols = _matrix_rows(
         data["symbols"], reader, int(data["count"]), "symbols"
     )
-    # Rows are views of one owning copy: cheap, writable, independent.
+    # Rows are views of the stored matrix: cheap, writable, independent.
     return [
         Transmission(
             tx_id=int(tx_id[i]),
@@ -259,6 +290,16 @@ def _table_from_structure(
 
 def result_to_parts(result: SimulationResult) -> tuple[dict[str, Any], bytes]:
     """A whole run as (JSON structure, binary section)."""
+    structure, chunks = result_to_chunks(result)
+    return structure, b"".join(chunks)
+
+
+def result_to_chunks(
+    result: SimulationResult,
+) -> tuple[dict[str, Any], list[memoryview]]:
+    """A whole run as (JSON structure, binary section as byte views of
+    the run's own arrays); the chunks joined are :func:`result_to_parts`'
+    binary section."""
     writer = BinaryWriter()
     structure = {
         "config": config_to_dict(result.config),
@@ -270,13 +311,17 @@ def result_to_parts(result: SimulationResult) -> tuple[dict[str, Any], bytes]:
             result.table, result.transmissions, writer
         ),
     }
-    return structure, writer.blob()
+    return structure, writer.chunks
 
 
 def result_from_parts(
-    structure: dict[str, Any], binary: bytes | memoryview
+    structure: dict[str, Any], binary: bytes | bytearray | memoryview
 ) -> SimulationResult:
-    """Invert :func:`result_to_parts`, bit-for-bit."""
+    """Invert :func:`result_to_parts`, bit-for-bit.
+
+    The arrays are views into ``binary`` where :class:`BinaryReader`
+    allows, so a writable buffer is shared, not copied.
+    """
     reader = BinaryReader(binary)
     transmissions = _transmissions_from_structure(
         structure["transmissions"], reader

@@ -258,6 +258,10 @@ KEEP = {
         "pins the ZigBee minimum distance of 12 that hint semantics "
         "rely on"
     ),
+    "repro.store.serialize.result_to_parts": (
+        "the byte-level spec of a stored run: the joined chunks the "
+        "store writes, which the quick-point digests pin"
+    ),
 }
 
 

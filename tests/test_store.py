@@ -10,12 +10,14 @@ transparently recomputed, and version-stamp invalidation.
 import dataclasses
 import gzip
 import hashlib
+import tracemalloc
 import json
 
 import numpy as np
 import pytest
 
 import repro.experiments.common as common
+import repro.store.keys as store_keys
 from repro.exec import FaultPlan, Supervisor, Task
 from repro.experiments import registry
 from repro.experiments.common import RunCache
@@ -23,6 +25,7 @@ from repro.store import (
     RunStore,
     STORE_SCHEMA_VERSION,
     canonical_json,
+    config_digest,
     config_key,
     config_from_dict,
     config_to_dict,
@@ -105,6 +108,38 @@ class TestKeys:
         assert config_key(config, repro_version="9.9.9") != config_key(
             config
         )
+
+    def test_task_keys_ignore_the_version_stamps(self, monkeypatch):
+        """A schema bump re-keys the store but leaves the executor's
+        fault and backoff schedules, keyed on the config digest, alone."""
+        configs = [_config(), _config(load=3500.0)]
+
+        def task_keys():
+            seen = []
+
+            def record(self, tasks, fn, *, on_result=None):
+                seen.extend(tasks)
+                return {}, []
+
+            with monkeypatch.context() as patch:
+                patch.setattr(common.Supervisor, "run", record)
+                RunCache(duration_s=_DURATION_S, seed=_SEED).prefetch(
+                    configs
+                )
+            return [(task.key, task.label) for task in seen]
+
+        keys, tasks = [config_key(c) for c in configs], task_keys()
+        assert [key for key, _label in tasks] == [
+            config_digest(c) for c in configs
+        ]
+        monkeypatch.setattr(
+            store_keys, "STORE_SCHEMA_VERSION", STORE_SCHEMA_VERSION + 1
+        )
+        assert all(
+            config_key(c) != key
+            for c, key in zip(configs, keys, strict=True)
+        )
+        assert task_keys() == tasks
 
     def test_canonical_json_is_order_independent(self):
         assert canonical_json({"b": 1, "a": [2.5, None]}) == canonical_json(
@@ -205,21 +240,28 @@ class TestRoundTrip:
         assert list(path.parent.iterdir()) == [path]
 
 
+def _split(path) -> tuple[dict, bytes]:
+    """An entry's parsed header and the body after the header line."""
+    raw = path.read_bytes()
+    header_end = raw.index(b"\n")
+    return json.loads(raw[:header_end]), raw[header_end + 1 :]
+
+
+def _write_entry(path, header, body) -> None:
+    path.write_bytes(canonical_json(header).encode() + b"\n" + body)
+
+
 def _restamp(path, edit) -> None:
     """Rewrite an entry's structure/binary through ``edit`` and fix up
     its checksum, so only the reader's own checks can reject it."""
-    raw = gzip.decompress(path.read_bytes())
-    header_end = raw.index(b"\n")
-    structure_end = raw.index(b"\n", header_end + 1)
-    document = json.loads(raw[header_end + 1 : structure_end])
-    binary = bytearray(raw[structure_end + 1 :])
+    header, old_body = _split(path)
+    structure_end = old_body.index(b"\n")
+    document = json.loads(old_body[:structure_end])
+    binary = bytearray(old_body[structure_end + 1 :])
     edit(document["structure"], binary)
     body = canonical_json(document).encode() + b"\n" + bytes(binary)
-    header = json.loads(raw[:header_end])
     header["sha256"] = hashlib.sha256(body).hexdigest()
-    path.write_bytes(
-        gzip.compress(canonical_json(header).encode() + b"\n" + body, mtime=0)
-    )
+    _write_entry(path, header, body)
 
 
 def _tx_id_past_the_transmissions(path) -> None:
@@ -260,56 +302,49 @@ class TestCorruption:
 
     def test_garbage_entry_recovers(self, run, tmp_path):
         store, config = _warm_store(tmp_path, run)
-        store.path_for(config).write_bytes(b"not a gzip stream")
+        store.path_for(config).write_bytes(b"not a store entry")
         assert store.get(config) is None
         assert store.counters.corrupt == 1
 
     def test_checksum_mismatch_detected(self, run, tmp_path):
         store, config = _warm_store(tmp_path, run)
         path = store.path_for(config)
-        raw = bytearray(gzip.decompress(path.read_bytes()))
+        raw = bytearray(path.read_bytes())
         raw[-1] ^= 0xFF  # flip a payload byte; header stays valid
-        path.write_bytes(gzip.compress(bytes(raw), mtime=0))
+        path.write_bytes(bytes(raw))
         assert store.get(config) is None
         assert store.counters.corrupt == 1
 
     def test_schema_version_mismatch_invalidates(self, run, tmp_path):
         store, config = _warm_store(tmp_path, run)
         path = store.path_for(config)
-        raw = gzip.decompress(path.read_bytes())
-        header_end = raw.index(b"\n")
-        header = json.loads(raw[:header_end])
+        header, body = _split(path)
         assert header["store_schema_version"] == STORE_SCHEMA_VERSION
         header["store_schema_version"] = STORE_SCHEMA_VERSION + 1
-        path.write_bytes(
-            gzip.compress(
-                canonical_json(header).encode()
-                + b"\n"
-                + raw[header_end + 1 :],
-                mtime=0,
-            )
-        )
+        _write_entry(path, header, body)
         assert store.get(config) is None
         assert store.counters.corrupt == 1
 
     def test_version_mismatch_invalidates(self, run, tmp_path):
         store, config = _warm_store(tmp_path, run)
         path = store.path_for(config)
-        raw = gzip.decompress(path.read_bytes())
-        header_end = raw.index(b"\n")
-        header = json.loads(raw[:header_end])
+        header, body = _split(path)
         header["repro_version"] = "0.0.1"
         # The checksum covers only the body, so the entry is intact
         # apart from the stale stamp — exactly what an entry written
         # by older code looks like.
-        path.write_bytes(
-            gzip.compress(
-                canonical_json(header).encode()
-                + b"\n"
-                + raw[header_end + 1 :],
-                mtime=0,
-            )
-        )
+        _write_entry(path, header, body)
+        assert store.get(config) is None
+        assert store.counters.corrupt == 1
+
+    def test_config_mismatch_invalidates(self, run, tmp_path):
+        """The header's config is checked against the requested one:
+        the checksum does not cover it."""
+        store, config = _warm_store(tmp_path, run)
+        path = store.path_for(config)
+        header, body = _split(path)
+        header["config"]["seed"] += 1
+        _write_entry(path, header, body)
         assert store.get(config) is None
         assert store.counters.corrupt == 1
 
@@ -345,6 +380,128 @@ class TestCorruption:
         _assert_results_identical(result, cache.get(config))
         assert store.counters.corrupt == 1
         assert store.counters.writes == 2  # the write-back healed it
+
+
+class TestIntegritySweep:
+    """Every byte of an entry is covered: the checksum guards the
+    structure and binary sections, and the header line is rebuilt from
+    the requested config and that checksum."""
+
+    @staticmethod
+    def _assert_rejected(path, config, data) -> None:
+        path.write_bytes(data)
+        store = RunStore(path.parents[2])
+        assert store.get(config) is None
+        assert store.counters.corrupt == 1
+        assert store.counters.misses == 1
+        assert not path.exists()
+
+    @staticmethod
+    def _regions(entry: bytes) -> tuple[int, int]:
+        header_end = entry.index(b"\n") + 1
+        return header_end, entry.index(b"\n", header_end) + 1
+
+    def test_every_flipped_byte_is_rejected(self, run, tmp_path):
+        store, config = _warm_store(tmp_path, run)
+        path = store.path_for(config)
+        entry = path.read_bytes()
+        header_end, structure_end = self._regions(entry)
+        assert header_end < structure_end < len(entry)
+        boundaries = {
+            offset + delta
+            for offset in (header_end - 1, structure_end - 1)
+            for delta in (-1, 0, 1)
+        }
+        spaced = {k * (len(entry) - 1) // 63 for k in range(64)}
+        offsets = sorted(spaced | boundaries)
+        assert any(o < header_end for o in spaced)
+        assert any(header_end <= o < structure_end for o in boundaries)
+        for offset in offsets:
+            flipped = bytearray(entry)
+            flipped[offset] ^= 0x01
+            self._assert_rejected(path, config, bytes(flipped))
+
+    def test_truncation_is_rejected(self, run, tmp_path):
+        store, config = _warm_store(tmp_path, run)
+        path = store.path_for(config)
+        entry = path.read_bytes()
+        header_end, structure_end = self._regions(entry)
+        for size in (
+            0,
+            header_end // 2,
+            header_end - 1,
+            header_end,
+            (header_end + structure_end) // 2,
+            structure_end,
+            (structure_end + len(entry)) // 2,
+            len(entry) - 1,
+        ):
+            self._assert_rejected(path, config, entry[:size])
+
+    def test_appended_byte_is_rejected(self, run, tmp_path):
+        store, config = _warm_store(tmp_path, run)
+        path = store.path_for(config)
+        self._assert_rejected(path, config, path.read_bytes() + b"\0")
+
+    def test_schema_3_entry_is_ignored(self, run, tmp_path, monkeypatch):
+        """An entry of the gzip format misses by key and is left alone."""
+        config, result = run
+        with monkeypatch.context() as patch:
+            patch.setattr(store_keys, "STORE_SCHEMA_VERSION", 3)
+            old_key = config_key(config)
+        old = tmp_path / "runs" / old_key[:2] / f"{old_key}.json.gz"
+        old.parent.mkdir(parents=True)
+        structure, binary = result_to_parts(result)
+        old.write_bytes(
+            gzip.compress(canonical_json(structure).encode() + binary, mtime=0)
+        )
+        before = old.read_bytes()
+        store = RunStore(tmp_path)
+        assert store.get(config) is None
+        assert store.counters.as_dict() == {
+            "hits": 0,
+            "misses": 1,
+            "writes": 0,
+            "corrupt": 0,
+        }
+        assert old.read_bytes() == before
+
+
+class TestStoreMemory:
+    """The store copies no bulk data: on the heaviest quick point
+    (13.8 Kbit/s, carrier sense off, seed 2009), a write allocates a
+    small fraction of the entry and a read little beyond its one
+    buffer."""
+
+    @pytest.fixture(scope="class")
+    def heaviest(self, tmp_path_factory):
+        config = RunCache(duration_s=15.0, seed=2009).config_for(
+            load=13800.0, carrier_sense=False
+        )
+        store = RunStore(tmp_path_factory.mktemp("store"))
+        result = common._simulate_config(config)
+        path = store.put(config, result)
+        return store, config, result, path.stat().st_size
+
+    @staticmethod
+    def _peak(fn) -> int:
+        tracemalloc.start()
+        try:
+            fn()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak
+
+    def test_put_peak(self, heaviest):
+        store, config, result, size = heaviest
+        peak = self._peak(lambda: store.put(config, result))
+        assert peak < 0.5 * size, f"put peak {peak / size:.2f}x the entry"
+
+    def test_get_peak(self, heaviest):
+        store, config, _result, size = heaviest
+        peak = self._peak(lambda: store.get(config))
+        assert peak < 1.5 * size, f"get peak {peak / size:.2f}x the entry"
 
 
 def _racing_writer(root: str) -> int:
