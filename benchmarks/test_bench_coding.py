@@ -1,4 +1,4 @@
-"""Benchmarks for the GF coding kernels (network-coded recovery).
+"""Benchmarks for the GF(2) coding kernels (network-coded recovery).
 
 The acceptance bar mirrors ``test_bench_waveform.py``: each
 vectorized kernel must beat its retained loop reference by at least 5x
@@ -18,12 +18,6 @@ from repro.coding.gf2 import (
     gf2_encode,
     gf2_encode_reference,
     pack_bytes_to_words,
-)
-from repro.coding.gf256 import (
-    gf256_eliminate,
-    gf256_eliminate_reference,
-    gf256_encode,
-    gf256_encode_reference,
 )
 from repro.coding.rlnc import SegmentedRlncCodec
 
@@ -94,51 +88,10 @@ def test_bench_gf2_eliminate(benchmark):
     )
 
 
-def test_bench_gf256_encode(benchmark):
-    """90 GF(256) combinations of 60 byte segments, with the >= 5x
-    gate against the scalar log/exp loop reference."""
-    rng = np.random.default_rng(2)
-    rows = rng.integers(0, 256, (K_SEGMENTS, SEGMENT_BYTES)).astype(
-        np.uint8
-    )
-    coeffs = rng.integers(0, 256, (N_CODED, K_SEGMENTS)).astype(
-        np.uint8
-    )
-    coded = benchmark(gf256_encode, coeffs, rows)
-    assert coded.shape == (N_CODED, SEGMENT_BYTES)
-    _speedup_gate(
-        benchmark,
-        lambda: gf256_encode(coeffs, rows),
-        lambda: gf256_encode_reference(coeffs, rows),
-        "gf256_encode",
-    )
-
-
-def test_bench_gf256_eliminate(benchmark):
-    """GF(256) elimination of a 90x60 coded system, with the >= 5x
-    gate against the scalar loop reference."""
-    rng = np.random.default_rng(3)
-    rows = rng.integers(0, 256, (K_SEGMENTS, SEGMENT_BYTES)).astype(
-        np.uint8
-    )
-    coeffs = rng.integers(0, 256, (N_CODED, K_SEGMENTS)).astype(
-        np.uint8
-    )
-    payload = gf256_encode(coeffs, rows)
-    recovered, _ = benchmark(gf256_eliminate, coeffs, payload)
-    assert recovered.all()
-    _speedup_gate(
-        benchmark,
-        lambda: gf256_eliminate(coeffs, payload),
-        lambda: gf256_eliminate_reference(coeffs, payload),
-        "gf256_eliminate",
-    )
-
-
 def test_bench_rlnc_codec_roundtrip(benchmark):
     """Encode + corrupt + decode of a 1500-byte payload at k=30,
     r=15 — the full coded-recovery path one reception costs."""
-    codec = SegmentedRlncCodec(30, 15, field="gf2", seed=4)
+    codec = SegmentedRlncCodec(30, 15)
     rng = np.random.default_rng(5)
     payload = bytes(rng.integers(0, 256, 1500, dtype=np.uint8))
     wire = codec.encode(payload)

@@ -24,15 +24,6 @@ class Cdf:
             raise ValueError("a CDF needs at least one sample")
         object.__setattr__(self, "samples", arr)
 
-    @property
-    def n(self) -> int:
-        """Number of samples."""
-        return int(self.samples.size)
-
-    def at(self, x: float) -> float:
-        """P(X <= x)."""
-        return float(np.searchsorted(self.samples, x, side="right") / self.n)
-
     def quantile(self, q: float) -> float:
         """The q-quantile (0 <= q <= 1)."""
         if not 0 <= q <= 1:
@@ -79,20 +70,17 @@ def percentile(samples, q: float) -> float:
     return float(np.percentile(arr, q))
 
 
-def geometric_mean(samples, epsilon: float = 0.0) -> float:
-    """Geometric mean, optionally offset so zeros don't collapse it.
+def geometric_mean(samples) -> float:
+    """Geometric mean of positive samples.
 
     Used for summarising per-link throughput ratios, which span orders
     of magnitude (paper Fig. 12's log-log axes).
     """
-    arr = np.asarray(list(samples), dtype=np.float64) + epsilon
+    arr = np.asarray(list(samples), dtype=np.float64)
     if arr.size == 0:
         raise ValueError("geometric mean of empty sequence")
     if np.any(arr <= 0):
-        raise ValueError(
-            "geometric mean requires positive values "
-            "(pass epsilon to offset zeros)"
-        )
+        raise ValueError("geometric mean requires positive values")
     return float(np.exp(np.mean(np.log(arr))))
 
 

@@ -15,6 +15,12 @@ import numpy as np
 # the way to support more series.
 _MARKERS = "ox+*#@%&=~^:;"
 
+# Plot area in characters: every plot is 60 columns wide.
+_WIDTH = 60
+_CDF_HEIGHT = 16
+_SERIES_HEIGHT = 14
+_SCATTER_HEIGHT = 20
+
 
 def _marker_for(index: int, n_series: int) -> str:
     """The marker for series ``index`` of ``n_series`` (fail early)."""
@@ -28,8 +34,6 @@ def _marker_for(index: int, n_series: int) -> str:
 
 def render_cdf(
     series: dict[str, np.ndarray],
-    width: int = 60,
-    height: int = 16,
     xlabel: str = "value",
     xmax: float | None = None,
 ) -> str:
@@ -41,6 +45,7 @@ def render_cdf(
     """
     if not series:
         raise ValueError("need at least one series")
+    width, height = _WIDTH, _CDF_HEIGHT
     all_samples = np.concatenate(
         [np.asarray(s, dtype=np.float64) for s in series.values()]
     )
@@ -77,14 +82,13 @@ def render_cdf(
 def render_series(
     xs: np.ndarray,
     ys_by_label: dict[str, np.ndarray],
-    width: int = 60,
-    height: int = 14,
     logy: bool = False,
     xlabel: str = "x",
 ) -> str:
     """Render y(x) curves (e.g. CCDF tails) as ASCII."""
     if not ys_by_label:
         raise ValueError("need at least one series")
+    width, height = _WIDTH, _SERIES_HEIGHT
     xs = np.asarray(xs, dtype=np.float64)
     ymin, ymax = np.inf, -np.inf
     transformed = {}
@@ -128,20 +132,18 @@ def render_series(
 
 def render_scatter(
     points_by_label: dict[str, tuple[np.ndarray, np.ndarray]],
-    width: int = 60,
-    height: int = 20,
-    loglog: bool = True,
     xlabel: str = "x",
     ylabel: str = "y",
     floor: float = 1e-2,
 ) -> str:
-    """Render scatter points (e.g. Fig. 12's throughput comparison)."""
+    """Render scatter points on log-log axes (e.g. Fig. 12's throughput
+    comparison); values below ``floor`` are drawn at it."""
     if not points_by_label:
         raise ValueError("need at least one series")
+    width, height = _WIDTH, _SCATTER_HEIGHT
 
     def _tx(v: np.ndarray) -> np.ndarray:
-        v = np.maximum(np.asarray(v, dtype=np.float64), floor)
-        return np.log10(v) if loglog else v
+        return np.log10(np.maximum(np.asarray(v, dtype=np.float64), floor))
 
     all_x = np.concatenate(
         [_tx(p[0]) for p in points_by_label.values()]
@@ -166,7 +168,7 @@ def render_scatter(
                 height - 1, int((ymax - y) / (ymax - ymin) * (height - 1))
             )
             grid[row][col] = marker
-    fmt = (lambda v: f"{10**v:.2g}") if loglog else (lambda v: f"{v:.3g}")
+    fmt = lambda v: f"{10**v:.2g}"
     lines = [f"{fmt(ymax):>8} |" + "".join(grid[0])]
     for row in grid[1:-1]:
         lines.append("         |" + "".join(row))

@@ -14,6 +14,9 @@ from repro.arq.protocol import ChannelFn
 from repro.phy.spreading import bytes_to_symbols, symbols_to_bytes
 from repro.utils.crc import CRC32_IEEE
 
+# Attempts a session spends on one packet before giving up.
+MAX_ATTEMPTS = 50
+
 
 @dataclass
 class FullArqLog:
@@ -34,20 +37,15 @@ class FullArqLog:
 class FullPacketArqSession:
     """Retransmit the full packet until its CRC-32 verifies."""
 
-    def __init__(self, data_channel: ChannelFn, max_attempts: int = 50) -> None:
-        if max_attempts < 1:
-            raise ValueError(
-                f"max_attempts must be >= 1, got {max_attempts}"
-            )
+    def __init__(self, data_channel: ChannelFn) -> None:
         self._channel = data_channel
-        self._max_attempts = int(max_attempts)
 
     def transfer(self, seq: int, payload: bytes) -> FullArqLog:
         """Send one packet to completion (or attempt exhaustion)."""
         wire = payload + CRC32_IEEE.compute_bytes(payload)
         wire_symbols = bytes_to_symbols(wire)
         log = FullArqLog(seq=seq)
-        for attempt in range(self._max_attempts):
+        for attempt in range(MAX_ATTEMPTS):
             log.attempts += 1
             log.data_symbols_sent += int(wire_symbols.size)
             if attempt > 0:

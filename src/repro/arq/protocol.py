@@ -50,6 +50,12 @@ from repro.utils.crc import CRC32_IEEE
 # decoded symbols + hints (a SoftPacket with truth attached).
 ChannelFn = Callable[[np.ndarray], SoftPacket]
 
+# Rounds a session spends on one packet before giving up.
+MAX_ROUNDS = 50
+
+# Bits of each good run's checksum in the receiver's feedback.
+_RUN_CHECKSUM_BITS = 8
+
 
 @dataclass
 class TransferLog:
@@ -154,11 +160,10 @@ class _ReceiverState:
 class PpArqReceiver:
     """Receiver side: reassembles packets across PP-ARQ rounds."""
 
-    def __init__(self, eta: float = 6.0, checksum_bits: int = 8) -> None:
+    def __init__(self, eta: float = 6.0) -> None:
         if eta < 0:
             raise ValueError(f"eta must be non-negative, got {eta}")
         self.eta = float(eta)
-        self.checksum_bits = int(checksum_bits)
         self._states: dict[int, _ReceiverState] = {}
 
     def receive_data(self, seq: int, soft: SoftPacket) -> None:
@@ -197,7 +202,7 @@ class PpArqReceiver:
             if good.all():
                 good[:] = False
         runs = RunLengthPacket.from_labels(good)
-        plan = plan_chunks(runs, checksum_bits=self.checksum_bits)
+        plan = plan_chunks(runs, checksum_bits=_RUN_CHECKSUM_BITS)
         gaps = gaps_for_segments(plan.segments, state.symbols.size)
         gap_checksums = tuple(
             segment_checksum(state.symbols[start:end])
@@ -325,26 +330,20 @@ def _symbols_to_wire_bytes(symbols: np.ndarray) -> bytes:
 class PpArqSession:
     """Drives sender and receiver across rounds over a lossy channel.
 
-    ``data_channel`` models the forward link for full packets;
-    ``retransmit_channel`` (defaults to the same) carries
-    retransmission payloads.  Returns a :class:`TransferLog` per packet
+    ``data_channel`` models the forward link, for full packets and
+    retransmission payloads alike; a packet gets at most
+    ``MAX_ROUNDS`` rounds.  Returns a :class:`TransferLog` per packet
     with the sizes the Fig. 16 experiment needs.
     """
 
     def __init__(
         self,
         data_channel: ChannelFn,
-        retransmit_channel: ChannelFn | None = None,
         eta: float = 6.0,
-        max_rounds: int = 50,
     ) -> None:
-        if max_rounds < 1:
-            raise ValueError(f"max_rounds must be >= 1, got {max_rounds}")
         self._data_channel = data_channel
-        self._retransmit_channel = retransmit_channel or data_channel
         self._sender = PpArqSender()
         self._receiver = PpArqReceiver(eta=eta)
-        self._max_rounds = int(max_rounds)
 
     @property
     def receiver(self) -> PpArqReceiver:
@@ -364,7 +363,7 @@ class PpArqSession:
         log.data_symbols_sent += wire_symbols.size
         self._receiver.receive_data(seq, soft)
 
-        for _ in range(self._max_rounds):
+        for _ in range(MAX_ROUNDS):
             log.rounds += 1
             if self._receiver.is_complete(seq):
                 feedback = FeedbackPacket(
@@ -397,7 +396,7 @@ class PpArqSession:
                 else np.zeros(0, dtype=np.int64)
             )
             log.data_symbols_sent += int(all_symbols.size)
-            channel_view = self._retransmit_channel(all_symbols)
+            channel_view = self._data_channel(all_symbols)
             self._receiver.receive_retransmission(
                 retransmission, channel_view
             )

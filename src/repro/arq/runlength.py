@@ -166,11 +166,3 @@ class RunLengthPacket:
         start = self.bad_run_start(i)
         end = self.bad_run_start(j) + self.bad[j]
         return start, end
-
-    def good_mask(self) -> np.ndarray:
-        """Reconstruct the per-symbol good/bad mask."""
-        mask = np.zeros(self.n_symbols, dtype=bool)
-        for run in self.runs():
-            if run.good:
-                mask[run.start : run.end] = True
-        return mask

@@ -10,11 +10,9 @@ individual repair transmission is precious.
 This package provides the two layers of that idea (the per-trace
 delivery scheme built on them is :class:`repro.link.SpracScheme`):
 
-* :mod:`repro.coding.gf2` / :mod:`repro.coding.gf256` — vectorized
-  finite-field linear algebra (XOR combining on bit-packed uint64
-  words; a log/exp-table GF(256) variant for denser coefficients),
-  each kernel with its loop ``*_reference`` retained as an executable
-  specification.
+* :mod:`repro.coding.gf2` — vectorized GF(2) linear algebra (XOR
+  combining on bit-packed uint64 words), each kernel with its loop
+  ``*_reference`` retained as an executable specification.
 * :mod:`repro.coding.rlnc` — the segmented-RLNC codec: payload ->
   CRC-protected segments plus coded repair segments.
 """
@@ -26,12 +24,6 @@ from repro.coding.gf2 import (
     pack_bytes_to_words,
     unpack_words_to_bytes,
 )
-from repro.coding.gf256 import (
-    gf256_coefficients,
-    gf256_eliminate,
-    gf256_encode,
-    gf256_mul,
-)
 from repro.coding.rlnc import RlncDecodeResult, SegmentedRlncCodec
 
 __all__ = [
@@ -40,10 +32,6 @@ __all__ = [
     "gf2_coefficients",
     "gf2_eliminate",
     "gf2_encode",
-    "gf256_coefficients",
-    "gf256_eliminate",
-    "gf256_encode",
-    "gf256_mul",
     "pack_bytes_to_words",
     "unpack_words_to_bytes",
 ]

@@ -76,11 +76,10 @@ def gf2_coefficients(
 
     Drawn from the counter-based stream addressed by
     ``(seed, label, *ids, 2)``, so sender and receiver derive identical
-    matrices without exchanging them.  The trailing field-order
-    discriminator keeps this stream family disjoint from
-    :func:`repro.coding.gf256.gf256_coefficients` when both are called
-    with the same label and ids (a codec switching fields must not
-    reuse one stream).  All-zero rows (probability ``2**-k`` per row)
+    matrices without exchanging them.  The trailing ``2`` is part of
+    the committed stream address: dropping it would draw different
+    coefficients and move every coded-recovery result, so it stays.
+    All-zero rows (probability ``2**-k`` per row)
     would be useless equations, so they are deterministically replaced
     by all-ones rows.
     """

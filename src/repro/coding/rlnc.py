@@ -6,8 +6,8 @@ The wire format protects a payload twice over:
   followed by its own CRC-32 (exactly the fragmented-CRC baseline's
   per-fragment protection), and
 * ``r`` **repair segments** follow — random linear combinations of
-  the (zero-padded) data segments over GF(2) or GF(256), each with
-  its own CRC-32.
+  the (zero-padded) data segments over GF(2), each with its own
+  CRC-32.
 
 A receiver keeps every segment whose CRC verifies.  Erased data
 segments are unknowns in a linear system whose equations are the
@@ -25,7 +25,7 @@ segment.  Total wire length is strictly increasing in payload length,
 so the payload length is recoverable from the wire length alone.
 
 Coefficient matrices are addressed, not transmitted: both ends derive
-the same matrix from ``(seed, "rlnc-coeffs", k, r)`` via the keyed
+the same matrix from ``(0, "rlnc-coeffs", k, r)`` via the keyed
 counter-based streams of :mod:`repro.utils.rng`.
 """
 
@@ -42,15 +42,13 @@ from repro.coding.gf2 import (
     pack_bytes_to_words,
     unpack_words_to_bytes,
 )
-from repro.coding.gf256 import (
-    gf256_coefficients,
-    gf256_eliminate,
-    gf256_encode,
-)
 from repro.utils.crc import CRC32_IEEE
 
 _CRC_BYTES = 4
-_FIELDS = ("gf2", "gf256")
+
+# Seed of the coefficient stream: every codec of a given (k, r) draws
+# the same matrix, so sender and receiver agree without a handshake.
+_COEFF_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -98,16 +96,13 @@ class SegmentedRlncCodec:
     """Encode/decode the segmented-RLNC wire format.
 
     ``n_segments`` (k) data segments, ``n_repair`` (r) coded repair
-    segments, over ``field`` ``"gf2"`` (XOR combining on bit-packed
-    uint64 words) or ``"gf256"`` (log/exp-table dense coefficients).
+    segments, combined over GF(2) (XOR on bit-packed uint64 words).
     """
 
     def __init__(
         self,
         n_segments: int,
         n_repair: int,
-        field: str = "gf2",
-        seed: int = 0,
     ) -> None:
         if n_segments < 1:
             raise ValueError(
@@ -119,14 +114,8 @@ class SegmentedRlncCodec:
             raise ValueError(
                 "segment and repair counts must fit in one byte"
             )
-        if field not in _FIELDS:
-            raise ValueError(
-                f"field must be one of {_FIELDS}, got {field!r}"
-            )
         self.n_segments = int(n_segments)
         self.n_repair = int(n_repair)
-        self.field = field
-        self.seed = int(seed)
         self._coefficients: np.ndarray | None = None
         # recoverable_mask results keyed by the packed erasure pattern
         self._recoverable: dict[bytes, np.ndarray] = {}
@@ -134,7 +123,7 @@ class SegmentedRlncCodec:
     def __repr__(self) -> str:
         return (
             f"SegmentedRlncCodec(n_segments={self.n_segments}, "
-            f"n_repair={self.n_repair}, field={self.field!r})"
+            f"n_repair={self.n_repair})"
         )
 
     # -- layout --------------------------------------------------------------
@@ -145,13 +134,8 @@ class SegmentedRlncCodec:
         Drawn once per codec and returned read-only thereafter.
         """
         if self._coefficients is None:
-            make = (
-                gf2_coefficients
-                if self.field == "gf2"
-                else gf256_coefficients
-            )
-            coeffs = make(
-                self.seed,
+            coeffs = gf2_coefficients(
+                _COEFF_SEED,
                 "rlnc-coeffs",
                 self.n_segments,
                 self.n_repair,
@@ -224,28 +208,6 @@ class SegmentedRlncCodec:
             for j in range(self.n_repair)
         ]
 
-    # -- field dispatch ------------------------------------------------------
-
-    def _encode_rows(
-        self, coeffs: np.ndarray, rows: np.ndarray
-    ) -> np.ndarray:
-        if self.field == "gf2":
-            packed = pack_bytes_to_words(rows)
-            coded = gf2_encode(coeffs, packed)
-            return unpack_words_to_bytes(coded, rows.shape[1])
-        return gf256_encode(coeffs, rows)
-
-    def _eliminate(
-        self, coeffs: np.ndarray, payload: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        if self.field == "gf2":
-            n_bytes = payload.shape[1]
-            recovered, solved = gf2_eliminate(
-                coeffs, pack_bytes_to_words(payload)
-            )
-            return recovered, unpack_words_to_bytes(solved, n_bytes)
-        return gf256_eliminate(coeffs, payload)
-
     # -- encode / decode -----------------------------------------------------
 
     def encode(self, payload: bytes) -> bytes:
@@ -258,7 +220,10 @@ class SegmentedRlncCodec:
         for i, seg_size in enumerate(sizes):
             rows[i, :seg_size] = data[offset : offset + seg_size]
             offset += seg_size
-        repair = self._encode_rows(self.coefficients(), rows)
+        repair = unpack_words_to_bytes(
+            gf2_encode(self.coefficients(), pack_bytes_to_words(rows)),
+            size,
+        )
         data_crcs = CRC32_IEEE.checksum_many(
             rows, np.asarray(sizes, dtype=np.int64)
         )
@@ -325,7 +290,10 @@ class SegmentedRlncCodec:
             rhs = np.concatenate(
                 [seg_rows[data_ok], rep_rows[repair_ok]]
             )
-            recovered, solved = self._eliminate(coeffs, rhs)
+            recovered, packed = gf2_eliminate(
+                coeffs, pack_bytes_to_words(rhs)
+            )
+            solved = unpack_words_to_bytes(packed, size)
             coded_recovered = recovered & ~data_ok
 
         segments: list[bytes | None] = []
@@ -379,8 +347,8 @@ class SegmentedRlncCodec:
             erased = ~data_ok
             if erased.any():
                 coeffs = self.coefficients()[repair_ok][:, erased]
-                dummy = np.zeros((coeffs.shape[0], 1), dtype=np.uint8)
-                pinned, _ = self._eliminate(coeffs, dummy)
+                dummy = np.zeros((coeffs.shape[0], 1), dtype=np.uint64)
+                pinned, _ = gf2_eliminate(coeffs, dummy)
                 recovered[erased] = pinned
             recovered.flags.writeable = False
             self._recoverable[key] = recovered

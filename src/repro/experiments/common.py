@@ -388,9 +388,9 @@ class RunCache:
     run was simulated or loaded.
 
     Simulation happens under a :class:`~repro.exec.Supervisor`
-    (``policy`` overrides its retry/timeout knobs; default
-    ``REPRO_EXEC``): per-point timeouts, crash isolation, bounded
-    deterministic retries, and immediate per-point store write-back.
+    (retry/timeout knobs from ``REPRO_EXEC``): per-point timeouts,
+    crash isolation, bounded deterministic retries, and immediate
+    per-point store write-back.
     Points that fail permanently raise :class:`~repro.exec.
     SweepExecutionError` and are negatively cached — a later request
     for the same config re-raises instead of burning the retry budget
@@ -405,7 +405,6 @@ class RunCache:
         *,
         jobs: int = 1,
         store: "RunStore | None" = None,
-        policy: ExecPolicy | None = None,
         **overrides: Any,
     ) -> None:
         if jobs < 1:
@@ -417,7 +416,6 @@ class RunCache:
         self.base = base
         self.jobs = int(jobs)
         self.store = store
-        self.policy = policy
         self.exec_counters = ExecCounters()
         self._cache: dict[SimulationConfig, SimulationResult] = {}
         self._failed: dict[SimulationConfig, TaskFailure] = {}
@@ -464,7 +462,7 @@ class RunCache:
                     del missing[config]
         if not missing:
             return
-        policy = self.policy if self.policy is not None else ExecPolicy.from_env()
+        policy = ExecPolicy.from_env()
         digests = [config_digest(config) for config in missing]
         tasks = [
             Task(
@@ -537,7 +535,6 @@ def labelled_evaluations(
     result: SimulationResult,
     *,
     eta: float = DEFAULT_ETA,
-    n_fragments: int = DEFAULT_FRAGMENTS,
     postamble_options: tuple[bool, ...] = (False, True),
 ) -> dict[str, SchemeEvaluation]:
     """Evaluate the paper's schemes on a run, keyed by variant label.
@@ -547,7 +544,7 @@ def labelled_evaluations(
     place.  Labels look like ``"ppr, postamble"``.
     """
     evals = evaluate_schemes(
-        result, default_schemes(eta, n_fragments), postamble_options
+        result, default_schemes(eta, DEFAULT_FRAGMENTS), postamble_options
     )
     return {e.label: e for e in evals}
 

@@ -29,6 +29,12 @@ from repro.phy.modulation import MskModulator
 from repro.phy.sync import sync_field_symbols
 from repro.utils.rng import derive_rng
 
+# The capture: samples per chip, AWGN power and the seed of the bodies
+# and the noise.
+SPS = 4
+NOISE_POWER = 0.05
+SEED = 7
+
 
 @dataclass
 class CollisionAnatomy:
@@ -53,9 +59,6 @@ class CollisionAnatomy:
 def run(
     n_body_symbols: int = 120,
     overlap_symbols: int = 45,
-    sps: int = 4,
-    noise_power: float = 0.05,
-    seed: int = 7,
 ) -> ExperimentOutput:
     """Simulate the two-packet collision and decode both sides.
 
@@ -65,9 +68,9 @@ def run(
     if overlap_symbols >= n_body_symbols:
         raise ValueError("overlap must be shorter than the packet body")
     codebook = ZigbeeCodebook()
-    rng = derive_rng(seed, "fig13")
-    modulator = MskModulator(sps=sps)
-    engine = WaveformBatchEngine(codebook, sps=sps)
+    rng = derive_rng(SEED, "fig13")
+    modulator = MskModulator(sps=SPS)
+    engine = WaveformBatchEngine(codebook, sps=SPS)
 
     preamble = sync_field_symbols("preamble")
     postamble = sync_field_symbols("postamble")
@@ -82,7 +85,7 @@ def run(
     # packet 1 loses its tail, packet 2 loses its head (and preamble).
     chips_per_symbol = codebook.chips_per_symbol
     offset_symbols = stream1.size - overlap_symbols
-    offset_samples = offset_symbols * chips_per_symbol * sps
+    offset_samples = offset_symbols * chips_per_symbol * SPS
     capture = awgn_collision_channel(
         [
             TransmissionInstance(samples=wave1, offset=0, gain=1.0),
@@ -90,8 +93,8 @@ def run(
                 samples=wave2, offset=offset_samples, gain=1.0
             ),
         ],
-        noise_power=noise_power,
-        rng=derive_rng(seed, "fig13-noise"),
+        noise_power=NOISE_POWER,
+        rng=derive_rng(SEED, "fig13-noise"),
     )
 
     # Packet 1 syncs on its (cleanly received) preamble; packet 2's

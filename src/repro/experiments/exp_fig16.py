@@ -24,40 +24,29 @@ from repro.phy.symbols import SoftPacket
 from repro.utils.rng import derive_rng
 
 PACKET_BYTES = 250
+SEED = 16
 
 
 class BurstyLinkChannel:
     """Single-link chip channel with collision-like bursts.
 
-    Every frame sees a low residual chip error rate; with probability
-    ``burst_prob`` an interference burst covers a contiguous fraction
-    of the frame at a high chip error rate — the §7.5 regime where
+    Every frame sees a low residual chip error rate (``BASE_ERROR``);
+    with probability ``BURST_PROB`` an interference burst covers a
+    contiguous fraction (drawn from ``BURST_FRAC``) of the frame at a
+    high chip error rate (``BURST_ERROR``) — the §7.5 regime where
     most of each packet survives but the CRC fails.
     """
 
+    BASE_ERROR = 0.01
+    BURST_ERROR = 0.4
+    BURST_PROB = 0.85
+    BURST_FRAC = (0.1, 0.6)
+
     def __init__(
-        self,
-        codebook: ZigbeeCodebook,
-        rng: np.random.Generator,
-        base_error: float = 0.01,
-        burst_error: float = 0.4,
-        burst_prob: float = 0.85,
-        burst_frac_range: tuple[float, float] = (0.1, 0.6),
+        self, codebook: ZigbeeCodebook, rng: np.random.Generator
     ) -> None:
-        if not 0 <= burst_prob <= 1:
-            raise ValueError(f"burst_prob must be in [0,1], got {burst_prob}")
-        lo, hi = burst_frac_range
-        if not 0 < lo <= hi < 1:
-            raise ValueError(
-                f"burst_frac_range must satisfy 0 < lo <= hi < 1, "
-                f"got {burst_frac_range}"
-            )
         self._codebook = codebook
         self._rng = rng
-        self._base = float(base_error)
-        self._burst = float(burst_error)
-        self._prob = float(burst_prob)
-        self._frac = (float(lo), float(hi))
 
     def __call__(self, symbols: np.ndarray) -> SoftPacket:
         symbols = np.asarray(symbols, dtype=np.int64)
@@ -66,14 +55,14 @@ class BurstyLinkChannel:
             return SoftPacket(
                 symbols=symbols, hints=empty, truth=symbols
             )
-        p = np.full(symbols.size, self._base)
-        if self._rng.random() < self._prob:
-            frac = self._rng.uniform(*self._frac)
+        p = np.full(symbols.size, self.BASE_ERROR)
+        if self._rng.random() < self.BURST_PROB:
+            frac = self._rng.uniform(*self.BURST_FRAC)
             burst_len = max(1, int(frac * symbols.size))
             start = int(
                 self._rng.integers(0, max(1, symbols.size - burst_len))
             )
-            p[start : start + burst_len] = self._burst
+            p[start : start + burst_len] = self.BURST_ERROR
         words = self._codebook.encode_words(symbols)
         received = transmit_chipwords(words, p, self._rng)
         decoded, dists = self._codebook.decode_hard(received)
@@ -96,7 +85,6 @@ class BurstyLinkChannel:
 def run(
     n_packets: int = 60,
     eta: float = 6.0,
-    seed: int = 16,
 ) -> ExperimentOutput:
     """Transfer packets under PP-ARQ and whole-packet ARQ, compare.
 
@@ -104,14 +92,14 @@ def run(
     simulation points.
     """
     codebook = ZigbeeCodebook()
-    payload_rng = derive_rng(seed, "fig16-payloads")
+    payload_rng = derive_rng(SEED, "fig16-payloads")
     payloads = [
         bytes(payload_rng.integers(0, 256, PACKET_BYTES, dtype=np.uint8))
         for _ in range(n_packets)
     ]
 
     pp_channel = BurstyLinkChannel(
-        codebook, derive_rng(seed, "fig16-pparq-channel")
+        codebook, derive_rng(SEED, "fig16-pparq-channel")
     )
     pp_session = PpArqSession(pp_channel, eta=eta)
     retransmit_sizes: list[int] = []
@@ -124,7 +112,7 @@ def run(
         pp_delivered += int(log.delivered)
 
     full_channel = BurstyLinkChannel(
-        codebook, derive_rng(seed, "fig16-fullarq-channel")
+        codebook, derive_rng(SEED, "fig16-fullarq-channel")
     )
     full_session = FullPacketArqSession(full_channel)
     full_total_bytes = 0

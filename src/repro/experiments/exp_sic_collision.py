@@ -46,6 +46,12 @@ from repro.sim.medium import waveform_capture as render_capture
 from repro.sim.testbed import collision_testbed
 from repro.utils.rng import derive_rng, keyed_rng
 
+# Samples per chip of every capture, the PPR threshold of the chunk
+# fallback, and the seed of the payloads, geometry and noise.
+SPS = 4
+ETA = 6.0
+SEED = 23
+
 #: far-sender ranges spanning near-equal power (4.5 m, +1.9 dB gap)
 #: through the comfortable middle to the noise floor (36 m, -4 dB SNR)
 FAR_DISTANCES_M = (4.5, 6.0, 9.0, 15.0, 24.0, 30.0, 36.0)
@@ -104,9 +110,6 @@ def _judge(candidates, bodies, eta):
 def run(
     payload_bytes: int = 24,
     near_m: float = 4.0,
-    sps: int = 4,
-    eta: float = 6.0,
-    seed: int = 23,
 ) -> ExperimentOutput:
     """Map the recovery region over the (range, offset) grid.
 
@@ -114,19 +117,19 @@ def run(
     strategies; the spec declares no simulation points.
     """
     codebook = ZigbeeCodebook()
-    modulator = MskModulator(sps=sps)
-    scheme = SicScheme(eta=eta)
+    modulator = MskModulator(sps=SPS)
+    scheme = SicScheme(eta=ETA)
     # The chip-level simulation calls a sync field detectable when its
     # chip error rate is at most sync_error_threshold = 0.25; in the
     # +-1 correlation domain an error rate p maps to 1 - 2p, so the
     # waveform passes use threshold 0.5 to agree on "detectable".
     threshold = 0.5
-    engine = WaveformBatchEngine(codebook, sps=sps, threshold=threshold)
+    engine = WaveformBatchEngine(codebook, sps=SPS, threshold=threshold)
     decoder = SicDecoder(
-        codebook, sps=sps, threshold=threshold, eta=eta
+        codebook, sps=SPS, threshold=threshold, eta=ETA
     )
 
-    payload_rng = derive_rng(seed, "sic-collision-payload")
+    payload_rng = derive_rng(SEED, "sic-collision-payload")
     payloads = [
         payload_rng.integers(0, 256, payload_bytes, dtype=np.uint8)
         .tobytes()
@@ -168,7 +171,7 @@ def run(
         medium = RadioMedium(
             testbed.positions_m,
             path_loss=PathLossModel(shadowing_sigma_db=0.0),
-            seed=seed,
+            seed=SEED,
         )
         weak_snr_db[i_dist] = 10.0 * np.log10(
             medium.snr(far, receiver)
@@ -197,9 +200,9 @@ def run(
                 receiver,
                 transmissions,
                 waves,
-                CHIP_RATE_HZ * sps,
+                CHIP_RATE_HZ * SPS,
                 rng=keyed_rng(
-                    seed, "sic-collision-noise", i_dist, i_off
+                    SEED, "sic-collision-noise", i_dist, i_off
                 ),
             )
 
@@ -216,7 +219,7 @@ def run(
                 ]
             plain = [(r.symbols, r.hints) for r in receptions]
             base_frames[i_dist, i_off], base_good[i_dist, i_off] = (
-                _judge(plain, bodies, eta)
+                _judge(plain, bodies, ETA)
             )
 
             # The SIC pipeline degrades gracefully: when cancellation
@@ -228,7 +231,7 @@ def run(
                 for f in result.frames
             ]
             sic_frames[i_dist, i_off], sic_good[i_dist, i_off] = (
-                _judge(cancelled, bodies, eta)
+                _judge(cancelled, bodies, ETA)
             )
 
     headers = ["far sender", "weak SNR"] + [

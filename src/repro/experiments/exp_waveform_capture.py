@@ -51,6 +51,13 @@ from repro.sim.metrics import trace_deliver
 from repro.sim.testbed import collision_testbed
 from repro.utils.rng import derive_rng
 
+# The capture: samples per chip, the two senders' ranges from the
+# receiver, and the seed of the bodies, the geometry and the noise.
+SPS = 4
+NEAR_M = 4.0
+FAR_M = 9.0
+SEED = 19
+
 
 @register(
     "waveform_capture",
@@ -67,10 +74,6 @@ from repro.utils.rng import derive_rng
 def run(
     n_body_symbols: int = 60,
     overlap_symbols: int = 25,
-    sps: int = 4,
-    near_m: float = 4.0,
-    far_m: float = 9.0,
-    seed: int = 19,
 ) -> ExperimentOutput:
     """Render the two-sender collision through the medium and decode.
 
@@ -80,10 +83,10 @@ def run(
     if overlap_symbols >= n_body_symbols:
         raise ValueError("overlap must be shorter than the packet body")
     codebook = ZigbeeCodebook()
-    rng = derive_rng(seed, "waveform-capture")
-    modulator = MskModulator(sps=sps)
-    engine = WaveformBatchEngine(codebook, sps=sps)
-    testbed = collision_testbed(near_m=near_m, far_m=far_m)
+    rng = derive_rng(SEED, "waveform-capture")
+    modulator = MskModulator(sps=SPS)
+    engine = WaveformBatchEngine(codebook, sps=SPS)
+    testbed = collision_testbed(near_m=NEAR_M, far_m=FAR_M)
     near, far = testbed.sender_ids
     (receiver,) = testbed.receiver_ids
     # Frozen geometry, no shadowing: the experiment is about the
@@ -91,7 +94,7 @@ def run(
     medium = RadioMedium(
         testbed.positions_m,
         path_loss=PathLossModel(shadowing_sigma_db=0.0),
-        seed=seed,
+        seed=SEED,
     )
 
     preamble = sync_field_symbols("preamble")
@@ -108,7 +111,7 @@ def run(
     # symbol-aligned overlap would leave the near frame's chips
     # forming *valid* codewords inside the far frame's windows, hiding
     # the corruption from the Hamming hints entirely.
-    sample_rate = CHIP_RATE_HZ * sps
+    sample_rate = CHIP_RATE_HZ * SPS
     offset_symbols = stream_near.size - overlap_symbols
     offset_chips = (
         offset_symbols * CHIPS_PER_SYMBOL + CHIPS_PER_SYMBOL // 2
@@ -142,7 +145,7 @@ def run(
         transmissions,
         waves,
         sample_rate,
-        rng=derive_rng(seed, "waveform-capture-noise"),
+        rng=derive_rng(SEED, "waveform-capture-noise"),
     )
 
     # Fused reception: the near frame syncs on its clean preamble; the
@@ -175,7 +178,7 @@ def run(
         transmissions_aligned,
         waves,
         sample_rate,
-        rng=derive_rng(seed, "waveform-capture-aligned-noise"),
+        rng=derive_rng(SEED, "waveform-capture-aligned-noise"),
     )
     pair_aligned = engine.receive_collision_pair(
         capture_aligned, n_body_symbols
@@ -189,7 +192,7 @@ def run(
     # (chip error rate p <-> correlation 1 - 2p at p = 0.25).
     scheme = SicScheme()
     decoder = SicDecoder(
-        codebook, sps=sps, threshold=0.5, eta=scheme.eta
+        codebook, sps=SPS, threshold=0.5, eta=scheme.eta
     )
     sic_far_passed = {}
     for label, sic_capture in (
@@ -238,7 +241,7 @@ def run(
         ShapeCheck(
             name="far frame's preamble is buried by the near frame",
             passed=all(
-                abs(d.sample_offset - offset_chips * sps) > sps
+                abs(d.sample_offset - offset_chips * SPS) > SPS
                 for d in pair.preamble_detections
             ),
             detail=f"{len(pair.preamble_detections)} preamble "

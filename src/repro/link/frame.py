@@ -170,8 +170,3 @@ class PprFrame:
                 np.array(POSTAMBLE_SYMBOLS + EFD_SYMBOLS, dtype=np.int64),
             ]
         )
-
-    @property
-    def n_body_symbols(self) -> int:
-        """Symbols in the body region."""
-        return body_symbol_count(len(self.wire_payload))

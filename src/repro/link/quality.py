@@ -7,7 +7,8 @@ evaluation uses:
   delivered divided by payload bits of *acquired* frames ("once the PHY
   layer synchronizes on a packet").
 * **end-to-end throughput** (§7.2.3) — correct payload bits delivered
-  per unit time, which folds in acquisition failures and overhead.
+  per unit time, which folds in acquisition failures and overhead
+  (:meth:`repro.sim.metrics.SchemeEvaluation.throughputs_kbps`).
 """
 
 from __future__ import annotations
@@ -60,14 +61,6 @@ class LinkObservation:
             return 0.0
         return self.delivered_correct_bits / self.payload_bits_sent
 
-    def throughput_bits_per_s(self, duration_s: float) -> float:
-        """Correct delivered payload bits per second (§7.2.3)."""
-        if duration_s <= 0:
-            raise ValueError(
-                f"duration_s must be positive, got {duration_s}"
-            )
-        return self.delivered_correct_bits / duration_s
-
 
 class LinkStats:
     """Statistics for every directed link, keyed by (src, dst)."""
@@ -95,34 +88,18 @@ class LinkStats:
         """All observed links, sorted for deterministic iteration."""
         return sorted(self._links)
 
-    def active_links(self, min_sent: int = 1) -> list[tuple[int, int]]:
-        """Links where at least ``min_sent`` frames were audible —
-        the per-link populations the paper's CDFs are over.  A link a
-        receiver never synchronised on still belongs to the population
-        (its delivery rate is simply zero)."""
+    def active_links(self) -> list[tuple[int, int]]:
+        """Links where at least one frame was audible — the per-link
+        populations the paper's CDFs are over.  A link a receiver never
+        synchronised on still belongs to the population (its delivery
+        rate is simply zero)."""
         return [
-            link
-            for link in self.links()
-            if self._links[link].frames_sent >= min_sent
+            link for link in self.links() if self._links[link].frames_sent
         ]
 
-    def delivery_rates(self, min_sent: int = 1) -> list[float]:
+    def delivery_rates(self) -> list[float]:
         """Per-link equivalent frame delivery rates (for CDF plots)."""
         return [
             self._links[link].equivalent_frame_delivery_rate
-            for link in self.active_links(min_sent)
+            for link in self.active_links()
         ]
-
-    def throughputs(
-        self, duration_s: float, min_acquired: int = 0
-    ) -> dict[tuple[int, int], float]:
-        """Per-link throughput in bits/s."""
-        links = (
-            self.links()
-            if min_acquired == 0
-            else self.active_links(min_acquired)
-        )
-        return {
-            link: self._links[link].throughput_bits_per_s(duration_s)
-            for link in links
-        }

@@ -79,11 +79,6 @@ class DeliveryResult:
     overhead_bits: int
     frame_passed: bool
 
-    @property
-    def delivered_bits(self) -> int:
-        """Total bits handed to the higher layer."""
-        return self.delivered_correct_bits + self.delivered_incorrect_bits
-
 
 @dataclass(frozen=True)
 class TraceBlock:
@@ -429,11 +424,10 @@ class SicScheme(PprScheme):
     The wire format and the SoftPHY threshold rule are exactly
     :class:`PprScheme` — what changes is *upstream*: receptions handed
     to this scheme have been through successive interference
-    cancellation (:mod:`repro.recovery`), so a collided frame arrives
-    with its interferer's reconstruction already subtracted
-    (``SimulationConfig.sic_recovery`` in the network simulation, or
-    :class:`~repro.recovery.sic.SicDecoder` directly at waveform
-    level).  Keeping delivery identical isolates the collision-recovery
+    cancellation (:class:`~repro.recovery.sic.SicDecoder` on a
+    waveform capture), so a collided frame arrives with its
+    interferer's reconstruction already subtracted.  Keeping delivery
+    identical isolates the collision-recovery
     gain: any metric difference between ``ppr`` and ``sic`` traces is
     attributable to cancellation alone.
     """
@@ -463,16 +457,12 @@ class SpracScheme(DeliveryScheme):
         self,
         n_segments: int = 30,
         n_repair: int | None = None,
-        field: str = "gf2",
-        seed: int = 0,
     ) -> None:
         if n_repair is None:
             n_repair = max(1, -(-n_segments // 4))
         self.codec = SegmentedRlncCodec(
             n_segments=n_segments,
             n_repair=n_repair,
-            field=field,
-            seed=seed,
         )
 
     @property
@@ -488,7 +478,7 @@ class SpracScheme(DeliveryScheme):
     def __repr__(self) -> str:
         return (
             f"SpracScheme(n_segments={self.n_segments}, "
-            f"n_repair={self.n_repair}, field={self.codec.field!r})"
+            f"n_repair={self.n_repair})"
         )
 
     def encode_payload(self, payload: bytes) -> bytes:

@@ -1,9 +1,8 @@
 """Complex-baseband channel for the waveform path.
 
 Supports the impairments the Fig. 13 experiment needs: additive white
-Gaussian noise, per-transmission gain/delay/phase, carrier frequency
-offset, and the superposition of multiple concurrent transmissions
-(collisions).
+Gaussian noise, per-transmission gain and delay, and the superposition
+of multiple concurrent transmissions (collisions).
 """
 
 from __future__ import annotations
@@ -20,15 +19,12 @@ class TransmissionInstance:
     """One waveform placed on the medium.
 
     ``offset`` is in samples from the start of the capture window;
-    ``gain`` is linear amplitude; ``cfo`` is carrier frequency offset in
-    cycles/sample; ``phase`` is a fixed phase rotation in radians.
+    ``gain`` is linear amplitude.
     """
 
     samples: np.ndarray
     offset: int
     gain: float = 1.0
-    cfo: float = 0.0
-    phase: float = 0.0
 
     def __post_init__(self) -> None:
         if self.offset < 0:
@@ -39,22 +35,16 @@ class TransmissionInstance:
 
 def mix_transmissions(
     transmissions: list[TransmissionInstance],
-    window_len: int | None = None,
 ) -> np.ndarray:
-    """Superpose transmissions into one capture window (no noise)."""
-    if window_len is None:
-        if not transmissions:
-            raise ValueError("need window_len when there are no transmissions")
-        window_len = max(t.offset + t.samples.size for t in transmissions)
+    """Superpose transmissions into one capture window (no noise), just
+    long enough to hold the last sample of each."""
+    if not transmissions:
+        raise ValueError("need at least one transmission")
+    window_len = max(t.offset + t.samples.size for t in transmissions)
     out = np.zeros(window_len, dtype=np.complex128)
     for t in transmissions:
         wave = np.asarray(t.samples, dtype=np.complex128)
-        if t.cfo or t.phase:
-            n = np.arange(wave.size)
-            wave = wave * np.exp(1j * (2 * np.pi * t.cfo * n + t.phase))
-        end = min(t.offset + wave.size, window_len)
-        if end > t.offset:
-            out[t.offset : end] += t.gain * wave[: end - t.offset]
+        out[t.offset : t.offset + wave.size] += t.gain * wave
     return out
 
 
@@ -84,9 +74,8 @@ def add_awgn(
 def awgn_collision_channel(
     transmissions: list[TransmissionInstance],
     noise_power: float,
-    window_len: int | None = None,
     rng: RngLike = None,
 ) -> np.ndarray:
     """Convenience: mix transmissions then add AWGN."""
-    mixed = mix_transmissions(transmissions, window_len)
+    mixed = mix_transmissions(transmissions)
     return add_awgn(mixed, noise_power, rng)

@@ -80,11 +80,6 @@ class Codebook:
         """Chips per codeword (the paper's B)."""
         return self._chips.shape[1]
 
-    @property
-    def bits_per_symbol(self) -> int:
-        """Data bits per codeword (the paper's b)."""
-        return self._bits_per_symbol
-
     # -- encode / decode ---------------------------------------------------
 
     def encode(self, symbols: np.ndarray) -> np.ndarray:

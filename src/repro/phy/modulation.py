@@ -26,28 +26,20 @@ class MskModulator:
     ----------
     sps:
         Samples per chip.  4 is plenty for the simulation experiments.
-    amplitude:
-        Linear amplitude scale of the output waveform.
+
+    The output has unit amplitude; the channel applies each link's gain.
     """
 
-    def __init__(self, sps: int = 4, amplitude: float = 1.0) -> None:
+    def __init__(self, sps: int = 4) -> None:
         if sps < 2:
             raise ValueError(f"sps must be >= 2 for O-QPSK offset, got {sps}")
-        if amplitude <= 0:
-            raise ValueError(f"amplitude must be positive, got {amplitude}")
         self._sps = int(sps)
-        self._amplitude = float(amplitude)
         self._pulse = half_sine_pulse(self._sps)
 
     @property
     def sps(self) -> int:
         """Samples per chip."""
         return self._sps
-
-    @property
-    def pulse(self) -> np.ndarray:
-        """The unit-energy half-sine chip pulse (two chip periods)."""
-        return self._pulse.copy()
 
     def samples_for_chips(self, n_chips: int) -> int:
         """Waveform length (samples) for a chip sequence of given length."""
@@ -98,7 +90,7 @@ class MskModulator:
         blocks_q = signs[1::2, None] * self._pulse
         wave_i[: blocks_i.size] = blocks_i.ravel()
         wave_q[sps : sps + blocks_q.size] = blocks_q.ravel()
-        return self._amplitude * (wave_i + 1j * wave_q)
+        return wave_i + 1j * wave_q
 
     def modulate_chips_reference(self, chips: np.ndarray) -> np.ndarray:
         """Per-chip loop implementation, kept as the executable spec
@@ -120,7 +112,7 @@ class MskModulator:
             start = k * sps
             rail = wave_i if k % 2 == 0 else wave_q
             rail[start : start + plen] += signs[k] * pulse
-        return self._amplitude * (wave_i + 1j * wave_q)
+        return wave_i + 1j * wave_q
 
     def modulate_symbols(
         self, symbols: np.ndarray, codebook: Codebook

@@ -59,10 +59,6 @@ class SoftPacket:
         """Number of decoded codewords in the frame."""
         return int(self.symbols.size)
 
-    def good_mask(self, eta: float) -> np.ndarray:
-        """Boolean mask of symbols labelled good at threshold ``eta``."""
-        return self.hints <= eta
-
     def correct_mask(self) -> np.ndarray:
         """Boolean mask of symbols that actually decoded correctly.
 
@@ -73,7 +69,7 @@ class SoftPacket:
             raise ValueError("no ground truth attached to this SoftPacket")
         return self.symbols == self.truth
 
-    def payload_bytes(self, bits_per_symbol: int = 4) -> bytes:
+    def payload_bytes(self) -> bytes:
         """Reassemble the decoded symbols into bytes (low nibble first)."""
-        n = self.symbols.size - self.symbols.size % (8 // bits_per_symbol)
-        return symbols_to_bytes(self.symbols[:n], bits_per_symbol)
+        n = self.symbols.size - self.symbols.size % 2
+        return symbols_to_bytes(self.symbols[:n])

@@ -79,11 +79,6 @@ class RollbackBuffer:
         self._written = 0
 
     @property
-    def capacity(self) -> int:
-        """Maximum number of retained samples."""
-        return self._capacity
-
-    @property
     def oldest_available(self) -> int:
         """Absolute index of the oldest sample still retained."""
         return max(0, self._written - self._capacity)

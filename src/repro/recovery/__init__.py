@@ -5,9 +5,9 @@ The subsystem that turns a collision from a loss into two decodes:
 its re-synthesised waveform out of the capture, decodes the weaker
 frame from the residual, and falls back to PPR chunk planning
 (:func:`plan_chunk_recovery`) for anything still below confidence.
-The network simulation drives it through
-``SimulationConfig.sic_recovery``; :mod:`repro.experiments` maps its
-operating region in ``exp_sic_collision``.
+It works on waveform captures: :mod:`repro.experiments` maps its
+operating region in ``exp_sic_collision`` and runs it on a captured
+collision in ``exp_waveform_capture``.
 """
 
 from repro.recovery.chunks import ChunkRecovery, plan_chunk_recovery

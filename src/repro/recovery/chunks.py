@@ -52,7 +52,6 @@ class ChunkRecovery:
 def plan_chunk_recovery(
     hints: np.ndarray,
     eta: float = 6.0,
-    checksum_bits: int = 32,
 ) -> ChunkRecovery:
     """Chunk-recovery plan for a frame's post-decode Hamming hints.
 
@@ -63,5 +62,5 @@ def plan_chunk_recovery(
     if eta < 0:
         raise ValueError(f"eta must be non-negative, got {eta}")
     runs = RunLengthPacket.from_hints(np.asarray(hints), eta)
-    plan = None if runs.all_good else plan_chunks(runs, checksum_bits)
+    plan = None if runs.all_good else plan_chunks(runs)
     return ChunkRecovery(eta=float(eta), runs=runs, plan=plan)

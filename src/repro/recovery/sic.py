@@ -107,11 +107,6 @@ class SicDecoder:
         self._engine = WaveformBatchEngine(codebook, sps=sps, threshold=threshold)
 
     @property
-    def engine(self) -> WaveformBatchEngine:
-        """The underlying batched waveform receiver."""
-        return self._engine
-
-    @property
     def eta(self) -> float:
         """PPR confidence threshold for the chunk fallback."""
         return self._eta

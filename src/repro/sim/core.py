@@ -26,11 +26,6 @@ class EventScheduler:
         """Current simulation time in seconds."""
         return self._now
 
-    @property
-    def pending(self) -> int:
-        """Number of scheduled events not yet fired."""
-        return len(self._heap)
-
     def schedule(self, delay: float, action: Callable[[], None]) -> None:
         """Schedule ``action`` at ``now + delay`` (delay >= 0)."""
         if delay < 0:

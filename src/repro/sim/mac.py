@@ -2,7 +2,7 @@
 
 The paper toggles carrier sense: Fig. 8 has it on, Figs. 9-12 off.
 The MAC here is unslotted CSMA with binary exponential backoff; after
-``max_attempts`` busy sensings the frame is sent anyway, sustaining the
+``MAX_ATTEMPTS`` busy sensings the frame is sent anyway, sustaining the
 offered load the way a saturated real network does (the alternative —
 dropping — would silently reduce load and flatter every scheme).
 """
@@ -20,30 +20,22 @@ from repro.utils.units import dbm_to_mw
 class CsmaConfig:
     """Carrier-sense parameters.
 
-    ``cs_threshold_dbm`` is the energy-detect threshold; backoff delays
-    are uniform in [0, window) with the window doubling per retry.
+    ``CS_THRESHOLD_DBM`` is the energy-detect threshold; backoff delays
+    are uniform in [0, window) with the window doubling per retry from
+    ``INITIAL_BACKOFF_S`` up to ``MAX_BACKOFF_S``.
     """
 
-    enabled: bool = True
-    cs_threshold_dbm: float = -75.0
-    initial_backoff_s: float = 0.005
-    max_backoff_s: float = 0.32
-    max_attempts: int = 6
+    CS_THRESHOLD_DBM = -75.0
+    INITIAL_BACKOFF_S = 0.005
+    MAX_BACKOFF_S = 0.32
+    MAX_ATTEMPTS = 6
 
-    def __post_init__(self) -> None:
-        if self.initial_backoff_s <= 0:
-            raise ValueError("initial_backoff_s must be positive")
-        if self.max_backoff_s < self.initial_backoff_s:
-            raise ValueError(
-                "max_backoff_s must be >= initial_backoff_s"
-            )
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
+    enabled: bool = True
 
     @property
     def cs_threshold_mw(self) -> float:
         """Energy-detect threshold in milliwatts."""
-        return float(dbm_to_mw(self.cs_threshold_dbm))
+        return float(dbm_to_mw(self.CS_THRESHOLD_DBM))
 
 
 class CsmaMac:
@@ -72,11 +64,11 @@ class CsmaMac:
             self._attempt = 0
             return True, 0.0
         channel_clear = sensed_power_mw < cfg.cs_threshold_mw
-        if channel_clear or self._attempt >= cfg.max_attempts - 1:
+        if channel_clear or self._attempt >= cfg.MAX_ATTEMPTS - 1:
             self._attempt = 0
             return True, 0.0
         window = min(
-            cfg.initial_backoff_s * (2**self._attempt), cfg.max_backoff_s
+            cfg.INITIAL_BACKOFF_S * (2**self._attempt), cfg.MAX_BACKOFF_S
         )
         self._attempt += 1
         return False, float(self._rng.uniform(0.0, window))

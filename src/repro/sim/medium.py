@@ -30,29 +30,25 @@ from repro.utils.units import dbm_to_mw
 class PathLossModel:
     """Log-distance path loss: PL(d) = PL0 + 10 n log10(d / d0) + X_σ.
 
-    Defaults approximate a 2.4 GHz indoor office: ~40 dB loss at 1 m,
-    exponent 3.3 through walls and furniture, 6 dB shadowing.
+    The constants approximate a 2.4 GHz indoor office: 40 dB loss at
+    1 m and exponent 3.8 through walls and furniture; the shadowing
+    defaults to 6 dB.
     """
 
-    pl0_db: float = 40.0
-    d0_m: float = 1.0
-    exponent: float = 3.8
+    PL0_DB = 40.0
+    D0_M = 1.0
+    EXPONENT = 3.8
+
     shadowing_sigma_db: float = 6.0
 
     def __post_init__(self) -> None:
-        if self.d0_m <= 0:
-            raise ValueError(f"d0_m must be positive, got {self.d0_m}")
-        if self.exponent <= 0:
-            raise ValueError(
-                f"exponent must be positive, got {self.exponent}"
-            )
         if self.shadowing_sigma_db < 0:
             raise ValueError("shadowing sigma must be non-negative")
 
     def mean_loss_db(self, distance_m) -> np.ndarray:
         """Deterministic part of the path loss at a distance."""
-        d = np.maximum(np.asarray(distance_m, dtype=np.float64), self.d0_m)
-        return self.pl0_db + 10.0 * self.exponent * np.log10(d / self.d0_m)
+        d = np.maximum(np.asarray(distance_m, dtype=np.float64), self.D0_M)
+        return self.PL0_DB + 10.0 * self.EXPONENT * np.log10(d / self.D0_M)
 
 
 @dataclass(frozen=True)
@@ -91,10 +87,6 @@ class Transmission:
         """Time the last symbol finishes."""
         return self.start + self.duration
 
-    def overlaps(self, other: "Transmission") -> bool:
-        """Whether two transmissions share any airtime."""
-        return self.start < other.end and other.start < self.end
-
 
 class RadioMedium:
     """Node geometry plus frozen per-link channel gains.
@@ -117,7 +109,6 @@ class RadioMedium:
             raise ValueError(
                 f"positions must be (n, 2), got {positions.shape}"
             )
-        self._positions = positions
         self._model = path_loss or PathLossModel()
         self._tx_power_dbm = float(tx_power_dbm)
         self._noise_mw = float(dbm_to_mw(noise_floor_dbm))
@@ -145,11 +136,6 @@ class RadioMedium:
         rx_dbm = self._tx_power_dbm - loss
         self._rx_mw = dbm_to_mw(rx_dbm)
         np.fill_diagonal(self._rx_mw, np.inf)  # own signal saturates
-
-    @property
-    def positions(self) -> np.ndarray:
-        """Copy of node positions in metres."""
-        return self._positions.copy()
 
     @property
     def noise_mw(self) -> float:

@@ -39,6 +39,8 @@ from repro.sim.network import SimulationResult, transmitted_symbols
 
 _BITS_PER_SYMBOL = 4
 _SYMBOLS_PER_BYTE = 2
+# The largest Hamming hint: every chip of a 32-chip codeword wrong.
+_MAX_HINT = 32
 
 
 def trace_deliver(
@@ -386,36 +388,35 @@ def evaluate_schemes_reference(
 
 def hint_histograms(
     result: SimulationResult,
-    max_hint: int = 32,
-    postamble_enabled: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Hint histograms over payload codewords of acquired receptions.
 
     Returns ``(correct_hist, incorrect_hist)`` where index d counts
-    payload codewords with Hamming hint d — the raw material of the
-    paper's Figs. 3 and 15.
+    payload codewords with Hamming hint d (0 to 32, the chips of a
+    codeword) — the raw material of the paper's Figs. 3 and 15.
     """
-    correct_hist = np.zeros(max_hint + 1, dtype=np.int64)
-    incorrect_hist = np.zeros(max_hint + 1, dtype=np.int64)
+    correct_hist = np.zeros(_MAX_HINT + 1, dtype=np.int64)
+    incorrect_hist = np.zeros(_MAX_HINT + 1, dtype=np.int64)
     # Row by row, not as one block: a block's integer hint copy raised
     # the benchmark's peak RSS by ~12 MB for no speed gain.
-    for hints, correct in _acquired_payloads(result, postamble_enabled):
-        hints = hints.astype(int).clip(0, max_hint)
-        correct_hist += np.bincount(hints[correct], minlength=max_hint + 1)
+    for hints, correct in _acquired_payloads(result):
+        hints = hints.astype(int).clip(0, _MAX_HINT)
+        correct_hist += np.bincount(hints[correct], minlength=_MAX_HINT + 1)
         incorrect_hist += np.bincount(
-            hints[~correct], minlength=max_hint + 1
+            hints[~correct], minlength=_MAX_HINT + 1
         )
     return correct_hist, incorrect_hist
 
 
 def _acquired_payloads(
-    result: SimulationResult, postamble_enabled: bool
+    result: SimulationResult,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """``(hints, correct)`` over the payload of each acquired row."""
+    """``(hints, correct)`` over the payload of each row acquired with
+    postamble decoding on."""
     table = result.table
     payload = payload_slice(table.body_symbols.shape[1])
     truth = _payload_truth(result, payload)
-    rows = np.flatnonzero(table.acquired(postamble_enabled))
+    rows = np.flatnonzero(table.acquired(True))
     for row, tx in zip(
         rows.tolist(), table.tx_index[rows].tolist(), strict=True
     ):
@@ -428,30 +429,25 @@ def _acquired_payloads(
 def miss_run_length_counts(
     result: SimulationResult,
     etas: tuple[int, ...] = (1, 2, 3, 4),
-    postamble_enabled: bool = True,
 ) -> dict[int, Counter]:
     """Lengths of contiguous miss runs per threshold (paper Fig. 14).
 
     A *miss* is an incorrect codeword labelled good (hint <= η); runs
-    are maximal stretches of consecutive misses within a reception.
+    are maximal stretches of consecutive misses within a reception
+    acquired with postamble decoding on.
     """
     out: dict[int, Counter] = {eta: Counter() for eta in etas}
-    for hints, correct in _acquired_payloads(result, postamble_enabled):
+    for hints, correct in _acquired_payloads(result):
         for eta in etas:
             out[eta].update(run_lengths((hints <= eta) & ~correct))
     return out
 
 
-def false_alarm_rates(
-    correct_hist: np.ndarray, etas: np.ndarray | None = None
-) -> np.ndarray:
-    """P(hint > η | correct) for each η — the Fig. 15 curve."""
+def false_alarm_rates(correct_hist: np.ndarray) -> np.ndarray:
+    """P(hint > η | correct) for η = 0, 1, ... — the Fig. 15 curve."""
     correct_hist = np.asarray(correct_hist, dtype=np.float64)
     total = correct_hist.sum()
     if total == 0:
         raise ValueError("no correct codewords observed")
     tail = total - np.cumsum(correct_hist)
-    rates = tail / total
-    if etas is None:
-        return rates
-    return rates[np.asarray(etas, dtype=int)]
+    return tail / total

@@ -43,12 +43,11 @@ from repro.phy.chipchannel import (
     chip_error_probability_interference,
     transmit_chipwords_batch,
 )
-from repro.phy.codebook import Codebook, ZigbeeCodebook
+from repro.phy.codebook import ZigbeeCodebook
 from repro.phy.sync import SYNC_SYMBOLS
 from repro.sim.core import EventScheduler
 from repro.sim.mac import CsmaConfig, CsmaMac
 from repro.sim.medium import PathLossModel, RadioMedium, Transmission
-from repro.sim.sicpass import apply_sic_recovery
 from repro.sim.testbed import TestbedConfig, paper_testbed, wall_count_matrix
 from repro.sim.traffic import PoissonSource
 from repro.utils.bitops import popcount32
@@ -92,11 +91,6 @@ class SimulationConfig:
     noise_floor_dbm: float = -95.0
     wall_loss_db: float = 9.0
     fading_sigma_db: float = 3.0
-    # Re-decode isolated two-frame collisions at waveform fidelity
-    # through the SIC pipeline (repro.sim.sicpass) after the chip-level
-    # pass.  Opt-in: the waveform re-render costs orders of magnitude
-    # more per collision than the chip-level channel.
-    sic_recovery: bool = False
 
     def __post_init__(self) -> None:
         if self.load_bits_per_s_per_node <= 0:
@@ -529,12 +523,11 @@ class NetworkSimulation:
         self,
         config: SimulationConfig,
         testbed: TestbedConfig | None = None,
-        codebook: Codebook | None = None,
         path_loss: PathLossModel | None = None,
     ) -> None:
         self._config = config
         self._testbed = testbed or paper_testbed(seed=config.seed)
-        self._codebook = codebook or ZigbeeCodebook()
+        self._codebook = ZigbeeCodebook()
         extra_loss = None
         if config.wall_loss_db > 0:
             extra_loss = config.wall_loss_db * wall_count_matrix(
@@ -844,16 +837,6 @@ class NetworkSimulation:
         gains = self._draw_fades(transmissions)
         table = self._receive(transmissions, gains)
         self._arbitrate_locks(table, transmissions)
-        if cfg.sic_recovery:
-            apply_sic_recovery(
-                cfg,
-                self._codebook,
-                self._medium,
-                transmissions,
-                self._testbed.receiver_ids,
-                gains,
-                table,
-            )
         return SimulationResult(
             config=cfg,
             testbed=self._testbed,

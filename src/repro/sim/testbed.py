@@ -42,31 +42,16 @@ class TestbedConfig:
                 f"ids must cover 0..{n - 1} exactly, got {sorted(ids)}"
             )
 
-    @property
-    def n_senders(self) -> int:
-        """Sender count (23 in the paper's testbed)."""
-        return len(self.sender_ids)
 
-    @property
-    def n_receivers(self) -> int:
-        """Receiver count (4 in the paper's testbed)."""
-        return len(self.receiver_ids)
-
-
-def paper_testbed(
-    seed: int = 0,
-    n_senders: int = 23,
-    n_receivers: int = 4,
-) -> TestbedConfig:
+def paper_testbed(seed: int = 0) -> TestbedConfig:
     """Generate a Fig. 7-like layout, deterministic in ``seed``.
 
-    Senders are distributed round-robin over a 3x3 room grid at
-    uniform positions inside each room; receivers sit near the
-    quarter-points of the floor so each one is surrounded by several
-    rooms' worth of senders.
+    The paper's 23 senders are distributed round-robin over a 3x3 room
+    grid at uniform positions inside each room; its 4 receivers sit
+    near the quarter-points of the floor so each one is surrounded by
+    several rooms' worth of senders.
     """
-    if n_senders < 1 or n_receivers < 1:
-        raise ValueError("need at least one sender and one receiver")
+    n_senders, n_receivers = 23, 4
     rng = derive_rng(seed, "testbed-layout")
     width, height = 100 * FEET_TO_M, 50 * FEET_TO_M
     rooms_x, rooms_y = 3, 3
@@ -90,14 +75,9 @@ def paper_testbed(
         (2 / 3, 1 / 3),
         (1 / 3, 2 / 3),
         (2 / 3, 2 / 3),
-        (0.5, 0.5),
-        (1 / 6, 0.5),
-        (5 / 6, 0.5),
-        (0.5, 1 / 6),
     ]
     receiver_positions = []
-    for k in range(n_receivers):
-        fx, fy = anchor_points[k % len(anchor_points)]
+    for fx, fy in anchor_points:
         x = fx * width + rng.uniform(-1.0, 1.0)
         y = fy * height + rng.uniform(-1.0, 1.0)
         receiver_positions.append((x, y))

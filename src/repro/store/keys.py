@@ -40,20 +40,15 @@ def canonical_json(data: Any) -> str:
     )
 
 
-def config_key(
-    config: SimulationConfig, *, repro_version: str | None = None
-) -> str:
+def config_key(config: SimulationConfig) -> str:
     """The store key (hex SHA-256) addressing ``config``'s run.
 
-    ``repro_version`` overrides the package version stamp — for tests
-    that pin the invalidation behaviour; real callers always address
-    entries written by the code that is running.
+    The key folds in the package version stamp, so entries written by
+    another version are never addressed.
     """
     material = {
         "store_schema_version": STORE_SCHEMA_VERSION,
-        "repro_version": (
-            __version__ if repro_version is None else repro_version
-        ),
+        "repro_version": __version__,
         "config": config_to_dict(config),
     }
     digest = hashlib.sha256(canonical_json(material).encode("utf-8"))

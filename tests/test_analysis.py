@@ -30,12 +30,6 @@ class TestCdf:
         assert cdf.quantile(0.0) == 1.0
         assert cdf.quantile(1.0) == 100.0
 
-    def test_at(self):
-        cdf = Cdf(np.array([1.0, 2.0, 3.0, 4.0]))
-        assert cdf.at(2.0) == pytest.approx(0.5)
-        assert cdf.at(0.5) == 0.0
-        assert cdf.at(10.0) == 1.0
-
     def test_points_monotonic(self):
         xs, ys = Cdf(np.array([3.0, 1.0, 2.0])).points()
         assert np.all(np.diff(xs) >= 0)
@@ -63,10 +57,6 @@ class TestSummaries:
     def test_geometric_mean(self):
         assert geometric_mean([1.0, 100.0]) == pytest.approx(10.0)
         assert geometric_mean([2.0, 2.0, 2.0]) == pytest.approx(2.0)
-
-    def test_geometric_mean_epsilon_offsets_zeros(self):
-        value = geometric_mean([0.0, 1.0], epsilon=1e-3)
-        assert value > 0
 
     def test_errors(self):
         with pytest.raises(ValueError):

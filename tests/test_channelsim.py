@@ -38,33 +38,6 @@ class TestMixTransmissions:
         )
         assert out == pytest.approx(0.5 * wave)
 
-    def test_window_truncates(self):
-        wave = np.ones(10, dtype=complex)
-        out = mix_transmissions(
-            [TransmissionInstance(samples=wave, offset=5)], window_len=8
-        )
-        assert out.size == 8
-        assert out[5:] == pytest.approx(np.ones(3))
-
-    def test_phase_rotation(self):
-        wave = np.ones(4, dtype=complex)
-        out = mix_transmissions(
-            [
-                TransmissionInstance(
-                    samples=wave, offset=0, phase=np.pi / 2
-                )
-            ]
-        )
-        assert out == pytest.approx(1j * wave)
-
-    def test_cfo_rotates_progressively(self):
-        wave = np.ones(8, dtype=complex)
-        out = mix_transmissions(
-            [TransmissionInstance(samples=wave, offset=0, cfo=0.25)]
-        )
-        # 0.25 cycles/sample: sample 2 rotated by pi.
-        assert out[2] == pytest.approx(-1.0)
-
     def test_empty_without_window_rejected(self):
         with pytest.raises(ValueError):
             mix_transmissions([])

@@ -12,7 +12,6 @@ class TestZigbeeStructure:
     def test_geometry(self, codebook):
         assert codebook.n_symbols == 16
         assert codebook.chips_per_symbol == 32
-        assert codebook.bits_per_symbol == 4
 
     def test_codewords_distinct(self, codebook):
         assert len(set(codebook.encode_words(np.arange(16)).tolist())) == 16

@@ -10,13 +10,6 @@ from repro.coding.gf2 import (
     pack_bytes_to_words,
     unpack_words_to_bytes,
 )
-from repro.coding.gf256 import (
-    gf256_coefficients,
-    gf256_eliminate,
-    gf256_encode,
-    gf256_inv,
-    gf256_mul,
-)
 from repro.coding.rlnc import SegmentedRlncCodec
 
 
@@ -99,54 +92,9 @@ class TestGf2Kernels:
         assert not np.array_equal(a, c)
 
 
-class TestGf256Field:
-    def test_mul_identities(self, rng):
-        a = rng.integers(0, 256, 100).astype(np.uint8)
-        assert np.array_equal(gf256_mul(a, np.uint8(1)), a)
-        assert not gf256_mul(a, np.uint8(0)).any()
-
-    def test_mul_matches_carryless_reference(self, rng):
-        def slow_mul(x, y):
-            out = 0
-            while y:
-                if y & 1:
-                    out ^= x
-                x <<= 1
-                if x & 0x100:
-                    x ^= 0x11D
-                y >>= 1
-            return out
-
-        xs = rng.integers(0, 256, 60)
-        ys = rng.integers(0, 256, 60)
-        want = [slow_mul(int(x), int(y)) for x, y in zip(xs, ys, strict=True)]
-        got = gf256_mul(
-            xs.astype(np.uint8), ys.astype(np.uint8)
-        ).tolist()
-        assert got == want
-
-    def test_inverses(self):
-        for a in range(1, 256):
-            assert gf256_mul(np.uint8(a), np.uint8(gf256_inv(a))) == 1
-        with pytest.raises(ZeroDivisionError):
-            gf256_inv(0)
-
-    def test_eliminate_recovers_full_erasure(self, rng):
-        # GF(256) random matrices are near-MDS: k coded rows alone
-        # recover all k sources (no identity equations at all).
-        k, n_bytes = 5, 12
-        src = rng.integers(0, 256, (k, n_bytes)).astype(np.uint8)
-        coeffs = gf256_coefficients(3, "full", shape=(k + 1, k))
-        coded = gf256_encode(coeffs, src)
-        recovered, solved = gf256_eliminate(coeffs, coded)
-        assert recovered.all()
-        assert np.array_equal(solved, src)
-
-
 class TestSegmentedRlncCodec:
-    @pytest.mark.parametrize("field", ["gf2", "gf256"])
-    def test_clean_roundtrip(self, field, rng):
-        codec = SegmentedRlncCodec(8, 3, field=field, seed=2)
+    def test_clean_roundtrip(self, rng):
+        codec = SegmentedRlncCodec(8, 3)
         payload = bytes(rng.integers(0, 256, 101, dtype=np.uint8))
         wire = codec.encode(payload)
         assert len(wire) == codec.wire_length(len(payload))
@@ -156,9 +104,8 @@ class TestSegmentedRlncCodec:
         assert result.payload() == payload
         assert not result.coded_recovered.any()
 
-    @pytest.mark.parametrize("field", ["gf2", "gf256"])
-    def test_recovers_corrupted_segments(self, field, rng):
-        codec = SegmentedRlncCodec(10, 5, field=field, seed=4)
+    def test_recovers_corrupted_segments(self, rng):
+        codec = SegmentedRlncCodec(10, 5)
         payload = bytes(rng.integers(0, 256, 250, dtype=np.uint8))
         wire = bytearray(codec.encode(payload))
         for idx in (0, 4, 9):
@@ -167,15 +114,15 @@ class TestSegmentedRlncCodec:
         result = codec.decode(bytes(wire))
         assert not result.data_ok[[0, 4, 9]].any()
         assert result.data_ok.sum() == 7
-        # 5 intact repair equations over 3 unknowns: GF(256) always
-        # solves; GF(2) solves unless the random 5x3 minor loses rank
-        # (not the case for this seed).
+        # 5 intact repair equations over 3 unknowns: GF(2) solves
+        # unless the random 5x3 minor loses rank (not the case for
+        # this seed).
         assert result.complete
         assert result.payload() == payload
         assert result.coded_recovered.sum() == 3
 
     def test_unrecoverable_marks_segments_none(self, rng):
-        codec = SegmentedRlncCodec(6, 2, field="gf2", seed=1)
+        codec = SegmentedRlncCodec(6, 2)
         payload = bytes(rng.integers(0, 256, 120, dtype=np.uint8))
         wire = bytearray(codec.encode(payload))
         # Corrupt more segments than repair equations exist.
@@ -201,7 +148,7 @@ class TestSegmentedRlncCodec:
                 assert rebuilt[lo : lo + size] == payload[lo : lo + size]
 
     def test_corrupted_repair_segments_are_dropped(self, rng):
-        codec = SegmentedRlncCodec(6, 3, field="gf256", seed=9)
+        codec = SegmentedRlncCodec(6, 3)
         payload = bytes(rng.integers(0, 256, 90, dtype=np.uint8))
         wire = bytearray(codec.encode(payload))
         for offset, _ in codec.repair_spans(len(payload)):
@@ -213,7 +160,7 @@ class TestSegmentedRlncCodec:
         assert not result.delivered[2]
 
     def test_recoverable_mask_matches_decode(self, rng):
-        codec = SegmentedRlncCodec(8, 4, field="gf2", seed=6)
+        codec = SegmentedRlncCodec(8, 4)
         payload = bytes(rng.integers(0, 256, 160, dtype=np.uint8))
         for _trial in range(10):
             wire = bytearray(codec.encode(payload))
@@ -227,18 +174,12 @@ class TestSegmentedRlncCodec:
             )
             assert np.array_equal(mask, result.delivered)
 
-    @pytest.mark.parametrize(
-        ("field", "eliminate", "rhs_dtype"),
-        [("gf2", gf2_eliminate, np.uint64), ("gf256", gf256_eliminate, np.uint8)],
-    )
-    def test_recoverable_mask_matches_full_system(
-        self, rng, field, eliminate, rhs_dtype
-    ):
+    def test_recoverable_mask_matches_full_system(self, rng):
         """The erased-columns elimination (memoised) agrees with the
         full system — unit rows for intact segments plus the surviving
         repair rows — on random erasure patterns, repeats included."""
         k, r = 12, 6
-        codec = SegmentedRlncCodec(k, r, field=field, seed=3)
+        codec = SegmentedRlncCodec(k, r)
         eye = np.eye(k, dtype=np.uint8)
         for _trial in range(60):
             data_ok = rng.random(k) < rng.uniform(0.2, 1.0)
@@ -246,8 +187,8 @@ class TestSegmentedRlncCodec:
             coeffs = np.concatenate(
                 [eye[data_ok], codec.coefficients()[repair_ok]]
             )
-            want, _ = eliminate(
-                coeffs, np.zeros((coeffs.shape[0], 1), dtype=rhs_dtype)
+            want, _ = gf2_eliminate(
+                coeffs, np.zeros((coeffs.shape[0], 1), dtype=np.uint64)
             )
             got = codec.recoverable_mask(data_ok, repair_ok)
             assert np.array_equal(got, want)
@@ -256,7 +197,7 @@ class TestSegmentedRlncCodec:
         assert codec.coefficients() is codec.coefficients()
 
     def test_wire_length_inversion_exhaustive(self):
-        codec = SegmentedRlncCodec(7, 3, seed=0)
+        codec = SegmentedRlncCodec(7, 3)
         for payload_len in range(7, 200):
             wire_len = codec.wire_length(payload_len)
             assert codec.payload_length(wire_len) == payload_len
@@ -271,7 +212,5 @@ class TestSegmentedRlncCodec:
             SegmentedRlncCodec(0, 1)
         with pytest.raises(ValueError, match="n_repair"):
             SegmentedRlncCodec(4, 0)
-        with pytest.raises(ValueError, match="field"):
-            SegmentedRlncCodec(4, 2, field="gf64")
         with pytest.raises(ValueError, match="one byte"):
             SegmentedRlncCodec(300, 2)

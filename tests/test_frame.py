@@ -71,7 +71,7 @@ class TestPprFrame:
     def test_on_air_includes_sync_fields(self):
         frame = self._frame()
         air = frame.on_air_symbols()
-        assert air.size == frame.n_body_symbols + 2 * SYNC_SYMBOLS
+        assert air.size == frame.body_symbols().size + 2 * SYNC_SYMBOLS
         assert air[:8].tolist() == [0] * 8
         assert tuple(air[8:10]) == SFD_SYMBOLS
         assert tuple(air[-2:]) == EFD_SYMBOLS
@@ -101,7 +101,7 @@ class TestPprFrame:
 
     def test_payload_symbol_range(self):
         frame = self._frame(b"abcd")
-        region = payload_slice(frame.n_body_symbols)
+        region = payload_slice(frame.body_symbols().size)
         assert region.start == SYMBOLS_PER_BYTE * HEADER_BYTES
         assert region.stop - region.start == SYMBOLS_PER_BYTE * 4
         assert symbols_to_bytes(frame.body_symbols()[region]) == b"abcd"

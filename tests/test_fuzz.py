@@ -128,9 +128,12 @@ class TestSchemeFuzz:
             hints[idx] = rng.uniform(0, 20, n_corrupt)
         rx = SoftPacket(symbols=symbols, hints=hints, truth=truth)
         result = scheme.deliver(rx)
-        assert 0 <= result.delivered_bits <= result.payload_bits
         assert result.delivered_correct_bits >= 0
         assert result.delivered_incorrect_bits >= 0
+        assert (
+            result.delivered_correct_bits + result.delivered_incorrect_bits
+            <= result.payload_bits
+        )
         if n_corrupt == 0:
             assert result.frame_passed
             assert result.delivered_correct_bits == result.payload_bits

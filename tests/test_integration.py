@@ -10,6 +10,7 @@ import numpy as np
 from repro.arq.protocol import PpArqSession
 from repro.link.frame import (
     PprFrame,
+    body_symbol_count,
     parse_header_bytes,
     parse_trailer_bytes,
     payload_slice,
@@ -38,11 +39,12 @@ class TestWaveformToLinkLayer:
         )
         noisy = add_awgn(wave, 0.15, rng)
         frontend = ReceiverFrontend(codebook, sps=4)
+        n_body = body_symbol_count(len(frame.wire_payload))
 
         # Preamble path.
         det = frontend.detect(noisy, "preamble")[0]
         symbols, hints = frontend.decode_symbols_at(
-            noisy, det.sample_offset, 10, frame.n_body_symbols, det.phase
+            noisy, det.sample_offset, 10, n_body, det.phase
         )
         region = payload_slice(symbols.size)
         _, header_ok = parse_header_bytes(
@@ -61,8 +63,8 @@ class TestWaveformToLinkLayer:
         symbols2, _ = frontend.decode_symbols_at(
             noisy,
             post.sample_offset,
-            -frame.n_body_symbols,
-            frame.n_body_symbols,
+            -n_body,
+            n_body,
             post.phase,
         )
         assert np.array_equal(symbols2, symbols)

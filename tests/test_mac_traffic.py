@@ -11,16 +11,8 @@ from repro.utils.rng import ensure_rng
 
 class TestCsmaConfig:
     def test_threshold_conversion(self):
-        cfg = CsmaConfig(cs_threshold_dbm=-75.0)
+        cfg = CsmaConfig()
         assert cfg.cs_threshold_mw == pytest.approx(dbm_to_mw(-75.0))
-
-    def test_invalid_backoffs(self):
-        with pytest.raises(ValueError):
-            CsmaConfig(initial_backoff_s=0)
-        with pytest.raises(ValueError):
-            CsmaConfig(initial_backoff_s=0.1, max_backoff_s=0.05)
-        with pytest.raises(ValueError):
-            CsmaConfig(max_attempts=0)
 
 
 class TestCsmaMac:
@@ -42,34 +34,34 @@ class TestCsmaMac:
         mac, cfg = self._mac(enabled=True)
         go, delay = mac.attempt(sensed_power_mw=cfg.cs_threshold_mw * 10)
         assert not go
-        assert 0 <= delay <= cfg.initial_backoff_s
+        assert 0 <= delay <= cfg.INITIAL_BACKOFF_S
 
     def test_backoff_window_grows(self):
-        mac, cfg = self._mac(enabled=True, max_attempts=10)
+        mac, cfg = self._mac(enabled=True)
         busy = cfg.cs_threshold_mw * 10
         delays = []
-        for _ in range(6):
+        for _ in range(cfg.MAX_ATTEMPTS - 1):
             go, delay = mac.attempt(busy)
             if not go:
                 delays.append(delay)
         # Windows double, so later delays *can* exceed the first window.
-        assert len(delays) == 6
-        assert max(delays) <= cfg.max_backoff_s
+        assert len(delays) == cfg.MAX_ATTEMPTS - 1
+        assert max(delays) <= cfg.MAX_BACKOFF_S
 
     def test_sends_anyway_after_max_attempts(self):
-        mac, cfg = self._mac(enabled=True, max_attempts=3)
+        mac, cfg = self._mac(enabled=True)
         busy = cfg.cs_threshold_mw * 10
-        outcomes = [mac.attempt(busy)[0] for _ in range(3)]
-        assert outcomes == [False, False, True]
+        outcomes = [mac.attempt(busy)[0] for _ in range(cfg.MAX_ATTEMPTS)]
+        assert outcomes == [False] * (cfg.MAX_ATTEMPTS - 1) + [True]
 
     def test_backoff_state_resets_after_send(self):
-        mac, cfg = self._mac(enabled=True, max_attempts=3)
+        mac, cfg = self._mac(enabled=True)
         busy = cfg.cs_threshold_mw * 10
         mac.attempt(busy)
         mac.attempt(cfg.cs_threshold_mw / 10)  # clear -> sends
-        # a fresh frame again gets max_attempts - 1 backoffs
-        outcomes = [mac.attempt(busy)[0] for _ in range(3)]
-        assert outcomes == [False, False, True]
+        # a fresh frame again gets MAX_ATTEMPTS - 1 backoffs
+        outcomes = [mac.attempt(busy)[0] for _ in range(cfg.MAX_ATTEMPTS)]
+        assert outcomes == [False] * (cfg.MAX_ATTEMPTS - 1) + [True]
 
 
 class TestTrafficSources:

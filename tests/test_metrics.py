@@ -235,7 +235,7 @@ class TestTraceDeliverSprac:
         assert result.overhead_bits == 32 * 15 + 5 * 60 * 4
 
     def test_burst_recovered_via_repair_windows(self):
-        scheme = SpracScheme(n_segments=10, n_repair=5, field="gf256")
+        scheme = SpracScheme(n_segments=10, n_repair=5)
         correct = np.ones(600, dtype=bool)
         correct[0:55] = False  # erases segment 0 (symbols 0..59)
         result = trace_deliver(scheme, correct, np.zeros(600))
@@ -244,7 +244,7 @@ class TestTraceDeliverSprac:
         assert result.delivered_incorrect_bits == 0
 
     def test_more_erasures_than_equations_fail_closed(self):
-        scheme = SpracScheme(n_segments=10, n_repair=1, field="gf256")
+        scheme = SpracScheme(n_segments=10, n_repair=1)
         correct = np.zeros(600, dtype=bool)  # everything wrong
         result = trace_deliver(scheme, correct, np.zeros(600))
         assert not result.frame_passed

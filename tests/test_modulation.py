@@ -57,17 +57,9 @@ class TestModulator:
         with pytest.raises(ValueError, match="0/1"):
             MskModulator().modulate_chips(np.array([0, 2]))
 
-    def test_amplitude_scales_output(self):
-        chips = np.ones(8, dtype=np.int64)
-        quiet = MskModulator(sps=4, amplitude=1.0).modulate_chips(chips)
-        loud = MskModulator(sps=4, amplitude=2.0).modulate_chips(chips)
-        assert loud == pytest.approx(2.0 * quiet)
-
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
             MskModulator(sps=1)
-        with pytest.raises(ValueError):
-            MskModulator(amplitude=0)
 
 
 class TestDemodulatorRoundtrip:

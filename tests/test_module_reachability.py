@@ -1,5 +1,6 @@
-"""Every module under ``src/repro`` is reached by the runner, and every
-function, class and method is reached or kept with a stated reason.
+"""Every module under ``src/repro`` is reached by the runner, every
+function, class and method is reached or kept with a stated reason, and
+every option is set by a root or kept with a stated reason.
 
 **Modules.** A static import walk (stdlib ``ast``, nothing is imported)
 starts at the runner, the report generator and every ``exp_*`` module
@@ -16,29 +17,44 @@ runner reaches is wired in or deleted; there is no allowlist.
 **Symbols.** Every top-level function and class of a module, and
 every method of a top-level class, is a symbol.  The names a symbol
 references are its ``ast.Name`` ids, ``ast.Attribute`` attrs and the
-identifiers of strings made of dotted or ``module:attr`` paths;
-docstrings, ``__all__`` lists and package ``__init__`` re-exports do
-not count.  Live references start from the modules' own top-level
-statements (they run on import) and from every file under
-``examples/`` and ``perfbench/`` (outside its tests), and spread to a
-fixed point: a live name makes every symbol of that bare name live,
-whatever its module or class, and a live symbol makes every name it
-references live.  Matching by bare name keeps an override live with
-its base's call site, without type inference.  Dunders (live with
-their class) and ``*_reference`` twins are exempt and count as live.
-Any other symbol that nothing reaches either earns a place in ``KEEP``
-with a one-line reason or is deleted; a kept symbol's references are
-live too.
+identifiers of strings made of identifier paths; docstrings,
+``__all__`` lists and package ``__init__`` re-exports do not count.
+Live references start from the modules' own top-level statements (they
+run on import) and from every file under ``examples/`` and
+``perfbench/`` (outside its tests), and spread to a fixed point: a live
+name makes every symbol of that bare name live, whatever its module or
+class, and a live symbol makes every name it references live.  Only an
+attribute, a dotted or ``module:attr`` string or a ``getattr`` string
+can reach a method; a bare name (a local variable, a dict key) reaches
+top-level functions and classes only.  Matching by bare name keeps an
+override live with its base's call site, without type inference.
+Dunders (live with their class) and ``*_reference`` twins are exempt
+and count as live.  Any other symbol that nothing reaches either earns
+a place in ``KEEP`` with a one-line reason or is deleted; a kept
+symbol's references are live too.
 
-``KEEP`` cannot go stale: a kept symbol that is reached, or that no
-longer exists, fails the test too.
+**Options.** Every defaulted parameter of a function or method, and
+every defaulted field of a frozen dataclass, is an option (mutable
+dataclasses are counters and have none).  A root -- any module under
+``src/repro``, ``examples/`` or ``perfbench/`` outside its tests --
+sets an option when one of its calls passes it a value other than the
+literal default, by keyword or by position.  Calls match signatures by
+bare name, as symbols do.  A SimulationConfig field is also set by an
+override key, or one of ``_FIELD_ALIASES``, of ``RunCache``, ``get``,
+``config_for``, ``grid`` or ``sweep``.  An option no root sets is made
+a constant, its branch deleted, or it sits in ``KEEP_OPTIONS`` with a
+reason: its value comes from outside the program, it is a test seam,
+or it belongs to a reference spec.
+
+``KEEP`` and ``KEEP_OPTIONS`` cannot go stale: a kept entry that is
+reached or set, or that no longer exists, fails the test too.
 """
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 PACKAGE = "repro"
@@ -262,6 +278,29 @@ KEEP = {
         "the byte-level spec of a stored run: the joined chunks the "
         "store writes, which the quick-point digests pin"
     ),
+    "repro.link.schemes.DeliveryScheme.deliver": (
+        "wire-level delivery spec the trace evaluator is pinned against"
+    ),
+    "repro.link.schemes.PacketCrcScheme.deliver": (
+        "wire-level delivery spec the trace evaluator is pinned against"
+    ),
+    "repro.link.schemes.FragmentedCrcScheme.deliver": (
+        "wire-level delivery spec the trace evaluator is pinned against"
+    ),
+    "repro.link.schemes.PprScheme.deliver": (
+        "wire-level delivery spec the trace evaluator is pinned against"
+    ),
+    "repro.link.schemes.SpracScheme.deliver": (
+        "wire-level delivery spec the trace evaluator is pinned against"
+    ),
+    "repro.link.frame.parse_header_bytes": (
+        "byte-level header check the per-record reception reference "
+        "parses through, pinning the live header_rows_ok"
+    ),
+    "repro.link.frame.parse_trailer_bytes": (
+        "byte-level trailer check the per-record reception reference "
+        "parses through, pinning the live trailer verification"
+    ),
 }
 
 
@@ -286,24 +325,36 @@ def _docstrings(tree: ast.AST) -> set[int]:
 
 
 def _references(nodes: Iterable[ast.AST], skip: set[int]) -> set[str]:
-    """Bare names ``nodes`` use: names, attributes, and the identifiers of
-    strings made of dotted or ``module:attr`` paths (``getattr``
-    arguments, perfbench probe targets)."""
+    """Names ``nodes`` use.  Only an ``ast.Attribute`` attr, an
+    identifier of a string made of dotted or ``module:attr`` paths
+    (perfbench probe targets) or the attribute string of a ``getattr``
+    can name a method; those get a leading ``.``.  A bare ``ast.Name``
+    id or any other identifier string stays bare: it can only name a
+    top-level function or class."""
     names = set()
     for top in nodes:
+        attr_strings = {
+            id(node.args[1])
+            for node in ast.walk(top)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) in ("getattr", "hasattr")
+            and len(node.args) > 1
+        }
         for node in ast.walk(top):
             if isinstance(node, ast.Name):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
+                names.add(f".{node.attr}")
             elif (
                 isinstance(node, ast.Constant)
                 and isinstance(node.value, str)
                 and id(node) not in skip
             ):
-                parts = node.value.replace(":", ".").split(".")
+                path = node.value.replace(":", ".")
+                parts = path.split(".")
                 if all(p.isidentifier() or not p for p in parts):
-                    names.update(p for p in parts if p)
+                    dot = "." if "." in path or id(node) in attr_strings else ""
+                    names.update(f"{dot}{p}" for p in parts if p)
     return names
 
 
@@ -385,8 +436,12 @@ def live_symbols(kept: Iterable[str] = ()) -> set[str]:
     by_name: dict[str, list[str]] = {}
     exempt_methods: dict[str, list[str]] = {}
     for symbol, (bare, _) in SYMBOLS.items():
-        by_name.setdefault(bare, []).append(symbol)
-        if _owner(symbol) and _is_exempt(symbol):
+        # ``.name`` reaches every symbol called ``name``; a bare ``name``
+        # only the top-level ones, since no bare name can call a method.
+        by_name.setdefault(f".{bare}", []).append(symbol)
+        if not _owner(symbol):
+            by_name.setdefault(bare, []).append(symbol)
+        elif _is_exempt(symbol):
             exempt_methods.setdefault(_owner(symbol), []).append(symbol)
     live: set[str] = set()
     seen: set[str] = set()
@@ -426,3 +481,428 @@ def test_keep_is_not_stale():
     reached = set(KEEP) & live_symbols()
     assert not reached, f"kept symbols are now reached; drop them: {sorted(reached)}"
     assert all(reason.strip() for reason in KEEP.values())
+
+
+# --------------------------------------------------------------------------
+# Options
+# --------------------------------------------------------------------------
+
+#: calls whose keyword arguments are SimulationConfig overrides, by name
+#: or through ``_FIELD_ALIASES`` (``RunCache(seed=)``, ``grid(load=)``)
+OVERRIDE_CALLS = frozenset({"RunCache", "get", "config_for", "grid", "sweep"})
+
+#: defaulted parameters and frozen-dataclass fields no root sets, each
+#: with the reason it stays an option: its value comes from outside the
+#: program, it is a test seam, or it belongs to a reference spec
+_FROM_REPRO_EXEC = "from outside: a REPRO_EXEC spec, parsed by field name"
+_FROM_REPRO_FAULTS = "from outside: a REPRO_FAULTS spec, parsed by field name"
+_MIRRORS_PLAN_CHUNKS = (
+    "reference spec: a bound the DP planner is checked against, so it "
+    "takes plan_chunks' checksum_bits"
+)
+_MIRRORS_REMODULATE = (
+    "reference spec: the loop twin of remodulate_frame takes its knobs"
+)
+KEEP_OPTIONS: dict[str, str] = {
+    "repro.exec.policy.ExecPolicy.backoff_base_s": _FROM_REPRO_EXEC,
+    "repro.exec.policy.ExecPolicy.backoff_jitter": _FROM_REPRO_EXEC,
+    "repro.exec.policy.ExecPolicy.backoff_multiplier": _FROM_REPRO_EXEC,
+    "repro.exec.policy.ExecPolicy.max_attempts": _FROM_REPRO_EXEC,
+    "repro.exec.policy.ExecPolicy.max_spawn_failures": _FROM_REPRO_EXEC,
+    "repro.exec.policy.ExecPolicy.timeout_base_s": _FROM_REPRO_EXEC,
+    "repro.exec.policy.ExecPolicy.timeout_scale": _FROM_REPRO_EXEC,
+    "repro.exec.faults.FaultPlan.crash": _FROM_REPRO_FAULTS,
+    "repro.exec.faults.FaultPlan.fail": _FROM_REPRO_FAULTS,
+    "repro.exec.faults.FaultPlan.flaky": _FROM_REPRO_FAULTS,
+    "repro.exec.faults.FaultPlan.hang": _FROM_REPRO_FAULTS,
+    "repro.exec.supervisor.Supervisor.__init__.faults": (
+        "test seam: tests inject a FaultPlan without the environment"
+    ),
+    "repro.exec.supervisor.Supervisor.__init__.context": (
+        "test seam: tests pass a multiprocessing context that refuses "
+        "to fork, to drive degradation to serial"
+    ),
+    "repro.sim.network.NetworkSimulation.__init__.testbed": (
+        "test seam: tests/test_network.py runs hand-built three-node "
+        "layouts that force deferrals and equal-power collisions"
+    ),
+    "repro.sim.network.NetworkSimulation.__init__.path_loss": (
+        "test seam: those three-node layouts switch shadowing off"
+    ),
+    "repro.sim.network.SimulationConfig.fading_sigma_db": (
+        "model parameter a closed-form test sets to its limit: 0 turns "
+        "block fading off (test_network, the hot-codeword equivalence)"
+    ),
+    "repro.sim.network.SimulationConfig.wall_loss_db": (
+        "model parameter a closed-form test sets to its limit: 0 drops "
+        "wall losses from the hand-built layouts"
+    ),
+    "repro.sim.network.SimulationConfig.min_rx_snr_db": (
+        "model parameter a closed-form test sets to its limit: 200 dB "
+        "makes no link audible"
+    ),
+    "repro.sim.network.SimulationConfig.tx_power_dbm": (
+        "reference spec: the paper's radio model; a config field is "
+        "part of every stored run's key, so it stays a field"
+    ),
+    "repro.sim.network.SimulationConfig.symbol_period_s": (
+        "reference spec: the paper's 16 us codeword time (7.3); a "
+        "config field is part of every stored run's key"
+    ),
+    "repro.sim.network.SimulationConfig.sync_error_threshold": (
+        "reference spec: the paper's correlator threshold; a config "
+        "field is part of every stored run's key"
+    ),
+    "repro.arq.chunking.chunk_cost_naive.checksum_bits": _MIRRORS_PLAN_CHUNKS,
+    "repro.arq.chunking.merged_single_chunk_cost.checksum_bits": (
+        _MIRRORS_PLAN_CHUNKS
+    ),
+    "repro.arq.chunking.plan_chunks_reference.checksum_bits": (
+        "reference spec: the loop twin of plan_chunks takes its "
+        "checksum_bits"
+    ),
+    "repro.phy.remodulate.remodulate_frame_reference.sps": _MIRRORS_REMODULATE,
+    "repro.phy.remodulate.remodulate_frame_reference.gain": _MIRRORS_REMODULATE,
+    "repro.phy.remodulate.remodulate_frame_reference.phase": (
+        _MIRRORS_REMODULATE
+    ),
+    "repro.phy.frontend.ReceiverFrontend.decode_symbols_at.phase": (
+        "reference spec: the per-capture decode the batch engine is "
+        "pinned against takes the detected carrier phase"
+    ),
+    "repro.sim.metrics.evaluate_schemes_reference.postamble_options": (
+        "reference spec: the loop twin of evaluate_schemes takes its "
+        "postamble_options"
+    ),
+}
+
+
+class _Signature(NamedTuple):
+    """What a call binds: the parameters positional arguments fill, in
+    order, and the defaulted ones (its options) with their defaults.
+    ``owner`` prefixes option ids: ``owner.param``."""
+
+    owner: str
+    positional: tuple[str, ...]
+    defaults: dict[str, ast.expr]
+
+
+def _dataclass_kind(node: ast.ClassDef) -> str | None:
+    """``"frozen"`` or ``"mutable"`` for a dataclass, else ``None``."""
+    for deco in node.decorator_list:
+        call = deco if isinstance(deco, ast.Call) else None
+        target = call.func if call else deco
+        name = getattr(target, "id", None) or getattr(target, "attr", None)
+        if name != "dataclass":
+            continue
+        frozen = any(
+            kw.arg == "frozen"
+            and isinstance(kw.value, ast.Constant)
+            and kw.value.value is True
+            for kw in (call.keywords if call else ())
+        )
+        return "frozen" if frozen else "mutable"
+    return None
+
+
+def _function_signature(
+    owner: str, node: ast.FunctionDef | ast.AsyncFunctionDef, bound: bool
+) -> _Signature:
+    """``bound``: a method called on an instance or class, whose first
+    parameter the call does not pass."""
+    args = node.args
+    params = [*args.posonlyargs, *args.args]
+    defaulted = params[len(params) - len(args.defaults) :]
+    defaults = {a.arg: d for a, d in zip(defaulted, args.defaults, strict=True)}
+    defaults |= {
+        a.arg: d
+        for a, d in zip(args.kwonlyargs, args.kw_defaults, strict=True)
+        if d is not None
+    }
+    static = any(
+        getattr(d, "id", None) == "staticmethod" for d in node.decorator_list
+    )
+    names = tuple(a.arg for a in params)
+    return _Signature(owner, names[1:] if bound and not static else names, defaults)
+
+
+def _dataclass_signature(owner: str, node: ast.ClassDef, frozen: bool) -> _Signature:
+    """Fields in order; only a frozen dataclass's defaults are options."""
+    names, defaults = [], {}
+    for item in node.body:
+        if not (
+            isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+        ) or "ClassVar" in ast.unparse(item.annotation):
+            continue
+        names.append(item.target.id)
+        value = item.value
+        if (
+            isinstance(value, ast.Call)
+            and getattr(value.func, "id", None) == "field"
+        ):
+            given = {kw.arg: kw.value for kw in value.keywords}
+            value = given.get("default", value if "default_factory" in given else None)
+        if value is not None and frozen:
+            defaults[item.target.id] = value
+    return _Signature(owner, tuple(names), defaults)
+
+
+def signatures(
+    trees: dict[str, ast.Module],
+) -> tuple[
+    dict[str, list[_Signature]], dict[str, list[_Signature]], list[_Signature]
+]:
+    """Call signatures: ``(top, anywhere, own)``.  ``top`` maps a bare
+    name to the top-level functions and classes it can call;
+    ``anywhere`` adds the methods an attribute can call.  A class's
+    signature is its ``__init__``, else its dataclass fields, else its
+    first base's.  ``own`` lists each function, method and dataclass
+    once, the owners of the options."""
+    top: dict[str, list[_Signature]] = {}
+    methods: dict[str, list[_Signature]] = {}
+    classes: dict[str, list[tuple[str, ast.ClassDef]]] = {}
+    own: list[_Signature] = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            name = f"{module}.{getattr(node, 'name', '')}"
+            if isinstance(node, _FUNCS):
+                sig = _function_signature(name, node, bound=False)
+                top.setdefault(node.name, []).append(sig)
+                own.append(sig)
+            elif isinstance(node, ast.ClassDef):
+                classes.setdefault(node.name, []).append((name, node))
+                kind = _dataclass_kind(node)
+                if kind:
+                    own.append(_dataclass_signature(name, node, kind == "frozen"))
+                for item in node.body:
+                    if isinstance(item, _FUNCS):
+                        sig = _function_signature(f"{name}.{item.name}", item, bound=True)
+                        methods.setdefault(item.name, []).append(sig)
+                        own.append(sig)
+
+    def class_signature(name: str, node: ast.ClassDef, seen: set) -> _Signature | None:
+        for item in node.body:
+            if isinstance(item, _FUNCS) and item.name == "__init__":
+                return _function_signature(f"{name}.__init__", item, bound=True)
+        kind = _dataclass_kind(node)
+        if kind:
+            return _dataclass_signature(name, node, kind == "frozen")
+        for base in node.bases:
+            for base_name, base_node in classes.get(getattr(base, "id", ""), []):
+                if base_name not in seen:
+                    seen.add(base_name)
+                    return class_signature(base_name, base_node, seen)
+        return None
+
+    for bare, defs in classes.items():
+        for name, node in defs:
+            sig = class_signature(name, node, {name})
+            if sig is not None:
+                top.setdefault(bare, []).append(sig)
+    anywhere = {
+        name: top.get(name, []) + methods.get(name, [])
+        for name in top.keys() | methods.keys()
+    }
+    return top, anywhere, own
+
+
+def options(trees: dict[str, ast.Module]) -> dict[str, ast.expr]:
+    """Every option, ``owner.param`` -> its default: the defaulted
+    parameters of functions and methods, and the defaulted fields of
+    frozen dataclasses.  Mutable dataclasses are counters, not options."""
+    return {
+        f"{sig.owner}.{param}": default
+        for sig in signatures(trees)[2]
+        for param, default in sig.defaults.items()
+    }
+
+
+def _is_default(value: ast.expr, default: ast.expr) -> bool:
+    """Whether ``value`` is literally ``default`` (``3.0`` is ``3``,
+    ``True`` is not ``1``); a name or any other expression never is."""
+    try:
+        a, b = ast.literal_eval(value), ast.literal_eval(default)
+    except (ValueError, TypeError, SyntaxError, MemoryError, RecursionError):
+        return False
+    return isinstance(a, bool) == isinstance(b, bool) and a == b
+
+
+def set_options(
+    trees: dict[str, ast.Module],
+    roots: Iterable[ast.AST],
+    aliases: dict[str, str],
+) -> set[str]:
+    """Options some call in ``roots`` passes a non-default value to.
+
+    A call reaches every signature of its callee's bare name (only the
+    top-level ones for a bare name), binding positional arguments up to
+    the first ``*args`` and keyword arguments by name.  A keyword of an
+    ``OVERRIDE_CALLS`` call, or its alias, sets a SimulationConfig
+    field."""
+    top, anywhere, _ = signatures(trees)
+    config = [s for s in top.get("SimulationConfig", []) if s.defaults]
+    found: set[str] = set()
+
+    def bind(sig: _Signature, pairs: Iterable[tuple[str, ast.expr]]) -> None:
+        for param, value in pairs:
+            default = sig.defaults.get(param)
+            if default is not None and not _is_default(value, default):
+                found.add(f"{sig.owner}.{param}")
+
+    for root in roots:
+        # ``from m import f as g``: a call of ``g`` is a call of ``f``.
+        imported = {
+            alias.asname: alias.name
+            for node in ast.walk(root)
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+            if alias.asname
+        }
+        for node in ast.walk(root):
+            if not isinstance(node, ast.Call):
+                continue
+            if isinstance(node.func, ast.Name):
+                name = imported.get(node.func.id, node.func.id)
+                sigs = top.get(name, [])
+            elif isinstance(node.func, ast.Attribute):
+                name, sigs = node.func.attr, anywhere.get(node.func.attr, [])
+            else:
+                continue
+            positional = []
+            for arg in node.args:
+                if isinstance(arg, ast.Starred):
+                    break
+                positional.append(arg)
+            keywords = [(kw.arg, kw.value) for kw in node.keywords if kw.arg]
+            for sig in sigs:
+                bind(sig, zip(sig.positional, positional, strict=False))
+                bind(sig, keywords)
+            if name in OVERRIDE_CALLS:
+                for sig in config:
+                    bind(sig, ((aliases.get(k, k), v) for k, v in keywords))
+    return found
+
+
+def _field_aliases(tree: ast.Module) -> dict[str, str]:
+    for node in tree.body:
+        if (
+            isinstance(node, ast.Assign)
+            and getattr(node.targets[0], "id", None) == "_FIELD_ALIASES"
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError("no _FIELD_ALIASES")
+
+
+def option_findings(
+    trees: dict[str, ast.Module],
+    roots: Iterable[ast.AST],
+    aliases: dict[str, str],
+    keep: dict[str, str],
+) -> tuple[set[str], set[str]]:
+    """``(unset, stale)``: the options neither set by ``roots`` nor in
+    ``keep``, and the ``keep`` entries that are no option or are set."""
+    found = options(trees)
+    passed = set_options(trees, roots, aliases)
+    unset = set(found) - passed - set(keep)
+    stale = (set(keep) - set(found)) | (set(keep) & passed)
+    return unset, stale
+
+
+def _repo_option_findings() -> tuple[set[str], set[str]]:
+    trees = {
+        module: ast.parse(MODULES[module].read_text(encoding="utf-8"))
+        for module in sorted(_plain_modules())
+    }
+    external = [
+        ast.parse(path.read_text(encoding="utf-8")) for path in EXTERNAL_ROOTS
+    ]
+    return option_findings(
+        trees,
+        [*trees.values(), *external],
+        _field_aliases(trees["repro.experiments.common"]),
+        KEEP_OPTIONS,
+    )
+
+
+def test_every_option_is_set_or_kept():
+    unset, _ = _repo_option_findings()
+    assert not unset, (
+        "options no runner, example or perfbench call sets to anything "
+        "but their default; make them constants or keep them with a "
+        f"reason: {sorted(unset)}"
+    )
+
+
+def test_keep_options_is_not_stale():
+    _, stale = _repo_option_findings()
+    assert not stale, (
+        f"kept options that no longer exist or are now set: {sorted(stale)}"
+    )
+    assert all(reason.strip() for reason in KEEP_OPTIONS.values())
+
+
+_RULES_MODULE = """
+from dataclasses import dataclass
+
+class Crc:
+    def checksum_many(self, rows, lengths=None, *, order=0): ...
+
+class Receiver:
+    def receive_retransmission(self, packet, channel_view=None): ...
+
+def plot(series, width=60): ...
+
+@dataclass(frozen=True)
+class SimulationConfig:
+    seed: int = 0
+    duration_s: float = 30.0
+    noise_floor_dbm: float = -95.0
+    carrier_sense: bool = True
+
+@dataclass
+class Counters:
+    hits: int = 0
+"""
+
+_RULES_ROOT = """
+CRC.checksum_many(rows, lengths)
+rx.receive_retransmission(packet, view)
+plot(series, width=60)
+plot(series, 60.0)
+cache = RunCache(seeds=3)
+cache.get(noise_floor_dbm=-87.0)
+SimulationConfig(carrier_sense=True)
+"""
+
+
+def test_option_check_rules():
+    trees = {"pkg.mod": ast.parse(_RULES_MODULE)}
+    roots = [ast.parse(_RULES_ROOT)]
+    aliases = {"seeds": "seed"}
+    prefix = "pkg.mod."
+    # Mutable dataclasses hold counters, not options.
+    assert {name.removeprefix(prefix) for name in options(trees)} == {
+        "Crc.checksum_many.lengths",
+        "Crc.checksum_many.order",
+        "Receiver.receive_retransmission.channel_view",
+        "plot.width",
+        "SimulationConfig.seed",
+        "SimulationConfig.duration_s",
+        "SimulationConfig.noise_floor_dbm",
+        "SimulationConfig.carrier_sense",
+    }
+    keep = {
+        f"{prefix}Crc.checksum_many.order": "kept with a reason",
+        f"{prefix}Crc.checksum_many.lengths": "stale: a root passes it",
+        f"{prefix}gone.knob": "stale: no such option",
+    }
+    unset, stale = option_findings(trees, roots, aliases, keep)
+    # Positional passes (to a method, past its ``self``) count; so do
+    # an override key and an alias of one.  Passing the literal default,
+    # by keyword or by position, does not.
+    assert {name.removeprefix(prefix) for name in unset} == {
+        "plot.width",
+        "SimulationConfig.duration_s",
+        "SimulationConfig.carrier_sense",
+    }
+    assert stale == {f"{prefix}Crc.checksum_many.lengths", f"{prefix}gone.knob"}

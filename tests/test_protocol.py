@@ -6,6 +6,7 @@ import pytest
 from repro.arq.feedback import FeedbackPacket, segment_checksum
 from repro.arq.fullarq import FullPacketArqSession
 from repro.arq.protocol import (
+    MAX_ROUNDS,
     PpArqReceiver,
     PpArqSender,
     PpArqSession,
@@ -223,14 +224,10 @@ class TestSessions:
                 truth=symbols,
             )
 
-        session = PpArqSession(hopeless_channel, max_rounds=3)
+        session = PpArqSession(hopeless_channel)
         log = session.transfer(1, b"doomed")
-        assert log.rounds == 3
+        assert log.rounds == MAX_ROUNDS
         assert not log.delivered
-
-    def test_invalid_max_rounds(self):
-        with pytest.raises(ValueError):
-            PpArqSession(_clean_channel, max_rounds=0)
 
 
 class TestFullArqBaseline:
@@ -244,17 +241,13 @@ class TestFullArqBaseline:
         channel = _make_bursty_channel(
             codebook, rng, burst=(0.3, 0.5), p_burst=0.45
         )
-        session = FullPacketArqSession(channel, max_attempts=200)
+        session = FullPacketArqSession(channel)
         payload = bytes(rng.integers(0, 256, 100, dtype=np.uint8))
         log = session.transfer(1, payload)
         if log.retransmit_packet_bytes:
             assert all(
                 size == 104 for size in log.retransmit_packet_bytes
             )
-
-    def test_invalid_attempts(self):
-        with pytest.raises(ValueError):
-            FullPacketArqSession(_clean_channel, max_attempts=0)
 
 
 class TestCrossComparison:
@@ -264,9 +257,7 @@ class TestCrossComparison:
         rng_a = ensure_rng(5)
         rng_b = ensure_rng(5)
         pp = PpArqSession(_make_bursty_channel(codebook, rng_a))
-        full = FullPacketArqSession(
-            _make_bursty_channel(codebook, rng_b), max_attempts=200
-        )
+        full = FullPacketArqSession(_make_bursty_channel(codebook, rng_b))
         payload = bytes((np.arange(200) % 256).astype(np.uint8))
         pp_bytes = sum(
             pp.transfer(seq, payload).total_retransmit_bytes

@@ -52,16 +52,6 @@ class TestLinkObservation:
         obs = LinkObservation()
         assert obs.equivalent_frame_delivery_rate == 0.0
 
-    def test_throughput(self):
-        obs = LinkObservation()
-        obs.record_sent(1000)
-        obs.record_acquired(_result(correct=5000, payload=5000))
-        assert obs.throughput_bits_per_s(10.0) == pytest.approx(500.0)
-
-    def test_throughput_invalid_duration(self):
-        with pytest.raises(ValueError):
-            LinkObservation().throughput_bits_per_s(0.0)
-
 
 class TestLinkStats:
     def test_links_sorted(self):
@@ -83,13 +73,6 @@ class TestLinkStats:
         stats[(2, 3)].record_acquired(_result(correct=800, payload=800))
         rates = stats.delivery_rates()
         assert sorted(rates) == [0.0, 1.0]
-
-    def test_throughputs_keyed_by_link(self):
-        stats = LinkStats()
-        stats[(0, 1)].record_sent(100)
-        stats[(0, 1)].record_acquired(_result(correct=100, payload=100))
-        tputs = stats.throughputs(duration_s=2.0)
-        assert tputs == {(0, 1): pytest.approx(50.0)}
 
     def test_contains_and_len(self):
         stats = LinkStats()

@@ -50,7 +50,8 @@ class TestPacketCrc:
         scheme = PacketCrcScheme()
         result = scheme.deliver(_corrupt_rx(scheme, PAYLOAD, 5, 6))
         assert not result.frame_passed
-        assert result.delivered_bits == 0
+        assert result.delivered_correct_bits == 0
+        assert result.delivered_incorrect_bits == 0
 
     def test_overhead_is_one_crc(self):
         assert PacketCrcScheme().wire_overhead_bytes(1500) == 4
@@ -185,11 +186,10 @@ class TestCommon:
         lo = min(start, n_payload_syms - 1)
         rx = _corrupt_rx(scheme, payload, lo, lo + 3)
         result = scheme.deliver(rx)
-        assert 0 <= result.delivered_bits <= result.payload_bits
-        assert (
+        delivered = (
             result.delivered_correct_bits + result.delivered_incorrect_bits
-            == result.delivered_bits
         )
+        assert 0 <= delivered <= result.payload_bits
 
 
 class TestSprac:
@@ -202,7 +202,7 @@ class TestSprac:
         assert result.frame_passed
 
     def test_corrupt_segment_recovered_by_coding(self):
-        scheme = SpracScheme(n_segments=6, n_repair=3, field="gf256")
+        scheme = SpracScheme(n_segments=6, n_repair=3)
         # Segment 0 occupies bytes [0, 20) -> symbols [0, 40).
         rx = _corrupt_rx(scheme, PAYLOAD, 0, 4)
         result = scheme.deliver(rx)
@@ -211,7 +211,7 @@ class TestSprac:
         assert result.delivered_incorrect_bits == 0
 
     def test_losses_beyond_repair_stay_lost(self):
-        scheme = SpracScheme(n_segments=6, n_repair=1, field="gf256")
+        scheme = SpracScheme(n_segments=6, n_repair=1)
         wire = scheme.encode_payload(PAYLOAD)
         truth = bytes_to_symbols(wire)
         symbols = truth.copy()

@@ -26,12 +26,6 @@ class TestBitSymbolConversions:
         with pytest.raises(ValueError):
             symbols_to_bytes(np.array([16, 0]))
 
-    def test_other_symbol_widths(self):
-        # 0xB4 = 0b10_11_01_00, lowest pair first
-        symbols = bytes_to_symbols(b"\xb4", bits_per_symbol=2)
-        assert symbols.tolist() == [0, 1, 3, 2]
-        assert symbols_to_bytes(symbols, bits_per_symbol=2) == b"\xb4"
-
 
 class TestByteRoundtrips:
     @given(st.binary(max_size=120))
@@ -41,7 +35,3 @@ class TestByteRoundtrips:
     def test_odd_symbol_count_rejected(self):
         with pytest.raises(ValueError, match="multiple"):
             symbols_to_bytes(np.array([1, 2, 3]))
-
-    def test_invalid_width_rejected(self):
-        with pytest.raises(ValueError, match="divide 8"):
-            bytes_to_symbols(b"ab", bits_per_symbol=3)

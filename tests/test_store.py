@@ -103,11 +103,11 @@ class TestKeys:
         assert config_key(_config(seed=_SEED + 1)) != base
         assert config_key(_config(carrier_sense=True)) != base
 
-    def test_version_stamp_is_part_of_the_key(self):
+    def test_version_stamp_is_part_of_the_key(self, monkeypatch):
         config = _config()
-        assert config_key(config, repro_version="9.9.9") != config_key(
-            config
-        )
+        key = config_key(config)
+        monkeypatch.setattr(store_keys, "__version__", "9.9.9")
+        assert config_key(config) != key
 
     def test_task_keys_ignore_the_version_stamps(self, monkeypatch):
         """A schema bump re-keys the store but leaves the executor's

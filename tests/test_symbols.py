@@ -30,14 +30,6 @@ class TestSoftPacket:
                 truth=np.array([1]),
             )
 
-    def test_good_mask(self):
-        assert self._packet().good_mask(6.0).tolist() == [
-            True,
-            False,
-            True,
-            False,
-        ]
-
     def test_correct_mask(self):
         assert self._packet().correct_mask().tolist() == [
             True,

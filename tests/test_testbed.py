@@ -15,8 +15,6 @@ from repro.utils.rng import ensure_rng
 class TestPaperTestbed:
     def test_node_inventory(self):
         tb = paper_testbed(seed=0)
-        assert tb.n_senders == 23
-        assert tb.n_receivers == 4
         assert tb.positions_m.shape == (27, 2)
         assert tb.sender_ids == tuple(range(23))
         assert tb.receiver_ids == (23, 24, 25, 26)
@@ -44,14 +42,6 @@ class TestPaperTestbed:
             + 3 * np.floor(tb.positions_m[:23, 1] / (height / 3)).astype(int)
         )
         assert len(set(room_of.tolist())) == 9
-
-    def test_custom_counts(self):
-        tb = paper_testbed(seed=0, n_senders=5, n_receivers=2)
-        assert tb.n_senders == 5 and tb.n_receivers == 2
-
-    def test_invalid_counts(self):
-        with pytest.raises(ValueError):
-            paper_testbed(n_senders=0)
 
     def test_id_overlap_rejected(self):
         with pytest.raises(ValueError, match="not overlap"):

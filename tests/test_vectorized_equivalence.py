@@ -29,12 +29,6 @@ from repro.coding.gf2 import (
     gf2_encode_reference,
     pack_bytes_to_words,
 )
-from repro.coding.gf256 import (
-    gf256_eliminate,
-    gf256_eliminate_reference,
-    gf256_encode,
-    gf256_encode_reference,
-)
 from repro.experiments import registry
 from repro.experiments.common import RunCache
 from repro.link.frame import (
@@ -57,11 +51,7 @@ from repro.phy.batch import (
     WaveformBatchEngine,
     WaveformDecodeRequest,
 )
-from repro.phy.channelsim import (
-    TransmissionInstance,
-    add_awgn,
-    awgn_collision_channel,
-)
+from repro.phy.channelsim import add_awgn
 from repro.phy.chipchannel import transmit_chipwords, transmit_chipwords_batch
 from repro.phy.codebook import Codebook, ZigbeeCodebook
 from repro.phy.demodulation import MskDemodulator
@@ -72,7 +62,6 @@ from repro.phy.remodulate import (
     remodulate_frame_reference,
 )
 from repro.phy.spreading import bytes_to_symbols, symbols_to_bytes
-from repro.recovery.sic import SicDecoder
 from repro.phy.sync import SYNC_SYMBOLS, sync_field_symbols
 from repro.sim.metrics import evaluate_schemes, evaluate_schemes_reference
 from repro.sim import network
@@ -84,7 +73,6 @@ from repro.sim.network import (
     hot_codewords,
     hot_codewords_reference,
 )
-from repro.sim.sicpass import SIC_SPS, _match_tx
 from repro.store import result_from_parts, result_to_parts
 from repro.store.keys import canonical_json
 from repro.utils import sanitize
@@ -93,7 +81,6 @@ from repro.utils.rng import (
     derive_key,
     derive_rng,
     ensure_rng,
-    keyed_rng,
     keyed_words,
     rng_from_key,
 )
@@ -389,7 +376,7 @@ def _frame_capture(codebook, rng, n_body, sps, noise=0.08):
 class TestModulatorEquivalence:
     @pytest.mark.parametrize("sps", [2, 3, 4, 5, 8])
     def test_random_chips_bit_identical(self, sps, rng):
-        mod = MskModulator(sps=sps, amplitude=1.3)
+        mod = MskModulator(sps=sps)
         for n in (0, 2, 8, 64, 1500):
             chips = rng.integers(0, 2, n)
             vec = mod.modulate_chips(chips)
@@ -790,8 +777,8 @@ class TestGfKernelEquivalence:
     """The coding layer's GF kernels vs their loop references.
 
     ``gf2_encode``/``gf2_eliminate`` operate on bit-packed uint64
-    words, ``gf256_*`` on log/exp-table bytes; each keeps its
-    pure-loop implementation as the executable specification.  Both
+    words; each keeps its pure-loop implementation as the executable
+    specification.  Both
     directions are pinned bit-for-bit, including the pivot choices of
     the eliminations (same swaps, same XOR order) and the
     rank-deficient systems where only some unknowns resolve.
@@ -852,49 +839,6 @@ class TestGfKernelEquivalence:
         assert np.array_equal(rec, rec_ref)
         assert np.array_equal(sol, sol_ref)
 
-    def test_gf256_encode_random_sweep(self, rng):
-        for trial in range(15):
-            k = int(rng.integers(1, 10))
-            m = int(rng.integers(1, 10))
-            n_bytes = int(rng.integers(1, 30))
-            rows = rng.integers(0, 256, (k, n_bytes)).astype(np.uint8)
-            coeffs = rng.integers(0, 256, (m, k)).astype(np.uint8)
-            assert np.array_equal(
-                gf256_encode(coeffs, rows),
-                gf256_encode_reference(coeffs, rows),
-            ), f"gf256 encode diverges (trial={trial})"
-
-    def test_gf256_eliminate_random_sweep(self, rng):
-        for trial in range(15):
-            k = int(rng.integers(1, 10))
-            m = int(rng.integers(1, 14))
-            n_bytes = int(rng.integers(1, 20))
-            coeffs = rng.integers(0, 256, (m, k)).astype(np.uint8)
-            payload = rng.integers(0, 256, (m, n_bytes)).astype(
-                np.uint8
-            )
-            rec, sol = gf256_eliminate(coeffs, payload)
-            rec_ref, sol_ref = gf256_eliminate_reference(
-                coeffs, payload
-            )
-            assert np.array_equal(rec, rec_ref), f"trial={trial}"
-            assert np.array_equal(sol, sol_ref), f"trial={trial}"
-
-    def test_gf256_eliminate_singular_minor(self):
-        """Linearly dependent GF(256) rows: partial recovery only,
-        identical in both implementations."""
-        coeffs = np.array(
-            [[2, 4, 0], [4, 8, 0], [0, 0, 3]], dtype=np.uint8
-        )  # row 1 = 2 * row 0
-        payload = np.array(
-            [[10, 20], [7, 9], [1, 2]], dtype=np.uint8
-        )
-        rec, sol = gf256_eliminate(coeffs, payload)
-        rec_ref, sol_ref = gf256_eliminate_reference(coeffs, payload)
-        assert np.array_equal(rec, rec_ref)
-        assert np.array_equal(sol, sol_ref)
-        assert rec.tolist() == [False, False, True]
-
 
 def _every_scheme():
     """One of each trace-evaluable scheme kind, freshly built (so the
@@ -907,7 +851,7 @@ def _every_scheme():
         PprScheme(eta=6.0),
         SicScheme(eta=3.0),
         SpracScheme(n_segments=30, n_repair=15),
-        SpracScheme(n_segments=10, n_repair=5, field="gf256"),
+        SpracScheme(n_segments=10, n_repair=5),
     ]
 
 
@@ -1253,128 +1197,6 @@ def _receive_per_record(sim, transmissions, fades):
     return records
 
 
-def _acquired(rec):
-    return rec["acquired_preamble"] or (
-        rec["postamble_detectable"] and rec["trailer_ok"]
-    )
-
-
-def _damaged_record(rec):
-    return (
-        not _acquired(rec)
-        or not rec["header_ok"]
-        or not rec["trailer_ok"]
-        or int(rec["body_hints"].max()) > 0
-    )
-
-
-def _adopt_record(rec, frame, eta):
-    symbols = frame.reception.symbols
-    if symbols.size != rec["body_symbols"].size:
-        return False
-    bad_before = int(np.count_nonzero(rec["body_hints"] > eta))
-    if _acquired(rec) and frame.fallback.n_bad_symbols >= bad_before:
-        return False
-    rec["body_symbols"] = symbols.astype(np.int8)
-    rec["body_hints"] = np.minimum(frame.reception.hints, 255.0).astype(
-        np.uint8
-    )
-    payload = payload_slice(symbols.size)
-    rec["header_ok"] = parse_header_bytes(
-        symbols_to_bytes(symbols[: payload.start])
-    )[1]
-    rec["trailer_ok"] = parse_trailer_bytes(
-        symbols_to_bytes(symbols[payload.stop :])
-    )[1]
-    detection = frame.reception.detection
-    if detection is not None and detection.kind == "preamble":
-        rec["preamble_detectable"] = True
-        rec["acquired_preamble"] = True
-    else:
-        rec["postamble_detectable"] = True
-    return True
-
-
-def _sic_per_record(sim, transmissions, fades, records):
-    """The record-based SIC pass the row-based one replaced.
-
-    Records are grouped per receiver in a dict keyed on ``tx_id``,
-    receivers are visited in sorted order, and each transmission's
-    fade is looked up in the ``(tx_id, receiver)`` dict.  Rewrites the
-    records in place; returns how many.
-    """
-    cfg = sim._config
-    codebook = sim._codebook
-    medium = sim.medium
-    width = codebook.chips_per_symbol
-    sample_rate = width * SIC_SPS / cfg.symbol_period_s
-    by_receiver = {}
-    for rec in records:
-        tx = transmissions[rec["tx_index"]]
-        by_receiver.setdefault(rec["receiver"], {})[tx.tx_id] = rec
-    decoder = SicDecoder(
-        codebook, sps=SIC_SPS, threshold=1.0 - 2.0 * cfg.sync_error_threshold
-    )
-    modulator = MskModulator(sps=SIC_SPS)
-    guard = width * SIC_SPS
-    updated = 0
-    for receiver in sorted(by_receiver):
-        recmap = by_receiver[receiver]
-        audible = [
-            transmissions[recmap[tx_id]["tx_index"]] for tx_id in sorted(recmap)
-        ]
-        for k, a in enumerate(audible):
-            for b in audible[k + 1 :]:
-                if not a.overlaps(b):
-                    continue
-                if any(
-                    c.tx_id not in (a.tx_id, b.tx_id)
-                    and (c.overlaps(a) or c.overlaps(b))
-                    for c in audible
-                ):
-                    continue
-                if not (
-                    _damaged_record(recmap[a.tx_id])
-                    or _damaged_record(recmap[b.tx_id])
-                ):
-                    continue
-                t0 = min(a.start, b.start)
-                instances = [
-                    TransmissionInstance(
-                        samples=modulator.modulate_symbols(t.symbols, codebook),
-                        offset=int(round((t.start - t0) * sample_rate)),
-                        gain=medium.amplitude_gain(t.sender, receiver)
-                        * float(np.sqrt(fades.get((t.tx_id, receiver), 1.0))),
-                    )
-                    for t in (a, b)
-                ]
-                rng = keyed_rng(
-                    cfg.seed, "sic-capture", receiver, a.tx_id, b.tx_id
-                )
-                capture = awgn_collision_channel(
-                    instances, medium.noise_mw, rng=rng
-                )
-                result = decoder.decode_pair(
-                    capture, recmap[a.tx_id]["body_symbols"].size
-                )
-                expected_starts = {
-                    a.tx_id: instances[0].offset,
-                    b.tx_id: instances[1].offset,
-                }
-                claimed = set()
-                for frame in result.frames:
-                    tx_id = _match_tx(frame, expected_starts, guard, claimed)
-                    if tx_id is None:
-                        continue
-                    claimed.add(tx_id)
-                    rec = recmap[tx_id]
-                    if _damaged_record(rec) and _adopt_record(
-                        rec, frame, decoder.eta
-                    ):
-                        updated += 1
-    return updated
-
-
 def _records_table(records, n_body):
     """Per-record dicts stacked into a trace table."""
     columns = {}
@@ -1411,28 +1233,29 @@ def _quick_points():
 # then binary section, keyed by (load, carrier sense, noise floor,
 # seed); computed at seed 2007's quick settings (duration 15 s).
 _QUICK_POINT_DIGESTS = {
-    (3500.0, False, -95.0, 2007): "6b451f5adcdfa50b5c5102fee6a2605bdb4fbeda5255bd9ce814d8c17627ea1b",
-    (3500.0, False, -95.0, 2008): "8cb45fff7f273f902f14c3f4e275789917b7287f9c4063c0dd3b066de8739542",
-    (3500.0, False, -95.0, 2009): "720ad9d8d84e7a866f00e4696fa04f4d94b670cdfda7b8dcb5d742532cb10d87",
-    (3500.0, True, -95.0, 2007): "c6c1b3a0e8df63142f485733f4c231a300e0ad450cd584e8e648a9aabbb00eee",
-    (6900.0, False, -95.0, 2007): "907f1ce5df6ec301804975b6e216a4acc65c093efe1eabf43cb37c7c5addc623",
-    (6900.0, False, -95.0, 2008): "bea8493fc35f7ee78ad783097eefbf59379e64ec5161f003366eafef0754d5d0",
-    (6900.0, False, -95.0, 2009): "1afe627d0d16b13181305eb1236c2bcb0c59131a48ea1c233f1eaac30aefe6b2",
-    (13800.0, False, -95.0, 2007): "deffd9ce31c650ca4ad60de2ad59623808011f26a4f23c6f7f3f9b02bc293d4f",
-    (13800.0, False, -95.0, 2008): "6a9be9dcc91db7752722c695759060880e006901527acfcb0719000b28036e06",
-    (13800.0, False, -95.0, 2009): "96a3dd0a8831c10506cb0aba86c3957878a292f9b9e351f5060c20d332821205",
-    (13800.0, False, -87.0, 2007): "d1c5e9b6b1432dca60ca90ca90d7458652db62f4641088cf509177daf78b0ba8",
-    (13800.0, False, -87.0, 2008): "f0aeb116b80e0bb2cbbd83dd5a0c6e6cfe0199cfa33bede2bb79c51487d3d8f9",
-    (13800.0, False, -87.0, 2009): "5bccba407c235282b809c9af949b0f4a863fe9d469142ae1a97904ca79631466",
+    (3500.0, False, -95.0, 2007): "e79502ab4039474335e078ec1c6281759a35935b7b5e7e81291ac4569144577a",
+    (3500.0, False, -95.0, 2008): "29592ade12ad9a6ea7f087d2ec53371253fb2a188eb9bacf9d5405c55688bfa0",
+    (3500.0, False, -95.0, 2009): "4741f92de6f68022942b5903991d89be71a32aa7a7d9b59b12fcb4283c25f95b",
+    (3500.0, True, -95.0, 2007): "003e44efc1c4848ab443d7df586122584c5450e1816e63a643153e9451c3bf4b",
+    (6900.0, False, -95.0, 2007): "7cdfc8b48b757801fb941186d306f5c1509556235c86005698a0712e8f5bdf4a",
+    (6900.0, False, -95.0, 2008): "a0de0af0190ea3103390072d88c46f889f7547e3cc4b99d423bff63f24e78530",
+    (6900.0, False, -95.0, 2009): "d17d351d11fc5eb7829d383454ff69c08fac308fc69767eb7021d7fd575bca8b",
+    (13800.0, False, -95.0, 2007): "f70f26236683d2ecc4600102a93a443fc1203a279c8906611af448ccc6b01c78",
+    (13800.0, False, -95.0, 2008): "4b46261ed9d5dfd0e76d3bc994bf09bb647bf03242b37e8199104b8181411d9a",
+    (13800.0, False, -95.0, 2009): "9cb1c5c940adf5908ef325180b09f86a01ca7f3328a7fae455ec63a6d74b42a1",
+    (13800.0, False, -87.0, 2007): "f947da232ce3cb1c1382d6ad5dc6d87577bfcc2187231c00ef654db94e3a9f2b",
+    (13800.0, False, -87.0, 2008): "636ab5780a2bd24339c7f57baebd97e614c5cf77c4db6482b844be75f0e38283",
+    (13800.0, False, -87.0, 2009): "8ef864c42d94d1cdbb7da430f598f4635574f08a65452d721c5f019df92d1a00",
 }
 
-_SIC_CONFIG = SimulationConfig(
+# A short, collision-heavy run: heavy load, no carrier sense, tiny
+# frames, so most pairs overlap another transmission.
+_COLLISION_CONFIG = SimulationConfig(
     load_bits_per_s_per_node=13800.0,
     payload_bytes=24,
     duration_s=0.2,
     carrier_sense=False,
     seed=3,
-    sic_recovery=True,
 )
 _NO_AUDIBLE_PAIR_CONFIG = SimulationConfig(
     load_bits_per_s_per_node=3500.0,
@@ -1458,8 +1281,6 @@ class TestColumnarReceptionEquivalence:
         result = sim.run()
         fades = _fades_per_pair(sim, result.transmissions)
         records = _receive_per_record(sim, result.transmissions, fades)
-        if config.sic_recovery:
-            assert _sic_per_record(sim, result.transmissions, fades, records)
         reference = _records_table(
             records, body_symbol_count(config.payload_bytes)
         )
@@ -1495,9 +1316,6 @@ class TestColumnarReceptionEquivalence:
             ).hexdigest()
         assert digests == _QUICK_POINT_DIGESTS
 
-    def test_sic_recovery(self):
-        self._assert_equivalent(_SIC_CONFIG)
-
     def test_no_audible_pair(self):
         result = self._assert_equivalent(_NO_AUDIBLE_PAIR_CONFIG)
         assert result.transmissions and not len(result.table)
@@ -1506,7 +1324,7 @@ class TestColumnarReceptionEquivalence:
     def test_receive_block_invariant(self, block_words, monkeypatch):
         """The receive block bound cannot change a run: blocks hold
         whole pairs, and each pair reads its own keyed stream."""
-        configs = (_SIC_CONFIG, _NO_AUDIBLE_PAIR_CONFIG, _NO_TX_CONFIG)
+        configs = (_COLLISION_CONFIG, _NO_AUDIBLE_PAIR_CONFIG, _NO_TX_CONFIG)
         expected = [NetworkSimulation(config).run() for config in configs]
         calls = []
 
@@ -1529,7 +1347,7 @@ class TestColumnarReceptionEquivalence:
             for pairs, words in calls:
                 assert pairs == 1 or words <= block_words
             # The collision-heavy run really is split up.
-            if config is _SIC_CONFIG:
+            if config is _COLLISION_CONFIG:
                 assert len(calls) > len(want.table) // 2
 
     def test_no_transmissions(self):

@@ -128,8 +128,6 @@ EXPECTED_TWINS = {
     "evaluate_schemes",
     "gf2_eliminate",
     "gf2_encode",
-    "gf256_eliminate",
-    "gf256_encode",
     "hot_codewords",
     "modulate_chips",
     "plan_chunks",
