@@ -28,7 +28,9 @@ of each wall time and of each run's peak RSS (the largest resident
 set of the runner and its workers, as ``os.wait4`` reports it), the
 ``--jobs 2``/``--jobs 1`` ratio of the wall-time medians and whether
 both sides wrote byte-identical artifacts go under the ``runner``
-key.  These too only report.
+key.  These too only report, as do the ``*.py`` line counts of the
+source, test, lint, benchmark and example trees on both sides, under
+the ``lines`` key.
 
 Exits 1 when a change median of an end-to-end metric is worse than
 its parent's by more than that metric's ``bound`` in
@@ -56,6 +58,8 @@ ORDER = "alternating, parent first in odd pairs"
 SEED = 2007
 RUNNER = ("-m", "repro.experiments.runner", "--all", "--quick", "--format", "json")
 RUNNER_JOBS = (1, 2)
+#: the trees whose ``*.py`` line counts the document reports
+LINE_TREES = ("src/repro", "tests", "tools/reprolint", "benchmarks", "perfbench", "examples")
 
 
 def run_bench(checkout: Path, workload: str, seed: int, trace: int) -> dict:
@@ -85,6 +89,17 @@ def run_bench(checkout: Path, workload: str, seed: int, trace: int) -> dict:
     ]
     result["absent"] = [line for line in lines if line.startswith("problem: absent:")]
     return result
+
+
+def line_counts(checkout: Path) -> dict[str, int]:
+    """``*.py`` lines under each of ``LINE_TREES`` in a checkout."""
+    return {
+        tree: sum(
+            len(path.read_bytes().splitlines())
+            for path in sorted((checkout / tree).rglob("*.py"))
+        )
+        for tree in LINE_TREES
+    }
 
 
 def summarise(parent: list[float], change: list[float], better: str) -> dict:
@@ -328,6 +343,7 @@ def main(argv: list[str] | None = None) -> int:
             }
             traced = {name: record_traced(parent_dir, name, SEED) for name in names}
             runner = record_runner(parent_dir, args.pairs)
+            lines = {"parent": line_counts(parent_dir), "change": line_counts(ROOT)}
         finally:
             git("worktree", "remove", "--force", str(parent_dir))
 
@@ -346,6 +362,7 @@ def main(argv: list[str] | None = None) -> int:
             **traced,
         },
         "runner": runner,
+        "lines": lines,
     }
     problems = regressions(workloads, end_to_end)
     document["regressions"] = problems

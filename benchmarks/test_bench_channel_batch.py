@@ -186,7 +186,7 @@ def test_bench_hot_codewords_segments(benchmark):
         seed=2007,
     )
     sim = NetworkSimulation(config)
-    transmissions = sim._generate_transmissions()
+    transmissions, _air = sim._generate_transmissions()
     args = (
         sim.medium,
         transmissions,
@@ -248,8 +248,7 @@ def test_bench_sharded_capacity_points(benchmark):
         assert len(a.records) == len(b.records)
         for ra, rb in zip(a.records, b.records, strict=True):
             assert ra.tx.tx_id == rb.tx.tx_id
-            assert np.array_equal(ra.body_symbols, rb.body_symbols)
-            assert np.array_equal(ra.body_hints, rb.body_hints)
+            assert np.array_equal(ra.payload, rb.payload)
 
     if benchmark.enabled and (os.cpu_count() or 1) >= 2:
         t0 = time.perf_counter()

@@ -87,5 +87,5 @@ def test_bench_generate_transmissions_heavy(benchmark):
     def generate():
         return NetworkSimulation(config)._generate_transmissions()
 
-    txs = benchmark(generate)
+    txs, _air = benchmark(generate)
     assert len(txs) > 100

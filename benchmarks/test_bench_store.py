@@ -41,7 +41,7 @@ def test_bench_store_warm_hit(benchmark, tmp_path):
     assert loaded.config == config
     assert len(loaded.records) == len(result.records)
     assert all(
-        np.array_equal(a.body_symbols, b.body_symbols)
+        np.array_equal(a.payload, b.payload)
         for a, b in zip(loaded.records, result.records, strict=True)
     )
 

@@ -57,7 +57,7 @@ class CollisionAnatomy:
     order=13,
 )
 def run(
-    n_body_symbols: int = 120,
+    n_body: int = 120,
     overlap_symbols: int = 45,
 ) -> ExperimentOutput:
     """Simulate the two-packet collision and decode both sides.
@@ -65,7 +65,7 @@ def run(
     Runs the waveform pipeline on its own single-collision channel;
     the spec declares no simulation points.
     """
-    if overlap_symbols >= n_body_symbols:
+    if overlap_symbols >= n_body:
         raise ValueError("overlap must be shorter than the packet body")
     codebook = ZigbeeCodebook()
     rng = derive_rng(SEED, "fig13")
@@ -74,8 +74,8 @@ def run(
 
     preamble = sync_field_symbols("preamble")
     postamble = sync_field_symbols("postamble")
-    body1 = rng.integers(0, 16, n_body_symbols)
-    body2 = rng.integers(0, 16, n_body_symbols)
+    body1 = rng.integers(0, 16, n_body)
+    body2 = rng.integers(0, 16, n_body)
     stream1 = np.concatenate([preamble, body1, postamble])
     stream2 = np.concatenate([preamble, body2, postamble])
     wave1 = modulator.modulate_symbols(stream1, codebook)
@@ -101,7 +101,7 @@ def run(
     # preamble collided, so it anchors on its postamble and rolls
     # back.  Both packets' codeword runs go through the engine's fused
     # matched filter + nearest-codeword decode in one call.
-    pair = engine.receive_collision_pair(capture, n_body_symbols)
+    pair = engine.receive_collision_pair(capture, n_body)
     sym1, hints1 = pair.first.symbols, pair.first.hints
     sym2, hints2 = pair.second.symbols, pair.second.hints
 
@@ -118,7 +118,7 @@ def run(
         correct=sym2 == body2,
     )
 
-    xs = np.arange(n_body_symbols)
+    xs = np.arange(n_body)
     rendered = render_series(
         xs,
         {
@@ -130,8 +130,8 @@ def run(
 
     # Shape checks: clean regions decode with low hints, the overlapped
     # regions show high hints, and hints track correctness.
-    clean1 = packet1.hints[: n_body_symbols - overlap_symbols]
-    dirty1 = packet1.hints[n_body_symbols - overlap_symbols :]
+    clean1 = packet1.hints[: n_body - overlap_symbols]
+    dirty1 = packet1.hints[n_body - overlap_symbols :]
     # Packet 2's head: overlap minus its sync field (which also collided).
     dirty2_len = max(overlap_symbols - preamble.size, 1)
     clean2 = packet2.hints[dirty2_len:]

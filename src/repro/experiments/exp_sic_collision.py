@@ -39,7 +39,7 @@ from repro.phy.modulation import (
     MskModulator,
 )
 from repro.phy.spreading import bytes_to_symbols
-from repro.phy.sync import sync_field_symbols
+from repro.phy.sync import SYNC_ERROR_THRESHOLD, sync_field_symbols
 from repro.recovery import SicDecoder
 from repro.sim.medium import PathLossModel, RadioMedium, Transmission
 from repro.sim.medium import waveform_capture as render_capture
@@ -120,10 +120,10 @@ def run(
     modulator = MskModulator(sps=SPS)
     scheme = SicScheme(eta=ETA)
     # The chip-level simulation calls a sync field detectable when its
-    # chip error rate is at most sync_error_threshold = 0.25; in the
-    # +-1 correlation domain an error rate p maps to 1 - 2p, so the
-    # waveform passes use threshold 0.5 to agree on "detectable".
-    threshold = 0.5
+    # chip error rate is at most SYNC_ERROR_THRESHOLD; in the +-1
+    # correlation domain an error rate p maps to 1 - 2p, so the
+    # waveform passes use that threshold to agree on "detectable".
+    threshold = 1 - 2 * SYNC_ERROR_THRESHOLD
     engine = WaveformBatchEngine(codebook, sps=SPS, threshold=threshold)
     decoder = SicDecoder(
         codebook, sps=SPS, threshold=threshold, eta=ETA
@@ -183,7 +183,7 @@ def run(
                     sender=near,
                     dst=receiver,
                     start=0.0,
-                    symbols=streams[0],
+                    n_symbols=streams[0].size,
                     symbol_period=SYMBOL_PERIOD_S,
                 ),
                 Transmission(
@@ -191,7 +191,7 @@ def run(
                     sender=far,
                     dst=receiver,
                     start=offset_chips / CHIP_RATE_HZ,
-                    symbols=streams[1],
+                    n_symbols=streams[1].size,
                     symbol_period=SYMBOL_PERIOD_S,
                 ),
             ]

@@ -72,7 +72,7 @@ SEED = 19
     order=17,
 )
 def run(
-    n_body_symbols: int = 60,
+    n_body: int = 60,
     overlap_symbols: int = 25,
 ) -> ExperimentOutput:
     """Render the two-sender collision through the medium and decode.
@@ -80,7 +80,7 @@ def run(
     Runs the waveform pipeline on its own single-collision capture;
     the spec declares no simulation points.
     """
-    if overlap_symbols >= n_body_symbols:
+    if overlap_symbols >= n_body:
         raise ValueError("overlap must be shorter than the packet body")
     codebook = ZigbeeCodebook()
     rng = derive_rng(SEED, "waveform-capture")
@@ -99,8 +99,8 @@ def run(
 
     preamble = sync_field_symbols("preamble")
     postamble = sync_field_symbols("postamble")
-    body_near = rng.integers(0, 16, n_body_symbols)
-    body_far = rng.integers(0, 16, n_body_symbols)
+    body_near = rng.integers(0, 16, n_body)
+    body_far = rng.integers(0, 16, n_body)
     stream_near = np.concatenate([preamble, body_near, postamble])
     stream_far = np.concatenate([preamble, body_far, postamble])
 
@@ -123,7 +123,7 @@ def run(
             sender=near,
             dst=receiver,
             start=0.0,
-            symbols=stream_near,
+            n_symbols=stream_near.size,
             symbol_period=SYMBOL_PERIOD_S,
         ),
         Transmission(
@@ -131,7 +131,7 @@ def run(
             sender=far,
             dst=receiver,
             start=far_start_s,
-            symbols=stream_far,
+            n_symbols=stream_far.size,
             symbol_period=SYMBOL_PERIOD_S,
         ),
     ]
@@ -151,7 +151,7 @@ def run(
     # Fused reception: the near frame syncs on its clean preamble; the
     # far frame's preamble collided, so it anchors on its postamble
     # and rolls back.  Both codeword runs decode in one engine call.
-    pair = engine.receive_collision_pair(capture, n_body_symbols)
+    pair = engine.receive_collision_pair(capture, n_body)
     hints_near, hints_far = pair.first.hints, pair.second.hints
     correct_near = pair.first.symbols == body_near
     correct_far = pair.second.symbols == body_far
@@ -168,7 +168,7 @@ def run(
             sender=far,
             dst=receiver,
             start=aligned_chips / CHIP_RATE_HZ,
-            symbols=stream_far,
+            n_symbols=stream_far.size,
             symbol_period=SYMBOL_PERIOD_S,
         ),
     ]
@@ -181,7 +181,7 @@ def run(
         rng=derive_rng(SEED, "waveform-capture-aligned-noise"),
     )
     pair_aligned = engine.receive_collision_pair(
-        capture_aligned, n_body_symbols
+        capture_aligned, n_body
     )
     hints_aligned = pair_aligned.second.hints
     correct_aligned = pair_aligned.second.symbols == body_far
@@ -201,7 +201,7 @@ def run(
     ):
         sic_far_passed[label] = False
         for frame in decoder.decode_pair(
-            sic_capture, n_body_symbols
+            sic_capture, n_body
         ).frames:
             wrong_far = int(np.sum(frame.reception.symbols != body_far))
             wrong_near = int(
@@ -215,7 +215,7 @@ def run(
                 )
                 sic_far_passed[label] = delivery.frame_passed
 
-    xs = np.arange(n_body_symbols)
+    xs = np.arange(n_body)
     rendered = render_series(
         xs,
         {
@@ -235,7 +235,7 @@ def run(
         ShapeCheck(
             name="near frame captures through the collision",
             passed=float(np.mean(correct_near)) >= 0.95,
-            detail=f"{correct_near.sum()}/{n_body_symbols} codewords "
+            detail=f"{correct_near.sum()}/{n_body} codewords "
             f"correct at +{snr_gap_db:.1f} dB link advantage",
         ),
         ShapeCheck(

@@ -117,7 +117,7 @@ def body_symbol_count(wire_payload_len: int) -> int:
     return SYMBOLS_PER_BYTE * (HEADER_BYTES + wire_payload_len + TRAILER_BYTES)
 
 
-def payload_slice(n_body_symbols: int) -> slice:
+def payload_slice(n_body: int) -> slice:
     """Where the wire payload sits in a frame body of given symbols.
 
     Everything before the slice is the header, everything after it
@@ -125,7 +125,7 @@ def payload_slice(n_body_symbols: int) -> slice:
     """
     return slice(
         SYMBOLS_PER_BYTE * HEADER_BYTES,
-        n_body_symbols - SYMBOLS_PER_BYTE * TRAILER_BYTES,
+        n_body - SYMBOLS_PER_BYTE * TRAILER_BYTES,
     )
 
 
@@ -157,16 +157,12 @@ class PprFrame:
         h = self.header.pack()
         return h + self.wire_payload + h
 
-    def body_symbols(self) -> np.ndarray:
-        """The frame body as 4-bit symbol indices."""
-        return bytes_to_symbols(self.body_bytes())
-
     def on_air_symbols(self) -> np.ndarray:
         """Complete on-air symbol stream including sync fields."""
         return np.concatenate(
             [
                 np.array(PREAMBLE_SYMBOLS + SFD_SYMBOLS, dtype=np.int64),
-                self.body_symbols(),
+                bytes_to_symbols(self.body_bytes()),
                 np.array(POSTAMBLE_SYMBOLS + EFD_SYMBOLS, dtype=np.int64),
             ]
         )

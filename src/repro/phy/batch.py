@@ -209,7 +209,7 @@ class WaveformBatchEngine:
         ]
 
     def receive_collision_pair(
-        self, capture: np.ndarray, n_body_symbols: int
+        self, capture: np.ndarray, n_body: int
     ) -> CollisionPairReception:
         """Decode both packets of a two-packet collision (Fig. 5/13).
 
@@ -235,14 +235,14 @@ class WaveformBatchEngine:
                     capture=0,
                     anchor_sample=det1.sample_offset,
                     symbol_offset=SYNC_SYMBOLS,
-                    n_symbols=n_body_symbols,
+                    n_symbols=n_body,
                     phase=det1.phase,
                 ),
                 WaveformDecodeRequest(
                     capture=0,
                     anchor_sample=det2.sample_offset,
-                    symbol_offset=-n_body_symbols,
-                    n_symbols=n_body_symbols,
+                    symbol_offset=-n_body,
+                    n_symbols=n_body,
                     phase=det2.phase,
                 ),
             ],
@@ -262,7 +262,7 @@ class WaveformBatchEngine:
         self,
         capture: np.ndarray,
         cancellations: Sequence[tuple[np.ndarray, int]],
-        n_body_symbols: int,
+        n_body: int,
     ) -> tuple[FrameReception, np.ndarray]:
         """Decode what remains of a capture after cancelling frames.
 
@@ -278,26 +278,26 @@ class WaveformBatchEngine:
         residual = np.asarray(capture, dtype=np.complex128)
         for waveform, sample_offset in cancellations:
             residual = subtract_frame(residual, waveform, sample_offset)
-        reception = self.receive_frames([residual], n_body_symbols)[0]
+        reception = self.receive_frames([residual], n_body)[0]
         return reception, residual
 
     def receive_frames(
         self,
         captures: Sequence[np.ndarray],
-        n_body_symbols: int,
+        n_body: int,
     ) -> list[FrameReception]:
         """PPR reception policy over many captures, fused end to end.
 
         Each capture is assumed to hold (at most) one frame whose body
-        is ``n_body_symbols`` codewords between the standard sync
+        is ``n_body`` codewords between the standard sync
         fields.  A receiver that hears the preamble decodes forward
         from it; one that missed it but hears the postamble rolls back
         through the capture (paper §4); captures with neither sync
         field yield an empty reception.
         """
-        if n_body_symbols < 0:
+        if n_body < 0:
             raise ValueError(
-                f"n_body_symbols must be non-negative, got {n_body_symbols}"
+                f"n_body must be non-negative, got {n_body}"
             )
         width = self.codebook.chips_per_symbol
         sps = self._frontend.sps
@@ -311,7 +311,7 @@ class WaveformBatchEngine:
             start = (
                 detection.sample_offset + symbol_offset * width * sps
             )
-            n_chips = n_body_symbols * width
+            n_chips = n_body * width
             needed = start + (n_chips - 1) * sps + 2 * sps if n_chips else start
             return start >= 0 and needed <= capture_len
 
@@ -338,7 +338,7 @@ class WaveformBatchEngine:
                 if not post_dets:
                     continue
                 last = max(post_dets, key=lambda d: d.sample_offset)
-                if _fits(lengths[i], last, -n_body_symbols):
+                if _fits(lengths[i], last, -n_body):
                     chosen[i] = last
         requests = []
         for i, detection in enumerate(chosen):
@@ -347,14 +347,14 @@ class WaveformBatchEngine:
             symbol_offset = (
                 SYNC_SYMBOLS
                 if detection.kind == "preamble"
-                else -n_body_symbols
+                else -n_body
             )
             requests.append(
                 WaveformDecodeRequest(
                     capture=i,
                     anchor_sample=detection.sample_offset,
                     symbol_offset=symbol_offset,
-                    n_symbols=n_body_symbols,
+                    n_symbols=n_body,
                     phase=detection.phase,
                 )
             )

@@ -27,6 +27,9 @@ EFD_SYMBOLS = (10, 7)
 # Symbols in either sync field, delimiter included; the postamble
 # mirrors the preamble's length.
 SYNC_SYMBOLS = len(PREAMBLE_SYMBOLS + SFD_SYMBOLS)
+# The largest chip error rate at which a sync field is detectable:
+# beyond 0.5 a correlator cannot distinguish signal from noise.
+SYNC_ERROR_THRESHOLD = 0.25
 
 
 def sync_field_symbols(kind: str) -> np.ndarray:

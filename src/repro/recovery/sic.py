@@ -112,14 +112,14 @@ class SicDecoder:
         return self._eta
 
     def _frame_start(
-        self, reception: FrameReception, n_body_symbols: int
+        self, reception: FrameReception, n_body: int
     ) -> int:
         """Capture sample where the frame's preamble begins."""
         detection = reception.detection
         assert detection is not None
         if detection.kind == "preamble":
             return detection.sample_offset
-        span = (SYNC_SYMBOLS + n_body_symbols) * (
+        span = (SYNC_SYMBOLS + n_body) * (
             self._codebook.chips_per_symbol * self._sps
         )
         return detection.sample_offset - span
@@ -150,7 +150,7 @@ class SicDecoder:
         )
 
     def decode_pair(
-        self, capture: np.ndarray, n_body_symbols: int
+        self, capture: np.ndarray, n_body: int
     ) -> SicPairResult:
         """Run the full SIC pipeline over one collided capture.
 
@@ -162,7 +162,7 @@ class SicDecoder:
         a second frame.
         """
         capture = np.asarray(capture, dtype=np.complex128)
-        strong = self._engine.receive_frames([capture], n_body_symbols)[0]
+        strong = self._engine.receive_frames([capture], n_body)[0]
         if not strong.acquired:
             return SicPairResult(
                 strong=None,
@@ -170,7 +170,7 @@ class SicDecoder:
                 residual=capture.copy(),
                 cancelled=False,
             )
-        start = self._frame_start(strong, n_body_symbols)
+        start = self._frame_start(strong, n_body)
         stream = self._frame_stream(strong)
         unit = remodulate_frame(stream, self._codebook, sps=self._sps)
         scale = estimate_complex_scale(capture, unit, start)
@@ -190,11 +190,11 @@ class SicDecoder:
             phase=float(np.angle(scale)),
         )
         weak, residual = self._engine.receive_residual(
-            capture, [(reconstruction, start)], n_body_symbols
+            capture, [(reconstruction, start)], n_body
         )
         weak_frame = None
         if weak.acquired:
-            weak_start = self._frame_start(weak, n_body_symbols)
+            weak_start = self._frame_start(weak, n_body)
             # A lock within one symbol of the cancelled frame is the
             # cancellation's own remnant, not a second transmission.
             guard = self._codebook.chips_per_symbol * self._sps

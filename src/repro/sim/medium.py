@@ -16,7 +16,7 @@ geometry the chip-level simulation uses, at sample fidelity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -24,6 +24,9 @@ import numpy as np
 from repro.phy.channelsim import TransmissionInstance, awgn_collision_channel
 from repro.utils.rng import RngLike, derive_rng
 from repro.utils.units import dbm_to_mw
+
+#: Transmit power of every node
+TX_POWER_DBM = 0.0
 
 
 @dataclass(frozen=True)
@@ -55,9 +58,10 @@ class PathLossModel:
 class Transmission:
     """One frame on the air.
 
-    ``symbols`` is the full on-air symbol stream (sync fields
-    included) as uint8 nibbles; ``start`` in seconds; duration follows
-    from the symbol period.
+    ``n_symbols`` counts its on-air symbols (sync fields included);
+    ``start`` is in seconds, and the duration follows from the symbol
+    period.  The symbols themselves are not kept: a run hands them to
+    the receiver once, and a reception keeps only what SoftPHY hands up.
     ``seq`` is the link-layer sequence number carried in the frame
     header, assigned when the frame is *built*; ``tx_id`` is assigned
     when the frame actually reaches the air, so the two can differ for
@@ -68,14 +72,9 @@ class Transmission:
     sender: int
     dst: int
     start: float
-    symbols: np.ndarray = field(repr=False)
+    n_symbols: int
     symbol_period: float
     seq: int = -1
-
-    @property
-    def n_symbols(self) -> int:
-        """On-air symbols in this transmission."""
-        return int(self.symbols.size)
 
     @property
     def duration(self) -> float:
@@ -99,7 +98,6 @@ class RadioMedium:
         self,
         positions_m: np.ndarray,
         path_loss: PathLossModel | None = None,
-        tx_power_dbm: float = 0.0,
         noise_floor_dbm: float = -95.0,
         seed: int = 0,
         extra_loss_db: np.ndarray | None = None,
@@ -110,7 +108,6 @@ class RadioMedium:
                 f"positions must be (n, 2), got {positions.shape}"
             )
         self._model = path_loss or PathLossModel()
-        self._tx_power_dbm = float(tx_power_dbm)
         self._noise_mw = float(dbm_to_mw(noise_floor_dbm))
         n = positions.shape[0]
         diff = positions[:, None, :] - positions[None, :, :]
@@ -133,7 +130,7 @@ class RadioMedium:
             shadow = np.triu(shadow, 1)
             shadow = shadow + shadow.T
             loss = loss + shadow
-        rx_dbm = self._tx_power_dbm - loss
+        rx_dbm = TX_POWER_DBM - loss
         self._rx_mw = dbm_to_mw(rx_dbm)
         np.fill_diagonal(self._rx_mw, np.inf)  # own signal saturates
 
@@ -141,11 +138,6 @@ class RadioMedium:
     def noise_mw(self) -> float:
         """Thermal noise floor in milliwatts."""
         return self._noise_mw
-
-    @property
-    def tx_power_dbm(self) -> float:
-        """Transmit power used by every node."""
-        return self._tx_power_dbm
 
     @property
     def rx_power_matrix_mw(self) -> np.ndarray:

@@ -3,8 +3,9 @@
 Receptions are recorded once and evaluated under every delivery scheme
 (the paper's own method, §7.2).  Every frame of a run has one layout,
 so the acquired receptions of a run form one
-:class:`~repro.link.schemes.TraceBlock`, and each scheme scores it at
-once (:meth:`~repro.link.schemes.DeliveryScheme.evaluate_traces`); per-link
+:class:`~repro.link.schemes.TraceBlock`, read out of the trace table
+by :meth:`~repro.sim.network.TraceTable.trace_block`, and each scheme
+scores it at once (:meth:`~repro.link.schemes.DeliveryScheme.evaluate_traces`); per-link
 totals are bincounts over link ids.  CRC outcomes are evaluated through
 their defining property — a CRC-32-protected region verifies iff all of
 its symbols decoded correctly (undetected-error probability 2^-32 is
@@ -23,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.analysis.runs import run_lengths
-from repro.link.frame import body_symbol_count, payload_slice
 from repro.link.quality import LinkObservation, LinkStats
 from repro.link.schemes import (
     DeliveryResult,
@@ -34,8 +34,7 @@ from repro.link.schemes import (
     SpracScheme,
     TraceBlock,
 )
-from repro.phy.sync import SYNC_SYMBOLS
-from repro.sim.network import SimulationResult, transmitted_symbols
+from repro.sim.network import SimulationResult
 
 _BITS_PER_SYMBOL = 4
 _SYMBOLS_PER_BYTE = 2
@@ -73,27 +72,6 @@ def trace_deliver(
         overhead_bits=int(outcome.overhead_bits[0]),
         frame_passed=bool(outcome.frame_passed[0]),
     )
-
-
-def _payload_truth(result: SimulationResult, payload: slice) -> np.ndarray:
-    """The transmitted wire-payload symbols, one transmission per row."""
-    span = slice(SYNC_SYMBOLS + payload.start, SYNC_SYMBOLS + payload.stop)
-    return transmitted_symbols(result.transmissions)[:, span]
-
-
-def _trace_block(
-    result: SimulationResult, rows: np.ndarray, payload: slice
-) -> TraceBlock:
-    """The payload region of the table's ``rows`` as one block."""
-    table = result.table
-    picked = np.flatnonzero(rows)
-    if not picked.size:
-        # A stored table without rows keeps no body width.
-        empty = np.zeros((0, payload.stop - payload.start), dtype=np.uint8)
-        return TraceBlock(empty.astype(bool), empty)
-    truth = _payload_truth(result, payload)[table.tx_index[picked]]
-    correct = table.body_symbols[picked, payload] == truth
-    return TraceBlock(correct, table.body_hints[picked, payload])
 
 
 #: LinkObservation counter <- TraceDelivery column it sums
@@ -189,8 +167,7 @@ def evaluate_schemes(
     scored = np.zeros(n, dtype=bool)
     for mask in acquired.values():
         scored |= mask
-    payload = payload_slice(body_symbol_count(result.config.payload_bytes))
-    block = _trace_block(result, scored, payload)
+    block = table.trace_block(scored)
     columns = {scheme: _score(scheme, block, scored) for scheme in schemes}
 
     def link_sums(mask: np.ndarray, values: np.ndarray | None) -> list[int]:
@@ -361,10 +338,7 @@ def evaluate_schemes_reference(
         for scheme in schemes:
             stats = LinkStats()
             for rec in result.records:
-                payload = payload_slice(rec.body_symbols.size)
-                payload_bits = (
-                    payload.stop - payload.start
-                ) * _BITS_PER_SYMBOL
+                payload_bits = rec.payload.size * _BITS_PER_SYMBOL
                 stats[rec.link].record_sent(payload_bits)
                 if not rec.acquired(postamble_enabled):
                     continue
@@ -414,16 +388,9 @@ def _acquired_payloads(
     """``(hints, correct)`` over the payload of each row acquired with
     postamble decoding on."""
     table = result.table
-    payload = payload_slice(table.body_symbols.shape[1])
-    truth = _payload_truth(result, payload)
-    rows = np.flatnonzero(table.acquired(True))
-    for row, tx in zip(
-        rows.tolist(), table.tx_index[rows].tolist(), strict=True
-    ):
-        yield (
-            table.body_hints[row, payload],
-            table.body_symbols[row, payload] == truth[tx],
-        )
+    for row in np.flatnonzero(table.acquired(True)).tolist():
+        block = table.trace_block(slice(row, row + 1))
+        yield block.hints[0], block.correct[0]
 
 
 def miss_run_length_counts(

@@ -5,16 +5,16 @@ the shared medium), then post-processes every (transmission, receiver)
 pair into a row of the run's :class:`TraceTable`: the full on-air
 symbol stream is pushed through the chip-level channel at the pair's
 per-symbol SINR and decoded with the shared PHY core, producing
-genuine SoftPHY hints.
+genuine SoftPHY hints.  A row keeps what SoftPHY hands up over the
+wire payload, one byte per codeword, and the flags acquisition needs.
 
 Acquisition model (paper §4, §7.2.2):
 
 * **Preamble path** — receptions are scanned in arrival order; an idle
   receiver that can decode a preamble (sync chip error rate below the
-  correlator threshold) and parse a valid header locks onto the frame
-  until it ends.  Preambles arriving during a lock are missed — the
-  "missed opportunity to synchronize" the paper attributes status-quo
-  losses to.
+  correlator threshold) locks onto the frame until it ends.  Preambles
+  arriving during a lock are missed — the "missed opportunity to
+  synchronize" the paper attributes status-quo losses to.
 * **Postamble path** — any reception whose postamble detects and whose
   trailer CRC verifies can be recovered from the rollback buffer,
   locked receiver or not.
@@ -38,13 +38,15 @@ from repro.link.frame import (
     header_rows_ok,
     payload_slice,
 )
+from repro.link.schemes import TraceBlock
 from repro.phy.batch import BatchReceptionEngine
 from repro.phy.chipchannel import (
     chip_error_probability_interference,
     transmit_chipwords_batch,
 )
 from repro.phy.codebook import ZigbeeCodebook
-from repro.phy.sync import SYNC_SYMBOLS
+from repro.phy.modulation import SYMBOL_PERIOD_S
+from repro.phy.sync import SYNC_ERROR_THRESHOLD, SYNC_SYMBOLS
 from repro.sim.core import EventScheduler
 from repro.sim.mac import CsmaConfig, CsmaMac
 from repro.sim.medium import PathLossModel, RadioMedium, Transmission
@@ -63,14 +65,23 @@ _HOT_PROB = 1e-12
 # pairs, so the bound cannot change results.
 _RECEIVE_BLOCK_WORDS = 1 << 16
 
+# A payload entry: the Hamming hint (0 to 32) in the low six bits, and
+# WRONG set when the codeword decoded to a symbol other than the one
+# sent.  TraceTable.trace_block is the only reader of the format.
+WRONG = 64
+_HINT_BITS = WRONG - 1
+
 
 @dataclass(frozen=True)
 class SimulationConfig:
     """Parameters of one testbed run.
 
     Defaults follow the paper's setup: 1500-byte emulated packets
-    (§7.2), 16 µs codeword time (§7.3 footnote 6), and the offered
-    loads are set per experiment (3.5 / 6.9 / 13.8 Kbit/s/node).
+    (§7.2) and the offered loads set per experiment (3.5 / 6.9 / 13.8
+    Kbit/s/node).  The radio's fixed parameters are constants: the
+    16 µs codeword time (§7.3 footnote 6, ``SYMBOL_PERIOD_S``), the
+    correlator's ``SYNC_ERROR_THRESHOLD`` and the ``TX_POWER_DBM`` of
+    every node.
 
     The dataclass is frozen and every field is hashable, so a config
     *is* the identity of its run: the experiment layer's ``RunCache``
@@ -84,10 +95,7 @@ class SimulationConfig:
     duration_s: float = 30.0
     carrier_sense: bool = True
     seed: int = 0
-    symbol_period_s: float = 16e-6
-    sync_error_threshold: float = 0.25
     min_rx_snr_db: float = 0.0
-    tx_power_dbm: float = 0.0
     noise_floor_dbm: float = -95.0
     wall_loss_db: float = 9.0
     fading_sigma_db: float = 3.0
@@ -99,24 +107,10 @@ class SimulationConfig:
             raise ValueError("payload_bytes must be positive")
         if self.duration_s <= 0:
             raise ValueError("duration_s must be positive")
-        if not 0 < self.sync_error_threshold < 0.5:
-            raise ValueError(
-                "sync_error_threshold must be in (0, 0.5): beyond "
-                "0.5 a correlator cannot distinguish signal from noise"
-            )
-        # A zero or non-finite symbol period yields division-by-zero /
-        # NaN timelines deep inside interference_timeline_mw; reject at
-        # construction where the mistake is attributable.
-        if not np.isfinite(self.symbol_period_s) or self.symbol_period_s <= 0:
-            raise ValueError(
-                "symbol_period_s must be positive and finite, got "
-                f"{self.symbol_period_s}"
-            )
         # A NaN or infinite radio level runs to completion with garbage
         # (a NaN SNR reads as a chip error probability of 0.5).
         for name in (
             "min_rx_snr_db",
-            "tx_power_dbm",
             "noise_floor_dbm",
             "wall_loss_db",
             "fading_sigma_db",
@@ -131,39 +125,39 @@ class TraceTable:
     """Every reception of a run, one row per (transmission, receiver) pair.
 
     Row ``k`` is the reception of ``transmissions[tx_index[k]]`` at
-    ``receiver[k]``: its five acquisition flags and its decoded body
-    (header + wire payload + trailer) as one row of the ``(n, n_body)``
-    int8 ``body_symbols`` and uint8 ``body_hints`` matrices.  Every
-    frame of a run has one layout, so the bodies share one width.
-    Rows are in transmission-major, receiver-minor order.
+    ``receiver[k]``: its four acquisition flags and its wire payload as
+    SoftPHY hands it up, one row of the ``(n, L)`` uint8 ``payload``
+    matrix.  Each entry packs a codeword's Hamming hint with whether
+    it decoded wrong; :meth:`trace_block` unpacks them.  Every frame
+    of a run has one layout, so the payloads share one width, and a
+    table without rows keeps it.  Rows are in transmission-major,
+    receiver-minor order.
     """
 
     tx_index: np.ndarray
     receiver: np.ndarray
     preamble_detectable: np.ndarray
-    header_ok: np.ndarray
     postamble_detectable: np.ndarray
     trailer_ok: np.ndarray
     acquired_preamble: np.ndarray
-    body_symbols: np.ndarray = field(repr=False)
-    body_hints: np.ndarray = field(repr=False)
+    payload: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
         n = self.tx_index.size
         for name in _COLUMNS:
             shape = getattr(self, name).shape
-            ndim = 2 if name.startswith("body_") else 1
+            ndim = 2 if name == "payload" else 1
             if len(shape) != ndim or shape[0] != n:
                 raise ValueError(f"{name} has shape {shape}, not {n} rows")
-        if self.body_hints.shape != self.body_symbols.shape:
-            raise ValueError(
-                f"body_hints {self.body_hints.shape} and body_symbols "
-                f"{self.body_symbols.shape} differ; a run stores one "
-                "frame layout"
-            )
 
     def __len__(self) -> int:
         return self.tx_index.size
+
+    def trace_block(self, rows: np.ndarray | slice) -> TraceBlock:
+        """The payload of ``rows`` (a mask, indices or a slice) as
+        per-codeword correctness and Hamming hints."""
+        entries = self.payload[rows]
+        return TraceBlock((entries & WRONG) == 0, entries & _HINT_BITS)
 
     def acquired(self, postamble_enabled: bool) -> np.ndarray:
         """Per-row acquisition under the given PHY mode."""
@@ -173,13 +167,6 @@ class TraceTable:
 
 
 _COLUMNS = tuple(f.name for f in fields(TraceTable))
-
-
-def transmitted_symbols(transmissions: Sequence[Transmission]) -> np.ndarray:
-    """The on-air symbols of a run, one transmission per row."""
-    if not transmissions:
-        return np.empty((0, 0), dtype=np.uint8)
-    return np.stack([t.symbols for t in transmissions])
 
 
 @dataclass
@@ -206,8 +193,7 @@ class ReceptionRecord:
     """One (transmission, receiver) pair: a view of a table row.
 
     The table's columns read as attributes (``receiver``, the flags,
-    and the ``body_symbols``/``body_hints`` rows); sender, timing and
-    ground truth come from ``tx``.
+    and the ``payload`` row); sender and timing come from ``tx``.
     """
 
     __slots__ = ("_result", "_row")
@@ -232,11 +218,6 @@ class ReceptionRecord:
         """Directed (sender, receiver) pair."""
         return (self.tx.sender, self.receiver)
 
-    @property
-    def body_truth(self) -> np.ndarray:
-        """The transmitted body symbols: a view of ``tx.symbols``."""
-        return self.tx.symbols[SYNC_SYMBOLS:-SYNC_SYMBOLS]
-
     def acquired(self, postamble_enabled: bool) -> bool:
         """Whether this reception is acquired under the given PHY mode."""
         if self.acquired_preamble:
@@ -249,13 +230,14 @@ class ReceptionRecord:
 
     def payload_hints(self) -> np.ndarray:
         """SoftPHY hints over the wire-payload symbols."""
-        region = payload_slice(self.body_hints.size)
-        return self.body_hints[region].astype(np.float64)
+        return self._trace().hints[0].astype(np.float64)
 
     def payload_correct(self) -> np.ndarray:
         """Ground-truth correctness of the wire-payload symbols."""
-        region = payload_slice(self.body_symbols.size)
-        return self.body_symbols[region] == self.body_truth[region]
+        return self._trace().correct[0]
+
+    def _trace(self) -> TraceBlock:
+        return self._result.table.trace_block(slice(self._row, self._row + 1))
 
 
 @dataclass(frozen=True)
@@ -538,7 +520,6 @@ class NetworkSimulation:
         self._medium = RadioMedium(
             positions_m=self._testbed.positions_m,
             path_loss=path_loss,
-            tx_power_dbm=config.tx_power_dbm,
             noise_floor_dbm=config.noise_floor_dbm,
             seed=config.seed,
             extra_loss_db=extra_loss,
@@ -556,10 +537,13 @@ class NetworkSimulation:
 
     # -- phase 1: generate transmissions via traffic + MAC -------------------
 
-    def _generate_transmissions(self) -> list[Transmission]:
+    def _generate_transmissions(self) -> tuple[list[Transmission], np.ndarray]:
+        """The run's transmissions and their on-air symbols, one
+        ``(n_transmissions, n_air)`` uint8 row each."""
         cfg = self._config
         scheduler = EventScheduler()
         transmissions: list[Transmission] = []
+        air: list[np.ndarray] = []
         csma_cfg = CsmaConfig(enabled=cfg.carrier_sense)
         pattern_rng = derive_rng(cfg.seed, "payload-pattern")
         # Two counters: ``seq`` is assigned when a frame is *built* (so
@@ -605,18 +589,20 @@ class NetworkSimulation:
             sender: int, frame: PprFrame, seq: int
         ) -> None:
             now = scheduler.now
+            symbols = frame.on_air_symbols().astype(np.uint8)
             tx = Transmission(
                 tx_id=tx_counter[0],
                 sender=sender,
                 dst=frame.header.dst,
                 start=now,
-                symbols=frame.on_air_symbols().astype(np.uint8),
-                symbol_period=cfg.symbol_period_s,
+                n_symbols=symbols.size,
+                symbol_period=SYMBOL_PERIOD_S,
                 seq=seq,
             )
             tx_counter[0] += 1
             heapq.heappush(active_heap, (tx.end, len(transmissions)))
             transmissions.append(tx)
+            air.append(symbols)
             busy_until[sender] = tx.end
 
         def attempt_send(
@@ -664,7 +650,10 @@ class NetworkSimulation:
             )
 
         scheduler.run(until=cfg.duration_s)
-        return transmissions
+        # Every frame has the configured layout; sizing from the config
+        # keeps the rows' width when nothing was sent.
+        n_air = body_symbol_count(cfg.payload_bytes) + 2 * SYNC_SYMBOLS
+        return transmissions, np.array(air, dtype=np.uint8).reshape(-1, n_air)
 
     def _nearest_receiver(self, sender: int) -> int:
         positions = self._testbed.positions_m
@@ -677,9 +666,14 @@ class NetworkSimulation:
     # -- phase 2: chip-level reception ---------------------------------------
 
     def _receive(
-        self, transmissions: list[Transmission], gains: np.ndarray
+        self,
+        transmissions: list[Transmission],
+        air: np.ndarray,
+        gains: np.ndarray,
     ) -> TraceTable:
         """Every audible pair's reception, received in bounded blocks.
+
+        ``air`` holds the transmissions' on-air symbols, one row each.
 
         The pairs are walked in blocks of whole pairs holding at most
         ``_RECEIVE_BLOCK_WORDS`` hot codewords (a larger pair is a
@@ -691,10 +685,13 @@ class NetworkSimulation:
         the blocking is bit-identical to one pair at a time.  Only the
         words the channel changed need decoding (every other word
         decodes to itself at distance 0), and nearest-codeword decoding
-        is per word, so they are decoded in one call per block and
-        scattered into copies of the pairs' transmitted bodies.
-        Sync-field chip errors are the popcounts of the changed words
-        in the sync fields, summed per pair across blocks.
+        is per word, so they are decoded in one call per block.  A
+        changed payload word's entry takes its distance, and ``WRONG``
+        when it decoded to another symbol than the one sent; a changed
+        trailer word is scattered into a copy of the pairs' sent
+        trailers, whose CRCs give ``trailer_ok``.  Sync-field chip
+        errors are the popcounts of the changed words in the sync
+        fields, summed per pair across blocks.
         """
         cfg = self._config
         hot = hot_codewords(
@@ -705,10 +702,7 @@ class NetworkSimulation:
             cfg.min_rx_snr_db,
         )
         n = hot.tx_index.size
-        # Every frame of a run has the configured layout; sizing from
-        # the config keeps the columns' width when nothing was sent.
-        n_air = body_symbol_count(cfg.payload_bytes) + 2 * SYNC_SYMBOLS
-        air = transmitted_symbols(transmissions).reshape(-1, n_air)
+        n_air = air.shape[1]
         keys = np.array(
             [
                 derive_key(cfg.seed, "chip-channel", transmissions[i].tx_id, r)
@@ -722,8 +716,10 @@ class NetworkSimulation:
         offsets = np.concatenate([[0], np.cumsum(sizes)])
         engine = BatchReceptionEngine(self._codebook)
         body = slice(SYNC_SYMBOLS, n_air - SYNC_SYMBOLS)
-        body_symbols = air[hot.tx_index, body].astype(np.int8)
-        body_hints = np.zeros(body_symbols.shape, dtype=np.uint8)
+        region = payload_slice(body.stop - body.start)
+        payload = slice(body.start + region.start, body.start + region.stop)
+        entries = np.zeros((n, payload.stop - payload.start), dtype=np.uint8)
+        trailer = air[hot.tx_index, payload.stop : body.stop]
         # Chip errors per pair in its preamble (row 0) and postamble
         # (row 1) sync fields.
         sync_errors = np.zeros((2, n))
@@ -741,12 +737,15 @@ class NetworkSimulation:
             changed = np.flatnonzero(rx != truth)
             pair, at, rx = pair[changed], at[changed], rx[changed]
             [(decoded, distances)] = engine.decode_hard_ragged([rx])
+            wrong = decoded != sent[changed]
 
-            in_body = (at >= body.start) & (at < body.stop)
-            rows, cols = pair[in_body], at[in_body] - body.start
-            body_symbols[rows, cols] = decoded[in_body]
-            body_hints[rows, cols] = distances[in_body]
-            sync = ~in_body
+            word = (at >= payload.start) & (at < payload.stop)
+            entries[pair[word], at[word] - payload.start] = (
+                distances[word] | WRONG * wrong[word]
+            )
+            word = (at >= payload.stop) & (at < body.stop)
+            trailer[pair[word], at[word] - payload.stop] = decoded[word]
+            sync = (at < body.start) | (at >= body.stop)
             field = (at[sync] >= body.stop) * (hi - lo) + pair[sync] - lo
             sync_errors[:, lo:hi] += np.bincount(
                 field,
@@ -757,19 +756,16 @@ class NetworkSimulation:
 
         sync_chips = SYNC_SYMBOLS * self._codebook.chips_per_symbol
         preamble_ok, postamble_ok = (
-            sync_errors / sync_chips <= cfg.sync_error_threshold
+            sync_errors / sync_chips <= SYNC_ERROR_THRESHOLD
         )
-        payload = payload_slice(body_symbols.shape[1])
         return TraceTable(
             tx_index=hot.tx_index,
             receiver=hot.receiver,
             preamble_detectable=preamble_ok,
-            header_ok=header_rows_ok(body_symbols[:, : payload.start]),
             postamble_detectable=postamble_ok,
-            trailer_ok=header_rows_ok(body_symbols[:, payload.stop :]),
+            trailer_ok=header_rows_ok(trailer),
             acquired_preamble=np.zeros(n, dtype=bool),
-            body_symbols=body_symbols,
-            body_hints=body_hints,
+            payload=entries,
         )
 
     def _draw_fades(self, transmissions: list[Transmission]) -> np.ndarray:
@@ -833,9 +829,9 @@ class NetworkSimulation:
     def run(self) -> SimulationResult:
         """Execute the simulation and decode every audible reception."""
         cfg = self._config
-        transmissions = self._generate_transmissions()
+        transmissions, air = self._generate_transmissions()
         gains = self._draw_fades(transmissions)
-        table = self._receive(transmissions, gains)
+        table = self._receive(transmissions, air, gains)
         self._arbitrate_locks(table, transmissions)
         return SimulationResult(
             config=cfg,

@@ -17,19 +17,20 @@ the freshly simulated run.
 
 The layout is columnar because a run is: its receptions are one
 :class:`~repro.sim.network.TraceTable`, and every column is written as
-it is (one typed array per flag, one matrix per body column, since
-every frame of a run has one length), as are the transmissions' uint8
-on-air symbols as one matrix.  A record-per-object encoding would
-spend most of a warm read parsing megabytes of JSON; this format
-parses a few kilobytes of structure and reslices one buffer into the
-table, building no per-reception objects.  Rows store the ``tx_id``
-of their transmission, which is its index in the run.
+it is (one typed array per flag, and the uint8 payload matrix, one
+byte per codeword, since every frame of a run has one length).  A
+transmission is its scalars; its on-air symbols are not part of the
+run.  A record-per-object encoding would spend most of a warm read
+parsing megabytes of JSON; this format parses a few kilobytes of
+structure and reslices one buffer into the table, building no
+per-reception objects.  Rows store the ``tx_id`` of their
+transmission, which is its index in the run.
 
 Neither direction copies the bulk data.  :func:`result_to_chunks`
 hands out the binary section as byte views of the run's own arrays
 (the store hashes and writes them one by one), and
-:func:`result_from_parts` returns the byte-sized arrays — the symbol
-and body matrices — as views into the buffer it is given.
+:func:`result_from_parts` returns the byte-sized arrays — the flags
+and the payload matrix — as views into the buffer it is given.
 """
 
 from __future__ import annotations
@@ -72,33 +73,14 @@ class BinaryWriter:
 
     def add(self, array: np.ndarray) -> dict[str, Any]:
         """Append an array's raw bytes; return its descriptor."""
-        return self._append(array.dtype, array.shape, [array])
-
-    def add_rows(self, rows: Sequence[np.ndarray]) -> dict[str, Any]:
-        """Append equal-length 1-D arrays as the rows of one matrix,
-        without stacking them; no rows store a ``(0, 0)`` uint8."""
-        if not rows:
-            return self.add(np.empty((0, 0), dtype=np.uint8))
-        return self._append(rows[0].dtype, (len(rows), rows[0].size), rows)
-
-    def _append(
-        self,
-        dtype: np.dtype,
-        shape: tuple[int, ...],
-        arrays: Sequence[np.ndarray],
-    ) -> dict[str, Any]:
-        start = self._offset
-        for array in arrays:
-            raw = memoryview(
-                np.ascontiguousarray(array).reshape(-1).view(np.uint8)
-            )
-            self.chunks.append(raw)
-            self._offset += len(raw)
+        raw = memoryview(np.ascontiguousarray(array).reshape(-1).view(np.uint8))
+        self.chunks.append(raw)
+        self._offset += len(raw)
         return {
-            "dtype": dtype.str,
-            "shape": list(shape),
-            "offset": start,
-            "nbytes": self._offset - start,
+            "dtype": array.dtype.str,
+            "shape": list(array.shape),
+            "offset": self._offset - len(raw),
+            "nbytes": len(raw),
         }
 
 
@@ -107,9 +89,9 @@ class BinaryReader:
 
     Arrays are writable views into the section, which a read-only
     buffer is first copied to make writable.  Byte-sized arrays (the
-    flag columns and the symbol and body matrices) stay views; wider
-    ones, the small typed columns, are copied, because an offset into
-    the section need not be aligned for their dtype.
+    flag columns and the payload matrix) stay views; wider ones, the
+    small typed columns, are copied, because an offset into the
+    section need not be aligned for their dtype.
     """
 
     def __init__(self, buffer: bytes | bytearray | memoryview) -> None:
@@ -133,23 +115,6 @@ class BinaryReader:
 
 def _column(values: list[Any], dtype: str) -> np.ndarray:
     return np.array(values, dtype=np.dtype(dtype))
-
-
-def _matrix(matrix: np.ndarray) -> np.ndarray:
-    """A matrix as stored: a run without rows stores ``(0, 0)`` uint8."""
-    return matrix if len(matrix) else np.empty((0, 0), dtype=np.uint8)
-
-
-def _matrix_rows(
-    descriptor: dict[str, Any], reader: BinaryReader, count: int, what: str
-) -> np.ndarray:
-    """A stored matrix that must hold ``count`` rows."""
-    matrix = reader.get(descriptor)
-    if matrix.ndim != 2 or matrix.shape[0] != count:
-        raise ValueError(
-            f"{what} has shape {matrix.shape}, expected {count} rows"
-        )
-    return matrix
 
 
 def _testbed_to_structure(
@@ -196,20 +161,10 @@ def _transmissions_to_structure(
             _column([t.symbol_period for t in transmissions], "<f8")
         ),
         "seq": writer.add(_column([t.seq for t in transmissions], "<i8")),
-        "symbols": writer.add_rows(_symbol_rows(transmissions)),
+        "n_symbols": writer.add(
+            _column([t.n_symbols for t in transmissions], "<i8")
+        ),
     }
-
-
-def _symbol_rows(transmissions: Sequence[Transmission]) -> list[np.ndarray]:
-    arrays = [t.symbols for t in transmissions]
-    if any(a.dtype != np.uint8 or (a >> 4).any() for a in arrays):
-        raise ValueError("transmission symbols must be uint8 nibbles")
-    if len({a.shape for a in arrays}) > 1:
-        raise ValueError(
-            "transmission symbols differ in length; a run stores one "
-            "frame layout and must round-trip bit-for-bit"
-        )
-    return arrays
 
 
 def _transmissions_from_structure(
@@ -221,32 +176,27 @@ def _transmissions_from_structure(
     start = reader.get(data["start"])
     symbol_period = reader.get(data["symbol_period"])
     seq = reader.get(data["seq"])
-    symbols = _matrix_rows(
-        data["symbols"], reader, int(data["count"]), "symbols"
-    )
-    # Rows are views of the stored matrix: cheap, writable, independent.
+    n_symbols = reader.get(data["n_symbols"])
     return [
         Transmission(
             tx_id=int(tx_id[i]),
             sender=int(sender[i]),
             dst=int(dst[i]),
             start=float(start[i]),
-            symbols=syms,
+            n_symbols=int(n_symbols[i]),
             symbol_period=float(symbol_period[i]),
             seq=int(seq[i]),
         )
-        for i, syms in enumerate(symbols)
+        for i in range(int(data["count"]))
     ]
 
 
 _FLAG_COLUMNS = (
     "preamble_detectable",
-    "header_ok",
     "postamble_detectable",
     "trailer_ok",
     "acquired_preamble",
 )
-_BODY_COLUMNS = ("body_symbols", "body_hints")
 
 
 def _table_to_structure(
@@ -262,15 +212,13 @@ def _table_to_structure(
     }
     for name in _FLAG_COLUMNS:
         structure[name] = writer.add(getattr(table, name).astype("|b1"))
-    for name in _BODY_COLUMNS:
-        structure[name] = writer.add(_matrix(getattr(table, name)))
+    structure["payload"] = writer.add(table.payload)
     return structure
 
 
 def _table_from_structure(
     data: dict[str, Any], reader: BinaryReader, n_transmissions: int
 ) -> TraceTable:
-    count = int(data["count"])
     tx_id = reader.get(data["tx_id"])
     if tx_id.size and not 0 <= tx_id.min() <= tx_id.max() < n_transmissions:
         raise ValueError(
@@ -281,10 +229,7 @@ def _table_from_structure(
         tx_index=tx_id,
         receiver=reader.get(data["receiver"]),
         **{name: reader.get(data[name]) for name in _FLAG_COLUMNS},
-        **{
-            name: _matrix_rows(data[name], reader, count, name)
-            for name in _BODY_COLUMNS
-        },
+        payload=reader.get(data["payload"]),
     )
 
 

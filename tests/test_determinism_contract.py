@@ -73,7 +73,7 @@ class TestFullConfigKey:
         assert a is not b
         # Different seeds really are different noise realisations.
         assert len(a.records) != len(b.records) or any(
-            not np.array_equal(ra.body_symbols, rb.body_symbols)
+            not np.array_equal(ra.payload, rb.payload)
             for ra, rb in zip(a.records, b.records, strict=True)
         )
 

@@ -205,7 +205,7 @@ class TestFastExperiments:
 
     def test_fig13_parameter_validation(self):
         with pytest.raises(ValueError):
-            exp_fig13.run(n_body_symbols=10, overlap_symbols=20)
+            exp_fig13.run(n_body=10, overlap_symbols=20)
 
     def test_fig13_deterministic(self):
         a = exp_fig13.run()

@@ -15,7 +15,7 @@ from repro.link.frame import (
     parse_header_bytes,
     parse_trailer_bytes,
 )
-from repro.phy.spreading import symbols_to_bytes
+from repro.phy.spreading import bytes_to_symbols, symbols_to_bytes
 from repro.phy.sync import EFD_SYMBOLS, SFD_SYMBOLS, SYNC_SYMBOLS
 
 
@@ -63,7 +63,7 @@ class TestPprFrame:
     def test_body_symbol_count(self):
         frame = self._frame()
         expected = body_symbol_count(len(frame.wire_payload))
-        assert frame.body_symbols().size == expected
+        assert bytes_to_symbols(frame.body_bytes()).size == expected
         assert expected == SYMBOLS_PER_BYTE * (
             HEADER_BYTES + len(frame.wire_payload) + TRAILER_BYTES
         )
@@ -71,7 +71,7 @@ class TestPprFrame:
     def test_on_air_includes_sync_fields(self):
         frame = self._frame()
         air = frame.on_air_symbols()
-        assert air.size == frame.body_symbols().size + 2 * SYNC_SYMBOLS
+        assert air.size == bytes_to_symbols(frame.body_bytes()).size + 2 * SYNC_SYMBOLS
         assert air[:8].tolist() == [0] * 8
         assert tuple(air[8:10]) == SFD_SYMBOLS
         assert tuple(air[-2:]) == EFD_SYMBOLS
@@ -83,7 +83,7 @@ class TestPprFrame:
 
     def test_parse_body_roundtrip(self):
         frame = self._frame(b"some payload bytes")
-        symbols = frame.body_symbols()
+        symbols = bytes_to_symbols(frame.body_bytes())
         region = payload_slice(symbols.size)
         header, ok = parse_header_bytes(symbols_to_bytes(symbols[: region.start]))
         assert ok and header == frame.header
@@ -91,7 +91,7 @@ class TestPprFrame:
 
     def test_parse_detects_corrupt_header_keeps_trailer(self):
         frame = self._frame()
-        symbols = frame.body_symbols()
+        symbols = bytes_to_symbols(frame.body_bytes())
         symbols[0] = (symbols[0] + 1) % 16
         region = payload_slice(symbols.size)
         _, header_ok = parse_header_bytes(symbols_to_bytes(symbols[: region.start]))
@@ -101,10 +101,10 @@ class TestPprFrame:
 
     def test_payload_symbol_range(self):
         frame = self._frame(b"abcd")
-        region = payload_slice(frame.body_symbols().size)
+        region = payload_slice(bytes_to_symbols(frame.body_bytes()).size)
         assert region.start == SYMBOLS_PER_BYTE * HEADER_BYTES
         assert region.stop - region.start == SYMBOLS_PER_BYTE * 4
-        assert symbols_to_bytes(frame.body_symbols()[region]) == b"abcd"
+        assert symbols_to_bytes(bytes_to_symbols(frame.body_bytes())[region]) == b"abcd"
 
     def test_oversized_payload_rejected(self):
         with pytest.raises(ValueError, match="too large"):
@@ -118,7 +118,7 @@ class TestPprFrame:
     @settings(max_examples=30, deadline=None)
     def test_roundtrip_property(self, payload):
         frame = PprFrame.build(src=1, dst=2, seq=3, wire_payload=payload)
-        symbols = frame.body_symbols()
+        symbols = bytes_to_symbols(frame.body_bytes())
         region = payload_slice(symbols.size)
         header, header_ok = parse_header_bytes(symbols_to_bytes(symbols[: region.start]))
         _, trailer_ok = parse_trailer_bytes(symbols_to_bytes(symbols[region.stop :]))

@@ -18,7 +18,7 @@ from repro.link.frame import (
     payload_slice,
 )
 from repro.link.schemes import PprScheme
-from repro.phy.spreading import symbols_to_bytes
+from repro.phy.spreading import bytes_to_symbols, symbols_to_bytes
 from repro.phy.symbols import SoftPacket
 from repro.utils.bitops import BitReader
 from repro.utils.rng import ensure_rng
@@ -39,7 +39,7 @@ class TestFrameParsingFuzz:
         without exceptions; CRC flags must reflect tampering of the
         covered fields."""
         frame = PprFrame.build(src=1, dst=2, seq=3, wire_payload=payload)
-        symbols = frame.body_symbols()
+        symbols = bytes_to_symbols(frame.body_bytes())
         for pos, value in corruptions:
             symbols[pos % symbols.size] = value
         region = payload_slice(symbols.size)

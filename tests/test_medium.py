@@ -16,7 +16,7 @@ def _tx(tx_id, sender, start, n_symbols=100, period=16e-6):
         sender=sender,
         dst=0,
         start=start,
-        symbols=np.zeros(n_symbols, dtype=np.int64),
+        n_symbols=n_symbols,
         symbol_period=period,
     )
 

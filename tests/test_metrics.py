@@ -11,7 +11,6 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from repro.link.frame import payload_slice
 from repro.link.schemes import (
     DeliveryScheme,
     FragmentedCrcScheme,
@@ -29,7 +28,7 @@ from repro.sim.metrics import (
     miss_run_length_counts,
     trace_deliver,
 )
-from repro.sim.network import TraceTable
+from repro.sim.network import WRONG, TraceTable
 from repro.utils.rng import ensure_rng
 
 
@@ -201,15 +200,12 @@ class TestHintStatistics:
         """Wrong codewords at payload symbols 1, 2 and 4, all with hint
         0 (misses at every eta), form one run of 2 and one of 1."""
         table = small_sim_result.table
-        symbols = small_sim_result.records[0].body_truth.astype(np.int8)
-        wrong = payload_slice(symbols.size).start + np.array([1, 2, 4])
-        symbols[wrong] = (symbols[wrong] + 1) % 16
         one_row = TraceTable(
             **{f.name: getattr(table, f.name)[:1].copy() for f in fields(table)}
         )
         one_row.acquired_preamble[0] = True
-        one_row.body_symbols[0] = symbols
-        one_row.body_hints[0] = 0
+        one_row.payload[0] = 0
+        one_row.payload[0, [1, 2, 4]] = WRONG
         counts = miss_run_length_counts(
             replace(small_sim_result, table=one_row), etas=(0, 3)
         )

@@ -541,18 +541,6 @@ KEEP_OPTIONS: dict[str, str] = {
         "model parameter a closed-form test sets to its limit: 200 dB "
         "makes no link audible"
     ),
-    "repro.sim.network.SimulationConfig.tx_power_dbm": (
-        "reference spec: the paper's radio model; a config field is "
-        "part of every stored run's key, so it stays a field"
-    ),
-    "repro.sim.network.SimulationConfig.symbol_period_s": (
-        "reference spec: the paper's 16 us codeword time (7.3); a "
-        "config field is part of every stored run's key"
-    ),
-    "repro.sim.network.SimulationConfig.sync_error_threshold": (
-        "reference spec: the paper's correlator threshold; a config "
-        "field is part of every stored run's key"
-    ),
     "repro.arq.chunking.chunk_cost_naive.checksum_bits": _MIRRORS_PLAN_CHUNKS,
     "repro.arq.chunking.merged_single_chunk_cost.checksum_bits": (
         _MIRRORS_PLAN_CHUNKS

@@ -11,10 +11,11 @@ from repro.link.frame import (
     TRAILER_BYTES,
     parse_header_bytes,
 )
+from repro.phy.modulation import SYMBOL_PERIOD_S
 from repro.phy.spreading import symbols_to_bytes
 from repro.phy.sync import SYNC_SYMBOLS
 from repro.sim.medium import PathLossModel
-from repro.sim.network import NetworkSimulation, SimulationConfig
+from repro.sim.network import WRONG, NetworkSimulation, SimulationConfig, TraceTable
 from repro.sim.testbed import TestbedConfig as _TestbedConfig
 
 
@@ -27,26 +28,10 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SimulationConfig(duration_s=0)
 
-    def test_rejects_bad_sync_threshold(self):
-        with pytest.raises(ValueError, match="0.5"):
-            SimulationConfig(sync_error_threshold=0.6)
-
-    @pytest.mark.parametrize("period", [0.0, -1e-6, np.nan, np.inf])
-    def test_rejects_bad_symbol_period(self, period):
-        """Zero/non-finite periods used to reach division-by-zero/NaN
-        timelines deep inside interference_timeline_mw."""
-        with pytest.raises(ValueError, match="symbol_period_s"):
-            SimulationConfig(symbol_period_s=period)
-
     @pytest.mark.parametrize("snr", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_min_rx_snr(self, snr):
         with pytest.raises(ValueError, match="min_rx_snr_db"):
             SimulationConfig(min_rx_snr_db=snr)
-
-    @pytest.mark.parametrize("power", [np.nan, np.inf, -np.inf])
-    def test_rejects_non_finite_tx_power(self, power):
-        with pytest.raises(ValueError, match="tx_power_dbm"):
-            SimulationConfig(tx_power_dbm=power)
 
     @pytest.mark.parametrize(
         ("field", "value"),
@@ -61,6 +46,29 @@ class TestConfigValidation:
         used to run to completion with no (or meaningless) receptions."""
         with pytest.raises(ValueError, match=field):
             SimulationConfig(**{field: value})
+
+
+class TestPayloadEntries:
+    @pytest.mark.parametrize("wrong", [False, True])
+    @pytest.mark.parametrize("hint", [0, 1, 16, 32])
+    def test_entry_reads_back_as_its_hint_and_correctness(self, hint, wrong):
+        """An entry packs a codeword's hint with WRONG, and the table's
+        block reader unpacks both.  Wrong at hint 0 is the
+        aligned-codeword blind spot (the chips formed another valid
+        codeword exactly), and it must still read as wrong."""
+        entry = hint | WRONG * wrong
+        table = TraceTable(
+            tx_index=np.zeros(2, dtype=np.int64),
+            receiver=np.zeros(2, dtype=np.int64),
+            preamble_detectable=np.ones(2, dtype=bool),
+            postamble_detectable=np.ones(2, dtype=bool),
+            trailer_ok=np.ones(2, dtype=bool),
+            acquired_preamble=np.ones(2, dtype=bool),
+            payload=np.array([[entry, 0, entry], [0, 0, 0]], dtype=np.uint8),
+        )
+        block = table.trace_block(np.array([True, False]))
+        assert block.hints.tolist() == [[hint, 0, hint]]
+        assert block.correct.tolist() == [[not wrong, True, not wrong]]
 
 
 class TestRunStructure:
@@ -86,14 +94,14 @@ class TestRunStructure:
 
     def test_body_regions_consistent(self, small_sim_result):
         cfg = small_sim_result.config
+        n_payload = SYMBOLS_PER_BYTE * cfg.payload_bytes
+        assert small_sim_result.table.payload.shape[1] == n_payload
         for rec in small_sim_result.records[:50]:
-            n_body = rec.body_symbols.size
-            assert n_body == SYMBOLS_PER_BYTE * (
+            assert rec.payload.size == n_payload
+            assert rec.payload_hints().size == n_payload
+            assert rec.payload_correct().size == n_payload
+            assert rec.tx.n_symbols == 2 * SYNC_SYMBOLS + SYMBOLS_PER_BYTE * (
                 HEADER_BYTES + cfg.payload_bytes + TRAILER_BYTES
-            )
-            assert rec.body_hints.size == n_body
-            assert rec.payload_correct().size == (
-                SYMBOLS_PER_BYTE * cfg.payload_bytes
             )
 
     def test_records_point_at_their_transmission(self, small_sim_result):
@@ -101,20 +109,13 @@ class TestRunStructure:
         for rec in small_sim_result.records:
             assert rec.tx is txs[rec.tx.tx_id]
             assert rec.link == (rec.tx.sender, rec.receiver)
-            truth = rec.body_truth
-            assert np.shares_memory(truth, rec.tx.symbols)
-            assert np.array_equal(
-                truth, rec.tx.symbols[SYNC_SYMBOLS:-SYNC_SYMBOLS]
-            )
 
     def test_hints_zero_implies_correct(self, small_sim_result):
         """A Hamming hint of 0 means the received chips exactly matched
         the decoded codeword; with the transmitted word at distance 0
         the decode must be correct."""
-        for rec in small_sim_result.records[:100]:
-            zero_hint = rec.body_hints == 0
-            correct = rec.body_symbols == rec.body_truth
-            assert np.all(correct[zero_hint])
+        block = small_sim_result.table.trace_block(slice(100))
+        assert np.all(block.correct[block.hints == 0])
 
     def test_acquisition_flags_consistent(self, small_sim_result):
         for rec in small_sim_result.records:
@@ -143,15 +144,13 @@ class TestRunStructure:
         assert len(a.records) == len(b.records)
         for ra, rb in zip(a.records, b.records, strict=True):
             assert ra.tx.tx_id == rb.tx.tx_id
-            assert np.array_equal(ra.body_symbols, rb.body_symbols)
-            assert np.array_equal(ra.body_hints, rb.body_hints)
+            assert np.array_equal(ra.payload, rb.payload)
 
 
 class TestLockArbitration:
     def test_no_overlapping_preamble_acquisitions(self, small_sim_result):
         """The single-radio lock: at any receiver, preamble-acquired
         frames must not overlap in time."""
-        period = small_sim_result.config.symbol_period_s
         for receiver in small_sim_result.testbed.receiver_ids:
             acquired = sorted(
                 (
@@ -162,8 +161,7 @@ class TestLockArbitration:
                 key=lambda r: r.tx.start,
             )
             for first, second in zip(acquired, acquired[1:], strict=False):
-                n_air = first.body_symbols.size + 2 * SYNC_SYMBOLS
-                first_end = first.tx.start + n_air * period
+                first_end = first.tx.start + first.tx.n_symbols * SYMBOL_PERIOD_S
                 assert second.tx.start >= first_end - 1e-12
 
 
@@ -197,8 +195,7 @@ class TestSequenceNumbers:
             testbed=testbed,
             path_loss=PathLossModel(shadowing_sigma_db=0),
         )
-        result = sim.run()
-        txs = result.transmissions
+        txs, air = sim._generate_transmissions()
         assert len(txs) > 10
         # The scenario must actually exercise deferral: with the two
         # counters in lockstep (no deferrals) seq always equals tx_id.
@@ -210,8 +207,8 @@ class TestSequenceNumbers:
         # The seq on the wire (in the frame header symbols) must agree
         # with the Transmission's seq for every frame.  The wire field
         # is 16 bits and wraps; Transmission.seq never does.
-        for t in txs:
-            body = t.symbols[SYNC_SYMBOLS : t.symbols.size - SYNC_SYMBOLS]
+        for t, symbols in zip(txs, air, strict=True):
+            body = symbols[SYNC_SYMBOLS:-SYNC_SYMBOLS]
             header_syms = body[: SYMBOLS_PER_BYTE * HEADER_BYTES]
             header, ok = parse_header_bytes(symbols_to_bytes(header_syms))
             assert ok
@@ -257,26 +254,19 @@ class TestForcedCollision:
             testbed=testbed,
             path_loss=PathLossModel(shadowing_sigma_db=0),
         )
-        result = sim.run()
-        corrupted = [
-            r
-            for r in result.records
-            if not np.array_equal(r.body_symbols, r.body_truth)
-        ]
-        assert corrupted, "equal-power collisions must corrupt symbols"
-        rec = max(
-            corrupted,
-            key=lambda r: (r.body_symbols != r.body_truth).sum(),
-        )
-        wrong = rec.body_symbols != rec.body_truth
-        assert rec.body_hints[wrong].mean() > rec.body_hints[~wrong].mean()
+        block = sim.run().table.trace_block(slice(None))
+        wrong = ~block.correct
+        assert wrong.any(), "equal-power collisions must corrupt symbols"
+        row = wrong.sum(axis=1).argmax()
+        wrong, hints = wrong[row], block.hints[row]
+        assert hints[wrong].mean() > hints[~wrong].mean()
 
 
 class TestReceiveMemory:
     def test_heaviest_quick_point_peak(self):
         """Receiving a run holds bounded blocks of its hot codewords,
         never all of them: the heaviest quick point (2.05M hot
-        codewords, a ~7 MB result) peaks far below the ~158 MB that
+        codewords, a ~3 MB result) peaks far below the ~158 MB that
         building every hot codeword at once took."""
         config = SimulationConfig(
             load_bits_per_s_per_node=13800.0,

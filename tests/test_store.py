@@ -64,10 +64,7 @@ def _assert_results_identical(a, b) -> None:
     assert a.testbed.area_m == b.testbed.area_m
     assert len(a.transmissions) == len(b.transmissions)
     for ta, tb in zip(a.transmissions, b.transmissions, strict=True):
-        assert dataclasses.astuple(ta)[:4] == dataclasses.astuple(tb)[:4]
-        assert ta.symbols.dtype == tb.symbols.dtype
-        assert np.array_equal(ta.symbols, tb.symbols)
-        assert (ta.symbol_period, ta.seq) == (tb.symbol_period, tb.seq)
+        assert dataclasses.astuple(ta) == dataclasses.astuple(tb)
     assert len(a.records) == len(b.records)
     for ra, rb in zip(a.records, b.records, strict=True):
         assert ra.tx is a.transmissions[ra.tx.tx_id]
@@ -76,16 +73,13 @@ def _assert_results_identical(a, b) -> None:
         for field in (
             "receiver",
             "preamble_detectable",
-            "header_ok",
             "postamble_detectable",
             "trailer_ok",
             "acquired_preamble",
         ):
             assert getattr(ra, field) == getattr(rb, field), field
-        for field in ("body_symbols", "body_hints"):
-            va, vb = getattr(ra, field), getattr(rb, field)
-            assert va.dtype == vb.dtype, field
-            assert np.array_equal(va, vb), field
+        assert ra.payload.dtype == rb.payload.dtype == np.uint8
+        assert np.array_equal(ra.payload, rb.payload)
 
 
 class TestKeys:
@@ -208,30 +202,33 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match="different config"):
             RunStore(tmp_path).put(_config(load=3500.0), result)
 
-    def test_put_rejects_symbols_wider_than_a_nibble(self, run):
-        _config_, result = run
-        tx = result.transmissions[0]
-        bad = dataclasses.replace(tx, symbols=tx.symbols + 16)
-        with pytest.raises(ValueError, match="nibbles"):
-            result_to_parts(
-                dataclasses.replace(result, transmissions=[bad])
-            )
+    def test_table_rejects_a_payload_that_is_not_one_matrix(self, run):
+        """Receptions are rows of one table, so a payload column with
+        a row missing, or without a width, cannot even be built, let
+        alone stored."""
+        table = run[1].table
+        for bad in (table.payload[:-1], table.payload.reshape(-1)):
+            with pytest.raises(ValueError, match="payload"):
+                dataclasses.replace(table, payload=bad)
 
-    def test_put_rejects_frames_of_unequal_length(self, run):
-        _config_, result = run
-        tx = result.transmissions[0]
-        short_tx = dataclasses.replace(tx, symbols=tx.symbols[:-2])
-        with pytest.raises(ValueError, match="symbols"):
-            result_to_parts(
-                dataclasses.replace(
-                    result, transmissions=[short_tx, *result.transmissions]
-                )
-            )
-        # Receptions are rows of one table, so a short body cannot
-        # even be built, let alone stored.
-        table = result.table
-        with pytest.raises(ValueError, match="body_hints"):
-            dataclasses.replace(table, body_hints=table.body_hints[:, :-2])
+    def test_entry_holds_one_byte_per_payload_codeword(self, run, tmp_path):
+        """An entry keeps no symbol rows: its one matrix is the uint8
+        payload column, one byte per received payload codeword."""
+        config, result = run
+        _header, body = _split(RunStore(tmp_path).put(config, result))
+        structure = json.loads(body[: body.index(b"\n")])["structure"]
+        assert "symbols" not in structure["transmissions"]
+        descriptors = [
+            d
+            for part in structure.values()
+            if isinstance(part, dict)
+            for d in part.values()
+            if isinstance(d, dict) and "shape" in d
+        ]
+        payload = structure["records"]["payload"]
+        assert [d for d in descriptors if d["dtype"] == "|u1"] == [payload]
+        assert payload["shape"] == list(result.table.payload.shape)
+        assert payload["nbytes"] == result.table.payload.size
 
     def test_no_temp_files_left_behind(self, run, tmp_path):
         config, result = run
@@ -275,7 +272,7 @@ def _tx_id_past_the_transmissions(path) -> None:
 
 def _short_body_matrix(path) -> None:
     def edit(structure, _binary):
-        descriptor = structure["records"]["body_symbols"]
+        descriptor = structure["records"]["payload"]
         rows, width = descriptor["shape"]
         descriptor["shape"] = [rows - 1, width]
         descriptor["nbytes"] -= width * np.dtype(descriptor["dtype"]).itemsize

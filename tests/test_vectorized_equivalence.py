@@ -33,7 +33,6 @@ from repro.experiments import registry
 from repro.experiments.common import RunCache
 from repro.link.frame import (
     FrameHeader,
-    body_symbol_count,
     header_rows_ok,
     parse_header_bytes,
     parse_trailer_bytes,
@@ -62,11 +61,12 @@ from repro.phy.remodulate import (
     remodulate_frame_reference,
 )
 from repro.phy.spreading import bytes_to_symbols, symbols_to_bytes
-from repro.phy.sync import SYNC_SYMBOLS, sync_field_symbols
+from repro.phy.sync import SYNC_ERROR_THRESHOLD, SYNC_SYMBOLS, sync_field_symbols
 from repro.sim.metrics import evaluate_schemes, evaluate_schemes_reference
 from repro.sim import network
 from repro.sim.medium import RadioMedium, Transmission
 from repro.sim.network import (
+    WRONG,
     NetworkSimulation,
     SimulationConfig,
     TraceTable,
@@ -923,11 +923,12 @@ class TestSchemeEvaluationEquivalence:
         self._assert_equivalent(self._with_rows(small_sim_result, slice(0)))
 
     def test_stored_table_without_rows(self, small_sim_result):
-        """A stored run without receptions keeps ``(0, 0)`` bodies."""
+        """A stored run without receptions keeps its payload width."""
         result = result_from_parts(
             *result_to_parts(self._with_rows(small_sim_result, slice(0)))
         )
-        assert result.table.body_symbols.shape == (0, 0)
+        width = small_sim_result.table.payload.shape[1]
+        assert result.table.payload.shape == (0, width)
         self._assert_equivalent(result)
 
 
@@ -971,7 +972,7 @@ class TestHotCodewordsEquivalence:
             sender=sender,
             dst=-1,
             start=start_symbols * period,
-            symbols=np.arange(n_symbols) % 16,
+            n_symbols=n_symbols,
             symbol_period=period,
         )
 
@@ -986,7 +987,7 @@ class TestHotCodewordsEquivalence:
             seed=11,
         )
         sim = NetworkSimulation(config)
-        transmissions = sim._generate_transmissions()
+        transmissions, _air = sim._generate_transmissions()
         ref = self._assert_equivalent(
             sim.medium,
             transmissions,
@@ -1102,15 +1103,17 @@ def _fade_matrix(sim, transmissions, fades):
     ).reshape(len(transmissions), len(sim.testbed.receiver_ids))
 
 
-def _receive_per_record(sim, transmissions, fades):
+def _receive_per_record(sim, transmissions, air, fades):
     """The per-record reception path the columnar finaliser replaced.
 
     Each audible pair crosses the channel alone, with its own copy of
-    the transmitted words; its changed words are decoded as one array
-    per pair, and its record is assembled alone: per-record sync
-    popcounts, header and trailer parsed through ``parse_header_bytes``
-    and ``parse_trailer_bytes``, and preamble locks taken over the
-    record list.  Returns the records as dicts of the table's columns.
+    the transmitted words (``air[i]`` holds transmission ``i``'s
+    on-air symbols); its changed words are decoded as one array per
+    pair, and its record is assembled alone: per-record sync
+    popcounts, its received symbols compared with the sent ones, the
+    trailer parsed through ``parse_trailer_bytes``, and preamble locks
+    taken over the record list.  Returns the records as dicts of the
+    table's columns.
     """
     cfg = sim._config
     codebook = sim._codebook
@@ -1122,8 +1125,7 @@ def _receive_per_record(sim, transmissions, fades):
         cfg.min_rx_snr_db,
     )
     truth = {
-        i: codebook.encode_words(transmissions[i].symbols)
-        for i in np.unique(hot.tx_index).tolist()
+        i: codebook.encode_words(air[i]) for i in np.unique(hot.tx_index).tolist()
     }
     pendings = []
     for k, (i, receiver) in enumerate(
@@ -1148,35 +1150,30 @@ def _receive_per_record(sim, transmissions, fades):
     for (i, receiver, truth_words, rx_words, changed), (syms, dists) in zip(
         pendings, decoded, strict=True
     ):
-        sent = transmissions[i].symbols
+        sent = air[i]
         symbols = sent.astype(np.int64)
-        hints = np.zeros(sent.size, dtype=np.float64)
+        hints = np.zeros(sent.size, dtype=np.int64)
         symbols[changed] = syms
         hints[changed] = dists
         errors = popcount32(rx_words ^ truth_words)
         pre = int(errors[:SYNC_SYMBOLS].sum())
         post = int(errors[-SYNC_SYMBOLS:].sum())
-        body = symbols[SYNC_SYMBOLS:-SYNC_SYMBOLS]
-        payload = payload_slice(body.size)
+        body = slice(SYNC_SYMBOLS, sent.size - SYNC_SYMBOLS)
+        region = payload_slice(body.stop - body.start)
+        payload = slice(body.start + region.start, body.start + region.stop)
+        entries = hints[payload] + WRONG * (symbols[payload] != sent[payload])
         records.append(
             {
                 "tx_index": i,
                 "receiver": receiver,
-                "preamble_detectable": pre / sync_chips
-                <= cfg.sync_error_threshold,
-                "header_ok": parse_header_bytes(
-                    symbols_to_bytes(body[: payload.start])
-                )[1],
+                "preamble_detectable": pre / sync_chips <= SYNC_ERROR_THRESHOLD,
                 "postamble_detectable": post / sync_chips
-                <= cfg.sync_error_threshold,
+                <= SYNC_ERROR_THRESHOLD,
                 "trailer_ok": parse_trailer_bytes(
-                    symbols_to_bytes(body[payload.stop :])
+                    symbols_to_bytes(symbols[payload.stop : body.stop])
                 )[1],
                 "acquired_preamble": False,
-                "body_symbols": body.astype(np.int8),
-                "body_hints": hints[SYNC_SYMBOLS:-SYNC_SYMBOLS].astype(
-                    np.uint8
-                ),
+                "payload": entries.astype(np.uint8),
             }
         )
 
@@ -1197,15 +1194,16 @@ def _receive_per_record(sim, transmissions, fades):
     return records
 
 
-def _records_table(records, n_body):
+def _records_table(records, n_payload):
     """Per-record dicts stacked into a trace table."""
     columns = {}
     for f in fields(TraceTable):
         values = [rec[f.name] for rec in records]
-        if f.name.startswith("body_"):
-            dtype = np.int8 if f.name == "body_symbols" else np.uint8
+        if f.name == "payload":
             columns[f.name] = (
-                np.stack(values) if values else np.zeros((0, n_body), dtype)
+                np.stack(values)
+                if values
+                else np.zeros((0, n_payload), np.uint8)
             )
         else:
             integral = f.name in ("tx_index", "receiver")
@@ -1233,19 +1231,19 @@ def _quick_points():
 # then binary section, keyed by (load, carrier sense, noise floor,
 # seed); computed at seed 2007's quick settings (duration 15 s).
 _QUICK_POINT_DIGESTS = {
-    (3500.0, False, -95.0, 2007): "e79502ab4039474335e078ec1c6281759a35935b7b5e7e81291ac4569144577a",
-    (3500.0, False, -95.0, 2008): "29592ade12ad9a6ea7f087d2ec53371253fb2a188eb9bacf9d5405c55688bfa0",
-    (3500.0, False, -95.0, 2009): "4741f92de6f68022942b5903991d89be71a32aa7a7d9b59b12fcb4283c25f95b",
-    (3500.0, True, -95.0, 2007): "003e44efc1c4848ab443d7df586122584c5450e1816e63a643153e9451c3bf4b",
-    (6900.0, False, -95.0, 2007): "7cdfc8b48b757801fb941186d306f5c1509556235c86005698a0712e8f5bdf4a",
-    (6900.0, False, -95.0, 2008): "a0de0af0190ea3103390072d88c46f889f7547e3cc4b99d423bff63f24e78530",
-    (6900.0, False, -95.0, 2009): "d17d351d11fc5eb7829d383454ff69c08fac308fc69767eb7021d7fd575bca8b",
-    (13800.0, False, -95.0, 2007): "f70f26236683d2ecc4600102a93a443fc1203a279c8906611af448ccc6b01c78",
-    (13800.0, False, -95.0, 2008): "4b46261ed9d5dfd0e76d3bc994bf09bb647bf03242b37e8199104b8181411d9a",
-    (13800.0, False, -95.0, 2009): "9cb1c5c940adf5908ef325180b09f86a01ca7f3328a7fae455ec63a6d74b42a1",
-    (13800.0, False, -87.0, 2007): "f947da232ce3cb1c1382d6ad5dc6d87577bfcc2187231c00ef654db94e3a9f2b",
-    (13800.0, False, -87.0, 2008): "636ab5780a2bd24339c7f57baebd97e614c5cf77c4db6482b844be75f0e38283",
-    (13800.0, False, -87.0, 2009): "8ef864c42d94d1cdbb7da430f598f4635574f08a65452d721c5f019df92d1a00",
+    (3500.0, False, -95.0, 2007): "ecdae8891dd09904d9a0ceed6de744290f2ecffb8a70d564f4af71c20ab59df2",
+    (3500.0, False, -95.0, 2008): "de016ae705bc9fc035131227cc5d57cc4e334350435819c792514df9566b358a",
+    (3500.0, False, -95.0, 2009): "1e6aac1317823b9c5335a10734e9dcb8440df547662c4ec946848767779e6f7a",
+    (3500.0, True, -95.0, 2007): "71538c943da0b56c48dde482823d34db33b1169c73b6976e9a7eeb2f3d8dff43",
+    (6900.0, False, -95.0, 2007): "dfe56497da308d208b2d14d921ffca36e7e3dcfa54d56ba3ebe0bb11a4e3ff81",
+    (6900.0, False, -95.0, 2008): "61251f9946f05a13a80f2c6188f498671f67cda7c54ae5b10dfc529530990cde",
+    (6900.0, False, -95.0, 2009): "18d0d66167514b889b846e5ea80a2f7087d896fbe64273390c8d421eb96a6fae",
+    (13800.0, False, -95.0, 2007): "69128850089f58a030a67a064fa0ebdef69fc31441a41bab1fc2d28fa5192e9e",
+    (13800.0, False, -95.0, 2008): "1880379fa59a8adfe276a27d5c7fc143317d2e80322dd95406b0bedac7e65918",
+    (13800.0, False, -95.0, 2009): "ad8d0eb22c1f49bf30921a82f244552a8b97bcb0836db0ecce425000e47980db",
+    (13800.0, False, -87.0, 2007): "3533f27c8a7e3bd2104985421f8db6a075d17fe99a0512a930286d9b865673b8",
+    (13800.0, False, -87.0, 2008): "b623c04e6df1311d87a1453a6d35f3c308bf339182bb02dab1330b5db4cf5170",
+    (13800.0, False, -87.0, 2009): "1978cd34764fef1029da8bc041301148b661c85e78027ac0a9b3913ae36265c4",
 }
 
 # A short, collision-heavy run: heavy load, no carrier sense, tiny
@@ -1279,11 +1277,10 @@ class TestColumnarReceptionEquivalence:
     def _assert_equivalent(config):
         sim = NetworkSimulation(config)
         result = sim.run()
-        fades = _fades_per_pair(sim, result.transmissions)
-        records = _receive_per_record(sim, result.transmissions, fades)
-        reference = _records_table(
-            records, body_symbol_count(config.payload_bytes)
-        )
+        transmissions, air = sim._generate_transmissions()
+        fades = _fades_per_pair(sim, transmissions)
+        records = _receive_per_record(sim, transmissions, air, fades)
+        reference = _records_table(records, 2 * config.payload_bytes)
         _assert_tables_equal(result.table, reference)
         assert result_to_parts(
             replace(result, table=reference)
@@ -1355,10 +1352,7 @@ class TestColumnarReceptionEquivalence:
         config = _NO_TX_CONFIG
         result = self._assert_equivalent(config)
         assert not result.transmissions and not result.records
-        assert result.table.body_symbols.shape == (
-            0,
-            body_symbol_count(config.payload_bytes),
-        )
+        assert result.table.payload.shape == (0, 2 * config.payload_bytes)
         meta, blob = result_to_parts(result)
         again = result_from_parts(meta, blob)
         assert not again.transmissions and not len(again.table)
@@ -1377,7 +1371,7 @@ class TestColumnarReceptionEquivalence:
             fading_sigma_db=fading_sigma_db,
         )
         sim = NetworkSimulation(config)
-        transmissions = sim._generate_transmissions()
+        transmissions, _air = sim._generate_transmissions()
         gains = sim._draw_fades(transmissions)
         assert gains.shape == (
             len(transmissions),
