@@ -102,5 +102,5 @@ def test_bench_rlnc_codec_roundtrip(benchmark):
     corrupt = bytes(corrupt)
 
     result = benchmark(codec.decode, corrupt)
-    assert result.complete
+    assert result.delivered.all()
     assert result.payload() == payload

@@ -147,7 +147,7 @@ def test_bench_msk_modulation(benchmark):
     codebook = ZigbeeCodebook()
     rng = np.random.default_rng(4)
     symbols = rng.integers(0, 16, 100)
-    modulator = MskModulator(sps=4)
+    modulator = MskModulator()
     wave = benchmark(modulator.modulate_symbols, symbols, codebook)
     assert wave.size > 0
 

@@ -16,7 +16,7 @@ import numpy as np
 from repro.phy.channelsim import add_awgn
 from repro.phy.codebook import ZigbeeCodebook
 from repro.phy.frontend import ReceiverFrontend
-from repro.phy.modulation import MskModulator
+from repro.phy.modulation import SAMPLES_PER_CHIP, MskModulator
 from repro.phy.remodulate import (
     remodulate_frame,
     remodulate_frame_reference,
@@ -24,7 +24,6 @@ from repro.phy.remodulate import (
 from repro.phy.sync import sync_field_symbols
 from repro.recovery.sic import SicDecoder
 
-SPS = 4
 N_BODY = 60
 
 
@@ -46,15 +45,15 @@ def test_bench_remodulate_frame_80_symbols(benchmark):
     stream = _frame_symbols(rng)
 
     wave = benchmark(
-        remodulate_frame, stream, codebook, SPS, 0.7, 0.3
+        remodulate_frame, stream, codebook, 0.7, 0.3
     )
-    assert wave.size == (stream.size * 32 + 1) * SPS
+    assert wave.size == (stream.size * 32 + 1) * SAMPLES_PER_CHIP
 
     start = time.perf_counter()
-    vec = remodulate_frame(stream, codebook, SPS, 0.7, 0.3)
+    vec = remodulate_frame(stream, codebook, 0.7, 0.3)
     vectorized_s = time.perf_counter() - start
     start = time.perf_counter()
-    ref = remodulate_frame_reference(stream, codebook, SPS, 0.7, 0.3)
+    ref = remodulate_frame_reference(stream, codebook, 0.7, 0.3)
     reference_s = time.perf_counter() - start
 
     assert np.array_equal(vec.view(np.float64), ref.view(np.float64))
@@ -73,8 +72,8 @@ def test_bench_sample_correlation_one_frame(benchmark):
     per-offset loop reference.  The FFT path reassociates the sums,
     so the spot check pins at 1e-12 (see repro.phy.fftcorr)."""
     codebook = ZigbeeCodebook()
-    frontend = ReceiverFrontend(codebook, sps=SPS)
-    modulator = MskModulator(sps=SPS)
+    frontend = ReceiverFrontend(codebook)
+    modulator = MskModulator()
     rng = np.random.default_rng(1)
     capture = add_awgn(
         modulator.modulate_symbols(_frame_symbols(rng), codebook),
@@ -109,16 +108,16 @@ def test_bench_sic_decode_pair(benchmark):
     """End-to-end SIC over a two-frame collision: strong decode,
     re-synthesis, cancellation, residual decode."""
     codebook = ZigbeeCodebook()
-    modulator = MskModulator(sps=SPS)
+    modulator = MskModulator()
     rng = np.random.default_rng(2)
     strong = modulator.modulate_symbols(_frame_symbols(rng), codebook)
     weak = modulator.modulate_symbols(_frame_symbols(rng), codebook)
-    offset = 40 * 32 * SPS
+    offset = 40 * 32 * SAMPLES_PER_CHIP
     capture = np.zeros(offset + weak.size, dtype=np.complex128)
     capture[: strong.size] += strong
     capture[offset : offset + weak.size] += 0.4 * weak
     capture = add_awgn(capture, 0.01, rng)
-    decoder = SicDecoder(codebook, sps=SPS)
+    decoder = SicDecoder(codebook)
 
     result = benchmark(decoder.decode_pair, capture, N_BODY)
     assert result.cancelled

@@ -19,20 +19,19 @@ from repro.phy.modulation import MskModulator
 from repro.phy.sync import sync_field_symbols
 
 CAPTURE_CHIPS = 1500
-SPS = 4
 
 
 def _capture(seed, n_chips=CAPTURE_CHIPS, noise=0.2):
     rng = np.random.default_rng(seed)
     chips = rng.integers(0, 2, n_chips)
-    wave = MskModulator(sps=SPS).modulate_chips(chips)
+    wave = MskModulator().modulate_chips(chips)
     return chips, add_awgn(wave, noise, rng)
 
 
 def test_bench_msk_demodulator_1500_chips(benchmark):
     """Vectorized matched filter on a 1500-chip capture, with the
     >= 5x speedup gate against the per-chip loop reference."""
-    demod = MskDemodulator(sps=SPS)
+    demod = MskDemodulator()
     _, capture = _capture(seed=0)
 
     soft = benchmark(demod.demodulate_soft, capture, 0, CAPTURE_CHIPS)
@@ -60,7 +59,7 @@ def test_bench_msk_demodulator_1500_chips(benchmark):
 def test_bench_msk_modulator_1500_chips(benchmark):
     """Vectorized rail-split modulator on 1500 chips, with the >= 5x
     speedup gate against the per-chip loop reference."""
-    modulator = MskModulator(sps=SPS)
+    modulator = MskModulator()
     rng = np.random.default_rng(1)
     chips = rng.integers(0, 2, CAPTURE_CHIPS)
 
@@ -88,8 +87,8 @@ def test_bench_waveform_engine_16_captures(benchmark):
     """Full fused reception (sync + matched filter + decode) of 16
     single-frame captures — the capture-level batching pattern."""
     codebook = ZigbeeCodebook()
-    engine = WaveformBatchEngine(codebook, sps=SPS)
-    modulator = MskModulator(sps=SPS)
+    engine = WaveformBatchEngine(codebook)
+    modulator = MskModulator()
     rng = np.random.default_rng(3)
     n_body = 40
     captures = []

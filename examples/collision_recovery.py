@@ -18,14 +18,14 @@ import numpy as np
 
 from repro import MskModulator, WaveformBatchEngine, ZigbeeCodebook
 from repro.phy.channelsim import TransmissionInstance, awgn_collision_channel
+from repro.phy.modulation import SAMPLES_PER_CHIP
 from repro.phy.sync import sync_field_symbols
 
 
 def main() -> None:
     codebook = ZigbeeCodebook()
     rng = np.random.default_rng(42)
-    sps = 4
-    modulator = MskModulator(sps=sps)
+    modulator = MskModulator()
     n_body = 80
     overlap = 30  # symbols of overlap between the two packets
 
@@ -38,7 +38,7 @@ def main() -> None:
 
     # Packet 2 starts while packet 1's tail is still in the air.
     chips_per_symbol = codebook.chips_per_symbol
-    offset = (frame1.size - overlap) * chips_per_symbol * sps
+    offset = (frame1.size - overlap) * chips_per_symbol * SAMPLES_PER_CHIP
     capture = awgn_collision_channel(
         [
             TransmissionInstance(samples=modulator.modulate_symbols(
@@ -52,7 +52,7 @@ def main() -> None:
     print(f"capture window: {capture.size} complex samples, "
           f"{overlap} symbols of overlap")
 
-    engine = WaveformBatchEngine(codebook, sps=sps)
+    engine = WaveformBatchEngine(codebook)
 
     # --- packet 1 by preamble, packet 2 by postamble rollback, both --------
     # --- through one fused sync + matched-filter + decode pass       --------

@@ -62,7 +62,7 @@ def main() -> None:
             symbols=out, hints=dist.astype(float), truth=tx_symbols
         )
 
-    session = PpArqSession(collision_channel, eta=eta)
+    session = PpArqSession(collision_channel)
     payload = bytes(rng.integers(0, 256, 250, dtype=np.uint8))
     log = session.transfer(seq=1, payload=payload)
     recovered = session.receiver.reassembled_payload(1)

@@ -20,7 +20,7 @@ Run:  python examples/sic_recovery.py
 import numpy as np
 
 from repro import SicDecoder, WaveformBatchEngine, ZigbeeCodebook
-from repro.phy.modulation import MskModulator
+from repro.phy.modulation import SAMPLES_PER_CHIP, MskModulator
 from repro.phy.channelsim import TransmissionInstance, awgn_collision_channel
 from repro.phy.sync import sync_field_symbols
 
@@ -28,8 +28,7 @@ from repro.phy.sync import sync_field_symbols
 def main() -> None:
     codebook = ZigbeeCodebook()
     rng = np.random.default_rng(7)
-    sps = 4
-    modulator = MskModulator(sps=sps)
+    modulator = MskModulator()
     n_body = 60
     overlap = 24  # symbols of codeword-aligned overlap
 
@@ -43,7 +42,7 @@ def main() -> None:
     # The weak packet starts while the strong one's tail is on the air,
     # 12 dB down and with the chip grids codeword-aligned.
     chips_per_symbol = codebook.chips_per_symbol
-    offset = (frame_strong.size - overlap) * chips_per_symbol * sps
+    offset = (frame_strong.size - overlap) * chips_per_symbol * SAMPLES_PER_CHIP
     weak_gain = 0.25
     capture = awgn_collision_channel(
         [
@@ -65,7 +64,7 @@ def main() -> None:
           f"{20 * np.log10(weak_gain):.0f} dB")
 
     # --- the plain receiver: capture effect plus postamble rollback --------
-    engine = WaveformBatchEngine(codebook, sps=sps, threshold=0.5)
+    engine = WaveformBatchEngine(codebook, threshold=0.5)
     pair = engine.receive_collision_pair(capture, n_body)
     ok_strong = pair.first.symbols == body_strong
     ok_weak = pair.second.symbols == body_weak
@@ -79,7 +78,7 @@ def main() -> None:
           f"the SoftPHY threshold rule would deliver them")
 
     # --- SIC: decode strong, re-modulate, subtract, decode the rest --------
-    decoder = SicDecoder(codebook, sps=sps, threshold=0.5)
+    decoder = SicDecoder(codebook, threshold=0.5)
     result = decoder.decode_pair(capture, n_body)
     print(f"\nSIC pipeline (cancelled={result.cancelled}):")
     assert result.strong is not None and result.weak is not None

@@ -134,7 +134,8 @@ def render_scatter(
     points_by_label: dict[str, tuple[np.ndarray, np.ndarray]],
     xlabel: str = "x",
     ylabel: str = "y",
-    floor: float = 1e-2,
+    *,
+    floor: float,
 ) -> str:
     """Render scatter points on log-log axes (e.g. Fig. 12's throughput
     comparison); values below ``floor`` are drawn at it."""

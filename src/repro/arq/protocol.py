@@ -42,7 +42,7 @@ from repro.arq.feedback import (
     gaps_for_segments,
     segment_checksum,
 )
-from repro.arq.runlength import RunLengthPacket
+from repro.arq.runlength import PAPER_ETA, RunLengthPacket
 from repro.phy.symbols import SoftPacket
 from repro.utils.crc import CRC32_IEEE
 
@@ -158,12 +158,10 @@ class _ReceiverState:
 
 
 class PpArqReceiver:
-    """Receiver side: reassembles packets across PP-ARQ rounds."""
+    """Receiver side: reassembles packets across PP-ARQ rounds, labelling
+    codewords at the paper's threshold ``PAPER_ETA``."""
 
-    def __init__(self, eta: float = 6.0) -> None:
-        if eta < 0:
-            raise ValueError(f"eta must be non-negative, got {eta}")
-        self.eta = float(eta)
+    def __init__(self) -> None:
         self._states: dict[int, _ReceiverState] = {}
 
     def receive_data(self, seq: int, soft: SoftPacket) -> None:
@@ -191,7 +189,7 @@ class PpArqReceiver:
     def build_feedback(self, seq: int) -> FeedbackPacket:
         """Label, run the DP, and produce the feedback packet."""
         state = self._require(seq)
-        good = (state.hints <= self.eta) | state.verified
+        good = (state.hints <= PAPER_ETA) | state.verified
         if good.all() and not self.is_complete(seq):
             # Miss storm: every symbol *looks* good but the packet
             # CRC-32 disagrees, so the hints (and possibly a colliding
@@ -262,12 +260,12 @@ class PpArqReceiver:
                 seg_symbols = state.symbols[span]
                 seg_hints = state.hints[span]
                 unverified = ~state.verified[span]
-                take = (rx_hints <= self.eta) & unverified
+                take = (rx_hints <= PAPER_ETA) & unverified
                 seg_symbols[take] = rx_symbols[take]
                 seg_hints[take] = rx_hints[take]
-                still_bad = (rx_hints > self.eta) & unverified
+                still_bad = (rx_hints > PAPER_ETA) & unverified
                 seg_hints[still_bad] = np.maximum(
-                    seg_hints[still_bad], self.eta + 1.0
+                    seg_hints[still_bad], PAPER_ETA + 1.0
                 )
         # Confirm gaps against the sender's checksums.
         spans = packet.segment_spans()
@@ -281,7 +279,7 @@ class PpArqReceiver:
                 )
             else:
                 state.hints[start:end] = np.maximum(
-                    state.hints[start:end], self.eta + 1.0
+                    state.hints[start:end], PAPER_ETA + 1.0
                 )
                 state.verified[start:end] = False
 
@@ -336,14 +334,10 @@ class PpArqSession:
     with the sizes the Fig. 16 experiment needs.
     """
 
-    def __init__(
-        self,
-        data_channel: ChannelFn,
-        eta: float = 6.0,
-    ) -> None:
+    def __init__(self, data_channel: ChannelFn) -> None:
         self._data_channel = data_channel
         self._sender = PpArqSender()
-        self._receiver = PpArqReceiver(eta=eta)
+        self._receiver = PpArqReceiver()
 
     @property
     def receiver(self) -> PpArqReceiver:

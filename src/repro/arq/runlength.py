@@ -14,6 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+#: the SoftPHY threshold η of the paper's receivers (§7.2): a codeword
+#: whose hint is at most η is labelled good
+PAPER_ETA = 6.0
+
 
 @dataclass(frozen=True)
 class Run:

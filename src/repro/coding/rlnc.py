@@ -72,11 +72,6 @@ class RlncDecodeResult:
         """Per-segment delivery mask (own CRC or coded recovery)."""
         return self.data_ok | self.coded_recovered
 
-    @property
-    def complete(self) -> bool:
-        """True when every data segment was delivered."""
-        return bool(self.delivered.all())
-
     def payload(self) -> bytes:
         """Reassembled payload, zero-filling undelivered segments.
 

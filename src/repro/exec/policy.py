@@ -27,6 +27,13 @@ from repro.utils.rng import derive_key, rng_from_key
 #: environment variable holding the policy override spec
 ENV_VAR = "REPRO_EXEC"
 
+#: each retry waits this many times longer than the one before
+BACKOFF_MULTIPLIER = 2.0
+#: relative jitter span: a delay is scaled by 1 + BACKOFF_JITTER * u
+BACKOFF_JITTER = 0.5
+#: consecutive worker-spawn failures before degrading to serial
+MAX_SPAWN_FAILURES = 3
+
 
 def parse_spec(spec: str, *, what: str, fields: set[str]) -> dict[str, float]:
     """Parse a ``name=value,name=value`` spec into floats, strictly.
@@ -78,23 +85,13 @@ class ExecPolicy:
     #: per-attempt wall-clock budget: base + scale * config duration
     timeout_base_s: float = 60.0
     timeout_scale: float = 10.0
-    #: exponential backoff between a task's attempts
+    #: first delay of the exponential backoff between a task's attempts
     backoff_base_s: float = 0.05
-    backoff_multiplier: float = 2.0
-    #: relative jitter span: the delay is scaled by 1 + jitter * u
-    backoff_jitter: float = 0.5
-    #: consecutive worker-spawn failures before degrading to serial
-    max_spawn_failures: int = 3
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError(
                 f"max_attempts must be >= 1, got {self.max_attempts}"
-            )
-        if self.max_spawn_failures < 1:
-            raise ValueError(
-                "max_spawn_failures must be >= 1, got "
-                f"{self.max_spawn_failures}"
             )
 
     def timeout_for(self, duration_s: float) -> float:
@@ -108,27 +105,24 @@ class ExecPolicy:
         draw so concurrent retries spread out — deterministically,
         because the stream is addressed by (task key, attempt) alone.
         """
-        base = self.backoff_base_s * self.backoff_multiplier ** (attempt - 1)
-        if not self.backoff_jitter:
-            return base
+        base = self.backoff_base_s * BACKOFF_MULTIPLIER ** (attempt - 1)
         stream = rng_from_key(
             derive_key(_key_seed(key), "exec/backoff", attempt)
         )
-        return base * (1.0 + self.backoff_jitter * float(stream.random()))
+        return base * (1.0 + BACKOFF_JITTER * float(stream.random()))
 
     @classmethod
     def from_spec(cls, spec: str) -> "ExecPolicy":
         """A policy from a ``name=value,...`` spec over the defaults."""
         fields = {f.name for f in dataclasses.fields(cls)}
         values = parse_spec(spec, what="REPRO_EXEC", fields=fields)
-        for name in ("max_attempts", "max_spawn_failures"):
-            if name in values:
-                if not values[name].is_integer():
-                    raise ValueError(
-                        f"REPRO_EXEC field {name!r} must be an integer, "
-                        f"got {values[name]!r}"
-                    )
-                values[name] = int(values[name])  # type: ignore[assignment]
+        if "max_attempts" in values:
+            if not values["max_attempts"].is_integer():
+                raise ValueError(
+                    "REPRO_EXEC field 'max_attempts' must be an integer, "
+                    f"got {values['max_attempts']!r}"
+                )
+            values["max_attempts"] = int(values["max_attempts"])  # type: ignore[assignment]
         return cls(**values)  # type: ignore[arg-type]
 
     @classmethod

@@ -43,7 +43,7 @@ from multiprocessing import connection as mp_connection
 from typing import Any, Callable, Iterable
 
 from repro.exec.faults import FaultPlan, inject
-from repro.exec.policy import ExecPolicy
+from repro.exec.policy import MAX_SPAWN_FAILURES, ExecPolicy
 from repro.utils import sanitize
 
 #: grace period between SIGTERM and SIGKILL for a timed-out worker
@@ -385,7 +385,7 @@ class Supervisor:
                 if self._launch(ctx, task, attempt, fn, plan, running):
                     continue
                 spawn_failures += 1
-                if spawn_failures >= self.policy.max_spawn_failures:
+                if spawn_failures >= MAX_SPAWN_FAILURES:
                     degrade = True
                 pending.append(
                     (task, attempt, now + self.policy.backoff_s(task.key, attempt))

@@ -54,14 +54,14 @@ LOAD_MEDIUM = 6900.0
 LOAD_HEAVY = 13800.0
 
 DEFAULT_ETA = 6.0
-DEFAULT_FRAGMENTS = 30
 DEFAULT_PAYLOAD_BYTES = 1500
 DEFAULT_DURATION_S = 40.0
 DEFAULT_SEED = 2007  # year of publication
 
 RESULT_SCHEMA_VERSION = 1
 
-# The harness's base simulation point (the default ``RunCache`` base).
+# The harness's base simulation point (``RunCache``'s base before its
+# overrides).
 # Experiments and sweeps express themselves as *overrides* of this
 # config; the paper's offered loads and carrier-sense settings are
 # always set explicitly per experiment.
@@ -374,12 +374,12 @@ class RunCache:
     bit-identical for any worker count, including ``jobs=1``, because
     every config's randomness derives from its own fields alone.
 
-    ``base`` (default: the harness base config) supplies the fields
-    an individual request does not override:
+    ``base`` (the harness base config with the constructor's keyword
+    overrides: ``RunCache(duration_s=3.0, seed=11, jobs=4)``) supplies
+    the fields an individual request does not override:
     ``cache.get(load=13800.0, carrier_sense=False)`` resolves against
     it, as do :class:`Sweep` scenarios and registered experiment
-    points.  Constructor keyword overrides configure the base in
-    place: ``RunCache(duration_s=3.0, seed=11, jobs=4)``.
+    points.
 
     ``store`` attaches a durable :class:`~repro.store.RunStore`: the
     hit order becomes memory → disk → simulate, fresh simulations are
@@ -401,7 +401,6 @@ class RunCache:
 
     def __init__(
         self,
-        base: SimulationConfig | None = None,
         *,
         jobs: int = 1,
         store: "RunStore | None" = None,
@@ -409,11 +408,7 @@ class RunCache:
     ) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
-        if base is None:
-            base = _EXPERIMENT_BASE
-        if overrides:
-            base = replace(base, **_resolve_overrides(overrides))
-        self.base = base
+        self.base = replace(_EXPERIMENT_BASE, **_resolve_overrides(overrides))
         self.jobs = int(jobs)
         self.store = store
         self.exec_counters = ExecCounters()
@@ -544,7 +539,7 @@ def labelled_evaluations(
     place.  Labels look like ``"ppr, postamble"``.
     """
     evals = evaluate_schemes(
-        result, default_schemes(eta, DEFAULT_FRAGMENTS), postamble_options
+        result, default_schemes(eta), postamble_options
     )
     return {e.label: e for e in evals}
 

@@ -25,13 +25,15 @@ from repro.experiments.registry import register
 from repro.phy.batch import WaveformBatchEngine
 from repro.phy.channelsim import TransmissionInstance, awgn_collision_channel
 from repro.phy.codebook import ZigbeeCodebook
-from repro.phy.modulation import MskModulator
+from repro.phy.modulation import SAMPLES_PER_CHIP, MskModulator
 from repro.phy.sync import sync_field_symbols
 from repro.utils.rng import derive_rng
 
-# The capture: samples per chip, AWGN power and the seed of the bodies
-# and the noise.
-SPS = 4
+# The capture: codewords per packet body, how many of them the two
+# packets overlap by, AWGN power and the seed of the bodies and the
+# noise.
+N_BODY = 120
+OVERLAP_SYMBOLS = 45
 NOISE_POWER = 0.05
 SEED = 7
 
@@ -56,26 +58,21 @@ class CollisionAnatomy:
     ),
     order=13,
 )
-def run(
-    n_body: int = 120,
-    overlap_symbols: int = 45,
-) -> ExperimentOutput:
+def run() -> ExperimentOutput:
     """Simulate the two-packet collision and decode both sides.
 
     Runs the waveform pipeline on its own single-collision channel;
     the spec declares no simulation points.
     """
-    if overlap_symbols >= n_body:
-        raise ValueError("overlap must be shorter than the packet body")
     codebook = ZigbeeCodebook()
     rng = derive_rng(SEED, "fig13")
-    modulator = MskModulator(sps=SPS)
-    engine = WaveformBatchEngine(codebook, sps=SPS)
+    modulator = MskModulator()
+    engine = WaveformBatchEngine(codebook)
 
     preamble = sync_field_symbols("preamble")
     postamble = sync_field_symbols("postamble")
-    body1 = rng.integers(0, 16, n_body)
-    body2 = rng.integers(0, 16, n_body)
+    body1 = rng.integers(0, 16, N_BODY)
+    body2 = rng.integers(0, 16, N_BODY)
     stream1 = np.concatenate([preamble, body1, postamble])
     stream2 = np.concatenate([preamble, body2, postamble])
     wave1 = modulator.modulate_symbols(stream1, codebook)
@@ -84,8 +81,8 @@ def run(
     # Packet 2 starts so that its preamble lands inside packet 1's tail:
     # packet 1 loses its tail, packet 2 loses its head (and preamble).
     chips_per_symbol = codebook.chips_per_symbol
-    offset_symbols = stream1.size - overlap_symbols
-    offset_samples = offset_symbols * chips_per_symbol * SPS
+    offset_symbols = stream1.size - OVERLAP_SYMBOLS
+    offset_samples = offset_symbols * chips_per_symbol * SAMPLES_PER_CHIP
     capture = awgn_collision_channel(
         [
             TransmissionInstance(samples=wave1, offset=0, gain=1.0),
@@ -101,7 +98,7 @@ def run(
     # preamble collided, so it anchors on its postamble and rolls
     # back.  Both packets' codeword runs go through the engine's fused
     # matched filter + nearest-codeword decode in one call.
-    pair = engine.receive_collision_pair(capture, n_body)
+    pair = engine.receive_collision_pair(capture, N_BODY)
     sym1, hints1 = pair.first.symbols, pair.first.hints
     sym2, hints2 = pair.second.symbols, pair.second.hints
 
@@ -118,7 +115,7 @@ def run(
         correct=sym2 == body2,
     )
 
-    xs = np.arange(n_body)
+    xs = np.arange(N_BODY)
     rendered = render_series(
         xs,
         {
@@ -130,10 +127,10 @@ def run(
 
     # Shape checks: clean regions decode with low hints, the overlapped
     # regions show high hints, and hints track correctness.
-    clean1 = packet1.hints[: n_body - overlap_symbols]
-    dirty1 = packet1.hints[n_body - overlap_symbols :]
+    clean1 = packet1.hints[: N_BODY - OVERLAP_SYMBOLS]
+    dirty1 = packet1.hints[N_BODY - OVERLAP_SYMBOLS :]
     # Packet 2's head: overlap minus its sync field (which also collided).
-    dirty2_len = max(overlap_symbols - preamble.size, 1)
+    dirty2_len = max(OVERLAP_SYMBOLS - preamble.size, 1)
     clean2 = packet2.hints[dirty2_len:]
     checks = [
         ShapeCheck(

@@ -24,6 +24,7 @@ from repro.phy.symbols import SoftPacket
 from repro.utils.rng import derive_rng
 
 PACKET_BYTES = 250
+N_PACKETS = 60
 SEED = 16
 
 
@@ -82,10 +83,7 @@ class BurstyLinkChannel:
     ),
     order=16,
 )
-def run(
-    n_packets: int = 60,
-    eta: float = 6.0,
-) -> ExperimentOutput:
+def run() -> ExperimentOutput:
     """Transfer packets under PP-ARQ and whole-packet ARQ, compare.
 
     Runs on its own single-link bursty channel; the spec declares no
@@ -95,13 +93,13 @@ def run(
     payload_rng = derive_rng(SEED, "fig16-payloads")
     payloads = [
         bytes(payload_rng.integers(0, 256, PACKET_BYTES, dtype=np.uint8))
-        for _ in range(n_packets)
+        for _ in range(N_PACKETS)
     ]
 
     pp_channel = BurstyLinkChannel(
         codebook, derive_rng(SEED, "fig16-pparq-channel")
     )
-    pp_session = PpArqSession(pp_channel, eta=eta)
+    pp_session = PpArqSession(pp_channel)
     retransmit_sizes: list[int] = []
     pp_total_bytes = 0
     pp_delivered = 0
@@ -144,8 +142,8 @@ def run(
         ),
         ShapeCheck(
             name="all packets eventually delivered by PP-ARQ",
-            passed=pp_delivered == n_packets,
-            detail=f"{pp_delivered}/{n_packets}",
+            passed=pp_delivered == N_PACKETS,
+            detail=f"{pp_delivered}/{N_PACKETS}",
         ),
         ShapeCheck(
             name="PP-ARQ halves retransmission cost vs full ARQ",
@@ -157,7 +155,7 @@ def run(
         ShapeCheck(
             name="full-packet ARQ struggles on the same channel",
             passed=full_total_bytes > pp_total_bytes,
-            detail=f"full ARQ delivered {full_delivered}/{n_packets}",
+            detail=f"full ARQ delivered {full_delivered}/{N_PACKETS}",
         ),
     ]
     return ExperimentOutput(

@@ -27,6 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.analysis.textplot import format_table
+from repro.arq.runlength import PAPER_ETA
 from repro.experiments.common import ExperimentOutput, ShapeCheck
 from repro.experiments.registry import register
 from repro.link.schemes import SicScheme
@@ -35,7 +36,7 @@ from repro.phy.codebook import ZigbeeCodebook
 from repro.phy.modulation import (
     CHIPS_PER_SYMBOL,
     CHIP_RATE_HZ,
-    SYMBOL_PERIOD_S,
+    SAMPLES_PER_CHIP,
     MskModulator,
 )
 from repro.phy.spreading import bytes_to_symbols
@@ -46,10 +47,10 @@ from repro.sim.medium import waveform_capture as render_capture
 from repro.sim.testbed import collision_testbed
 from repro.utils.rng import derive_rng, keyed_rng
 
-# Samples per chip of every capture, the PPR threshold of the chunk
-# fallback, and the seed of the payloads, geometry and noise.
-SPS = 4
-ETA = 6.0
+# Bytes per frame payload and the seed of the payloads, geometry and
+# noise.  The near sender sits at the testbed's ``COLLISION_NEAR_M``;
+# PPR chunk credit counts codewords at the paper's ``PAPER_ETA``.
+PAYLOAD_BYTES = 24
 SEED = 23
 
 #: far-sender ranges spanning near-equal power (4.5 m, +1.9 dB gap)
@@ -107,31 +108,26 @@ def _judge(candidates, bodies, eta):
     ),
     order=18,
 )
-def run(
-    payload_bytes: int = 24,
-    near_m: float = 4.0,
-) -> ExperimentOutput:
+def run() -> ExperimentOutput:
     """Map the recovery region over the (range, offset) grid.
 
     Every capture is rendered once and judged by all three
     strategies; the spec declares no simulation points.
     """
     codebook = ZigbeeCodebook()
-    modulator = MskModulator(sps=SPS)
-    scheme = SicScheme(eta=ETA)
+    modulator = MskModulator()
+    scheme = SicScheme(eta=PAPER_ETA)
     # The chip-level simulation calls a sync field detectable when its
     # chip error rate is at most SYNC_ERROR_THRESHOLD; in the +-1
     # correlation domain an error rate p maps to 1 - 2p, so the
     # waveform passes use that threshold to agree on "detectable".
     threshold = 1 - 2 * SYNC_ERROR_THRESHOLD
-    engine = WaveformBatchEngine(codebook, sps=SPS, threshold=threshold)
-    decoder = SicDecoder(
-        codebook, sps=SPS, threshold=threshold, eta=ETA
-    )
+    engine = WaveformBatchEngine(codebook, threshold=threshold)
+    decoder = SicDecoder(codebook, threshold=threshold)
 
     payload_rng = derive_rng(SEED, "sic-collision-payload")
     payloads = [
-        payload_rng.integers(0, 256, payload_bytes, dtype=np.uint8)
+        payload_rng.integers(0, 256, PAYLOAD_BYTES, dtype=np.uint8)
         .tobytes()
         for _ in range(2)
     ]
@@ -164,7 +160,7 @@ def run(
     weak_snr_db = np.zeros(len(FAR_DISTANCES_M))
 
     for i_dist, far_m in enumerate(FAR_DISTANCES_M):
-        testbed = collision_testbed(near_m=near_m, far_m=far_m)
+        testbed = collision_testbed(far_m=far_m)
         near, far = testbed.sender_ids
         (receiver,) = testbed.receiver_ids
         # Frozen geometry, no shadowing: the sweep *is* the SNR axis.
@@ -184,7 +180,6 @@ def run(
                     dst=receiver,
                     start=0.0,
                     n_symbols=streams[0].size,
-                    symbol_period=SYMBOL_PERIOD_S,
                 ),
                 Transmission(
                     tx_id=1,
@@ -192,7 +187,6 @@ def run(
                     dst=receiver,
                     start=offset_chips / CHIP_RATE_HZ,
                     n_symbols=streams[1].size,
-                    symbol_period=SYMBOL_PERIOD_S,
                 ),
             ]
             capture = render_capture(
@@ -200,7 +194,7 @@ def run(
                 receiver,
                 transmissions,
                 waves,
-                CHIP_RATE_HZ * SPS,
+                CHIP_RATE_HZ * SAMPLES_PER_CHIP,
                 rng=keyed_rng(
                     SEED, "sic-collision-noise", i_dist, i_off
                 ),
@@ -219,7 +213,7 @@ def run(
                 ]
             plain = [(r.symbols, r.hints) for r in receptions]
             base_frames[i_dist, i_off], base_good[i_dist, i_off] = (
-                _judge(plain, bodies, ETA)
+                _judge(plain, bodies, PAPER_ETA)
             )
 
             # The SIC pipeline degrades gracefully: when cancellation
@@ -231,7 +225,7 @@ def run(
                 for f in result.frames
             ]
             sic_frames[i_dist, i_off], sic_good[i_dist, i_off] = (
-                _judge(cancelled, bodies, ETA)
+                _judge(cancelled, bodies, PAPER_ETA)
             )
 
     headers = ["far sender", "weak SNR"] + [

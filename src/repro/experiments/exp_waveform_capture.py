@@ -40,7 +40,7 @@ from repro.phy.codebook import ZigbeeCodebook
 from repro.phy.modulation import (
     CHIPS_PER_SYMBOL,
     CHIP_RATE_HZ,
-    SYMBOL_PERIOD_S,
+    SAMPLES_PER_CHIP,
     MskModulator,
 )
 from repro.phy.sync import sync_field_symbols
@@ -51,10 +51,12 @@ from repro.sim.metrics import trace_deliver
 from repro.sim.testbed import collision_testbed
 from repro.utils.rng import derive_rng
 
-# The capture: samples per chip, the two senders' ranges from the
-# receiver, and the seed of the bodies, the geometry and the noise.
-SPS = 4
-NEAR_M = 4.0
+# The capture: codewords per frame body, how many of them the two
+# frames overlap by, the far sender's range from the receiver (the
+# near one sits at the testbed's ``COLLISION_NEAR_M``), and the seed of
+# the bodies, the geometry and the noise.
+N_BODY = 60
+OVERLAP_SYMBOLS = 25
 FAR_M = 9.0
 SEED = 19
 
@@ -71,22 +73,17 @@ SEED = 19
     ),
     order=17,
 )
-def run(
-    n_body: int = 60,
-    overlap_symbols: int = 25,
-) -> ExperimentOutput:
+def run() -> ExperimentOutput:
     """Render the two-sender collision through the medium and decode.
 
     Runs the waveform pipeline on its own single-collision capture;
     the spec declares no simulation points.
     """
-    if overlap_symbols >= n_body:
-        raise ValueError("overlap must be shorter than the packet body")
     codebook = ZigbeeCodebook()
     rng = derive_rng(SEED, "waveform-capture")
-    modulator = MskModulator(sps=SPS)
-    engine = WaveformBatchEngine(codebook, sps=SPS)
-    testbed = collision_testbed(near_m=NEAR_M, far_m=FAR_M)
+    modulator = MskModulator()
+    engine = WaveformBatchEngine(codebook)
+    testbed = collision_testbed(far_m=FAR_M)
     near, far = testbed.sender_ids
     (receiver,) = testbed.receiver_ids
     # Frozen geometry, no shadowing: the experiment is about the
@@ -99,8 +96,8 @@ def run(
 
     preamble = sync_field_symbols("preamble")
     postamble = sync_field_symbols("postamble")
-    body_near = rng.integers(0, 16, n_body)
-    body_far = rng.integers(0, 16, n_body)
+    body_near = rng.integers(0, 16, N_BODY)
+    body_far = rng.integers(0, 16, N_BODY)
     stream_near = np.concatenate([preamble, body_near, postamble])
     stream_far = np.concatenate([preamble, body_far, postamble])
 
@@ -111,8 +108,8 @@ def run(
     # symbol-aligned overlap would leave the near frame's chips
     # forming *valid* codewords inside the far frame's windows, hiding
     # the corruption from the Hamming hints entirely.
-    sample_rate = CHIP_RATE_HZ * SPS
-    offset_symbols = stream_near.size - overlap_symbols
+    sample_rate = CHIP_RATE_HZ * SAMPLES_PER_CHIP
+    offset_symbols = stream_near.size - OVERLAP_SYMBOLS
     offset_chips = (
         offset_symbols * CHIPS_PER_SYMBOL + CHIPS_PER_SYMBOL // 2
     )
@@ -124,7 +121,6 @@ def run(
             dst=receiver,
             start=0.0,
             n_symbols=stream_near.size,
-            symbol_period=SYMBOL_PERIOD_S,
         ),
         Transmission(
             tx_id=1,
@@ -132,7 +128,6 @@ def run(
             dst=receiver,
             start=far_start_s,
             n_symbols=stream_far.size,
-            symbol_period=SYMBOL_PERIOD_S,
         ),
     ]
     waves = [
@@ -151,7 +146,7 @@ def run(
     # Fused reception: the near frame syncs on its clean preamble; the
     # far frame's preamble collided, so it anchors on its postamble
     # and rolls back.  Both codeword runs decode in one engine call.
-    pair = engine.receive_collision_pair(capture, n_body)
+    pair = engine.receive_collision_pair(capture, N_BODY)
     hints_near, hints_far = pair.first.hints, pair.second.hints
     correct_near = pair.first.symbols == body_near
     correct_far = pair.second.symbols == body_far
@@ -169,7 +164,6 @@ def run(
             dst=receiver,
             start=aligned_chips / CHIP_RATE_HZ,
             n_symbols=stream_far.size,
-            symbol_period=SYMBOL_PERIOD_S,
         ),
     ]
     capture_aligned = render_capture(
@@ -181,7 +175,7 @@ def run(
         rng=derive_rng(SEED, "waveform-capture-aligned-noise"),
     )
     pair_aligned = engine.receive_collision_pair(
-        capture_aligned, n_body
+        capture_aligned, N_BODY
     )
     hints_aligned = pair_aligned.second.hints
     correct_aligned = pair_aligned.second.symbols == body_far
@@ -191,9 +185,7 @@ def run(
     # waveform threshold 0.5 mirrors the chip-level detectability rule
     # (chip error rate p <-> correlation 1 - 2p at p = 0.25).
     scheme = SicScheme()
-    decoder = SicDecoder(
-        codebook, sps=SPS, threshold=0.5, eta=scheme.eta
-    )
+    decoder = SicDecoder(codebook, threshold=0.5)
     sic_far_passed = {}
     for label, sic_capture in (
         ("offset", capture),
@@ -201,7 +193,7 @@ def run(
     ):
         sic_far_passed[label] = False
         for frame in decoder.decode_pair(
-            sic_capture, n_body
+            sic_capture, N_BODY
         ).frames:
             wrong_far = int(np.sum(frame.reception.symbols != body_far))
             wrong_near = int(
@@ -215,7 +207,7 @@ def run(
                 )
                 sic_far_passed[label] = delivery.frame_passed
 
-    xs = np.arange(n_body)
+    xs = np.arange(N_BODY)
     rendered = render_series(
         xs,
         {
@@ -226,7 +218,7 @@ def run(
     )
 
     # The far frame's head: the overlap minus its (collided) sync field.
-    dirty_far_len = max(overlap_symbols - preamble.size, 1)
+    dirty_far_len = max(OVERLAP_SYMBOLS - preamble.size, 1)
     clean_far = hints_far[dirty_far_len:]
     snr_gap_db = 10.0 * np.log10(
         medium.snr(near, receiver) / medium.snr(far, receiver)
@@ -235,13 +227,14 @@ def run(
         ShapeCheck(
             name="near frame captures through the collision",
             passed=float(np.mean(correct_near)) >= 0.95,
-            detail=f"{correct_near.sum()}/{n_body} codewords "
+            detail=f"{correct_near.sum()}/{N_BODY} codewords "
             f"correct at +{snr_gap_db:.1f} dB link advantage",
         ),
         ShapeCheck(
             name="far frame's preamble is buried by the near frame",
             passed=all(
-                abs(d.sample_offset - offset_chips * SPS) > SPS
+                abs(d.sample_offset - offset_chips * SAMPLES_PER_CHIP)
+                > SAMPLES_PER_CHIP
                 for d in pair.preamble_detections
             ),
             detail=f"{len(pair.preamble_detections)} preamble "

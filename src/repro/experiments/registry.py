@@ -27,8 +27,8 @@ The declared points are the only statement of what an experiment
 simulates.  The registered callable takes a :class:`RunCache`,
 resolves the points through it in declaration order and hands the body
 their :class:`~repro.sim.network.SimulationResult` list; an experiment
-that declares no points runs without a cache and its body takes only
-its own keyword arguments.  The wrapper stamps the spec's identity
+that declares no points runs without a cache and its body takes no
+arguments.  The wrapper stamps the spec's identity
 onto the body's :class:`~repro.experiments.common.ExperimentOutput`,
 so id/title/expectation are stated exactly once, on the spec.
 
@@ -107,7 +107,6 @@ def register(
         def run(
             cache: RunCache | None = None,
             needed: Mapping[str, ExperimentResult] | None = None,
-            **kwargs: Any,
         ) -> ExperimentResult:
             inputs: list[Any] = []
             if points:
@@ -125,7 +124,7 @@ def register(
                 needed[name] if name in needed else get_spec(name).run(cache)
                 for name in needs
             ]
-            output = fn(*inputs, **kwargs)
+            output = fn(*inputs)
             return ExperimentResult(
                 experiment_id=experiment_id,
                 title=title,

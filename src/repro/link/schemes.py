@@ -5,11 +5,14 @@ Each scheme answers two questions behind one interface:
 1. *What goes on the air?* — ``encode_payload`` turns application
    payload bytes into the wire payload (adding whatever checksums the
    scheme needs).
-2. *What reaches the higher layer?* — ``deliver`` consumes the decoded
+2. *What reaches the higher layer?* — ``evaluate_traces`` (below)
+   reports exactly which payload bits were handed up, split into
+   genuinely-correct and incorrect bits.  The packet-CRC and PPR
+   schemes also answer it from bytes: ``deliver`` consumes the decoded
    wire-payload region of a reception as a
    :class:`~repro.phy.symbols.SoftPacket` (symbols + SoftPHY hints +
-   simulation ground truth) and reports exactly which payload bits were
-   handed up, split into genuinely-correct and incorrect bits.
+   simulation ground truth) and runs the real CRC arithmetic, the
+   wire-level spec the trace evaluator is pinned against.
 
 The three schemes mirror the paper:
 
@@ -45,7 +48,6 @@ import numpy as np
 
 from repro.coding.rlnc import SegmentedRlncCodec
 from repro.link.fragmentation import fragment_payload
-from repro.phy.spreading import symbols_to_bytes
 from repro.phy.symbols import SoftPacket
 from repro.utils.crc import CRC32_IEEE
 
@@ -170,9 +172,14 @@ class DeliveryScheme(ABC):
     def wire_overhead_bytes(self, payload_len: int) -> int:
         """Checksum bytes added to a payload of the given length."""
 
-    @abstractmethod
     def deliver(self, rx: SoftPacket) -> DeliveryResult:
-        """Decide which payload bits reach the higher layer."""
+        """Decide which payload bits of one decoded reception reach the
+        higher layer, from its bytes.  Only the packet-CRC and PPR
+        schemes define it: the trace evaluator is pinned against them.
+        """
+        raise TypeError(
+            f"no wire-level delivery defined for scheme {type(self).__name__}"
+        )
 
     def evaluate_traces(self, block: TraceBlock) -> TraceDelivery:
         """Score every row of a recorded-trace block under this scheme.
@@ -276,47 +283,6 @@ class FragmentedCrcScheme(DeliveryScheme):
         n = min(self.n_fragments, payload_len) if payload_len else 1
         return _CRC_BYTES * n
 
-    def deliver(self, rx: SoftPacket) -> DeliveryResult:
-        wire = rx.payload_bytes()
-        correct_sym = rx.correct_mask()
-        n_frags = self._fragment_count(len(wire))
-        payload_len = len(wire) - _CRC_BYTES * n_frags
-        sizes = self._fragment_sizes(payload_len, n_frags)
-        payload_bits = 8 * payload_len
-        delivered_correct = 0
-        delivered_incorrect = 0
-        passed_all = True
-        offsets = np.cumsum([0] + [s + _CRC_BYTES for s in sizes[:-1]])
-        computed = _crc32_rows(
-            [wire[o : o + s] for o, s in zip(offsets, sizes, strict=True)]
-        )
-        declared = [
-            int.from_bytes(wire[o + s : o + s + _CRC_BYTES], "big")
-            for o, s in zip(offsets, sizes, strict=True)
-        ]
-        for offset, size, crc, want in zip(
-            offsets, sizes, computed, declared, strict=True
-        ):
-            ok = int(crc) == want
-            if ok:
-                sym_lo = _SYMBOLS_PER_BYTE * offset
-                sym_hi = _SYMBOLS_PER_BYTE * (offset + size)
-                good = int(correct_sym[sym_lo:sym_hi].sum())
-                delivered_correct += good * _BITS_PER_SYMBOL
-                delivered_incorrect += (
-                    (sym_hi - sym_lo) - good
-                ) * _BITS_PER_SYMBOL
-            else:
-                passed_all = False
-        return DeliveryResult(
-            scheme=self.name,
-            payload_bits=payload_bits,
-            delivered_correct_bits=delivered_correct,
-            delivered_incorrect_bits=delivered_incorrect,
-            overhead_bits=8 * _CRC_BYTES * n_frags,
-            frame_passed=passed_all,
-        )
-
     def evaluate_traces(self, block: TraceBlock) -> TraceDelivery:
         # Fragments of the traced payload region itself (the trace
         # carries no interleaved CRC fields).
@@ -329,29 +295,6 @@ class FragmentedCrcScheme(DeliveryScheme):
             delivered_correct_bits=(ok @ np.diff(bounds)) * _BITS_PER_SYMBOL,
             overhead_bits=8 * _CRC_BYTES * n,
         )
-
-    def _fragment_count(self, wire_len: int) -> int:
-        # Invert wire_length: wire = payload + 4 * n, n = min(n_frags, payload).
-        for n in range(min(self.n_fragments, wire_len), 0, -1):
-            payload_len = wire_len - _CRC_BYTES * n
-            if payload_len >= 0 and self._expected_frag_count(
-                payload_len
-            ) == n:
-                return n
-        raise ValueError(
-            f"wire length {wire_len} inconsistent with "
-            f"{self.n_fragments} fragments"
-        )
-
-    def _expected_frag_count(self, payload_len: int) -> int:
-        if payload_len == 0:
-            return 1
-        return min(self.n_fragments, payload_len)
-
-    @staticmethod
-    def _fragment_sizes(payload_len: int, n_frags: int) -> list[int]:
-        base, extra = divmod(payload_len, n_frags)
-        return [base + (1 if i < extra else 0) for i in range(n_frags)]
 
 
 class PprScheme(DeliveryScheme):
@@ -487,47 +430,6 @@ class SpracScheme(DeliveryScheme):
     def wire_overhead_bytes(self, payload_len: int) -> int:
         return self.codec.wire_length(payload_len) - payload_len
 
-    def deliver(self, rx: SoftPacket) -> DeliveryResult:
-        wire = rx.payload_bytes()
-        payload_len = self.codec.payload_length(len(wire))
-        result = self.codec.decode(wire)
-        correct_sym = rx.correct_mask()
-        truth = symbols_to_bytes(rx.truth)
-        payload_bits = 8 * payload_len
-        delivered_correct = 0
-        delivered_incorrect = 0
-        for i, (offset, size) in enumerate(
-            self.codec.data_spans(payload_len)
-        ):
-            seg_bits = 8 * size
-            if result.data_ok[i]:
-                # Delivered on its own CRC: account against truth so
-                # a CRC collision shows up, as the other schemes do.
-                sym_lo = _SYMBOLS_PER_BYTE * offset
-                sym_hi = _SYMBOLS_PER_BYTE * (offset + size)
-                good = int(correct_sym[sym_lo:sym_hi].sum())
-                delivered_correct += good * _BITS_PER_SYMBOL
-                delivered_incorrect += (
-                    (sym_hi - sym_lo) - good
-                ) * _BITS_PER_SYMBOL
-            elif result.coded_recovered[i]:
-                exact = (
-                    result.segments[i]
-                    == truth[offset : offset + size]
-                )
-                if exact:
-                    delivered_correct += seg_bits
-                else:
-                    delivered_incorrect += seg_bits
-        return DeliveryResult(
-            scheme=self.name,
-            payload_bits=payload_bits,
-            delivered_correct_bits=delivered_correct,
-            delivered_incorrect_bits=delivered_incorrect,
-            overhead_bits=8 * self.wire_overhead_bytes(payload_len),
-            frame_passed=result.complete,
-        )
-
     def evaluate_traces(self, block: TraceBlock) -> TraceDelivery:
         """S-PRAC on recorded traces: segment erasures + coded recovery.
 
@@ -579,12 +481,7 @@ class SpracScheme(DeliveryScheme):
         )
 
 
-def default_schemes(
-    eta: float = 6.0, n_fragments: int = 30
-) -> list[DeliveryScheme]:
-    """The paper's three contenders with its §7.2 parameters."""
-    return [
-        PacketCrcScheme(),
-        FragmentedCrcScheme(n_fragments=n_fragments),
-        PprScheme(eta=eta),
-    ]
+def default_schemes(eta: float = 6.0) -> list[DeliveryScheme]:
+    """The paper's three contenders with its §7.2 parameters (30
+    fragments, and η = 6 unless ``eta`` says otherwise)."""
+    return [PacketCrcScheme(), FragmentedCrcScheme(), PprScheme(eta=eta)]

@@ -29,6 +29,7 @@ from repro.phy.frontend import (
     ReceiverFrontend,
     SyncDetection,
 )
+from repro.phy.modulation import SAMPLES_PER_CHIP
 from repro.phy.remodulate import subtract_frame
 from repro.phy.sync import SYNC_SYMBOLS
 from repro.utils.bitops import pack_bits_to_uint32
@@ -147,10 +148,9 @@ class WaveformBatchEngine:
     def __init__(
         self,
         codebook: Codebook,
-        sps: int = 4,
         threshold: float = 0.70,
     ) -> None:
-        self._frontend = ReceiverFrontend(codebook, sps, threshold)
+        self._frontend = ReceiverFrontend(codebook, threshold)
         self._engine = BatchReceptionEngine(codebook)
 
     @property
@@ -300,7 +300,6 @@ class WaveformBatchEngine:
                 f"n_body must be non-negative, got {n_body}"
             )
         width = self.codebook.chips_per_symbol
-        sps = self._frontend.sps
 
         def _fits(
             capture_len: int,
@@ -309,10 +308,12 @@ class WaveformBatchEngine:
         ) -> bool:
             """Whether the body's chip span lies inside the capture."""
             start = (
-                detection.sample_offset + symbol_offset * width * sps
+                detection.sample_offset
+                + symbol_offset * width * SAMPLES_PER_CHIP
             )
             n_chips = n_body * width
-            needed = start + (n_chips - 1) * sps + 2 * sps if n_chips else start
+            # The last chip's pulse spans two chip periods.
+            needed = start + (n_chips + 1) * SAMPLES_PER_CHIP if n_chips else start
             return start >= 0 and needed <= capture_len
 
         lengths = [np.asarray(c).size for c in captures]

@@ -22,27 +22,19 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.phy.pulse import half_sine_pulse
+from repro.phy.modulation import SAMPLES_PER_CHIP, half_sine_pulse
 
 
 class MskDemodulator:
     """Matched-filter chip demodulator for half-sine O-QPSK/MSK."""
 
-    def __init__(self, sps: int = 4) -> None:
-        if sps < 2:
-            raise ValueError(f"sps must be >= 2, got {sps}")
-        self._sps = int(sps)
-        self._pulse = half_sine_pulse(self._sps)
-
-    @property
-    def sps(self) -> int:
-        """Samples per chip."""
-        return self._sps
+    def __init__(self) -> None:
+        self._pulse = half_sine_pulse()
 
     def _window_view(
         self, samples: np.ndarray, start: int, n_chips: int
     ) -> np.ndarray:
-        """Validated ``(n_chips, 2*sps)`` strided view of chip windows.
+        """Validated strided view of chip windows, one pulse long each.
 
         ``start`` is the sample index where chip 0's pulse begins.  The
         capture must contain the full span of every requested chip; a
@@ -54,9 +46,8 @@ class MskDemodulator:
             raise ValueError(f"start must be non-negative, got {start}")
         if n_chips < 0:
             raise ValueError(f"n_chips must be non-negative, got {n_chips}")
-        sps = self._sps
         plen = self._pulse.size
-        needed = start + (n_chips - 1) * sps + plen if n_chips else start
+        needed = start + (n_chips - 1) * SAMPLES_PER_CHIP + plen if n_chips else start
         if needed > samples.size:
             raise ValueError(
                 f"capture too short: need {needed} samples, have "
@@ -65,7 +56,8 @@ class MskDemodulator:
         if n_chips == 0:
             return np.zeros((0, plen), dtype=np.complex128)
         windows = np.lib.stride_tricks.sliding_window_view(samples, plen)
-        return windows[start : start + n_chips * sps : sps]
+        step = SAMPLES_PER_CHIP
+        return windows[start : start + n_chips * step : step]
 
     @staticmethod
     def _rail_split(corr: np.ndarray) -> np.ndarray:
@@ -97,12 +89,11 @@ class MskDemodulator:
         samples = np.asarray(samples, dtype=np.complex128)
         # Same validation as the vectorized path.
         self._window_view(samples, start, n_chips)
-        sps = self._sps
         pulse = self._pulse
         plen = pulse.size
         out = np.empty(n_chips, dtype=np.float64)
         for k in range(n_chips):
-            s0 = start + k * sps
+            s0 = start + k * SAMPLES_PER_CHIP
             window = samples[s0 : s0 + plen]
             corr = (window * pulse).sum()
             out[k] = corr.real if k % 2 == 0 else corr.imag

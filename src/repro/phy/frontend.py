@@ -22,7 +22,7 @@ import numpy as np
 from repro.phy.codebook import Codebook
 from repro.phy.demodulation import MskDemodulator
 from repro.phy.fftcorr import FftCorrelator
-from repro.phy.modulation import MskModulator
+from repro.phy.modulation import SAMPLES_PER_CHIP, MskModulator
 from repro.phy.sync import peak_offsets, sync_field_symbols
 from repro.utils.bitops import pack_bits_to_uint32
 
@@ -67,8 +67,6 @@ class ReceiverFrontend:
     ----------
     codebook:
         The DSSS codebook (defines sync chip patterns and decoding).
-    sps:
-        Samples per chip; must match the transmitter's modulator.
     threshold:
         Normalised-correlation detection threshold for both sync kinds.
     """
@@ -76,16 +74,14 @@ class ReceiverFrontend:
     def __init__(
         self,
         codebook: Codebook,
-        sps: int = 4,
         threshold: float = 0.70,
     ) -> None:
         if not 0 < threshold <= 1:
             raise ValueError(f"threshold must be in (0, 1], got {threshold}")
         self._codebook = codebook
-        self._sps = int(sps)
         self._threshold = float(threshold)
-        self._demod = MskDemodulator(sps)
-        modulator = MskModulator(sps=sps)
+        self._demod = MskDemodulator()
+        modulator = MskModulator()
         self._refs = {}
         self._correlators = {}
         for kind in ("preamble", "postamble"):
@@ -97,11 +93,6 @@ class ReceiverFrontend:
     def codebook(self) -> Codebook:
         """The codebook used for decoding."""
         return self._codebook
-
-    @property
-    def sps(self) -> int:
-        """Samples per chip."""
-        return self._sps
 
     # -- detection -----------------------------------------------------------
 
@@ -261,7 +252,7 @@ class ReceiverFrontend:
                 f"chip_offset must be even to preserve O-QPSK rail "
                 f"parity, got {chip_offset}"
             )
-        start = anchor_sample + chip_offset * self._sps
+        start = anchor_sample + chip_offset * SAMPLES_PER_CHIP
         if start < 0:
             raise ValueError(
                 f"requested chips before the capture start (sample {start})"

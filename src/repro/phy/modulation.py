@@ -3,7 +3,9 @@
 Produces complex-baseband sample streams from chip sequences, matching
 the CC2420's modulation (paper §6): even-indexed chips modulate the I
 rail, odd-indexed chips the Q rail delayed by one chip period, each
-chip shaped by a half-sine spanning two chip periods.
+chip shaped by a half-sine spanning two chip periods.  802.15.4's
+2450 MHz PHY is O-QPSK with half-sine pulse shaping, which is
+mathematically MSK (paper §6, [22]).
 """
 
 from __future__ import annotations
@@ -11,35 +13,33 @@ from __future__ import annotations
 import numpy as np
 
 from repro.phy.codebook import Codebook
-from repro.phy.pulse import half_sine_pulse
 
-# 802.15.4 timing: 2 Mchip/s, 32 chips per symbol.
+# 802.15.4 timing: 2 Mchip/s, 32 chips per symbol; every waveform is
+# sampled at 4 samples per chip.
 CHIP_RATE_HZ = 2.0e6
 CHIPS_PER_SYMBOL = 32
+SAMPLES_PER_CHIP = 4
 SYMBOL_PERIOD_S = CHIPS_PER_SYMBOL / CHIP_RATE_HZ
 
 
-class MskModulator:
-    """Chip-stream -> complex baseband MSK samples.
+def half_sine_pulse() -> np.ndarray:
+    """Half-sine pulse spanning two chip periods, normalised to unit
+    energy so matched-filter outputs read in units of amplitude."""
+    length = 2 * SAMPLES_PER_CHIP
+    t = (np.arange(length) + 0.5) / length
+    pulse = np.sin(np.pi * t)
+    return pulse / np.linalg.norm(pulse)
 
-    Parameters
-    ----------
-    sps:
-        Samples per chip.  4 is plenty for the simulation experiments.
+
+class MskModulator:
+    """Chip-stream -> complex baseband MSK samples at
+    ``SAMPLES_PER_CHIP`` samples per chip.
 
     The output has unit amplitude; the channel applies each link's gain.
     """
 
-    def __init__(self, sps: int = 4) -> None:
-        if sps < 2:
-            raise ValueError(f"sps must be >= 2 for O-QPSK offset, got {sps}")
-        self._sps = int(sps)
-        self._pulse = half_sine_pulse(self._sps)
-
-    @property
-    def sps(self) -> int:
-        """Samples per chip."""
-        return self._sps
+    def __init__(self) -> None:
+        self._pulse = half_sine_pulse()
 
     def samples_for_chips(self, n_chips: int) -> int:
         """Waveform length (samples) for a chip sequence of given length."""
@@ -49,7 +49,7 @@ class MskModulator:
             return 0
         # Last chip's pulse spans two chip periods; Q rail adds one more
         # chip of offset when the last chip index is odd.
-        return (n_chips + 1) * self._sps
+        return (n_chips + 1) * SAMPLES_PER_CHIP
 
     def _validated_signs(self, chips: np.ndarray) -> np.ndarray:
         """Shared validation: 0/1 chips, even count, as ±1 signs."""
@@ -77,19 +77,20 @@ class MskModulator:
         n = signs.size
         if n == 0:
             return np.zeros(0, dtype=np.complex128)
-        sps = self._sps
         out_len = self.samples_for_chips(n)
         wave_i = np.zeros(out_len, dtype=np.float64)
         wave_q = np.zeros(out_len, dtype=np.float64)
         # Even chips fill the I rail from sample 0, odd chips the Q
-        # rail from sample sps (the inherent one-chip O-QPSK offset);
+        # rail one chip later (the inherent one-chip O-QPSK offset);
         # consecutive same-rail blocks are disjoint, so assignment of
         # the flattened outer product reproduces the reference's
         # accumulate-into-zeros exactly.
         blocks_i = signs[0::2, None] * self._pulse
         blocks_q = signs[1::2, None] * self._pulse
         wave_i[: blocks_i.size] = blocks_i.ravel()
-        wave_q[sps : sps + blocks_q.size] = blocks_q.ravel()
+        wave_q[SAMPLES_PER_CHIP : SAMPLES_PER_CHIP + blocks_q.size] = (
+            blocks_q.ravel()
+        )
         return wave_i + 1j * wave_q
 
     def modulate_chips_reference(self, chips: np.ndarray) -> np.ndarray:
@@ -100,16 +101,15 @@ class MskModulator:
         n = signs.size
         if n == 0:
             return np.zeros(0, dtype=np.complex128)
-        sps = self._sps
         out_len = self.samples_for_chips(n)
         wave_i = np.zeros(out_len, dtype=np.float64)
         wave_q = np.zeros(out_len, dtype=np.float64)
         pulse = self._pulse
         plen = pulse.size
-        # Chip k's pulse starts at sample k*sps and spans 2*sps samples;
-        # even chips on I, odd chips on Q (inherent one-chip offset).
+        # Chip k's pulse starts k chips in and spans two chips; even
+        # chips on I, odd chips on Q (inherent one-chip offset).
         for k in range(n):
-            start = k * sps
+            start = k * SAMPLES_PER_CHIP
             rail = wave_i if k % 2 == 0 else wave_q
             rail[start : start + plen] += signs[k] * pulse
         return wave_i + 1j * wave_q

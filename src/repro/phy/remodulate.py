@@ -33,7 +33,6 @@ def _frame_scale(gain: float, phase: float) -> complex:
 def remodulate_frame(
     symbols: np.ndarray,
     codebook: Codebook,
-    sps: int = 4,
     gain: float = 1.0,
     phase: float = 0.0,
 ) -> np.ndarray:
@@ -45,14 +44,13 @@ def remodulate_frame(
     Bit-identical to :func:`remodulate_frame_reference`.
     """
     chips = codebook.encode(np.asarray(symbols, dtype=np.int64))
-    wave = MskModulator(sps=sps).modulate_chips(chips)
+    wave = MskModulator().modulate_chips(chips)
     return _frame_scale(gain, phase) * wave
 
 
 def remodulate_frame_reference(
     symbols: np.ndarray,
     codebook: Codebook,
-    sps: int = 4,
     gain: float = 1.0,
     phase: float = 0.0,
 ) -> np.ndarray:
@@ -60,7 +58,7 @@ def remodulate_frame_reference(
     :func:`remodulate_frame` (the equivalence suite pins the two
     bit-for-bit)."""
     chips = codebook.encode(np.asarray(symbols, dtype=np.int64))
-    wave = MskModulator(sps=sps).modulate_chips_reference(chips)
+    wave = MskModulator().modulate_chips_reference(chips)
     return _frame_scale(gain, phase) * wave
 
 

@@ -51,7 +51,7 @@ class ChunkRecovery:
 
 def plan_chunk_recovery(
     hints: np.ndarray,
-    eta: float = 6.0,
+    eta: float,
 ) -> ChunkRecovery:
     """Chunk-recovery plan for a frame's post-decode Hamming hints.
 

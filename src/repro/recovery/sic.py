@@ -24,7 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.phy.batch import FrameReception, WaveformBatchEngine
+from repro.arq.runlength import PAPER_ETA
 from repro.phy.codebook import Codebook
+from repro.phy.modulation import SAMPLES_PER_CHIP
 from repro.phy.remodulate import estimate_complex_scale, remodulate_frame
 from repro.phy.sync import SYNC_SYMBOLS, sync_field_symbols
 from repro.recovery.chunks import ChunkRecovery, plan_chunk_recovery
@@ -84,32 +86,16 @@ class SicDecoder:
     ----------
     codebook:
         DSSS codebook shared by both transmitters.
-    sps:
-        Samples per chip (must match the modulator).
     threshold:
         Sync-correlation detection threshold for both passes.
-    eta:
-        PPR confidence threshold η for the chunk fallback.
+
+    The chunk fallback labels codewords at the paper's threshold
+    ``PAPER_ETA``.
     """
 
-    def __init__(
-        self,
-        codebook: Codebook,
-        sps: int = 4,
-        threshold: float = 0.70,
-        eta: float = 6.0,
-    ) -> None:
-        if eta < 0:
-            raise ValueError(f"eta must be non-negative, got {eta}")
+    def __init__(self, codebook: Codebook, threshold: float = 0.70) -> None:
         self._codebook = codebook
-        self._sps = int(sps)
-        self._eta = float(eta)
-        self._engine = WaveformBatchEngine(codebook, sps=sps, threshold=threshold)
-
-    @property
-    def eta(self) -> float:
-        """PPR confidence threshold for the chunk fallback."""
-        return self._eta
+        self._engine = WaveformBatchEngine(codebook, threshold=threshold)
 
     def _frame_start(
         self, reception: FrameReception, n_body: int
@@ -120,7 +106,7 @@ class SicDecoder:
         if detection.kind == "preamble":
             return detection.sample_offset
         span = (SYNC_SYMBOLS + n_body) * (
-            self._codebook.chips_per_symbol * self._sps
+            self._codebook.chips_per_symbol * SAMPLES_PER_CHIP
         )
         return detection.sample_offset - span
 
@@ -146,7 +132,7 @@ class SicDecoder:
             frame_start=frame_start,
             scale=scale,
             via_residual=via_residual,
-            fallback=plan_chunk_recovery(reception.hints, self._eta),
+            fallback=plan_chunk_recovery(reception.hints, PAPER_ETA),
         )
 
     def decode_pair(
@@ -172,7 +158,7 @@ class SicDecoder:
             )
         start = self._frame_start(strong, n_body)
         stream = self._frame_stream(strong)
-        unit = remodulate_frame(stream, self._codebook, sps=self._sps)
+        unit = remodulate_frame(stream, self._codebook)
         scale = estimate_complex_scale(capture, unit, start)
         strong_frame = self._sic_frame(strong, start, scale, False)
         if not abs(scale) > 0:
@@ -185,7 +171,6 @@ class SicDecoder:
         reconstruction = remodulate_frame(
             stream,
             self._codebook,
-            sps=self._sps,
             gain=abs(scale),
             phase=float(np.angle(scale)),
         )
@@ -197,15 +182,11 @@ class SicDecoder:
             weak_start = self._frame_start(weak, n_body)
             # A lock within one symbol of the cancelled frame is the
             # cancellation's own remnant, not a second transmission.
-            guard = self._codebook.chips_per_symbol * self._sps
+            guard = self._codebook.chips_per_symbol * SAMPLES_PER_CHIP
             if abs(weak_start - start) > guard:
                 weak_scale = estimate_complex_scale(
                     residual,
-                    remodulate_frame(
-                        self._frame_stream(weak),
-                        self._codebook,
-                        sps=self._sps,
-                    ),
+                    remodulate_frame(self._frame_stream(weak), self._codebook),
                     weak_start,
                 )
                 weak_frame = self._sic_frame(

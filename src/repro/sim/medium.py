@@ -22,6 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.phy.channelsim import TransmissionInstance, awgn_collision_channel
+from repro.phy.modulation import SYMBOL_PERIOD_S
 from repro.utils.rng import RngLike, derive_rng
 from repro.utils.units import dbm_to_mw
 
@@ -59,8 +60,8 @@ class Transmission:
     """One frame on the air.
 
     ``n_symbols`` counts its on-air symbols (sync fields included);
-    ``start`` is in seconds, and the duration follows from the symbol
-    period.  The symbols themselves are not kept: a run hands them to
+    ``start`` is in seconds, and the duration follows from the 802.15.4
+    symbol period ``SYMBOL_PERIOD_S``.  The symbols themselves are not kept: a run hands them to
     the receiver once, and a reception keeps only what SoftPHY hands up.
     ``seq`` is the link-layer sequence number carried in the frame
     header, assigned when the frame is *built*; ``tx_id`` is assigned
@@ -73,13 +74,12 @@ class Transmission:
     dst: int
     start: float
     n_symbols: int
-    symbol_period: float
     seq: int = -1
 
     @property
     def duration(self) -> float:
         """Airtime in seconds."""
-        return self.n_symbols * self.symbol_period
+        return self.n_symbols * SYMBOL_PERIOD_S
 
     @property
     def end(self) -> float:
@@ -196,7 +196,6 @@ class RadioMedium:
         """
         n = reception.n_symbols
         interference = np.zeros(n, dtype=np.float64)
-        period = reception.symbol_period
         for other in others:
             if other.tx_id == reception.tx_id:
                 continue
@@ -209,8 +208,8 @@ class RadioMedium:
                 power = self.rx_power_mw(other.sender, receiver)
                 if power_scale is not None:
                     power *= power_scale.get(other.tx_id, 1.0)
-            lo = (other.start - reception.start) / period
-            hi = (other.end - reception.start) / period
+            lo = (other.start - reception.start) / SYMBOL_PERIOD_S
+            hi = (other.end - reception.start) / SYMBOL_PERIOD_S
             lo_idx = max(0, int(np.floor(lo)))
             hi_idx = min(n, int(np.ceil(hi)))
             if hi_idx > lo_idx:

@@ -395,7 +395,7 @@ def _acquired_payloads(
 
 def miss_run_length_counts(
     result: SimulationResult,
-    etas: tuple[int, ...] = (1, 2, 3, 4),
+    etas: tuple[int, ...],
 ) -> dict[int, Counter]:
     """Lengths of contiguous miss runs per threshold (paper Fig. 14).
 

@@ -347,9 +347,6 @@ def hot_codewords(
     rx_ids = np.asarray(receivers, dtype=np.int64)
     starts = np.array([t.start for t in transmissions], dtype=np.float64)
     ends = np.array([t.end for t in transmissions], dtype=np.float64)
-    periods = np.array(
-        [t.symbol_period for t in transmissions], dtype=np.float64
-    )
     lengths = np.array([t.n_symbols for t in transmissions], dtype=np.int64)
     senders = np.array([t.sender for t in transmissions], dtype=np.int64)
     fade = np.asarray(fades, dtype=np.float64).reshape(
@@ -371,12 +368,15 @@ def hot_codewords(
     tx_range = np.arange(len(transmissions), dtype=np.int64)
     ov_owner = np.repeat(tx_range, ov_count)
     own_len = lengths[ov_owner]
-    period = periods[ov_owner]
     first = np.clip(
-        np.floor((starts[ov_other] - starts[ov_owner]) / period), 0, own_len
+        np.floor((starts[ov_other] - starts[ov_owner]) / SYMBOL_PERIOD_S),
+        0,
+        own_len,
     ).astype(np.int64)
     last = np.clip(
-        np.ceil((ends[ov_other] - starts[ov_owner]) / period), 0, own_len
+        np.ceil((ends[ov_other] - starts[ov_owner]) / SYMBOL_PERIOD_S),
+        0,
+        own_len,
     ).astype(np.int64)
     # A receiver that is itself transmitting (half-duplex) hears inf.
     other_sender = senders[ov_other][:, None]
@@ -596,7 +596,6 @@ class NetworkSimulation:
                 dst=frame.header.dst,
                 start=now,
                 n_symbols=symbols.size,
-                symbol_period=SYMBOL_PERIOD_S,
                 seq=seq,
             )
             tx_counter[0] += 1

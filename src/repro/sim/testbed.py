@@ -127,10 +127,13 @@ def wall_count_matrix(
     return counts
 
 
-def collision_testbed(
-    near_m: float = 4.0, far_m: float = 9.0
-) -> TestbedConfig:
-    """Two senders at unequal ranges from one receiver.
+#: the near sender's range from the receiver in the collision testbed
+COLLISION_NEAR_M = 4.0
+
+
+def collision_testbed(far_m: float) -> TestbedConfig:
+    """Two senders at unequal ranges from one receiver: the near one at
+    ``COLLISION_NEAR_M``, the far one at ``far_m``.
 
     The waveform capture-effect geometry: when both senders overlap on
     the air, the near sender's frame survives at the receiver while the
@@ -138,22 +141,18 @@ def collision_testbed(
     waveform-level collision experiments exercise through
     :func:`repro.sim.medium.waveform_capture`.
     """
-    if near_m <= 0 or far_m <= 0:
+    if far_m <= COLLISION_NEAR_M:
         raise ValueError(
-            f"distances must be positive, got {near_m} and {far_m}"
-        )
-    if near_m >= far_m:
-        raise ValueError(
-            f"near sender must be closer than the far one, got "
-            f"{near_m} >= {far_m}"
+            f"the far sender must be farther than {COLLISION_NEAR_M} m, "
+            f"got {far_m}"
         )
     positions = np.array(
-        [[-near_m, 0.0], [far_m, 0.0], [0.0, 0.0]]
+        [[-COLLISION_NEAR_M, 0.0], [far_m, 0.0], [0.0, 0.0]]
     )
     return TestbedConfig(
         positions_m=positions,
         sender_ids=(0, 1),
         receiver_ids=(2,),
         room_grid=(1, 1),
-        area_m=(near_m + far_m, 1.0),
+        area_m=(COLLISION_NEAR_M + far_m, 1.0),
     )

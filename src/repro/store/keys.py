@@ -30,7 +30,7 @@ from repro.store.serialize import config_to_dict
 # Version of the on-disk entry layout (document structure, array
 # encoding, container).  Bump whenever the serialized form changes
 # shape; old entries then miss by key and are recomputed.
-STORE_SCHEMA_VERSION = 5
+STORE_SCHEMA_VERSION = 6
 
 
 def canonical_json(data: Any) -> str:

@@ -157,9 +157,6 @@ def _transmissions_to_structure(
         "start": writer.add(
             _column([t.start for t in transmissions], "<f8")
         ),
-        "symbol_period": writer.add(
-            _column([t.symbol_period for t in transmissions], "<f8")
-        ),
         "seq": writer.add(_column([t.seq for t in transmissions], "<i8")),
         "n_symbols": writer.add(
             _column([t.n_symbols for t in transmissions], "<i8")
@@ -174,7 +171,6 @@ def _transmissions_from_structure(
     sender = reader.get(data["sender"])
     dst = reader.get(data["dst"])
     start = reader.get(data["start"])
-    symbol_period = reader.get(data["symbol_period"])
     seq = reader.get(data["seq"])
     n_symbols = reader.get(data["n_symbols"])
     return [
@@ -184,7 +180,6 @@ def _transmissions_from_structure(
             dst=int(dst[i]),
             start=float(start[i]),
             n_symbols=int(n_symbols[i]),
-            symbol_period=float(symbol_period[i]),
             seq=int(seq[i]),
         )
         for i in range(int(data["count"]))

@@ -114,7 +114,8 @@ class TestTextRendering:
 
     def test_render_scatter_includes_diagonal(self):
         out = render_scatter(
-            {"pts": (np.array([1.0, 10.0]), np.array([2.0, 20.0]))}
+            {"pts": (np.array([1.0, 10.0]), np.array([2.0, 20.0]))},
+            floor=1e-2,
         )
         assert "y = x" in out
 
@@ -133,4 +134,4 @@ class TestTextRendering:
         with pytest.raises(ValueError):
             render_series(np.arange(3), {})
         with pytest.raises(ValueError):
-            render_scatter({})
+            render_scatter({}, floor=1e-2)

@@ -100,7 +100,7 @@ class TestSegmentedRlncCodec:
         assert len(wire) == codec.wire_length(len(payload))
         assert codec.payload_length(len(wire)) == len(payload)
         result = codec.decode(wire)
-        assert result.complete
+        assert result.delivered.all()
         assert result.payload() == payload
         assert not result.coded_recovered.any()
 
@@ -117,7 +117,7 @@ class TestSegmentedRlncCodec:
         # 5 intact repair equations over 3 unknowns: GF(2) solves
         # unless the random 5x3 minor loses rank (not the case for
         # this seed).
-        assert result.complete
+        assert result.delivered.all()
         assert result.payload() == payload
         assert result.coded_recovered.sum() == 3
 
@@ -130,7 +130,7 @@ class TestSegmentedRlncCodec:
             offset, _ = codec.data_spans(len(payload))[idx]
             wire[offset] ^= 0xFF
         result = codec.decode(bytes(wire))
-        assert not result.complete
+        assert not result.delivered.all()
         assert result.delivered.sum() < 6
         undelivered = [
             i for i, seg in enumerate(result.segments) if seg is None

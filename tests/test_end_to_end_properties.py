@@ -52,7 +52,7 @@ class TestPpArqConvergenceProperty:
                 symbols=corrupted, hints=hints, truth=symbols
             )
 
-        session = PpArqSession(channel, eta=6.0)
+        session = PpArqSession(channel)
         log = session.transfer(1, payload)
         assert log.delivered
         assert session.receiver.reassembled_payload(1) == payload
@@ -93,7 +93,7 @@ class TestPpArqConvergenceProperty:
                 truth=symbols,
             )
 
-        session = PpArqSession(lying_channel, eta=6.0)
+        session = PpArqSession(lying_channel)
         log = session.transfer(1, payload)
         assert log.delivered
         assert session.receiver.reassembled_payload(1) == payload

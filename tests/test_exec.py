@@ -97,22 +97,14 @@ class TestExecPolicy:
         assert policy.timeout_for(40.0) == 10.0 + 3.0 * 40.0
 
     def test_backoff_deterministic_and_bounded(self):
-        policy = ExecPolicy(
-            backoff_base_s=0.1, backoff_multiplier=2.0, backoff_jitter=0.5
-        )
+        policy = ExecPolicy(backoff_base_s=0.1)
         key = b"\x01" * 32
         for attempt in (1, 2, 3):
+            # Doubling per attempt, jittered by up to half again.
             base = 0.1 * 2.0 ** (attempt - 1)
             delay = policy.backoff_s(key, attempt)
             assert delay == policy.backoff_s(key, attempt)
             assert base <= delay <= base * 1.5
-
-    def test_backoff_without_jitter_is_exact(self):
-        policy = ExecPolicy(
-            backoff_base_s=0.2, backoff_multiplier=3.0, backoff_jitter=0.0
-        )
-        assert policy.backoff_s(b"", 1) == 0.2
-        assert policy.backoff_s(b"", 3) == 0.2 * 9.0
 
     def test_from_spec_coerces_integer_knobs(self):
         policy = ExecPolicy.from_spec("max_attempts=2,timeout_base_s=5")
@@ -129,8 +121,6 @@ class TestExecPolicy:
     def test_validation(self):
         with pytest.raises(ValueError, match="max_attempts"):
             ExecPolicy(max_attempts=0)
-        with pytest.raises(ValueError, match="max_spawn_failures"):
-            ExecPolicy(max_spawn_failures=0)
 
 
 class TestFaultPlan:
@@ -347,9 +337,7 @@ class TestDegradation:
     def test_spawn_failures_degrade_to_serial(self):
         supervisor = Supervisor(
             jobs=2,
-            policy=ExecPolicy(
-                max_spawn_failures=2, backoff_base_s=0.001
-            ),
+            policy=ExecPolicy(backoff_base_s=0.001),
             faults=_NO_FAULTS,
             context=_RefusingContext(),
         )
@@ -364,9 +352,7 @@ class TestDegradation:
         """crash=1.0 with no workers must not kill the caller."""
         supervisor = Supervisor(
             jobs=2,
-            policy=ExecPolicy(
-                max_spawn_failures=1, backoff_base_s=0.001
-            ),
+            policy=ExecPolicy(backoff_base_s=0.001),
             faults=FaultPlan(crash=1.0),
             context=_RefusingContext(),
         )
@@ -378,11 +364,7 @@ class TestDegradation:
     def test_degraded_mode_keeps_persistent_failures(self):
         supervisor = Supervisor(
             jobs=2,
-            policy=ExecPolicy(
-                max_spawn_failures=1,
-                max_attempts=2,
-                backoff_base_s=0.001,
-            ),
+            policy=ExecPolicy(max_attempts=2, backoff_base_s=0.001),
             faults=FaultPlan(fail=1.0),
             context=_RefusingContext(),
         )

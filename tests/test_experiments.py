@@ -11,7 +11,6 @@ import pytest
 from repro.experiments import exp_fig13, exp_fig16
 from repro.experiments.common import (
     DEFAULT_ETA,
-    DEFAULT_FRAGMENTS,
     ExperimentResult,
     RunCache,
     Scenario,
@@ -167,9 +166,8 @@ class TestScenarioGrid:
 class TestEvaluationHelpers:
     def test_paper_schemes_parameters(self):
         # The harness evaluates with the paper's §7.2 parameters.
-        assert DEFAULT_FRAGMENTS == 30
         assert DEFAULT_ETA == 6.0
-        schemes = default_schemes(DEFAULT_ETA, DEFAULT_FRAGMENTS)
+        schemes = default_schemes(DEFAULT_ETA)
         assert schemes[1].n_fragments == 30
         assert schemes[2].eta == 6.0
 
@@ -203,10 +201,6 @@ class TestFastExperiments:
         # The rendered plot names both packets.
         assert "packet 1" in result.rendered
 
-    def test_fig13_parameter_validation(self):
-        with pytest.raises(ValueError):
-            exp_fig13.run(n_body=10, overlap_symbols=20)
-
     def test_fig13_deterministic(self):
         a = exp_fig13.run()
         b = exp_fig13.run()
@@ -215,7 +209,7 @@ class TestFastExperiments:
         )
 
     def test_fig16_pparq_sizes(self):
-        result = exp_fig16.run(n_packets=20)
+        result = exp_fig16.run()
         assert result.all_passed, result.summary()
         sizes = result.series["retransmit_sizes"]
         assert sizes.size > 0

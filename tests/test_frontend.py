@@ -15,10 +15,10 @@ from repro.phy.sync import sync_field_symbols
 
 @pytest.fixture()
 def frontend(codebook):
-    return ReceiverFrontend(codebook, sps=4)
+    return ReceiverFrontend(codebook)
 
 
-def _make_frame(codebook, rng, n_body=40, sps=4):
+def _make_frame(codebook, rng, n_body=40):
     body = rng.integers(0, 16, n_body)
     stream = np.concatenate(
         [
@@ -27,7 +27,7 @@ def _make_frame(codebook, rng, n_body=40, sps=4):
             sync_field_symbols("postamble"),
         ]
     )
-    wave = MskModulator(sps=sps).modulate_symbols(stream, codebook)
+    wave = MskModulator().modulate_symbols(stream, codebook)
     return body, wave
 
 

@@ -34,11 +34,11 @@ class TestWaveformToLinkLayer:
         frame = PprFrame.build(
             src=1, dst=2, seq=9, wire_payload=scheme.encode_payload(payload)
         )
-        wave = MskModulator(sps=4).modulate_symbols(
+        wave = MskModulator().modulate_symbols(
             frame.on_air_symbols(), codebook
         )
         noisy = add_awgn(wave, 0.15, rng)
-        frontend = ReceiverFrontend(codebook, sps=4)
+        frontend = ReceiverFrontend(codebook)
         n_body = body_symbol_count(len(frame.wire_payload))
 
         # Preamble path.
@@ -111,7 +111,7 @@ class TestTracesToPpArq:
                 truth=symbols,
             )
 
-        session = PpArqSession(trace_channel, eta=6.0)
+        session = PpArqSession(trace_channel)
         payload = bytes(rng.integers(0, 256, 150, dtype=np.uint8))
         delivered = 0
         for seq in range(5):
@@ -139,10 +139,9 @@ class TestPhyIndependence:
 
         signs = bipolar(np.arange(codebook.n_symbols))
         # The margin between the two best correlations lies in
-        # [0, 2B] for ±1 samples; (2B - margin) / 4 maps it to a
-        # lower-is-better hint in [0, B/2].  η = 12 labels a symbol
-        # good when its margin is at least 16.
-        eta = 12.0
+        # [0, 2B] for ±1 samples; (2B - margin) / 8 maps it to a
+        # lower-is-better hint in [0, B/4].  The receiver's η = 6
+        # labels a symbol good when its margin is at least 16.
 
         def sdd_channel(symbols):
             symbols = np.asarray(symbols, dtype=np.int64)
@@ -164,11 +163,11 @@ class TestPhyIndependence:
             margin = top2[:, 1] - top2[:, 0]
             return SoftPacket(
                 symbols=corr.argmax(axis=1),
-                hints=(2.0 * chips - margin) / 4.0,
+                hints=(2.0 * chips - margin) / 8.0,
                 truth=symbols,
             )
 
-        session = PpArqSession(sdd_channel, eta=eta)
+        session = PpArqSession(sdd_channel)
         payload = bytes(rng.integers(0, 256, 150, dtype=np.uint8))
         log = session.transfer(3, payload)
         assert log.delivered

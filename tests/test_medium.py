@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.phy.modulation import SYMBOL_PERIOD_S
 from repro.sim.medium import PathLossModel, RadioMedium, Transmission
 
 
@@ -10,14 +11,9 @@ def _medium(positions, **kwargs):
     return RadioMedium(positions_m=np.array(positions, dtype=float), **kwargs)
 
 
-def _tx(tx_id, sender, start, n_symbols=100, period=16e-6):
+def _tx(tx_id, sender, start, n_symbols=100):
     return Transmission(
-        tx_id=tx_id,
-        sender=sender,
-        dst=0,
-        start=start,
-        n_symbols=n_symbols,
-        symbol_period=period,
+        tx_id=tx_id, sender=sender, dst=0, start=start, n_symbols=n_symbols
     )
 
 
@@ -130,12 +126,9 @@ class TestInterferenceTimeline:
 
     def test_partial_overlap_hits_exact_symbols(self):
         medium = self._simple_medium()
-        period = 16e-6
-        rx = _tx(0, 1, start=0.0, n_symbols=100, period=period)
+        rx = _tx(0, 1, start=0.0, n_symbols=100)
         # Interferer covers symbols 50..80 exactly.
-        other = _tx(
-            1, 2, start=50 * period, n_symbols=30, period=period
-        )
+        other = _tx(1, 2, start=50 * SYMBOL_PERIOD_S, n_symbols=30)
         timeline = medium.interference_timeline_mw(rx, 0, [other])
         power = medium.rx_power_mw(2, 0)
         assert np.all(timeline[:50] == 0)
@@ -169,6 +162,6 @@ class TestInterferenceTimeline:
         assert scaled == pytest.approx(0.5 * base)
 
     def test_transmission_properties(self):
-        tx = _tx(0, 1, start=1.0, n_symbols=100, period=16e-6)
+        tx = _tx(0, 1, start=1.0, n_symbols=100)
         assert tx.duration == pytest.approx(1.6e-3)
         assert tx.end == pytest.approx(1.0016)

@@ -5,37 +5,32 @@ import pytest
 
 from repro.phy.channelsim import add_awgn
 from repro.phy.demodulation import MskDemodulator
-from repro.phy.modulation import MskModulator
-from repro.phy.pulse import half_sine_pulse
+from repro.phy.modulation import MskModulator, half_sine_pulse
 from repro.utils.bitops import pack_bits_to_uint32
 
 
 class TestPulses:
     def test_half_sine_unit_energy(self):
-        for sps in (2, 4, 8):
-            assert np.linalg.norm(half_sine_pulse(sps)) == pytest.approx(1.0)
+        assert np.linalg.norm(half_sine_pulse()) == pytest.approx(1.0)
 
     def test_half_sine_length(self):
-        assert half_sine_pulse(4).size == 8
+        # Two chip periods at four samples per chip.
+        assert half_sine_pulse().size == 8
 
     def test_half_sine_symmetric(self):
-        p = half_sine_pulse(6)
+        p = half_sine_pulse()
         assert p == pytest.approx(p[::-1])
-
-    def test_invalid_sps(self):
-        with pytest.raises(ValueError):
-            half_sine_pulse(0)
 
 
 class TestModulator:
     def test_output_length(self):
-        mod = MskModulator(sps=4)
+        mod = MskModulator()
         chips = np.zeros(10, dtype=np.int64)
         wave = mod.modulate_chips(chips)
         assert wave.size == mod.samples_for_chips(10) == 44
 
     def test_even_chips_on_i_rail(self):
-        mod = MskModulator(sps=4)
+        mod = MskModulator()
         chips = np.array([1, 0, 0, 0, 0, 0, 0, 0])
         wave = mod.modulate_chips(chips)
         # First pulse is purely real (I rail).
@@ -43,7 +38,7 @@ class TestModulator:
         assert wave[:4].real.max() > 0
 
     def test_odd_chips_on_q_rail(self):
-        mod = MskModulator(sps=4)
+        mod = MskModulator()
         chips = np.array([0, 1, 0, 0, 0, 0, 0, 0])
         wave = mod.modulate_chips(chips)
         # Chip 1's pulse starts at sample 4 and is purely imaginary.
@@ -57,23 +52,19 @@ class TestModulator:
         with pytest.raises(ValueError, match="0/1"):
             MskModulator().modulate_chips(np.array([0, 2]))
 
-    def test_invalid_construction(self):
-        with pytest.raises(ValueError):
-            MskModulator(sps=1)
-
 
 class TestDemodulatorRoundtrip:
     def test_noiseless_roundtrip(self, rng):
-        mod = MskModulator(sps=4)
-        demod = MskDemodulator(sps=4)
+        mod = MskModulator()
+        demod = MskDemodulator()
         chips = rng.integers(0, 2, 200)
         wave = mod.modulate_chips(chips)
         decoded = demod.demodulate_soft(wave, start=0, n_chips=200) > 0
         assert np.array_equal(decoded, chips)
 
     def test_soft_outputs_near_unit(self, rng):
-        mod = MskModulator(sps=4)
-        demod = MskDemodulator(sps=4)
+        mod = MskModulator()
+        demod = MskDemodulator()
         chips = rng.integers(0, 2, 100)
         wave = mod.modulate_chips(chips)
         soft = demod.demodulate_soft(wave, start=0, n_chips=100)
@@ -81,8 +72,8 @@ class TestDemodulatorRoundtrip:
         assert soft == pytest.approx(signs.astype(float), abs=1e-9)
 
     def test_noisy_roundtrip_mostly_correct(self, rng):
-        mod = MskModulator(sps=4)
-        demod = MskDemodulator(sps=4)
+        mod = MskModulator()
+        demod = MskDemodulator()
         chips = rng.integers(0, 2, 1000)
         wave = add_awgn(mod.modulate_chips(chips), 0.2, rng)
         decoded = demod.demodulate_soft(wave, start=0, n_chips=1000) > 0
@@ -92,8 +83,8 @@ class TestDemodulatorRoundtrip:
         """Decoding from the frame's first sample recovers every
         symbol, also when the frame starts at a sub-chip or a
         multi-chip sample offset into the capture."""
-        mod = MskModulator(sps=4)
-        demod = MskDemodulator(sps=4)
+        mod = MskModulator()
+        demod = MskDemodulator()
         symbols = rng.integers(0, 16, 30)
         wave = mod.modulate_symbols(symbols, codebook)
         for start in (0, 1, 2, 3, 9, 10, 11):
@@ -105,16 +96,16 @@ class TestDemodulatorRoundtrip:
             assert not dists.any(), start
 
     def test_truncated_capture_rejected(self):
-        demod = MskDemodulator(sps=4)
+        demod = MskDemodulator()
         with pytest.raises(ValueError, match="too short"):
             demod.demodulate_soft(np.zeros(10, dtype=complex), 0, 10)
 
     def test_negative_start_rejected(self):
-        demod = MskDemodulator(sps=4)
+        demod = MskDemodulator()
         with pytest.raises(ValueError):
             demod.demodulate_soft(np.zeros(100, dtype=complex), -1, 2)
 
     def test_zero_chips(self):
-        demod = MskDemodulator(sps=4)
+        demod = MskDemodulator()
         out = demod.demodulate_soft(np.zeros(10, dtype=complex), 0, 0)
         assert out.size == 0

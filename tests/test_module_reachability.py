@@ -39,7 +39,13 @@ dataclasses are counters and have none).  A root -- any module under
 ``src/repro``, ``examples/`` or ``perfbench/`` outside its tests --
 sets an option when one of its calls passes it a value other than the
 literal default, by keyword or by position.  Calls match signatures by
-bare name, as symbols do.  A SimulationConfig field is also set by an
+bare name, as symbols do, with three exceptions: no call reaches an
+``@register``ed experiment body (the registry's wrapper calls it),
+``super().__init__`` reaches only the enclosing class's bases, and a
+name the root binds once to a literal is that literal.  Passing on an
+option of the enclosing function sets the callee's option only when
+the enclosing option is set, kept or defaults to another value,
+followed to a fixed point.  A SimulationConfig field is also set by an
 override key, or one of ``_FIELD_ALIASES``, of ``RunCache``, ``get``,
 ``config_for``, ``grid`` or ``sweep``.  An option no root sets is made
 a constant, its branch deleted, or it sits in ``KEEP_OPTIONS`` with a
@@ -279,19 +285,15 @@ KEEP = {
         "store writes, which the quick-point digests pin"
     ),
     "repro.link.schemes.DeliveryScheme.deliver": (
-        "wire-level delivery spec the trace evaluator is pinned against"
+        "the interface of the wire-level delivery specs below"
     ),
     "repro.link.schemes.PacketCrcScheme.deliver": (
-        "wire-level delivery spec the trace evaluator is pinned against"
-    ),
-    "repro.link.schemes.FragmentedCrcScheme.deliver": (
-        "wire-level delivery spec the trace evaluator is pinned against"
+        "wire-level delivery spec the trace evaluator is pinned against "
+        "(test_metrics' test_packet_and_ppr_match_real_schemes)"
     ),
     "repro.link.schemes.PprScheme.deliver": (
-        "wire-level delivery spec the trace evaluator is pinned against"
-    ),
-    "repro.link.schemes.SpracScheme.deliver": (
-        "wire-level delivery spec the trace evaluator is pinned against"
+        "wire-level delivery spec the trace evaluator is pinned against "
+        "(test_metrics' test_packet_and_ppr_match_real_schemes)"
     ),
     "repro.link.frame.parse_header_bytes": (
         "byte-level header check the per-record reception reference "
@@ -505,10 +507,7 @@ _MIRRORS_REMODULATE = (
 )
 KEEP_OPTIONS: dict[str, str] = {
     "repro.exec.policy.ExecPolicy.backoff_base_s": _FROM_REPRO_EXEC,
-    "repro.exec.policy.ExecPolicy.backoff_jitter": _FROM_REPRO_EXEC,
-    "repro.exec.policy.ExecPolicy.backoff_multiplier": _FROM_REPRO_EXEC,
     "repro.exec.policy.ExecPolicy.max_attempts": _FROM_REPRO_EXEC,
-    "repro.exec.policy.ExecPolicy.max_spawn_failures": _FROM_REPRO_EXEC,
     "repro.exec.policy.ExecPolicy.timeout_base_s": _FROM_REPRO_EXEC,
     "repro.exec.policy.ExecPolicy.timeout_scale": _FROM_REPRO_EXEC,
     "repro.exec.faults.FaultPlan.crash": _FROM_REPRO_FAULTS,
@@ -528,6 +527,9 @@ KEEP_OPTIONS: dict[str, str] = {
     ),
     "repro.sim.network.NetworkSimulation.__init__.path_loss": (
         "test seam: those three-node layouts switch shadowing off"
+    ),
+    "repro.sim.network.SimulationConfig.payload_bytes": (
+        "test seam: tests run 200-400-byte frames to stay fast"
     ),
     "repro.sim.network.SimulationConfig.fading_sigma_db": (
         "model parameter a closed-form test sets to its limit: 0 turns "
@@ -549,7 +551,6 @@ KEEP_OPTIONS: dict[str, str] = {
         "reference spec: the loop twin of plan_chunks takes its "
         "checksum_bits"
     ),
-    "repro.phy.remodulate.remodulate_frame_reference.sps": _MIRRORS_REMODULATE,
     "repro.phy.remodulate.remodulate_frame_reference.gain": _MIRRORS_REMODULATE,
     "repro.phy.remodulate.remodulate_frame_reference.phase": (
         _MIRRORS_REMODULATE
@@ -655,7 +656,10 @@ def signatures(
             name = f"{module}.{getattr(node, 'name', '')}"
             if isinstance(node, _FUNCS):
                 sig = _function_signature(name, node, bound=False)
-                top.setdefault(node.name, []).append(sig)
+                # A registered body is called by the registry wrapper
+                # only, never by its name.
+                if not _is_registered(node):
+                    top.setdefault(node.name, []).append(sig)
                 own.append(sig)
             elif isinstance(node, ast.ClassDef):
                 classes.setdefault(node.name, []).append((name, node))
@@ -705,6 +709,14 @@ def options(trees: dict[str, ast.Module]) -> dict[str, ast.expr]:
     }
 
 
+def _is_registered(node: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
+    """Whether ``node`` is an experiment body under ``@register(...)``."""
+    return any(
+        isinstance(deco, ast.Call) and getattr(deco.func, "id", None) == "register"
+        for deco in node.decorator_list
+    )
+
+
 def _is_default(value: ast.expr, default: ast.expr) -> bool:
     """Whether ``value`` is literally ``default`` (``3.0`` is ``3``,
     ``True`` is not ``1``); a name or any other expression never is."""
@@ -715,29 +727,90 @@ def _is_default(value: ast.expr, default: ast.expr) -> bool:
     return isinstance(a, bool) == isinstance(b, bool) and a == b
 
 
+def _literal_names(tree: ast.AST) -> dict[str, ast.expr]:
+    """Names ``tree`` binds exactly once, by assignment to a literal
+    (``SPS = 4``), with that literal."""
+    bound: dict[str, int] = {}
+    values: dict[str, ast.expr] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            bound[node.id] = bound.get(node.id, 0) + 1
+        elif isinstance(node, ast.arg):
+            bound[node.arg] = bound.get(node.arg, 0) + 1
+        elif isinstance(node, ast.alias):
+            name = node.asname or node.name.split(".")[0]
+            bound[name] = bound.get(name, 0) + 1
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value:
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if len(targets) == 1 and isinstance(targets[0], ast.Name):
+                values[targets[0].id] = node.value
+    # Only a literal is its own default.
+    return {
+        name: value
+        for name, value in values.items()
+        if bound[name] == 1 and _is_default(value, value)
+    }
+
+
+class _Call(NamedTuple):
+    """A call, the option owner of the function it sits in (the owner
+    of the options it can forward) and the base-class names of the
+    class it sits in (what ``super()`` reaches)."""
+
+    node: ast.Call
+    owner: str
+    defaults: dict[str, ast.expr]
+    bases: tuple[str, ...]
+
+
+def _calls(name: str, tree: ast.AST) -> list[_Call]:
+    """Every call in ``tree``, a module called ``name``."""
+    calls: list[_Call] = []
+
+    def visit(node: ast.AST, path: str, defaults: dict, bases: tuple) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                own = tuple(getattr(b, "id", "") for b in child.bases)
+                visit(child, f"{path}.{child.name}", {}, own)
+                continue
+            inner, inner_defaults = path, defaults
+            if isinstance(child, _FUNCS):
+                inner = f"{path}.{child.name}"
+                inner_defaults = _function_signature(inner, child, False).defaults
+            elif isinstance(child, ast.Call):
+                calls.append(_Call(child, path, defaults, bases))
+            visit(child, inner, inner_defaults, bases)
+
+    visit(tree, name, {}, ())
+    return calls
+
+
 def set_options(
     trees: dict[str, ast.Module],
-    roots: Iterable[ast.AST],
+    roots: dict[str, ast.Module],
     aliases: dict[str, str],
-) -> set[str]:
-    """Options some call in ``roots`` passes a non-default value to.
+) -> tuple[set[str], list[tuple[str, str]]]:
+    """``(found, forwards)``: the options some call in ``roots`` passes
+    a non-default value to, and the ``(source, option)`` pairs where a
+    call passes on an option of the function it sits in.
 
     A call reaches every signature of its callee's bare name (only the
-    top-level ones for a bare name), binding positional arguments up to
-    the first ``*args`` and keyword arguments by name.  A keyword of an
-    ``OVERRIDE_CALLS`` call, or its alias, sets a SimulationConfig
+    top-level ones for a bare name, never a registered body), binding
+    positional arguments up to the first ``*args`` and keyword
+    arguments by name; ``super().__init__`` reaches the enclosing
+    class's bases only.  A name the root binds once to a literal is
+    that literal.  Passing on an option of the enclosing function sets
+    the callee's option only when that option's default differs;
+    otherwise it is a forward, which :func:`_spread` follows.  A keyword
+    of an ``OVERRIDE_CALLS`` call, or its alias, sets a SimulationConfig
     field."""
     top, anywhere, _ = signatures(trees)
     config = [s for s in top.get("SimulationConfig", []) if s.defaults]
     found: set[str] = set()
+    forwards: list[tuple[str, str]] = []
 
-    def bind(sig: _Signature, pairs: Iterable[tuple[str, ast.expr]]) -> None:
-        for param, value in pairs:
-            default = sig.defaults.get(param)
-            if default is not None and not _is_default(value, default):
-                found.add(f"{sig.owner}.{param}")
-
-    for root in roots:
+    for root_name, root in roots.items():
+        literals = _literal_names(root)
         # ``from m import f as g``: a call of ``g`` is a call of ``f``.
         imported = {
             alias.asname: alias.name
@@ -746,29 +819,66 @@ def set_options(
             for alias in node.names
             if alias.asname
         }
-        for node in ast.walk(root):
-            if not isinstance(node, ast.Call):
-                continue
-            if isinstance(node.func, ast.Name):
-                name = imported.get(node.func.id, node.func.id)
+
+        def bind(
+            sig: _Signature,
+            pairs: Iterable[tuple[str, ast.expr]],
+            call: _Call,
+        ) -> None:
+            for param, value in pairs:
+                default = sig.defaults.get(param)
+                if default is None:
+                    continue
+                option = f"{sig.owner}.{param}"
+                if isinstance(value, ast.Name) and value.id in call.defaults:
+                    forwards.append((f"{call.owner}.{value.id}", option))
+                    value = call.defaults[value.id]
+                if isinstance(value, ast.Name):
+                    value = literals.get(value.id, value)
+                if not _is_default(value, default):
+                    found.add(option)
+
+        for call in _calls(root_name, root):
+            func = call.node.func
+            if isinstance(func, ast.Name):
+                name = imported.get(func.id, func.id)
                 sigs = top.get(name, [])
-            elif isinstance(node.func, ast.Attribute):
-                name, sigs = node.func.attr, anywhere.get(node.func.attr, [])
+            elif (
+                isinstance(func, ast.Attribute)
+                and func.attr == "__init__"
+                and isinstance(func.value, ast.Call)
+                and getattr(func.value.func, "id", None) == "super"
+            ):
+                name = func.attr
+                sigs = [sig for base in call.bases for sig in top.get(base, [])]
+            elif isinstance(func, ast.Attribute):
+                name, sigs = func.attr, anywhere.get(func.attr, [])
             else:
                 continue
             positional = []
-            for arg in node.args:
+            for arg in call.node.args:
                 if isinstance(arg, ast.Starred):
                     break
                 positional.append(arg)
-            keywords = [(kw.arg, kw.value) for kw in node.keywords if kw.arg]
+            keywords = [(kw.arg, kw.value) for kw in call.node.keywords if kw.arg]
             for sig in sigs:
-                bind(sig, zip(sig.positional, positional, strict=False))
-                bind(sig, keywords)
+                bind(sig, zip(sig.positional, positional, strict=False), call)
+                bind(sig, keywords, call)
             if name in OVERRIDE_CALLS:
                 for sig in config:
-                    bind(sig, ((aliases.get(k, k), v) for k, v in keywords))
-    return found
+                    bind(sig, ((aliases.get(k, k), v) for k, v in keywords), call)
+    return found, forwards
+
+
+def _spread(found: set[str], forwards: list[tuple[str, str]]) -> set[str]:
+    """``found`` plus every option a set option is passed on to, to a
+    fixed point."""
+    found = set(found)
+    while True:
+        spread = {option for source, option in forwards if source in found}
+        if spread <= found:
+            return found
+        found |= spread
 
 
 def _field_aliases(tree: ast.Module) -> dict[str, str]:
@@ -783,15 +893,18 @@ def _field_aliases(tree: ast.Module) -> dict[str, str]:
 
 def option_findings(
     trees: dict[str, ast.Module],
-    roots: Iterable[ast.AST],
+    roots: dict[str, ast.Module],
     aliases: dict[str, str],
     keep: dict[str, str],
 ) -> tuple[set[str], set[str]]:
     """``(unset, stale)``: the options neither set by ``roots`` nor in
-    ``keep``, and the ``keep`` entries that are no option or are set."""
+    ``keep``, and the ``keep`` entries that are no option or are set.
+    A kept option takes outside values, so what it is passed on to is
+    set too."""
     found = options(trees)
-    passed = set_options(trees, roots, aliases)
-    unset = set(found) - passed - set(keep)
+    direct, forwards = set_options(trees, roots, aliases)
+    passed = _spread(direct, forwards)
+    unset = set(found) - _spread(passed | set(keep), forwards) - set(keep)
     stale = (set(keep) - set(found)) | (set(keep) & passed)
     return unset, stale
 
@@ -801,12 +914,15 @@ def _repo_option_findings() -> tuple[set[str], set[str]]:
         module: ast.parse(MODULES[module].read_text(encoding="utf-8"))
         for module in sorted(_plain_modules())
     }
-    external = [
-        ast.parse(path.read_text(encoding="utf-8")) for path in EXTERNAL_ROOTS
-    ]
+    external = {
+        ".".join(path.relative_to(REPO).with_suffix("").parts): ast.parse(
+            path.read_text(encoding="utf-8")
+        )
+        for path in EXTERNAL_ROOTS
+    }
     return option_findings(
         trees,
-        [*trees.values(), *external],
+        trees | external,
         _field_aliases(trees["repro.experiments.common"]),
         KEEP_OPTIONS,
     )
@@ -850,6 +966,29 @@ class SimulationConfig:
 @dataclass
 class Counters:
     hits: int = 0
+
+@register("fig13", title="collision anatomy")
+def run(n_body=120): ...
+
+class Store:
+    def __init__(self, base=None): ...
+
+class Cache:
+    def __init__(self, path): ...
+
+class DiskCache(Cache):
+    def __init__(self, path):
+        super().__init__(path)
+
+def pulse(chips, sps=4): ...
+
+def modulate(chips, sps=4):
+    return pulse(chips, sps=sps)
+
+def demodulate(samples, sps=4): ...
+
+def receive(samples, sps=4):
+    return demodulate(samples, sps=sps)
 """
 
 _RULES_ROOT = """
@@ -860,12 +999,16 @@ plot(series, 60.0)
 cache = RunCache(seeds=3)
 cache.get(noise_floor_dbm=-87.0)
 SimulationConfig(carrier_sense=True)
+spec.run(cache)
+SPS = 4
+modulate(chips, sps=SPS)
+receive(samples, sps=2)
 """
 
 
 def test_option_check_rules():
     trees = {"pkg.mod": ast.parse(_RULES_MODULE)}
-    roots = [ast.parse(_RULES_ROOT)]
+    roots = trees | {"root": ast.parse(_RULES_ROOT)}
     aliases = {"seeds": "seed"}
     prefix = "pkg.mod."
     # Mutable dataclasses hold counters, not options.
@@ -878,6 +1021,12 @@ def test_option_check_rules():
         "SimulationConfig.duration_s",
         "SimulationConfig.noise_floor_dbm",
         "SimulationConfig.carrier_sense",
+        "run.n_body",
+        "Store.__init__.base",
+        "pulse.sps",
+        "modulate.sps",
+        "demodulate.sps",
+        "receive.sps",
     }
     keep = {
         f"{prefix}Crc.checksum_many.order": "kept with a reason",
@@ -887,10 +1036,21 @@ def test_option_check_rules():
     unset, stale = option_findings(trees, roots, aliases, keep)
     # Positional passes (to a method, past its ``self``) count; so do
     # an override key and an alias of one.  Passing the literal default,
-    # by keyword or by position, does not.
+    # by keyword or by position, does not.  Nor does:
+    # - ``spec.run(cache)``, which reaches the registry wrapper, never
+    #   the registered body of the same name;
+    # - ``super().__init__(path)``, which reaches the enclosing class's
+    #   bases only, not the unrelated ``Store.__init__``;
+    # - ``sps=SPS`` where ``SPS = 4`` is bound once, to the default;
+    # - ``modulate``'s ``sps=sps``, which passes on an option nothing
+    #   sets, while ``receive``'s passes on one a root sets to 2.
     assert {name.removeprefix(prefix) for name in unset} == {
         "plot.width",
         "SimulationConfig.duration_s",
         "SimulationConfig.carrier_sense",
+        "run.n_body",
+        "Store.__init__.base",
+        "pulse.sps",
+        "modulate.sps",
     }
     assert stale == {f"{prefix}Crc.checksum_many.lengths", f"{prefix}gone.knob"}

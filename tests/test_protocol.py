@@ -166,10 +166,6 @@ class TestReceiver:
         with pytest.raises(ValueError, match="not complete"):
             receiver.reassembled_payload(1)
 
-    def test_invalid_eta(self):
-        with pytest.raises(ValueError):
-            PpArqReceiver(eta=-0.5)
-
     def test_decoded_symbols_accessor(self):
         """Public read-only view of the reassembly buffer, so sessions
         need not reach into the private per-packet state."""
@@ -195,7 +191,7 @@ class TestSessions:
 
     def test_bursty_channel_converges(self, codebook, rng):
         channel = _make_bursty_channel(codebook, rng)
-        session = PpArqSession(channel, eta=6.0)
+        session = PpArqSession(channel)
         payload = bytes(rng.integers(0, 256, 200, dtype=np.uint8))
         log = session.transfer(7, payload)
         assert log.delivered
@@ -203,7 +199,7 @@ class TestSessions:
 
     def test_retransmissions_smaller_than_packet(self, codebook, rng):
         channel = _make_bursty_channel(codebook, rng, burst=(0.1, 0.3))
-        session = PpArqSession(channel, eta=6.0)
+        session = PpArqSession(channel)
         payload = bytes(rng.integers(0, 256, 250, dtype=np.uint8))
         total_sizes = []
         for seq in range(10):

@@ -15,7 +15,7 @@ import pytest
 
 from repro.link.schemes import PprScheme, SicScheme
 from repro.phy.channelsim import add_awgn
-from repro.phy.modulation import MskModulator
+from repro.phy.modulation import SAMPLES_PER_CHIP, MskModulator
 from repro.phy.remodulate import (
     estimate_complex_scale,
     remodulate_frame,
@@ -25,7 +25,6 @@ from repro.phy.sync import sync_field_symbols
 from repro.recovery import SicDecoder, plan_chunk_recovery
 from repro.sim.metrics import trace_deliver
 
-SPS = 4
 N_BODY = 30
 
 
@@ -44,11 +43,11 @@ def _collision(
     rng,
     weak_gain=0.45,
     weak_phase=0.9,
-    offset=20 * 32 * SPS,
+    offset=20 * 32 * SAMPLES_PER_CHIP,
     noise=0.02,
 ):
     """A two-frame capture: unit-gain strong + scaled, offset weak."""
-    modulator = MskModulator(sps=SPS)
+    modulator = MskModulator()
     strong_syms = _frame_symbols(rng)
     weak_syms = _frame_symbols(rng)
     strong = modulator.modulate_symbols(strong_syms, codebook)
@@ -67,7 +66,7 @@ def _collision(
 class TestComplexScaleEstimate:
     def test_recovers_known_gain_and_phase(self, codebook, rng):
         stream = _frame_symbols(rng, n_body=10)
-        unit = remodulate_frame(stream, codebook, sps=SPS)
+        unit = remodulate_frame(stream, codebook)
         true = 0.62 * np.exp(1j * 1.1)
         capture = np.zeros(unit.size + 500, dtype=np.complex128)
         capture[37 : 37 + unit.size] = true * unit
@@ -76,7 +75,7 @@ class TestComplexScaleEstimate:
 
     def test_noise_perturbs_estimate_mildly(self, codebook, rng):
         stream = _frame_symbols(rng, n_body=10)
-        unit = remodulate_frame(stream, codebook, sps=SPS)
+        unit = remodulate_frame(stream, codebook)
         capture = add_awgn(0.5 * unit, 0.05, rng)
         est = estimate_complex_scale(capture, unit, 0)
         assert abs(est - 0.5) < 0.05
@@ -85,7 +84,7 @@ class TestComplexScaleEstimate:
         """A frame hanging off the capture edge is estimated from the
         overlapping samples only."""
         stream = _frame_symbols(rng, n_body=10)
-        unit = remodulate_frame(stream, codebook, sps=SPS)
+        unit = remodulate_frame(stream, codebook)
         half = unit.size // 2
         capture = 0.8 * unit[:half].copy()
         est = estimate_complex_scale(capture, unit, 0)
@@ -93,7 +92,7 @@ class TestComplexScaleEstimate:
 
     def test_no_overlap_is_zero(self, codebook, rng):
         stream = _frame_symbols(rng, n_body=5)
-        unit = remodulate_frame(stream, codebook, sps=SPS)
+        unit = remodulate_frame(stream, codebook)
         capture = np.zeros(100, dtype=np.complex128)
         assert estimate_complex_scale(capture, unit, 100) == 0j
         assert estimate_complex_scale(capture, unit, -unit.size) == 0j
@@ -102,7 +101,7 @@ class TestComplexScaleEstimate:
 class TestSubtractFrame:
     def test_exact_cancellation(self, codebook, rng):
         stream = _frame_symbols(rng, n_body=8)
-        frame = remodulate_frame(stream, codebook, sps=SPS)
+        frame = remodulate_frame(stream, codebook)
         capture = np.zeros(frame.size + 200, dtype=np.complex128)
         capture[60 : 60 + frame.size] = frame
         residual = subtract_frame(capture, frame, 60)
@@ -110,7 +109,7 @@ class TestSubtractFrame:
 
     def test_input_capture_untouched(self, codebook, rng):
         stream = _frame_symbols(rng, n_body=8)
-        frame = remodulate_frame(stream, codebook, sps=SPS)
+        frame = remodulate_frame(stream, codebook)
         capture = add_awgn(
             np.zeros(frame.size, dtype=np.complex128), 1.0, rng
         )
@@ -120,7 +119,7 @@ class TestSubtractFrame:
 
     def test_offsets_past_either_edge_clip(self, codebook, rng):
         stream = _frame_symbols(rng, n_body=8)
-        frame = remodulate_frame(stream, codebook, sps=SPS)
+        frame = remodulate_frame(stream, codebook)
         capture = np.ones(frame.size, dtype=np.complex128)
         # Hanging off the tail: only the head of the frame lands.
         tail = subtract_frame(capture, frame, capture.size - 10)
@@ -141,7 +140,7 @@ class TestSicDecodePair:
         self, codebook, rng
     ):
         capture, strong_syms, weak_syms = _collision(codebook, rng)
-        decoder = SicDecoder(codebook, sps=SPS)
+        decoder = SicDecoder(codebook)
         result = decoder.decode_pair(capture, N_BODY)
         assert result.cancelled
         assert result.strong is not None
@@ -163,9 +162,9 @@ class TestSicDecodePair:
         """Frame starts one symbol apart — the capture-effect blind
         spot where a plain receiver never sees the weak preamble."""
         capture, strong_syms, weak_syms = _collision(
-            codebook, rng, offset=2 * 32 * SPS
+            codebook, rng, offset=2 * 32 * SAMPLES_PER_CHIP
         )
-        decoder = SicDecoder(codebook, sps=SPS)
+        decoder = SicDecoder(codebook)
         result = decoder.decode_pair(capture, N_BODY)
         assert result.cancelled
         assert result.weak is not None
@@ -177,7 +176,7 @@ class TestSicDecodePair:
         noise = add_awgn(
             np.zeros(4000, dtype=np.complex128), 0.02, rng
         )
-        result = SicDecoder(codebook, sps=SPS).decode_pair(
+        result = SicDecoder(codebook).decode_pair(
             noise, N_BODY
         )
         assert not result.cancelled
@@ -187,12 +186,12 @@ class TestSicDecodePair:
     def test_lone_frame_yields_no_phantom_weak(self, codebook, rng):
         """Cancelling the only frame must not re-detect its own
         remnant as a second transmission."""
-        modulator = MskModulator(sps=SPS)
+        modulator = MskModulator()
         stream = _frame_symbols(rng)
         capture = add_awgn(
             modulator.modulate_symbols(stream, codebook), 0.02, rng
         )
-        result = SicDecoder(codebook, sps=SPS).decode_pair(
+        result = SicDecoder(codebook).decode_pair(
             capture, N_BODY
         )
         assert result.cancelled
@@ -203,9 +202,9 @@ class TestSicDecodePair:
         self, codebook, rng
     ):
         capture, _, _ = _collision(codebook, rng)
-        decoder = SicDecoder(codebook, sps=SPS)
+        decoder = SicDecoder(codebook)
         result = decoder.decode_pair(capture, N_BODY)
-        strong_span = slice(0, 5 * 32 * SPS)  # weak-free head
+        strong_span = slice(0, 5 * 32 * SAMPLES_PER_CHIP)  # weak-free head
         before = float(np.sum(np.abs(capture[strong_span]) ** 2))
         after = float(
             np.sum(np.abs(result.residual[strong_span]) ** 2)
@@ -215,10 +214,6 @@ class TestSicDecodePair:
         noise_energy = 0.02 * (strong_span.stop - strong_span.start)
         assert after < 2.0 * noise_energy
         assert after < 0.15 * before
-
-    def test_rejects_negative_eta(self, codebook):
-        with pytest.raises(ValueError):
-            SicDecoder(codebook, eta=-1.0)
 
 
 class TestChunkFallback:
@@ -252,7 +247,7 @@ class TestChunkFallback:
         the SicFrame then carries a chunk plan instead of claiming a
         clean recovery."""
         capture, _, _ = _collision(codebook, rng, noise=0.2)
-        decoder = SicDecoder(codebook, sps=SPS, threshold=0.4)
+        decoder = SicDecoder(codebook, threshold=0.4)
         result = decoder.decode_pair(capture, N_BODY)
         assert result.weak is not None
         assert not result.weak.clean

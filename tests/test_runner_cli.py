@@ -131,7 +131,7 @@ class TestRegistry:
     def test_pointless_experiment_runs_without_a_cache(self):
         spec = registry.get_spec("fig16")
         assert spec.points == ()
-        assert spec.run(n_packets=5).experiment_id == "fig16"
+        assert spec.run().experiment_id == "fig16"
 
     def test_declared_points_need_a_cache(self):
         with pytest.raises(TypeError, match="'table2' declares 1 simulation"):
@@ -151,13 +151,13 @@ class TestNeeds:
 
     @pytest.fixture()
     def fig16_calls(self, monkeypatch):
-        """Count fig16's runs, at a cheap packet count."""
+        """Count fig16's runs."""
         spec = registry.get_spec("fig16")
         calls = []
 
         def counted(cache=None, needed=None):
             calls.append(1)
-            return spec.run(cache, needed, n_packets=10)
+            return spec.run(cache, needed)
 
         monkeypatch.setitem(
             registry._REGISTRY, "fig16", dataclasses.replace(spec, run=counted)

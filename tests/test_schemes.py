@@ -13,6 +13,7 @@ from repro.link.schemes import (
 )
 from repro.phy.spreading import bytes_to_symbols
 from repro.phy.symbols import SoftPacket
+from repro.sim.metrics import trace_deliver
 
 
 def _clean_rx(scheme, payload):
@@ -32,6 +33,15 @@ def _corrupt_rx(scheme, payload, sym_lo, sym_hi, hint=10.0):
     hints = np.zeros(truth.size)
     hints[sym_lo:sym_hi] = hint
     return SoftPacket(symbols=symbols, hints=hints, truth=truth)
+
+
+def _trace_deliver(scheme, payload_len, wrong=()):
+    """A scheme's delivery of a ``payload_len``-byte payload trace with
+    the symbols in ``wrong`` decoded wrong (hints play no part in the
+    CRC-based schemes)."""
+    correct = np.ones(2 * payload_len, dtype=bool)
+    correct[list(wrong)] = False
+    return trace_deliver(scheme, correct, np.zeros(correct.size))
 
 
 PAYLOAD = bytes(range(120))
@@ -68,23 +78,19 @@ class TestPacketCrc:
 
 
 class TestFragmentedCrc:
+    """Delivery through the trace evaluator, over the payload symbols."""
+
     def test_clean_delivers_everything(self):
         scheme = FragmentedCrcScheme(n_fragments=10)
-        result = scheme.deliver(_clean_rx(scheme, PAYLOAD))
+        result = _trace_deliver(scheme, len(PAYLOAD))
         assert result.frame_passed
         assert result.delivered_correct_bits == 8 * len(PAYLOAD)
 
     def test_corrupt_fragment_loses_only_that_fragment(self):
         scheme = FragmentedCrcScheme(n_fragments=10)
-        # 120-byte payload, 10 fragments of 12 bytes (24 symbols) + CRC.
-        result = scheme.deliver(_corrupt_rx(scheme, PAYLOAD, 0, 2))
+        # 120-byte payload, 10 fragments of 12 bytes (24 symbols).
+        result = _trace_deliver(scheme, len(PAYLOAD), wrong=range(0, 2))
         assert not result.frame_passed
-        assert result.delivered_correct_bits == 8 * (len(PAYLOAD) - 12)
-
-    def test_corrupt_crc_field_loses_fragment(self):
-        scheme = FragmentedCrcScheme(n_fragments=10)
-        # Symbols 24..31 are the first fragment's CRC.
-        result = scheme.deliver(_corrupt_rx(scheme, PAYLOAD, 24, 25))
         assert result.delivered_correct_bits == 8 * (len(PAYLOAD) - 12)
 
     def test_overhead_scales_with_fragments(self):
@@ -107,7 +113,7 @@ class TestFragmentedCrc:
 
     def test_payload_shorter_than_fragments(self):
         scheme = FragmentedCrcScheme(n_fragments=30)
-        result = scheme.deliver(_clean_rx(scheme, b"abc"))
+        result = _trace_deliver(scheme, 3)
         assert result.frame_passed
         assert result.delivered_correct_bits == 24
 
@@ -193,9 +199,13 @@ class TestCommon:
 
 
 class TestSprac:
+    """Delivery through the trace evaluator, over the payload symbols:
+    a repair segment survives when its wrap-around window of the trace
+    decoded correctly."""
+
     def test_clean_delivers_everything(self):
         scheme = SpracScheme(n_segments=6, n_repair=3)
-        result = scheme.deliver(_clean_rx(scheme, PAYLOAD))
+        result = _trace_deliver(scheme, len(PAYLOAD))
         assert result.payload_bits == 8 * len(PAYLOAD)
         assert result.delivered_correct_bits == result.payload_bits
         assert result.delivered_incorrect_bits == 0
@@ -203,47 +213,21 @@ class TestSprac:
 
     def test_corrupt_segment_recovered_by_coding(self):
         scheme = SpracScheme(n_segments=6, n_repair=3)
-        # Segment 0 occupies bytes [0, 20) -> symbols [0, 40).
-        rx = _corrupt_rx(scheme, PAYLOAD, 0, 4)
-        result = scheme.deliver(rx)
+        # Segment 0 occupies bytes [0, 20) -> symbols [0, 40); so does
+        # the first repair window, the other two survive.
+        result = _trace_deliver(scheme, len(PAYLOAD), wrong=range(0, 4))
         assert result.frame_passed
         assert result.delivered_correct_bits == 8 * len(PAYLOAD)
         assert result.delivered_incorrect_bits == 0
 
     def test_losses_beyond_repair_stay_lost(self):
         scheme = SpracScheme(n_segments=6, n_repair=1)
-        wire = scheme.encode_payload(PAYLOAD)
-        truth = bytes_to_symbols(wire)
-        symbols = truth.copy()
         # Corrupt the first symbol of three different data segments.
-        for offset, _ in scheme.codec.data_spans(len(PAYLOAD))[:3]:
-            symbols[2 * offset] = (symbols[2 * offset] + 1) % 16
-        rx = SoftPacket(
-            symbols=symbols,
-            hints=np.zeros(truth.size),
-            truth=truth,
-        )
-        result = scheme.deliver(rx)
+        result = _trace_deliver(scheme, len(PAYLOAD), wrong=(0, 40, 80))
         assert not result.frame_passed
         # Three intact segments deliver; one repair row cannot cover
         # three erasures.
         assert result.delivered_correct_bits == 8 * (len(PAYLOAD) // 2)
-
-    def test_corrupt_repair_rows_do_not_poison_delivery(self):
-        scheme = SpracScheme(n_segments=6, n_repair=2)
-        wire = scheme.encode_payload(PAYLOAD)
-        truth = bytes_to_symbols(wire)
-        symbols = truth.copy()
-        for offset, _ in scheme.codec.repair_spans(len(PAYLOAD)):
-            symbols[2 * offset] = (symbols[2 * offset] + 1) % 16
-        rx = SoftPacket(
-            symbols=symbols,
-            hints=np.zeros(truth.size),
-            truth=truth,
-        )
-        result = scheme.deliver(rx)
-        assert result.frame_passed
-        assert result.delivered_correct_bits == 8 * len(PAYLOAD)
 
     def test_overhead_includes_repair_payload(self):
         scheme = SpracScheme(n_segments=10, n_repair=5)

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.phy.channelsim import add_awgn
 from repro.phy.frontend import ReceiverFrontend
-from repro.phy.modulation import MskModulator
+from repro.phy.modulation import SAMPLES_PER_CHIP, MskModulator
 from repro.phy.sync import (
     EFD_SYMBOLS,
     POSTAMBLE_SYMBOLS,
@@ -17,8 +17,6 @@ from repro.phy.sync import (
     sync_field_symbols,
 )
 from repro.utils.rng import ensure_rng
-
-SPS = 4
 
 
 class TestSyncFields:
@@ -45,27 +43,27 @@ class TestPeakOffsets:
     THRESHOLD = 0.70  # ReceiverFrontend's default
 
     def _capture(self, codebook, pieces, rng, noise=0.0):
-        wave = MskModulator(sps=SPS).modulate_symbols(
+        wave = MskModulator().modulate_symbols(
             np.concatenate(pieces), codebook
         )
         return add_awgn(wave, noise, rng)
 
     def test_multiple_detections(self, codebook, rng):
-        frontend = ReceiverFrontend(codebook, sps=SPS)
+        frontend = ReceiverFrontend(codebook)
         field = sync_field_symbols("preamble")
         gap = rng.integers(0, 16, 40)
         capture = self._capture(codebook, [field, gap, field], rng)
         corr = frontend.correlation(capture, "preamble")
-        pattern = field.size * 32 * SPS
-        second = (field.size + gap.size) * 32 * SPS
+        pattern = field.size * 32 * SAMPLES_PER_CHIP
+        second = (field.size + gap.size) * 32 * SAMPLES_PER_CHIP
         assert peak_offsets(corr, self.THRESHOLD, pattern) == [0, second]
 
     def test_matches_reference_walk(self, codebook, rng):
         """The np.split non-maximum suppression must group and peak
         exactly like the original per-index walk."""
-        frontend = ReceiverFrontend(codebook, sps=SPS)
+        frontend = ReceiverFrontend(codebook)
         field = sync_field_symbols("preamble")
-        pattern = field.size * 32 * SPS
+        pattern = field.size * 32 * SAMPLES_PER_CHIP
         for _trial in range(5):
             pieces = [field]
             for _ in range(int(rng.integers(1, 4))):

@@ -55,7 +55,7 @@ from repro.phy.chipchannel import transmit_chipwords, transmit_chipwords_batch
 from repro.phy.codebook import Codebook, ZigbeeCodebook
 from repro.phy.demodulation import MskDemodulator
 from repro.phy.frontend import ChipExtractRequest, ReceiverFrontend
-from repro.phy.modulation import MskModulator
+from repro.phy.modulation import SAMPLES_PER_CHIP, SYMBOL_PERIOD_S, MskModulator
 from repro.phy.remodulate import (
     remodulate_frame,
     remodulate_frame_reference,
@@ -359,7 +359,7 @@ class TestDecodeHardEquivalence:
         assert symbols.size == dists.size == 0
 
 
-def _frame_capture(codebook, rng, n_body, sps, noise=0.08):
+def _frame_capture(codebook, rng, n_body, noise=0.08):
     """A noisy single-frame capture plus its body symbols."""
     body = rng.integers(0, 16, n_body)
     stream = np.concatenate(
@@ -369,43 +369,42 @@ def _frame_capture(codebook, rng, n_body, sps, noise=0.08):
             sync_field_symbols("postamble"),
         ]
     )
-    wave = MskModulator(sps=sps).modulate_symbols(stream, codebook)
+    wave = MskModulator().modulate_symbols(stream, codebook)
     return body, add_awgn(wave, noise, rng)
 
 
 class TestModulatorEquivalence:
-    @pytest.mark.parametrize("sps", [2, 3, 4, 5, 8])
-    def test_random_chips_bit_identical(self, sps, rng):
-        mod = MskModulator(sps=sps)
+    def test_random_chips_bit_identical(self, rng):
+        mod = MskModulator()
         for n in (0, 2, 8, 64, 1500):
             chips = rng.integers(0, 2, n)
             vec = mod.modulate_chips(chips)
             ref = mod.modulate_chips_reference(chips)
-            _assert_twins_finite(f"modulate_chips(sps={sps})", vec, ref)
+            _assert_twins_finite("modulate_chips", vec, ref)
             assert np.array_equal(
                 vec.view(np.float64), ref.view(np.float64)
-            ), f"(sps={sps}, n={n})"
+            ), f"(n={n})"
 
     def test_single_codeword(self, codebook, rng):
-        mod = MskModulator(sps=3)
+        mod = MskModulator()
         chips = codebook.encode(rng.integers(0, 16, 1))
         vec = mod.modulate_chips(chips)
         ref = mod.modulate_chips_reference(chips)
         assert np.array_equal(vec.view(np.float64), ref.view(np.float64))
 
     def test_reference_validates_like_vectorized(self):
-        mod = MskModulator(sps=4)
+        mod = MskModulator()
         for method in (mod.modulate_chips, mod.modulate_chips_reference):
             with pytest.raises(ValueError, match="even"):
                 method(np.zeros(3, dtype=np.int64))
             with pytest.raises(ValueError, match="0/1"):
                 method(np.array([0, 2]))
 
-    @given(st.integers(0, 2**32 - 1), st.integers(2, 7), st.integers(0, 120))
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 120))
     @settings(max_examples=25, deadline=None)
-    def test_equivalence_property(self, seed, sps, half_chips):
+    def test_equivalence_property(self, seed, half_chips):
         rng = ensure_rng(seed)
-        mod = MskModulator(sps=sps)
+        mod = MskModulator()
         chips = rng.integers(0, 2, 2 * half_chips)
         vec = mod.modulate_chips(chips)
         ref = mod.modulate_chips_reference(chips)
@@ -414,10 +413,10 @@ class TestModulatorEquivalence:
 
 
 class TestDemodulatorEquivalence:
-    @pytest.mark.parametrize("sps", [2, 3, 4, 5, 8])
-    def test_noisy_captures_bit_identical(self, sps, rng):
-        demod = MskDemodulator(sps=sps)
-        mod = MskModulator(sps=sps)
+    def test_noisy_captures_bit_identical(self, rng):
+        demod = MskDemodulator()
+        mod = MskModulator()
+        sps = SAMPLES_PER_CHIP
         for n in (2, 32, 500):
             chips = rng.integers(0, 2, n)
             capture = add_awgn(mod.modulate_chips(chips), 0.3, rng)
@@ -426,15 +425,11 @@ class TestDemodulatorEquivalence:
                 m = min(max(m, 0), n)
                 vec = demod.demodulate_soft(capture, start, m)
                 ref = demod.demodulate_soft_reference(capture, start, m)
-                _assert_twins_finite(
-                    f"demodulate_soft(sps={sps})", vec, ref
-                )
-                assert np.array_equal(vec, ref), (
-                    f"(sps={sps}, n={n}, start={start})"
-                )
+                _assert_twins_finite("demodulate_soft", vec, ref)
+                assert np.array_equal(vec, ref), f"(n={n}, start={start})"
 
     def test_zero_chips(self):
-        demod = MskDemodulator(sps=5)
+        demod = MskDemodulator()
         capture = np.zeros(40, dtype=np.complex128)
         assert np.array_equal(
             demod.demodulate_soft(capture, 0, 0),
@@ -443,9 +438,8 @@ class TestDemodulatorEquivalence:
         assert demod.demodulate_soft(capture, 0, 0).size == 0
 
     def test_single_codeword(self, codebook, rng):
-        sps = 3
-        demod = MskDemodulator(sps=sps)
-        mod = MskModulator(sps=sps)
+        demod = MskDemodulator()
+        mod = MskModulator()
         chips = codebook.encode(rng.integers(0, 16, 1))
         capture = add_awgn(mod.modulate_chips(chips), 0.2, rng)
         vec = demod.demodulate_soft(capture, 0, 32)
@@ -453,8 +447,8 @@ class TestDemodulatorEquivalence:
         assert np.array_equal(vec, ref)
 
     def test_batch_matches_single(self, rng):
-        demod = MskDemodulator(sps=4)
-        mod = MskModulator(sps=4)
+        demod = MskDemodulator()
+        mod = MskModulator()
         captures = [
             add_awgn(
                 mod.modulate_chips(rng.integers(0, 2, n)), 0.4, rng
@@ -473,12 +467,12 @@ class TestDemodulatorEquivalence:
                 soft, demod.demodulate_soft(samples, start, n_chips)
             )
 
-    @given(st.integers(0, 2**32 - 1), st.integers(2, 6), st.integers(1, 80))
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 80))
     @settings(max_examples=25, deadline=None)
-    def test_equivalence_property(self, seed, sps, half_chips):
+    def test_equivalence_property(self, seed, half_chips):
         rng = ensure_rng(seed)
-        demod = MskDemodulator(sps=sps)
-        mod = MskModulator(sps=sps)
+        demod = MskDemodulator()
+        mod = MskModulator()
         chips = rng.integers(0, 2, 2 * half_chips)
         capture = add_awgn(mod.modulate_chips(chips), 0.5, rng)
         vec = demod.demodulate_soft(capture, 0, chips.size)
@@ -498,8 +492,8 @@ class TestCorrelatorEquivalence:
     def test_sample_domain_matches_reference(self, codebook, rng):
         """Frontend correlation (FFT fast path) vs its per-offset
         conjugate-dot loop spec ``correlation_reference``."""
-        frontend = ReceiverFrontend(codebook, sps=4)
-        mod = MskModulator(sps=4)
+        frontend = ReceiverFrontend(codebook)
+        mod = MskModulator()
         stream = np.concatenate(
             [
                 rng.integers(0, 16, 10),
@@ -518,8 +512,8 @@ class TestCorrelatorEquivalence:
 
     def test_sample_domain_batch_matches_single(self, codebook, rng):
         """Sample-domain batch-shape invariance stays bit-for-bit."""
-        frontend = ReceiverFrontend(codebook, sps=4)
-        mod = MskModulator(sps=4)
+        frontend = ReceiverFrontend(codebook)
+        mod = MskModulator()
         rows = []
         for at in (3, 12, 25):
             stream = np.concatenate(
@@ -554,8 +548,8 @@ class TestRemodulateEquivalence:
 
     def test_unit_frame_bit_identical(self, codebook, rng):
         stream = self._stream(rng)
-        vec = remodulate_frame(stream, codebook, sps=4)
-        ref = remodulate_frame_reference(stream, codebook, sps=4)
+        vec = remodulate_frame(stream, codebook)
+        ref = remodulate_frame_reference(stream, codebook)
         _assert_twins_finite("remodulate_frame", vec, ref)
         assert np.array_equal(
             vec.view(np.float64), ref.view(np.float64)
@@ -567,10 +561,10 @@ class TestRemodulateEquivalence:
         stream = self._stream(rng, n_body=25)
         for gain, phase in [(0.37, 0.0), (1.0, -1.2), (2.5e-4, 2.9)]:
             vec = remodulate_frame(
-                stream, codebook, sps=4, gain=gain, phase=phase
+                stream, codebook, gain=gain, phase=phase
             )
             ref = remodulate_frame_reference(
-                stream, codebook, sps=4, gain=gain, phase=phase
+                stream, codebook, gain=gain, phase=phase
             )
             assert np.array_equal(
                 vec.view(np.float64), ref.view(np.float64)
@@ -585,10 +579,10 @@ class TestRemodulateEquivalence:
         gain = float(rng.uniform(1e-4, 3.0))
         phase = float(rng.uniform(-np.pi, np.pi))
         vec = remodulate_frame(
-            stream, codebook, sps=4, gain=gain, phase=phase
+            stream, codebook, gain=gain, phase=phase
         )
         ref = remodulate_frame_reference(
-            stream, codebook, sps=4, gain=gain, phase=phase
+            stream, codebook, gain=gain, phase=phase
         )
         assert np.array_equal(
             vec.view(np.float64), ref.view(np.float64)
@@ -598,31 +592,27 @@ class TestRemodulateEquivalence:
         """A unit-gain re-synthesis reproduces the transmitter's
         waveform exactly — the property cancellation relies on."""
         stream = self._stream(rng)
-        mod = MskModulator(sps=4)
+        mod = MskModulator()
         assert np.array_equal(
-            remodulate_frame(stream, codebook, sps=4),
+            remodulate_frame(stream, codebook),
             mod.modulate_symbols(stream, codebook),
         )
 
 
 class TestWaveformBatchEngineEquivalence:
-    SPS = 4
-
     @pytest.fixture()
     def engine(self, codebook):
-        return WaveformBatchEngine(codebook, sps=self.SPS)
+        return WaveformBatchEngine(codebook)
 
     @pytest.fixture()
     def frontend(self, codebook):
-        return ReceiverFrontend(codebook, sps=self.SPS)
+        return ReceiverFrontend(codebook)
 
     def _ragged_captures(self, codebook, rng):
         """Frames of different lengths plus a pure-noise window."""
         bodies, captures = [], []
         for n_body in (30, 12, 30, 45):
-            body, capture = _frame_capture(
-                codebook, rng, n_body, self.SPS
-            )
+            body, capture = _frame_capture(codebook, rng, n_body)
             bodies.append(body)
             captures.append(capture)
         captures.append(
@@ -701,7 +691,7 @@ class TestWaveformBatchEngineEquivalence:
         the preamble; a noise capture yields an empty reception."""
         bodies, captures = [], []
         for _ in range(3):
-            body, capture = _frame_capture(codebook, rng, 25, self.SPS)
+            body, capture = _frame_capture(codebook, rng, 25)
             bodies.append(body)
             captures.append(capture)
         captures.append(
@@ -721,7 +711,7 @@ class TestWaveformBatchEngineEquivalence:
         """The fused two-packet collision helper equals the manual
         per-capture frontend path bit-for-bit."""
         n_body, overlap = 40, 15
-        mod = MskModulator(sps=self.SPS)
+        mod = MskModulator()
         streams = []
         for _ in range(2):
             body = rng.integers(0, 16, n_body)
@@ -734,7 +724,7 @@ class TestWaveformBatchEngineEquivalence:
                     ]
                 )
             )
-        offset = (streams[0].size - overlap) * 32 * self.SPS
+        offset = (streams[0].size - overlap) * 32 * SAMPLES_PER_CHIP
         wave1 = mod.modulate_symbols(streams[0], codebook)
         wave2 = mod.modulate_symbols(streams[1], codebook)
         capture = np.zeros(offset + wave2.size, dtype=np.complex128)
@@ -765,9 +755,9 @@ class TestWaveformBatchEngineEquivalence:
     def test_receive_frames_rollback(self, engine, codebook, rng):
         """A frame whose preamble is cut off the capture is recovered
         through its postamble (the Fig. 5 rollback at engine level)."""
-        body, capture = _frame_capture(codebook, rng, 25, self.SPS)
+        body, capture = _frame_capture(codebook, rng, 25)
         # Drop the preamble (10 symbols) from the front of the capture.
-        cut = capture[6 * 32 * self.SPS :]
+        cut = capture[6 * 32 * SAMPLES_PER_CHIP :]
         reception = engine.receive_frames([cut], 25)[0]
         assert reception.detection.kind == "postamble"
         assert np.array_equal(reception.symbols, body)
@@ -966,14 +956,13 @@ class TestHotCodewordsEquivalence:
         return ref
 
     @staticmethod
-    def _tx(tx_id, sender, start_symbols, n_symbols, period=16e-6):
+    def _tx(tx_id, sender, start_symbols, n_symbols):
         return Transmission(
             tx_id=tx_id,
             sender=sender,
             dst=-1,
-            start=start_symbols * period,
+            start=start_symbols * SYMBOL_PERIOD_S,
             n_symbols=n_symbols,
-            symbol_period=period,
         )
 
     @pytest.mark.parametrize("carrier_sense", [False, True])
@@ -1231,19 +1220,19 @@ def _quick_points():
 # then binary section, keyed by (load, carrier sense, noise floor,
 # seed); computed at seed 2007's quick settings (duration 15 s).
 _QUICK_POINT_DIGESTS = {
-    (3500.0, False, -95.0, 2007): "ecdae8891dd09904d9a0ceed6de744290f2ecffb8a70d564f4af71c20ab59df2",
-    (3500.0, False, -95.0, 2008): "de016ae705bc9fc035131227cc5d57cc4e334350435819c792514df9566b358a",
-    (3500.0, False, -95.0, 2009): "1e6aac1317823b9c5335a10734e9dcb8440df547662c4ec946848767779e6f7a",
-    (3500.0, True, -95.0, 2007): "71538c943da0b56c48dde482823d34db33b1169c73b6976e9a7eeb2f3d8dff43",
-    (6900.0, False, -95.0, 2007): "dfe56497da308d208b2d14d921ffca36e7e3dcfa54d56ba3ebe0bb11a4e3ff81",
-    (6900.0, False, -95.0, 2008): "61251f9946f05a13a80f2c6188f498671f67cda7c54ae5b10dfc529530990cde",
-    (6900.0, False, -95.0, 2009): "18d0d66167514b889b846e5ea80a2f7087d896fbe64273390c8d421eb96a6fae",
-    (13800.0, False, -95.0, 2007): "69128850089f58a030a67a064fa0ebdef69fc31441a41bab1fc2d28fa5192e9e",
-    (13800.0, False, -95.0, 2008): "1880379fa59a8adfe276a27d5c7fc143317d2e80322dd95406b0bedac7e65918",
-    (13800.0, False, -95.0, 2009): "ad8d0eb22c1f49bf30921a82f244552a8b97bcb0836db0ecce425000e47980db",
-    (13800.0, False, -87.0, 2007): "3533f27c8a7e3bd2104985421f8db6a075d17fe99a0512a930286d9b865673b8",
-    (13800.0, False, -87.0, 2008): "b623c04e6df1311d87a1453a6d35f3c308bf339182bb02dab1330b5db4cf5170",
-    (13800.0, False, -87.0, 2009): "1978cd34764fef1029da8bc041301148b661c85e78027ac0a9b3913ae36265c4",
+    (3500.0, False, -95.0, 2007): "0c07f9443ee5e590a266bc4f172d30f2331fb7a7c94535e81b465d6b6dda6fdc",
+    (3500.0, False, -95.0, 2008): "5e5a141463ddbe86768c9667c2b178b9032b6adb7c3e7d05297cf385b0814284",
+    (3500.0, False, -95.0, 2009): "4df7d8758da7ab1fdb40b996051c3d48b0efca0582a6121f0305897631f61ff7",
+    (3500.0, True, -95.0, 2007): "25a316c552e3d9021efcdce98ab6664e6f78adf46af9767139e3717c9a535ecd",
+    (6900.0, False, -95.0, 2007): "f1ec3ae01794904ee23e0e6d25c53789bd856da2392c72c97d96f67a3f7a42a0",
+    (6900.0, False, -95.0, 2008): "29216a023c91ee5eb61abddc85b8b1609a548aab1c1a91987e03589650b61805",
+    (6900.0, False, -95.0, 2009): "c55f02bbe970497e1a26c8fffb40e57383ca310fadb2fd9603c2aa206bac51a6",
+    (13800.0, False, -95.0, 2007): "a7b466ed077b172ba8f3d8281054b3a6c6c73755759816ccaaaa77c57a8f6a51",
+    (13800.0, False, -95.0, 2008): "18629c6eee37cfc51a09626d256f14f49c7f55854f80147ada4926207e95a114",
+    (13800.0, False, -95.0, 2009): "8074c53901115905b0097ad92504a0da5d6c9ddc3ddcec78f9d5ef778ff697ed",
+    (13800.0, False, -87.0, 2007): "8964fb6f878819de835d5791b952d7a39f097edef113213a22170a0ab44164fa",
+    (13800.0, False, -87.0, 2008): "dc27e3eb84b425c39bb1e7b9d092e8295be8e09d4cd4e0b86aca03baabfab757",
+    (13800.0, False, -87.0, 2009): "520ae81abe7f796fa53fa9508aa440422b5cca2795059f27e1d6dfa3adbf3428",
 }
 
 # A short, collision-heavy run: heavy load, no carrier sense, tiny
