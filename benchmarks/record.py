@@ -32,6 +32,11 @@ key.  These too only report, as do the ``*.py`` line counts of the
 source, test, lint, benchmark and example trees on both sides, under
 the ``lines`` key.
 
+Last it runs the tier-1 tests, ``python -m pytest -x -q``, twice in
+each checkout in the same alternating order, and writes each run's
+wall seconds and its passed and failed counts under the ``tier1`` key;
+that too only reports.
+
 Exits 1 when a change median of an end-to-end metric is worse than
 its parent's by more than that metric's ``bound`` in
 ``BENCHMARK.json`` (or a run fails), 0 otherwise.
@@ -44,6 +49,7 @@ import hashlib
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -58,6 +64,9 @@ ORDER = "alternating, parent first in odd pairs"
 SEED = 2007
 RUNNER = ("-m", "repro.experiments.runner", "--all", "--quick", "--format", "json")
 RUNNER_JOBS = (1, 2)
+TIER1 = ("-m", "pytest", "-x", "-q")
+#: tier-1 runs per side (a full run takes one to two minutes)
+TIER1_RUNS = 2
 #: the trees whose ``*.py`` line counts the document reports
 LINE_TREES = ("src/repro", "tests", "tools/reprolint", "benchmarks", "perfbench", "examples")
 
@@ -259,6 +268,46 @@ def record_runner(parent_dir: Path, pairs: int) -> dict:
     }
 
 
+def run_tier1(checkout: Path) -> dict:
+    """One tier-1 run in a checkout: its wall seconds and the passed
+    and failed (or erroring) counts of pytest's summary line."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+    env["PYTHONPATH"] = str(checkout / "src")
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, *TIER1], cwd=checkout, env=env, capture_output=True, text=True
+    )
+    wall_s = time.perf_counter() - start
+    summary = (proc.stdout.strip().splitlines() or [""])[-1]
+    counts = {word: int(n) for n, word in re.findall(r"(\d+) (passed|failed|errors?)", summary)}
+    return {
+        "wall_s": round(wall_s, 2),
+        "passed": counts.get("passed", 0),
+        "failed": counts.get("failed", 0) + counts.get("error", 0) + counts.get("errors", 0),
+        "exit_code": proc.returncode,
+    }
+
+
+def record_tier1(parent_dir: Path) -> dict:
+    """``TIER1_RUNS`` alternating tier-1 runs per side."""
+    runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    for i in range(TIER1_RUNS):
+        sides = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in sides:
+            runs[side].append(run_tier1(parent_dir if side == "parent" else ROOT))
+            print(f"tier1 run {i + 1}/{TIER1_RUNS} {side}: {runs[side][-1]}", file=sys.stderr)
+    return {
+        "command": "PYTHONPATH=src python -m pytest -x -q",
+        "order": ORDER,
+        "wall_s": summarise(
+            [r["wall_s"] for r in runs["parent"]],
+            [r["wall_s"] for r in runs["change"]],
+            "lower",
+        ),
+        "runs": runs,
+    }
+
+
 def gains_of(workloads: dict, end_to_end: list[dict]) -> list[dict]:
     """The change against its parent on every workload's end-to-end
     metrics.
@@ -344,6 +393,7 @@ def main(argv: list[str] | None = None) -> int:
             traced = {name: record_traced(parent_dir, name, SEED) for name in names}
             runner = record_runner(parent_dir, args.pairs)
             lines = {"parent": line_counts(parent_dir), "change": line_counts(ROOT)}
+            tier1 = record_tier1(parent_dir)
         finally:
             git("worktree", "remove", "--force", str(parent_dir))
 
@@ -363,6 +413,7 @@ def main(argv: list[str] | None = None) -> int:
         },
         "runner": runner,
         "lines": lines,
+        "tier1": tier1,
     }
     problems = regressions(workloads, end_to_end)
     document["regressions"] = problems

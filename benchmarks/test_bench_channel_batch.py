@@ -150,7 +150,7 @@ def test_bench_decode_hard_min_key(benchmark):
             f"minimum-key decode only {speedup:.1f}x faster than "
             f"the distance matrix ({keyed_s:.3f}s vs {reference_s:.3f}s)"
         )
-        # The receiver frontend and fig16 decode a few words per call,
+        # The waveform receiver and fig16 decode a few words per call,
         # where a per-codeword loop of array ops would cost ~8x more.
         # One call takes ~20 us, so a slow moment of the host can
         # decide a short comparison: alternate the two sides over 25

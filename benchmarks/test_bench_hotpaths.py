@@ -29,7 +29,6 @@ from repro.phy.batch import BatchReceptionEngine
 from repro.phy.chipchannel import transmit_chipwords
 from repro.phy.codebook import ZigbeeCodebook
 from repro.phy.modulation import MskModulator
-from repro.phy.sync import RollbackBuffer
 from repro.sim.metrics import evaluate_schemes, evaluate_schemes_reference
 from repro.sim.network import NetworkSimulation, SimulationConfig
 from repro.utils.crc import CRC32_IEEE
@@ -119,27 +118,6 @@ def test_bench_feedback_roundtrip(benchmark):
 
     decoded = benchmark(roundtrip)
     assert decoded.segments == segments
-
-
-def test_bench_rollback_get_range(benchmark):
-    """Rollback retrieval from a wrapped circular buffer: 200 window
-    reads per call, most spanning the wrap point (served as at most
-    two contiguous slices, not a per-sample fancy index)."""
-    capacity = 1 << 16
-    buf = RollbackBuffer(capacity=capacity)
-    rng = np.random.default_rng(5)
-    written = 3 * capacity // 2
-    buf.append(rng.normal(size=written) * (1 + 1j))
-    window = 4096
-    starts = rng.integers(buf.oldest_available, written - window, size=200)
-
-    def read_windows():
-        total = 0
-        for start in starts:
-            total += buf.get_range(int(start), window).size
-        return total
-
-    assert benchmark(read_windows) == 200 * window
 
 
 def test_bench_msk_modulation(benchmark):

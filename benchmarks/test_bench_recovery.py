@@ -13,9 +13,9 @@ import time
 
 import numpy as np
 
+from repro.phy.batch import WaveformBatchEngine
 from repro.phy.channelsim import add_awgn
 from repro.phy.codebook import ZigbeeCodebook
-from repro.phy.frontend import ReceiverFrontend
 from repro.phy.modulation import SAMPLES_PER_CHIP, MskModulator
 from repro.phy.remodulate import (
     remodulate_frame,
@@ -72,7 +72,7 @@ def test_bench_sample_correlation_one_frame(benchmark):
     per-offset loop reference.  The FFT path reassociates the sums,
     so the spot check pins at 1e-12 (see repro.phy.fftcorr)."""
     codebook = ZigbeeCodebook()
-    frontend = ReceiverFrontend(codebook)
+    engine = WaveformBatchEngine(codebook)
     modulator = MskModulator()
     rng = np.random.default_rng(1)
     capture = add_awgn(
@@ -81,19 +81,19 @@ def test_bench_sample_correlation_one_frame(benchmark):
         rng,
     )
 
-    corr = benchmark(frontend.correlation, capture, "preamble")
+    corr = benchmark(engine.correlation, capture, "preamble")
     np.testing.assert_allclose(
         corr,
-        frontend.correlation_reference(capture, "preamble"),
+        engine.correlation_reference(capture, "preamble"),
         rtol=1e-12,
         atol=1e-12,
     )
 
     start = time.perf_counter()
-    frontend.correlation(capture, "preamble")
+    engine.correlation(capture, "preamble")
     vectorized_s = time.perf_counter() - start
     start = time.perf_counter()
-    frontend.correlation_reference(capture, "preamble")
+    engine.correlation_reference(capture, "preamble")
     reference_s = time.perf_counter() - start
     if benchmark.enabled:
         speedup = reference_s / vectorized_s

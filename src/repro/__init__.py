@@ -47,8 +47,6 @@ from repro.phy import (
     Codebook,
     MskDemodulator,
     MskModulator,
-    ReceiverFrontend,
-    RollbackBuffer,
     SoftPacket,
     WaveformBatchEngine,
     ZigbeeCodebook,
@@ -81,8 +79,6 @@ __all__ = [
     "Codebook",
     "MskDemodulator",
     "MskModulator",
-    "ReceiverFrontend",
-    "RollbackBuffer",
     "SoftPacket",
     "WaveformBatchEngine",
     "ZigbeeCodebook",

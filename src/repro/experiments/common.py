@@ -29,6 +29,7 @@ from typing import TYPE_CHECKING, Any, Iterable
 import numpy as np
 
 from repro._version import __version__
+from repro.arq.runlength import PAPER_ETA
 from repro.exec import (
     ExecCounters,
     ExecPolicy,
@@ -53,7 +54,6 @@ LOAD_MODERATE = 3500.0
 LOAD_MEDIUM = 6900.0
 LOAD_HEAVY = 13800.0
 
-DEFAULT_ETA = 6.0
 DEFAULT_PAYLOAD_BYTES = 1500
 DEFAULT_DURATION_S = 40.0
 DEFAULT_SEED = 2007  # year of publication
@@ -529,7 +529,7 @@ class RunCache:
 def labelled_evaluations(
     result: SimulationResult,
     *,
-    eta: float = DEFAULT_ETA,
+    eta: float = PAPER_ETA,
     postamble_options: tuple[bool, ...] = (False, True),
 ) -> dict[str, SchemeEvaluation]:
     """Evaluate the paper's schemes on a run, keyed by variant label.

@@ -206,11 +206,8 @@ def run() -> ExperimentOutput:
                 pair = engine.receive_collision_pair(capture, n_body)
                 receptions = [pair.first, pair.second]
             except RuntimeError:
-                receptions = [
-                    r
-                    for r in engine.receive_frames([capture], n_body)
-                    if r.acquired
-                ]
+                single = engine.receive_frames(capture, n_body)
+                receptions = [single] if single.acquired else []
             plain = [(r.symbols, r.hints) for r in receptions]
             base_frames[i_dist, i_off], base_good[i_dist, i_off] = (
                 _judge(plain, bodies, PAPER_ETA)

@@ -13,8 +13,8 @@ destroyed head — by rolling back from its postamble, exactly the
 §4 rollback story at sample fidelity.
 
 The whole reception runs through the
-:class:`~repro.phy.batch.WaveformBatchEngine`: one fused sync pass and
-one fused matched-filter + nearest-codeword decode for both frames.
+:class:`~repro.phy.batch.WaveformBatchEngine`: one sync pass per field
+and one matched-filter + nearest-codeword decode for both frames.
 
 A second capture repeats the collision with the chip grids *exactly*
 codeword-aligned — PPR's blind spot: the near frame's chips form

@@ -46,6 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.arq.runlength import PAPER_ETA
 from repro.coding.rlnc import SegmentedRlncCodec
 from repro.link.fragmentation import fragment_payload
 from repro.phy.symbols import SoftPacket
@@ -307,7 +308,7 @@ class PprScheme(DeliveryScheme):
 
     name = "ppr"
 
-    def __init__(self, eta: float = 6.0) -> None:
+    def __init__(self, eta: float = PAPER_ETA) -> None:
         if eta < 0:
             raise ValueError(f"eta must be non-negative, got {eta}")
         self.eta = float(eta)
@@ -481,7 +482,7 @@ class SpracScheme(DeliveryScheme):
         )
 
 
-def default_schemes(eta: float = 6.0) -> list[DeliveryScheme]:
+def default_schemes(eta: float = PAPER_ETA) -> list[DeliveryScheme]:
     """The paper's three contenders with its §7.2 parameters (30
     fragments, and η = 6 unless ``eta`` says otherwise)."""
     return [PacketCrcScheme(), FragmentedCrcScheme(), PprScheme(eta=eta)]

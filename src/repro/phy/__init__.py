@@ -8,9 +8,10 @@ Two fidelity levels share one decoding core:
   Hamming hints emerge from real nearest-codeword decoding.
 * **Waveform level** (``modulation``/``channelsim``/``demodulation``) —
   a complex-baseband MSK (half-sine O-QPSK) modem with matched
-  filtering and preamble/postamble synchronisation,
-  used by the collision-anatomy experiment (paper Fig. 13) and the PHY
-  test suite.
+  filtering; :class:`WaveformBatchEngine` is its receiver, locking on a
+  preamble or rolling back from a postamble in one capture window.
+  The waveform experiments (paper Fig. 13, waveform capture and SIC)
+  use it.
 """
 
 from repro.phy.batch import (
@@ -18,7 +19,6 @@ from repro.phy.batch import (
     CollisionPairReception,
     FrameReception,
     WaveformBatchEngine,
-    WaveformDecodeRequest,
 )
 from repro.phy.codebook import Codebook, ZigbeeCodebook
 from repro.phy.chipchannel import (
@@ -36,9 +36,7 @@ from repro.phy.sync import (
     PREAMBLE_SYMBOLS,
     POSTAMBLE_SYMBOLS,
     SFD_SYMBOLS,
-    RollbackBuffer,
 )
-from repro.phy.frontend import ChipExtractRequest, ReceiverFrontend
 from repro.phy.remodulate import (
     estimate_complex_scale,
     remodulate_frame,
@@ -51,8 +49,6 @@ __all__ = [
     "CollisionPairReception",
     "FrameReception",
     "WaveformBatchEngine",
-    "WaveformDecodeRequest",
-    "ChipExtractRequest",
     "Codebook",
     "ZigbeeCodebook",
     "transmit_chipwords",
@@ -65,8 +61,6 @@ __all__ = [
     "PREAMBLE_SYMBOLS",
     "POSTAMBLE_SYMBOLS",
     "SFD_SYMBOLS",
-    "RollbackBuffer",
-    "ReceiverFrontend",
     "estimate_complex_scale",
     "remodulate_frame",
     "remodulate_frame_reference",

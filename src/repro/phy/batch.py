@@ -1,19 +1,23 @@
-"""Batched reception: decode many packets' words or captures in one call.
+"""Reception engines: fused chip-word decoding and the waveform receiver.
 
 Nearest-codeword decoding is already vectorised *within* one
 reception; network-scale experiments, however, decode thousands of
 receptions per trial, and the per-call numpy dispatch overhead
-dominates once each individual call is small.  This module fuses those
-calls: receptions are concatenated into one matrix, decoded in a
-single pass through the shared PHY core, and split back — bit-identical
-to per-reception decoding, since decoding is independent across rows.
+dominates once each individual call is small.
+:class:`BatchReceptionEngine` fuses those calls: receptions are
+concatenated into one matrix, decoded in a single pass through the
+shared PHY core, and split back — bit-identical to per-reception
+decoding, since decoding is independent across rows.  It is the
+network simulation's only decode path (ragged uint32 chip-word lists).
 
-:class:`BatchReceptionEngine` is the network simulation's only decode
-path (ragged uint32 chip-word lists).  :class:`WaveformBatchEngine`
-lifts the same idea to the sample domain: a ragged list of complex
-capture windows goes through fused preamble/postamble correlation, one
-fused MSK matched-filter reduction, and one fused nearest-codeword
-decode.
+:class:`WaveformBatchEngine` is the sample-domain receiver: it detects
+preamble and postamble waveforms in one capture window (with phase
+estimation from the correlation peak), matched-filters the frame body
+forward from a preamble or *backwards* from a postamble — postamble
+rollback at waveform level — and despreads it through
+:class:`BatchReceptionEngine`.  All frame fields are whole codewords
+(32 chips), so chip offsets relative to an anchor are always even and
+the O-QPSK I/Q rail parity is preserved.
 """
 
 from __future__ import annotations
@@ -24,14 +28,11 @@ from typing import Sequence
 import numpy as np
 
 from repro.phy.codebook import Codebook
-from repro.phy.frontend import (
-    ChipExtractRequest,
-    ReceiverFrontend,
-    SyncDetection,
-)
-from repro.phy.modulation import SAMPLES_PER_CHIP
+from repro.phy.demodulation import MskDemodulator
+from repro.phy.fftcorr import FftCorrelator
+from repro.phy.modulation import CHIPS_PER_SYMBOL, SAMPLES_PER_CHIP, MskModulator
 from repro.phy.remodulate import subtract_frame
-from repro.phy.sync import SYNC_SYMBOLS
+from repro.phy.sync import SYNC_SYMBOLS, peak_offsets, sync_field_symbols
 from repro.utils.bitops import pack_bits_to_uint32
 
 
@@ -50,11 +51,6 @@ class BatchReceptionEngine:
 
     def __init__(self, codebook: Codebook) -> None:
         self._codebook = codebook
-
-    @property
-    def codebook(self) -> Codebook:
-        """The codebook decoded against."""
-        return self._codebook
 
     def decode_hard_ragged(
         self, word_arrays: Sequence[np.ndarray]
@@ -82,20 +78,18 @@ class BatchReceptionEngine:
 
 
 @dataclass(frozen=True)
-class WaveformDecodeRequest:
-    """One codeword-run decode from a batch of captures.
+class SyncDetection:
+    """A detected sync field in a capture window.
 
-    ``capture`` indexes the capture list; ``symbol_offset`` is in whole
-    codewords relative to ``anchor_sample`` (negative for postamble
-    rollback), mirroring
-    :meth:`repro.phy.frontend.ReceiverFrontend.decode_symbols_at`.
+    ``sample_offset`` is where the field's first chip pulse starts;
+    ``phase`` is the carrier phase estimated from the correlation peak
+    (radians); ``score`` is the normalised correlation in [0, 1].
     """
 
-    capture: int
-    anchor_sample: int
-    symbol_offset: int
-    n_symbols: int
-    phase: float = 0.0
+    kind: str
+    sample_offset: int
+    phase: float
+    score: float
 
 
 @dataclass(frozen=True)
@@ -134,15 +128,23 @@ class FrameReception:
 
 
 class WaveformBatchEngine:
-    """Fused waveform reception over many capture windows.
+    """The waveform receiver: sync detection and frame decoding for one
+    capture window at a time (paper §4).
 
-    The sample-domain analogue of :class:`BatchReceptionEngine`: a
-    ragged list of complex-baseband captures is synchronised
-    (row-stacked preamble/postamble correlation), matched-filtered
-    (one fused reduction over every request's chip windows), and
-    despread (one fused nearest-codeword decode) — bit-identical to
-    running :class:`~repro.phy.frontend.ReceiverFrontend` per capture,
-    since every stage is independent across rows.
+    The receiver correlates a capture against the modulated preamble
+    and postamble, locks on a preamble, or else on the last postamble,
+    and rolls back through the capture from it (Fig. 5).  Each body is
+    matched-filtered by :class:`~repro.phy.demodulation.MskDemodulator`
+    after derotating the capture by the detected carrier phase, and
+    all of a capture's bodies are despread in one
+    :meth:`BatchReceptionEngine.decode_hard_ragged` call.
+
+    Parameters
+    ----------
+    codebook:
+        The DSSS codebook (defines sync chip patterns and decoding).
+    threshold:
+        Normalised-correlation detection threshold for both sync kinds.
     """
 
     def __init__(
@@ -150,62 +152,121 @@ class WaveformBatchEngine:
         codebook: Codebook,
         threshold: float = 0.70,
     ) -> None:
-        self._frontend = ReceiverFrontend(codebook, threshold)
-        self._engine = BatchReceptionEngine(codebook)
+        if not 0 < threshold <= 1:
+            raise ValueError(f"threshold must be in (0, 1], got {threshold}")
+        self._threshold = float(threshold)
+        self._demod = MskDemodulator()
+        self._decoder = BatchReceptionEngine(codebook)
+        modulator = MskModulator()
+        self._refs = {}
+        self._correlators = {}
+        for kind in ("preamble", "postamble"):
+            symbols = sync_field_symbols(kind)
+            self._refs[kind] = modulator.modulate_symbols(symbols, codebook)
+            self._correlators[kind] = FftCorrelator(self._refs[kind])
 
-    @property
-    def codebook(self) -> Codebook:
-        """The codebook decoded against."""
-        return self._frontend.codebook
+    # -- detection -----------------------------------------------------------
 
-    def detect_batch(
-        self, captures: Sequence[np.ndarray], kind: str
-    ) -> list[list[SyncDetection]]:
-        """Sync detections of ``kind`` for every capture, in one pass."""
-        return self._frontend.detect_batch(captures, kind)
+    def correlation(self, capture: np.ndarray, kind: str) -> np.ndarray:
+        """Normalised sync correlation magnitude at every sample offset.
 
-    def decode_symbols_batch(
-        self,
-        captures: Sequence[np.ndarray],
-        requests: Sequence[WaveformDecodeRequest],
-    ) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Hard-decode many codeword runs in one fused pass.
+        The raw correlation is one FFT product
+        (:class:`~repro.phy.fftcorr.FftCorrelator`) instead of one
+        ``np.correlate`` per offset — the pattern here is 1280 samples
+        at 4 samples/chip, where the FFT path is ~8x faster.  The
+        time-domain loop spec :meth:`correlation_reference` is pinned
+        at 1e-12 rather than bit-for-bit, the FFT reassociation being
+        the one sanctioned deviation."""
+        ref = self._refs[kind]
+        capture = np.asarray(capture, dtype=np.complex128)
+        if capture.size < ref.size:
+            return np.zeros(0, dtype=np.float64)
+        raw = self._correlators[kind].correlate_rows(capture[None, :])[0]
+        energy = np.concatenate([[0.0], np.cumsum(np.abs(capture) ** 2)])
+        win = energy[ref.size :] - energy[: -ref.size]
+        denom = np.sqrt(win) * np.linalg.norm(ref)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            corr = np.where(denom > 0, np.abs(raw) / denom, 0.0)
+        return corr
 
-        Returns one ``(symbols, hamming_hints)`` pair per request —
-        bit-identical to
-        :meth:`~repro.phy.frontend.ReceiverFrontend.decode_symbols_at`
-        per request.
-        """
-        if not requests:
-            return []
-        width = self.codebook.chips_per_symbol
-        soft_runs = self._frontend.extract_batch(
-            captures,
-            [
-                ChipExtractRequest(
-                    capture=r.capture,
-                    anchor_sample=r.anchor_sample,
-                    chip_offset=r.symbol_offset * width,
-                    n_chips=r.n_symbols * width,
-                    phase=r.phase,
+    def correlation_reference(
+        self, capture: np.ndarray, kind: str
+    ) -> np.ndarray:
+        """Per-offset loop implementation, kept as the executable spec
+        for :meth:`correlation`: a scalar running energy sum and one
+        conjugate dot product per alignment.  The FFT fast path
+        reassociates these sums, so the equivalence suite pins the
+        pair at 1e-12."""
+        ref = self._refs[kind]
+        ref_conj = np.conj(ref)
+        ref_norm = float(np.linalg.norm(ref))
+        samples = np.asarray(capture, dtype=np.complex128)
+        m = ref.size
+        n = samples.size
+        if n < m:
+            return np.zeros(0, dtype=np.float64)
+        energy = np.empty(n + 1, dtype=np.float64)
+        energy[0] = 0.0
+        acc = 0.0
+        for i in range(n):
+            acc += abs(samples[i]) ** 2
+            energy[i + 1] = acc
+        out = np.empty(n - m + 1, dtype=np.float64)
+        for i in range(out.size):
+            raw = np.dot(samples[i : i + m], ref_conj)
+            denom = np.sqrt(energy[i + m] - energy[i]) * ref_norm
+            out[i] = abs(raw) / denom if denom > 0 else 0.0
+        return out
+
+    def detect(self, capture: np.ndarray, kind: str) -> list[SyncDetection]:
+        """All detections of ``kind`` in the capture, by correlation
+        peak, each with the carrier phase at its peak."""
+        capture = np.asarray(capture, dtype=np.complex128)
+        corr = self.correlation(capture, kind)
+        ref = self._refs[kind]
+        detections = []
+        for peak in peak_offsets(corr, self._threshold, ref.size):
+            raw = np.dot(capture[peak : peak + ref.size], np.conj(ref))
+            detections.append(
+                SyncDetection(
+                    kind=kind,
+                    sample_offset=peak,
+                    phase=float(np.angle(raw)),
+                    score=float(corr[peak]),
                 )
-                for r in requests
-            ],
-        )
-        # One fused pack + one fused nearest-codeword decode over every
-        # request's hard decisions.
-        hard = [
-            (soft > 0).astype(np.uint8).reshape(-1, width)
-            for soft in soft_runs
-        ]
-        words = pack_bits_to_uint32(np.concatenate(hard))
-        symbols, dists = self._engine.decode_hard_ragged([words])[0]
-        offsets = _split_offsets([h.shape[0] for h in hard])
-        return [
-            (s, d.astype(np.float64))
-            for s, d in zip(
-                np.split(symbols, offsets), np.split(dists, offsets), strict=True
             )
+        return detections
+
+    # -- decoding ------------------------------------------------------------
+
+    def decode(
+        self,
+        capture: np.ndarray,
+        detections: Sequence[SyncDetection],
+        n_body: int,
+    ) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Hard-decode the ``n_body``-codeword body each detection
+        anchors: forward from a preamble, rolled back from a postamble.
+
+        Returns one ``(symbols, hamming_hints)`` pair per detection.
+        Raises ``ValueError`` when a body reaches outside the capture.
+        """
+        capture = np.asarray(capture, dtype=np.complex128)
+        words = []
+        for detection in detections:
+            samples = capture
+            if detection.phase:
+                samples = capture * np.exp(-1j * detection.phase)
+            soft = self._demod.demodulate_soft(
+                samples,
+                body_start(detection, n_body),
+                n_body * CHIPS_PER_SYMBOL,
+            )
+            hard = (soft > 0).astype(np.uint8).reshape(-1, CHIPS_PER_SYMBOL)
+            words.append(pack_bits_to_uint32(hard))
+        return [
+            (symbols, hints.astype(np.float64))
+            for symbols, hints in self._decoder.decode_hard_ragged(words)
         ]
 
     def receive_collision_pair(
@@ -216,36 +277,19 @@ class WaveformBatchEngine:
         The first packet anchors on its (cleanly received) preamble
         and decodes forward; the second packet's preamble collided, so
         it anchors on the *last* postamble in the capture and rolls
-        back.  Both codeword runs go through one fused matched-filter
-        + nearest-codeword decode.  Raises ``RuntimeError`` when a
-        required sync field is missing.
+        back.  Raises ``RuntimeError`` when a required sync field is
+        missing.
         """
-        pre_dets = self.detect_batch([capture], "preamble")[0]
+        pre_dets = self.detect(capture, "preamble")
         if not pre_dets:
             raise RuntimeError("first packet's preamble not detected")
-        post_dets = self.detect_batch([capture], "postamble")[0]
+        post_dets = self.detect(capture, "postamble")
         if not post_dets:
             raise RuntimeError("second packet's postamble not detected")
         det1 = pre_dets[0]
         det2 = max(post_dets, key=lambda d: d.sample_offset)
-        (sym1, hints1), (sym2, hints2) = self.decode_symbols_batch(
-            [capture],
-            [
-                WaveformDecodeRequest(
-                    capture=0,
-                    anchor_sample=det1.sample_offset,
-                    symbol_offset=SYNC_SYMBOLS,
-                    n_symbols=n_body,
-                    phase=det1.phase,
-                ),
-                WaveformDecodeRequest(
-                    capture=0,
-                    anchor_sample=det2.sample_offset,
-                    symbol_offset=-n_body,
-                    n_symbols=n_body,
-                    phase=det2.phase,
-                ),
-            ],
+        (sym1, hints1), (sym2, hints2) = self.decode(
+            capture, [det1, det2], n_body
         )
         return CollisionPairReception(
             preamble_detections=pre_dets,
@@ -278,103 +322,59 @@ class WaveformBatchEngine:
         residual = np.asarray(capture, dtype=np.complex128)
         for waveform, sample_offset in cancellations:
             residual = subtract_frame(residual, waveform, sample_offset)
-        reception = self.receive_frames([residual], n_body)[0]
-        return reception, residual
+        return self.receive_frames(residual, n_body), residual
 
     def receive_frames(
-        self,
-        captures: Sequence[np.ndarray],
-        n_body: int,
-    ) -> list[FrameReception]:
-        """PPR reception policy over many captures, fused end to end.
+        self, capture: np.ndarray, n_body: int
+    ) -> FrameReception:
+        """PPR reception policy over one capture.
 
-        Each capture is assumed to hold (at most) one frame whose body
-        is ``n_body`` codewords between the standard sync
-        fields.  A receiver that hears the preamble decodes forward
-        from it; one that missed it but hears the postamble rolls back
-        through the capture (paper §4); captures with neither sync
-        field yield an empty reception.
+        The capture is assumed to hold (at most) one frame whose body
+        is ``n_body`` codewords between the standard sync fields.  The
+        receiver decodes forward from a preamble it hears; one that
+        missed it but hears a postamble rolls back through the capture
+        (paper §4); a capture with neither sync field, or whose body
+        would reach outside it, yields an empty reception.
         """
         if n_body < 0:
             raise ValueError(
                 f"n_body must be non-negative, got {n_body}"
             )
-        width = self.codebook.chips_per_symbol
+        capture = np.asarray(capture, dtype=np.complex128)
 
-        def _fits(
-            capture_len: int,
-            detection: SyncDetection,
-            symbol_offset: int,
-        ) -> bool:
+        def _fits(detection: SyncDetection) -> bool:
             """Whether the body's chip span lies inside the capture."""
-            start = (
-                detection.sample_offset
-                + symbol_offset * width * SAMPLES_PER_CHIP
-            )
-            n_chips = n_body * width
+            start = body_start(detection, n_body)
+            n_chips = n_body * CHIPS_PER_SYMBOL
             # The last chip's pulse spans two chip periods.
             needed = start + (n_chips + 1) * SAMPLES_PER_CHIP if n_chips else start
-            return start >= 0 and needed <= capture_len
+            return start >= 0 and needed <= capture.size
 
-        lengths = [np.asarray(c).size for c in captures]
-        pre = self.detect_batch(captures, "preamble")
-        chosen: list[SyncDetection | None] = []
-        for i, pre_dets in enumerate(pre):
-            if pre_dets and _fits(
-                lengths[i], pre_dets[0], SYNC_SYMBOLS
-            ):
-                chosen.append(pre_dets[0])
-            else:
-                chosen.append(None)
-        # Postamble correlation is only paid for the captures the
-        # preamble path could not serve (the rollback minority).
-        fallback = [
-            i for i, detection in enumerate(chosen) if detection is None
-        ]
-        if fallback:
-            post = self.detect_batch(
-                [captures[i] for i in fallback], "postamble"
+        pre = self.detect(capture, "preamble")
+        detection = pre[0] if pre and _fits(pre[0]) else None
+        if detection is None:
+            # Postamble correlation is only paid when the preamble path
+            # could not serve the capture (the rollback minority).
+            post = self.detect(capture, "postamble")
+            last = max(post, key=lambda d: d.sample_offset, default=None)
+            if last is not None and _fits(last):
+                detection = last
+        if detection is None:
+            return FrameReception(
+                detection=None,
+                symbols=np.zeros(0, dtype=np.int64),
+                hints=np.zeros(0, dtype=np.float64),
             )
-            for i, post_dets in zip(fallback, post, strict=True):
-                if not post_dets:
-                    continue
-                last = max(post_dets, key=lambda d: d.sample_offset)
-                if _fits(lengths[i], last, -n_body):
-                    chosen[i] = last
-        requests = []
-        for i, detection in enumerate(chosen):
-            if detection is None:
-                continue
-            symbol_offset = (
-                SYNC_SYMBOLS
-                if detection.kind == "preamble"
-                else -n_body
-            )
-            requests.append(
-                WaveformDecodeRequest(
-                    capture=i,
-                    anchor_sample=detection.sample_offset,
-                    symbol_offset=symbol_offset,
-                    n_symbols=n_body,
-                    phase=detection.phase,
-                )
-            )
-        decoded = iter(self.decode_symbols_batch(captures, requests))
-        receptions = []
-        for detection in chosen:
-            if detection is None:
-                receptions.append(
-                    FrameReception(
-                        detection=None,
-                        symbols=np.zeros(0, dtype=np.int64),
-                        hints=np.zeros(0, dtype=np.float64),
-                    )
-                )
-            else:
-                symbols, hints = next(decoded)
-                receptions.append(
-                    FrameReception(
-                        detection=detection, symbols=symbols, hints=hints
-                    )
-                )
-        return receptions
+        [(symbols, hints)] = self.decode(capture, [detection], n_body)
+        return FrameReception(detection=detection, symbols=symbols, hints=hints)
+
+
+def body_start(detection: SyncDetection, n_body: int) -> int:
+    """Sample where the body's first chip pulse starts: the sync field
+    ``SYNC_SYMBOLS`` codewords before it for a preamble, ``n_body``
+    codewords after it for a postamble (the rollback)."""
+    offset = SYNC_SYMBOLS if detection.kind == "preamble" else -n_body
+    return (
+        detection.sample_offset
+        + offset * CHIPS_PER_SYMBOL * SAMPLES_PER_CHIP
+    )

@@ -18,8 +18,6 @@ pairwise summation over the last axis) is identical between them.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from repro.phy.modulation import SAMPLES_PER_CHIP, half_sine_pulse
@@ -98,28 +96,3 @@ class MskDemodulator:
             corr = (window * pulse).sum()
             out[k] = corr.real if k % 2 == 0 else corr.imag
         return out
-
-    def demodulate_soft_batch(
-        self, requests: Sequence[tuple[np.ndarray, int, int]]
-    ) -> list[np.ndarray]:
-        """Soft outputs for many ``(samples, start, n_chips)`` requests
-        in one fused matched-filter reduction.
-
-        The requests' window matrices are stacked and reduced against
-        the pulse in a single pass; per-request results are
-        bit-identical to :meth:`demodulate_soft` (the reduction is
-        independent across rows).
-        """
-        mats = [
-            self._window_view(samples, start, n_chips)
-            for samples, start, n_chips in requests
-        ]
-        sizes = [m.shape[0] for m in mats]
-        if sum(sizes) == 0:
-            return [np.zeros(0, dtype=np.float64) for _ in mats]
-        fused = np.concatenate(mats)
-        corr = (fused * self._pulse).sum(axis=1)
-        offsets = np.cumsum(sizes[:-1]) if len(sizes) > 1 else []
-        return [
-            self._rail_split(piece) for piece in np.split(corr, offsets)
-        ]

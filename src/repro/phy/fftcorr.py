@@ -1,27 +1,20 @@
 """FFT-domain sliding correlation against a fixed pattern.
 
-The one sync correlator (:class:`~repro.phy.frontend.ReceiverFrontend`,
+The one sync correlator (:class:`~repro.phy.batch.WaveformBatchEngine`,
 in the sample domain) needs the raw valid-mode cross-correlation of
-every complex capture row against one fixed sync waveform.  The direct
-per-row ``np.correlate`` is O(n·p) per capture; for a pattern of 1280
-samples (4 samples/chip) the FFT product
-``ifft(fft(row) · conj(fft(pattern)))`` is ~8x faster and turns the
-whole batch into one array program.
+a complex capture against one fixed sync waveform.  The direct
+``np.correlate`` is O(n·p) per capture; for a pattern of 1280 samples
+(4 samples/chip) the FFT product ``ifft(fft(row) · conj(fft(pattern)))``
+is ~8x faster.
 
-Two properties the callers rely on:
-
-* **Batch-shape invariance, bit-for-bit.**  pocketfft transforms each
-  row of a stacked input independently, so correlating a stacked batch
-  equals correlating each row alone to the last bit — the determinism
-  contract (identical artifacts across ``--jobs`` and batching modes)
-  survives the rewrite.
-* **Tolerance vs the time-domain spec.**  FFT reassociates the sums,
-  so the result differs from the per-offset dot product in the last
-  few ulps (relative error ~1e-15).  The loop twin
-  ``ReceiverFrontend.correlation_reference`` remains the executable
-  spec; the equivalence suite pins the FFT path to it at 1e-12 — the
-  one sanctioned deviation from the bit-for-bit pin, documented where
-  it happens.
+FFT reassociates the sums, so the result differs from the per-offset
+dot product in the last few ulps (relative error ~1e-15).  The loop
+twin ``WaveformBatchEngine.correlation_reference`` remains the
+executable spec; the equivalence suite pins the FFT path to it at
+1e-12 — the one sanctioned deviation from the bit-for-bit pin,
+documented where it happens.  pocketfft transforms each row of a
+stacked input independently, so a row's correlation does not depend
+on the rows stacked with it.
 
 The transforms are numpy's (pocketfft).  Each is zero-padded to
 :func:`next_fast_len`, the smallest length at or above the linear

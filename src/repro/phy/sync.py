@@ -6,11 +6,11 @@ sequence (eight 15-symbols then the end-frame delimiter 0x7A) — so a
 receiver that missed the preamble can lock late and roll back through
 its sample buffer (the Fig. 5 scenario).
 
-This module holds the sync field definitions, the peak detector
-:func:`peak_offsets` and :class:`RollbackBuffer`, the circular sample
-store that makes rolling back possible.  There is one sync correlator:
-:class:`~repro.phy.frontend.ReceiverFrontend` correlates captures
-against the modulated sync waveforms in the sample domain.
+This module holds the sync field definitions and the peak detector
+:func:`peak_offsets`.  There is one sync correlator:
+:class:`~repro.phy.batch.WaveformBatchEngine` correlates a capture
+against the modulated sync waveforms in the sample domain, and rolls
+back through the capture it holds whole.
 """
 
 from __future__ import annotations
@@ -63,74 +63,3 @@ def peak_offsets(
         int(group[0] + corr[group[0] : group[-1] + 1].argmax())
         for group in np.split(above, boundaries)
     ]
-
-
-class RollbackBuffer:
-    """Fixed-capacity circular buffer of received samples (paper §4).
-
-    The receiver appends every incoming sample; on postamble detection
-    it retrieves a window *backwards in time* by absolute sample index.
-    Capacity should cover one maximally-sized packet, matching the
-    paper's implementation.
-    """
-
-    def __init__(self, capacity: int) -> None:
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        self._capacity = int(capacity)
-        self._buf = np.zeros(self._capacity, dtype=np.complex128)
-        self._written = 0
-
-    @property
-    def oldest_available(self) -> int:
-        """Absolute index of the oldest sample still retained."""
-        return max(0, self._written - self._capacity)
-
-    def append(self, samples: np.ndarray) -> None:
-        """Append samples, evicting the oldest beyond capacity."""
-        samples = np.asarray(samples, dtype=np.complex128)
-        n = samples.size
-        if n >= self._capacity:
-            # Keep only the tail, placed so that absolute index i still
-            # lives at buffer position i % capacity.
-            tail_abs_start = self._written + n - self._capacity
-            positions = (
-                tail_abs_start + np.arange(self._capacity)
-            ) % self._capacity
-            self._buf[positions] = samples[n - self._capacity :]
-            self._written += n
-            return
-        pos = self._written % self._capacity
-        first = min(n, self._capacity - pos)
-        self._buf[pos : pos + first] = samples[:first]
-        if first < n:
-            self._buf[: n - first] = samples[first:]
-        self._written += n
-
-    def get_range(self, abs_start: int, count: int) -> np.ndarray:
-        """Samples ``[abs_start, abs_start + count)`` by absolute index.
-
-        Raises ``ValueError`` if any requested sample has been evicted
-        or not yet written — rollback must never fabricate data.
-        """
-        if count < 0:
-            raise ValueError(f"count must be non-negative, got {count}")
-        if abs_start < self.oldest_available:
-            raise ValueError(
-                f"samples from {abs_start} already evicted (oldest "
-                f"available: {self.oldest_available})"
-            )
-        if abs_start + count > self._written:
-            raise ValueError(
-                f"samples up to {abs_start + count} not yet written "
-                f"(have {self._written})"
-            )
-        # A retained range spans at most one wrap point, so it is at
-        # most two contiguous slices — no per-sample fancy index.
-        pos = abs_start % self._capacity
-        first = min(count, self._capacity - pos)
-        if first == count:
-            return self._buf[pos : pos + count].copy()
-        return np.concatenate(
-            [self._buf[pos:], self._buf[: count - first]]
-        )

@@ -23,10 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.phy.batch import FrameReception, WaveformBatchEngine
+from repro.phy.batch import FrameReception, WaveformBatchEngine, body_start
 from repro.arq.runlength import PAPER_ETA
 from repro.phy.codebook import Codebook
-from repro.phy.modulation import SAMPLES_PER_CHIP
+from repro.phy.modulation import CHIPS_PER_SYMBOL, SAMPLES_PER_CHIP
 from repro.phy.remodulate import estimate_complex_scale, remodulate_frame
 from repro.phy.sync import SYNC_SYMBOLS, sync_field_symbols
 from repro.recovery.chunks import ChunkRecovery, plan_chunk_recovery
@@ -101,14 +101,9 @@ class SicDecoder:
         self, reception: FrameReception, n_body: int
     ) -> int:
         """Capture sample where the frame's preamble begins."""
-        detection = reception.detection
-        assert detection is not None
-        if detection.kind == "preamble":
-            return detection.sample_offset
-        span = (SYNC_SYMBOLS + n_body) * (
-            self._codebook.chips_per_symbol * SAMPLES_PER_CHIP
-        )
-        return detection.sample_offset - span
+        assert reception.detection is not None
+        sync_span = SYNC_SYMBOLS * CHIPS_PER_SYMBOL * SAMPLES_PER_CHIP
+        return body_start(reception.detection, n_body) - sync_span
 
     def _frame_stream(self, reception: FrameReception) -> np.ndarray:
         """Full symbol stream (sync fields included) of a decode."""
@@ -148,7 +143,7 @@ class SicDecoder:
         a second frame.
         """
         capture = np.asarray(capture, dtype=np.complex128)
-        strong = self._engine.receive_frames([capture], n_body)[0]
+        strong = self._engine.receive_frames(capture, n_body)
         if not strong.acquired:
             return SicPairResult(
                 strong=None,
@@ -182,7 +177,7 @@ class SicDecoder:
             weak_start = self._frame_start(weak, n_body)
             # A lock within one symbol of the cancelled frame is the
             # cancellation's own remnant, not a second transmission.
-            guard = self._codebook.chips_per_symbol * SAMPLES_PER_CHIP
+            guard = CHIPS_PER_SYMBOL * SAMPLES_PER_CHIP
             if abs(weak_start - start) > guard:
                 weak_scale = estimate_complex_scale(
                     residual,

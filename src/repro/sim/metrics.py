@@ -34,12 +34,15 @@ from repro.link.schemes import (
     SpracScheme,
     TraceBlock,
 )
-from repro.sim.network import SimulationResult
+from repro.sim.network import WRONG, SimulationResult
 
 _BITS_PER_SYMBOL = 4
 _SYMBOLS_PER_BYTE = 2
 # The largest Hamming hint: every chip of a 32-chip codeword wrong.
 _MAX_HINT = 32
+# Hint statistics walk acquired rows in blocks of at most this many
+# bytes of intp payload: one whole-run block cost ~12 MB of peak RSS.
+_BLOCK_BYTES = 2 << 20
 
 
 def trace_deliver(
@@ -369,28 +372,27 @@ def hint_histograms(
     payload codewords with Hamming hint d (0 to 32, the chips of a
     codeword) — the raw material of the paper's Figs. 3 and 15.
     """
-    correct_hist = np.zeros(_MAX_HINT + 1, dtype=np.int64)
-    incorrect_hist = np.zeros(_MAX_HINT + 1, dtype=np.int64)
-    # Row by row, not as one block: a block's integer hint copy raised
-    # the benchmark's peak RSS by ~12 MB for no speed gain.
-    for hints, correct in _acquired_payloads(result):
-        hints = hints.astype(int).clip(0, _MAX_HINT)
-        correct_hist += np.bincount(hints[correct], minlength=_MAX_HINT + 1)
-        incorrect_hist += np.bincount(
-            hints[~correct], minlength=_MAX_HINT + 1
+    # A payload entry is its hint, plus WRONG when it decoded wrong, so
+    # one bincount of the entries holds both histograms.
+    size = WRONG + _MAX_HINT + 1
+    counts = np.zeros(size, dtype=np.int64)
+    for rows in _acquired_blocks(result):
+        counts += np.bincount(
+            result.table.payload[rows].ravel(), minlength=size
         )
-    return correct_hist, incorrect_hist
+    return counts[: _MAX_HINT + 1], counts[WRONG:]
 
 
-def _acquired_payloads(
-    result: SimulationResult,
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """``(hints, correct)`` over the payload of each row acquired with
-    postamble decoding on."""
+def _acquired_blocks(result: SimulationResult) -> Iterator[np.ndarray]:
+    """Indices of the rows acquired with postamble decoding on, in
+    blocks whose payload widened to intp stays within
+    ``_BLOCK_BYTES``."""
     table = result.table
-    for row in np.flatnonzero(table.acquired(True)).tolist():
-        block = table.trace_block(slice(row, row + 1))
-        yield block.hints[0], block.correct[0]
+    rows = np.flatnonzero(table.acquired(True))
+    row_bytes = max(table.payload.shape[1], 1) * np.dtype(np.intp).itemsize
+    step = max(1, _BLOCK_BYTES // row_bytes)
+    for start in range(0, rows.size, step):
+        yield rows[start : start + step]
 
 
 def miss_run_length_counts(
@@ -404,9 +406,13 @@ def miss_run_length_counts(
     acquired with postamble decoding on.
     """
     out: dict[int, Counter] = {eta: Counter() for eta in etas}
-    for hints, correct in _acquired_payloads(result):
+    for rows in _acquired_blocks(result):
+        block = result.table.trace_block(rows)
+        # A False column after each row keeps runs from crossing rows.
+        misses = np.zeros((rows.size, block.hints.shape[1] + 1), dtype=bool)
         for eta in etas:
-            out[eta].update(run_lengths((hints <= eta) & ~correct))
+            misses[:, :-1] = (block.hints <= eta) & ~block.correct
+            out[eta].update(run_lengths(misses.ravel()))
     return out
 
 

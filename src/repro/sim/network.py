@@ -67,7 +67,7 @@ _RECEIVE_BLOCK_WORDS = 1 << 16
 
 # A payload entry: the Hamming hint (0 to 32) in the low six bits, and
 # WRONG set when the codeword decoded to a symbol other than the one
-# sent.  TraceTable.trace_block is the only reader of the format.
+# sent.  TraceTable.trace_block and metrics.hint_histograms read it.
 WRONG = 64
 _HINT_BITS = WRONG - 1
 

@@ -8,9 +8,9 @@ experiments end-to-end.
 import numpy as np
 import pytest
 
+from repro.arq.runlength import PAPER_ETA
 from repro.experiments import exp_fig13, exp_fig16
 from repro.experiments.common import (
-    DEFAULT_ETA,
     ExperimentResult,
     RunCache,
     Scenario,
@@ -166,8 +166,8 @@ class TestScenarioGrid:
 class TestEvaluationHelpers:
     def test_paper_schemes_parameters(self):
         # The harness evaluates with the paper's §7.2 parameters.
-        assert DEFAULT_ETA == 6.0
-        schemes = default_schemes(DEFAULT_ETA)
+        assert PAPER_ETA == 6.0
+        schemes = default_schemes()
         assert schemes[1].n_fragments == 30
         assert schemes[2].eta == 6.0
 

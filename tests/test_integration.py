@@ -16,9 +16,9 @@ from repro.link.frame import (
     payload_slice,
 )
 from repro.link.schemes import PprScheme
+from repro.phy.batch import WaveformBatchEngine
 from repro.phy.channelsim import add_awgn
 from repro.phy.chipchannel import transmit_chipwords
-from repro.phy.frontend import ReceiverFrontend
 from repro.phy.modulation import MskModulator
 from repro.phy.spreading import symbols_to_bytes
 from repro.phy.symbols import SoftPacket
@@ -38,14 +38,12 @@ class TestWaveformToLinkLayer:
             frame.on_air_symbols(), codebook
         )
         noisy = add_awgn(wave, 0.15, rng)
-        frontend = ReceiverFrontend(codebook)
+        engine = WaveformBatchEngine(codebook)
         n_body = body_symbol_count(len(frame.wire_payload))
 
         # Preamble path.
-        det = frontend.detect(noisy, "preamble")[0]
-        symbols, hints = frontend.decode_symbols_at(
-            noisy, det.sample_offset, 10, n_body, det.phase
-        )
+        det = engine.detect(noisy, "preamble")[0]
+        [(symbols, hints)] = engine.decode(noisy, [det], n_body)
         region = payload_slice(symbols.size)
         _, header_ok = parse_header_bytes(
             symbols_to_bytes(symbols[: region.start])
@@ -59,14 +57,8 @@ class TestWaveformToLinkLayer:
         assert hints.mean() < 1.0
 
         # Postamble path: roll back from the detected postamble.
-        post = frontend.detect(noisy, "postamble")[0]
-        symbols2, _ = frontend.decode_symbols_at(
-            noisy,
-            post.sample_offset,
-            -n_body,
-            n_body,
-            post.phase,
-        )
+        post = engine.detect(noisy, "postamble")[0]
+        [(symbols2, _)] = engine.decode(noisy, [post], n_body)
         assert np.array_equal(symbols2, symbols)
 
 

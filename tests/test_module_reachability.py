@@ -244,12 +244,6 @@ KEEP = {
         "lets a test mint a deliberate key collision without tripping "
         "the ledger"
     ),
-    "repro.phy.frontend.ReceiverFrontend.detect": (
-        "per-capture reference WaveformBatchEngine is pinned against"
-    ),
-    "repro.phy.frontend.ReceiverFrontend.decode_symbols_at": (
-        "per-capture reference WaveformBatchEngine is pinned against"
-    ),
     "repro.arq.chunking.chunk_cost_naive": (
         "upper bound the DP chunk planner is checked against"
     ),
@@ -267,14 +261,6 @@ KEEP = {
     ),
     "repro.arq.feedback.FeedbackPacket.is_ack": (
         "what a decoded feedback packet means; the round trip reads it"
-    ),
-    "repro.phy.sync.RollbackBuffer": (
-        "the bounded sample store of paper 4 that postamble rollback "
-        "reads back from; the batch engine holds whole captures instead"
-    ),
-    "repro.phy.sync.RollbackBuffer.get_range": (
-        "the rollback read itself: a window by absolute sample index "
-        "that fails rather than return evicted samples"
     ),
     "repro.phy.codebook.Codebook.min_distance": (
         "pins the ZigBee minimum distance of 12 that hint semantics "
@@ -554,10 +540,6 @@ KEEP_OPTIONS: dict[str, str] = {
     "repro.phy.remodulate.remodulate_frame_reference.gain": _MIRRORS_REMODULATE,
     "repro.phy.remodulate.remodulate_frame_reference.phase": (
         _MIRRORS_REMODULATE
-    ),
-    "repro.phy.frontend.ReceiverFrontend.decode_symbols_at.phase": (
-        "reference spec: the per-capture decode the batch engine is "
-        "pinned against takes the detected carrier phase"
     ),
     "repro.sim.metrics.evaluate_schemes_reference.postamble_options": (
         "reference spec: the loop twin of evaluate_schemes takes its "

@@ -1,22 +1,19 @@
-"""Tests for sync fields, sync peak detection and the rollback buffer."""
+"""Tests for sync fields and sync peak detection."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.phy.channelsim import add_awgn
-from repro.phy.frontend import ReceiverFrontend
+from repro.phy.batch import WaveformBatchEngine
 from repro.phy.modulation import SAMPLES_PER_CHIP, MskModulator
 from repro.phy.sync import (
     EFD_SYMBOLS,
     POSTAMBLE_SYMBOLS,
     PREAMBLE_SYMBOLS,
     SFD_SYMBOLS,
-    RollbackBuffer,
     peak_offsets,
     sync_field_symbols,
 )
-from repro.utils.rng import ensure_rng
 
 
 class TestSyncFields:
@@ -38,9 +35,9 @@ class TestSyncFields:
 
 class TestPeakOffsets:
     """Non-maximum suppression over sync correlation traces: the
-    frontend's sample-domain correlation, and synthetic traces."""
+    receiver's sample-domain correlation, and synthetic traces."""
 
-    THRESHOLD = 0.70  # ReceiverFrontend's default
+    THRESHOLD = 0.70  # WaveformBatchEngine's default
 
     def _capture(self, codebook, pieces, rng, noise=0.0):
         wave = MskModulator().modulate_symbols(
@@ -49,11 +46,11 @@ class TestPeakOffsets:
         return add_awgn(wave, noise, rng)
 
     def test_multiple_detections(self, codebook, rng):
-        frontend = ReceiverFrontend(codebook)
+        engine = WaveformBatchEngine(codebook)
         field = sync_field_symbols("preamble")
         gap = rng.integers(0, 16, 40)
         capture = self._capture(codebook, [field, gap, field], rng)
-        corr = frontend.correlation(capture, "preamble")
+        corr = engine.correlation(capture, "preamble")
         pattern = field.size * 32 * SAMPLES_PER_CHIP
         second = (field.size + gap.size) * 32 * SAMPLES_PER_CHIP
         assert peak_offsets(corr, self.THRESHOLD, pattern) == [0, second]
@@ -61,7 +58,7 @@ class TestPeakOffsets:
     def test_matches_reference_walk(self, codebook, rng):
         """The np.split non-maximum suppression must group and peak
         exactly like the original per-index walk."""
-        frontend = ReceiverFrontend(codebook)
+        engine = WaveformBatchEngine(codebook)
         field = sync_field_symbols("preamble")
         pattern = field.size * 32 * SAMPLES_PER_CHIP
         for _trial in range(5):
@@ -70,7 +67,7 @@ class TestPeakOffsets:
                 pieces.append(rng.integers(0, 16, 30))
                 pieces.append(field)
             capture = self._capture(codebook, pieces, rng, noise=0.05)
-            corr = frontend.correlation(capture, "preamble")
+            corr = engine.correlation(capture, "preamble")
             expected = _reference_nms(corr, self.THRESHOLD, pattern)
             assert len(expected) == len(pieces) // 2 + 1
             assert peak_offsets(corr, self.THRESHOLD, pattern) == expected
@@ -108,109 +105,3 @@ def _reference_nms(corr, threshold, min_gap):
     segment = corr[group_start : prev + 1]
     detections.append(int(group_start + segment.argmax()))
     return detections
-
-
-class TestRollbackBuffer:
-    def test_basic_append_and_get(self):
-        buf = RollbackBuffer(capacity=10)
-        buf.append(np.arange(5, dtype=complex))
-        assert buf.get_range(2, 3) == pytest.approx([2, 3, 4])
-
-    def test_wraparound(self):
-        buf = RollbackBuffer(capacity=8)
-        buf.append(np.arange(6, dtype=complex))
-        buf.append(np.arange(6, 12, dtype=complex))
-        assert buf.get_range(4, 8) == pytest.approx(np.arange(4, 12))
-
-    def test_absolute_indexing(self):
-        buf = RollbackBuffer(capacity=16)
-        buf.append(np.arange(10, dtype=complex))
-        assert buf.get_range(3, 4) == pytest.approx([3, 4, 5, 6])
-
-    def test_evicted_range_rejected(self):
-        buf = RollbackBuffer(capacity=4)
-        buf.append(np.arange(10, dtype=complex))
-        with pytest.raises(ValueError, match="evicted"):
-            buf.get_range(0, 2)
-
-    def test_future_range_rejected(self):
-        buf = RollbackBuffer(capacity=4)
-        buf.append(np.arange(2, dtype=complex))
-        with pytest.raises(ValueError, match="not yet written"):
-            buf.get_range(0, 5)
-
-    def test_oversized_append_keeps_tail(self):
-        buf = RollbackBuffer(capacity=4)
-        buf.append(np.arange(10, dtype=complex))
-        assert buf.get_range(6, 4) == pytest.approx([6, 7, 8, 9])
-        assert buf.oldest_available == 6
-
-    def test_invalid_capacity(self):
-        with pytest.raises(ValueError):
-            RollbackBuffer(capacity=0)
-
-    def test_get_range_spanning_wrap_point(self):
-        """A range crossing the circular wrap point is served as two
-        contiguous slices; values must match the ground-truth stream."""
-        buf = RollbackBuffer(capacity=8)
-        buf.append(np.arange(13, dtype=complex))
-        # Samples 5..12 live in the buffer; 6..11 wraps (pos 6, 7, 0..3).
-        assert buf.get_range(6, 6) == pytest.approx(np.arange(6, 12))
-        assert buf.get_range(5, 8) == pytest.approx(np.arange(5, 13))
-        assert buf.get_range(8, 2) == pytest.approx([8, 9])
-        assert buf.get_range(7, 0).size == 0
-
-    @given(
-        st.lists(
-            st.integers(min_value=1, max_value=20),
-            min_size=1,
-            max_size=15,
-        ),
-        st.integers(0, 2**32 - 1),
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_get_range_matches_reference_stream(self, chunk_sizes, seed):
-        """Every retrievable (start, count) window equals the same
-        window of the ground-truth concatenated stream."""
-        capacity = 16
-        buf = RollbackBuffer(capacity=capacity)
-        stream = np.zeros(0, dtype=complex)
-        value = 0
-        for size in chunk_sizes:
-            chunk = np.arange(value, value + size, dtype=complex)
-            value += size
-            buf.append(chunk)
-            stream = np.concatenate([stream, chunk])
-        rng = ensure_rng(seed)
-        oldest = buf.oldest_available
-        for _ in range(10):
-            start = int(rng.integers(oldest, stream.size + 1))
-            count = int(rng.integers(0, stream.size - start + 1))
-            assert buf.get_range(start, count) == pytest.approx(
-                stream[start : start + count]
-            )
-
-    @given(
-        st.lists(
-            st.integers(min_value=1, max_value=20),
-            min_size=1,
-            max_size=15,
-        )
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_matches_reference_stream(self, chunk_sizes):
-        """Whatever the append pattern, retained samples match the
-        ground-truth concatenated stream."""
-        capacity = 32
-        buf = RollbackBuffer(capacity=capacity)
-        stream = np.zeros(0, dtype=complex)
-        value = 0
-        for size in chunk_sizes:
-            chunk = np.arange(value, value + size, dtype=complex)
-            value += size
-            buf.append(chunk)
-            stream = np.concatenate([stream, chunk])
-        available = min(capacity, stream.size)
-        assert buf.get_range(stream.size - available, available) == (
-            pytest.approx(stream[-available:])
-        )

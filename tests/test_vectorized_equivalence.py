@@ -45,23 +45,23 @@ from repro.link.schemes import (
     SicScheme,
     SpracScheme,
 )
-from repro.phy.batch import (
-    BatchReceptionEngine,
-    WaveformBatchEngine,
-    WaveformDecodeRequest,
-)
+from repro.phy.batch import BatchReceptionEngine, WaveformBatchEngine
 from repro.phy.channelsim import add_awgn
 from repro.phy.chipchannel import transmit_chipwords, transmit_chipwords_batch
 from repro.phy.codebook import Codebook, ZigbeeCodebook
 from repro.phy.demodulation import MskDemodulator
-from repro.phy.frontend import ChipExtractRequest, ReceiverFrontend
 from repro.phy.modulation import SAMPLES_PER_CHIP, SYMBOL_PERIOD_S, MskModulator
 from repro.phy.remodulate import (
     remodulate_frame,
     remodulate_frame_reference,
 )
 from repro.phy.spreading import bytes_to_symbols, symbols_to_bytes
-from repro.phy.sync import SYNC_ERROR_THRESHOLD, SYNC_SYMBOLS, sync_field_symbols
+from repro.phy.sync import (
+    SYNC_ERROR_THRESHOLD,
+    SYNC_SYMBOLS,
+    peak_offsets,
+    sync_field_symbols,
+)
 from repro.sim.metrics import evaluate_schemes, evaluate_schemes_reference
 from repro.sim import network
 from repro.sim.medium import RadioMedium, Transmission
@@ -446,27 +446,6 @@ class TestDemodulatorEquivalence:
         ref = demod.demodulate_soft_reference(capture, 0, 32)
         assert np.array_equal(vec, ref)
 
-    def test_batch_matches_single(self, rng):
-        demod = MskDemodulator()
-        mod = MskModulator()
-        captures = [
-            add_awgn(
-                mod.modulate_chips(rng.integers(0, 2, n)), 0.4, rng
-            )
-            for n in (10, 64, 2)
-        ]
-        requests = [
-            (captures[0], 0, 10),
-            (captures[1], 4, 50),
-            (captures[2], 0, 0),
-            (captures[1], 0, 64),
-        ]
-        batch = demod.demodulate_soft_batch(requests)
-        for (samples, start, n_chips), soft in zip(requests, batch, strict=True):
-            assert np.array_equal(
-                soft, demod.demodulate_soft(samples, start, n_chips)
-            )
-
     @given(st.integers(0, 2**32 - 1), st.integers(1, 80))
     @settings(max_examples=25, deadline=None)
     def test_equivalence_property(self, seed, half_chips):
@@ -485,14 +464,13 @@ class TestCorrelatorEquivalence:
     # The FFT fast path reassociates the time-domain sums, so the
     # correlator twins are pinned at 1e-12 on normalised outputs in
     # [-1, 1] — the one sanctioned deviation from the bit-for-bit
-    # pin (documented in repro.phy.fftcorr).  Batch-vs-single
-    # consistency of the fast path itself remains bit-for-bit.
+    # pin (documented in repro.phy.fftcorr).
     TOL = dict(rtol=1e-12, atol=1e-12)
 
     def test_sample_domain_matches_reference(self, codebook, rng):
-        """Frontend correlation (FFT fast path) vs its per-offset
+        """Receiver correlation (FFT fast path) vs its per-offset
         conjugate-dot loop spec ``correlation_reference``."""
-        frontend = ReceiverFrontend(codebook)
+        engine = WaveformBatchEngine(codebook)
         mod = MskModulator()
         stream = np.concatenate(
             [
@@ -505,33 +483,10 @@ class TestCorrelatorEquivalence:
             mod.modulate_symbols(stream, codebook), 0.3, rng
         )
         for kind in ("preamble", "postamble"):
-            vec = frontend.correlation(capture, kind)
-            ref = frontend.correlation_reference(capture, kind)
+            vec = engine.correlation(capture, kind)
+            ref = engine.correlation_reference(capture, kind)
             _assert_twins_finite(f"correlation({kind})", vec, ref)
             np.testing.assert_allclose(vec, ref, **self.TOL)
-
-    def test_sample_domain_batch_matches_single(self, codebook, rng):
-        """Sample-domain batch-shape invariance stays bit-for-bit."""
-        frontend = ReceiverFrontend(codebook)
-        mod = MskModulator()
-        rows = []
-        for at in (3, 12, 25):
-            stream = np.concatenate(
-                [
-                    rng.integers(0, 16, at),
-                    sync_field_symbols("postamble"),
-                    rng.integers(0, 16, 30 - at),
-                ]
-            )
-            rows.append(
-                add_awgn(mod.modulate_symbols(stream, codebook), 0.3, rng)
-            )
-        stacked = np.stack(rows)
-        batch = frontend.correlation_batch(stacked, "postamble")
-        for row, corr in zip(rows, batch, strict=True):
-            assert np.array_equal(
-                corr, frontend.correlation(row, "postamble")
-            )
 
 
 class TestRemodulateEquivalence:
@@ -599,158 +554,209 @@ class TestRemodulateEquivalence:
         )
 
 
+class _ReceiverOracle:
+    """The waveform receiver composed only of loop twins.
+
+    Detection is the per-offset correlation
+    (``correlation_reference``), the peak picker and the conjugate dot
+    product against a loop-modulated sync field at each peak; a body
+    is derotated by that phase, matched-filtered chip by chip
+    (``demodulate_soft_reference``) and hard-decoded by
+    ``Codebook.decode_hard``.  :class:`WaveformBatchEngine` must return
+    the same anchors, phases, symbols and hints, and scores within the
+    correlator's 1e-12.
+    """
+
+    THRESHOLD = 0.70  # WaveformBatchEngine's default
+
+    def __init__(self, engine, codebook):
+        self._engine = engine
+        self._codebook = codebook
+        modulator = MskModulator()
+        self._refs = {
+            kind: modulator.modulate_chips_reference(
+                codebook.encode(sync_field_symbols(kind))
+            )
+            for kind in ("preamble", "postamble")
+        }
+
+    def detect(self, capture, kind):
+        """``(offset, phase, score)`` per detection, in capture order."""
+        ref = self._refs[kind]
+        corr = self._engine.correlation_reference(capture, kind)
+        found = []
+        for peak in peak_offsets(corr, self.THRESHOLD, ref.size):
+            raw = np.dot(capture[peak : peak + ref.size], np.conj(ref))
+            found.append((peak, float(np.angle(raw)), float(corr[peak])))
+        return found
+
+    def decode(self, capture, kind, offset, phase, n_body):
+        """``(symbols, hints)`` of the body a sync field anchors."""
+        anchor = SYNC_SYMBOLS if kind == "preamble" else -n_body
+        start = offset + anchor * 32 * SAMPLES_PER_CHIP
+        rotated = capture * np.exp(-1j * phase) if phase else capture
+        soft = MskDemodulator().demodulate_soft_reference(
+            rotated, start, n_body * 32
+        )
+        words = pack_bits_to_uint32(
+            (soft > 0).astype(np.uint8).reshape(-1, 32)
+        )
+        symbols, distances = self._codebook.decode_hard(words)
+        return symbols, distances.astype(np.float64)
+
+    def receive(self, capture, n_body):
+        """The reception policy: the first preamble whose body fits,
+        else the last postamble whose body fits, else nothing."""
+        for kind, pick in (("preamble", 0), ("postamble", -1)):
+            found = self.detect(capture, kind)
+            if not found:
+                continue
+            offset, phase, score = found[pick]
+            try:
+                decoded = self.decode(capture, kind, offset, phase, n_body)
+            except ValueError:  # the body reaches outside the capture
+                continue
+            return (kind, offset, phase, score), decoded
+        return None
+
+
+def _assert_matches_oracle(detection, decoded, expected):
+    """One engine detection and its decode vs the oracle's."""
+    (kind, offset, phase, score), (symbols, hints) = expected
+    assert detection.kind == kind
+    assert detection.sample_offset == offset
+    assert detection.phase == phase
+    assert detection.score == pytest.approx(score, rel=1e-12, abs=1e-12)
+    assert np.array_equal(decoded[0], symbols)
+    assert np.array_equal(decoded[1], hints)
+
+
+def _oracle_capture(codebook, scenario, n_body=30):
+    """A capture of one of the receiver's cases, and its frame body."""
+    rng = ensure_rng(11)
+    if scenario == "noise":
+        return None, add_awgn(
+            np.zeros(6000, dtype=np.complex128), 1.0, rng
+        )
+    body, capture = _frame_capture(codebook, rng, n_body)
+    if scenario == "rollback":
+        # Cut the head of the preamble: only the postamble locks.
+        capture = capture[6 * 32 * SAMPLES_PER_CHIP :]
+    elif scenario == "rotated":
+        capture = capture * np.exp(1j * 1.1)
+    return body, capture
+
+
+_SCENARIOS = ["clean", "rollback", "rotated", "noise"]
+
+
+def _collided_capture(codebook, rng, n_body=40):
+    """Two frames overlapping by 15 codewords (Fig. 5)."""
+    overlap = 15
+    mod = MskModulator()
+    streams = []
+    for _ in range(2):
+        body = rng.integers(0, 16, n_body)
+        streams.append(
+            np.concatenate(
+                [
+                    sync_field_symbols("preamble"),
+                    body,
+                    sync_field_symbols("postamble"),
+                ]
+            )
+        )
+    offset = (streams[0].size - overlap) * 32 * SAMPLES_PER_CHIP
+    wave1 = mod.modulate_symbols(streams[0], codebook)
+    wave2 = mod.modulate_symbols(streams[1], codebook)
+    capture = np.zeros(offset + wave2.size, dtype=np.complex128)
+    capture[: wave1.size] += wave1
+    capture[offset:] += wave2
+    return add_awgn(capture, 0.05, rng)
+
+
+class TestReceiverOracle:
+    @pytest.fixture()
+    def engine(self, codebook):
+        return WaveformBatchEngine(codebook)
+
+    @pytest.mark.parametrize("kind", ["preamble", "postamble"])
+    @pytest.mark.parametrize("scenario", _SCENARIOS + ["collided"])
+    def test_detections_match_oracle(self, engine, codebook, scenario, kind):
+        if scenario == "collided":
+            capture = _collided_capture(codebook, ensure_rng(5))
+        else:
+            _, capture = _oracle_capture(codebook, scenario)
+        detections = engine.detect(capture, kind)
+        expected = _ReceiverOracle(engine, codebook).detect(capture, kind)
+        assert len(detections) == len(expected)
+        for detection, (offset, phase, score) in zip(
+            detections, expected, strict=True
+        ):
+            assert detection.kind == kind
+            assert (detection.sample_offset, detection.phase) == (offset, phase)
+            assert detection.score == pytest.approx(score, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("scenario", _SCENARIOS)
+    def test_receive_frames_matches_oracle(self, engine, codebook, scenario):
+        body, capture = _oracle_capture(codebook, scenario)
+        reception = engine.receive_frames(capture, 30)
+        expected = _ReceiverOracle(engine, codebook).receive(capture, 30)
+        if expected is None:
+            assert body is None and not reception.acquired
+            assert reception.symbols.size == reception.hints.size == 0
+            return
+        _assert_matches_oracle(
+            reception.detection,
+            (reception.symbols, reception.hints),
+            expected,
+        )
+        assert np.array_equal(reception.symbols, body)
+
+
 class TestWaveformBatchEngineEquivalence:
     @pytest.fixture()
     def engine(self, codebook):
         return WaveformBatchEngine(codebook)
 
-    @pytest.fixture()
-    def frontend(self, codebook):
-        return ReceiverFrontend(codebook)
-
-    def _ragged_captures(self, codebook, rng):
-        """Frames of different lengths plus a pure-noise window."""
-        bodies, captures = [], []
-        for n_body in (30, 12, 30, 45):
-            body, capture = _frame_capture(codebook, rng, n_body)
-            bodies.append(body)
-            captures.append(capture)
-        captures.append(
-            add_awgn(np.zeros(4000, dtype=np.complex128), 1.0, rng)
-        )
-        bodies.append(None)
-        return bodies, captures
-
-    @pytest.mark.parametrize("kind", ["preamble", "postamble"])
-    def test_detect_batch_matches_single(
-        self, engine, frontend, codebook, rng, kind
-    ):
-        _, captures = self._ragged_captures(codebook, rng)
-        batch = engine.detect_batch(captures, kind)
-        assert len(batch) == len(captures)
-        for capture, detections in zip(captures, batch, strict=True):
-            assert detections == frontend.detect(capture, kind)
-
-    def test_extract_batch_matches_single(self, frontend, codebook, rng):
-        _, captures = self._ragged_captures(codebook, rng)
-        requests = [
-            ChipExtractRequest(0, 0, 320, 64, 0.3),
-            ChipExtractRequest(1, 1280, -320, 320, 0.0),
-            ChipExtractRequest(2, 0, 0, 0, 0.0),
-            ChipExtractRequest(0, 640, 2, 100, -1.2),
-        ]
-        batch = frontend.extract_batch(captures, requests)
-        for request, soft in zip(requests, batch, strict=True):
-            single = frontend.soft_chips_at(
-                captures[request.capture],
-                request.anchor_sample,
-                request.chip_offset,
-                request.n_chips,
-                request.phase,
-            )
-            assert np.array_equal(soft, single)
-
-    def test_decode_batch_matches_single(
-        self, engine, frontend, codebook, rng
-    ):
-        bodies, captures = self._ragged_captures(codebook, rng)
-        preamble_symbols = sync_field_symbols("preamble").size
-        requests = []
-        for i, body in enumerate(bodies):
-            if body is None:
-                continue
-            det = frontend.detect(captures[i], "preamble")[0]
-            requests.append(
-                WaveformDecodeRequest(
-                    capture=i,
-                    anchor_sample=det.sample_offset,
-                    symbol_offset=preamble_symbols,
-                    n_symbols=body.size,
-                    phase=det.phase,
-                )
-            )
-        decoded = engine.decode_symbols_batch(captures, requests)
-        assert len(decoded) == len(requests)
-        for request, (symbols, hints) in zip(requests, decoded, strict=True):
-            single_symbols, single_hints = frontend.decode_symbols_at(
-                captures[request.capture],
-                request.anchor_sample,
-                request.symbol_offset,
-                request.n_symbols,
-                request.phase,
-            )
-            assert np.array_equal(symbols, single_symbols)
-            assert np.array_equal(hints, single_hints)
-
     def test_decode_batch_empty_requests(self, engine, codebook, rng):
-        _, captures = self._ragged_captures(codebook, rng)
-        assert engine.decode_symbols_batch(captures, []) == []
+        _, capture = _frame_capture(codebook, rng, 30)
+        assert engine.decode(capture, [], 30) == []
 
     def test_receive_frames_policy(self, engine, codebook, rng):
         """Same-size frames: every clean capture decodes its body via
         the preamble; a noise capture yields an empty reception."""
-        bodies, captures = [], []
         for _ in range(3):
             body, capture = _frame_capture(codebook, rng, 25)
-            bodies.append(body)
-            captures.append(capture)
-        captures.append(
-            add_awgn(np.zeros(6000, dtype=np.complex128), 1.0, rng)
-        )
-        receptions = engine.receive_frames(captures, 25)
-        assert len(receptions) == 4
-        for body, reception in zip(bodies, receptions[:3], strict=True):
+            reception = engine.receive_frames(capture, 25)
             assert reception.detection.kind == "preamble"
             assert np.array_equal(reception.symbols, body)
-        assert not receptions[3].acquired
-        assert receptions[3].symbols.size == 0
+        noise = add_awgn(np.zeros(6000, dtype=np.complex128), 1.0, rng)
+        reception = engine.receive_frames(noise, 25)
+        assert not reception.acquired
+        assert reception.symbols.size == 0
 
     def test_receive_collision_pair_matches_manual(
-        self, engine, frontend, codebook, rng
+        self, engine, codebook, rng
     ):
-        """The fused two-packet collision helper equals the manual
-        per-capture frontend path bit-for-bit."""
-        n_body, overlap = 40, 15
-        mod = MskModulator()
-        streams = []
-        for _ in range(2):
-            body = rng.integers(0, 16, n_body)
-            streams.append(
-                np.concatenate(
-                    [
-                        sync_field_symbols("preamble"),
-                        body,
-                        sync_field_symbols("postamble"),
-                    ]
-                )
-            )
-        offset = (streams[0].size - overlap) * 32 * SAMPLES_PER_CHIP
-        wave1 = mod.modulate_symbols(streams[0], codebook)
-        wave2 = mod.modulate_symbols(streams[1], codebook)
-        capture = np.zeros(offset + wave2.size, dtype=np.complex128)
-        capture[: wave1.size] += wave1
-        capture[offset:] += wave2
-        capture = add_awgn(capture, 0.05, rng)
-
+        """Both sides of a two-packet collision equal the loop-twin
+        oracle: the first preamble decoded forward, the last postamble
+        rolled back."""
+        n_body = 40
+        capture = _collided_capture(codebook, rng, n_body)
         pair = engine.receive_collision_pair(capture, n_body)
-        det1 = frontend.detect(capture, "preamble")[0]
-        det2 = max(
-            frontend.detect(capture, "postamble"),
-            key=lambda d: d.sample_offset,
-        )
-        assert pair.first.detection == det1
-        assert pair.second.detection == det2
-        sym1, hints1 = frontend.decode_symbols_at(
-            capture, det1.sample_offset, 10, n_body, det1.phase
-        )
-        sym2, hints2 = frontend.decode_symbols_at(
-            capture, det2.sample_offset, -n_body, n_body, det2.phase
-        )
-        assert np.array_equal(pair.first.symbols, sym1)
-        assert np.array_equal(pair.first.hints, hints1)
-        assert np.array_equal(pair.second.symbols, sym2)
-        assert np.array_equal(pair.second.hints, hints2)
-        assert pair.second.detection.kind == "postamble"
+        oracle = _ReceiverOracle(engine, codebook)
+        for reception, kind, pick in (
+            (pair.first, "preamble", 0),
+            (pair.second, "postamble", -1),
+        ):
+            offset, phase, score = oracle.detect(capture, kind)[pick]
+            decoded = oracle.decode(capture, kind, offset, phase, n_body)
+            _assert_matches_oracle(
+                reception.detection,
+                (reception.symbols, reception.hints),
+                ((kind, offset, phase, score), decoded),
+            )
 
     def test_receive_frames_rollback(self, engine, codebook, rng):
         """A frame whose preamble is cut off the capture is recovered
@@ -758,7 +764,7 @@ class TestWaveformBatchEngineEquivalence:
         body, capture = _frame_capture(codebook, rng, 25)
         # Drop the preamble (10 symbols) from the front of the capture.
         cut = capture[6 * 32 * SAMPLES_PER_CHIP :]
-        reception = engine.receive_frames([cut], 25)[0]
+        reception = engine.receive_frames(cut, 25)
         assert reception.detection.kind == "postamble"
         assert np.array_equal(reception.symbols, body)
 
