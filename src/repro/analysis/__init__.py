@@ -7,11 +7,9 @@ ASCII for terminal inspection and as CSV-ready series for plotting.
 
 from repro.analysis.stats import (
     Cdf,
-    cdf_points,
     geometric_mean,
     mean_ci,
     median,
-    percentile,
 )
 from repro.analysis.runs import run_lengths
 from repro.analysis.textplot import (
@@ -23,11 +21,9 @@ from repro.analysis.textplot import (
 
 __all__ = [
     "Cdf",
-    "cdf_points",
     "geometric_mean",
     "mean_ci",
     "median",
-    "percentile",
     "run_lengths",
     "format_table",
     "render_cdf",

@@ -34,23 +34,6 @@ class Cdf:
         """The distribution median."""
         return self.quantile(0.5)
 
-    def mean(self) -> float:
-        """The sample mean."""
-        return float(self.samples.mean())
-
-    def points(self) -> tuple[np.ndarray, np.ndarray]:
-        """(x, F(x)) step points for plotting."""
-        return cdf_points(self.samples)
-
-
-def cdf_points(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Empirical CDF evaluation points: (sorted x, cumulative fraction)."""
-    xs = np.sort(np.asarray(samples, dtype=np.float64))
-    if xs.size == 0:
-        raise ValueError("need at least one sample")
-    ys = np.arange(1, xs.size + 1) / xs.size
-    return xs, ys
-
 
 def median(samples) -> float:
     """Median of a sequence (errors on empty input)."""
@@ -58,16 +41,6 @@ def median(samples) -> float:
     if arr.size == 0:
         raise ValueError("median of empty sequence")
     return float(np.median(arr))
-
-
-def percentile(samples, q: float) -> float:
-    """The q-th percentile (q in [0, 100])."""
-    arr = np.asarray(list(samples), dtype=np.float64)
-    if arr.size == 0:
-        raise ValueError("percentile of empty sequence")
-    if not 0 <= q <= 100:
-        raise ValueError(f"q must be in [0, 100], got {q}")
-    return float(np.percentile(arr, q))
 
 
 def geometric_mean(samples) -> float:

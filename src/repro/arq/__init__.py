@@ -7,7 +7,7 @@ the rest -> receiver patching and verification.  A whole-packet
 stop-and-wait baseline lives in :mod:`repro.arq.fullarq`.
 """
 
-from repro.arq.runlength import Run, RunLengthPacket
+from repro.arq.runlength import RunLengthPacket
 from repro.arq.chunking import (
     ChunkPlan,
     chunk_cost_naive,
@@ -32,7 +32,6 @@ from repro.arq.protocol import (
 from repro.arq.fullarq import FullPacketArqSession
 
 __all__ = [
-    "Run",
     "RunLengthPacket",
     "ChunkPlan",
     "chunk_cost_naive",

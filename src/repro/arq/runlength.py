@@ -20,26 +20,6 @@ PAPER_ETA = 6.0
 
 
 @dataclass(frozen=True)
-class Run:
-    """A maximal run of same-labelled symbols: [start, start+length)."""
-
-    good: bool
-    start: int
-    length: int
-
-    def __post_init__(self) -> None:
-        if self.length <= 0:
-            raise ValueError(f"run length must be positive, got {self.length}")
-        if self.start < 0:
-            raise ValueError(f"run start must be >= 0, got {self.start}")
-
-    @property
-    def end(self) -> int:
-        """One past the last symbol of the run."""
-        return self.start + self.length
-
-
-@dataclass(frozen=True)
 class RunLengthPacket:
     """The Eq. 2 representation: interleaved bad/good run lengths.
 
@@ -143,21 +123,6 @@ class RunLengthPacket:
         for i in range(k):
             pos += self.bad[i] + self.good[i]
         return pos
-
-    def runs(self) -> list[Run]:
-        """All runs in order, as :class:`Run` records."""
-        out: list[Run] = []
-        pos = 0
-        if self.leading_good:
-            out.append(Run(good=True, start=0, length=self.leading_good))
-            pos = self.leading_good
-        for b, g in zip(self.bad, self.good, strict=True):
-            out.append(Run(good=False, start=pos, length=b))
-            pos += b
-            if g:
-                out.append(Run(good=True, start=pos, length=g))
-                pos += g
-        return out
 
     def chunk_span(self, i: int, j: int) -> tuple[int, int]:
         """Symbol range [start, end) of chunk c_{i,j} (paper Eq. 3).

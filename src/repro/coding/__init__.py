@@ -7,31 +7,22 @@ efficient to (a) segment the packet and CRC-protect each segment, and
 subset of coded repair blocks recovers all erased segments, so no
 individual repair transmission is precious.
 
-This package provides the two layers of that idea (the per-trace
-delivery scheme built on them is :class:`repro.link.SpracScheme`):
+The scheme is scored on recorded traces
+(:class:`repro.link.SpracScheme`), which needs only which segments the
+surviving equations pin down, not the bytes they carry:
 
-* :mod:`repro.coding.gf2` — vectorized GF(2) linear algebra (XOR
-  combining on bit-packed uint64 words), each kernel with its loop
-  ``*_reference`` retained as an executable specification.
-* :mod:`repro.coding.rlnc` — the segmented-RLNC codec: payload ->
-  CRC-protected segments plus coded repair segments.
+* :mod:`repro.coding.gf2` — keyed coefficient matrices and vectorized
+  GF(2) elimination on bit-packed uint64 words, with its loop
+  ``gf2_eliminate_reference`` retained as an executable specification.
+* :mod:`repro.coding.rlnc` — the segmented-RLNC layout: wire length,
+  repair segment size and the rank test ``recoverable_mask``.
 """
 
-from repro.coding.gf2 import (
-    gf2_coefficients,
-    gf2_eliminate,
-    gf2_encode,
-    pack_bytes_to_words,
-    unpack_words_to_bytes,
-)
-from repro.coding.rlnc import RlncDecodeResult, SegmentedRlncCodec
+from repro.coding.gf2 import gf2_coefficients, gf2_eliminate
+from repro.coding.rlnc import SegmentedRlncCodec
 
 __all__ = [
-    "RlncDecodeResult",
     "SegmentedRlncCodec",
     "gf2_coefficients",
     "gf2_eliminate",
-    "gf2_encode",
-    "pack_bytes_to_words",
-    "unpack_words_to_bytes",
 ]

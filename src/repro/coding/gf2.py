@@ -1,21 +1,16 @@
-"""Vectorized GF(2) linear algebra on bit-packed uint64 words.
+"""Vectorized GF(2) elimination on bit-packed uint64 words.
 
-Random linear network coding over GF(2) reduces to two kernels:
+Random linear network coding over GF(2) asks one question of a set of
+surviving equations: which unknowns do they pin down?  Intact source
+blocks contribute unit vectors, valid coded blocks their coefficient
+rows, and batched Gaussian elimination to reduced row-echelon form
+answers it.  Coefficient rows are packed 64 bits to a uint64 word, so
+each pivot step is one vectorized XOR over all rows that carry the
+pivot bit.
 
-* **encode** — a coded block is the XOR of the source blocks selected
-  by one row of a coefficient matrix.  Blocks are byte rows packed
-  eight-bytes-per-word into uint64, so one ``^`` combines 64 bits.
-* **eliminate** — given the coefficient vectors of the blocks that
-  survived (intact source blocks contribute unit vectors, valid coded
-  blocks their coefficient rows), batched Gaussian elimination to
-  reduced row-echelon form recovers every source block whose
-  coordinate is uniquely determined.  Row operations XOR whole packed
-  rows (coefficient words and payload words together), so the inner
-  loop is one vectorized XOR over all rows that carry the pivot bit.
-
-Both kernels keep their original pure-Python loop implementations
-(``gf2_encode_reference``, ``gf2_eliminate_reference``) as executable
-specifications, pinned bit-for-bit by the equivalence suite.
+The kernel keeps its original pure-Python loop implementation
+(``gf2_eliminate_reference``) as the executable specification, pinned
+by the equivalence suite.
 
 Coefficient matrices come from the counter-based keyed streams of
 :mod:`repro.utils.rng`, so a ``(seed, label, *ids)`` tuple always
@@ -30,43 +25,10 @@ from repro.utils.rng import keyed_rng
 
 _WORD_BITS = 64
 _WORD_BYTES = 8
-
-
-def pack_bytes_to_words(rows: np.ndarray) -> np.ndarray:
-    """Pack ``(n, L)`` uint8 byte rows into ``(n, ceil(L/8))`` uint64.
-
-    Byte 0 of a row lands in the most significant byte of word 0
-    (big-endian within the word, matching the MSB-first convention of
-    :mod:`repro.utils.bitops`); rows are zero-padded to a whole number
-    of words.
-    """
-    rows = np.asarray(rows, dtype=np.uint8)
-    if rows.ndim != 2:
-        raise ValueError(f"rows must be 2-D, got shape {rows.shape}")
-    n, n_bytes = rows.shape
-    n_words = -(-n_bytes // _WORD_BYTES) if n_bytes else 0
-    padded = np.zeros((n, n_words * _WORD_BYTES), dtype=np.uint8)
-    padded[:, :n_bytes] = rows
-    return (
-        np.ascontiguousarray(padded)
-        .view(np.dtype(">u8"))
-        .astype(np.uint64)
-        .reshape(n, n_words)
-    )
-
-
-def unpack_words_to_bytes(words: np.ndarray, n_bytes: int) -> np.ndarray:
-    """Inverse of :func:`pack_bytes_to_words`: keep the first ``n_bytes``."""
-    words = np.asarray(words, dtype=np.uint64)
-    if words.ndim != 2:
-        raise ValueError(f"words must be 2-D, got shape {words.shape}")
-    if n_bytes > words.shape[1] * _WORD_BYTES:
-        raise ValueError(
-            f"cannot unpack {n_bytes} bytes from "
-            f"{words.shape[1]} words per row"
-        )
-    as_bytes = words.astype(np.dtype(">u8")).view(np.uint8)
-    return as_bytes.reshape(words.shape[0], -1)[:, :n_bytes]
+# _BIT_MASKS[b] selects bit b of a word, MSB first
+_BIT_MASKS = np.uint64(1) << np.arange(
+    _WORD_BITS - 1, -1, -1, dtype=np.uint64
+)
 
 
 def gf2_coefficients(
@@ -93,48 +55,10 @@ def gf2_coefficients(
     return coeffs
 
 
-def gf2_encode(coeffs: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Coded rows: XOR of the packed ``rows`` selected by each
-    coefficient row.
-
-    ``coeffs`` is ``(m, k)`` 0/1; ``rows`` is ``(k, w)`` uint64.
-    Returns the ``(m, w)`` coded words in one fused where/XOR-reduce.
-    """
-    coeffs = np.asarray(coeffs, dtype=np.uint8)
-    rows = np.asarray(rows, dtype=np.uint64)
-    if coeffs.ndim != 2 or rows.ndim != 2:
-        raise ValueError("coeffs and rows must be 2-D")
-    if coeffs.shape[1] != rows.shape[0]:
-        raise ValueError(
-            f"coeffs select {coeffs.shape[1]} rows but {rows.shape[0]} "
-            "were given"
-        )
-    selected = np.where(
-        coeffs[:, :, None].astype(bool), rows[None, :, :], np.uint64(0)
-    )
-    return np.bitwise_xor.reduce(selected, axis=1)
-
-
-def gf2_encode_reference(
-    coeffs: np.ndarray, rows: np.ndarray
-) -> np.ndarray:
-    """Loop specification of :func:`gf2_encode` (pinned bit-for-bit)."""
-    coeffs = np.asarray(coeffs, dtype=np.uint8)
-    rows = np.asarray(rows, dtype=np.uint64)
-    m = coeffs.shape[0]
-    out = np.zeros((m, rows.shape[1]), dtype=np.uint64)
-    for i in range(m):
-        for j in range(coeffs.shape[1]):
-            if coeffs[i, j]:
-                for w in range(rows.shape[1]):
-                    out[i, w] ^= rows[j, w]
-    return out
-
-
 def _pack_coeff_bits(coeffs: np.ndarray) -> np.ndarray:
     """Pack ``(m, k)`` 0/1 coefficients into ``(m, ceil(k/64))``
     uint64 words, bit ``j`` of a row at bit ``63 - (j % 64)`` of word
-    ``j // 64`` (MSB-first, like the byte packing)."""
+    ``j // 64`` (MSB-first)."""
     m, k = coeffs.shape
     n_bytes = -(-k // 8)
     packed = np.packbits(coeffs.astype(np.uint8), axis=1)
@@ -148,115 +72,86 @@ def _pack_coeff_bits(coeffs: np.ndarray) -> np.ndarray:
     )
 
 
-def gf2_eliminate(
-    coeffs: np.ndarray, payload: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Batched Gaussian elimination over GF(2).
+def gf2_eliminate(coeffs: np.ndarray) -> np.ndarray:
+    """Which unknowns a system of GF(2) equations pins down.
 
     ``coeffs`` is the ``(m, k)`` 0/1 matrix of the available
-    equations; ``payload`` the ``(m, w)`` uint64 packed right-hand
-    sides.  Reduces the augmented system to reduced row-echelon form —
-    each pivot step XORs the pivot row into *every* other row carrying
-    the pivot bit, coefficient words and payload words in one
-    vectorized operation — and reads off the unknowns that are
-    uniquely determined.
-
-    Returns ``(recovered, solved)``: ``recovered`` is the ``(k,)``
-    bool mask of source rows the system pins down, ``solved`` the
-    ``(k, w)`` uint64 rows (zeros where not recovered).
+    equations.  Reduces it to reduced row-echelon form — each pivot
+    step XORs the pivot row into *every* other row carrying the pivot
+    bit, in one vectorized operation — and returns the ``(k,)`` bool
+    mask of unknowns whose pivot row is exactly their unit vector.
     """
     coeffs = np.asarray(coeffs, dtype=np.uint8)
-    payload = np.asarray(payload, dtype=np.uint64)
-    if coeffs.ndim != 2 or payload.ndim != 2:
-        raise ValueError("coeffs and payload must be 2-D")
+    if coeffs.ndim != 2:
+        raise ValueError("coeffs must be 2-D")
     m, k = coeffs.shape
-    if payload.shape[0] != m:
-        raise ValueError(
-            f"{m} equations but {payload.shape[0]} payload rows"
-        )
-    w = payload.shape[1]
     recovered = np.zeros(k, dtype=bool)
-    solved = np.zeros((k, w), dtype=np.uint64)
     if m == 0:
-        return recovered, solved
-    coeff_words = _pack_coeff_bits(coeffs)
-    cw = coeff_words.shape[1]
-    aug = np.concatenate([coeff_words, payload], axis=1)
-    pivots: list[tuple[int, int]] = []  # (row, column)
+        return recovered
+    rows = _pack_coeff_bits(coeffs)
+    prows: list[int] = []
+    pcols: list[int] = []
     row = 0
     for col in range(k):
-        word, bit = divmod(col, _WORD_BITS)
-        bit_mask = np.uint64(1) << np.uint64(_WORD_BITS - 1 - bit)
-        candidates = (aug[row:, word] & bit_mask) != 0
-        if not candidates.any():
+        word = col // _WORD_BITS
+        carriers = (rows[:, word] & _BIT_MASKS[col % _WORD_BITS]) != 0
+        below = np.flatnonzero(carriers[row:])
+        if below.size == 0:
             continue
-        pivot = row + int(np.argmax(candidates))
+        pivot = row + int(below[0])
         if pivot != row:
-            aug[[row, pivot]] = aug[[pivot, row]]
-        carriers = (aug[:, word] & bit_mask) != 0
+            swapped = rows[row].copy()
+            rows[row] = rows[pivot]
+            rows[pivot] = swapped
+            carriers[pivot] = carriers[row]
         carriers[row] = False
-        aug[carriers] ^= aug[row]
-        pivots.append((row, col))
+        rows[carriers] ^= rows[row]
+        prows.append(row)
+        pcols.append(col)
         row += 1
         if row == m:
             break
-    for prow, pcol in pivots:
-        # Unique determination: the row's coefficient part is exactly
-        # the unit vector at pcol.
-        word, bit = divmod(pcol, _WORD_BITS)
-        unit = np.zeros(cw, dtype=np.uint64)
-        unit[word] = np.uint64(1) << np.uint64(_WORD_BITS - 1 - bit)
-        if np.array_equal(aug[prow, :cw], unit):
-            recovered[pcol] = True
-            solved[pcol] = aug[prow, cw:]
-    return recovered, solved
+    # Unique determination: a pivot row is exactly the unit vector at
+    # its column.
+    pcol = np.array(pcols, dtype=np.intp)
+    unit = np.zeros((pcol.size, rows.shape[1]), dtype=np.uint64)
+    unit[np.arange(pcol.size), pcol // _WORD_BITS] = _BIT_MASKS[
+        pcol % _WORD_BITS
+    ]
+    recovered[pcol[(rows[prows] == unit).all(axis=1)]] = True
+    return recovered
 
 
-def gf2_eliminate_reference(
-    coeffs: np.ndarray, payload: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Loop specification of :func:`gf2_eliminate` (pinned bit-for-bit).
+def gf2_eliminate_reference(coeffs: np.ndarray) -> np.ndarray:
+    """Loop specification of :func:`gf2_eliminate` (pinned).
 
     Same pivot choices (first carrier row, columns left to right) on
     plain Python ints, so swaps and XOR order match exactly.
     """
     coeffs = np.asarray(coeffs, dtype=np.uint8)
-    payload = np.asarray(payload, dtype=np.uint64)
     m, k = coeffs.shape
-    w = payload.shape[1]
     recovered = np.zeros(k, dtype=bool)
-    solved = np.zeros((k, w), dtype=np.uint64)
     if m == 0:
-        return recovered, solved
-    rows = [
-        (
-            [int(c) for c in coeffs[i]],
-            [int(p) for p in payload[i]],
-        )
-        for i in range(m)
-    ]
+        return recovered
+    rows = [[int(c) for c in coeffs[i]] for i in range(m)]
     pivots: list[tuple[int, int]] = []
     row = 0
     for col in range(k):
-        pivot = next(
-            (i for i in range(row, m) if rows[i][0][col]), None
-        )
+        pivot = next((i for i in range(row, m) if rows[i][col]), None)
         if pivot is None:
             continue
         rows[row], rows[pivot] = rows[pivot], rows[row]
         for i in range(m):
-            if i != row and rows[i][0][col]:
-                rows[i] = (
-                    [a ^ b for a, b in zip(rows[i][0], rows[row][0], strict=True)],
-                    [a ^ b for a, b in zip(rows[i][1], rows[row][1], strict=True)],
-                )
+            if i != row and rows[i][col]:
+                rows[i] = [
+                    a ^ b for a, b in zip(rows[i], rows[row], strict=True)
+                ]
         pivots.append((row, col))
         row += 1
         if row == m:
             break
     for prow, pcol in pivots:
-        cvec, pvec = rows[prow]
+        cvec = rows[prow]
         if sum(cvec) == 1 and cvec[pcol] == 1:
             recovered[pcol] = True
-            solved[pcol] = np.array(pvec, dtype=np.uint64)
-    return recovered, solved
+    return recovered

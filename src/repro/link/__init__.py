@@ -6,7 +6,9 @@ implement the three contenders of §7.2 — whole-packet CRC, fragmented
 CRC, and PPR with SoftPHY hints — behind one interface so the
 experiment harness treats them uniformly.  Beyond the paper,
 :class:`SpracScheme` adds segmented-RLNC coded repair (S-PRAC) on top
-of the fragmented-CRC wire format.
+of the fragmented-CRC layout.  Every scheme is scored on recorded
+traces; the packet-CRC and PPR schemes also build and check wire
+bytes, the spec those trace evaluators are pinned against.
 """
 
 from repro.link.frame import (
@@ -29,9 +31,6 @@ from repro.link.schemes import (
     SicScheme,
     SpracScheme,
 )
-from repro.link.fragmentation import (
-    fragment_payload,
-)
 from repro.link.quality import LinkObservation, LinkStats
 
 __all__ = [
@@ -51,7 +50,6 @@ __all__ = [
     "PprScheme",
     "SicScheme",
     "SpracScheme",
-    "fragment_payload",
     "LinkObservation",
     "LinkStats",
 ]

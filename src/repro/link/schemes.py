@@ -1,10 +1,12 @@
 """Delivery schemes: packet CRC, fragmented CRC, and PPR (paper §7.2).
 
-Each scheme answers two questions behind one interface:
+Each scheme answers two questions:
 
-1. *What goes on the air?* — ``encode_payload`` turns application
-   payload bytes into the wire payload (adding whatever checksums the
-   scheme needs).
+1. *What goes on the air?* — every scheme states its checksum and
+   repair overhead (``wire_overhead_bytes``).  The packet-CRC and PPR
+   schemes, whose wire-level spec the tests pin, also build the wire
+   payload from application bytes (``encode_payload``: the payload
+   and its CRC-32).
 2. *What reaches the higher layer?* — ``evaluate_traces`` (below)
    reports exactly which payload bits were handed up, split into
    genuinely-correct and incorrect bits.  The packet-CRC and PPR
@@ -48,23 +50,12 @@ import numpy as np
 
 from repro.arq.runlength import PAPER_ETA
 from repro.coding.rlnc import SegmentedRlncCodec
-from repro.link.fragmentation import fragment_payload
 from repro.phy.symbols import SoftPacket
 from repro.utils.crc import CRC32_IEEE
 
 _BITS_PER_SYMBOL = 4
 _SYMBOLS_PER_BYTE = 2
 _CRC_BYTES = 4
-
-
-def _crc32_rows(chunks: list[bytes]) -> np.ndarray:
-    """CRC-32 of each byte chunk, via one batched ``checksum_many``."""
-    lengths = np.array([len(c) for c in chunks], dtype=np.int64)
-    width = int(lengths.max()) if lengths.size else 0
-    rows = np.zeros((len(chunks), width), dtype=np.uint8)
-    for i, chunk in enumerate(chunks):
-        rows[i, : len(chunk)] = np.frombuffer(chunk, dtype=np.uint8)
-    return CRC32_IEEE.checksum_many(rows, lengths)
 
 
 @dataclass(frozen=True)
@@ -166,10 +157,6 @@ class DeliveryScheme(ABC):
     name: str = "abstract"
 
     @abstractmethod
-    def encode_payload(self, payload: bytes) -> bytes:
-        """Application payload -> wire payload (adds checksums)."""
-
-    @abstractmethod
     def wire_overhead_bytes(self, payload_len: int) -> int:
         """Checksum bytes added to a payload of the given length."""
 
@@ -206,6 +193,8 @@ class PacketCrcScheme(DeliveryScheme):
     name = "packet_crc"
 
     def encode_payload(self, payload: bytes) -> bytes:
+        """Application payload -> wire payload: the payload and its
+        CRC-32."""
         return payload + CRC32_IEEE.compute_bytes(payload)
 
     def wire_overhead_bytes(self, payload_len: int) -> int:
@@ -268,17 +257,6 @@ class FragmentedCrcScheme(DeliveryScheme):
 
     def __repr__(self) -> str:
         return f"FragmentedCrcScheme(n_fragments={self.n_fragments})"
-
-    def encode_payload(self, payload: bytes) -> bytes:
-        fragments = fragment_payload(payload, self.n_fragments)
-        # One batched CRC pass over all fragments instead of one
-        # Python call (and byte loop) per fragment.
-        crcs = _crc32_rows(fragments)
-        pieces = []
-        for frag, crc in zip(fragments, crcs, strict=True):
-            pieces.append(frag)
-            pieces.append(int(crc).to_bytes(_CRC_BYTES, "big"))
-        return b"".join(pieces)
 
     def wire_overhead_bytes(self, payload_len: int) -> int:
         n = min(self.n_fragments, payload_len) if payload_len else 1
@@ -389,10 +367,11 @@ class SpracScheme(DeliveryScheme):
     repair: ``n_segments`` CRC-32-protected data segments followed by
     ``n_repair`` CRC-32-protected random linear combinations of them
     (:class:`repro.coding.rlnc.SegmentedRlncCodec`).  Delivery keeps
-    every segment whose CRC verifies and reconstructs erased segments
-    from the surviving repair equations by Gaussian elimination — in
-    very noisy channels the repair overhead buys back far more than
-    the fragments alone deliver.
+    every segment whose CRC verifies plus every erased segment the
+    surviving repair equations pin down — in very noisy channels the
+    repair overhead buys back far more than the fragments alone
+    deliver.  The scheme is scored on recorded traces only
+    (:meth:`evaluate_traces`); no wire bytes are built.
     """
 
     name = "sprac"
@@ -424,9 +403,6 @@ class SpracScheme(DeliveryScheme):
             f"SpracScheme(n_segments={self.n_segments}, "
             f"n_repair={self.n_repair})"
         )
-
-    def encode_payload(self, payload: bytes) -> bytes:
-        return self.codec.encode(payload)
 
     def wire_overhead_bytes(self, payload_len: int) -> int:
         return self.codec.wire_length(payload_len) - payload_len

@@ -181,7 +181,7 @@ class WaveformBatchEngine:
         capture = np.asarray(capture, dtype=np.complex128)
         if capture.size < ref.size:
             return np.zeros(0, dtype=np.float64)
-        raw = self._correlators[kind].correlate_rows(capture[None, :])[0]
+        raw = self._correlators[kind].correlate(capture)
         energy = np.concatenate([[0.0], np.cumsum(np.abs(capture) ** 2)])
         win = energy[ref.size :] - energy[: -ref.size]
         denom = np.sqrt(win) * np.linalg.norm(ref)

@@ -4,17 +4,15 @@ The one sync correlator (:class:`~repro.phy.batch.WaveformBatchEngine`,
 in the sample domain) needs the raw valid-mode cross-correlation of
 a complex capture against one fixed sync waveform.  The direct
 ``np.correlate`` is O(n·p) per capture; for a pattern of 1280 samples
-(4 samples/chip) the FFT product ``ifft(fft(row) · conj(fft(pattern)))``
-is ~8x faster.
+(4 samples/chip) the FFT product
+``ifft(fft(capture) · conj(fft(pattern)))`` is ~8x faster.
 
 FFT reassociates the sums, so the result differs from the per-offset
 dot product in the last few ulps (relative error ~1e-15).  The loop
 twin ``WaveformBatchEngine.correlation_reference`` remains the
 executable spec; the equivalence suite pins the FFT path to it at
 1e-12 — the one sanctioned deviation from the bit-for-bit pin,
-documented where it happens.  pocketfft transforms each row of a
-stacked input independently, so a row's correlation does not depend
-on the rows stacked with it.
+documented where it happens.
 
 The transforms are numpy's (pocketfft).  Each is zero-padded to
 :func:`next_fast_len`, the smallest length at or above the linear
@@ -45,10 +43,10 @@ def next_fast_len(n: int) -> int:
 
 
 class FftCorrelator:
-    """Valid-mode raw cross-correlation of capture rows vs a pattern.
+    """Valid-mode raw cross-correlation of a capture vs a pattern.
 
-    Matches ``np.correlate(row, pattern, mode="valid")`` semantics:
-    output lag ``i`` is ``sum_k row[i + k] * conj(pattern[k])``.  The
+    Matches ``np.correlate(capture, pattern, mode="valid")`` semantics:
+    output lag ``i`` is ``sum_k capture[i + k] * conj(pattern[k])``.  The
     pattern is held as complex128 and every transform is a full
     complex ``fft``/``ifft``.  The pattern's spectrum is cached per
     padded FFT length, so repeated calls over same-length captures pay
@@ -72,24 +70,23 @@ class FftCorrelator:
             self._spectra[length] = spectrum
         return spectrum
 
-    def correlate_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Raw valid-mode correlation of every row, in one FFT program.
+    def correlate(self, capture: np.ndarray) -> np.ndarray:
+        """Raw valid-mode correlation of one capture, in one FFT program.
 
-        ``rows`` is ``(n_rows, n)``; the output is the complex128
-        ``(n_rows, n - len(pattern) + 1)`` correlation.
+        ``capture`` is ``(n,)``; the output is the complex128
+        ``(n - len(pattern) + 1,)`` correlation.
         """
-        rows = np.asarray(rows)
-        if rows.ndim != 2:
+        capture = np.asarray(capture)
+        if capture.ndim != 1:
             raise ValueError(
-                f"rows must be 2-D (n_rows, n), got shape {rows.shape}"
+                f"capture must be 1-D, got shape {capture.shape}"
             )
         psize = self._pattern.size
-        n = rows.shape[1]
-        n_out = n - psize + 1
+        n_out = capture.size - psize + 1
         if n_out <= 0:
-            return np.zeros((rows.shape[0], 0), dtype=np.complex128)
+            return np.zeros(0, dtype=np.complex128)
         # Zero-padding past n + psize - 1 keeps the circular
         # correlation free of wraparound over the valid lags.
-        length = next_fast_len(n + psize - 1)
-        product = np.fft.fft(rows, length, axis=1) * self._spectrum(length)
-        return np.fft.ifft(product, length, axis=1)[:, :n_out]
+        length = next_fast_len(capture.size + psize - 1)
+        product = np.fft.fft(capture, length) * self._spectrum(length)
+        return np.fft.ifft(product, length)[:n_out]

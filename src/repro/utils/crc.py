@@ -113,62 +113,37 @@ class CrcAlgorithm:
         """Compute the CRC and return it big-endian, width/8 bytes."""
         return self.compute(data).to_bytes(self.width // 8, "big")
 
-    def checksum_many(
-        self,
-        rows: np.ndarray,
-        lengths: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """CRCs of many byte rows in one array-batched pass.
+    def checksum_many(self, rows: np.ndarray) -> np.ndarray:
+        """CRCs of many equal-length byte rows in one array-batched pass.
 
-        ``rows`` is an ``(n, L)`` uint8 array, one message per row;
-        ``lengths`` (optional) gives each row's true byte count for
-        ragged batches — bytes at or past a row's length are ignored,
-        so callers can zero-pad rows to a common width.  Returns the
-        ``(n,)`` uint64 CRC values, identical to calling
+        ``rows`` is an ``(n, L)`` uint8 array, one message per row.
+        Returns the ``(n,)`` uint64 CRC values, identical to calling
         :meth:`compute` on each row.
 
         The register update runs once per byte *column* over all rows
-        at once (the per-fragment / per-segment CRC pattern: many
-        short messages of similar length), instead of one Python call
-        and one Python byte loop per message.
+        at once (the frame-header pattern: many short messages of one
+        length), instead of one Python call and one Python byte loop
+        per message.
         """
         rows = np.asarray(rows, dtype=np.uint8)
         if rows.ndim != 2:
             raise ValueError(f"rows must be 2-D, got shape {rows.shape}")
-        n, width = rows.shape
-        if lengths is None:
-            lengths = np.full(n, width, dtype=np.int64)
-        else:
-            lengths = np.asarray(lengths, dtype=np.int64)
-            if lengths.shape != (n,):
-                raise ValueError(
-                    f"lengths must have shape ({n},), got {lengths.shape}"
-                )
-            if lengths.size and (
-                lengths.min() < 0 or lengths.max() > width
-            ):
-                raise ValueError(
-                    "lengths must lie in [0, row width "
-                    f"{width}], got [{lengths.min()}, {lengths.max()}]"
-                )
         mask = np.uint64((1 << self.width) - 1)
         table = np.array(self._table, dtype=np.uint64)
-        reg = np.full(n, self.init, dtype=np.uint64)
-        for col in range(int(lengths.max()) if lengths.size else 0):
+        reg = np.full(rows.shape[0], self.init, dtype=np.uint64)
+        for col in range(rows.shape[1]):
             byte = rows[:, col].astype(np.uint64)
             if self.refin:
-                nxt = (reg >> np.uint64(8)) ^ table[
+                reg = (reg >> np.uint64(8)) ^ table[
                     ((reg ^ byte) & np.uint64(0xFF)).astype(np.int64)
                 ]
             else:
                 shift = np.uint64(self.width - 8)
-                nxt = ((reg << np.uint64(8)) & mask) ^ table[
+                reg = ((reg << np.uint64(8)) & mask) ^ table[
                     (((reg >> shift) ^ byte) & np.uint64(0xFF)).astype(
                         np.int64
                     )
                 ]
-            active = lengths > col
-            reg = np.where(active, nxt, reg)
         if self.refin != self.refout:
             reg = np.array(
                 [_reflect(int(r), self.width) for r in reg],

@@ -10,10 +10,8 @@ from repro.analysis.runs import (
 )
 from repro.analysis.stats import (
     Cdf,
-    cdf_points,
     geometric_mean,
     median,
-    percentile,
 )
 from repro.analysis.textplot import (
     format_table,
@@ -30,17 +28,9 @@ class TestCdf:
         assert cdf.quantile(0.0) == 1.0
         assert cdf.quantile(1.0) == 100.0
 
-    def test_points_monotonic(self):
-        xs, ys = Cdf(np.array([3.0, 1.0, 2.0])).points()
-        assert np.all(np.diff(xs) >= 0)
-        assert np.all(np.diff(ys) > 0)
-        assert ys[-1] == pytest.approx(1.0)
-
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             Cdf(np.array([]))
-        with pytest.raises(ValueError):
-            cdf_points(np.array([]))
 
     def test_invalid_quantile(self):
         with pytest.raises(ValueError):
@@ -48,11 +38,8 @@ class TestCdf:
 
 
 class TestSummaries:
-    def test_median_and_percentile(self):
-        data = [5, 1, 3]
-        assert median(data) == 3.0
-        assert percentile(data, 0) == 1.0
-        assert percentile(data, 100) == 5.0
+    def test_median(self):
+        assert median([5, 1, 3]) == 3.0
 
     def test_geometric_mean(self):
         assert geometric_mean([1.0, 100.0]) == pytest.approx(10.0)
@@ -61,8 +48,6 @@ class TestSummaries:
     def test_errors(self):
         with pytest.raises(ValueError):
             median([])
-        with pytest.raises(ValueError):
-            percentile([1], 101)
         with pytest.raises(ValueError):
             geometric_mean([0.0, 1.0])
 

@@ -56,9 +56,11 @@ def _all_partitions(n):
 
 def _good_mask(runs):
     """The per-symbol good/bad mask a run-length packet encodes."""
-    mask = np.zeros(runs.n_symbols, dtype=bool)
-    for run in runs.runs():
-        mask[run.start : run.end] = run.good
+    mask = np.ones(runs.n_symbols, dtype=bool)
+    pos = runs.leading_good
+    for bad, good in zip(runs.bad, runs.good, strict=True):
+        mask[pos : pos + bad] = False
+        pos += bad + good
     return mask
 
 

@@ -154,20 +154,20 @@ class TestAgainstIndependentReferences:
 
 class TestChecksumMany:
     @given(
-        st.lists(st.binary(max_size=40), min_size=1, max_size=12)
+        st.integers(0, 40).flatmap(
+            lambda n: st.lists(
+                st.binary(min_size=n, max_size=n), min_size=1, max_size=12
+            )
+        )
     )
     def test_matches_per_row_compute(self, messages):
         import numpy as np
 
-        lengths = np.array([len(m) for m in messages], dtype=np.int64)
-        width = int(lengths.max())
-        rows = np.zeros((len(messages), width), dtype=np.uint8)
-        for i, message in enumerate(messages):
-            rows[i, : len(message)] = np.frombuffer(
-                message, dtype=np.uint8
-            )
+        rows = np.frombuffer(b"".join(messages), dtype=np.uint8).reshape(
+            len(messages), -1
+        )
         for alg in (CRC32_IEEE, CRC16_CCITT, CRC8_ATM):
-            got = alg.checksum_many(rows, lengths)
+            got = alg.checksum_many(rows)
             want = [alg.compute(m) for m in messages]
             assert got.tolist() == want, alg.name
 
@@ -188,13 +188,3 @@ class TestChecksumMany:
 
         with pytest.raises(ValueError, match="2-D"):
             CRC32_IEEE.checksum_many(np.zeros(4, dtype=np.uint8))
-        with pytest.raises(ValueError, match="shape"):
-            CRC32_IEEE.checksum_many(
-                np.zeros((2, 4), dtype=np.uint8),
-                np.zeros(3, dtype=np.int64),
-            )
-        with pytest.raises(ValueError, match="lie in"):
-            CRC32_IEEE.checksum_many(
-                np.zeros((2, 4), dtype=np.uint8),
-                np.array([2, 5], dtype=np.int64),
-            )

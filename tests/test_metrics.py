@@ -123,9 +123,6 @@ class TestEvaluateSchemes:
         self, small_sim_result
     ):
         class Opaque(DeliveryScheme):
-            def encode_payload(self, payload):
-                return payload
-
             def wire_overhead_bytes(self, payload_len):
                 return 0
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.arq.runlength import Run, RunLengthPacket
+from repro.arq.runlength import RunLengthPacket
 
 
 class TestFromLabels:
@@ -90,11 +90,9 @@ class TestGeometry:
     def test_runs_reconstruction(self):
         mask = np.array([1, 0, 1, 1, 0, 0, 1, 0], dtype=bool)
         runs = RunLengthPacket.from_labels(mask)
-        rebuilt = np.zeros(mask.size, dtype=bool)
-        for run in runs.runs():
-            assert isinstance(run, Run)
-            rebuilt[run.start : run.end] = run.good
-        assert np.array_equal(rebuilt, mask)
+        assert runs.leading_good == 1
+        assert runs.bad == (1, 2, 1) and runs.good == (2, 1, 0)
+        assert np.array_equal(_good_mask(runs), mask)
 
 
 class TestValidation:
@@ -122,18 +120,14 @@ class TestValidation:
                 n_symbols=2, leading_good=0, bad=(0,), good=(2,)
             )
 
-    def test_run_validation(self):
-        with pytest.raises(ValueError):
-            Run(good=True, start=0, length=0)
-        with pytest.raises(ValueError):
-            Run(good=True, start=-1, length=1)
-
 
 def _good_mask(runs):
     """The per-symbol good/bad mask a run-length packet encodes."""
-    mask = np.zeros(runs.n_symbols, dtype=bool)
-    for run in runs.runs():
-        mask[run.start : run.end] = run.good
+    mask = np.ones(runs.n_symbols, dtype=bool)
+    pos = runs.leading_good
+    for bad, good in zip(runs.bad, runs.good, strict=True):
+        mask[pos : pos + bad] = False
+        pos += bad + good
     return mask
 
 

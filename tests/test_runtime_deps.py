@@ -36,9 +36,9 @@ result = NetworkSimulation(SimulationConfig(duration_s=1.0, seed=1)).run()
 assert len(result.transmissions) > 0
 
 correlated = []
-correlate_rows = FftCorrelator.correlate_rows
-FftCorrelator.correlate_rows = lambda self, rows: (
-    correlated.append(len(rows)) or correlate_rows(self, rows)
+correlate = FftCorrelator.correlate
+FftCorrelator.correlate = lambda self, capture: (
+    correlated.append(len(capture)) or correlate(self, capture)
 )
 outcome = run_experiments(["sic_collision"], duration_s=2.0)
 assert not outcome.failures, outcome.failures

@@ -97,16 +97,6 @@ class TestFragmentedCrc:
         assert FragmentedCrcScheme(30).wire_overhead_bytes(1500) == 120
         assert FragmentedCrcScheme(30).wire_overhead_bytes(10) == 40
 
-    def test_encode_layout(self):
-        scheme = FragmentedCrcScheme(n_fragments=2)
-        wire = scheme.encode_payload(b"abcdef")
-        assert len(wire) == 6 + 8
-        from repro.utils.crc import CRC32_IEEE
-
-        assert wire[3:7] == CRC32_IEEE.compute_bytes(b"abc")
-        assert wire[7:10] == b"def"
-        assert wire[10:] == CRC32_IEEE.compute_bytes(b"def")
-
     def test_invalid_fragment_count(self):
         with pytest.raises(ValueError):
             FragmentedCrcScheme(n_fragments=0)

@@ -127,7 +127,6 @@ EXPECTED_TWINS = {
     "demodulate_soft",
     "evaluate_schemes",
     "gf2_eliminate",
-    "gf2_encode",
     "hot_codewords",
     "modulate_chips",
     "plan_chunks",
