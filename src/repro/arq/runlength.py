@@ -106,11 +106,6 @@ class RunLengthPacket:
         return len(self.bad)
 
     @property
-    def n_bad_symbols(self) -> int:
-        """Total symbols labelled bad."""
-        return sum(self.bad)
-
-    @property
     def all_good(self) -> bool:
         """True when nothing needs retransmission."""
         return not self.bad

@@ -14,8 +14,8 @@ surviving equations pin down, not the bytes they carry:
 * :mod:`repro.coding.gf2` — keyed coefficient matrices and vectorized
   GF(2) elimination on bit-packed uint64 words, with its loop
   ``gf2_eliminate_reference`` retained as an executable specification.
-* :mod:`repro.coding.rlnc` — the segmented-RLNC layout: wire length,
-  repair segment size and the rank test ``recoverable_mask``.
+* :mod:`repro.coding.rlnc` — the segmented-RLNC layout's coefficient
+  matrix and its rank test ``recoverable_mask``.
 """
 
 from repro.coding.gf2 import gf2_coefficients, gf2_eliminate

@@ -18,11 +18,10 @@ works — no individual loss has to be repaired by name, which is what
 makes coded repair efficient in very noisy channels.
 
 The scheme is scored on recorded traces
-(:meth:`repro.link.SpracScheme.evaluate_traces`), so this module
-defines only what that needs: the wire length the layout costs
-(``seg_1 crc_1 ... seg_k crc_k rep_1 crc_1 ... rep_r crc_r``, no
-header), the repair segment size that sets the repair windows, and
-the rank test :meth:`SegmentedRlncCodec.recoverable_mask`.
+(:meth:`repro.link.SpracScheme.evaluate_traces`, which also charges
+the layout's overhead), so this module defines only what that needs:
+the coefficient matrix and the rank test
+:meth:`SegmentedRlncCodec.recoverable_mask`.
 
 Coefficient matrices are addressed, not transmitted: both ends derive
 the same matrix from ``(0, "rlnc-coeffs", k, r)`` via the keyed
@@ -34,8 +33,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.coding.gf2 import gf2_coefficients, gf2_eliminate
-
-_CRC_BYTES = 4
 
 # Seed of the coefficient stream: every codec of a given (k, r) draws
 # the same matrix, so sender and receiver agree without a handshake.
@@ -94,18 +91,6 @@ class SegmentedRlncCodec:
             coeffs.flags.writeable = False
             self._coefficients = coeffs
         return self._coefficients
-
-    def repair_size(self, payload_len: int) -> int:
-        """Bytes per repair segment (the largest data segment)."""
-        return -(-payload_len // self.n_segments)
-
-    def wire_length(self, payload_len: int) -> int:
-        """Total encoded bytes for a payload."""
-        return (
-            payload_len
-            + _CRC_BYTES * self.n_segments
-            + (self.repair_size(payload_len) + _CRC_BYTES) * self.n_repair
-        )
 
     def recoverable_mask(
         self, data_ok: np.ndarray, repair_ok: np.ndarray

@@ -517,11 +517,6 @@ class RunCache:
             self.prefetch([config])
         return self._cache[config]
 
-    def clear(self) -> None:
-        """Drop all cached runs and failures (memory-sensitive callers)."""
-        self._cache.clear()
-        self._failed.clear()
-
 
 # -- shared evaluation helpers ----------------------------------------------
 

@@ -57,7 +57,9 @@ def run(runs: list[SimulationResult]) -> ExperimentOutput:
         # scheme's checksum overhead.  The trade-off lives here — in
         # our simulator the raw aggregate is dominated by strong links
         # whose frames are all-or-nothing, washing the U-shape out.
-        efficiency = payload_bytes / scheme.wire_length(payload_bytes)
+        efficiency = payload_bytes / (
+            payload_bytes + scheme.wire_overhead_bytes(payload_bytes)
+        )
         rates = evals[0].delivery_rates()
         mean_rate = float(np.mean(rates)) if rates else 0.0
         goodput_fraction[n_chunks] = mean_rate * efficiency

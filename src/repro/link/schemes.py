@@ -2,11 +2,13 @@
 
 Each scheme answers two questions:
 
-1. *What goes on the air?* — every scheme states its checksum and
-   repair overhead (``wire_overhead_bytes``).  The packet-CRC and PPR
-   schemes, whose wire-level spec the tests pin, also build the wire
-   payload from application bytes (``encode_payload``: the payload
-   and its CRC-32).
+1. *What goes on the air?* — every scheme charges its checksum and
+   repair overhead per reception (``overhead_bits`` of
+   ``evaluate_traces``); the fragmented-CRC scheme also states it in
+   bytes (``wire_overhead_bytes``), which the chunk-count study derates
+   goodput by.  The packet-CRC and PPR schemes, whose wire-level spec
+   the tests pin, also build the wire payload from application bytes
+   (``encode_payload``: the payload and its CRC-32).
 2. *What reaches the higher layer?* — ``evaluate_traces`` (below)
    reports exactly which payload bits were handed up, split into
    genuinely-correct and incorrect bits.  The packet-CRC and PPR
@@ -156,10 +158,6 @@ class DeliveryScheme(ABC):
 
     name: str = "abstract"
 
-    @abstractmethod
-    def wire_overhead_bytes(self, payload_len: int) -> int:
-        """Checksum bytes added to a payload of the given length."""
-
     def deliver(self, rx: SoftPacket) -> DeliveryResult:
         """Decide which payload bits of one decoded reception reach the
         higher layer, from its bytes.  Only the packet-CRC and PPR
@@ -169,19 +167,9 @@ class DeliveryScheme(ABC):
             f"no wire-level delivery defined for scheme {type(self).__name__}"
         )
 
+    @abstractmethod
     def evaluate_traces(self, block: TraceBlock) -> TraceDelivery:
-        """Score every row of a recorded-trace block under this scheme.
-
-        Every scheme that takes part in trace evaluation overrides
-        this; the default rejects the scheme.
-        """
-        raise TypeError(
-            f"no trace evaluation defined for scheme {type(self).__name__}"
-        )
-
-    def wire_length(self, payload_len: int) -> int:
-        """Total wire-payload bytes for an application payload."""
-        return payload_len + self.wire_overhead_bytes(payload_len)
+        """Score every row of a recorded-trace block under this scheme."""
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
@@ -196,9 +184,6 @@ class PacketCrcScheme(DeliveryScheme):
         """Application payload -> wire payload: the payload and its
         CRC-32."""
         return payload + CRC32_IEEE.compute_bytes(payload)
-
-    def wire_overhead_bytes(self, payload_len: int) -> int:
-        return _CRC_BYTES
 
     def deliver(self, rx: SoftPacket) -> DeliveryResult:
         wire = rx.payload_bytes()
@@ -259,6 +244,7 @@ class FragmentedCrcScheme(DeliveryScheme):
         return f"FragmentedCrcScheme(n_fragments={self.n_fragments})"
 
     def wire_overhead_bytes(self, payload_len: int) -> int:
+        """Checksum bytes added to a payload of the given length."""
         n = min(self.n_fragments, payload_len) if payload_len else 1
         return _CRC_BYTES * n
 
@@ -297,9 +283,6 @@ class PprScheme(DeliveryScheme):
     def encode_payload(self, payload: bytes) -> bytes:
         return payload + CRC32_IEEE.compute_bytes(payload)
 
-    def wire_overhead_bytes(self, payload_len: int) -> int:
-        return _CRC_BYTES
-
     def deliver(self, rx: SoftPacket) -> DeliveryResult:
         wire = rx.payload_bytes()
         if len(wire) < _CRC_BYTES:
@@ -334,9 +317,7 @@ class PprScheme(DeliveryScheme):
             delivered_correct_bits=n_good_correct * _BITS_PER_SYMBOL,
             delivered_incorrect_bits=(n_good - n_good_correct)
             * _BITS_PER_SYMBOL,
-            overhead_bits=8 * self.wire_overhead_bytes(
-                block.n_symbols // _SYMBOLS_PER_BYTE
-            ),
+            overhead_bits=8 * _CRC_BYTES,
         )
 
 
@@ -403,9 +384,6 @@ class SpracScheme(DeliveryScheme):
             f"SpracScheme(n_segments={self.n_segments}, "
             f"n_repair={self.n_repair})"
         )
-
-    def wire_overhead_bytes(self, payload_len: int) -> int:
-        return self.codec.wire_length(payload_len) - payload_len
 
     def evaluate_traces(self, block: TraceBlock) -> TraceDelivery:
         """S-PRAC on recorded traces: segment erasures + coded recovery.

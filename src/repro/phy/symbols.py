@@ -54,11 +54,6 @@ class SoftPacket:
     def __len__(self) -> int:
         return int(self.symbols.size)
 
-    @property
-    def n_symbols(self) -> int:
-        """Number of decoded codewords in the frame."""
-        return int(self.symbols.size)
-
     def correct_mask(self) -> np.ndarray:
         """Boolean mask of symbols that actually decoded correctly.
 

@@ -41,7 +41,7 @@ class ChunkRecovery:
     @property
     def n_bad_symbols(self) -> int:
         """Symbols still below confidence after cancellation."""
-        return self.runs.n_bad_symbols
+        return sum(self.runs.bad)
 
     @property
     def cost_bits(self) -> float:

@@ -94,8 +94,8 @@ def paper_testbed(seed: int = 0) -> TestbedConfig:
 
 def wall_count_matrix(
     positions_m: np.ndarray,
-    room_grid: tuple[int, int] = (3, 3),
-    area_m: tuple[float, float] = (100 * FEET_TO_M, 50 * FEET_TO_M),
+    room_grid: tuple[int, int],
+    area_m: tuple[float, float],
 ) -> np.ndarray:
     """Interior walls crossed by the straight line between node pairs.
 

@@ -141,17 +141,3 @@ class BitReader:
         value = bits_to_int(self._bits[self._pos : self._pos + width])
         self._pos += width
         return value
-
-    def read_bits(self, count: int) -> np.ndarray:
-        """Read ``count`` raw bits as a 0/1 array."""
-        if self._pos + count > self._bits.size:
-            raise EOFError(
-                f"requested {count} bits but only {self.remaining} remain"
-            )
-        out = self._bits[self._pos : self._pos + count].copy()
-        self._pos += count
-        return out
-
-    def read_bytes(self, count: int) -> bytes:
-        """Read ``count`` whole bytes."""
-        return bits_to_bytes(self.read_bits(count * 8))

@@ -136,12 +136,6 @@ class TestBitStream:
         r.read_uint(5)
         assert r.remaining == 11
 
-    def test_read_bytes(self):
-        w = BitWriter()
-        for byte in b"hi":
-            w.write_uint(byte, 8)
-        assert BitReader(w.getvalue()).read_bytes(2) == b"hi"
-
     @given(
         st.lists(
             st.tuples(

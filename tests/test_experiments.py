@@ -48,8 +48,9 @@ class TestRunCache:
         a = runs.get(load=13800.0, carrier_sense=False)
         b = runs.get(load=13800.0, carrier_sense=False)
         assert a is b
-        runs.clear()
-        c = runs.get(load=13800.0, carrier_sense=False)
+        c = RunCache(duration_s=2.0, seed=1).get(
+            load=13800.0, carrier_sense=False
+        )
         assert c is not a
 
     def test_full_config_and_overrides_agree(self):

@@ -119,18 +119,13 @@ class TestTraceDeliverEquivalence:
 
 
 class TestEvaluateSchemes:
-    def test_scheme_without_trace_evaluation_rejected(
-        self, small_sim_result
-    ):
+    def test_scheme_without_trace_evaluation_rejected(self):
         class Opaque(DeliveryScheme):
-            def wire_overhead_bytes(self, payload_len):
-                return 0
-
             def deliver(self, rx):
                 raise NotImplementedError
 
-        with pytest.raises(TypeError, match="no trace evaluation"):
-            evaluate_schemes(small_sim_result, [Opaque()])
+        with pytest.raises(TypeError, match="evaluate_traces"):
+            Opaque()
 
     def test_variants_cover_schemes_and_postamble(self, small_sim_result):
         evals = evaluate_schemes(

@@ -1,66 +1,42 @@
 """Every module under ``src/repro`` is reached by the runner, every
-function, class and method is reached or kept with a stated reason, and
-every option is set by a root or kept with a stated reason.
+function and method runs or is kept with a stated reason, and every
+option is set by a run or is kept with a stated reason.
 
-**Modules.** A static import walk (stdlib ``ast``, nothing is imported)
-starts at the runner, the report generator and every ``exp_*`` module
--- the registry discovers those at runtime, so they are roots rather
-than import targets -- and follows every ``import``/``from`` statement:
-module-level, function-local, relative and ``TYPE_CHECKING`` alike.
-``from pkg import name`` reaches ``pkg.name`` when that is a module,
-and otherwise follows the one statement in ``pkg/__init__.py`` that
-binds ``name``.  Package ``__init__`` files are re-export shims: they
-are never walked, so an import of a package does not pull in
-everything the package re-exports.  A module that nothing in the
-runner reaches is wired in or deleted; there is no allowlist.
+**Modules.** A static import walk (``ast``; nothing is imported) starts
+at the runner, the report generator and every ``exp_*`` module (the
+registry discovers those at runtime) and follows every ``import`` and
+``from`` statement, function-local, relative and ``TYPE_CHECKING`` ones
+included.  ``from pkg import name`` reaches ``pkg.name`` when that is a
+module, else the one statement of the package's ``__init__`` (a
+re-export shim, never walked) that binds ``name``.  A module the walk
+does not reach is wired in or deleted; there is no allowlist.
 
-**Symbols.** Every top-level function and class of a module, and
-every method of a top-level class, is a symbol.  The names a symbol
-references are its ``ast.Name`` ids, ``ast.Attribute`` attrs and the
-identifiers of strings made of identifier paths; docstrings,
-``__all__`` lists and package ``__init__`` re-exports do not count.
-Live references start from the modules' own top-level statements (they
-run on import) and from every file under ``examples/`` and
-``perfbench/`` (outside its tests), and spread to a fixed point: a live
-name makes every symbol of that bare name live, whatever its module or
-class, and a live symbol makes every name it references live.  Only an
-attribute, a dotted or ``module:attr`` string or a ``getattr`` string
-can reach a method; a bare name (a local variable, a dict key) reaches
-top-level functions and classes only.  Matching by bare name keeps an
-override live with its base's call site, without type inference.
-Dunders (live with their class) and ``*_reference`` twins are exempt
-and count as live.  Any other symbol that nothing reaches either earns
-a place in ``KEEP`` with a one-line reason or is deleted; a kept
-symbol's references are live too.
-
-**Options.** Every defaulted parameter of a function or method, and
-every defaulted field of a frozen dataclass, is an option (mutable
-dataclasses are counters and have none).  A root -- any module under
-``src/repro``, ``examples/`` or ``perfbench/`` outside its tests --
-sets an option when one of its calls passes it a value other than the
-literal default, by keyword or by position.  Calls match signatures by
-bare name, as symbols do, with three exceptions: no call reaches an
-``@register``ed experiment body (the registry's wrapper calls it),
-``super().__init__`` reaches only the enclosing class's bases, and a
-name the root binds once to a literal is that literal.  Passing on an
-option of the enclosing function sets the callee's option only when
-the enclosing option is set, kept or defaults to another value,
-followed to a fixed point.  A SimulationConfig field is also set by an
-override key, or one of ``_FIELD_ALIASES``, of ``RunCache``, ``get``,
-``config_for``, ``grid`` or ``sweep``.  An option no root sets is made
-a constant, its branch deleted, or it sits in ``KEEP_OPTIONS`` with a
-reason: its value comes from outside the program, it is a test seam,
-or it belongs to a reference spec.
-
-``KEEP`` and ``KEEP_OPTIONS`` cannot go stale: a kept entry that is
-reached or set, or that no longer exists, fails the test too.
+**Functions and options.** One fresh interpreter runs every entry point
+under ``tests/trace_record.py``, which records, forked workers included,
+each function that runs and each option (defaulted parameter, or
+defaulted field of a frozen dataclass) some executed call sets to a
+value that is not its default.  A top-level function or method that
+never runs is a dunder, abstract, a ``*_reference`` twin, a probe
+target of ``perfbench/tracing.py`` (frozen: a target that has gone
+prints ``absent:``), or in ``KEEP`` with a reason.  An option no run
+sets belongs to a twin, a probe or a kept function (kept whole), or is
+in ``KEEP_OPTIONS`` with a reason.  An entry of either dict that runs
+or is set, that a rule covers, or that is gone fails too.
 """
 
 from __future__ import annotations
 
 import ast
+import json
+import os
+import re
+import subprocess
+import sys
+from collections import namedtuple
 from pathlib import Path
 from typing import Iterable, NamedTuple
+
+import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 PACKAGE = "repro"
@@ -216,823 +192,269 @@ def test_walk_follows_every_import_form():
     assert not {"repro.utils", "repro.utils.bitops", "repro.utils.units"} & reached
 
 
-# --------------------------------------------------------------------------
-# Symbol-level reachability
-# --------------------------------------------------------------------------
+# -- what the entry points run and set ---------------------------------------
 
-REPO = SRC.parent
+_PINNED = "wire-level delivery spec test_packet_and_ppr_match_real_schemes pins traces against"
+_FEEDBACK = "decode_feedback and decode_retransmission parse the wire format with it"
+_DELIVER = "the packet-CRC and PPR deliver specs read a reception through it"
+_TWIN = "per-record view the loop twin evaluate_schemes_reference reads"
+_BAD_PACKET = "examples/sic_recovery.py prints it for a packet still bad after SIC"
 
-#: files outside ``src`` whose every reference is live: the runnable
-#: examples, and perfbench, which wraps entry points by name
-EXTERNAL_ROOTS = tuple(
-    sorted(REPO.glob("examples/*.py")) + sorted(REPO.glob("perfbench/*.py"))
-)
-
-#: unreached symbols that stay, each with the job it does
+#: functions and methods no entry point runs, each with the job it does
 KEEP = {
-    "repro.utils.sanitize.check_finite": (
-        "sanitizer canary: the equivalence tests assert kernel outputs "
-        "are finite through it"
-    ),
-    "repro.utils.sanitize.NonFiniteError": (
-        "the error check_finite raises on a NaN or infinity"
-    ),
-    "repro.utils.sanitize.reset": (
-        "clears the key ledger between tests (tests/conftest.py)"
-    ),
-    "repro.utils.sanitize.suspended": (
-        "lets a test mint a deliberate key collision without tripping "
-        "the ledger"
-    ),
-    "repro.arq.chunking.chunk_cost_naive": (
-        "upper bound the DP chunk planner is checked against"
-    ),
-    "repro.arq.chunking.merged_single_chunk_cost": (
-        "one-chunk bound the DP chunk planner is checked against"
-    ),
-    "repro.arq.feedback.encode_feedback": (
-        "wire format that pins the live feedback_bit_cost"
-    ),
-    "repro.arq.feedback.decode_feedback": (
-        "round-trips encode_feedback, so the wire format is decodable"
-    ),
-    "repro.arq.feedback.decode_retransmission": (
-        "round-trips the live encode_retransmission"
-    ),
-    "repro.arq.feedback.FeedbackPacket.is_ack": (
-        "what a decoded feedback packet means; the round trip reads it"
-    ),
-    "repro.phy.codebook.Codebook.min_distance": (
-        "pins the ZigBee minimum distance of 12 that hint semantics "
-        "rely on"
-    ),
-    "repro.store.serialize.result_to_parts": (
-        "the byte-level spec of a stored run: the joined chunks the "
-        "store writes, which the quick-point digests pin"
-    ),
-    "repro.link.schemes.DeliveryScheme.deliver": (
-        "the interface of the wire-level delivery specs below"
-    ),
-    "repro.link.schemes.PacketCrcScheme.deliver": (
-        "wire-level delivery spec the trace evaluator is pinned against "
-        "(test_metrics' test_packet_and_ppr_match_real_schemes)"
-    ),
-    "repro.link.schemes.PprScheme.deliver": (
-        "wire-level delivery spec the trace evaluator is pinned against "
-        "(test_metrics' test_packet_and_ppr_match_real_schemes)"
-    ),
-    "repro.link.frame.parse_header_bytes": (
-        "byte-level header check the per-record reception reference "
-        "parses through, pinning the live header_rows_ok"
-    ),
-    "repro.link.frame.parse_trailer_bytes": (
-        "byte-level trailer check the per-record reception reference "
-        "parses through, pinning the live trailer verification"
-    ),
+    # reference specs the tests pin live code against
+    "repro.utils.sanitize.check_finite": "NaN canary the kernel equivalence tests assert with",
+    "repro.utils.sanitize.reset": "clears the key ledger between tests (tests/conftest.py)",
+    "repro.utils.sanitize.suspended": "lets a test mint a deliberate key collision",
+    "repro.arq.chunking.chunk_cost_naive": "upper bound the DP chunk planner is checked against",
+    "repro.arq.chunking.merged_single_chunk_cost": "one-chunk bound of the DP chunk planner",
+    "repro.arq.feedback.encode_feedback": "wire format that pins the live feedback_bit_cost",
+    "repro.arq.feedback.decode_feedback": "round-trips encode_feedback, so the format decodes",
+    "repro.arq.feedback.decode_retransmission": "round-trips the live encode_retransmission",
+    "repro.arq.feedback.FeedbackPacket.is_ack": "what a decoded feedback packet means",
+    "repro.phy.codebook.Codebook.min_distance": "pins the minimum distance of 12 hints rely on",
+    "repro.store.serialize.result_to_parts": "byte-level spec of a stored run the digests pin",
+    "repro.link.schemes.DeliveryScheme.deliver": "interface of the two wire-level specs below",
+    "repro.link.schemes.PacketCrcScheme.deliver": _PINNED,
+    "repro.link.schemes.PprScheme.deliver": _PINNED,
+    "repro.link.frame.parse_header_bytes": "byte-level header check that pins header_rows_ok",
+    "repro.link.frame.parse_trailer_bytes": "byte-level trailer check that pins trailer checks",
+    # what only those specs use
+    "repro.utils.bitops.BitReader.read_uint": _FEEDBACK,
+    "repro.utils.bitops.BitReader.remaining": _FEEDBACK,
+    "repro.utils.bitops.bits_to_int": _FEEDBACK,
+    "repro.utils.bitops.bytes_to_bits": _FEEDBACK,
+    "repro.link.schemes.PacketCrcScheme.encode_payload": "wire payload its deliver spec parses",
+    "repro.phy.symbols.SoftPacket.correct_mask": _DELIVER,
+    "repro.phy.symbols.SoftPacket.payload_bytes": _DELIVER,
+    "repro.phy.codebook.Codebook.pairwise_distances": "the matrix min_distance minimises",
+    # what the loop twins call
+    "repro.sim.network.ReceptionRecord.tx": _TWIN,
+    "repro.sim.network.ReceptionRecord.link": _TWIN,
+    "repro.sim.network.ReceptionRecord.payload_hints": _TWIN,
+    "repro.sim.network.ReceptionRecord.payload_correct": _TWIN,
+    "repro.sim.network.ReceptionRecord._trace": _TWIN,
+    "repro.link.quality.LinkObservation.record_sent": _TWIN,
+    "repro.link.quality.LinkObservation.record_acquired": _TWIN,
+    # test seams, branches the entry points never take, and perfbench
+    "repro.sim.network.NetworkSimulation.medium": "test seam: the reception equivalence tests",
+    "repro.sim.network.NetworkSimulation.testbed": "test seam: equivalence tests, test_network",
+    "repro.recovery.chunks.ChunkRecovery.n_bad_symbols": _BAD_PACKET,
+    "repro.recovery.chunks.ChunkRecovery.cost_bits": _BAD_PACKET,
+    "repro.store.core.RunStore.path_for": "perfbench digests the sim-heavy entries it names",
 }
 
+_LIMIT = "model parameter a closed-form test sets to its limit:"
+
+#: options no entry point sets, each with the reason it stays an option
+KEEP_OPTIONS = {
+    "repro.exec.supervisor.Supervisor.__init__.faults": "test seam: a FaultPlan without the env",
+    "repro.exec.supervisor.Supervisor.__init__.context": "test seam: test_exec's refusing fork",
+    "repro.exec.supervisor.Supervisor._complete.degraded": "test seam: test_exec's refusing fork",
+    "repro.sim.network.NetworkSimulation.__init__.testbed": "test seam: test_network's layouts",
+    "repro.sim.network.NetworkSimulation.__init__.path_loss": "test seam: no shadowing in those",
+    "repro.sim.network.SimulationConfig.payload_bytes": "test seam: 200-400-byte test frames",
+    "repro.sim.network.SimulationConfig.fading_sigma_db": f"{_LIMIT} 0 turns fading off",
+    "repro.sim.network.SimulationConfig.wall_loss_db": f"{_LIMIT} 0 drops wall losses",
+    "repro.sim.network.SimulationConfig.min_rx_snr_db": f"{_LIMIT} 200 dB mutes every link",
+}
 
 _FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
-_DEFS = (*_FUNCS, ast.ClassDef)
 
 
-def _docstrings(tree: ast.AST) -> set[int]:
-    """ids of the docstring constants anywhere in ``tree``."""
-    found = set()
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.Module, *_DEFS)):
-            body = node.body
-            if (
-                body
-                and isinstance(body[0], ast.Expr)
-                and isinstance(body[0].value, ast.Constant)
-                and isinstance(body[0].value.value, str)
-            ):
-                found.add(id(body[0].value))
+class Inventory(NamedTuple):
+    """``functions``: each top-level function and method -> its ``(file,
+    first line)``; ``exempt``: the dunders, abstract methods and twins;
+    ``options``: each option -> its function or frozen dataclass."""
+
+    functions: dict[str, tuple[str, int]]
+    exempt: set[str]
+    options: dict[str, str]
+
+
+def _decorators(node: ast.FunctionDef | ast.AsyncFunctionDef | ast.ClassDef) -> set[str]:
+    targets = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+    return {getattr(t, "attr", None) or getattr(t, "id", "") for t in targets}
+
+
+def _fields(node: ast.ClassDef) -> list[str]:
+    """The defaulted fields of a frozen dataclass."""
+    calls = [d for d in node.decorator_list if isinstance(d, ast.Call)]
+    keywords = {ast.unparse(kw) for call in calls for kw in call.keywords}
+    if "dataclass" not in _decorators(node) or "frozen=True" not in keywords:
+        return []
+    return [
+        item.target.id
+        for item in node.body
+        if isinstance(item, ast.AnnAssign)
+        and item.value is not None
+        and "ClassVar" not in ast.unparse(item.annotation)
+        and not re.fullmatch(r"field\((?!.*default).*\)", ast.unparse(item.value))
+    ]
+
+
+def inventory(modules: dict[str, Path]) -> Inventory:
+    found = Inventory({}, set(), {})
+    for module, path in modules.items():
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            name = f"{module}.{getattr(node, 'name', '')}"
+            defs = [(name, node)] if isinstance(node, _FUNCS) else []
+            if isinstance(node, ast.ClassDef):
+                found.options.update((f"{name}.{f}", name) for f in _fields(node))
+                defs = [(f"{name}.{n.name}", n) for n in node.body if isinstance(n, _FUNCS)]
+            for qual, fn in defs:
+                first = min([fn.lineno, *(d.lineno for d in fn.decorator_list)])
+                found.functions[qual] = (str(path), first)
+                if re.fullmatch(r"__\w+__|\w+_reference", fn.name) or (
+                    "abstractmethod" in _decorators(fn)
+                ):
+                    found.exempt.add(qual)
+                args = fn.args
+                params = [*args.posonlyargs, *args.args]
+                defaulted = params[len(params) - len(args.defaults) :]
+                kwonly = zip(args.kwonlyargs, args.kw_defaults, strict=True)
+                defaulted += [a for a, default in kwonly if default]
+                found.options.update((f"{qual}.{a.arg}", qual) for a in defaulted)
     return found
 
 
-def _references(nodes: Iterable[ast.AST], skip: set[int]) -> set[str]:
-    """Names ``nodes`` use.  Only an ``ast.Attribute`` attr, an
-    identifier of a string made of dotted or ``module:attr`` paths
-    (perfbench probe targets) or the attribute string of a ``getattr``
-    can name a method; those get a leading ``.``.  A bare ``ast.Name``
-    id or any other identifier string stays bare: it can only name a
-    top-level function or class."""
-    names = set()
-    for top in nodes:
-        attr_strings = {
-            id(node.args[1])
-            for node in ast.walk(top)
-            if isinstance(node, ast.Call)
-            and getattr(node.func, "id", None) in ("getattr", "hasattr")
-            and len(node.args) > 1
-        }
-        for node in ast.walk(top):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(f".{node.attr}")
-            elif (
-                isinstance(node, ast.Constant)
-                and isinstance(node.value, str)
-                and id(node) not in skip
-            ):
-                path = node.value.replace(":", ".")
-                parts = path.split(".")
-                if all(p.isidentifier() or not p for p in parts):
-                    dot = "." if "." in path or id(node) in attr_strings else ""
-                    names.update(f"{dot}{p}" for p in parts if p)
-    return names
+def trace(found: Inventory, source: Path, workdir: Path, env: dict, *script: str) -> tuple:
+    """Run ``script`` (default: the entry points) from ``workdir`` under the
+    recorder; what ran and the options set in any process, by name."""
+    (out := workdir / "records").mkdir()
+    recorder = Path(__file__).with_name("trace_record.py")
+    command = [sys.executable, str(recorder), str(source), str(out), *script]
+    done = subprocess.run(command, cwd=workdir, env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr[-3000:]
+    name_at = {place: name for name, place in found.functions.items()}
+    ran, set_ = set(), set()
+    for path in out.iterdir():
+        record = json.loads(path.read_text(encoding="utf-8"))
+        ran.update(name_at.get(tuple(place)) for place in record["ran"])
+        for *where, option in record["set"]:
+            owner = name_at.get(tuple(where)) if len(where) == 2 else where[0]
+            set_.add(f"{owner}.{option}")
+    return ran - {None}, set_ & found.options.keys()
 
 
-def _is_all(node: ast.stmt) -> bool:
-    if isinstance(node, ast.Assign):
-        targets = node.targets
-    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-        targets = [node.target]
-    else:
-        return False
-    return any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets)
+def probe_targets() -> set[str]:
+    """The functions perfbench wraps, named by ``module:path`` strings."""
+    tree = ast.parse((SRC.parent / "perfbench" / "tracing.py").read_text())
+    strings = [n.value for n in ast.walk(tree) if isinstance(getattr(n, "value", None), str)]
+    return {s.replace(":", ".") for s in strings if s.startswith(f"{PACKAGE}.") and ":" in s}
 
 
-def _symbols() -> tuple[dict[str, tuple[str, set[str]]], set[str]]:
-    """Every top-level function, class and method under ``src/repro``,
-    as full name -> (bare name, names it references), and the names the
-    modules' own top-level statements reference (they run on import)."""
-    symbols: dict[str, tuple[str, set[str]]] = {}
-    module_refs: set[str] = set()
-    for module in sorted(_plain_modules()):
-        tree = ast.parse(MODULES[module].read_text(encoding="utf-8"))
-        skip = _docstrings(tree)
-        for node in tree.body:
-            if not isinstance(node, _DEFS):
-                if not _is_all(node):
-                    module_refs |= _references([node], skip)
-                continue
-            name = f"{module}.{node.name}"
-            if isinstance(node, _FUNCS):
-                symbols[name] = (node.name, _references([node], skip))
-                continue
-            # A class references its decorators, bases and body, except
-            # its methods, which are symbols of their own.
-            own = [*node.decorator_list, *node.bases, *node.keywords]
-            own += [item for item in node.body if not isinstance(item, _FUNCS)]
-            symbols[name] = (node.name, _references(own, skip))
-            for item in node.body:
-                if isinstance(item, _FUNCS):
-                    symbols[f"{name}.{item.name}"] = (
-                        item.name,
-                        _references([item], skip),
-                    )
-    return symbols, module_refs
+Findings = namedtuple("Findings", "unrun unset stale_keep stale_options")
 
 
-SYMBOLS, MODULE_REFS = _symbols()
-
-
-def _external_refs() -> set[str]:
-    names = set()
-    for path in EXTERNAL_ROOTS:
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        names |= _references([tree], _docstrings(tree))
-    return names
-
-
-def _owner(symbol: str) -> str | None:
-    """The class a method belongs to, ``None`` for a top-level symbol."""
-    owner = symbol.rpartition(".")[0]
-    return owner if owner in SYMBOLS else None
-
-
-def _is_exempt(symbol: str) -> bool:
-    """Dunders run implicitly, and ``*_reference`` twins are the
-    specifications RP002 pins."""
-    bare = SYMBOLS[symbol][0]
-    is_dunder = bare.startswith("__") and bare.endswith("__")
-    return is_dunder or bare.endswith("_reference")
-
-
-def live_symbols(kept: Iterable[str] = ()) -> set[str]:
-    """Every symbol the roots reach, plus what ``kept`` symbols reach.
-
-    Liveness spreads by bare name: a live reference to ``name`` makes
-    every symbol called ``name`` live, whatever its module or class, so
-    an override stays live with the call site of its base.  A live
-    class makes its dunders live.
-    """
-    by_name: dict[str, list[str]] = {}
-    exempt_methods: dict[str, list[str]] = {}
-    for symbol, (bare, _) in SYMBOLS.items():
-        # ``.name`` reaches every symbol called ``name``; a bare ``name``
-        # only the top-level ones, since no bare name can call a method.
-        by_name.setdefault(f".{bare}", []).append(symbol)
-        if not _owner(symbol):
-            by_name.setdefault(bare, []).append(symbol)
-        elif _is_exempt(symbol):
-            exempt_methods.setdefault(_owner(symbol), []).append(symbol)
-    live: set[str] = set()
-    seen: set[str] = set()
-    names = list(MODULE_REFS | _external_refs())
-    pending = [s for s in SYMBOLS if _is_exempt(s) and not _owner(s)]
-    pending += [s for s in kept if s in SYMBOLS]
-    while names or pending:
-        if pending:
-            symbol = pending.pop()
-            if symbol not in live:
-                live.add(symbol)
-                names.extend(SYMBOLS[symbol][1])
-                pending += exempt_methods.get(symbol, [])
-            continue
-        name = names.pop()
-        if name not in seen:
-            seen.add(name)
-            pending += by_name.get(name, [])
-    return live
-
-
-def test_every_symbol_is_reached_or_kept():
-    live = live_symbols(KEEP)
-    unreached = set(SYMBOLS) - live
-    # A method of an unreached class goes with its class.
-    dead = [s for s in unreached if _owner(s) not in unreached]
-    assert not dead, (
-        "functions, classes and methods no runner, example or perfbench "
-        "path references; delete them or keep them with a reason: "
-        f"{sorted(dead)}"
+def findings(
+    found: Inventory, ran: set, set_: set, keep: dict, keep_options: dict, probes: Iterable = ()
+) -> Findings:
+    exempt = (found.exempt | set(probes)) & found.functions.keys()
+    # Twins, probes and kept functions keep their options too.
+    whole = {f for f in exempt if f.endswith("_reference")} | set(probes) | keep.keys()
+    covered = {o for o, owner in found.options.items() if owner in whole}
+    return Findings(
+        unrun=found.functions.keys() - ran - exempt - keep.keys(),
+        unset=found.options.keys() - set_ - covered - keep_options.keys(),
+        stale_keep={k for k in keep if k not in found.functions or k in ran | exempt},
+        stale_options={k for k in keep_options if k not in found.options or k in set_ | covered},
     )
 
 
-def test_keep_is_not_stale():
-    missing = set(KEEP) - set(SYMBOLS)
-    assert not missing, f"kept symbols no longer exist: {sorted(missing)}"
-    reached = set(KEEP) & live_symbols()
-    assert not reached, f"kept symbols are now reached; drop them: {sorted(reached)}"
+@pytest.fixture(scope="module")
+def repo_findings(tmp_path_factory) -> Findings:
+    found = inventory({m: MODULES[m] for m in sorted(_plain_modules())})
+    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+    workdir = tmp_path_factory.mktemp("entry-points")
+    ran, set_ = trace(found, SRC / PACKAGE, workdir, env | {"PYTHONPATH": str(SRC)})
+    return findings(found, ran, set_, KEEP, KEEP_OPTIONS, probe_targets())
+
+
+def test_every_symbol_is_reached_or_kept(repo_findings):
+    unrun = sorted(repo_findings.unrun)
+    assert not unrun, f"no entry point runs these; delete them or keep them with a reason: {unrun}"
+
+
+def test_keep_is_not_stale(repo_findings):
+    stale = sorted(repo_findings.stale_keep)
+    assert not stale, f"kept functions that run, pass a rule or are gone: {stale}"
     assert all(reason.strip() for reason in KEEP.values())
 
 
-# --------------------------------------------------------------------------
-# Options
-# --------------------------------------------------------------------------
-
-#: calls whose keyword arguments are SimulationConfig overrides, by name
-#: or through ``_FIELD_ALIASES`` (``RunCache(seed=)``, ``grid(load=)``)
-OVERRIDE_CALLS = frozenset({"RunCache", "get", "config_for", "grid", "sweep"})
-
-#: defaulted parameters and frozen-dataclass fields no root sets, each
-#: with the reason it stays an option: its value comes from outside the
-#: program, it is a test seam, or it belongs to a reference spec
-_FROM_REPRO_EXEC = "from outside: a REPRO_EXEC spec, parsed by field name"
-_FROM_REPRO_FAULTS = "from outside: a REPRO_FAULTS spec, parsed by field name"
-_MIRRORS_PLAN_CHUNKS = (
-    "reference spec: a bound the DP planner is checked against, so it "
-    "takes plan_chunks' checksum_bits"
-)
-_MIRRORS_REMODULATE = (
-    "reference spec: the loop twin of remodulate_frame takes its knobs"
-)
-KEEP_OPTIONS: dict[str, str] = {
-    "repro.exec.policy.ExecPolicy.backoff_base_s": _FROM_REPRO_EXEC,
-    "repro.exec.policy.ExecPolicy.max_attempts": _FROM_REPRO_EXEC,
-    "repro.exec.policy.ExecPolicy.timeout_base_s": _FROM_REPRO_EXEC,
-    "repro.exec.policy.ExecPolicy.timeout_scale": _FROM_REPRO_EXEC,
-    "repro.exec.faults.FaultPlan.crash": _FROM_REPRO_FAULTS,
-    "repro.exec.faults.FaultPlan.fail": _FROM_REPRO_FAULTS,
-    "repro.exec.faults.FaultPlan.flaky": _FROM_REPRO_FAULTS,
-    "repro.exec.faults.FaultPlan.hang": _FROM_REPRO_FAULTS,
-    "repro.exec.supervisor.Supervisor.__init__.faults": (
-        "test seam: tests inject a FaultPlan without the environment"
-    ),
-    "repro.exec.supervisor.Supervisor.__init__.context": (
-        "test seam: tests pass a multiprocessing context that refuses "
-        "to fork, to drive degradation to serial"
-    ),
-    "repro.sim.network.NetworkSimulation.__init__.testbed": (
-        "test seam: tests/test_network.py runs hand-built three-node "
-        "layouts that force deferrals and equal-power collisions"
-    ),
-    "repro.sim.network.NetworkSimulation.__init__.path_loss": (
-        "test seam: those three-node layouts switch shadowing off"
-    ),
-    "repro.sim.network.SimulationConfig.payload_bytes": (
-        "test seam: tests run 200-400-byte frames to stay fast"
-    ),
-    "repro.sim.network.SimulationConfig.fading_sigma_db": (
-        "model parameter a closed-form test sets to its limit: 0 turns "
-        "block fading off (test_network, the hot-codeword equivalence)"
-    ),
-    "repro.sim.network.SimulationConfig.wall_loss_db": (
-        "model parameter a closed-form test sets to its limit: 0 drops "
-        "wall losses from the hand-built layouts"
-    ),
-    "repro.sim.network.SimulationConfig.min_rx_snr_db": (
-        "model parameter a closed-form test sets to its limit: 200 dB "
-        "makes no link audible"
-    ),
-    "repro.arq.chunking.chunk_cost_naive.checksum_bits": _MIRRORS_PLAN_CHUNKS,
-    "repro.arq.chunking.merged_single_chunk_cost.checksum_bits": (
-        _MIRRORS_PLAN_CHUNKS
-    ),
-    "repro.arq.chunking.plan_chunks_reference.checksum_bits": (
-        "reference spec: the loop twin of plan_chunks takes its "
-        "checksum_bits"
-    ),
-    "repro.phy.remodulate.remodulate_frame_reference.gain": _MIRRORS_REMODULATE,
-    "repro.phy.remodulate.remodulate_frame_reference.phase": (
-        _MIRRORS_REMODULATE
-    ),
-    "repro.sim.metrics.evaluate_schemes_reference.postamble_options": (
-        "reference spec: the loop twin of evaluate_schemes takes its "
-        "postamble_options"
-    ),
-}
+def test_every_option_is_set_or_kept(repo_findings):
+    unset = sorted(repo_findings.unset)
+    assert not unset, f"no entry point sets these; make them constants or keep them: {unset}"
 
 
-class _Signature(NamedTuple):
-    """What a call binds: the parameters positional arguments fill, in
-    order, and the defaulted ones (its options) with their defaults.
-    ``owner`` prefixes option ids: ``owner.param``."""
-
-    owner: str
-    positional: tuple[str, ...]
-    defaults: dict[str, ast.expr]
-
-
-def _dataclass_kind(node: ast.ClassDef) -> str | None:
-    """``"frozen"`` or ``"mutable"`` for a dataclass, else ``None``."""
-    for deco in node.decorator_list:
-        call = deco if isinstance(deco, ast.Call) else None
-        target = call.func if call else deco
-        name = getattr(target, "id", None) or getattr(target, "attr", None)
-        if name != "dataclass":
-            continue
-        frozen = any(
-            kw.arg == "frozen"
-            and isinstance(kw.value, ast.Constant)
-            and kw.value.value is True
-            for kw in (call.keywords if call else ())
-        )
-        return "frozen" if frozen else "mutable"
-    return None
-
-
-def _function_signature(
-    owner: str, node: ast.FunctionDef | ast.AsyncFunctionDef, bound: bool
-) -> _Signature:
-    """``bound``: a method called on an instance or class, whose first
-    parameter the call does not pass."""
-    args = node.args
-    params = [*args.posonlyargs, *args.args]
-    defaulted = params[len(params) - len(args.defaults) :]
-    defaults = {a.arg: d for a, d in zip(defaulted, args.defaults, strict=True)}
-    defaults |= {
-        a.arg: d
-        for a, d in zip(args.kwonlyargs, args.kw_defaults, strict=True)
-        if d is not None
-    }
-    static = any(
-        getattr(d, "id", None) == "staticmethod" for d in node.decorator_list
-    )
-    names = tuple(a.arg for a in params)
-    return _Signature(owner, names[1:] if bound and not static else names, defaults)
-
-
-def _dataclass_signature(owner: str, node: ast.ClassDef, frozen: bool) -> _Signature:
-    """Fields in order; only a frozen dataclass's defaults are options."""
-    names, defaults = [], {}
-    for item in node.body:
-        if not (
-            isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
-        ) or "ClassVar" in ast.unparse(item.annotation):
-            continue
-        names.append(item.target.id)
-        value = item.value
-        if (
-            isinstance(value, ast.Call)
-            and getattr(value.func, "id", None) == "field"
-        ):
-            given = {kw.arg: kw.value for kw in value.keywords}
-            value = given.get("default", value if "default_factory" in given else None)
-        if value is not None and frozen:
-            defaults[item.target.id] = value
-    return _Signature(owner, tuple(names), defaults)
-
-
-def signatures(
-    trees: dict[str, ast.Module],
-) -> tuple[
-    dict[str, list[_Signature]], dict[str, list[_Signature]], list[_Signature]
-]:
-    """Call signatures: ``(top, anywhere, own)``.  ``top`` maps a bare
-    name to the top-level functions and classes it can call;
-    ``anywhere`` adds the methods an attribute can call.  A class's
-    signature is its ``__init__``, else its dataclass fields, else its
-    first base's.  ``own`` lists each function, method and dataclass
-    once, the owners of the options."""
-    top: dict[str, list[_Signature]] = {}
-    methods: dict[str, list[_Signature]] = {}
-    classes: dict[str, list[tuple[str, ast.ClassDef]]] = {}
-    own: list[_Signature] = []
-    for module, tree in trees.items():
-        for node in tree.body:
-            name = f"{module}.{getattr(node, 'name', '')}"
-            if isinstance(node, _FUNCS):
-                sig = _function_signature(name, node, bound=False)
-                # A registered body is called by the registry wrapper
-                # only, never by its name.
-                if not _is_registered(node):
-                    top.setdefault(node.name, []).append(sig)
-                own.append(sig)
-            elif isinstance(node, ast.ClassDef):
-                classes.setdefault(node.name, []).append((name, node))
-                kind = _dataclass_kind(node)
-                if kind:
-                    own.append(_dataclass_signature(name, node, kind == "frozen"))
-                for item in node.body:
-                    if isinstance(item, _FUNCS):
-                        sig = _function_signature(f"{name}.{item.name}", item, bound=True)
-                        methods.setdefault(item.name, []).append(sig)
-                        own.append(sig)
-
-    def class_signature(name: str, node: ast.ClassDef, seen: set) -> _Signature | None:
-        for item in node.body:
-            if isinstance(item, _FUNCS) and item.name == "__init__":
-                return _function_signature(f"{name}.__init__", item, bound=True)
-        kind = _dataclass_kind(node)
-        if kind:
-            return _dataclass_signature(name, node, kind == "frozen")
-        for base in node.bases:
-            for base_name, base_node in classes.get(getattr(base, "id", ""), []):
-                if base_name not in seen:
-                    seen.add(base_name)
-                    return class_signature(base_name, base_node, seen)
-        return None
-
-    for bare, defs in classes.items():
-        for name, node in defs:
-            sig = class_signature(name, node, {name})
-            if sig is not None:
-                top.setdefault(bare, []).append(sig)
-    anywhere = {
-        name: top.get(name, []) + methods.get(name, [])
-        for name in top.keys() | methods.keys()
-    }
-    return top, anywhere, own
-
-
-def options(trees: dict[str, ast.Module]) -> dict[str, ast.expr]:
-    """Every option, ``owner.param`` -> its default: the defaulted
-    parameters of functions and methods, and the defaulted fields of
-    frozen dataclasses.  Mutable dataclasses are counters, not options."""
-    return {
-        f"{sig.owner}.{param}": default
-        for sig in signatures(trees)[2]
-        for param, default in sig.defaults.items()
-    }
-
-
-def _is_registered(node: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
-    """Whether ``node`` is an experiment body under ``@register(...)``."""
-    return any(
-        isinstance(deco, ast.Call) and getattr(deco.func, "id", None) == "register"
-        for deco in node.decorator_list
-    )
-
-
-def _is_default(value: ast.expr, default: ast.expr) -> bool:
-    """Whether ``value`` is literally ``default`` (``3.0`` is ``3``,
-    ``True`` is not ``1``); a name or any other expression never is."""
-    try:
-        a, b = ast.literal_eval(value), ast.literal_eval(default)
-    except (ValueError, TypeError, SyntaxError, MemoryError, RecursionError):
-        return False
-    return isinstance(a, bool) == isinstance(b, bool) and a == b
-
-
-def _literal_names(tree: ast.AST) -> dict[str, ast.expr]:
-    """Names ``tree`` binds exactly once, by assignment to a literal
-    (``SPS = 4``), with that literal."""
-    bound: dict[str, int] = {}
-    values: dict[str, ast.expr] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
-            bound[node.id] = bound.get(node.id, 0) + 1
-        elif isinstance(node, ast.arg):
-            bound[node.arg] = bound.get(node.arg, 0) + 1
-        elif isinstance(node, ast.alias):
-            name = node.asname or node.name.split(".")[0]
-            bound[name] = bound.get(name, 0) + 1
-        if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value:
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            if len(targets) == 1 and isinstance(targets[0], ast.Name):
-                values[targets[0].id] = node.value
-    # Only a literal is its own default.
-    return {
-        name: value
-        for name, value in values.items()
-        if bound[name] == 1 and _is_default(value, value)
-    }
-
-
-class _Call(NamedTuple):
-    """A call, the option owner of the function it sits in (the owner
-    of the options it can forward) and the base-class names of the
-    class it sits in (what ``super()`` reaches)."""
-
-    node: ast.Call
-    owner: str
-    defaults: dict[str, ast.expr]
-    bases: tuple[str, ...]
-
-
-def _calls(name: str, tree: ast.AST) -> list[_Call]:
-    """Every call in ``tree``, a module called ``name``."""
-    calls: list[_Call] = []
-
-    def visit(node: ast.AST, path: str, defaults: dict, bases: tuple) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.ClassDef):
-                own = tuple(getattr(b, "id", "") for b in child.bases)
-                visit(child, f"{path}.{child.name}", {}, own)
-                continue
-            inner, inner_defaults = path, defaults
-            if isinstance(child, _FUNCS):
-                inner = f"{path}.{child.name}"
-                inner_defaults = _function_signature(inner, child, False).defaults
-            elif isinstance(child, ast.Call):
-                calls.append(_Call(child, path, defaults, bases))
-            visit(child, inner, inner_defaults, bases)
-
-    visit(tree, name, {}, ())
-    return calls
-
-
-def set_options(
-    trees: dict[str, ast.Module],
-    roots: dict[str, ast.Module],
-    aliases: dict[str, str],
-) -> tuple[set[str], list[tuple[str, str]]]:
-    """``(found, forwards)``: the options some call in ``roots`` passes
-    a non-default value to, and the ``(source, option)`` pairs where a
-    call passes on an option of the function it sits in.
-
-    A call reaches every signature of its callee's bare name (only the
-    top-level ones for a bare name, never a registered body), binding
-    positional arguments up to the first ``*args`` and keyword
-    arguments by name; ``super().__init__`` reaches the enclosing
-    class's bases only.  A name the root binds once to a literal is
-    that literal.  Passing on an option of the enclosing function sets
-    the callee's option only when that option's default differs;
-    otherwise it is a forward, which :func:`_spread` follows.  A keyword
-    of an ``OVERRIDE_CALLS`` call, or its alias, sets a SimulationConfig
-    field."""
-    top, anywhere, _ = signatures(trees)
-    config = [s for s in top.get("SimulationConfig", []) if s.defaults]
-    found: set[str] = set()
-    forwards: list[tuple[str, str]] = []
-
-    for root_name, root in roots.items():
-        literals = _literal_names(root)
-        # ``from m import f as g``: a call of ``g`` is a call of ``f``.
-        imported = {
-            alias.asname: alias.name
-            for node in ast.walk(root)
-            if isinstance(node, ast.ImportFrom)
-            for alias in node.names
-            if alias.asname
-        }
-
-        def bind(
-            sig: _Signature,
-            pairs: Iterable[tuple[str, ast.expr]],
-            call: _Call,
-        ) -> None:
-            for param, value in pairs:
-                default = sig.defaults.get(param)
-                if default is None:
-                    continue
-                option = f"{sig.owner}.{param}"
-                if isinstance(value, ast.Name) and value.id in call.defaults:
-                    forwards.append((f"{call.owner}.{value.id}", option))
-                    value = call.defaults[value.id]
-                if isinstance(value, ast.Name):
-                    value = literals.get(value.id, value)
-                if not _is_default(value, default):
-                    found.add(option)
-
-        for call in _calls(root_name, root):
-            func = call.node.func
-            if isinstance(func, ast.Name):
-                name = imported.get(func.id, func.id)
-                sigs = top.get(name, [])
-            elif (
-                isinstance(func, ast.Attribute)
-                and func.attr == "__init__"
-                and isinstance(func.value, ast.Call)
-                and getattr(func.value.func, "id", None) == "super"
-            ):
-                name = func.attr
-                sigs = [sig for base in call.bases for sig in top.get(base, [])]
-            elif isinstance(func, ast.Attribute):
-                name, sigs = func.attr, anywhere.get(func.attr, [])
-            else:
-                continue
-            positional = []
-            for arg in call.node.args:
-                if isinstance(arg, ast.Starred):
-                    break
-                positional.append(arg)
-            keywords = [(kw.arg, kw.value) for kw in call.node.keywords if kw.arg]
-            for sig in sigs:
-                bind(sig, zip(sig.positional, positional, strict=False), call)
-                bind(sig, keywords, call)
-            if name in OVERRIDE_CALLS:
-                for sig in config:
-                    bind(sig, ((aliases.get(k, k), v) for k, v in keywords), call)
-    return found, forwards
-
-
-def _spread(found: set[str], forwards: list[tuple[str, str]]) -> set[str]:
-    """``found`` plus every option a set option is passed on to, to a
-    fixed point."""
-    found = set(found)
-    while True:
-        spread = {option for source, option in forwards if source in found}
-        if spread <= found:
-            return found
-        found |= spread
-
-
-def _field_aliases(tree: ast.Module) -> dict[str, str]:
-    for node in tree.body:
-        if (
-            isinstance(node, ast.Assign)
-            and getattr(node.targets[0], "id", None) == "_FIELD_ALIASES"
-        ):
-            return ast.literal_eval(node.value)
-    raise AssertionError("no _FIELD_ALIASES")
-
-
-def option_findings(
-    trees: dict[str, ast.Module],
-    roots: dict[str, ast.Module],
-    aliases: dict[str, str],
-    keep: dict[str, str],
-) -> tuple[set[str], set[str]]:
-    """``(unset, stale)``: the options neither set by ``roots`` nor in
-    ``keep``, and the ``keep`` entries that are no option or are set.
-    A kept option takes outside values, so what it is passed on to is
-    set too."""
-    found = options(trees)
-    direct, forwards = set_options(trees, roots, aliases)
-    passed = _spread(direct, forwards)
-    unset = set(found) - _spread(passed | set(keep), forwards) - set(keep)
-    stale = (set(keep) - set(found)) | (set(keep) & passed)
-    return unset, stale
-
-
-def _repo_option_findings() -> tuple[set[str], set[str]]:
-    trees = {
-        module: ast.parse(MODULES[module].read_text(encoding="utf-8"))
-        for module in sorted(_plain_modules())
-    }
-    external = {
-        ".".join(path.relative_to(REPO).with_suffix("").parts): ast.parse(
-            path.read_text(encoding="utf-8")
-        )
-        for path in EXTERNAL_ROOTS
-    }
-    return option_findings(
-        trees,
-        trees | external,
-        _field_aliases(trees["repro.experiments.common"]),
-        KEEP_OPTIONS,
-    )
-
-
-def test_every_option_is_set_or_kept():
-    unset, _ = _repo_option_findings()
-    assert not unset, (
-        "options no runner, example or perfbench call sets to anything "
-        "but their default; make them constants or keep them with a "
-        f"reason: {sorted(unset)}"
-    )
-
-
-def test_keep_options_is_not_stale():
-    _, stale = _repo_option_findings()
-    assert not stale, (
-        f"kept options that no longer exist or are now set: {sorted(stale)}"
-    )
+def test_keep_options_is_not_stale(repo_findings):
+    stale = sorted(repo_findings.stale_options)
+    assert not stale, f"kept options that are set, belong to a kept function or are gone: {stale}"
     assert all(reason.strip() for reason in KEEP_OPTIONS.values())
 
 
-_RULES_MODULE = """
+_RULES_MODULE = '''
+import functools, multiprocessing
 from dataclasses import dataclass
-
-class Crc:
-    def checksum_many(self, rows, lengths=None, *, order=0): ...
-
-class Receiver:
-    def receive_retransmission(self, packet, channel_view=None): ...
-
 def plot(series, width=60): ...
-
+def pulse(chips, sps=4): ...
+def modulate(chips, sps=4): return pulse(chips, sps=sps)
+def never(x=1): ...
+def never_reference(x=1): ...
 @dataclass(frozen=True)
-class SimulationConfig:
+class Config:
     seed: int = 0
     duration_s: float = 30.0
-    noise_floor_dbm: float = -95.0
-    carrier_sense: bool = True
-
+    def __hash__(self): return 0
 @dataclass
 class Counters:
     hits: int = 0
-
-@register("fig13", title="collision anatomy")
-def run(n_body=120): ...
-
 class Store:
     def __init__(self, base=None): ...
+def register(fn):
+    @functools.wraps(fn)
+    def wrapper(runs, quick=False): return fn(runs)
+    return wrapper
+@register
+def body(runs, quick=True): ...
+def child(*, depth=0): ...
+def fork():
+    ctx = multiprocessing.get_context("fork")
+    process = ctx.Process(target=child, kwargs={"depth": 1})
+    process.start()
+    process.join()
+'''
 
-class Cache:
-    def __init__(self, path): ...
-
-class DiskCache(Cache):
-    def __init__(self, path):
-        super().__init__(path)
-
-def pulse(chips, sps=4): ...
-
-def modulate(chips, sps=4):
-    return pulse(chips, sps=sps)
-
-def demodulate(samples, sps=4): ...
-
-def receive(samples, sps=4):
-    return demodulate(samples, sps=sps)
-"""
-
-_RULES_ROOT = """
-CRC.checksum_many(rows, lengths)
-rx.receive_retransmission(packet, view)
-plot(series, width=60)
-plot(series, 60.0)
-cache = RunCache(seeds=3)
-cache.get(noise_floor_dbm=-87.0)
-SimulationConfig(carrier_sense=True)
-spec.run(cache)
-SPS = 4
-modulate(chips, sps=SPS)
-receive(samples, sps=2)
-"""
+_RULES_DRIVER = '''from pkg import mod
+mod.plot([1], width=60), mod.plot([1], 60), mod.modulate([1], sps=2)
+mod.Config(seed=3), mod.Config(duration_s=30.0), mod.Counters(hits=5)
+mod.body([]), mod.fork(), mod.Store()
+'''
 
 
-def test_option_check_rules():
-    trees = {"pkg.mod": ast.parse(_RULES_MODULE)}
-    roots = trees | {"root": ast.parse(_RULES_ROOT)}
-    aliases = {"seeds": "seed"}
-    prefix = "pkg.mod."
-    # Mutable dataclasses hold counters, not options.
-    assert {name.removeprefix(prefix) for name in options(trees)} == {
-        "Crc.checksum_many.lengths",
-        "Crc.checksum_many.order",
-        "Receiver.receive_retransmission.channel_view",
-        "plot.width",
-        "SimulationConfig.seed",
-        "SimulationConfig.duration_s",
-        "SimulationConfig.noise_floor_dbm",
-        "SimulationConfig.carrier_sense",
-        "run.n_body",
-        "Store.__init__.base",
-        "pulse.sps",
-        "modulate.sps",
-        "demodulate.sps",
-        "receive.sps",
-    }
-    keep = {
-        f"{prefix}Crc.checksum_many.order": "kept with a reason",
-        f"{prefix}Crc.checksum_many.lengths": "stale: a root passes it",
-        f"{prefix}gone.knob": "stale: no such option",
-    }
-    unset, stale = option_findings(trees, roots, aliases, keep)
-    # Positional passes (to a method, past its ``self``) count; so do
-    # an override key and an alias of one.  Passing the literal default,
-    # by keyword or by position, does not.  Nor does:
-    # - ``spec.run(cache)``, which reaches the registry wrapper, never
-    #   the registered body of the same name;
-    # - ``super().__init__(path)``, which reaches the enclosing class's
-    #   bases only, not the unrelated ``Store.__init__``;
-    # - ``sps=SPS`` where ``SPS = 4`` is bound once, to the default;
-    # - ``modulate``'s ``sps=sps``, which passes on an option nothing
-    #   sets, while ``receive``'s passes on one a root sets to 2.
-    assert {name.removeprefix(prefix) for name in unset} == {
-        "plot.width",
-        "SimulationConfig.duration_s",
-        "SimulationConfig.carrier_sense",
-        "run.n_body",
-        "Store.__init__.base",
-        "pulse.sps",
-        "modulate.sps",
-    }
-    assert stale == {f"{prefix}Crc.checksum_many.lengths", f"{prefix}gone.knob"}
+def test_tracer_rules(tmp_path):
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "mod.py").write_text(_RULES_MODULE)
+    (tmp_path / "drive.py").write_text(_RULES_DRIVER)
+    found = inventory({"pkg.mod": tmp_path / "pkg" / "mod.py"})
+    env = dict(os.environ, PYTHONPATH=str(tmp_path))
+    ran, set_ = trace(found, tmp_path / "pkg", tmp_path, env, str(tmp_path / "drive.py"))
+
+    def mod(*names: str) -> set[str]:
+        return {f"pkg.mod.{name}" for name in names}
+
+    assert mod("body", "child") <= ran
+    # Passing a default by keyword or by position sets nothing; passing
+    # on a non-default does, and so do a frozen field at construction and
+    # a call in a forked child.
+    assert set_ == mod("modulate.sps", "pulse.sps", "Config.seed", "child.depth")
+    keep = dict.fromkeys(mod("modulate", "gone"), "runs or is gone")
+    keep_options = dict.fromkeys(mod("pulse.sps", "never_reference.x"), "set or kept whole")
+    keep_options["pkg.mod.Config.duration_s"] = "kept with a reason"
+    result = findings(found, ran, set_, keep, keep_options)
+    # A dunder and a twin pass unrun; only the twin keeps its options.
+    assert result.unrun == mod("never")
+    # The functools.wraps wrapper does not lend its False to the body.
+    assert result.unset == mod("never.x", "plot.width", "body.quick", "Store.__init__.base")
+    assert result.stale_keep == mod("modulate", "gone")
+    assert result.stale_options == mod("pulse.sps", "never_reference.x")

@@ -39,7 +39,7 @@ class TestFromLabels:
         runs = RunLengthPacket.from_labels(np.zeros(5, dtype=bool))
         assert runs.bad == (5,)
         assert runs.good == (0,)
-        assert runs.n_bad_symbols == 5
+        assert sum(runs.bad) == 5
 
     def test_alternating(self):
         mask = np.array([0, 1, 0, 1, 0], dtype=bool)

@@ -64,7 +64,7 @@ class TestPacketCrc:
         assert result.delivered_incorrect_bits == 0
 
     def test_overhead_is_one_crc(self):
-        assert PacketCrcScheme().wire_overhead_bytes(1500) == 4
+        assert _trace_deliver(PacketCrcScheme(), 1500).overhead_bits == 32
 
     def test_short_wire_rejected(self):
         scheme = PacketCrcScheme()
@@ -157,12 +157,6 @@ class TestCommon:
         names = [s.name for s in schemes]
         assert names == ["packet_crc", "fragmented_crc", "ppr"]
 
-    def test_wire_length(self):
-        for scheme in default_schemes():
-            assert scheme.wire_length(100) == 100 + (
-                scheme.wire_overhead_bytes(100)
-            )
-
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="hints shape"):
             SoftPacket(
@@ -221,9 +215,21 @@ class TestSprac:
 
     def test_overhead_includes_repair_payload(self):
         scheme = SpracScheme(n_segments=10, n_repair=5)
-        overhead = scheme.wire_overhead_bytes(1500)
-        # 15 CRCs plus 5 repair segments of ceil(1500/10) bytes.
-        assert overhead == 4 * 15 + 5 * 150
+        # 15 CRCs plus 5 repair segments of 3000/10 symbols.
+        assert _trace_deliver(scheme, 1500).overhead_bits == 8 * 810
+
+    @pytest.mark.parametrize(
+        "payload_len, k, r, overhead_bits",
+        [
+            # 4 CRCs plus one repair segment of ceil(20/3) = 7 symbols,
+            # not of ceil(10/3) = 4 bytes.
+            (10, 3, 1, 32 * 4 + 4 * 7),
+            (101, 30, 8, 32 * 38 + 8 * 4 * 7),
+        ],
+    )
+    def test_overhead_when_segments_split_a_byte(self, payload_len, k, r, overhead_bits):
+        scheme = SpracScheme(n_segments=k, n_repair=r)
+        assert _trace_deliver(scheme, payload_len).overhead_bits == overhead_bits
 
     def test_default_repair_count(self):
         assert SpracScheme(n_segments=30).n_repair == 8

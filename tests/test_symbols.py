@@ -16,7 +16,6 @@ class TestSoftPacket:
 
     def test_length(self):
         assert len(self._packet()) == 4
-        assert self._packet().n_symbols == 4
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape"):
