@@ -119,7 +119,9 @@ def test_bench_sic_decode_pair(benchmark):
     capture = add_awgn(capture, 0.01, rng)
     decoder = SicDecoder(codebook)
 
-    result = benchmark(decoder.decode_pair, capture, N_BODY)
+    result = benchmark.pedantic(
+        decoder.decode_pair, args=(capture, N_BODY), rounds=10, iterations=1
+    )
     assert result.cancelled
     assert result.strong is not None
     assert result.weak is not None

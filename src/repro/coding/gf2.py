@@ -4,9 +4,10 @@ Random linear network coding over GF(2) asks one question of a set of
 surviving equations: which unknowns do they pin down?  Intact source
 blocks contribute unit vectors, valid coded blocks their coefficient
 rows, and batched Gaussian elimination to reduced row-echelon form
-answers it.  Coefficient rows are packed 64 bits to a uint64 word, so
-each pivot step is one vectorized XOR over all rows that carry the
-pivot bit.
+answers it.  Coefficient rows are packed 64 bits to a uint64 word, and
+a whole stack of systems is reduced at once, so each pivot step is one
+vectorized XOR over every row of every system that carries its
+system's pivot bit.
 
 The kernel keeps its original pure-Python loop implementation
 (``gf2_eliminate_reference``) as the executable specification, pinned
@@ -25,10 +26,7 @@ from repro.utils.rng import keyed_rng
 
 _WORD_BITS = 64
 _WORD_BYTES = 8
-# _BIT_MASKS[b] selects bit b of a word, MSB first
-_BIT_MASKS = np.uint64(1) << np.arange(
-    _WORD_BITS - 1, -1, -1, dtype=np.uint64
-)
+_ONE = np.uint64(1)
 
 
 def gf2_coefficients(
@@ -56,77 +54,69 @@ def gf2_coefficients(
 
 
 def _pack_coeff_bits(coeffs: np.ndarray) -> np.ndarray:
-    """Pack ``(m, k)`` 0/1 coefficients into ``(m, ceil(k/64))``
+    """Pack ``(..., k)`` 0/1 coefficients into ``(..., ceil(k/64))``
     uint64 words, bit ``j`` of a row at bit ``63 - (j % 64)`` of word
     ``j // 64`` (MSB-first)."""
-    m, k = coeffs.shape
-    n_bytes = -(-k // 8)
-    packed = np.packbits(coeffs.astype(np.uint8), axis=1)
-    out = np.zeros((m, -(-k // _WORD_BITS) * _WORD_BYTES), dtype=np.uint8)
-    out[:, :n_bytes] = packed
-    return (
-        np.ascontiguousarray(out)
-        .view(np.dtype(">u8"))
-        .astype(np.uint64)
-        .reshape(m, -1)
-    )
+    k = coeffs.shape[-1]
+    n_words = -(-k // _WORD_BITS)
+    packed = np.packbits(coeffs.astype(np.uint8), axis=-1)
+    out = np.zeros(coeffs.shape[:-1] + (n_words * _WORD_BYTES,), dtype=np.uint8)
+    out[..., : packed.shape[-1]] = packed
+    return out.view(np.dtype(">u8")).astype(np.uint64)
 
 
 def gf2_eliminate(coeffs: np.ndarray) -> np.ndarray:
-    """Which unknowns a system of GF(2) equations pins down.
+    """Which unknowns each of a stack of GF(2) systems pins down.
 
-    ``coeffs`` is the ``(m, k)`` 0/1 matrix of the available
-    equations.  Reduces it to reduced row-echelon form — each pivot
-    step XORs the pivot row into *every* other row carrying the pivot
-    bit, in one vectorized operation — and returns the ``(k,)`` bool
-    mask of unknowns whose pivot row is exactly their unit vector.
+    ``coeffs`` is one ``(m, k)`` 0/1 matrix of available equations, or
+    a ``(P, m, k)`` stack of ``P`` such systems; the answer is the
+    ``(k,)`` or ``(P, k)`` bool mask of unknowns whose unit vector lies
+    in the row space.  All systems are reduced together, one row index
+    per step: row ``i`` of every system takes its lowest set bit as its
+    pivot and is XORed into every other row of its system carrying
+    that bit.  Afterwards no two rows share a pivot and no row carries
+    another's pivot, so a unit vector lies in the row space iff it is
+    one of the rows: an unknown is pinned down iff its pivot row holds
+    no other bit.
     """
     coeffs = np.asarray(coeffs, dtype=np.uint8)
-    if coeffs.ndim != 2:
-        raise ValueError("coeffs must be 2-D")
-    m, k = coeffs.shape
-    recovered = np.zeros(k, dtype=bool)
-    if m == 0:
-        return recovered
-    rows = _pack_coeff_bits(coeffs)
-    prows: list[int] = []
-    pcols: list[int] = []
-    row = 0
-    for col in range(k):
-        word = col // _WORD_BITS
-        carriers = (rows[:, word] & _BIT_MASKS[col % _WORD_BITS]) != 0
-        below = np.flatnonzero(carriers[row:])
-        if below.size == 0:
-            continue
-        pivot = row + int(below[0])
-        if pivot != row:
-            swapped = rows[row].copy()
-            rows[row] = rows[pivot]
-            rows[pivot] = swapped
-            carriers[pivot] = carriers[row]
-        carriers[row] = False
-        rows[carriers] ^= rows[row]
-        prows.append(row)
-        pcols.append(col)
-        row += 1
-        if row == m:
+    if coeffs.ndim not in (2, 3):
+        raise ValueError("coeffs must be one 2-D system or a 3-D stack")
+    stack = coeffs if coeffs.ndim == 3 else coeffs[None]
+    n_systems, m, k = stack.shape
+    rows = _pack_coeff_bits(stack)
+    systems = np.arange(n_systems)
+    pivot_word = np.zeros((n_systems, m), dtype=np.intp)
+    pivot_bit = np.zeros((n_systems, m), dtype=np.uint64)  # 0: no pivot
+    for i in range(m if k else 0):
+        row = rows[:, i, :]
+        word = (row != 0).argmax(axis=1)
+        bits = row[systems, word]
+        pivot = bits & (~bits + _ONE)  # lowest set bit; 0 for a zero row
+        carriers = (rows[systems, :, word] & pivot[:, None]) != 0
+        carriers[:, i] = False
+        rows ^= row[:, None, :] * carriers[:, :, None]
+        pivot_word[:, i] = word
+        pivot_bit[:, i] = pivot
+        # Past k rows, a full rank has cleared every row still to come.
+        if i + 1 >= k and not rows[:, i + 1 :].any():
             break
-    # Unique determination: a pivot row is exactly the unit vector at
-    # its column.
-    pcol = np.array(pcols, dtype=np.intp)
-    unit = np.zeros((pcol.size, rows.shape[1]), dtype=np.uint64)
-    unit[np.arange(pcol.size), pcol // _WORD_BITS] = _BIT_MASKS[
-        pcol % _WORD_BITS
-    ]
-    recovered[pcol[(rows[prows] == unit).all(axis=1)]] = True
-    return recovered
+    # Bit b (from the least significant) of word w is column 64 w + 63 - b.
+    col = (pivot_word + 1) * _WORD_BITS - 1 - np.bitwise_count(pivot_bit - _ONE)
+    unit = (pivot_bit != 0) & (np.bitwise_count(rows).sum(axis=2) == 1)
+    recovered = np.zeros((n_systems, k), dtype=bool)
+    recovered[np.nonzero(unit)[0], col[unit]] = True
+    return recovered.reshape(coeffs.shape[:-2] + (k,))
 
 
 def gf2_eliminate_reference(coeffs: np.ndarray) -> np.ndarray:
-    """Loop specification of :func:`gf2_eliminate` (pinned).
+    """Loop specification of :func:`gf2_eliminate` for one ``(m, k)``
+    system (pinned system by system).
 
-    Same pivot choices (first carrier row, columns left to right) on
-    plain Python ints, so swaps and XOR order match exactly.
+    Gauss-Jordan elimination to reduced row-echelon form on plain
+    Python ints, leftmost pivots first.  Its pivots differ from the
+    batched kernel's, but which unit vectors lie in the row space does
+    not depend on them.
     """
     coeffs = np.asarray(coeffs, dtype=np.uint8)
     m, k = coeffs.shape

@@ -64,8 +64,6 @@ class SegmentedRlncCodec:
         self.n_segments = int(n_segments)
         self.n_repair = int(n_repair)
         self._coefficients: np.ndarray | None = None
-        # recoverable_mask results keyed by the packed erasure pattern
-        self._recoverable: dict[bytes, np.ndarray] = {}
 
     def __repr__(self) -> str:
         return (
@@ -102,31 +100,29 @@ class SegmentedRlncCodec:
         repair segments their coefficient rows, and the elimination
         reports every uniquely-determined coordinate.
 
-        Intact data segments are known, so only the erased columns of
-        the surviving repair rows are eliminated: an erased segment is
-        pinned down by the whole system iff its unit vector lies in
-        the row space of those columns.  The answer depends only on
-        the erasure pattern, so it is memoised per codec and returned
-        as a read-only array.
+        ``data_ok``/``repair_ok`` are one ``(k,)``/``(r,)`` erasure
+        pattern or a ``(P, k)``/``(P, r)`` stack of them; the answer
+        has ``data_ok``'s shape.  Intact data segments are known, so
+        each pattern's system is its surviving repair rows restricted
+        to its erased columns (lost rows and intact columns zeroed): an
+        erased segment is pinned down iff its unit vector lies in that
+        row space.  Every pattern of the stack is resolved in one
+        batched :func:`~repro.coding.gf2.gf2_eliminate` call.
         """
         data_ok = np.asarray(data_ok, dtype=bool)
         repair_ok = np.asarray(repair_ok, dtype=bool)
-        if data_ok.shape != (self.n_segments,):
+        if data_ok.ndim not in (1, 2) or data_ok.shape[-1] != self.n_segments:
             raise ValueError(
-                f"data_ok must have shape ({self.n_segments},)"
+                f"data_ok must have shape ({self.n_segments},) or "
+                f"(P, {self.n_segments})"
             )
-        if repair_ok.shape != (self.n_repair,):
+        if repair_ok.shape != data_ok.shape[:-1] + (self.n_repair,):
             raise ValueError(
-                f"repair_ok must have shape ({self.n_repair},)"
+                f"repair_ok must have shape {data_ok.shape[:-1] + (self.n_repair,)}"
             )
-        key = np.packbits(np.concatenate([data_ok, repair_ok])).tobytes()
-        recovered = self._recoverable.get(key)
-        if recovered is None:
-            recovered = data_ok.copy()
-            erased = ~data_ok
-            if erased.any():
-                coeffs = self.coefficients()[repair_ok][:, erased]
-                recovered[erased] = gf2_eliminate(coeffs)
-            recovered.flags.writeable = False
-            self._recoverable[key] = recovered
-        return recovered
+        systems = (
+            self.coefficients()
+            & repair_ok[..., :, None]
+            & ~data_ok[..., None, :]
+        )
+        return data_ok | gf2_eliminate(systems)

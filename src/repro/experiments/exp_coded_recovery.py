@@ -89,9 +89,7 @@ def run(runs: list[SimulationResult]) -> ExperimentOutput:
     """Evaluate the four contenders on every declared run."""
     # The segment counts and etas ride on the same traces, so every
     # contender is evaluated once per (noise, seed) run and the
-    # (k, eta) cells are assembled from those evaluations.  One
-    # SpracScheme per k serves every run, so its codec's recovery memo
-    # is shared across them.
+    # (k, eta) cells are assembled from those evaluations.
     packet = PacketCrcScheme()
     frags = {k: FragmentedCrcScheme(n_fragments=k) for k in SEGMENTS}
     spracs = {k: SpracScheme(n_segments=k, n_repair=k // 2) for k in SEGMENTS}

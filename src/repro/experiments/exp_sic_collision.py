@@ -201,22 +201,22 @@ def run() -> ExperimentOutput:
             )
 
             # Capture-only: the plain receiver's best effort (both
-            # sync anchors when it finds them, else the single pass).
-            try:
-                pair = engine.receive_collision_pair(capture, n_body)
-                receptions = [pair.first, pair.second]
-            except RuntimeError:
-                single = engine.receive_frames(capture, n_body)
-                receptions = [single] if single.acquired else []
-            plain = [(r.symbols, r.hints) for r in receptions]
+            # sync anchors when it finds them, else the one it has).
+            pair = engine.receive_collision_pair(capture, n_body)
+            plain = [
+                (r.symbols, r.hints)
+                for r in (pair.first, pair.second)
+                if r.acquired
+            ]
             base_frames[i_dist, i_off], base_good[i_dist, i_off] = (
                 _judge(plain, bodies, PAPER_ETA)
             )
 
             # The SIC pipeline degrades gracefully: when cancellation
             # yields no credible weak frame, the plain decodes (and
-            # their PPR chunk credit) are still on the table.
-            result = decoder.decode_pair(capture, n_body)
+            # their PPR chunk credit) are still on the table.  Its
+            # strong pass is the plain receiver's, received once.
+            result = decoder.decode_pair(capture, n_body, strong=pair.frame)
             cancelled = plain + [
                 (f.reception.symbols, f.reception.hints)
                 for f in result.frames

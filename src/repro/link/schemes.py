@@ -243,16 +243,20 @@ class FragmentedCrcScheme(DeliveryScheme):
     def __repr__(self) -> str:
         return f"FragmentedCrcScheme(n_fragments={self.n_fragments})"
 
+    def _fragments(self, n_symbols: int) -> int:
+        """Fragments of an ``n_symbols``-symbol payload: one per symbol
+        at most, and one for an empty payload."""
+        return min(self.n_fragments, n_symbols) if n_symbols else 1
+
     def wire_overhead_bytes(self, payload_len: int) -> int:
         """Checksum bytes added to a payload of the given length."""
-        n = min(self.n_fragments, payload_len) if payload_len else 1
-        return _CRC_BYTES * n
+        return _CRC_BYTES * self._fragments(_SYMBOLS_PER_BYTE * payload_len)
 
     def evaluate_traces(self, block: TraceBlock) -> TraceDelivery:
         # Fragments of the traced payload region itself (the trace
         # carries no interleaved CRC fields).
         n_symbols = block.n_symbols
-        n = min(self.n_fragments, n_symbols) if n_symbols else 1
+        n = self._fragments(n_symbols)
         bounds = np.linspace(0, n_symbols, n + 1).astype(int)
         ok = _segments_ok(block.correct, bounds)
         return TraceDelivery.of(
@@ -398,10 +402,12 @@ class SpracScheme(DeliveryScheme):
         extended past the recorded region.  Recovery then follows the
         real coefficient matrices:
         :meth:`~repro.coding.rlnc.SegmentedRlncCodec.recoverable_mask`
-        runs the GF elimination, once per distinct erasure pattern, to
-        decide which erased segments the surviving equations pin down
-        (a recovered segment is exact by construction).  Repair airtime
-        and every CRC are charged as overhead.
+        resolves every distinct erasure pattern of the block in one
+        batched GF elimination, deciding which erased segments the
+        surviving equations pin down (a recovered segment is exact by
+        construction).  Only rows holding a wrong codeword have
+        erasures; every other row delivers each segment.  Repair
+        airtime and every CRC are charged as overhead.
         """
         k, r = self.n_segments, self.n_repair
         n_symbols = block.n_symbols
@@ -412,21 +418,27 @@ class SpracScheme(DeliveryScheme):
                 overhead_bits=8 * _CRC_BYTES * (k + r),
             )
         bounds = np.linspace(0, n_symbols, k + 1).astype(int)
-        data_ok = _segments_ok(block.correct, bounds)
         repair_sym = -(-n_symbols // k)
         windows = (
             (k + np.arange(r)[:, None]) * repair_sym + np.arange(repair_sym)
         ) % n_symbols
-        repair_ok = block.correct[:, windows].all(axis=2)
-        patterns, inverse = np.unique(
-            np.concatenate([data_ok, repair_ok], axis=1),
-            axis=0,
-            return_inverse=True,
+        erred = ~block.correct.all(axis=1)
+        correct = block.correct[erred]
+        patterns = np.concatenate(
+            [_segments_ok(correct, bounds), correct[:, windows].all(axis=2)],
+            axis=1,
         )
-        recoverable = np.array(
-            [self.codec.recoverable_mask(p[:k], p[k:]) for p in patterns]
+        # Distinct patterns by their packed bytes: one 1-D sort.
+        keys = np.packbits(patterns, axis=1)
+        keys = keys.view(f"V{keys.shape[1]}").ravel()
+        _, first, inverse = np.unique(
+            keys, return_index=True, return_inverse=True
         )
-        delivered = recoverable[inverse.reshape(-1)]
+        distinct = patterns[first]
+        delivered = np.ones((block.correct.shape[0], k), dtype=bool)
+        delivered[erred] = self.codec.recoverable_mask(
+            distinct[:, :k], distinct[:, k:]
+        )[inverse]
         return TraceDelivery.of(
             frame_passed=delivered.all(axis=1),
             delivered_correct_bits=(delivered @ np.diff(bounds))

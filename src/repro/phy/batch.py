@@ -96,16 +96,25 @@ class SyncDetection:
 class CollisionPairReception:
     """Both sides of a two-packet collision in one capture window.
 
-    ``first`` decoded forward from its preamble, ``second`` rolled
-    back from the last postamble (the Fig. 5/13 scenario).  The full
-    detection lists are kept so callers can reason about what else
-    did — or did not — rise above the sync threshold.
+    ``first`` decoded forward from the first preamble, ``second``
+    rolled back from the last postamble (the Fig. 5/13 scenario); a
+    side whose sync field was not detected, or whose body would reach
+    outside the capture, is an empty reception.  The full detection
+    lists are kept so callers can reason about what else did — or did
+    not — rise above the sync threshold.
     """
 
     preamble_detections: list[SyncDetection]
     postamble_detections: list[SyncDetection]
     first: "FrameReception"
     second: "FrameReception"
+
+    @property
+    def frame(self) -> "FrameReception":
+        """The single-frame policy's reception of the capture (what
+        :meth:`WaveformBatchEngine.receive_frames` returns for it): the
+        forward decode when it acquired, else the rollback."""
+        return self.first if self.first.acquired else self.second
 
 
 @dataclass(frozen=True)
@@ -277,29 +286,32 @@ class WaveformBatchEngine:
         The first packet anchors on its (cleanly received) preamble
         and decodes forward; the second packet's preamble collided, so
         it anchors on the *last* postamble in the capture and rolls
-        back.  Raises ``RuntimeError`` when a required sync field is
-        missing.
+        back.  Both bodies are decoded in one call; a side with no
+        usable anchor is an empty reception.
         """
+        capture = np.asarray(capture, dtype=np.complex128)
         pre_dets = self.detect(capture, "preamble")
-        if not pre_dets:
-            raise RuntimeError("first packet's preamble not detected")
         post_dets = self.detect(capture, "postamble")
-        if not post_dets:
-            raise RuntimeError("second packet's postamble not detected")
-        det1 = pre_dets[0]
-        det2 = max(post_dets, key=lambda d: d.sample_offset)
-        (sym1, hints1), (sym2, hints2) = self.decode(
-            capture, [det1, det2], n_body
+        anchors = [
+            pre_dets[0] if pre_dets else None,
+            max(post_dets, key=lambda d: d.sample_offset, default=None),
+        ]
+        anchors = [
+            d if d is not None and _fits(capture, d, n_body) else None
+            for d in anchors
+        ]
+        decoded = iter(
+            self.decode(capture, [d for d in anchors if d is not None], n_body)
+        )
+        first, second = (
+            FrameReception(d, *next(decoded)) if d is not None else _NOT_ACQUIRED
+            for d in anchors
         )
         return CollisionPairReception(
             preamble_detections=pre_dets,
             postamble_detections=post_dets,
-            first=FrameReception(
-                detection=det1, symbols=sym1, hints=hints1
-            ),
-            second=FrameReception(
-                detection=det2, symbols=sym2, hints=hints2
-            ),
+            first=first,
+            second=second,
         )
 
     def receive_residual(
@@ -341,32 +353,35 @@ class WaveformBatchEngine:
                 f"n_body must be non-negative, got {n_body}"
             )
         capture = np.asarray(capture, dtype=np.complex128)
-
-        def _fits(detection: SyncDetection) -> bool:
-            """Whether the body's chip span lies inside the capture."""
-            start = body_start(detection, n_body)
-            n_chips = n_body * CHIPS_PER_SYMBOL
-            # The last chip's pulse spans two chip periods.
-            needed = start + (n_chips + 1) * SAMPLES_PER_CHIP if n_chips else start
-            return start >= 0 and needed <= capture.size
-
         pre = self.detect(capture, "preamble")
-        detection = pre[0] if pre and _fits(pre[0]) else None
+        detection = pre[0] if pre and _fits(capture, pre[0], n_body) else None
         if detection is None:
             # Postamble correlation is only paid when the preamble path
             # could not serve the capture (the rollback minority).
             post = self.detect(capture, "postamble")
             last = max(post, key=lambda d: d.sample_offset, default=None)
-            if last is not None and _fits(last):
+            if last is not None and _fits(capture, last, n_body):
                 detection = last
         if detection is None:
-            return FrameReception(
-                detection=None,
-                symbols=np.zeros(0, dtype=np.int64),
-                hints=np.zeros(0, dtype=np.float64),
-            )
+            return _NOT_ACQUIRED
         [(symbols, hints)] = self.decode(capture, [detection], n_body)
         return FrameReception(detection=detection, symbols=symbols, hints=hints)
+
+
+_NOT_ACQUIRED = FrameReception(
+    detection=None,
+    symbols=np.zeros(0, dtype=np.int64),
+    hints=np.zeros(0, dtype=np.float64),
+)
+
+
+def _fits(capture: np.ndarray, detection: SyncDetection, n_body: int) -> bool:
+    """Whether the body a detection anchors lies inside the capture."""
+    start = body_start(detection, n_body)
+    n_chips = n_body * CHIPS_PER_SYMBOL
+    # The last chip's pulse spans two chip periods.
+    needed = start + (n_chips + 1) * SAMPLES_PER_CHIP if n_chips else start
+    return start >= 0 and needed <= capture.size
 
 
 def body_start(detection: SyncDetection, n_body: int) -> int:

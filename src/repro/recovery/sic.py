@@ -131,19 +131,26 @@ class SicDecoder:
         )
 
     def decode_pair(
-        self, capture: np.ndarray, n_body: int
+        self,
+        capture: np.ndarray,
+        n_body: int,
+        strong: FrameReception | None = None,
     ) -> SicPairResult:
         """Run the full SIC pipeline over one collided capture.
 
         The strong pass is the standard reception policy (preamble
-        forward, else postamble rollback).  Cancellation is skipped
-        when nothing acquires or the gain estimate carries no energy;
-        a residual detection within one symbol of the cancelled frame
-        is discarded as a cancellation remnant rather than reported as
-        a second frame.
+        forward, else postamble rollback).  A caller that has already
+        received the capture at this decoder's threshold passes that
+        reception as ``strong`` (``receive_collision_pair(...).frame``
+        equals ``receive_frames``), so the capture is not received
+        twice.  Cancellation is skipped when nothing acquires or the
+        gain estimate carries no energy; a residual detection within
+        one symbol of the cancelled frame is discarded as a
+        cancellation remnant rather than reported as a second frame.
         """
         capture = np.asarray(capture, dtype=np.complex128)
-        strong = self._engine.receive_frames(capture, n_body)
+        if strong is None:
+            strong = self._engine.receive_frames(capture, n_body)
         if not strong.acquired:
             return SicPairResult(
                 strong=None,

@@ -8,7 +8,6 @@ milliwatt conversion.  Everything here is pure and deterministic.
 from repro.utils.bitops import (
     BitReader,
     BitWriter,
-    bits_to_bytes,
     bits_to_int,
     bytes_to_bits,
     pack_bits_to_uint32,
@@ -33,7 +32,6 @@ from repro.utils.units import dbm_to_mw
 __all__ = [
     "BitReader",
     "BitWriter",
-    "bits_to_bytes",
     "bits_to_int",
     "bytes_to_bits",
     "pack_bits_to_uint32",

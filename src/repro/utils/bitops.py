@@ -9,6 +9,8 @@ into ``uint32`` for vectorised XOR/popcount decoding.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 # ---------------------------------------------------------------------------
@@ -24,19 +26,6 @@ def bytes_to_bits(data: bytes | bytearray | memoryview) -> np.ndarray:
     """
     arr = np.frombuffer(bytes(data), dtype=np.uint8)
     return np.unpackbits(arr)
-
-
-def bits_to_bytes(bits: np.ndarray) -> bytes:
-    """Pack a bit array (MSB first) back into bytes.
-
-    The length of ``bits`` must be a multiple of 8.
-    """
-    bits = np.asarray(bits, dtype=np.uint8)
-    if bits.size % 8 != 0:
-        raise ValueError(
-            f"bit array length {bits.size} is not a multiple of 8"
-        )
-    return np.packbits(bits).tobytes()
 
 
 def bits_to_int(bits: np.ndarray) -> int:
@@ -91,28 +80,28 @@ class BitWriter:
     """
 
     def __init__(self) -> None:
-        self._bits: list[int] = []
+        # The stream so far as one int, first bit most significant.
+        self._value = 0
+        self._length = 0
 
     def __len__(self) -> int:
-        return len(self._bits)
+        return self._length
 
     def write_uint(self, value: int, width: int) -> "BitWriter":
         """Append ``value`` as a ``width``-bit big-endian unsigned field."""
         if width < 0:
             raise ValueError(f"width must be non-negative, got {width}")
-        if value < 0 or (width < 64 and value >= (1 << width)):
+        value = operator.index(value)
+        if value < 0 or value >> width:
             raise ValueError(f"value {value} does not fit in {width} bits")
-        for i in range(width - 1, -1, -1):
-            self._bits.append((value >> i) & 1)
+        self._value = (self._value << width) | value
+        self._length += width
         return self
 
     def getvalue(self) -> bytes:
         """Return the stream padded with zero bits to a byte boundary."""
-        bits = np.array(self._bits, dtype=np.uint8)
-        pad = (-bits.size) % 8
-        if pad:
-            bits = np.concatenate([bits, np.zeros(pad, dtype=np.uint8)])
-        return bits_to_bytes(bits) if bits.size else b""
+        pad = -self._length % 8
+        return (self._value << pad).to_bytes((self._length + pad) // 8, "big")
 
 
 class BitReader:

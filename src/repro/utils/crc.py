@@ -16,7 +16,8 @@ system uses:
 The engine's byte table (Rocksoft model) is the reference for all
 three.  A single message's CRC-32 and CRC-16 come from the standard
 library's C kernels (:func:`zlib.crc32`, :func:`binascii.crc_hqx`),
-which compute the same values; CRC-8 runs the table loop.
+which compute the same values; CRC-8's kernel is the table loop
+specialised to its parameters.
 """
 
 from __future__ import annotations
@@ -45,9 +46,9 @@ class CrcAlgorithm:
     """A parameterised CRC (Rocksoft model).
 
     Attributes mirror the classic Rocksoft parameter set: polynomial,
-    width, initial value, reflect-in/out, and final XOR.  ``kernel``,
-    when given, computes one message's CRC in place of the table loop
-    and must agree with it on every input.
+    width, initial value, reflect-in/out, and final XOR.  ``kernel``
+    computes one message's CRC and must agree with the byte-table loop
+    :meth:`compute_table` on every input.
     """
 
     name: str
@@ -57,9 +58,7 @@ class CrcAlgorithm:
     refin: bool
     refout: bool
     xorout: int
-    kernel: Callable[[Buffer], int] | None = field(
-        default=None, repr=False, compare=False
-    )
+    kernel: Callable[[Buffer], int] = field(repr=False, compare=False)
     _table: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -87,9 +86,7 @@ class CrcAlgorithm:
 
     def compute(self, data: Buffer) -> int:
         """Compute the CRC of ``data`` and return it as an int."""
-        if self.kernel is not None:
-            return self.kernel(data)
-        return self.compute_table(data)
+        return self.kernel(data)
 
     def compute_table(self, data: Buffer) -> int:
         """The CRC of ``data`` by the byte-table loop (the reference)."""
@@ -178,6 +175,15 @@ CRC16_CCITT = CrcAlgorithm(
     kernel=_crc16_ccitt_false,
 )
 
+def _crc8_atm(data: Buffer) -> int:
+    # Zero init, no reflection and no final XOR leave the byte-table
+    # step of an 8-bit CRC as one lookup.
+    reg = 0
+    for byte in bytes(data):
+        reg = _CRC8_ATM_TABLE[reg ^ byte]
+    return reg
+
+
 CRC8_ATM = CrcAlgorithm(
     name="CRC-8/ATM",
     width=8,
@@ -186,7 +192,9 @@ CRC8_ATM = CrcAlgorithm(
     refin=False,
     refout=False,
     xorout=0x00,
+    kernel=_crc8_atm,
 )
+_CRC8_ATM_TABLE = bytes(CRC8_ATM._table)
 
 
 def crc16(data: bytes) -> int:

@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from repro.utils.bitops import (
     BitReader,
     BitWriter,
-    bits_to_bytes,
     bits_to_int,
     bytes_to_bits,
     pack_bits_to_uint32,
@@ -25,19 +24,14 @@ class TestByteBitConversions:
 
     def test_roundtrip_fixed(self):
         data = bytes(range(256))
-        assert bits_to_bytes(bytes_to_bits(data)) == data
-
-    def test_bits_to_bytes_rejects_partial_byte(self):
-        with pytest.raises(ValueError, match="multiple of 8"):
-            bits_to_bytes(np.ones(7, dtype=np.uint8))
+        assert np.packbits(bytes_to_bits(data)).tobytes() == data
 
     def test_empty(self):
         assert bytes_to_bits(b"").size == 0
-        assert bits_to_bytes(np.zeros(0, dtype=np.uint8)) == b""
 
     @given(st.binary(max_size=200))
     def test_roundtrip_property(self, data):
-        assert bits_to_bytes(bytes_to_bits(data)) == data
+        assert np.packbits(bytes_to_bits(data)).tobytes() == data
 
 
 class TestIntBits:
@@ -119,10 +113,18 @@ class TestBitStream:
         w = BitWriter()
         w.write_uint(1, 1)
         assert w.getvalue() == b"\x80"
+        w.write_uint(0b0110, 4).write_uint(0xABC, 12)
+        assert w.getvalue() == bytes([0b10110101, 0b01011110, 0])
+        assert BitWriter().getvalue() == b""
+        assert BitWriter().write_uint(0, 0).getvalue() == b""
 
     def test_value_overflow_rejected(self):
         with pytest.raises(ValueError, match="does not fit"):
             BitWriter().write_uint(8, 3)
+        with pytest.raises(ValueError, match="does not fit"):
+            BitWriter().write_uint(1 << 70, 70)
+        with pytest.raises(ValueError, match="does not fit"):
+            BitWriter().write_uint(-1, 8)
 
     def test_reader_eof(self):
         r = BitReader(b"\x00")

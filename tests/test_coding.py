@@ -62,53 +62,65 @@ def _span_oracle(coeffs, data_ok, repair_ok):
     return recovered
 
 
+def _assert_matches_span_oracle(codec, data_ok, repair_ok):
+    """One stacked ``recoverable_mask`` call, checked pattern by
+    pattern against the enumeration oracle."""
+    got = codec.recoverable_mask(data_ok, repair_ok)
+    assert got.shape == data_ok.shape
+    coeffs = codec.coefficients()
+    for row, (data, repair) in enumerate(zip(data_ok, repair_ok, strict=True)):
+        assert np.array_equal(
+            got[row], _span_oracle(coeffs, data, repair)
+        ), (codec, data, repair)
+
+
 class TestSegmentedRlncCodec:
     @pytest.mark.parametrize("k, r", [(1, 1), (4, 2), (6, 3), (8, 4)])
     def test_recoverable_mask_matches_span_oracle_exhaustive(self, k, r):
-        """Every erasure pattern of small codes against the oracle."""
+        """Every erasure pattern of small codes against the oracle,
+        all of them in one stacked call."""
         codec = SegmentedRlncCodec(k, r)
-        coeffs = codec.coefficients()
-        for bits in itertools.product([False, True], repeat=k + r):
-            data_ok = np.array(bits[:k])
-            repair_ok = np.array(bits[k:])
-            assert np.array_equal(
-                codec.recoverable_mask(data_ok, repair_ok),
-                _span_oracle(coeffs, data_ok, repair_ok),
-            ), (data_ok, repair_ok)
+        patterns = np.array(
+            list(itertools.product([False, True], repeat=k + r))
+        )
+        _assert_matches_span_oracle(codec, patterns[:, :k], patterns[:, k:])
 
     def test_recoverable_mask_matches_span_oracle_random(self, rng):
         """Random erasure patterns of every code up to k=10, r=5,
-        including dense erasures where the repair rows run short."""
+        including dense erasures where the repair rows run short; each
+        code's 40 patterns form one stack."""
         for k in range(1, 11):
             for r in range(1, 6):
                 codec = SegmentedRlncCodec(k, r)
-                coeffs = codec.coefficients()
-                for _trial in range(40):
-                    data_ok = rng.random(k) < rng.uniform(0.0, 1.0)
-                    repair_ok = rng.random(r) < rng.uniform(0.3, 1.0)
-                    assert np.array_equal(
-                        codec.recoverable_mask(data_ok, repair_ok),
-                        _span_oracle(coeffs, data_ok, repair_ok),
-                    ), (k, r, data_ok, repair_ok)
+                data_ok = rng.random((40, k)) < rng.uniform(0.0, 1.0, (40, 1))
+                repair_ok = rng.random((40, r)) < rng.uniform(0.3, 1.0, (40, 1))
+                _assert_matches_span_oracle(codec, data_ok, repair_ok)
 
     def test_recoverable_mask_matches_full_system(self, rng):
-        """The erased-columns elimination (memoised) agrees with the
-        full system — unit rows for intact segments plus the surviving
-        repair rows — on random erasure patterns, repeats included."""
+        """The erased-columns elimination agrees with the full system —
+        unit rows for intact segments plus the surviving repair rows —
+        on random erasure patterns, repeats included, one pattern at a
+        time and as one stack."""
         k, r = 12, 6
         codec = SegmentedRlncCodec(k, r)
         eye = np.eye(k, dtype=np.uint8)
-        for _trial in range(60):
-            data_ok = rng.random(k) < rng.uniform(0.2, 1.0)
-            repair_ok = rng.random(r) < 0.7
-            coeffs = np.concatenate(
-                [eye[data_ok], codec.coefficients()[repair_ok]]
-            )
-            got = codec.recoverable_mask(data_ok, repair_ok)
+        data_ok = rng.random((60, k)) < rng.uniform(0.2, 1.0, (60, 1))
+        repair_ok = rng.random((60, r)) < 0.7
+        data_ok[30:], repair_ok[30:] = data_ok[:30], repair_ok[:30]
+        stacked = codec.recoverable_mask(data_ok, repair_ok)
+        for data, repair, got in zip(data_ok, repair_ok, stacked, strict=True):
+            coeffs = np.concatenate([eye[data], codec.coefficients()[repair]])
             assert np.array_equal(got, gf2_eliminate(coeffs))
-            assert not got.flags.writeable
+            assert np.array_equal(codec.recoverable_mask(data, repair), got)
         assert not codec.coefficients().flags.writeable
         assert codec.coefficients() is codec.coefficients()
+
+    def test_recoverable_mask_empty_stack(self):
+        codec = SegmentedRlncCodec(5, 2)
+        got = codec.recoverable_mask(
+            np.zeros((0, 5), dtype=bool), np.zeros((0, 2), dtype=bool)
+        )
+        assert got.shape == (0, 5)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError, match="n_segments"):
@@ -117,3 +129,8 @@ class TestSegmentedRlncCodec:
             SegmentedRlncCodec(4, 0)
         with pytest.raises(ValueError, match="one byte"):
             SegmentedRlncCodec(300, 2)
+        codec = SegmentedRlncCodec(4, 2)
+        with pytest.raises(ValueError, match="data_ok"):
+            codec.recoverable_mask(np.ones(3, dtype=bool), np.ones(2, dtype=bool))
+        with pytest.raises(ValueError, match="repair_ok"):
+            codec.recoverable_mask(np.ones((2, 4), dtype=bool), np.ones(2, dtype=bool))

@@ -1,5 +1,6 @@
 """Tests for repro.utils.crc against published check values."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,6 +11,7 @@ from repro.utils.crc import (
     crc8,
     crc16,
 )
+from repro.utils.rng import ensure_rng
 
 CHECK_INPUT = b"123456789"
 
@@ -128,12 +130,24 @@ class TestAgainstIndependentReferences:
 
     @given(st.binary(max_size=1500))
     def test_kernels_match_the_byte_table(self, data):
-        """CRC-32 via zlib and CRC-16 via binascii give the byte
-        table's values, for every buffer type callers pass."""
+        """CRC-32 via zlib, CRC-16 via binascii and CRC-8's specialised
+        loop give the byte table's values, for every buffer type
+        callers pass."""
         for alg in (CRC32_IEEE, CRC16_CCITT, CRC8_ATM):
             want = alg.compute_table(data)
             for buffer in (data, bytearray(data), memoryview(data)):
                 assert alg.compute(buffer) == want, alg.name
+
+    def test_crc8_kernel_is_the_table_loop(self):
+        """CRC-8's own kernel equals the generic byte-table loop on
+        the empty message and on seeded random messages."""
+        rng = ensure_rng(8)
+        messages = [b""] + [
+            rng.integers(0, 256, n, dtype=np.uint8).tobytes()
+            for n in (1, 2, 7, 64, 750)
+        ]
+        for data in messages:
+            assert CRC8_ATM.compute(data) == CRC8_ATM.compute_table(data)
 
     def test_known_answer_vectors(self):
         # Rocksoft catalogue check values plus hand-derivable cases.

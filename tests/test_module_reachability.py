@@ -219,6 +219,7 @@ KEEP = {
     "repro.link.schemes.PprScheme.deliver": _PINNED,
     "repro.link.frame.parse_header_bytes": "byte-level header check that pins header_rows_ok",
     "repro.link.frame.parse_trailer_bytes": "byte-level trailer check that pins trailer checks",
+    "repro.utils.crc.CrcAlgorithm.compute_table": "table loop the CRC kernels are pinned against",
     # what only those specs use
     "repro.utils.bitops.BitReader.read_uint": _FEEDBACK,
     "repro.utils.bitops.BitReader.remaining": _FEEDBACK,

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.link.schemes import PprScheme, SicScheme
+from repro.phy.batch import WaveformBatchEngine
 from repro.phy.channelsim import add_awgn
 from repro.phy.modulation import SAMPLES_PER_CHIP, MskModulator
 from repro.phy.remodulate import (
@@ -214,6 +215,76 @@ class TestSicDecodePair:
         noise_energy = 0.02 * (strong_span.stop - strong_span.start)
         assert after < 2.0 * noise_energy
         assert after < 0.15 * before
+
+
+def _shared_receive_captures(codebook, rng):
+    """Captures for the shared strong pass: a clean frame, the same
+    frame with its preamble cut off (rollback only), a collision, and
+    noise alone."""
+    clean = add_awgn(
+        MskModulator().modulate_symbols(_frame_symbols(rng), codebook),
+        0.02,
+        rng,
+    )
+    collided, _, _ = _collision(codebook, rng)
+    noise = add_awgn(np.zeros(4000, dtype=np.complex128), 0.02, rng)
+    return {
+        "clean": clean,
+        "rollback": clean[6 * 32 * SAMPLES_PER_CHIP :],
+        "collided": collided,
+        "noise": noise,
+    }
+
+
+class TestSharedStrongPass:
+    """The plain receiver's collision pair hands SIC its strong frame,
+    so a capture is received once; that frame must be exactly the one
+    a fresh ``receive_frames`` decodes."""
+
+    @pytest.mark.parametrize("kind", ["clean", "rollback", "collided", "noise"])
+    def test_pair_frame_is_a_fresh_receive_frames(self, codebook, rng, kind):
+        capture = _shared_receive_captures(codebook, rng)[kind]
+        engine = WaveformBatchEngine(codebook)
+        frame = engine.receive_collision_pair(capture, N_BODY).frame
+        fresh = engine.receive_frames(capture, N_BODY)
+        assert frame.detection == fresh.detection
+        assert np.array_equal(frame.symbols, fresh.symbols)
+        assert np.array_equal(frame.hints, fresh.hints)
+        assert frame.acquired == (kind != "noise")
+        if kind == "rollback":
+            assert frame.detection.kind == "postamble"
+
+    @pytest.mark.parametrize("kind", ["clean", "rollback", "collided", "noise"])
+    def test_decode_pair_with_a_shared_strong_pass(self, codebook, rng, kind):
+        capture = _shared_receive_captures(codebook, rng)[kind]
+        decoder = SicDecoder(codebook)
+        strong = WaveformBatchEngine(codebook).receive_collision_pair(
+            capture, N_BODY
+        ).frame
+        shared = decoder.decode_pair(capture, N_BODY, strong=strong)
+        alone = decoder.decode_pair(capture, N_BODY)
+        assert shared.cancelled == alone.cancelled
+        assert np.array_equal(shared.residual, alone.residual)
+        assert len(shared.frames) == len(alone.frames)
+        for a, b in zip(shared.frames, alone.frames, strict=True):
+            assert (a.frame_start, a.scale, a.via_residual) == (
+                b.frame_start,
+                b.scale,
+                b.via_residual,
+            )
+            assert np.array_equal(a.reception.symbols, b.reception.symbols)
+            assert np.array_equal(a.reception.hints, b.reception.hints)
+
+    def test_pair_sides_without_an_anchor_are_empty(self, codebook, rng):
+        """A lone frame cut after its body has a preamble but no
+        postamble: the rollback side is empty, the forward side and
+        the single-frame pick are the frame."""
+        capture = _shared_receive_captures(codebook, rng)["clean"]
+        cut = capture[: -8 * 32 * SAMPLES_PER_CHIP]
+        pair = WaveformBatchEngine(codebook).receive_collision_pair(cut, N_BODY)
+        assert pair.first.acquired and not pair.second.acquired
+        assert pair.second.symbols.size == 0
+        assert pair.frame is pair.first
 
 
 class TestChunkFallback:

@@ -95,7 +95,16 @@ class TestFragmentedCrc:
 
     def test_overhead_scales_with_fragments(self):
         assert FragmentedCrcScheme(30).wire_overhead_bytes(1500) == 120
-        assert FragmentedCrcScheme(30).wire_overhead_bytes(10) == 40
+        # 10 bytes are 20 symbols: 20 one-symbol fragments, 20 CRCs.
+        assert FragmentedCrcScheme(30).wire_overhead_bytes(10) == 80
+
+    @pytest.mark.parametrize("payload_len", [0, 1, 10, 14, 15, 16, 1500])
+    def test_wire_overhead_is_what_the_traces_charge(self, payload_len):
+        """The byte overhead table2 derates by is the overhead the
+        trace evaluator charges, short payloads included."""
+        scheme = FragmentedCrcScheme(n_fragments=30)
+        result = _trace_deliver(scheme, payload_len)
+        assert result.overhead_bits == 8 * scheme.wire_overhead_bytes(payload_len)
 
     def test_invalid_fragment_count(self):
         with pytest.raises(ValueError):

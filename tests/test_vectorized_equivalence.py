@@ -22,7 +22,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.arq.chunking import plan_chunks, plan_chunks_reference
 from repro.arq.runlength import RunLengthPacket
-from repro.coding.gf2 import gf2_eliminate, gf2_eliminate_reference
+from repro.coding.gf2 import (
+    gf2_coefficients,
+    gf2_eliminate,
+    gf2_eliminate_reference,
+)
 from repro.experiments import registry
 from repro.experiments.common import RunCache
 from repro.link.frame import (
@@ -800,10 +804,52 @@ class TestGfKernelEquivalence:
             gf2_eliminate(dup), gf2_eliminate_reference(dup)
         )
 
+    @staticmethod
+    def _assert_stack_matches_reference(stack):
+        got = gf2_eliminate(stack)
+        assert got.shape == (stack.shape[0], stack.shape[2])
+        for i, system in enumerate(stack):
+            assert np.array_equal(got[i], gf2_eliminate_reference(system)), i
+
+    @pytest.mark.parametrize("k", [5, 30, 64, 65, 130])
+    def test_batched_stack_matches_reference(self, rng, k):
+        """One batched call over a stack of mixed-rank systems (dense,
+        sparse, all-zero, duplicated rows) equals the loop reference
+        system by system; k > 64 spans several words."""
+        m = 12
+        density = rng.uniform(0.0, 1.0, (40, 1, 1))
+        stack = (rng.random((40, m, k)) < density).astype(np.uint8)
+        stack[0] = 0  # every unknown erased, no surviving equation
+        stack[1, :, : k // 2] = 0  # half the columns carry nothing
+        stack[2, 1:] = stack[2, :1]  # one row, repeated
+        stack[3, m // 2 :] = stack[3, : m // 2]  # every row twice
+        stack[4] = np.eye(m, k, dtype=np.uint8)  # unit rows only
+        self._assert_stack_matches_reference(stack)
+
+    def test_batched_stack_of_repair_patterns(self, rng):
+        """Stacks shaped like S-PRAC's: one coefficient matrix with
+        lost repair rows and intact columns zeroed, including systems
+        with every segment erased and with no surviving repair row."""
+        k, r = 30, 15
+        coeffs = gf2_coefficients(0, "rlnc-coeffs", k, r, shape=(r, k))
+        erased = rng.random((60, k)) < rng.uniform(0.0, 1.0, (60, 1))
+        repair_ok = rng.random((60, r)) < rng.uniform(0.0, 1.0, (60, 1))
+        erased[0] = True
+        repair_ok[1] = False
+        erased[2], repair_ok[2] = True, False
+        stack = coeffs & repair_ok[:, :, None] & erased[:, None, :]
+        self._assert_stack_matches_reference(stack.astype(np.uint8))
+
+    def test_batched_degenerate_shapes(self):
+        assert gf2_eliminate(np.zeros((0, 3, 4), dtype=np.uint8)).shape == (0, 4)
+        empty_rows = gf2_eliminate(np.zeros((2, 0, 4), dtype=np.uint8))
+        assert empty_rows.shape == (2, 4) and not empty_rows.any()
+        with pytest.raises(ValueError):
+            gf2_eliminate(np.zeros(4, dtype=np.uint8))
+
 
 def _every_scheme():
-    """One of each trace-evaluable scheme kind, freshly built (so the
-    two evaluators never share an S-PRAC recovery memo)."""
+    """One of each trace-evaluable scheme kind, freshly built."""
     return [
         PacketCrcScheme(),
         FragmentedCrcScheme(n_fragments=15),
@@ -827,12 +873,12 @@ class TestSchemeEvaluationEquivalence:
     """
 
     @staticmethod
-    def _assert_equivalent(result, postamble_options=(False, True)):
-        vec = evaluate_schemes(result, _every_scheme(), postamble_options)
-        ref = evaluate_schemes_reference(
-            result, _every_scheme(), postamble_options
-        )
-        assert len(vec) == len(ref) == 8 * len(postamble_options)
+    def _assert_equivalent(
+        result, postamble_options=(False, True), schemes=_every_scheme
+    ):
+        vec = evaluate_schemes(result, schemes(), postamble_options)
+        ref = evaluate_schemes_reference(result, schemes(), postamble_options)
+        assert len(vec) == len(ref) == len(schemes()) * len(postamble_options)
         for a, b in zip(vec, ref, strict=True):
             assert a.label == b.label
             assert a.stats.links() == b.stats.links()
@@ -870,6 +916,33 @@ class TestSchemeEvaluationEquivalence:
         result = NetworkSimulation(config).run()
         assert result.table.acquired(True).any()
         self._assert_equivalent(result)
+
+    @pytest.mark.parametrize("width", [9, 61, None])
+    def test_sprac_adversarial_blocks(self, small_sim_result, rng, width):
+        """S-PRAC where its layout is awkward: payloads narrower than
+        k, L not divisible by k, repair windows that wrap past the
+        end, all-wrong rows, wrong codewords only at the first or last
+        symbol, random bursts, and clean rows."""
+        result = self._with_rows(small_sim_result, slice(300))
+        payload = result.table.payload[:, :width] & ~np.uint8(WRONG)
+        n, length = payload.shape
+        group = np.arange(n) % 5
+        payload[group == 0] |= WRONG
+        payload[group == 1, 0] |= WRONG
+        payload[group == 2, -1] |= WRONG
+        for row in np.flatnonzero(group == 3):
+            start = int(rng.integers(length))
+            payload[row, start : start + int(rng.integers(1, 12))] |= WRONG
+        result = replace(result, table=replace(result.table, payload=payload))
+        assert result.table.acquired(True)[group == 0].any()
+
+        def spracs():
+            return [
+                SpracScheme(n_segments=k, n_repair=r)
+                for k, r in ((1, 1), (4, 2), (7, 3), (10, 5), (30, 15), (60, 30))
+            ]
+
+        self._assert_equivalent(result, schemes=spracs)
 
     def test_no_acquired_records(self, small_sim_result):
         result = self._with_rows(small_sim_result, slice(50))

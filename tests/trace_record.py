@@ -152,9 +152,17 @@ def entry_points() -> None:
             runpy.run_path(str(example), run_name="__main__")
     sys.argv = argv
     _expect(2, runner.main, "--all", "--jobs", "0")
-    chaos = "crash=0.25,hang=0.25,flaky=0.25"
-    policy = "max_attempts=3,timeout_base_s=0.5,timeout_scale=0,backoff_base_s=0.01"
-    _expect(0, runner.main, *point, "--jobs", "2", REPRO_FAULTS=chaos, REPRO_EXEC=policy)
+    # One attempt per point, so a certain fault is met by the supervisor:
+    # a hang is timed out and killed, a crash is a worker death, a flake
+    # is a worker's exception, and each is rescued in-process.
+    policy = "max_attempts=1,timeout_base_s=0.5,timeout_scale=0,backoff_base_s=0.01"
+    faults = (("hang", "timeouts"), ("crash", "worker_deaths"), ("flaky", "rescued"))
+    for fault, counter in faults:
+        chaos = {"REPRO_FAULTS": f"{fault}=1.0", "REPRO_EXEC": policy}
+        _expect(0, runner.main, *point, "--jobs", "2", "--out", fault, **chaos)
+        counters = json.loads(Path(fault, "manifest.json").read_text())["exec"]
+        if (counters[counter], counters["rescued"]) != (1, 1):
+            raise SystemExit(f"{fault}=1.0 run: exec counters {counters}")
     fail = {"REPRO_FAULTS": "fail=1.0", "REPRO_EXEC": "max_attempts=2,backoff_base_s=0.001"}
     _expect(3, runner.main, *point, "--format", "json", "--out", "failed", **fail)
     _expect(3, runner.main, *point, **fail)
