@@ -21,7 +21,10 @@ failures are isolated to the point that hit them:
 
 Completed results are delivered through ``on_result`` the moment they
 arrive — the run cache uses that to write every point back to its
-store immediately, so an interrupted sweep resumes warm.  Worker
+store immediately, so an interrupted sweep resumes warm.  Where the
+parent would wait for its workers it calls ``idle`` instead, one unit
+of its own work at a time — the runner uses that to run the
+experiments whose points have landed.  Worker
 sanitizer ledgers ride along with each result message and are merged
 per result, never per batch.
 
@@ -228,6 +231,7 @@ class Supervisor:
         fn: Callable[[Any], Any],
         *,
         on_result: Callable[[Task, Any], None] | None = None,
+        idle: Callable[[], bool] | None = None,
     ) -> tuple[dict[int, Any], list[TaskFailure]]:
         """Execute every task; return ``(results, failures)``.
 
@@ -235,6 +239,14 @@ class Supervisor:
         ``failures`` lists tasks that failed permanently.  The run
         always drains — one poisoned task never aborts the rest —
         and ``on_result`` fires the moment each result exists.
+
+        ``idle`` is the parent's own work while its workers run: where
+        the parent would block waiting for a worker, it calls
+        ``idle()``, which does one bounded unit of work and returns
+        whether it did any; the parent then polls its workers again,
+        so a finished worker's slot is refilled after at most one unit.
+        Only once ``idle`` returns ``False`` does the parent block.
+        In-process runs never call it.
         """
         tasks = list(tasks)
         results: dict[int, Any] = {}
@@ -246,7 +258,9 @@ class Supervisor:
             self.faults.active and self.faults.needs_processes
         )
         if use_processes:
-            self._run_pool(tasks, fn, emit, results, failures)
+            self._run_pool(
+                tasks, fn, emit, results, failures, idle or (lambda: False)
+            )
         else:
             for task in tasks:
                 self._run_one_serial(
@@ -353,6 +367,7 @@ class Supervisor:
         emit: Callable[[Task, Any], None],
         results: dict[int, Any],
         failures: list[TaskFailure],
+        idle: Callable[[], bool],
     ) -> None:
         ctx = (
             self._context
@@ -392,24 +407,32 @@ class Supervisor:
                 )
 
             if running:
-                timeout = max(
-                    0.0,
-                    min(r.deadline for r in running.values())
-                    - time.monotonic(),
-                )
-                # Never poll while every slot is busy: a pending ready
-                # time only matters when there is a free slot to launch
-                # into, and fresh tasks (ready_at 0.0) would otherwise
-                # make this a zero-timeout spin beside the workers.
-                if pending and not degrade and len(running) < self.jobs:
-                    next_ready = min(ra for (_, _, ra) in pending)
-                    timeout = min(
-                        timeout, max(0.0, next_ready - time.monotonic())
+                # A finished worker is collected before the parent
+                # takes on its own work; with none finished, one unit
+                # of that work replaces the wait, and the loop polls
+                # again (the deadline sweep below still runs).
+                ready = mp_connection.wait(list(running), timeout=0)
+                if not ready and not idle():
+                    timeout = max(
+                        0.0,
+                        min(r.deadline for r in running.values())
+                        - time.monotonic(),
                     )
-                ready = mp_connection.wait(list(running), timeout=timeout)
+                    # Never poll while every slot is busy: a pending
+                    # ready time only matters when there is a free slot
+                    # to launch into, and fresh tasks (ready_at 0.0)
+                    # would otherwise make this a zero-timeout spin
+                    # beside the workers.
+                    if pending and not degrade and len(running) < self.jobs:
+                        next_ready = min(ra for (_, _, ra) in pending)
+                        timeout = min(
+                            timeout, max(0.0, next_ready - time.monotonic())
+                        )
+                    ready = mp_connection.wait(list(running), timeout=timeout)
             elif pending and not degrade:
-                next_ready = min(ra for (_, _, ra) in pending)
-                time.sleep(max(0.0, next_ready - time.monotonic()))
+                if not idle():
+                    next_ready = min(ra for (_, _, ra) in pending)
+                    time.sleep(max(0.0, next_ready - time.monotonic()))
                 continue
             else:
                 break

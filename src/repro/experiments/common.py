@@ -24,7 +24,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field, replace
 from itertools import product
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 import numpy as np
 
@@ -421,7 +421,11 @@ class RunCache:
             return self.base
         return replace(self.base, **_resolve_overrides(overrides))
 
-    def prefetch(self, configs: Iterable[SimulationConfig]) -> None:
+    def prefetch(
+        self,
+        configs: Iterable[SimulationConfig],
+        idle: Callable[[], bool] | None = None,
+    ) -> None:
         """Resolve any uncached configs: disk first, then simulate.
 
         Hit order is memory → backing store (when one is attached) →
@@ -430,7 +434,12 @@ class RunCache:
         sweep keeps everything it finished and resumes warm.  Uncached
         configs run under the supervisor, sharded across ``jobs``
         worker processes; the cache ends up exactly as if every config
-        had been simulated sequentially, bit for bit.
+        had been simulated sequentially, bit for bit.  They launch
+        heaviest first, by offered load times duration (ties in the
+        order given), so the longest simulations do not start last
+        and become the tail.  ``idle`` is handed to
+        :meth:`Supervisor.run`: the parent's own work while its
+        workers simulate.
 
         Raises :class:`~repro.exec.SweepExecutionError` when any
         requested point failed permanently — on this call (after every
@@ -458,7 +467,10 @@ class RunCache:
         if not missing:
             return
         policy = ExecPolicy.from_env()
-        digests = [config_digest(config) for config in missing]
+        heaviest_first = sorted(
+            missing, key=lambda c: -c.load_bits_per_s_per_node * c.duration_s
+        )
+        digests = [config_digest(config) for config in heaviest_first]
         tasks = [
             Task(
                 task_id=index,
@@ -468,7 +480,7 @@ class RunCache:
                 label=f"point {digest.hex()[:12]}",
             )
             for index, (config, digest) in enumerate(
-                zip(missing, digests, strict=True)
+                zip(heaviest_first, digests, strict=True)
             )
         ]
         supervisor = Supervisor(
@@ -482,11 +494,20 @@ class RunCache:
             on_result=lambda task, result: self._store_result(
                 task.payload, result
             ),
+            idle=idle,
         )
         if failures:
             for failure in failures:
                 self._failed[failure.task.payload] = failure
             raise SweepExecutionError(failures)
+
+    def holds(self, config: SimulationConfig) -> bool:
+        """Whether ``config``'s run is in memory."""
+        return config in self._cache
+
+    def drop(self, config: SimulationConfig) -> None:
+        """Forget ``config``'s run (a store keeps its copy)."""
+        self._cache.pop(config, None)
 
     def _store_result(
         self, config: SimulationConfig, result: SimulationResult

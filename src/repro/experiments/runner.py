@@ -13,10 +13,11 @@ Usage::
 Experiments come from the declarative registry: each ``exp_*`` module
 registers its spec (including the simulation points it needs), the
 runner prefetches the union of the selected specs' points — sharded
-across ``--jobs`` worker processes — and then runs each experiment
-against the shared :class:`~repro.experiments.common.RunCache`; the
-registry resolves each spec's points through it and hands the body
-those runs.
+across ``--jobs`` worker processes, heaviest first — and runs each
+experiment against the shared
+:class:`~repro.experiments.common.RunCache` as soon as its points
+have landed, while the workers simulate the rest; the registry
+resolves each spec's points through it and hands the body those runs.
 
 ``--store DIR`` (default: the ``REPRO_STORE`` environment variable)
 backs the cache with a durable content-addressed run store: points
@@ -68,6 +69,7 @@ from repro.experiments.common import (
     ExperimentResult,
     RunCache,
 )
+from repro.sim.network import SimulationConfig
 from repro.store import RunStore, StoreCounters
 
 #: exit code for "an experiment failed to execute" (vs 1 = shape check)
@@ -183,10 +185,16 @@ def run_experiments(
     """Run the named experiments against one shared run cache.
 
     ``jobs`` fans the selected experiments' declared simulation points
-    across that many supervised worker processes before any experiment
-    runs.  Results are bit-identical for every ``jobs`` value: each
+    across that many supervised worker processes, heaviest first.
+    While the workers simulate, the parent runs each experiment whose
+    points, and those of the experiments it needs, have all landed
+    (the point-less ones at once); the rest run once the last point
+    is in.  Results are bit-identical for every ``jobs`` value: each
     point's streams derive from its config alone, so it does not
-    matter which process simulates it.
+    matter which process simulates it or when an experiment reads it,
+    and results are reported in the order of ``names``.  A run is
+    dropped from the cache once every experiment that reads it has
+    run.
 
     ``store`` backs the cache with a durable run store (memory → disk
     → simulate, write-back per completed point); results are
@@ -214,22 +222,62 @@ def run_experiments(
     points = [
         config for spec in specs for config in spec.configs(cache.base)
     ]
+    # Who reads each run: the selected experiments and, transitively,
+    # the experiments they need.
+    readers: dict[SimulationConfig, set[str]] = {}
+    for spec in _with_needs(specs):
+        for config in spec.configs(cache.base):
+            readers.setdefault(config, set()).add(spec.experiment_id)
+    done: dict[str, ExperimentResult | ExperimentFailure] = {}
+
+    def settle(spec: registry.ExperimentSpec) -> None:
+        _run_spec(spec, cache, done)
+        for config, ids in list(readers.items()):
+            if ids.issubset(done.keys()):
+                cache.drop(config)
+                del readers[config]
+
+    def run_one_ready() -> bool:
+        for spec in specs:
+            if spec.experiment_id not in done and all(
+                cache.holds(config)
+                for needed in _with_needs([spec])
+                for config in needed.configs(cache.base)
+            ):
+                settle(spec)
+                return True
+        return False
+
     try:
-        cache.prefetch(points)
+        cache.prefetch(points, idle=run_one_ready)
     except SweepExecutionError:
         # Every healthy point completed and is cached; the failures
         # are negatively cached and attributed per experiment below.
         pass
     outcome = RunOutcome(results=[])
-    done: dict[str, ExperimentResult | ExperimentFailure] = {}
     for spec in specs:
-        got = _run_spec(spec, cache, done)
+        settle(spec)
+        got = done[spec.experiment_id]
         if isinstance(got, ExperimentFailure):
             outcome.failures.append(got)
         else:
             outcome.results.append(got)
     outcome.exec_counters = cache.exec_counters
     return outcome
+
+
+def _with_needs(
+    specs: list[registry.ExperimentSpec],
+) -> list[registry.ExperimentSpec]:
+    """``specs`` and every experiment they need, transitively."""
+    found: dict[str, registry.ExperimentSpec] = {}
+    stack = list(reversed(specs))
+    while stack:
+        spec = stack.pop()
+        if spec.experiment_id not in found:
+            found[spec.experiment_id] = spec
+            stack += [registry.get_spec(name) for name in spec.needs]
+    return list(found.values())
 
 
 def write_artifacts(

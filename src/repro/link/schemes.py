@@ -271,15 +271,21 @@ class PprScheme(DeliveryScheme):
 
     The wire format matches :class:`PacketCrcScheme` (PPR needs no
     extra on-air redundancy); delivery hands up the bits of every
-    codeword whose hint is at most ``eta``.
+    codeword whose hint is at most ``eta``.  Recorded hints are
+    integers, so trace scoring compares them with ``hint_limit``, the
+    integer part of ``eta``: the same verdicts, without widening a
+    uint8 hint block to float64.
     """
 
     name = "ppr"
 
     def __init__(self, eta: float = PAPER_ETA) -> None:
-        if eta < 0:
+        if not eta >= 0:
             raise ValueError(f"eta must be non-negative, got {eta}")
         self.eta = float(eta)
+        # Hints are six-bit, so capping eta at 255 changes no verdict
+        # and keeps the limit a uint8, which the comparison stays in.
+        self.hint_limit = int(min(self.eta, 255.0))
 
     def __repr__(self) -> str:
         return f"PprScheme(eta={self.eta})"
@@ -312,7 +318,7 @@ class PprScheme(DeliveryScheme):
         )
 
     def evaluate_traces(self, block: TraceBlock) -> TraceDelivery:
-        good = block.hints <= self.eta
+        good = block.hints <= self.hint_limit
         n_good = good.sum(axis=1)
         good &= block.correct
         n_good_correct = good.sum(axis=1)

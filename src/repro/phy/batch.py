@@ -167,12 +167,11 @@ class WaveformBatchEngine:
         self._demod = MskDemodulator()
         self._decoder = BatchReceptionEngine(codebook)
         modulator = MskModulator()
-        self._refs = {}
-        self._correlators = {}
-        for kind in ("preamble", "postamble"):
-            symbols = sync_field_symbols(kind)
-            self._refs[kind] = modulator.modulate_symbols(symbols, codebook)
-            self._correlators[kind] = FftCorrelator(self._refs[kind])
+        self._refs = {
+            kind: modulator.modulate_symbols(sync_field_symbols(kind), codebook)
+            for kind in ("preamble", "postamble")
+        }
+        self._correlator = FftCorrelator(self._refs)
 
     # -- detection -----------------------------------------------------------
 
@@ -186,17 +185,30 @@ class WaveformBatchEngine:
         time-domain loop spec :meth:`correlation_reference` is pinned
         at 1e-12 rather than bit-for-bit, the FFT reassociation being
         the one sanctioned deviation."""
-        ref = self._refs[kind]
-        capture = np.asarray(capture, dtype=np.complex128)
-        if capture.size < ref.size:
-            return np.zeros(0, dtype=np.float64)
-        raw = self._correlators[kind].correlate(capture)
-        energy = np.concatenate([[0.0], np.cumsum(np.abs(capture) ** 2)])
-        win = energy[ref.size :] - energy[: -ref.size]
-        denom = np.sqrt(win) * np.linalg.norm(ref)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            corr = np.where(denom > 0, np.abs(raw) / denom, 0.0)
+        [corr] = self.correlations(capture, (kind,))
         return corr
+
+    def correlations(
+        self, capture: np.ndarray, kinds: Sequence[str]
+    ) -> list[np.ndarray]:
+        """:meth:`correlation` of each kind in ``kinds``, bit for bit.
+
+        Both sync fields have one length, so the kinds share one
+        forward FFT of the capture and one energy window.
+        """
+        size = self._correlator.pattern_size
+        capture = np.asarray(capture, dtype=np.complex128)
+        if capture.size < size:
+            return [np.zeros(0, dtype=np.float64) for _ in kinds]
+        raws = self._correlator.correlate(capture, kinds)
+        energy = np.concatenate([[0.0], np.cumsum(np.abs(capture) ** 2)])
+        root = np.sqrt(energy[size:] - energy[:-size])
+        out = []
+        for kind, raw in zip(kinds, raws, strict=True):
+            denom = root * np.linalg.norm(self._refs[kind])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                out.append(np.where(denom > 0, np.abs(raw) / denom, 0.0))
+        return out
 
     def correlation_reference(
         self, capture: np.ndarray, kind: str
@@ -231,7 +243,12 @@ class WaveformBatchEngine:
         """All detections of ``kind`` in the capture, by correlation
         peak, each with the carrier phase at its peak."""
         capture = np.asarray(capture, dtype=np.complex128)
-        corr = self.correlation(capture, kind)
+        return self._peaks(capture, kind, self.correlation(capture, kind))
+
+    def _peaks(
+        self, capture: np.ndarray, kind: str, corr: np.ndarray
+    ) -> list[SyncDetection]:
+        """The detections of ``kind`` at the peaks of its correlation."""
         ref = self._refs[kind]
         detections = []
         for peak in peak_offsets(corr, self._threshold, ref.size):
@@ -290,8 +307,13 @@ class WaveformBatchEngine:
         usable anchor is an empty reception.
         """
         capture = np.asarray(capture, dtype=np.complex128)
-        pre_dets = self.detect(capture, "preamble")
-        post_dets = self.detect(capture, "postamble")
+        kinds = ("preamble", "postamble")
+        pre_dets, post_dets = (
+            self._peaks(capture, kind, corr)
+            for kind, corr in zip(
+                kinds, self.correlations(capture, kinds), strict=True
+            )
+        )
         anchors = [
             pre_dets[0] if pre_dets else None,
             max(post_dets, key=lambda d: d.sample_offset, default=None),

@@ -134,19 +134,23 @@ def transmit_chipwords_batch(
     chip_error_prob: np.ndarray,
     sizes: np.ndarray,
     keys: np.ndarray,
+    offsets: np.ndarray | None = None,
 ) -> np.ndarray:
     """Keyed-stream BSC over many receptions' words in one call.
 
-    The input is any number of (transmission, receiver) pairs' words
-    concatenated flat; ``sizes`` gives each pair's word count and
-    ``keys[i]`` its 128-bit stream key (from ``derive_key(seed,
-    "chip-channel", tx_id, receiver)``).  Pair *i* reads ``32 *
-    sizes[i]`` uint32 words from the counter-based Philox stream under
-    ``keys[i]`` (:func:`~repro.utils.rng.keyed_words`, the stream
-    ``Generator.integers(0, 2**32)`` would draw), one per chip, row by
-    row — a function of the key and the pair's own draw order only —
-    so the result is bit-identical whether pairs transit one at a
-    time, in blocks of many pairs, or sharded over worker processes.
+    The input is any number of streams' words concatenated flat;
+    ``sizes`` gives each stream's word count and ``keys[i]`` its
+    128-bit stream key (from ``derive_key(seed, "chip-channel", tx_id,
+    receiver)``, one per (transmission, receiver) pair).  Stream *i*
+    reads ``32 * sizes[i]`` uint32 words from the counter-based Philox
+    stream under ``keys[i]`` (:func:`~repro.utils.rng.keyed_words`,
+    the stream ``Generator.integers(0, 2**32)`` would draw), one per
+    chip, row by row, starting ``offsets[i]`` codewords in (default
+    0): a function of the key and the codeword's place in it only.  So
+    a pair may transit its codewords in several calls or streams, each
+    naming where its words start, and the result is bit-identical
+    whether pairs transit one at a time, in blocks of many pairs, or
+    sharded over worker processes.
     Chip *c* of word *w* flips when its draw ``u`` satisfies
     ``u < p[w] * 2**32``, evaluated as the integer compare
     ``u <= ceil(p[w] * 2**32) - 1``: ``p = 0`` never flips and
@@ -163,9 +167,11 @@ def transmit_chipwords_batch(
     chip_error_prob:
         scalar or ``(n,)`` per-word chip flip probability.
     sizes:
-        per-pair word counts; must sum to ``n``.
+        per-stream word counts; must sum to ``n``.
     keys:
-        ``(len(sizes), 2)`` uint64 per-pair stream keys.
+        ``(len(sizes), 2)`` uint64 per-stream keys.
+    offsets:
+        per-stream codewords of the keyed stream to skip first.
 
     Returns the received uint32 chip words.
     """
@@ -187,6 +193,11 @@ def transmit_chipwords_batch(
         raise ValueError(
             f"keys must be ({sizes.size}, 2) uint64, got {keys.shape}"
         )
+    offsets = np.zeros_like(sizes) if offsets is None else np.asarray(
+        offsets, dtype=np.int64
+    )
+    if offsets.shape != sizes.shape or (offsets.size and offsets.min() < 0):
+        raise ValueError("offsets must be one non-negative count per size")
     if n == 0:
         return tx_words.copy()
 
@@ -201,12 +212,11 @@ def transmit_chipwords_batch(
     # Probabilities quantise at 2**-32, far below the model's fidelity.
     ceilings = np.ceil(np.ldexp(p, 32))
     limits = np.maximum(ceilings - 1.0, 0.0).astype(np.uint32)
-    # Every row belongs to exactly one pair below, so the buffer needs
-    # no initialisation.
+    # Every row belongs to exactly one stream below, so the buffer
+    # needs no initialisation.
     flips = np.empty((n, 32), dtype=bool)
-    for lo, hi, words in zip(
-        starts[:-1], starts[1:], keyed_words(keys, 32 * sizes), strict=True
-    ):
+    streams = keyed_words(keys, 32 * sizes, offsets)
+    for lo, hi, words in zip(starts[:-1], starts[1:], streams, strict=True):
         np.less_equal(
             words.reshape(hi - lo, 32), limits[lo:hi, None], out=flips[lo:hi]
         )

@@ -288,7 +288,7 @@ def evaluate_schemes_reference(
         n_symbols = correct.size
         payload_bits = n_symbols * _BITS_PER_SYMBOL
         if isinstance(scheme, PprScheme):
-            good = hints <= scheme.eta
+            good = hints <= scheme.hint_limit
             return DeliveryResult(
                 scheme=scheme.name,
                 payload_bits=payload_bits,

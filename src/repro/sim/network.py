@@ -2,11 +2,14 @@
 
 Runs the event-driven sender side (Poisson traffic through CSMA onto
 the shared medium), then post-processes every (transmission, receiver)
-pair into a row of the run's :class:`TraceTable`: the full on-air
-symbol stream is pushed through the chip-level channel at the pair's
-per-symbol SINR and decoded with the shared PHY core, producing
-genuine SoftPHY hints.  A row keeps what SoftPHY hands up over the
-wire payload, one byte per codeword, and the flags acquisition needs.
+pair into a row of the run's :class:`TraceTable`: the on-air symbols
+are pushed through the chip-level channel at the pair's per-symbol
+SINR and decoded with the shared PHY core, producing genuine SoftPHY
+hints.  A row keeps the flags acquisition needs and what SoftPHY hands
+up over the wire payload, one byte per codeword.  The sync fields and
+the trailer cross the channel first; the payload crosses only for the
+frames some PHY mode acquires, so a frame no receiver synchronises on
+keeps an all-zero payload row.
 
 Acquisition model (paper §4, §7.2.2):
 
@@ -26,7 +29,7 @@ recorded traces, mirroring the paper's trace post-processing method.
 from __future__ import annotations
 
 import heapq
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field, fields
 from typing import Any
 
@@ -128,10 +131,12 @@ class TraceTable:
     ``receiver[k]``: its four acquisition flags and its wire payload as
     SoftPHY hands it up, one row of the ``(n, L)`` uint8 ``payload``
     matrix.  Each entry packs a codeword's Hamming hint with whether
-    it decoded wrong; :meth:`trace_block` unpacks them.  Every frame
-    of a run has one layout, so the payloads share one width, and a
-    table without rows keeps it.  Rows are in transmission-major,
-    receiver-minor order.
+    it decoded wrong; :meth:`trace_block` unpacks them.  The payload
+    is simulated only for rows :meth:`acquired` accepts in some PHY
+    mode (``acquired(True)``); a row no mode acquires is never read
+    and holds 0 throughout.  Every frame of a run has one layout, so
+    the payloads share one width, and a table without rows keeps it.
+    Rows are in transmission-major, receiver-minor order.
     """
 
     tx_index: np.ndarray
@@ -261,13 +266,6 @@ class HotCodewords:
     length: np.ndarray
     prob: np.ndarray
 
-    @property
-    def sizes(self) -> np.ndarray:
-        """Each pair's hot codeword count."""
-        return np.bincount(
-            self.pair, weights=self.length, minlength=self.tx_index.size
-        ).astype(np.int64)
-
     def words(
         self, lo: int = 0, hi: int | None = None
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -284,6 +282,46 @@ class HotCodewords:
             np.repeat(self.pair[first:last], length),
             _ragged_arange(self.start[first:last], length),
             np.repeat(self.prob[first:last], length),
+        )
+
+    def before(self, index: int) -> np.ndarray:
+        """Each pair's hot codewords at on-air indices below ``index``:
+        how far into its keyed stream the draws for ``index`` start."""
+        inside = np.clip(index - self.start, 0, self.length)
+        return np.bincount(
+            self.pair, weights=inside, minlength=self.tx_index.size
+        ).astype(np.int64)
+
+    def within(
+        self, rows: np.ndarray, spans: Sequence[tuple[int, int]]
+    ) -> HotCodewords:
+        """The runs of pairs ``rows`` (ascending) cut to on-air spans.
+
+        ``spans`` are ascending, disjoint ``[lo, hi)`` index ranges.
+        The result has ``rows.size`` pairs, pair ``k`` being pair
+        ``rows[k]`` here, and keeps the run order.
+        """
+        slot = np.full(self.tx_index.size, -1, dtype=np.int64)
+        slot[rows] = np.arange(rows.size)
+        owner = slot[self.pair]
+        end = self.start + self.length
+        parts = []
+        for lo, hi in spans:
+            first = np.maximum(self.start, lo)
+            last = np.minimum(end, hi)
+            keep = (owner >= 0) & (last > first)
+            parts.append(
+                (owner[keep], first[keep], (last - first)[keep], self.prob[keep])
+            )
+        pair, start, length, prob = (np.concatenate(c) for c in zip(*parts))
+        order = np.lexsort((start, pair))
+        return HotCodewords(
+            tx_index=self.tx_index[rows],
+            receiver=self.receiver[rows],
+            pair=pair[order],
+            start=start[order],
+            length=length[order],
+            prob=prob[order],
         )
 
 
@@ -670,27 +708,32 @@ class NetworkSimulation:
         air: np.ndarray,
         gains: np.ndarray,
     ) -> TraceTable:
-        """Every audible pair's reception, received in bounded blocks.
+        """Every audible pair's reception, in two passes over its stream.
 
         ``air`` holds the transmissions' on-air symbols, one row each.
 
-        The pairs are walked in blocks of whole pairs holding at most
-        ``_RECEIVE_BLOCK_WORDS`` hot codewords (a larger pair is a
-        block of its own), so no array is sized by all of a run's hot
-        codewords.  Each block's runs are expanded to words, and the
-        transmitted words cross the channel in one
-        :func:`transmit_chipwords_batch` call.  Each pair owns a
-        counter-based stream keyed on ``(seed, tx_id, receiver)``, so
-        the blocking is bit-identical to one pair at a time.  Only the
-        words the channel changed need decoding (every other word
-        decodes to itself at distance 0), and nearest-codeword decoding
-        is per word, so they are decoded in one call per block.  A
-        changed payload word's entry takes its distance, and ``WRONG``
-        when it decoded to another symbol than the one sent; a changed
-        trailer word is scattered into a copy of the pairs' sent
-        trailers, whose CRCs give ``trailer_ok``.  Sync-field chip
-        errors are the popcounts of the changed words in the sync
-        fields, summed per pair across blocks.
+        Each pair owns a counter-based stream keyed on ``(seed, tx_id,
+        receiver)`` that holds 32 draws for each of its hot codewords,
+        in on-air order, so any subset of a pair's codewords can cross
+        the channel alone (:meth:`_transit`) and see exactly the draws
+        it would in a transit of the whole frame.  The first pass
+        carries the sync fields and the trailer: sync-field chip errors
+        (the popcounts of the changed words, summed per pair) give
+        ``preamble_detectable`` and ``postamble_detectable``, and the
+        decoded trailer words, scattered into a copy of the sent
+        trailers, give ``trailer_ok`` through their CRCs.  The header
+        is not read.  Preamble locks are then arbitrated
+        (:meth:`_arbitrate_locks`), and the second pass carries the
+        payload of the rows :meth:`TraceTable.acquired` accepts in
+        either PHY mode: a changed payload word's entry takes its
+        distance, and ``WRONG`` when it decoded to another symbol than
+        the one sent.  No evaluator reads the payload of a frame no
+        mode acquires; its entries keep the cold value 0.
+
+        Only the words the channel changed need decoding (every other
+        word decodes to itself at distance 0), and nearest-codeword
+        decoding is per word, so they are decoded in one call per
+        block.
         """
         cfg = self._config
         hot = hot_codewords(
@@ -711,61 +754,112 @@ class NetworkSimulation:
             ],
             dtype=np.uint64,
         ).reshape(n, 2)
-        sizes = hot.sizes
-        offsets = np.concatenate([[0], np.cumsum(sizes)])
         engine = BatchReceptionEngine(self._codebook)
         body = slice(SYNC_SYMBOLS, n_air - SYNC_SYMBOLS)
         region = payload_slice(body.stop - body.start)
         payload = slice(body.start + region.start, body.start + region.stop)
-        entries = np.zeros((n, payload.stop - payload.start), dtype=np.uint8)
+
+        # Pass A: the preamble sync field, then the trailer and the
+        # postamble sync field.  Chip errors per pair in its preamble
+        # (row 0) and postamble (row 1) sync fields.
         trailer = air[hot.tx_index, payload.stop : body.stop]
-        # Chip errors per pair in its preamble (row 0) and postamble
-        # (row 1) sync fields.
         sync_errors = np.zeros((2, n))
-        lo = 0
-        while lo < n:
-            bound = offsets[lo] + _RECEIVE_BLOCK_WORDS
-            hi = int(np.searchsorted(offsets, bound, side="right")) - 1
-            hi = max(hi, lo + 1)
-            pair, at, prob = hot.words(lo, hi)
-            sent = np.take(air, hot.tx_index[pair] * n_air + at)
-            truth = self._codebook.encode_words(sent)
-            rx = transmit_chipwords_batch(
-                truth, prob, sizes[lo:hi], keys[lo:hi]
-            )
-            changed = np.flatnonzero(rx != truth)
-            pair, at, rx = pair[changed], at[changed], rx[changed]
-            [(decoded, distances)] = engine.decode_hard_ragged([rx])
-            wrong = decoded != sent[changed]
-
-            word = (at >= payload.start) & (at < payload.stop)
-            entries[pair[word], at[word] - payload.start] = (
-                distances[word] | WRONG * wrong[word]
-            )
-            word = (at >= payload.stop) & (at < body.stop)
-            trailer[pair[word], at[word] - payload.stop] = decoded[word]
+        spans = ((0, body.start), (payload.stop, n_air))
+        for pair, at, _, truth, rx in self._transit(
+            hot, np.arange(n), spans, keys, air
+        ):
             sync = (at < body.start) | (at >= body.stop)
-            field = (at[sync] >= body.stop) * (hi - lo) + pair[sync] - lo
-            sync_errors[:, lo:hi] += np.bincount(
-                field,
-                popcount32(rx[sync] ^ truth[changed][sync]),
-                minlength=2 * (hi - lo),
-            ).reshape(2, hi - lo)
-            lo = hi
-
+            word = ~sync
+            [(decoded, _)] = engine.decode_hard_ragged([rx[word]])
+            trailer[pair[word], at[word] - payload.stop] = decoded
+            postamble = at[sync] >= body.stop
+            sync_errors += np.bincount(
+                postamble * n + pair[sync],
+                popcount32(rx[sync] ^ truth[sync]),
+                minlength=2 * n,
+            ).reshape(2, n)
         sync_chips = SYNC_SYMBOLS * self._codebook.chips_per_symbol
         preamble_ok, postamble_ok = (
             sync_errors / sync_chips <= SYNC_ERROR_THRESHOLD
         )
-        return TraceTable(
+        table = TraceTable(
             tx_index=hot.tx_index,
             receiver=hot.receiver,
             preamble_detectable=preamble_ok,
             postamble_detectable=postamble_ok,
             trailer_ok=header_rows_ok(trailer),
             acquired_preamble=np.zeros(n, dtype=bool),
-            payload=entries,
+            payload=np.zeros((n, payload.stop - payload.start), np.uint8),
         )
+        self._arbitrate_locks(table, transmissions)
+
+        # Pass B: the payload of every row some PHY mode acquires.
+        live = np.flatnonzero(table.acquired(True))
+        spans = ((payload.start, payload.stop),)
+        for pair, at, sent, _, rx in self._transit(
+            hot, live, spans, keys, air
+        ):
+            [(decoded, distances)] = engine.decode_hard_ragged([rx])
+            table.payload[pair, at - payload.start] = distances | WRONG * (
+                decoded != sent
+            )
+        return table
+
+    def _transit(
+        self,
+        hot: HotCodewords,
+        rows: np.ndarray,
+        spans: Sequence[tuple[int, int]],
+        keys: np.ndarray,
+        air: np.ndarray,
+    ) -> Iterator[tuple[np.ndarray, ...]]:
+        """Push pairs ``rows``' hot codewords in ``spans`` through the
+        channel, in bounded blocks.
+
+        The pairs are walked in blocks of whole pairs holding at most
+        ``_RECEIVE_BLOCK_WORDS`` of these codewords (a larger pair is
+        a block of its own), so no array is sized by all of a run's
+        hot codewords, and each block crosses the channel in one
+        :func:`transmit_chipwords_batch` call.  Each span of a pair is
+        one stream of that call, under the pair's key and starting at
+        the span's first hot codeword (:meth:`HotCodewords.before`),
+        so the blocking and the choice of spans cannot change a draw.
+
+        Yields, per block, the words the channel changed as ``(pair,
+        index, sent, truth, rx)``: the pair, the on-air index, the
+        sent symbol, the transmitted and the received chip word.
+        """
+        runs = hot.within(rows, spans)
+        first = np.stack([hot.before(lo)[rows] for lo, _ in spans], axis=1)
+        sizes = (
+            np.stack([hot.before(hi)[rows] for _, hi in spans], axis=1) - first
+        )
+        ends = np.concatenate([[0], np.cumsum(sizes.sum(axis=1))])
+        n_air = air.shape[1]
+        lo = 0
+        while lo < rows.size:
+            bound = ends[lo] + _RECEIVE_BLOCK_WORDS
+            hi = int(np.searchsorted(ends, bound, side="right")) - 1
+            hi = max(hi, lo + 1)
+            pair, at, prob = runs.words(lo, hi)
+            sent = np.take(air, runs.tx_index[pair] * n_air + at)
+            truth = self._codebook.encode_words(sent)
+            rx = transmit_chipwords_batch(
+                truth,
+                prob,
+                sizes[lo:hi].ravel(),
+                np.repeat(keys[rows[lo:hi]], len(spans), axis=0),
+                first[lo:hi].ravel(),
+            )
+            changed = np.flatnonzero(rx != truth)
+            yield (
+                rows[pair[changed]],
+                at[changed],
+                sent[changed],
+                truth[changed],
+                rx[changed],
+            )
+            lo = hi
 
     def _draw_fades(self, transmissions: list[Transmission]) -> np.ndarray:
         """Block-fading gains, ``(len(transmissions), n_receivers)``.
@@ -831,7 +925,6 @@ class NetworkSimulation:
         transmissions, air = self._generate_transmissions()
         gains = self._draw_fades(transmissions)
         table = self._receive(transmissions, air, gains)
-        self._arbitrate_locks(table, transmissions)
         return SimulationResult(
             config=cfg,
             testbed=self._testbed,

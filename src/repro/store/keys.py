@@ -29,8 +29,10 @@ from repro.store.serialize import config_to_dict
 
 # Version of the on-disk entry layout (document structure, array
 # encoding, container).  Bump whenever the serialized form changes
-# shape; old entries then miss by key and are recomputed.
-STORE_SCHEMA_VERSION = 6
+# shape, or the bytes stored for one config change (schema 7: the
+# payload rows of frames no PHY mode acquires are all zero); old
+# entries then miss by key and are recomputed.
+STORE_SCHEMA_VERSION = 7
 
 
 def canonical_json(data: Any) -> str:

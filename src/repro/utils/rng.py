@@ -24,7 +24,8 @@ remove that constraint:
   streams can be evaluated in any order, on any worker, with
   bit-identical results.
 * :func:`keyed_words` reads many keyed streams' raw 32-bit words with
-  one re-keyed bit generator, for the chip channel's per-pair draws.
+  one re-keyed bit generator, for the chip channel's per-pair draws;
+  a stream may start part-way in, at a whole codeword's draws.
 """
 
 from __future__ import annotations
@@ -113,32 +114,40 @@ def rng_from_key(key: np.ndarray) -> np.random.Generator:
 
 
 def keyed_words(
-    keys: np.ndarray, counts: Iterable[int]
+    keys: np.ndarray, counts: Iterable[int], offsets: Iterable[int]
 ) -> Iterator[np.ndarray]:
-    """Yield the first ``count`` uint32 words of each key's stream.
+    """Yield ``count`` uint32 words of each key's stream, from ``offset`` on.
 
-    For every ``(key, count)`` pair the yielded array equals
-    ``rng_from_key(key).integers(0, 2**32, count, dtype=np.uint32)``
-    bit for bit: numpy serves full-range 32-bit draws by splitting each
-    raw 64-bit Philox output in two, low half first.  Reading
-    ``random_raw`` as little-endian uint32 pairs reproduces that order
-    on any host (the explicit ``<u8`` cast makes it hold on big-endian
-    ones too); an odd count drops the last high half, just as the
-    stream would leave it buffered.
+    ``offset`` counts 32-word steps, one chip codeword each.  For every
+    ``(key, count, offset)`` the yielded array equals
+    ``rng_from_key(key).integers(0, 2**32, 32 * offset + count,
+    dtype=np.uint32)[32 * offset:]`` bit for bit: numpy serves
+    full-range 32-bit draws by splitting each raw 64-bit Philox output
+    in two, low half first.  Reading ``random_raw`` as little-endian
+    uint32 pairs reproduces that order on any host (the explicit
+    ``<u8`` cast makes it hold on big-endian ones too); an odd count
+    drops the last high half, just as the stream would leave it
+    buffered.  A Philox block is four 64-bit outputs, eight words, so
+    a 32-word step is four blocks: the counter starts at
+    ``4 * offset``, where ``Philox.advance(4 * offset)`` would leave
+    it, and the skipped words are never computed.
 
-    One bit generator serves every key: each pair resets its counter,
-    output buffer and key, which is exactly the state
-    ``Philox(key=key)`` starts in, so no stream depends on its
-    neighbours.  This skips the generator construction per key (and
-    the entropy gathering behind it, which a keyed stream never
-    reads) and the bounded-integer loop of ``Generator.integers``.
+    One bit generator serves every key: each stream resets its
+    counter, output buffer and key, which is exactly the state
+    ``Philox(key=key)`` starts in advanced by the offset, so no stream
+    depends on its neighbours and a key may appear more than once.
+    This skips the generator construction per key (and the entropy
+    gathering behind it, which a keyed stream never reads) and the
+    bounded-integer loop of ``Generator.integers``.
     """
     bitgen = np.random.Philox(key=0)
     fresh = bitgen.state
-    # Callers read one array per pair with next() and check the key
+    counter = fresh["state"]["counter"]
+    # Callers read one array per stream with next() and check the key
     # table's shape themselves, so no length check could fire here.
-    for key, count in zip(keys, counts, strict=False):
+    for key, count, offset in zip(keys, counts, offsets, strict=False):
         fresh["state"]["key"] = key
+        counter[0] = 4 * offset
         bitgen.state = fresh
         raw = bitgen.random_raw((count + 1) // 2)
         yield raw.astype("<u8", copy=False).view("<u4")[:count]

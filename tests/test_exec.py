@@ -258,6 +258,64 @@ class TestSupervisorProcesses:
         )
         assert cpu_s < 0.25
 
+    def test_parent_sleeps_when_idle_has_no_work(self):
+        """An ``idle`` with nothing to do leaves the parent blocking."""
+        supervisor = Supervisor(jobs=2, faults=_NO_FAULTS)
+        calls = []
+        before = resource.getrusage(resource.RUSAGE_SELF)
+        results, failures = supervisor.run(
+            _tasks([0.4] * 4),
+            _sleep,
+            idle=lambda: calls.append(1) is not None,
+        )
+        after = resource.getrusage(resource.RUSAGE_SELF)
+        assert failures == []
+        assert results == {i: 0.4 for i in range(4)}
+        assert calls  # asked, answered "nothing", then blocked
+        cpu_s = (after.ru_utime - before.ru_utime) + (
+            after.ru_stime - before.ru_stime
+        )
+        assert cpu_s < 0.25
+
+    def test_idle_work_runs_beside_the_workers(self):
+        """The parent's own units run while its workers do; every task
+        still completes, and a finished worker is refilled between
+        units rather than after all of them."""
+        supervisor = Supervisor(jobs=2, faults=_NO_FAULTS)
+        units = list(range(6))
+        done = []
+        finished = []
+
+        def idle():
+            if not units:
+                return False
+            units.pop()
+            time.sleep(0.1)
+            done.append(len(finished))
+            return True
+
+        results, failures = supervisor.run(
+            _tasks([0.15] * 6),
+            _sleep,
+            on_result=lambda task, result: finished.append(task.task_id),
+            idle=idle,
+        )
+        assert failures == []
+        assert results == {i: 0.15 for i in range(6)}
+        assert not units and len(done) == 6
+        # The first unit starts before any worker could finish; later
+        # units see results collected between them.
+        assert done[0] == 0 and done[-1] > 0
+        assert supervisor.counters.completed == 6
+        assert not supervisor.counters.anomalous
+
+    def test_serial_runs_never_call_idle(self):
+        supervisor = Supervisor(jobs=1, faults=_NO_FAULTS)
+        results, _ = supervisor.run(
+            _tasks([1, 2]), _double, idle=lambda: pytest.fail("called")
+        )
+        assert results == {0: 2, 1: 4}
+
     def test_crash_isolation_and_rescue(self):
         supervisor = Supervisor(
             jobs=2, policy=_FAST, faults=FaultPlan(crash=1.0)

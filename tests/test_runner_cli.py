@@ -209,6 +209,151 @@ class TestNeeds:
         assert "fig16 is broken" in table1.traceback
 
 
+class TestOverlap:
+    """Experiments run as their points land, at any ``jobs``, with the
+    same results in the same order."""
+
+    @pytest.fixture()
+    def events(self, monkeypatch):
+        """Log each landed point and each fig13 run, in order."""
+        log = []
+        store_result = RunCache._store_result
+        spec = registry.get_spec("fig13")
+
+        def landed(self, config, result):
+            log.append("point")
+            store_result(self, config, result)
+
+        def fig13(cache=None, needed=None):
+            log.append("fig13")
+            return spec.run(cache, needed)
+
+        monkeypatch.setattr(RunCache, "_store_result", landed)
+        monkeypatch.setitem(
+            registry._REGISTRY, "fig13", dataclasses.replace(spec, run=fig13)
+        )
+        return log
+
+    def test_pointless_experiment_runs_before_the_last_point(self, events):
+        outcome = run_experiments(
+            ["sweep_load", "fig13"], duration_s=2.0, jobs=2
+        )
+        assert not outcome.failures
+        assert events.count("point") == 9 and events.count("fig13") == 1
+        last_point = len(events) - 1 - events[::-1].index("point")
+        assert events.index("fig13") < last_point
+
+    def test_results_keep_spec_order(self, events):
+        names = ["sweep_load", "fig13", "table2", "fig16"]
+        parallel = run_experiments(names, duration_s=2.0, jobs=2)
+        serial = run_experiments(names, duration_s=2.0, jobs=1)
+        # fig13 ran during the prefetch, yet lands in its own slot.
+        assert events.index("fig13") < events.index("point")
+        for outcome in (parallel, serial):
+            assert [r.experiment_id for r in outcome.results] == names
+        assert [r.to_dict() for r in parallel.results] == [
+            r.to_dict() for r in serial.results
+        ]
+
+    def test_runs_are_dropped_after_their_last_reader(self, monkeypatch):
+        """A run leaves the cache once every experiment reading it,
+        needed ones included, has run; a cache used directly keeps its
+        runs."""
+        dropped = []
+        done_when_dropped = {}
+        drop = RunCache.drop
+        run_spec = runner_module._run_spec
+        ran = []
+
+        def counted_run_spec(spec, cache, done):
+            got = run_spec(spec, cache, done)
+            ran[:] = list(done)
+            return got
+
+        def counted_drop(self, config):
+            dropped.append(config)
+            done_when_dropped[config] = set(ran)
+            drop(self, config)
+
+        monkeypatch.setattr(RunCache, "drop", counted_drop)
+        monkeypatch.setattr(runner_module, "_run_spec", counted_run_spec)
+        names = ["fig9", "fig10", "table1"]
+        outcome = run_experiments(names, duration_s=2.0, jobs=2)
+        assert not outcome.failures
+        base = RunCache(duration_s=2.0, seed=2007).base
+        readers = {}
+        for name in [*names, "fig16"]:
+            for config in registry.get_spec(name).configs(base):
+                readers.setdefault(config, set()).add(name)
+        assert sorted(map(repr, dropped)) == sorted(map(repr, readers))
+        for config, ids in readers.items():
+            assert ids <= done_when_dropped[config]
+
+        cache = RunCache(duration_s=2.0, seed=5)
+        config = cache.config_for(load=3500.0)
+        cache.get(config)
+        assert cache.holds(config)
+
+    def test_poisoned_point_fails_only_its_readers(self, monkeypatch):
+        monkeypatch.setenv("REPRO_FAULTS", "fail=1.0")
+        monkeypatch.setenv(
+            "REPRO_EXEC", "max_attempts=2,backoff_base_s=0.001"
+        )
+        names = ["table2", "fig13", "fig16"]
+        outcomes = [
+            run_experiments(names, duration_s=2.0, jobs=jobs)
+            for jobs in (1, 2)
+        ]
+        for outcome in outcomes:
+            assert [r.experiment_id for r in outcome.results] == [
+                "fig13",
+                "fig16",
+            ]
+            [failure] = outcome.failures
+            assert failure.experiment_id == "table2"
+            assert failure.error_type == "InjectedFailure"
+            assert failure.attempts == 3
+        serial, parallel = (o.failures[0] for o in outcomes)
+        assert parallel.error == serial.error
+
+
+class TestPrefetchOrder:
+    def test_heaviest_points_launch_first(self, monkeypatch):
+        """Uncached points launch by offered load times duration,
+        descending; ties keep the order they were asked for in."""
+        launched = []
+
+        class Recording:
+            def __init__(self, **kwargs):
+                pass
+
+            def run(self, tasks, fn, *, on_result=None, idle=None):
+                launched.extend(task.payload for task in tasks)
+                return {}, []
+
+        monkeypatch.setattr(
+            "repro.experiments.common.Supervisor", Recording
+        )
+        cache = RunCache(duration_s=2.0, seed=1)
+        configs = [
+            cache.config_for(load=3500.0, seed=1),
+            cache.config_for(load=13800.0, seed=1),
+            cache.config_for(load=3500.0, duration_s=8.0),
+            cache.config_for(load=6900.0, seed=2),
+            cache.config_for(load=13800.0, seed=2),
+            cache.config_for(load=6900.0, seed=3),
+        ]
+        cache.prefetch(configs)
+        assert launched == [
+            configs[2],  # 28 kbit
+            configs[1],  # 27.6 kbit, asked for first of the tie
+            configs[4],
+            configs[3],
+            configs[5],
+            configs[0],
+        ]
+
+
 class TestJsonSchema:
     def test_round_trip_every_experiment(self, spec_runs):
         """to_dict() is valid JSON and from_dict() inverts it."""

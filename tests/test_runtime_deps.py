@@ -37,8 +37,8 @@ assert len(result.transmissions) > 0
 
 correlated = []
 correlate = FftCorrelator.correlate
-FftCorrelator.correlate = lambda self, capture: (
-    correlated.append(len(capture)) or correlate(self, capture)
+FftCorrelator.correlate = lambda self, capture, names: (
+    correlated.append(len(capture)) or correlate(self, capture, names)
 )
 outcome = run_experiments(["sic_collision"], duration_s=2.0)
 assert not outcome.failures, outcome.failures

@@ -9,6 +9,7 @@ from repro.link.schemes import (
     PacketCrcScheme,
     PprScheme,
     SpracScheme,
+    TraceBlock,
     default_schemes,
 )
 from repro.phy.spreading import bytes_to_symbols
@@ -158,6 +159,34 @@ class TestPpr:
     def test_invalid_eta(self):
         with pytest.raises(ValueError):
             PprScheme(eta=-1)
+        with pytest.raises(ValueError):
+            PprScheme(eta=float("nan"))
+
+    @pytest.mark.parametrize("eta", [0, 2.5, 6, 6.0, 32, 40])
+    def test_integer_limit_matches_float_eta(self, eta, rng):
+        """Trace scoring compares uint8 hints with the integer part of
+        eta: the masks, and so every delivered count, equal the float
+        comparison's, in both the block and the per-trace path."""
+        hints = rng.integers(0, 64, (30, 50)).astype(np.uint8)
+        correct = rng.random(hints.shape) < 0.7
+        scheme = PprScheme(eta=eta)
+        good = hints.astype(np.float64) <= float(eta)
+        assert isinstance(scheme.hint_limit, int)
+        assert np.array_equal(hints <= scheme.hint_limit, good)
+        got = scheme.evaluate_traces(TraceBlock(correct, hints))
+        assert np.array_equal(
+            got.delivered_correct_bits, 4 * (good & correct).sum(axis=1)
+        )
+        assert np.array_equal(
+            got.delivered_incorrect_bits, 4 * (good & ~correct).sum(axis=1)
+        )
+        for row in range(hints.shape[0]):
+            one = trace_deliver(scheme, correct[row], hints[row])
+            assert one.delivered_correct_bits == got.delivered_correct_bits[row]
+            assert (
+                one.delivered_incorrect_bits
+                == got.delivered_incorrect_bits[row]
+            )
 
 
 class TestCommon:

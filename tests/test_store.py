@@ -111,7 +111,7 @@ class TestKeys:
         def task_keys():
             seen = []
 
-            def record(self, tasks, fn, *, on_result=None):
+            def record(self, tasks, fn, *, on_result=None, idle=None):
                 seen.extend(tasks)
                 return {}, []
 

@@ -14,6 +14,7 @@ where tie-breaking matters.
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 from dataclasses import asdict, fields, replace
 
 import numpy as np
@@ -150,23 +151,27 @@ class TestBatchedDecoders:
             assert symbols.size == 0 and dists.size == 0
 
 
-def _transmit_chipwords_batch_reference(tx_words, chip_error_prob, sizes, keys):
+def _transmit_chipwords_batch_reference(
+    tx_words, chip_error_prob, sizes, keys, offsets=None
+):
     """The keyed chip channel as first written: one ``Generator`` per
     pair drawing ``integers(0, 2**32)`` chip by chip, a float64
-    ``u < p * 2**32`` compare, and ``pack_bits_to_uint32``."""
+    ``u < p * 2**32`` compare, and ``pack_bits_to_uint32``; a stream
+    with an offset draws and drops that many codewords' chips first."""
     tx_words = np.asarray(tx_words, dtype=np.uint32)
     p = np.broadcast_to(
         np.asarray(chip_error_prob, dtype=np.float64), tx_words.shape
     )
     thresholds = np.ldexp(p, 32)
     rx = tx_words.copy()
+    offsets = np.zeros(len(sizes), int) if offsets is None else offsets
     lo = 0
-    for size, key in zip(sizes, keys, strict=True):
+    for size, key, offset in zip(sizes, keys, offsets, strict=True):
         hi = lo + int(size)
         if hi > lo:
             uniforms = rng_from_key(key).integers(
-                0, 1 << 32, size=(hi - lo, 32), dtype=np.uint32
-            )
+                0, 1 << 32, size=(int(offset) + hi - lo, 32), dtype=np.uint32
+            )[int(offset) :]
             flips = uniforms < thresholds[lo:hi, None]
             rx[lo:hi] ^= pack_bits_to_uint32(flips.astype(np.uint8))
         lo = hi
@@ -197,9 +202,11 @@ class TestChipChannelEquivalence:
     flips, bit for bit, on every probability the float compare can
     distinguish."""
 
-    def _assert_equivalent(self, words, p, sizes, keys):
-        fast = transmit_chipwords_batch(words, p, sizes, keys)
-        ref = _transmit_chipwords_batch_reference(words, p, sizes, keys)
+    def _assert_equivalent(self, words, p, sizes, keys, offsets=None):
+        fast = transmit_chipwords_batch(words, p, sizes, keys, offsets)
+        ref = _transmit_chipwords_batch_reference(
+            words, p, sizes, keys, offsets
+        )
         assert fast.dtype == ref.dtype == np.uint32
         assert np.array_equal(fast, ref)
         return fast
@@ -209,7 +216,7 @@ class TestChipChannelEquivalence:
         """Odd and even counts: the raw words are exactly what
         ``Generator.integers(0, 2**32)`` draws from the same key."""
         key = derive_key(5, "chip-channel", n, 24)
-        (words,) = keyed_words(key[None, :], [n])
+        (words,) = keyed_words(key[None, :], [n], [0])
         expected = rng_from_key(key).integers(0, 2**32, n, dtype=np.uint32)
         assert words.dtype == expected.dtype
         assert np.array_equal(words, expected)
@@ -219,11 +226,58 @@ class TestChipChannelEquivalence:
         stream in a call equals that stream drawn alone."""
         counts = [7, 0, 64, 1, 33]
         keys = _pair_keys(len(counts), seed=9)
-        for key, count, words in zip(
-            keys, counts, keyed_words(keys, counts), strict=True
+        offsets = [0, 3, 1, 0, 40]
+        for key, count, offset, words in zip(
+            keys, counts, offsets, keyed_words(keys, counts, offsets),
+            strict=True,
         ):
-            (alone,) = keyed_words(key[None, :], [count])
+            (alone,) = keyed_words(key[None, :], [count], [offset])
             assert np.array_equal(words, alone)
+
+    @pytest.mark.parametrize("count", [0, 1, 31, 32, 33, 320])
+    def test_keyed_words_from_an_offset(self, count):
+        """A stream read from ``offset`` codewords in is the tail of
+        the generator's stream: offset 0, interior offsets and offsets
+        at the end of the drawn stream, for odd and even counts."""
+        keys = _pair_keys(4, seed=13)
+        total = 10  # codewords the generator draws past the offset
+        for offset in (0, 1, 7, total):
+            streams = keyed_words(
+                keys, [count] * len(keys), [offset] * len(keys)
+            )
+            for key, words in zip(keys, streams, strict=True):
+                expected = rng_from_key(key).integers(
+                    0, 2**32, 32 * offset + count, dtype=np.uint32
+                )[32 * offset :]
+                assert np.array_equal(words, expected)
+
+    def test_split_stream_is_the_whole_stream(self, rng):
+        """A pair's words sent as several streams, each naming the
+        codeword its draws start at, flip exactly as in one stream,
+        and in any block a stream's offset is where its words sit."""
+        n = 90
+        words = rng.integers(0, 2**32, n, dtype=np.uint32)
+        p = rng.uniform(0.0, 0.5, n)
+        key = _pair_keys(1, seed=17)
+        whole = transmit_chipwords_batch(words, p, [n], key)
+        cuts = [0, 8, 9, 50, 88, n]
+        sizes = np.diff(cuts)
+        keys = np.repeat(key, sizes.size, axis=0)
+        split = self._assert_equivalent(words, p, sizes, keys, cuts[:-1])
+        assert np.array_equal(split, whole)
+        # Skipping codewords skips their draws only.
+        kept = np.r_[0:8, 50:88]
+        alone = transmit_chipwords_batch(
+            words[kept], p[kept], [8, 38], np.repeat(key, 2, axis=0), [0, 50]
+        )
+        assert np.array_equal(alone, whole[kept])
+
+    def test_rejects_bad_offsets(self, rng):
+        words = rng.integers(0, 2**32, 4, dtype=np.uint32)
+        keys = _pair_keys(2)
+        for offsets in ([0], [0, -1]):
+            with pytest.raises(ValueError, match="offsets"):
+                transmit_chipwords_batch(words, 0.1, [2, 2], keys, offsets)
 
     def test_random_pairs(self, rng):
         sizes = rng.integers(0, 60, 40)
@@ -294,7 +348,11 @@ class TestChipChannelEquivalence:
             np.ldexp(rng.integers(0, 2**32, n).astype(np.float64), -32),
         )
         self._assert_equivalent(
-            words, p, sizes, _pair_keys(sizes.size, seed=seed)
+            words,
+            p,
+            sizes,
+            _pair_keys(sizes.size, seed=seed),
+            rng.integers(0, 20, sizes.size),
         )
 
 
@@ -485,6 +543,28 @@ class TestCorrelatorEquivalence:
             ref = engine.correlation_reference(capture, kind)
             _assert_twins_finite(f"correlation({kind})", vec, ref)
             np.testing.assert_allclose(vec, ref, **self.TOL)
+
+    def test_shared_transform_is_bit_identical(self, codebook, rng):
+        """Both sync correlations from one capture transform equal
+        each correlation computed alone, exactly, in either order;
+        so do the collision receiver's detections."""
+        engine = WaveformBatchEngine(codebook)
+        capture = _collided_capture(codebook, rng, 30)
+        kinds = ("preamble", "postamble")
+        for captured in (capture, capture[:100]):
+            alone = [engine.correlation(captured, kind) for kind in kinds]
+            shared = engine.correlations(captured, kinds)
+            flipped = engine.correlations(captured, kinds[::-1])[::-1]
+            for one, two, three in zip(alone, shared, flipped, strict=True):
+                assert one.dtype == two.dtype == three.dtype
+                assert np.array_equal(one, two)
+                assert np.array_equal(one, three)
+        pair = engine.receive_collision_pair(capture, 30)
+        assert pair.preamble_detections == engine.detect(capture, "preamble")
+        assert pair.postamble_detections == engine.detect(
+            capture, "postamble"
+        )
+        assert pair.preamble_detections and pair.postamble_detections
 
 
 class TestRemodulateEquivalence:
@@ -966,13 +1046,20 @@ class TestSchemeEvaluationEquivalence:
         self._assert_equivalent(result)
 
 
+#: an on-air index past the end of every frame: ``before`` it lie all
+#: of a pair's hot codewords
+_PAST_ANY_FRAME = 1 << 40
+
+
 def _assert_hot_equal(a, b):
     """Two hot-codeword sets name the same pairs and, expanded to
     words, the same codewords at the same probabilities."""
-    for name in ("tx_index", "receiver", "sizes"):
+    for name in ("tx_index", "receiver"):
         x, y = getattr(a, name), getattr(b, name)
         assert x.dtype == y.dtype, name
         assert np.array_equal(x, y), f"{name} diverges"
+    for index in (0, 1, 7, 100, _PAST_ANY_FRAME):
+        assert np.array_equal(a.before(index), b.before(index)), index
     for name, x, y in zip(("pair", "index", "prob"), a.words(), b.words()):
         assert x.dtype == y.dtype, name
         assert np.array_equal(x, y), f"{name} diverges"
@@ -1031,7 +1118,7 @@ class TestHotCodewordsEquivalence:
         # Collisions were exercised, and some pairs were below the floor.
         assert ref.length.sum()
         n_pairs = len(transmissions) * len(sim.testbed.receiver_ids)
-        assert 0 < ref.sizes.size < n_pairs
+        assert 0 < ref.tx_index.size < n_pairs
 
     def test_half_duplex_and_lone_reception(self):
         """Receiver 1 also transmits (inf interference on what it
@@ -1054,12 +1141,45 @@ class TestHotCodewordsEquivalence:
         assert ref.tx_index.tolist() == [0, 0, 1, 2, 2, 3, 3]
         assert ref.receiver.tolist() == [1, 3, 3, 1, 3, 1, 3]
         assert np.any(ref.prob == 0.5)  # the half-duplex inf level
-        assert ref.sizes[-2:].tolist() == [0, 0]  # no overlaps
+        assert ref.before(_PAST_ANY_FRAME)[-2:].tolist() == [0, 0]  # no overlaps
 
     def test_no_transmissions(self):
         medium = RadioMedium(positions_m=np.array([[0.0, 0.0], [1.0, 0.0]]))
         ref = self._assert_equivalent(medium, [], (1,), np.ones((0, 1)), 0.0)
-        assert ref.sizes.size == 0
+        assert ref.tx_index.size == 0
+
+    def test_spans_of_some_pairs_are_their_expanded_words(self):
+        """``within`` keeps exactly the chosen pairs' codewords in the
+        spans, renumbered; ``before`` counts each pair's codewords
+        below an index."""
+        sim = NetworkSimulation(_COLLISION_CONFIG)
+        transmissions, _air = sim._generate_transmissions()
+        hot = hot_codewords(
+            sim.medium,
+            transmissions,
+            sim.testbed.receiver_ids,
+            sim._draw_fades(transmissions),
+            _COLLISION_CONFIG.min_rx_snr_db,
+        )
+        pair, index, prob = hot.words()
+        for index_at in (0, 9, 40, _PAST_ANY_FRAME):
+            below = np.bincount(
+                pair[index < index_at], minlength=hot.tx_index.size
+            )
+            assert np.array_equal(hot.before(index_at), below)
+        rows = np.arange(0, hot.tx_index.size, 2)
+        spans = ((0, 9), (20, 30), (40, 1000))
+        sub = hot.within(rows, spans)
+        in_span = np.zeros(index.size, dtype=bool)
+        for lo, hi in spans:
+            in_span |= (index >= lo) & (index < hi)
+        keep = np.isin(pair, rows) & in_span
+        assert keep.any() and not keep.all()
+        expected = (np.searchsorted(rows, pair[keep]), index[keep], prob[keep])
+        for got, want in zip(sub.words(), expected, strict=True):
+            assert np.array_equal(got, want)
+        assert np.array_equal(sub.tx_index, hot.tx_index[rows])
+        assert np.array_equal(sub.receiver, hot.receiver[rows])
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -1166,7 +1286,12 @@ def _receive_per_record(sim, transmissions, air, fades):
     ):
         _, idx, prob = hot.words(k, k + 1)
         truth_words = truth[i]
-        key = derive_key(cfg.seed, "chip-channel", transmissions[i].tx_id, receiver)
+        # The reference re-derives the simulation's own pair keys on
+        # purpose; under REPRO_SANITIZE that is not a stream collision.
+        with sanitize.suspended():
+            key = derive_key(
+                cfg.seed, "chip-channel", transmissions[i].tx_id, receiver
+            )
         rx_hot = transmit_chipwords_batch(
             truth_words[idx], prob, [idx.size], key[None, :]
         )
@@ -1265,19 +1390,52 @@ def _quick_points():
 # seed); computed at seed 2007's quick settings (duration 15 s).
 _QUICK_POINT_DIGESTS = {
     (3500.0, False, -95.0, 2007): "0c07f9443ee5e590a266bc4f172d30f2331fb7a7c94535e81b465d6b6dda6fdc",
-    (3500.0, False, -95.0, 2008): "5e5a141463ddbe86768c9667c2b178b9032b6adb7c3e7d05297cf385b0814284",
-    (3500.0, False, -95.0, 2009): "4df7d8758da7ab1fdb40b996051c3d48b0efca0582a6121f0305897631f61ff7",
-    (3500.0, True, -95.0, 2007): "25a316c552e3d9021efcdce98ab6664e6f78adf46af9767139e3717c9a535ecd",
-    (6900.0, False, -95.0, 2007): "f1ec3ae01794904ee23e0e6d25c53789bd856da2392c72c97d96f67a3f7a42a0",
-    (6900.0, False, -95.0, 2008): "29216a023c91ee5eb61abddc85b8b1609a548aab1c1a91987e03589650b61805",
-    (6900.0, False, -95.0, 2009): "c55f02bbe970497e1a26c8fffb40e57383ca310fadb2fd9603c2aa206bac51a6",
-    (13800.0, False, -95.0, 2007): "a7b466ed077b172ba8f3d8281054b3a6c6c73755759816ccaaaa77c57a8f6a51",
-    (13800.0, False, -95.0, 2008): "18629c6eee37cfc51a09626d256f14f49c7f55854f80147ada4926207e95a114",
-    (13800.0, False, -95.0, 2009): "8074c53901115905b0097ad92504a0da5d6c9ddc3ddcec78f9d5ef778ff697ed",
-    (13800.0, False, -87.0, 2007): "8964fb6f878819de835d5791b952d7a39f097edef113213a22170a0ab44164fa",
-    (13800.0, False, -87.0, 2008): "dc27e3eb84b425c39bb1e7b9d092e8295be8e09d4cd4e0b86aca03baabfab757",
-    (13800.0, False, -87.0, 2009): "520ae81abe7f796fa53fa9508aa440422b5cca2795059f27e1d6dfa3adbf3428",
+    (3500.0, False, -95.0, 2008): "00a30557765f8fcd404045102d34ce245baa95a6fdac10451f994e43ffec4d82",
+    (3500.0, False, -95.0, 2009): "832a7408b31b6495935b5578422dbefce5195f81287b18323dad0f837a05c7f7",
+    (3500.0, True, -95.0, 2007): "654bc5fd36dfc8382d87db56c4d03466b88186573d24faa9e1b7a22749b341b6",
+    (6900.0, False, -95.0, 2007): "87b60ec670299bf038fea9bc44d169b1043906ef15b4e5bdc7265cd4121e5f58",
+    (6900.0, False, -95.0, 2008): "894a65a016638c32f4572a2909381dc663b345b291ed78a768d7dc45d79e6906",
+    (6900.0, False, -95.0, 2009): "b4e1422851db61e75a6060a2243cc8f3ce17805ff9f52e3603c41e3cb8a29c83",
+    (13800.0, False, -95.0, 2007): "6e817472b7d95d05d831728b4d4b760ed3aa09071112bd5085bad6acc5ed3719",
+    (13800.0, False, -95.0, 2008): "a867c792a2e5b114f0518afe5b879e0f0a46fcf60236794872dae9d62a7d5f50",
+    (13800.0, False, -95.0, 2009): "170fcc42f909ff264ae3b13aa3269b676e2133be9e98227242b8fcea3d92d81e",
+    (13800.0, False, -87.0, 2007): "1089147715262d748da11f2882ac07d85590525548df3bd218621efc5253911b",
+    (13800.0, False, -87.0, 2008): "127db69adc21646ac381e870e349234c4a4963ee639c20eb48949f9706213f4a",
+    (13800.0, False, -87.0, 2009): "852e5b4746ad227059954f4b4d7cf3aa30ba76157f07a92ba2c46df4c67ec1c0",
 }
+
+# SHA-256 of the bits the per-record comparison reads on each quick
+# point (every non-payload column, then the payload rows some PHY mode
+# acquires: _compared_bits), computed before the payload of frames no
+# mode acquires stopped being simulated; keyed like the digests above.
+# They pin that the skip moved none of the bits any reader sees.
+_COMPARED_BITS_DIGESTS = {
+    (3500.0, False, -95.0, 2007): "80a031794b1f9f941aa43147afde2ad7405150f7d59346314bfc43d84050ae38",
+    (3500.0, False, -95.0, 2008): "ad36133bb66c790562fb4ad3b67c55133f8e874a98e8e6e98a3547ded7cbbcf4",
+    (3500.0, False, -95.0, 2009): "ccfa02b260869eb0a32010b05632ca2526c837f5e51acf513ced1c33aaec6003",
+    (3500.0, True, -95.0, 2007): "2a6e483e1daf4731db0c80f203d6ae03926612af3a2f137fd3b89e948c401258",
+    (6900.0, False, -95.0, 2007): "2c6bf2bec6c862c82ba84d835db4afe57d98367465a9228913e5456dfd23e2cd",
+    (6900.0, False, -95.0, 2008): "34302e50ff752f9e91cb8195fc64e2529b7dfd73bfef8e6e93cecab4501398a4",
+    (6900.0, False, -95.0, 2009): "1c352e42b6438dec77dec3abdfe92a51c655ecee7c832eab91041df2e3d6855c",
+    (13800.0, False, -95.0, 2007): "2a3aca011b8d6d7fdd54a266d9a1bbbcdecc4675ebd6120d17f4219ac63ba843",
+    (13800.0, False, -95.0, 2008): "7c4cf51e8f6f90c2f8617b53520c9ed1b448b655555bc7ecd7edf0d09906ac86",
+    (13800.0, False, -95.0, 2009): "fd77d00ffd16ae075b1504218b9ba91427efa64046114ceaaa87c949d28184a8",
+    (13800.0, False, -87.0, 2007): "f9895fa32126545bdd7e84bd9c06d6ab4e23e335e04cd3697de6d0b644d16578",
+    (13800.0, False, -87.0, 2008): "5a1b2f36ff0aa08f4ea801721446cf21f56bf66562d36bf11a7b15d917c3c2d9",
+    (13800.0, False, -87.0, 2009): "b50f6db3d3df31f1d62548cbcc396e32057390eb8a3bb6f5d963a46333b716e4",
+}
+
+
+def _compared_bits(table):
+    """SHA-256 of a table's columns, payload restricted to the rows
+    acquired in either PHY mode."""
+    live = table.acquired(True)
+    digest = hashlib.sha256()
+    for f in fields(TraceTable):
+        column = getattr(table, f.name)
+        digest.update((column[live] if f.name == "payload" else column).tobytes())
+    return digest.hexdigest()
+
 
 # A short, collision-heavy run: heavy load, no carrier sense, tiny
 # frames, so most pairs overlap another transmission.
@@ -1308,12 +1466,22 @@ class TestColumnarReceptionEquivalence:
 
     @staticmethod
     def _assert_equivalent(config):
+        """The run's table equals the per-record path's in every column
+        and in the payload of every row some PHY mode acquires; a row
+        no mode acquires keeps an all-zero payload."""
         sim = NetworkSimulation(config)
         result = sim.run()
         transmissions, air = sim._generate_transmissions()
         fades = _fades_per_pair(sim, transmissions)
         records = _receive_per_record(sim, transmissions, air, fades)
         reference = _records_table(records, 2 * config.payload_bytes)
+        live = reference.acquired(True)
+        assert np.array_equal(result.table.acquired(True), live)
+        assert not result.table.payload[~live].any()
+        assert np.array_equal(
+            result.table.payload[live], reference.payload[live]
+        )
+        reference.payload[~live] = 0
         _assert_tables_equal(result.table, reference)
         assert result_to_parts(
             replace(result, table=reference)
@@ -1332,6 +1500,7 @@ class TestColumnarReceptionEquivalence:
         points = _quick_points()
         assert len(points) == 13
         digests = {}
+        compared = {}
         for config in points:
             result = self._assert_equivalent(config)
             meta, blob = result_to_parts(result)
@@ -1344,6 +1513,8 @@ class TestColumnarReceptionEquivalence:
             digests[point] = hashlib.sha256(
                 canonical_json(meta).encode() + blob
             ).hexdigest()
+            compared[point] = _compared_bits(result.table)
+        assert compared == _COMPARED_BITS_DIGESTS
         assert digests == _QUICK_POINT_DIGESTS
 
     def test_no_audible_pair(self):
@@ -1358,10 +1529,11 @@ class TestColumnarReceptionEquivalence:
         expected = [NetworkSimulation(config).run() for config in configs]
         calls = []
 
-        def counted(tx_words, chip_error_prob, sizes, keys):
-            calls.append((len(sizes), len(tx_words)))
+        def counted(tx_words, chip_error_prob, sizes, keys, offsets):
+            pairs = {bytes(key) for key in np.asarray(keys, np.uint64)}
+            calls.append((pairs, len(tx_words)))
             return transmit_chipwords_batch(
-                tx_words, chip_error_prob, sizes, keys
+                tx_words, chip_error_prob, sizes, keys, offsets
             )
 
         monkeypatch.setattr(network, "_RECEIVE_BLOCK_WORDS", block_words)
@@ -1371,11 +1543,16 @@ class TestColumnarReceptionEquivalence:
             got = NetworkSimulation(config).run()
             _assert_tables_equal(got.table, want.table)
             assert result_to_parts(got) == result_to_parts(want)
-            # Blocks partition the pairs, and only a lone pair may
-            # exceed the bound.
-            assert sum(pairs for pairs, _ in calls) == len(want.table)
+            # Each pass's blocks partition its pairs: every pair in
+            # the sync-and-trailer pass, the acquired ones in the
+            # payload pass.  Only a lone pair may exceed the bound.
+            seen = Counter(key for pairs, _ in calls for key in pairs)
+            live = int(want.table.acquired(True).sum())
+            assert len(seen) == len(want.table)
+            assert sum(seen.values()) == len(want.table) + live
+            assert sorted(seen.values()).count(2) == live
             for pairs, words in calls:
-                assert pairs == 1 or words <= block_words
+                assert len(pairs) == 1 or words <= block_words
             # The collision-heavy run really is split up.
             if config is _COLLISION_CONFIG:
                 assert len(calls) > len(want.table) // 2
